@@ -120,9 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--concurrency",
         type=int,
-        default=1,
-        help="rewritten queries in flight at once (1 = serial; answers are "
-        "identical either way)",
+        default=None,
+        metavar="N",
+        help="rewritten queries in flight at once.  By default the width is "
+        "chosen per query: the plan is issued together only when the base "
+        "query's call mostly waited on the source.  N pins it (1 = serial); "
+        "answers are identical either way",
     )
     query.add_argument(
         "--explain",
@@ -255,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=1,
-        help="rewritten queries in flight at once; above 1 the replay-identical "
-        "check is skipped (fault schedules are call-order dependent)",
+        help="rewritten queries in flight at once (pinned: replay needs a fixed "
+        "call order); above 1 the replay-identical check is skipped (fault "
+        "schedules are call-order dependent)",
     )
     chaos.add_argument(
         "--admission",
@@ -511,7 +515,7 @@ def _build_mediation(args, telemetry=None):
     config = QpiadConfig(
         alpha=args.alpha,
         k=args.k,
-        max_concurrency=getattr(args, "concurrency", 1),
+        max_concurrency=getattr(args, "concurrency", None),
     )
     plan_cache = PlanCache() if getattr(args, "explain", False) else None
     scheduler = None

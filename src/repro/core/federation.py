@@ -23,9 +23,9 @@ recorded in :attr:`FederatedResult.failures`, the result is flagged
 degraded, and mediation continues across the rest of the federation.
 
 Per-source mediations are independent, so the federation runs them
-through the engine's :class:`~repro.engine.PlanExecutor`: serial by
-default, fanned out over a thread pool when ``config.max_concurrency``
-is raised.  Probe payloads stream back in *completion* order — a fast
+through the engine's :class:`~repro.engine.PlanExecutor`: serial unless
+``config.max_concurrency`` pins a width above 1, then fanned out over a
+thread pool.  Probe payloads stream back in *completion* order — a fast
 source's answers surface while slower sources are still mediating
 (:meth:`FederatedMediator.stream_answers`, built on the streaming
 union/project operators) — and are then folded into the result in
@@ -60,7 +60,7 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.sources.autonomous import AutonomousSource
 from repro.sources.registry import SourceRegistry
-from repro.telemetry import SpanKind, Telemetry, maybe_span
+from repro.telemetry import Span, SpanKind, Telemetry, maybe_span
 
 __all__ = ["FederatedAnswer", "FederatedResult", "FederatedMediator", "SourceFailure"]
 
@@ -147,14 +147,15 @@ class FederatedMediator:
     config / correlated_config:
         Parameters for the regular and cross-source pipelines.
         ``config.max_concurrency`` also sets how many *sources* are
-        probed at once.
+        probed at once; left unpinned (``None``) the sources are probed
+        one at a time, because the answer stream pulls them lazily.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hook, shared with
         every per-source mediator the federation spins up: the federated
         query becomes one root span with a child span per source, under
-        which the per-source retrieval spans nest.  (With concurrency
-        above 1, span parentage across sources is best-effort — see
-        ``docs/engine.md``.)
+        which the per-source retrieval spans nest.  Parentage is exact at
+        any width: a probe run on a pool thread opens its source span
+        under the federation root explicitly.
     executor:
         Optional explicit :class:`~repro.engine.PlanExecutor` for the
         per-source fan-out, overriding ``config.max_concurrency``.
@@ -265,7 +266,7 @@ class FederatedMediator:
             payloads: dict[int, _Probe] = {}
             failures: dict[int, SourceFailure] = {}
             tasks = (
-                ExecutionTask(rank, self._prober(source, query))
+                ExecutionTask(rank, self._prober(source, query, root))
                 for rank, source in enumerate(sources)
             )
             outcomes = executor.map_completed(tasks, lambda: False)
@@ -342,15 +343,17 @@ class FederatedMediator:
     # ------------------------------------------------------------------
 
     def _prober(
-        self, source: AutonomousSource, query: SelectionQuery
+        self, source: AutonomousSource, query: SelectionQuery, root: "Span | None"
     ) -> Callable[[], _Probe]:
-        """One source's probe as a side-effect-free executor task."""
+        """One source's probe as a side-effect-free executor task; its span
+        nests under the federation's *root* on whichever thread it runs."""
 
         def run() -> _Probe:
             with maybe_span(
                 self._telemetry,
                 f"source {source.name}",
                 SpanKind.FEDERATION_SOURCE,
+                parent=root,
                 source=source.name,
             ):
                 if source.can_answer(query):

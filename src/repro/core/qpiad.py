@@ -96,12 +96,21 @@ class QpiadConfig:
         far (flagged degraded) rather than raising
         :class:`~repro.errors.DeadlineExceededError`.
     max_concurrency:
-        How many rewritten queries may be in flight at once.  ``1`` (the
-        default) runs the plan serially, exactly as the paper's loop; a
-        higher value opts in to the thread-pool executor, which issues
-        queries in parallel but merges outcomes deterministically in plan
-        order — answers, order, and confidences are identical on a
-        healthy source (``qpiad query --concurrency N`` on the CLI).
+        How many rewritten queries may be in flight at once.  ``None``
+        (the default) lets the engine choose per query: :meth:`query`
+        issues the top-K rewritten queries together when the base query's
+        call spent most of its time waiting on the source and nothing can
+        end the plan early or shed part of it (no ``deadline_seconds``,
+        ``max_source_failures`` left at ``None``, no ``query_budget``
+        declared by the source, no bounded admission queue on the
+        scheduler), up to the source's declared ``max_concurrent_requests``
+        and the scheduler's ``max_concurrent``; otherwise, and always in
+        :meth:`iter_possible`, it issues them one at a time, exactly as the
+        paper's loop.  An int pins the width: ``1`` is
+        always serial, a higher value always runs the thread-pool executor
+        (``qpiad query --concurrency N`` on the CLI).  Outcomes merge in
+        plan order at any width, so answers, order, confidences and
+        billing are identical on a healthy source.
     """
 
     alpha: float = 0.0
@@ -114,7 +123,7 @@ class QpiadConfig:
     max_source_failures: int | None = None
     deadline_seconds: float | None = None
     tolerate_deadline_exceeded: bool = True
-    max_concurrency: int = 1
+    max_concurrency: int | None = None
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -134,7 +143,7 @@ class QpiadConfig:
             raise QpiadError(
                 f"deadline_seconds must be non-negative, got {self.deadline_seconds}"
             )
-        if self.max_concurrency < 1:
+        if self.max_concurrency is not None and self.max_concurrency < 1:
             raise QpiadError(
                 f"max_concurrency must be at least 1, got {self.max_concurrency}"
             )
@@ -178,8 +187,8 @@ class QpiadMediator:
         default) each emit site costs a single ``None`` check.
     executor:
         Optional explicit :class:`~repro.engine.PlanExecutor`, overriding
-        the one ``config.max_concurrency`` would build (tests inject
-        instrumented executors this way).
+        the one ``config.max_concurrency`` would build or choose (tests
+        inject instrumented executors this way); it pins the width.
     scheduler:
         Optional :class:`~repro.resilience.SourceScheduler` this
         mediator's source calls are routed through.  When ``None`` (the
@@ -333,7 +342,9 @@ class QpiadMediator:
         seen_rows: set[Row] = set(base_set)
         schema = self.source.schema
 
-        for step, retrieved in engine.stream(steps):
+        # Every outcome is consumed, so an unpinned engine may overlap the
+        # plan's calls when the base call showed the source waits.
+        for step, retrieved in engine.stream(steps, drained=True):
             assert step.target_attribute is not None
             target_index = schema.index_of(step.target_attribute)
             for row in retrieved:
@@ -378,9 +389,9 @@ class QpiadMediator:
         consumes the stream — a user who stops after the first few answers
         never spends the rest of the source's query budget.  Answers arrive
         in the same order :meth:`query` would rank them.  (With
-        ``config.max_concurrency`` above 1 the engine prefetches a bounded
-        window of queries ahead of consumption; the default serial
-        executor keeps the strict one-call-per-answer-pulled economy.)
+        ``config.max_concurrency`` pinned above 1 the engine prefetches a
+        bounded window of queries ahead of consumption; otherwise the
+        stream keeps the strict one-call-per-answer-pulled economy.)
 
         Degradation matches :meth:`query` — transient failures of single
         rewritten queries are skipped under ``config.max_source_failures``,

@@ -13,13 +13,16 @@ the loop into three explicit pieces:
   :class:`ExecutionPolicy` (failure budget, deadline, tolerate flags,
   concurrency width);
 * :mod:`repro.engine.executor` — *how* to run it: the
-  :class:`PlanExecutor` protocol with :class:`SerialExecutor` (default,
-  behaviour-identical to the historical loops) and
-  :class:`ConcurrentExecutor` (opt-in thread pool that issues queries in
+  :class:`PlanExecutor` protocol with :class:`SerialExecutor`
+  (behaviour-identical to the historical loops) and
+  :class:`ConcurrentExecutor` (a thread pool that issues queries in
   parallel but merges outcomes deterministically in plan order);
 * :mod:`repro.engine.engine` — the :class:`RetrievalEngine` that binds
   them together and owns issuance accounting, telemetry spans, and
-  degradation semantics in exactly one place.
+  degradation semantics in exactly one place.  Unless the caller pins a
+  width, it picks the executor per retrieval: a drained plan runs on the
+  thread pool when the base call showed the source waits and nothing can
+  end the plan early or shed part of it, and serially otherwise.
 
 Mediators construct plans and post-filter rows; the engine does the
 issuing.  See ``docs/engine.md`` for the model and its determinism

@@ -9,6 +9,14 @@ telemetry span when traced, and enforcing the
 :class:`~repro.engine.policy.ExecutionPolicy` — failure budget, source
 budget exhaustion, wall-clock deadline — identically for every mediator
 and every executor.
+
+When the caller leaves the width unpinned (``policy.max_concurrency is
+None`` and no explicit executor), the engine picks it per retrieval.  It
+times the base call it issues anyway; if that call spent more of its
+wall-clock time waiting than computing, and nothing can end the plan early
+or shed part of it, a drained plan's calls are overlapped on a
+:class:`ConcurrentExecutor`.  Everything else runs one call at a time,
+exactly as the serial loop does.
 """
 
 from __future__ import annotations
@@ -18,7 +26,12 @@ import threading
 import time
 from typing import Any, Callable, Iterable, Iterator, Protocol
 
-from repro.engine.executor import ExecutionTask, PlanExecutor, build_executor
+from repro.engine.executor import (
+    ConcurrentExecutor,
+    ExecutionTask,
+    PlanExecutor,
+    build_executor,
+)
 from repro.engine.plan import PlannedQuery, QueryKind
 from repro.engine.policy import ExecutionPolicy
 from repro.errors import (
@@ -32,11 +45,21 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.scheduler import SourceScheduler, current_scheduler
-from repro.telemetry import SpanKind, Telemetry, maybe_span
+from repro.telemetry import Span, SpanKind, Telemetry, maybe_span
 
-__all__ = ["FailureKind", "RetrievalEngine", "RetrievalStatsLike"]
+__all__ = [
+    "FailureKind",
+    "MAX_FAN_OUT_WIDTH",
+    "RetrievalEngine",
+    "RetrievalStatsLike",
+]
 
 logger = logging.getLogger(__name__)
+
+#: The most calls an unpinned engine overlaps for one plan.  A top-K plan
+#: is usually shorter; a plan with no top-K bound (``QpiadConfig(k=None)``)
+#: could otherwise start a thread per generated rewriting.
+MAX_FAN_OUT_WIDTH = 16
 
 
 class FailureKind:
@@ -96,8 +119,10 @@ class RetrievalEngine:
         The retrieval's cost accounting; every issued call is counted
         here *before* it runs.
     executor:
-        Execution strategy; defaults to one built from
-        ``policy.max_concurrency``.
+        Execution strategy; pins the width when given.  Otherwise the
+        engine builds one from ``policy.max_concurrency``, or, when that
+        is ``None``, chooses the width of each drained plan itself (see
+        :meth:`stream`).
     telemetry:
         Optional telemetry hook; every source call becomes a span and
         feeds the ``mediator.*`` counters.
@@ -131,9 +156,12 @@ class RetrievalEngine:
         self._policy = policy
         self.stats = stats
         self._scheduler = scheduler if scheduler is not None else current_scheduler()
+        self._pinned = executor is not None or policy.max_concurrency is not None
         self._executor = executor if executor is not None else build_executor(
             policy.max_concurrency, scheduler=self._scheduler
         )
+        # Whether the timed base call mostly waited (unpinned width only).
+        self._base_waited = False
         self._telemetry = telemetry
         self._clock = clock
         self._record_failures = record_failures
@@ -158,12 +186,22 @@ class RetrievalEngine:
         """Issue a base query inline; its failure always propagates.
 
         Base queries run serially and outside the failure budget: without
-        certain answers there is nothing to degrade *to*.
+        certain answers there is nothing to degrade *to*.  When the width
+        is not pinned the call is also timed: whether its wall-clock time
+        was mostly waiting, rather than this thread's CPU time, decides
+        whether a drained plan fans out (see :meth:`stream`).
         """
-        return self._issue(step)
+        if self._pinned:
+            return self._issue(step)
+        started, cpu_started = time.perf_counter(), time.thread_time()
+        retrieved = self._issue(step)
+        cpu = time.thread_time() - cpu_started
+        waited = time.perf_counter() - started - cpu
+        self._base_waited = waited > cpu
+        return retrieved
 
     def stream(
-        self, plan: Iterable[PlannedQuery]
+        self, plan: Iterable[PlannedQuery], *, drained: bool = False
     ) -> Iterator[tuple[PlannedQuery, Relation]]:
         """Execute planned queries, yielding ``(step, relation)`` in plan order.
 
@@ -171,6 +209,17 @@ class RetrievalEngine:
         re-raised according to the policy; a blown deadline stops
         issuance — work in flight completes and merges, nothing new
         starts — and is noted exactly once.
+
+        *drained* is the caller's promise to consume every outcome.  When
+        the width is not pinned, a drained plan fans out if the base call
+        mostly waited and nothing can end the plan early or shed part of
+        it: no deadline, no finite failure budget, no query budget
+        declared by the source, and no bounded admission queue on the
+        scheduler the calls go through.  Its width is then the plan
+        length, capped by :data:`MAX_FAN_OUT_WIDTH`, the source's declared
+        ``max_concurrent_requests`` and the scheduler's ``max_concurrent``
+        for the source.  Any other plan runs one call at a time, so a lazy
+        consumer never pays for calls it does not read.
         """
         steps = list(plan)
         if not steps:
@@ -180,10 +229,15 @@ class RetrievalEngine:
         def should_stop() -> bool:
             return halted[0] or self.deadline_exceeded()
 
+        executor = self._executor
+        if drained and not self._pinned:
+            width = self._fan_out_width(len(steps))
+            if width > 1:
+                executor = ConcurrentExecutor(width, scheduler=self._scheduler)
         tasks = (
             ExecutionTask(step.rank, self._runner(step)) for step in steps
         )
-        outcomes = self._executor.map(tasks, should_stop)
+        outcomes = executor.map(tasks, should_stop)
         consumed = 0
         try:
             for step, outcome in zip(steps, outcomes):
@@ -271,13 +325,52 @@ class RetrievalEngine:
         deadline = self._policy.deadline_seconds
         return deadline is not None and self._clock() - self._started > deadline
 
+    def _fan_out_width(self, steps: int) -> int:
+        """How many of a drained *steps*-long plan's calls to overlap.
+
+        Overlapping pays only when the calls wait: on a source that
+        computes in-process it adds threads to CPU work.  A plan that a
+        deadline, a failure budget or a query budget can stop part-way
+        must stay serial, or a wider window would put calls on the wire
+        that a serial run never makes.  So must a plan whose calls queue
+        for admission in a bounded queue: a serial plan holds one place in
+        it, a fanned-out one up to its width, and the scheduler sheds the
+        callers past the bound.
+        """
+        policy = self._policy
+        capabilities = getattr(self._source, "capabilities", None)
+        if (
+            not self._base_waited
+            or policy.deadline_seconds is not None
+            or policy.max_source_failures is not None
+            or getattr(capabilities, "query_budget", None) is not None
+        ):
+            return 1
+        width = min(steps, MAX_FAN_OUT_WIDTH)
+        declared = getattr(capabilities, "max_concurrent_requests", None)
+        if declared is not None:
+            width = min(width, declared)
+        if self._scheduler is not None:
+            admission = self._scheduler.state_for(self._source).policy
+            if admission.max_queue is not None:
+                return 1
+            if admission.max_concurrent is not None:
+                width = min(width, admission.max_concurrent)
+        return width
+
     # ------------------------------------------------------------------ #
     # One billable source call
 
     def _runner(self, step: PlannedQuery) -> Callable[[], Relation]:
-        return lambda: self._issue(step)
+        telemetry = self._telemetry
+        if telemetry is None:
+            return lambda: self._issue(step)
+        # Built on the submitting thread: the call span nests under the
+        # span open here even when a pool thread runs the task.
+        parent = telemetry.tracer.current()
+        return lambda: self._issue(step, parent)
 
-    def _issue(self, step: PlannedQuery) -> Relation:
+    def _issue(self, step: PlannedQuery, parent: Span | None = None) -> Relation:
         """One billable source call: counted *before* it runs, spanned when traced.
 
         Issuance is recorded up front so calls that fail — transiently, on
@@ -286,7 +379,9 @@ class RetrievalEngine:
         ``stats.queries_issued``.  This keeps the mediator's cost
         accounting aligned with the source's own access log instead of
         silently undercounting exactly the calls that hurt most.  Runs on
-        the executor's thread, so all shared bookkeeping is locked.
+        the executor's thread, so all shared bookkeeping is locked; the
+        call span opens under *parent*, or under the span open on this
+        thread when ``None``.
         """
         source = step.source if step.source is not None else self._source
         if source is None:
@@ -302,7 +397,11 @@ class RetrievalEngine:
         if step.source is not None:
             attributes["source"] = getattr(source, "name", "?")
         with maybe_span(
-            telemetry, step.span_name(), _SPAN_KINDS[step.kind], **attributes
+            telemetry,
+            step.span_name(),
+            _SPAN_KINDS[step.kind],
+            parent=parent,
+            **attributes,
         ) as span:
             retrieved = self._call_source(source, step)
             if span is not None:

@@ -96,10 +96,10 @@ class PlanExecutor(Protocol):
 class SerialExecutor:
     """Run tasks inline, one at a time, pulling lazily.
 
-    This is the default and reproduces the historical mediator loops
-    exactly: a task only runs when its outcome is consumed, so a caller
-    that stops reading (the streaming interface) never spends budget on
-    queries it did not need.
+    This reproduces the historical mediator loops exactly, and is what
+    the engine runs whenever it does not fan a plan out: a task only runs
+    when its outcome is consumed, so a caller that stops reading (the
+    streaming interface) never spends budget on queries it did not need.
 
     *scheduler*, when given, is the process's
     :class:`~repro.resilience.SourceScheduler`; the executor notes each
@@ -238,17 +238,22 @@ class ConcurrentExecutor:
                         yield TaskOutcome(task.rank, value=future.result())
 
 
-def build_executor(max_concurrency: int, scheduler: Any = None) -> PlanExecutor:
+def build_executor(
+    max_concurrency: int | None, scheduler: Any = None
+) -> PlanExecutor:
     """The executor for a concurrency width: serial at 1, thread pool above.
 
-    *scheduler* (a :class:`~repro.resilience.SourceScheduler`) is handed
-    to the executor for load attribution; it is duck-typed here to keep
-    this module free of a resilience-package import.
+    ``None`` (an unpinned width) also gives the serial executor: a caller
+    that leaves the width open runs one call at a time unless it decides
+    to fan a plan out itself, as :class:`~repro.engine.RetrievalEngine`
+    does.  *scheduler* (a :class:`~repro.resilience.SourceScheduler`) is
+    handed to the executor for load attribution; it is duck-typed here to
+    keep this module free of a resilience-package import.
     """
+    if max_concurrency is None or max_concurrency == 1:
+        return SerialExecutor(scheduler=scheduler)
     if max_concurrency < 1:
         raise QpiadError(
             f"max_concurrency must be at least 1, got {max_concurrency}"
         )
-    if max_concurrency == 1:
-        return SerialExecutor(scheduler=scheduler)
     return ConcurrentExecutor(max_concurrency, scheduler=scheduler)

@@ -41,10 +41,15 @@ class ExecutionPolicy:
         far (flagged degraded) rather than raising
         :class:`~repro.errors.DeadlineExceededError`.
     max_concurrency:
-        How many planned queries may be in flight at once.  ``1`` (the
-        default) is the historical serial loop; higher values opt in to
-        the thread-pool executor.  Whatever the width, outcomes merge in
-        plan order, so answers, order, and confidences are identical on a
+        How many planned queries may be in flight at once.  An int pins
+        the width: ``1`` is the historical serial loop, higher values run
+        the thread-pool executor.  ``None`` (the default) leaves the width
+        to the engine, which decides per retrieval: it overlaps a drained
+        plan's calls only when the base call spent most of its time
+        waiting on the source and nothing can end the plan early or shed
+        part of it (see :meth:`~repro.engine.RetrievalEngine.stream`),
+        and otherwise issues them one at a time.  Whatever the width, outcomes merge in plan
+        order, so answers, order, and confidences are identical on a
         healthy source.
     """
 
@@ -52,7 +57,7 @@ class ExecutionPolicy:
     deadline_seconds: float | None = None
     tolerate_budget_exhaustion: bool = True
     tolerate_deadline_exceeded: bool = True
-    max_concurrency: int = 1
+    max_concurrency: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_source_failures is not None and self.max_source_failures < 0:
@@ -64,7 +69,7 @@ class ExecutionPolicy:
             raise QpiadError(
                 f"deadline_seconds must be non-negative, got {self.deadline_seconds}"
             )
-        if self.max_concurrency < 1:
+        if self.max_concurrency is not None and self.max_concurrency < 1:
             raise QpiadError(
                 f"max_concurrency must be at least 1, got {self.max_concurrency}"
             )

@@ -36,7 +36,9 @@ class AccessStatistics:
 
     Updates are locked: with a concurrent plan executor several engine
     threads hit the same source, and these totals back the chaos suite's
-    exact-accounting assertions.
+    exact-accounting assertions.  A query is counted when it is charged,
+    before the source scans, so the budget check and the count are one
+    locked step and concurrent callers cannot overrun a query budget.
     """
 
     queries_answered: int = 0
@@ -46,9 +48,21 @@ class AccessStatistics:
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    def record(self, tuples: int) -> None:
+    def charge(self, budget: int | None) -> bool:
+        """Count one query unless *budget* (``None`` = unlimited) is spent.
+
+        Returns whether the query was counted; check and count happen
+        under one lock.
+        """
         with self._lock:
+            if budget is not None and self.queries_answered >= budget:
+                return False
             self.queries_answered += 1
+            return True
+
+    def record(self, tuples: int) -> None:
+        """Add the tuples one charged query shipped."""
+        with self._lock:
             self.tuples_returned += tuples
 
     def record_rejection(self) -> None:
@@ -213,7 +227,7 @@ class AutonomousSource:
 
     def _charge(self) -> None:
         budget = self.capabilities.query_budget
-        if budget is not None and self.statistics.queries_answered >= budget:
+        if not self.statistics.charge(budget):
             raise QueryBudgetExceededError(
                 f"source {self.name!r} exhausted its query budget of {budget}"
             )

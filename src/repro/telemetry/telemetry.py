@@ -39,15 +39,23 @@ class Telemetry:
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
 
-    def span(self, name: str, kind: str, **attributes: Any) -> SpanContext:
+    def span(
+        self, name: str, kind: str, *, parent: Span | None = None, **attributes: Any
+    ) -> SpanContext:
         """A context-managed span whose duration also feeds a histogram.
 
         Every finished span records its latency under
         ``span.<kind>.seconds``, so per-kind latency distributions come
-        for free with tracing.
+        for free with tracing.  *parent* overrides the default parent, the
+        calling thread's innermost open span (see :meth:`Tracer.start`).
         """
         return SpanContext(
-            self.tracer, name, kind, attributes, on_finish=self._record_latency
+            self.tracer,
+            name,
+            kind,
+            attributes,
+            on_finish=self._record_latency,
+            parent=parent,
         )
 
     def _record_latency(self, span: Span) -> None:
@@ -86,7 +94,12 @@ _NULL_SPAN = _NullSpanContext()
 
 
 def maybe_span(
-    telemetry: "Telemetry | None", name: str, kind: str, **attributes: Any
+    telemetry: "Telemetry | None",
+    name: str,
+    kind: str,
+    *,
+    parent: Span | None = None,
+    **attributes: Any,
 ):
     """``telemetry.span(...)`` when enabled; a shared no-op context otherwise.
 
@@ -100,4 +113,4 @@ def maybe_span(
     """
     if telemetry is None:
         return _NULL_SPAN
-    return telemetry.span(name, kind, **attributes)
+    return telemetry.span(name, kind, parent=parent, **attributes)

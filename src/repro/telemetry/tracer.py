@@ -9,8 +9,11 @@ timings taken from an injectable clock so tests and simulations never
 depend on wall time.
 
 The tracer is deliberately tiny: spans are plain mutable dataclasses,
-parentage comes from a stack of open spans, and nothing is sampled or
-dropped.  Export (text trees, JSON) lives in
+parentage comes from a stack of open spans kept per thread, and nothing
+is sampled or dropped.  Work handed to another thread names its parent
+explicitly (``start(..., parent=tracer.current())`` captured where the
+work was submitted), so a call run on a pool thread still nests under the
+retrieval that issued it.  Export (text trees, JSON) lives in
 :mod:`repro.telemetry.export`.
 """
 
@@ -116,11 +119,12 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._spans: list[Span] = []
-        self._open: list[int] = []
+        # Open spans per thread (by thread ident), innermost last; a thread
+        # with nothing open has no entry.
+        self._open: dict[int, list[Span]] = {}
         self._next_id = 1
         # Concurrent engine threads open/close spans against one tracer;
-        # id allocation and the span list must stay consistent.  Parentage
-        # (the open-span stack) is best-effort above one thread.
+        # id allocation, the span list and the stacks must stay consistent.
         self._lock = threading.Lock()
 
     @property
@@ -139,12 +143,25 @@ class Tracer:
     def by_kind(self, kind: str) -> tuple[Span, ...]:
         return tuple(span for span in self._spans if span.kind == kind)
 
-    def start(self, name: str, kind: str, **attributes: Any) -> Span:
-        """Open a span; it becomes the parent of spans started before its finish."""
+    def current(self) -> "Span | None":
+        """The innermost span open on the calling thread, if any."""
         with self._lock:
+            stack = self._open.get(threading.get_ident())
+            return stack[-1] if stack else None
+
+    def start(
+        self, name: str, kind: str, *, parent: "Span | None" = None, **attributes: Any
+    ) -> Span:
+        """Open a span under *parent*, by default the calling thread's
+        innermost open span; it becomes the parent of spans this thread
+        starts before its finish."""
+        with self._lock:
+            stack = self._open.setdefault(threading.get_ident(), [])
+            if parent is None and stack:
+                parent = stack[-1]
             span = Span(
                 span_id=self._next_id,
-                parent_id=self._open[-1] if self._open else None,
+                parent_id=None if parent is None else parent.span_id,
                 name=name,
                 kind=kind,
                 started=self._clock(),
@@ -152,7 +169,7 @@ class Tracer:
             )
             self._next_id += 1
             self._spans.append(span)
-            self._open.append(span.span_id)
+            stack.append(span)
         return span
 
     def finish(self, span: Span, error: "BaseException | str | None" = None) -> Span:
@@ -162,15 +179,21 @@ class Tracer:
             span.status = "error"
             span.error = str(error)
         with self._lock:
-            if self._open and self._open[-1] == span.span_id:
-                self._open.pop()
-            elif span.span_id in self._open:  # tolerate out-of-order finishes
-                self._open.remove(span.span_id)
+            # Normally the innermost span of this thread's stack; finishes
+            # out of order or on another thread are tolerated.
+            for ident, stack in self._open.items():
+                if span in stack:
+                    stack.remove(span)
+                    if not stack:
+                        del self._open[ident]
+                    break
         return span
 
-    def span(self, name: str, kind: str, **attributes: Any) -> "SpanContext":
+    def span(
+        self, name: str, kind: str, *, parent: "Span | None" = None, **attributes: Any
+    ) -> "SpanContext":
         """Context manager: start on enter, finish (capturing errors) on exit."""
-        return SpanContext(self, name, kind, attributes)
+        return SpanContext(self, name, kind, attributes, parent=parent)
 
     def reset(self) -> None:
         with self._lock:
@@ -182,7 +205,9 @@ class Tracer:
 class SpanContext:
     """``with``-wrapper around one span; exceptions mark it failed and re-raise."""
 
-    __slots__ = ("_tracer", "_name", "_kind", "_attributes", "_on_finish", "span")
+    __slots__ = (
+        "_tracer", "_name", "_kind", "_attributes", "_on_finish", "_parent", "span"
+    )
 
     def __init__(
         self,
@@ -191,16 +216,20 @@ class SpanContext:
         kind: str,
         attributes: dict[str, Any],
         on_finish: "Callable[[Span], None] | None" = None,
+        parent: "Span | None" = None,
     ):
         self._tracer = tracer
         self._name = name
         self._kind = kind
         self._attributes = attributes
         self._on_finish = on_finish
+        self._parent = parent
         self.span: "Span | None" = None
 
     def __enter__(self) -> Span:
-        self.span = self._tracer.start(self._name, self._kind, **self._attributes)
+        self.span = self._tracer.start(
+            self._name, self._kind, parent=self._parent, **self._attributes
+        )
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> bool:

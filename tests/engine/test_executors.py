@@ -224,6 +224,9 @@ class TestConcurrentWindow:
 
 
 class TestBuildExecutor:
+    def test_unpinned_is_serial(self):
+        assert isinstance(build_executor(None), SerialExecutor)
+
     def test_one_is_serial(self):
         assert build_executor(1).name == "serial"
 

@@ -1,5 +1,10 @@
 """Autonomous-source capability enforcement and statistics."""
 
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import (
@@ -84,6 +89,52 @@ class TestBudgetsAndCaps:
         source.scan(limit=2)
         with pytest.raises(QueryBudgetExceededError):
             source.scan()
+
+
+class TestBudgetUnderConcurrentCallers:
+    BUDGET = 3
+    TRIALS = 20
+    SECONDS = 2.0
+    JOIN_TIMEOUT_S = 10.0
+
+    def test_concurrent_calls_never_overrun_the_budget(self, backend):
+        # More callers than cores, released together, with the interpreter
+        # switching threads as often as it can: the budget check and the
+        # count must be one step, or two callers both see a free slot.
+        big = Relation(backend.schema, list(backend.rows) * 500)
+        workers = max(8, 2 * (os.cpu_count() or 1))
+        query = SelectionQuery.equals("make", "Honda")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stop_at = time.monotonic() + self.SECONDS
+            for __ in range(self.TRIALS):
+                source = AutonomousSource(
+                    "cars", big, SourceCapabilities.web_form(query_budget=self.BUDGET)
+                )
+                gate = threading.Barrier(workers, timeout=self.JOIN_TIMEOUT_S)
+                answered: list[int] = []
+
+                def call() -> None:
+                    gate.wait()
+                    try:
+                        source.execute(query)
+                    except QueryBudgetExceededError:
+                        return
+                    answered.append(1)
+
+                threads = [threading.Thread(target=call) for __ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(self.JOIN_TIMEOUT_S)
+                assert not any(thread.is_alive() for thread in threads)
+                assert source.statistics.queries_answered <= self.BUDGET
+                assert len(answered) == source.statistics.queries_answered
+                if time.monotonic() > stop_at:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestStatistics:

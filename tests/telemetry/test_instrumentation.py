@@ -22,6 +22,7 @@ from repro.sources import (
     SourceRegistry,
 )
 from repro.telemetry import SpanKind, Telemetry
+from tests.engine.test_width_rule import sleeping
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 
@@ -90,6 +91,53 @@ class TestMediatorSpans:
         assert list(bare.certain) == list(traced_result.certain)
         assert [a.row for a in bare.ranked] == [a.row for a in traced_result.ranked]
         assert bare.stats.queries_issued == traced_result.stats.queries_issued
+
+
+class TestParentageUnderConcurrency:
+    @pytest.mark.parametrize(
+        "width, remote",
+        [(1, False), (8, False), (None, True)],
+        ids=["width-1", "width-8", "default-on-a-sleeping-source"],
+    )
+    def test_every_rewritten_span_is_a_child_of_the_retrieval_root(
+        self, cars_env, width, remote
+    ):
+        source = sleeping(cars_env) if remote else cars_env.web_source()
+        telemetry = Telemetry()
+        result = QpiadMediator(
+            source,
+            cars_env.knowledge,
+            QpiadConfig(k=10, max_concurrency=width),
+            telemetry=telemetry,
+        ).query(QUERY)
+
+        (root,) = telemetry.tracer.roots()
+        rewritten = telemetry.tracer.by_kind(SpanKind.REWRITTEN_QUERY)
+        assert len(rewritten) == result.stats.rewritten_issued > 1
+        assert {span.parent_id for span in rewritten} == {root.span_id}
+        if remote:
+            assert source.peak_in_flight > 1  # the default did fan out
+
+    def test_federation_source_spans_nest_under_the_root_at_width_4(self, cars_env):
+        telemetry = Telemetry()
+        sources = [
+            AutonomousSource(name, cars_env.test, SourceCapabilities.web_form())
+            for name in ("a.com", "b.com", "c.com")
+        ]
+        mediator = FederatedMediator(
+            SourceRegistry(cars_env.test.schema, sources),
+            {source.name: cars_env.knowledge for source in sources},
+            QpiadConfig(k=5, max_concurrency=4),
+            telemetry=telemetry,
+        )
+        mediator.query(QUERY)
+
+        (root,) = telemetry.tracer.roots()
+        per_source = telemetry.tracer.by_kind(SpanKind.FEDERATION_SOURCE)
+        assert len(per_source) == 3
+        assert {span.parent_id for span in per_source} == {root.span_id}
+        for span in telemetry.tracer.by_kind(SpanKind.RETRIEVAL):
+            assert span.parent_id in {source.span_id for source in per_source}
 
 
 class TestFailedCallsAreSpanned:

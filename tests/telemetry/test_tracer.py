@@ -1,5 +1,7 @@
 """Span recording: parentage, timings from an injectable clock, errors."""
 
+import threading
+
 import pytest
 
 from repro.telemetry import Span, SpanKind, Tracer
@@ -93,6 +95,64 @@ class TestParentage:
         tracer.start("retrieval", SpanKind.RETRIEVAL)
         tracer.start("base", SpanKind.BASE_QUERY)
         assert [s.name for s in tracer.by_kind(SpanKind.BASE_QUERY)] == ["base"]
+
+
+def on_another_thread(work):
+    """Run *work* on a fresh thread and return its result."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(work()))
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    return results[0]
+
+
+class TestThreads:
+    def test_each_thread_keeps_its_own_stack(self, tracer):
+        root = tracer.start("retrieval", SpanKind.RETRIEVAL)
+
+        def elsewhere():
+            span = tracer.start("other", SpanKind.BASE_QUERY)
+            tracer.finish(span)
+            return span
+
+        other = on_another_thread(elsewhere)
+        child = tracer.start("child", SpanKind.BASE_QUERY)
+        assert other.parent_id is None  # not adopted by another thread's span
+        assert child.parent_id == root.span_id
+
+    def test_current_is_the_calling_threads_innermost_span(self, tracer):
+        assert tracer.current() is None
+        root = tracer.start("retrieval", SpanKind.RETRIEVAL)
+        assert tracer.current() is root
+        assert on_another_thread(tracer.current) is None
+        tracer.finish(root)
+        assert tracer.current() is None
+
+    def test_explicit_parent_nests_work_run_on_another_thread(self, tracer):
+        root = tracer.start("retrieval", SpanKind.RETRIEVAL)
+        parent = tracer.current()
+
+        def call():
+            span = tracer.start("rewritten", SpanKind.REWRITTEN_QUERY, parent=parent)
+            inner = tracer.start("inner", SpanKind.BASE_QUERY)
+            tracer.finish(inner)
+            tracer.finish(span)
+            return span, inner
+
+        span, inner = on_another_thread(call)
+        assert span.parent_id == root.span_id
+        assert inner.parent_id == span.span_id
+        with tracer.span("next", SpanKind.BASE_QUERY, parent=span) as adopted:
+            pass
+        assert adopted.parent_id == span.span_id
+
+    def test_finish_on_another_thread_closes_the_span(self, tracer):
+        root = tracer.start("retrieval", SpanKind.RETRIEVAL)
+        on_another_thread(lambda: tracer.finish(root))
+        assert root.finished
+        assert tracer.current() is None
+        assert tracer.start("late", SpanKind.RETRIEVAL).parent_id is None
 
 
 class TestSpanContext:

@@ -76,3 +76,12 @@ class TestParserSurface:
     def test_mine_requires_db_size(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mine", "x.csv", "--out", "kb.json"])
+
+    def test_query_width_is_unpinned_unless_given(self):
+        parser = build_parser()
+        assert parser.parse_args(["query", "x.csv", "--where", "a=b"]).concurrency is None
+        pinned = parser.parse_args(["query", "x.csv", "--where", "a=b", "--concurrency", "4"])
+        assert pinned.concurrency == 4
+
+    def test_chaos_width_stays_pinned_for_replay(self):
+        assert build_parser().parse_args(["chaos"]).concurrency == 1
