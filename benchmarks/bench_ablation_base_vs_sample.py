@@ -7,7 +7,7 @@ recall.  This bench quantifies that gap.
 """
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.core.ranking import order_rewritten_queries
+from repro.planner import order_rewritten_queries
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.core.rewriting import generate_rewritten_queries
 from repro.errors import RewritingError

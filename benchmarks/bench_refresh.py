@@ -65,7 +65,7 @@ from repro.mining.refresh import KnowledgeRefresher  # noqa: E402
 from repro.mining.store import KnowledgeStore  # noqa: E402
 from repro.planner import PlanCache  # noqa: E402
 from repro.query import SelectionQuery  # noqa: E402
-from repro.relational import Relation, data_plane_scope  # noqa: E402
+from repro.relational import Relation  # noqa: E402
 from repro.sources.autonomous import AutonomousSource  # noqa: E402
 from repro.sources.capabilities import SourceCapabilities  # noqa: E402
 
@@ -93,37 +93,36 @@ def _one_factor(factor: int) -> dict:
     base, batch1, batch2 = _split(whole)
     database_size = len(whole) * 10
 
-    with data_plane_scope("columnar"):
-        knowledge = KnowledgeBase(base, database_size=database_size)
-        knowledge.fingerprint()  # force base mining outside the timed folds
+    knowledge = KnowledgeBase(base, database_size=database_size)
+    knowledge.fingerprint()  # force base mining outside the timed folds
 
-        refresher = KnowledgeRefresher(knowledge)
+    refresher = KnowledgeRefresher(knowledge)
+    start = time.perf_counter()
+    refresher.prime()
+    prime_seconds = time.perf_counter() - start
+
+    folds = []
+    fold_seconds = 0.0
+    for batch in (batch1, batch2):
         start = time.perf_counter()
-        primed = refresher.prime()
-        prime_seconds = time.perf_counter() - start
+        result = refresher.refresh(batch, database_size=database_size)
+        elapsed = time.perf_counter() - start
+        fold_seconds += elapsed
+        folds.append(
+            {
+                "mode": result.mode,
+                "epoch": result.epoch,
+                "rows_folded": result.rows_folded,
+                "seconds": round(elapsed, 6),
+            }
+        )
+    refreshed = refresher.knowledge
+    steady_fold = folds[-1]["seconds"]
 
-        folds = []
-        fold_seconds = 0.0
-        for batch in (batch1, batch2):
-            start = time.perf_counter()
-            result = refresher.refresh(batch, database_size=database_size)
-            elapsed = time.perf_counter() - start
-            fold_seconds += elapsed
-            folds.append(
-                {
-                    "mode": result.mode,
-                    "epoch": result.epoch,
-                    "rows_folded": result.rows_folded,
-                    "seconds": round(elapsed, 6),
-                }
-            )
-        refreshed = refresher.knowledge
-        steady_fold = folds[-1]["seconds"]
-
-        start = time.perf_counter()
-        oracle = KnowledgeBase(whole, database_size=database_size)
-        oracle_fingerprint = oracle.fingerprint()
-        full_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    oracle = KnowledgeBase(whole, database_size=database_size)
+    oracle_fingerprint = oracle.fingerprint()
+    full_seconds = time.perf_counter() - start
 
     incremental = all(fold["mode"] == "incremental" for fold in folds)
     equivalent = refreshed.fingerprint() == oracle_fingerprint
@@ -132,7 +131,6 @@ def _one_factor(factor: int) -> dict:
         "rows": len(whole),
         "base_rows": len(base),
         "batch_rows": [len(batch1), len(batch2)],
-        "primed": primed,
         "prime_seconds": round(prime_seconds, 6),
         "folds": folds,
         "fold_seconds": round(fold_seconds, 6),
@@ -158,41 +156,40 @@ def _drift_scenario(size: int) -> dict:
     database_size = len(whole)
     source = AutonomousSource("cars", whole, SourceCapabilities.web_form())
 
-    with data_plane_scope("columnar"):
-        store = KnowledgeStore(KnowledgeBase(sample, database_size=database_size))
-        cache = PlanCache()
-        mediator = QpiadMediator(source, store, QpiadConfig(k=10), plan_cache=cache)
+    store = KnowledgeStore(KnowledgeBase(sample, database_size=database_size))
+    cache = PlanCache()
+    mediator = QpiadMediator(source, store, QpiadConfig(k=10), plan_cache=cache)
 
-        before = mediator.query(DRIFT_QUERY)
-        misses_cold = cache.misses
-        mediator.query(DRIFT_QUERY)
-        warm_hit = cache.misses == misses_cold and cache.hits > 0
+    before = mediator.query(DRIFT_QUERY)
+    misses_cold = cache.misses
+    mediator.query(DRIFT_QUERY)
+    warm_hit = cache.misses == misses_cold and cache.hits > 0
 
-        refresher = KnowledgeRefresher(store)
-        refresher.prime()
+    refresher = KnowledgeRefresher(store)
+    refresher.prime()
 
-        # Same-distribution probe: the gate must decline to refresh.
-        skip = refresher.refresh_if_stale(sample, database_size=database_size)
+    # Same-distribution probe: the gate must decline to refresh.
+    skip = refresher.refresh_if_stale(sample, database_size=database_size)
 
-        # Distribution shift: body_style decorrelates from model/make.
-        drifted = make_incomplete(
-            generate_cars(len(sample), seed=101, body_style_fidelity=0.3),
-            0.10,
-            seed=43,
-        ).incomplete
-        swap = refresher.refresh_if_stale(drifted, database_size=database_size)
+    # Distribution shift: body_style decorrelates from model/make.
+    drifted = make_incomplete(
+        generate_cars(len(sample), seed=101, body_style_fidelity=0.3),
+        0.10,
+        seed=43,
+    ).incomplete
+    swap = refresher.refresh_if_stale(drifted, database_size=database_size)
 
-        after = mediator.query(DRIFT_QUERY)
-        post_swap_miss = cache.misses > misses_cold
+    after = mediator.query(DRIFT_QUERY)
+    post_swap_miss = cache.misses > misses_cold
 
-        # Oracle: a mediator built directly on a fresh mine of the union
-        # sample (what the refresher's sample now is), fresh plan cache.
-        oracle_knowledge = KnowledgeBase(
-            sample.concat(drifted), database_size=database_size
-        )
-        oracle = QpiadMediator(
-            source, oracle_knowledge, QpiadConfig(k=10), plan_cache=PlanCache()
-        ).query(DRIFT_QUERY)
+    # Oracle: a mediator built directly on a fresh mine of the union
+    # sample (what the refresher's sample now is), fresh plan cache.
+    oracle_knowledge = KnowledgeBase(
+        sample.concat(drifted), database_size=database_size
+    )
+    oracle = QpiadMediator(
+        source, oracle_knowledge, QpiadConfig(k=10), plan_cache=PlanCache()
+    ).query(DRIFT_QUERY)
 
     answers_match = after.certain.rows == oracle.certain.rows and [
         (answer.row, answer.confidence) for answer in after.ranked

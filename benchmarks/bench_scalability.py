@@ -7,12 +7,11 @@ Times the two hot paths of the system with real repeated measurement:
   post-filtering) over growing databases.
 
 Sizes come from the shared scale-factor machinery
-(:mod:`repro.datasets.scale`), so these points line up with the BENCH_8
-sweep: ``benchmarks/bench_columnar.py`` runs the same generators at the
-same factors on *both* data planes and asserts bit-identical answers plus
-the row-vs-columnar speedup. This module only tracks absolute wall-clock
-of the default (columnar) plane; for plane parity and speedup numbers,
-read ``BENCH_8.json``.
+(:mod:`repro.datasets.scale`), so every run measures the same seeded
+relations at the same factors.  This module tracks absolute wall-clock
+of the columnar data plane; ``BENCH_8.json`` keeps the historical
+row-vs-columnar speedups measured at those factors before the row-by-row
+implementation was deleted.
 
 These are the numbers a downstream adopter asks first; the paper's own cost
 discussion (Section 6.4) is in tuples, covered by Fig. 8.

@@ -39,7 +39,6 @@ from repro.core import (
     all_returned,
     find_correlated_source,
     generate_rewritten_queries,
-    order_rewritten_queries,
 )
 from repro.datasets import (
     IncompleteDataset,
@@ -55,6 +54,7 @@ from repro.core import (
 )
 from repro.errors import QpiadError
 from repro.mining import load_knowledge, save_knowledge
+from repro.planner import order_rewritten_queries
 from repro.sources.caching import CachingSource
 from repro.telemetry import MetricsRegistry, SpanKind, Telemetry, Tracer, maybe_span
 from repro.evaluation import (

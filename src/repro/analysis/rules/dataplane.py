@@ -1,18 +1,17 @@
-"""Rule keeping the mining hot paths on the columnar data plane (PR 9).
+"""Rule keeping the mining hot paths on the columnar kernels.
 
-The columnar refactor moved TANE partitioning, ``g3`` computation and NBC
-count accumulation onto numpy kernels (:mod:`repro.relational.columnar`)
-precisely because per-tuple Python loops over mining inputs were the
-system's dominant cost at realistic sizes.  A new ``for row in sample:``
-creeping back into those modules silently re-introduces the O(rows)
-interpreter loop the refactor removed — and, worse, creates a *third*
-semantics (besides the row-plane reference and the vectorized kernel) that
-the bit-parity benchmark does not watch.
+TANE partitioning, ``g3`` computation and NBC count accumulation run as
+numpy kernels over dictionary codes (:mod:`repro.relational.columnar`)
+because per-tuple Python loops over mining inputs were the system's
+dominant cost at realistic sizes.  They are also the only implementation:
+a new ``for row in sample:`` creeping back into those modules re-introduces
+the O(rows) interpreter loop and, worse, a second semantics beside the
+kernel that neither the golden digests nor the per-row references in the
+tests were written against.
 
-The row-plane reference implementations themselves are legitimate — they
-define the semantics the kernels must reproduce and serve opaque-column
-fallback — so each carries a rule suppression with a justification, keeping
-every per-tuple loop in the mining hot paths a reviewed exemption.
+A per-tuple loop that is genuinely needed (say, over a handful of classes
+rather than rows) carries a rule suppression with a justification, keeping
+every such loop in the mining hot paths a reviewed exemption.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.analysis.framework import Finding, ModuleContext, Rule, Severity
 
 __all__ = ["RowLoopInMiningRule"]
 
-#: The mining modules whose per-tuple loops the columnar plane replaced.
+#: The mining modules whose per-tuple loops the columnar kernels replaced.
 MINING_HOT_MODULES = (
     "repro.mining.partitions",
     "repro.mining.tane",
@@ -48,11 +47,12 @@ class RowLoopInMiningRule(Rule):
         "iterate relations, .rows, or partition .classes tuple-by-tuple"
     )
     rationale = (
-        "TANE partitioning and NBC counting were vectorized because per-tuple "
-        "Python loops dominated mining cost at scale (BENCH_8).  A new row "
-        "loop in repro.mining re-grows the O(rows) interpreter cost and adds "
-        "an unbenchmarked third semantics beside the row-plane reference and "
-        "the kernel.  Row-plane fallbacks are exempt — with a justification."
+        "TANE partitioning and NBC counting run as columnar kernels because "
+        "per-tuple Python loops dominated mining cost at scale (BENCH_8), "
+        "and the kernels are the only implementation.  A new row loop in "
+        "repro.mining re-grows the O(rows) interpreter cost and adds a second "
+        "semantics beside the kernel that the golden digests do not pin.  A "
+        "loop that must stay carries a suppression with a justification."
     )
 
     def __init__(self, modules: "tuple[str, ...]" = MINING_HOT_MODULES):
@@ -75,9 +75,8 @@ class RowLoopInMiningRule(Rule):
                     yield self.finding(
                         context,
                         node,
-                        f"{reason}; aggregate on the columnar plane, or "
-                        "suppress with a justification if this is the "
-                        "row-plane fallback",
+                        f"{reason}; aggregate with the columnar kernels, "
+                        "or suppress with a justification",
                     )
 
     @staticmethod

@@ -928,7 +928,7 @@ def _cmd_refresh(args) -> int:
     relation = read_csv(args.data)
     knowledge = _load_or_mine(args.data, args.kb, relation)
     refresher = KnowledgeRefresher(knowledge)
-    refresher.prime()  # seed incremental state; full re-mine when unavailable
+    refresher.prime()  # seed incremental state so each refresh folds only its batch
 
     def fold_once() -> int:
         batch = read_csv(args.batch)

@@ -22,11 +22,10 @@ from repro.core.multijoin import (
 )
 from repro.core.qpiad import QpiadConfig, QpiadMediator
 from repro.core.relaxation import QueryRelaxer, RelaxationPlan, RelaxedAnswer
-# Public-API re-exports of the pipeline stage functions, not mediation:
-# callers outside repro.core (benchmarks, notebooks) keep their import
-# surface while mediators themselves go through the planner.
-from repro.core.ranking import f_measure, order_rewritten_queries, score_rewritten_queries  # qpiadlint: disable=raw-rewrite-call-in-core
 from repro.core.results import QueryFailure, QueryResult, RankedAnswer, RetrievalStats
+# Public-API re-export of the generation stage, not mediation: callers
+# outside repro.core (benchmarks, notebooks) keep their import surface
+# while mediators themselves go through the planner.
 from repro.core.rewriting import (  # qpiadlint: disable=raw-rewrite-call-in-core
     RewrittenQuery,
     generate_rewritten_queries,
@@ -41,9 +40,6 @@ __all__ = [
     "RewrittenQuery",
     "generate_rewritten_queries",
     "target_probability",
-    "f_measure",
-    "score_rewritten_queries",
-    "order_rewritten_queries",
     "QpiadConfig",
     "QpiadMediator",
     "all_returned",

@@ -12,6 +12,10 @@ honest at every size).
 Incompleteness is injected with the standard GD → ED protocol
 (:func:`repro.datasets.incompleteness.make_incomplete`), again with a
 derived seed per scale factor.
+
+The scalability benchmark (``benchmarks/bench_scalability.py``), the
+knowledge-refresh benchmark and the golden answer digests
+(``tests/integration/test_goldens.py``) all draw their inputs from here.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = [
     "scaled_incomplete",
 ]
 
-#: Supported scale factors for the BENCH_8 sweep.
+#: Supported scale factors.
 SCALE_FACTORS = (1, 10, 100, 1000)
 
 #: Rows at scale factor 1; factor f yields ``f * base`` rows.

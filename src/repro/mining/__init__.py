@@ -35,7 +35,6 @@ from repro.mining.refresh import KnowledgeRefresher, RefreshResult
 from repro.mining.selectivity import SelectivityEstimator
 from repro.mining.store import KnowledgeStore, as_store, resolve_knowledge
 from repro.mining.tane import (
-    IncrementalMiningUnavailable,
     MiningState,
     TaneConfig,
     TaneResult,
@@ -55,7 +54,6 @@ __all__ = [
     "TaneConfig",
     "TaneResult",
     "MiningState",
-    "IncrementalMiningUnavailable",
     "mine_dependencies",
     "mine_dependencies_incremental",
     "DEFAULT_DELTA",

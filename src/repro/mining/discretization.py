@@ -68,13 +68,10 @@ def _encoded_numeric_column(sample: Relation, name: str) -> "Any | None":
     if store is None:
         return None
     column = store.column(name)
-    codes = column.codes
-    if codes is None:
-        return None
     numeric, exact = column.dictionary_numeric()
     if not bool(exact.all()):
         return None
-    return numeric[codes[codes >= 0]]
+    return numeric[column.codes[column.codes >= 0]]
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,8 @@ def detect_drift(
                 AfdDrift(afd.determining, afd.dependent, afd.confidence, None)
             )
             continue
-        confidence = 1.0 - g3_error(partition, fresh_view.column(afd.dependent))
+        dependent = fresh_view.columnar().column(afd.dependent).codes
+        confidence = 1.0 - g3_error(partition, dependent)
         if abs(confidence - afd.confidence) > confidence_tolerance:
             report.afd_drifts.append(
                 AfdDrift(afd.determining, afd.dependent, afd.confidence, confidence)

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ClassifierError
-from repro.relational.columnar import use_columnar
 from repro.relational.relation import Relation
 from repro.relational.values import is_null
 
@@ -71,9 +70,7 @@ class NaiveBayesClassifier:
         self.features = tuple(features)
         self.m = m
 
-        trained = use_columnar() and self._train_from_store(sample.columnar())
-        if not trained:
-            self._train_from_rows(sample)
+        self._train(sample.columnar())
 
         if not self._class_counts:
             raise ClassifierError(
@@ -84,55 +81,17 @@ class NaiveBayesClassifier:
             name: max(1, size) for name, size in self._domain_sizes.items()
         }
 
-    def _train_from_rows(self, sample: Relation) -> None:
-        """Accumulate counts row by row (the row-plane trainer)."""
-        schema = sample.schema
-        class_index = schema.index_of(self.class_attribute)
-        feature_indices = [schema.index_of(name) for name in self.features]
-        features = self.features
+    def _train(self, store: "ColumnStore") -> None:
+        """Accumulate the counts via bincount over dictionary codes.
 
-        class_counts: Counter = Counter()
-        # joint_counts[feature][class_value][feature_value]
-        joint_counts: dict[str, dict[Any, Counter]] = {name: {} for name in features}
-        feature_domains: dict[str, set] = {name: set() for name in features}
-
-        # Row-plane fallback (and the semantic reference); the columnar
-        # plane trains via bincount in _train_from_store.
-        # qpiadlint: disable-next-line=row-loop-in-mining
-        for row in sample:
-            class_value = row[class_index]
-            if is_null(class_value):
-                continue
-            class_counts[class_value] += 1
-            for name, index in zip(features, feature_indices):
-                value = row[index]
-                if is_null(value):
-                    continue
-                feature_domains[name].add(value)
-                joint_counts[name].setdefault(class_value, Counter())[value] += 1
-
-        self._class_counts = class_counts
-        self._joint_counts = joint_counts
-        self._domain_sizes = {
-            name: len(domain) for name, domain in feature_domains.items()
-        }
-
-    def _train_from_store(self, store: "ColumnStore") -> bool:
-        """Accumulate the same counts via bincount over dictionary codes.
-
-        Returns False when any participating column is opaque (unhashable
-        cells), in which case the caller falls back to the row trainer.  The
-        resulting counters are *identical* to the row trainer's — including
-        insertion order: dictionary codes are minted in first-seen row order
-        and every class dictionary entry has a positive count, so rebuilding
-        the class counter in code order reproduces the row scan exactly.
+        Rows NULL on the class attribute are skipped; a NULL feature cell
+        contributes no count.  Insertion order is first-seen row order:
+        dictionary codes are minted in first-seen order and every class
+        dictionary entry has a positive count, so building the class
+        counter in code order gives the order a row-by-row scan would.
         """
         class_column = store.column(self.class_attribute)
         feature_columns = [store.column(name) for name in self.features]
-        if class_column.codes is None or any(
-            column.codes is None for column in feature_columns
-        ):
-            return False
 
         class_codes = class_column.codes
         class_values = class_column.values
@@ -148,7 +107,6 @@ class NaiveBayesClassifier:
         domain_sizes: dict[str, int] = {}
         for name, column in zip(self.features, feature_columns):
             feature_codes = column.codes
-            assert feature_codes is not None
             feature_values = column.values
             n_values = len(feature_values)
             both = class_valid & (feature_codes >= 0)
@@ -177,13 +135,12 @@ class NaiveBayesClassifier:
         self._class_counts = class_counts
         self._joint_counts = joint_counts
         self._domain_sizes = domain_sizes
-        return True
 
     def extended(self, batch: Relation) -> "NaiveBayesClassifier":
         """A new classifier whose counts fold in *batch*'s rows.
 
         Count matrices are additive, so training on the batch alone (via
-        the same bincount/row kernels) and summing counters yields exactly
+        the same bincount kernel) and summing counters yields exactly
         the counters a full retrain on training ⊕ batch would produce —
         including insertion order, which :attr:`classes` tie-breaking
         depends on: existing keys keep their first-seen positions and
@@ -195,9 +152,7 @@ class NaiveBayesClassifier:
         scratch.class_attribute = self.class_attribute
         scratch.features = self.features
         scratch.m = self.m
-        trained = use_columnar() and scratch._train_from_store(batch.columnar())
-        if not trained:
-            scratch._train_from_rows(batch)
+        scratch._train(batch.columnar())
 
         merged_class: Counter = Counter()
         for value, count in self._class_counts.items():
@@ -297,36 +252,19 @@ class NaiveBayesClassifier:
         Exactly ``[distribution(evidence_of(row)) for row in relation]`` where
         each row's evidence is its values on this classifier's features
         (features absent from the relation's schema are skipped, as are NULL
-        cells).  On the columnar plane the likelihood products run as
-        vectorized per-feature gathers — the float operations are performed
-        in the same order as the scalar path, so the posteriors are
+        cells).  The likelihood products run as vectorized per-feature
+        gathers over dictionary codes, performing the float operations in
+        the same order as :meth:`distribution`, so the posteriors are
         bit-identical.
         """
-        schema = relation.schema
-        present = [name for name in self.features if name in schema.names]
-        if use_columnar():
-            store = relation.columnar()
-            if all(store.column(name).codes is not None for name in present):
-                return self._distribution_batch_store(store, present)
-        positions = {name: schema.index_of(name) for name in present}
-        # Row-plane fallback: per-row scoring through distribution() defines
-        # the semantics _distribution_batch_store must reproduce bit-for-bit.
-        # qpiadlint: disable-next-line=row-loop-in-mining
-        return [
-            self.distribution({name: row[index] for name, index in positions.items()})
-            for row in relation
-        ]
-
-    def _distribution_batch_store(
-        self, store: "ColumnStore", present: Sequence[str]
-    ) -> list[dict[Any, float]]:
+        present = [name for name in self.features if name in relation.schema.names]
+        store = relation.columnar()
         count = len(store)
         class_values = list(self._class_counts)
         scores = [np.full(count, self.prior(value)) for value in class_values]
         for name in present:
             column = store.column(name)
             codes = column.codes
-            assert codes is not None
             if not column.values:
                 continue  # every cell NULL: the feature is skipped row-wise
             valid = codes >= 0

@@ -10,28 +10,24 @@ about the dependency, so it is excluded from the partition; error measures
 are normalized by the number of rows actually partitioned.  This matters in
 QPIAD because the mined sample itself is incomplete.
 
-Two representations coexist behind one :class:`Partition` type.  The
-row-oriented constructors group with Python dicts over attribute values; the
-columnar kernels (:func:`partition_from_codes`, :meth:`Partition.refine` on a
-code array) group dictionary codes with sort-based numpy primitives and keep
-the partition as a pair of flat arrays (row order + class sizes), converting
-to tuples only if somebody asks for :attr:`Partition.classes`.  Because
-dictionary codes are assigned by the same ``dict`` equality used here, both
-planes produce the same classes; every error measure below is an
-order-insensitive sum, so class *order* (which may differ between planes) is
-immaterial.
+Partitions are built from dictionary codes
+(:meth:`~repro.relational.relation.Relation.columnar`): grouping codes with
+sort-based numpy primitives yields exactly the classes dict-grouping of the
+decoded values would, because codes are assigned with the same ``dict``
+equality.  A partition is kept as a pair of flat arrays (row order + class
+sizes) and converted to tuples only if somebody asks for
+:attr:`Partition.classes`.  Every error measure below is an
+order-insensitive sum, so class *order* is immaterial.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.relational.relation import Relation
-from repro.relational.values import is_null
 
 __all__ = [
     "Partition",
@@ -51,6 +47,10 @@ class Partition:
 
     Attributes
     ----------
+    order:
+        The concatenated members of every class, ascending within a class.
+    sizes:
+        The class lengths, in the same class order as *order*.
     classes:
         Tuple of equivalence classes; each class is a tuple of row indices
         (ascending).  Classes cover exactly the rows that are non-NULL on
@@ -59,93 +59,41 @@ class Partition:
         Total number of rows partitioned (sum of class sizes).
     """
 
-    __slots__ = ("_classes", "_order", "_sizes", "_covered")
+    __slots__ = ("_classes", "order", "sizes")
 
-    def __init__(self, classes: Sequence[Sequence[int]]):
-        self._classes: "tuple[tuple[int, ...], ...] | None" = tuple(
-            tuple(c) for c in classes
-        )
-        self._order: "NDArray[np.int64] | None" = None
-        self._sizes: "NDArray[np.int64] | None" = None
-        self._covered = sum(len(c) for c in self._classes)
-
-    @classmethod
-    def _from_arrays(
-        cls, order: "NDArray[np.int64]", sizes: "NDArray[np.int64]"
-    ) -> "Partition":
-        """Wrap the flat representation: concatenated class members + sizes."""
-        partition = cls.__new__(cls)
-        partition._classes = None
-        partition._order = order
-        partition._sizes = sizes
-        partition._covered = int(order.shape[0])
-        return partition
+    def __init__(self, order: "NDArray[np.int64]", sizes: "NDArray[np.int64]"):
+        self._classes: "tuple[tuple[int, ...], ...] | None" = None
+        self.order = order
+        self.sizes = sizes
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         if self._classes is None:
-            assert self._order is not None and self._sizes is not None
-            if self._sizes.shape[0] == 0:
+            if self.sizes.shape[0] == 0:
                 self._classes = ()  # np.split would yield one empty class
             else:
-                splits = np.cumsum(self._sizes[:-1])
+                splits = np.cumsum(self.sizes[:-1])
                 self._classes = tuple(
-                    tuple(part.tolist()) for part in np.split(self._order, splits)
+                    tuple(part.tolist()) for part in np.split(self.order, splits)
                 )
         return self._classes
 
     @property
     def covered(self) -> int:
-        return self._covered
+        return int(self.order.shape[0])
 
     def __len__(self) -> int:
-        if self._sizes is not None:
-            return int(self._sizes.shape[0])
-        assert self._classes is not None
-        return len(self._classes)
+        return int(self.sizes.shape[0])
 
-    def _arrays(self) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
-        """The flat representation, derived from tuples on first need."""
-        if self._order is None or self._sizes is None:
-            assert self._classes is not None
-            self._order = np.fromiter(
-                (index for cls in self._classes for index in cls),
-                dtype=np.int64,
-                count=self._covered,
-            )
-            self._sizes = np.fromiter(
-                (len(cls) for cls in self._classes),
-                dtype=np.int64,
-                count=len(self._classes),
-            )
-        return self._order, self._sizes
+    def refine(self, codes: "NDArray[np.int64]") -> "Partition":
+        """Refine this partition by an extra attribute's dictionary codes.
 
-    def refine(self, labels: "Sequence[object] | NDArray[np.int64]") -> "Partition":
-        """Refine this partition by an extra attribute's row labels.
-
-        ``labels[i]`` is row ``i``'s value on the extra attribute; rows whose
-        label is NULL drop out.  Equivalent to the TANE partition product
-        ``Π_X · Π_{A}`` restricted to non-NULL rows.  *labels* may be either
-        raw values (NULL-aware) or a dictionary-code array (``-1`` = NULL).
+        ``codes[i]`` is row ``i``'s code on the extra attribute (``-1`` =
+        NULL); rows whose code is NULL drop out.  Equivalent to the TANE
+        partition product ``Π_X · Π_{A}`` restricted to non-NULL rows,
+        computed by re-sorting on ``group_id * width + code``.
         """
-        if isinstance(labels, np.ndarray):
-            return self._refine_codes(labels)
-        refined: list[tuple[int, ...]] = []
-        # Row-plane reference refinement; codes take _refine_codes above.
-        # qpiadlint: disable-next-line=row-loop-in-mining
-        for cls in self.classes:
-            groups: dict[object, list[int]] = {}
-            for index in cls:
-                label = labels[index]
-                if is_null(label):
-                    continue
-                groups.setdefault(label, []).append(index)
-            refined.extend(tuple(group) for group in groups.values())
-        return Partition(refined)
-
-    def _refine_codes(self, codes: "NDArray[np.int64]") -> "Partition":
-        """Sort-based refinement by a dictionary-code column."""
-        order, sizes = self._arrays()
+        order, sizes = self.order, self.sizes
         if order.shape[0] == 0:
             return self
         group_ids = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
@@ -153,7 +101,7 @@ class Partition:
         valid = labels >= 0
         order_v = order[valid]
         if order_v.shape[0] == 0:
-            return Partition._from_arrays(order_v, np.zeros(0, dtype=np.int64))
+            return Partition(order_v, np.zeros(0, dtype=np.int64))
         group_v = group_ids[valid]
         labels_v = labels[valid]
         width = int(labels_v.max()) + 1
@@ -165,11 +113,11 @@ class Partition:
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
         new_sizes = np.diff(np.append(starts, sorted_keys.shape[0]))
-        return Partition._from_arrays(order_v[sorter], new_sizes)
+        return Partition(order_v[sorter], new_sizes)
 
     def covered_with(self, labels: "NDArray[np.int64]") -> int:
         """Covered rows that are also non-NULL under a code column."""
-        order, _ = self._arrays()
+        order = self.order
         return int((labels[order] >= 0).sum())
 
     def extend(
@@ -187,11 +135,11 @@ class Partition:
         full relation (class order may differ, which no error measure
         depends on; members within a class stay ascending).
         """
-        order, sizes = self._arrays()
+        order, sizes = self.order, self.sizes
         batch = partition_from_codes([column[start:] for column in columns])
-        b_order, b_sizes = batch._arrays()
+        b_order, b_sizes = batch.order, batch.sizes
         if b_order.shape[0] == 0:
-            return Partition._from_arrays(order, sizes)
+            return Partition(order, sizes)
         k_old = int(sizes.shape[0])
         old_starts = np.cumsum(sizes) - sizes
         b_starts = np.cumsum(b_sizes) - b_sizes
@@ -232,31 +180,22 @@ class Partition:
             b_starts, b_sizes
         )
         merged_order[np.repeat(base, b_sizes) + b_offsets] = b_order + start
-        return Partition._from_arrays(merged_order, merged_sizes)
+        return Partition(merged_order, merged_sizes)
 
 
 def partition_by(relation: Relation, attributes: Sequence[str]) -> Partition:
     """Partition *relation*'s row indices by their values on *attributes*."""
-    indices = relation.schema.indices_of(attributes)
-    groups: dict[tuple, list[int]] = {}
-    # This IS the row-plane kernel; the columnar plane routes to
-    # partition_from_codes instead.
-    # qpiadlint: disable-next-line=row-loop-in-mining
-    for row_index, row in enumerate(relation.rows):
-        key = tuple(row[i] for i in indices)
-        if any(is_null(value) for value in key):
-            continue
-        groups.setdefault(key, []).append(row_index)
-    return Partition(list(groups.values()))
+    store = relation.columnar()
+    return partition_from_codes([store.column(name).codes for name in attributes])
 
 
 def partition_from_codes(columns: "Sequence[NDArray[np.int64]]") -> Partition:
     """Partition row indices by one or more dictionary-code columns.
 
-    The columnar counterpart of :func:`partition_by`: grouping dictionary
-    codes with a stable sort yields exactly the classes dict-grouping of the
-    decoded values would, because codes were assigned with the same ``dict``
-    equality.  Single-column classes even come out in first-seen value order
+    Grouping dictionary codes with a stable sort yields exactly the classes
+    dict-grouping of the decoded values would, because codes were assigned
+    with the same ``dict`` equality.  Single-column classes come out in
+    first-seen value order
     (codes are minted in first-seen order); refinements do not preserve that
     order, which no consumer depends on.
     """
@@ -265,7 +204,7 @@ def partition_from_codes(columns: "Sequence[NDArray[np.int64]]") -> Partition:
     codes = columns[0]
     valid = np.flatnonzero(codes >= 0)
     if valid.shape[0] == 0:
-        partition = Partition._from_arrays(valid, np.zeros(0, dtype=np.int64))
+        partition = Partition(valid, np.zeros(0, dtype=np.int64))
     else:
         labels = codes[valid]
         sorter = np.argsort(labels, kind="stable")
@@ -275,68 +214,25 @@ def partition_from_codes(columns: "Sequence[NDArray[np.int64]]") -> Partition:
         np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
         sizes = np.diff(np.append(starts, sorted_labels.shape[0]))
-        partition = Partition._from_arrays(valid[sorter], sizes)
+        partition = Partition(valid[sorter], sizes)
     for column in columns[1:]:
         partition = partition.refine(column)
     return partition
 
 
 def g3_stats(
-    x_partition: Partition,
-    dependent_labels: "Sequence[object] | NDArray[np.int64]",
+    x_partition: Partition, dependent_codes: "NDArray[np.int64]"
 ) -> "tuple[int, int]":
     """The integer pair ``(covered, kept)`` underlying the ``g3`` error.
 
     ``covered`` is the number of rows measured (non-NULL on ``X`` and on
     ``A``); ``kept`` is the number of rows retained when each X-class keeps
     only its majority A-value.  Both are exact integers, so they can be
-    maintained incrementally and re-divided later without drift.
+    maintained incrementally and re-divided later without drift.  They are
+    counted over ``(class, code)`` pairs with ``np.unique`` and a per-class
+    ``np.maximum.reduceat``.
     """
-    if isinstance(dependent_labels, np.ndarray):
-        return _g3_stats_codes(x_partition, dependent_labels)
-    kept = 0
-    covered = 0
-    # Row-plane reference g3; code arrays take _g3_stats_codes above.
-    # qpiadlint: disable-next-line=row-loop-in-mining
-    for cls in x_partition.classes:
-        counts: Counter = Counter()
-        for index in cls:
-            label = dependent_labels[index]
-            if is_null(label):
-                continue
-            counts[label] += 1
-        if not counts:
-            continue
-        class_total = sum(counts.values())
-        covered += class_total
-        kept += max(counts.values())
-    return covered, kept
-
-
-def g3_error(
-    x_partition: Partition,
-    dependent_labels: "Sequence[object] | NDArray[np.int64]",
-) -> float:
-    """The ``g3`` error of ``X ⇝ A`` given ``Π_X`` and A's row labels.
-
-    ``g3`` is the minimum fraction of rows that must be removed for the
-    dependency to hold exactly: within each X-class, keep the rows of the
-    majority A-value and remove the rest.  Rows NULL on A are excluded from
-    both numerator and denominator.  Returns 0.0 when no row is covered
-    (vacuously exact).  *dependent_labels* may be raw values or a
-    dictionary-code array (``-1`` = NULL); both yield the same error.
-    """
-    covered, kept = g3_stats(x_partition, dependent_labels)
-    if covered == 0:
-        return 0.0
-    return (covered - kept) / covered
-
-
-def _g3_stats_codes(
-    x_partition: Partition, dependent_codes: "NDArray[np.int64]"
-) -> "tuple[int, int]":
-    """``g3`` stats via (class, code) pair counting; same int arithmetic."""
-    order, sizes = x_partition._arrays()
+    order, sizes = x_partition.order, x_partition.sizes
     if order.shape[0] == 0:
         return 0, 0
     group_ids = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
@@ -358,6 +254,21 @@ def _g3_stats_codes(
     return covered, kept
 
 
+def g3_error(x_partition: Partition, dependent_codes: "NDArray[np.int64]") -> float:
+    """The ``g3`` error of ``X ⇝ A`` given ``Π_X`` and A's dictionary codes.
+
+    ``g3`` is the minimum fraction of rows that must be removed for the
+    dependency to hold exactly: within each X-class, keep the rows of the
+    majority A-value and remove the rest.  Rows NULL on A (code ``-1``) are
+    excluded from both numerator and denominator.  Returns 0.0 when no row
+    is covered (vacuously exact).
+    """
+    covered, kept = g3_stats(x_partition, dependent_codes)
+    if covered == 0:
+        return 0.0
+    return (covered - kept) / covered
+
+
 def class_counts(
     partition: Partition, columns: "Sequence[NDArray[np.int64]]"
 ) -> "dict[tuple[int, ...], int]":
@@ -369,7 +280,7 @@ def class_counts(
     class recovers the full value-combination histogram — the sufficient
     statistic incremental mining folds batches into.
     """
-    order, sizes = partition._arrays()
+    order, sizes = partition.order, partition.sizes
     if sizes.shape[0] == 0:
         return {}
     starts = np.cumsum(sizes) - sizes

@@ -19,9 +19,9 @@ benchmarked in ``benchmarks/bench_refresh.py`` — is that folding batches
 ``B1..Bn`` into a knowledge base mined on ``S`` yields a generation whose
 :meth:`fingerprint` equals a full re-mine on ``S ∪ B1..Bn``: every folded
 statistic is an exact integer fed through the same float arithmetic as the
-one-shot kernels.  Whenever that cannot be guaranteed (bin edges moved,
-opaque columns, row plane active), the refresher transparently falls back
-to a full re-mine — more expensive, identical result.
+one-shot kernels.  When that cannot be guaranteed — the discretizer's bin
+edges moved — the refresher transparently falls back to a full re-mine:
+more expensive, identical result.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from repro.mining.drift import DriftReport, detect_drift
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.pruning import prune_noisy_afds
 from repro.mining.store import KnowledgeStore, as_store
-from repro.mining.tane import (
-    IncrementalMiningUnavailable,
-    MiningState,
-    TaneResult,
-    mine_dependencies_incremental,
-)
-from repro.relational.columnar import use_columnar
+from repro.mining.tane import MiningState, TaneResult, mine_dependencies_incremental
 from repro.relational.relation import Relation
 from repro.telemetry import SpanKind, Telemetry, maybe_span
 
@@ -112,28 +106,19 @@ class KnowledgeRefresher:
     # Priming
     # ------------------------------------------------------------------
 
-    def prime(self) -> bool:
+    def prime(self) -> None:
         """Pre-build incremental mining state from the current generation.
 
         Seeding walks the mining lattice once over the current sample to
         populate the fold-in histograms and root partitions; afterwards
         each refresh touches only its batch.  Without priming, the first
         refresh absorbs this cost (it seeds over the union instead).
-        Returns False — leaving the refresher unprimed but usable — when
-        the current generation cannot be mined incrementally.
         """
         base = self._store.current
-        config = base.config
-        if not use_columnar():
-            return False
         state = MiningState(self._mining_names(base))
-        try:
-            mine_dependencies_incremental(base._mining_view, config.tane, state)
-        except IncrementalMiningUnavailable:
-            return False
+        mine_dependencies_incremental(base._mining_view, base.config.tane, state)
         self._state = state
         self._state_fingerprint = base.fingerprint()
-        return True
 
     # ------------------------------------------------------------------
     # Refresh
@@ -271,12 +256,11 @@ class KnowledgeRefresher:
     ) -> "tuple[str, TaneResult, Discretizer | None, Relation]":
         """Mine the union sample, incrementally when soundness allows.
 
-        The incremental path requires (a) the columnar plane with fully
-        encoded mining columns and (b) the discretizer fitted on the union
+        The incremental path requires the discretizer fitted on the union
         to produce the *same bin edges* as the base's — otherwise the
         historical rows' bucket labels would change and the folded
-        histograms would describe a view that no longer exists.  Any
-        violation falls back to a full re-mine, which by the equivalence
+        histograms would describe a view that no longer exists.  Moved
+        edges fall back to a full re-mine, which by the equivalence
         invariant produces the identical result.
         """
         config = base.config
@@ -297,19 +281,15 @@ class KnowledgeRefresher:
             and base_discretizer is not None
             and discretizer.to_bins() == base_discretizer.to_bins()
         )
-        if same_bins and use_columnar():
+        if same_bins:
             if discretizer is not None:
                 mining_view = base._mining_view.concat_encoded(
                     discretizer.transform(batch)
                 )
             else:
                 mining_view = sample
-            try:
-                mined = self._mine_incremental(base, mining_view)
-            except IncrementalMiningUnavailable:
-                pass
-            else:
-                return "incremental", mined, discretizer, mining_view
+            mined = self._mine_incremental(base, mining_view)
+            return "incremental", mined, discretizer, mining_view
         fresh = KnowledgeBase(sample, database_size=base.database_size, config=config)
         result = TaneResult(afds=list(fresh.all_afds), akeys=list(fresh.akeys))
         return "full", result, fresh._discretizer, fresh._mining_view

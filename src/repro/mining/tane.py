@@ -34,31 +34,20 @@ from repro.mining.partitions import (
     class_counts,
     code_histogram_items,
     g3_stats,
-    partition_by,
     partition_from_codes,
 )
-from repro.relational.columnar import use_columnar
 from repro.relational.relation import Relation
 
-#: Row labels as mined: raw column values, or dictionary codes (columnar).
-Labels = Sequence[object] | NDArray[np.int64]
+#: Per-attribute dictionary-code arrays (``-1`` = NULL) being mined.
+Codes = dict[str, NDArray[np.int64]]
 
 __all__ = [
     "TaneConfig",
     "TaneResult",
     "MiningState",
-    "IncrementalMiningUnavailable",
     "mine_dependencies",
     "mine_dependencies_incremental",
 ]
-
-
-class IncrementalMiningUnavailable(MiningError):
-    """Incremental mining cannot run on this relation (e.g. opaque columns).
-
-    Raised instead of silently degrading so callers can fall back to a full
-    re-mine — which is always available and produces the same result.
-    """
 
 
 @dataclass(frozen=True)
@@ -131,8 +120,7 @@ def mine_dependencies(sample: Relation, config: TaneConfig | None = None) -> Tan
     """
     config = config or TaneConfig()
     names = _validated_names(sample, config)
-    labels = _mining_labels(sample, names)
-    return _walk(names, config, _KernelMeasurer(sample, labels))
+    return _walk(names, config, _KernelMeasurer(_codes(sample, names)))
 
 
 def mine_dependencies_incremental(
@@ -150,10 +138,6 @@ def mine_dependencies_incremental(
     re-mine of *sample*.  Pruning decisions are re-derived on every walk
     (confidences can move in both directions as batches fold in), so no
     stale minimality or key-pruning state can leak across refreshes.
-
-    Raises :class:`IncrementalMiningUnavailable` when the relation cannot
-    be mined through dictionary codes (opaque columns or the row plane);
-    callers should fall back to :func:`mine_dependencies`.
     """
     config = config or TaneConfig()
     names = _validated_names(sample, config)
@@ -162,18 +146,9 @@ def mine_dependencies_incremental(
             "mining state tracks attributes "
             f"{state.names!r}, not {tuple(names)!r}"
         )
-    labels = _mining_labels(sample, names)
-    arrays: dict[str, NDArray[np.int64]] = {}
-    for name in names:
-        column_labels = labels[name]
-        if not isinstance(column_labels, np.ndarray):
-            raise IncrementalMiningUnavailable(
-                f"attribute {name!r} has no dictionary codes; incremental "
-                "mining requires the columnar plane"
-            )
-        arrays[name] = column_labels
-    state.fold(arrays, len(sample))
-    measurer = _StateMeasurer(sample, state, arrays)
+    codes = _codes(sample, names)
+    state.fold(codes, len(sample))
+    measurer = _StateMeasurer(state, codes)
     result = _walk(names, config, measurer)
     measurer.save_roots()
     return result
@@ -266,20 +241,17 @@ def _walk(
 class _KernelMeasurer:
     """Measure candidates directly from partitions (the one-shot path)."""
 
-    def __init__(self, sample: Relation, labels: dict[str, Labels]):
-        self._sample = sample
-        self._labels = labels
+    def __init__(self, codes: Codes):
+        self._codes = codes
         self._partitions: dict[tuple[str, ...], Partition] = {}
 
     def key_stats(self, candidate: tuple[str, ...]) -> tuple[int, int]:
-        partition = _partition_for(
-            self._sample, candidate, self._partitions, self._labels
-        )
+        partition = _partition_for(candidate, self._partitions, self._codes)
         return partition.covered, len(partition)
 
     def afd_stats(self, candidate: tuple[str, ...], dependent: str) -> tuple[int, int]:
         partition = self._partitions[candidate]
-        return g3_stats(partition, self._labels[dependent])
+        return g3_stats(partition, self._codes[dependent])
 
 
 class _SetStats:
@@ -347,7 +319,7 @@ class MiningState:
         self.roots: dict[str, Partition] = {}
         self._sets: dict[tuple[str, ...], _SetStats] = {}
 
-    def fold(self, labels: "dict[str, NDArray[np.int64]]", total_rows: int) -> None:
+    def fold(self, codes: Codes, total_rows: int) -> None:
         """Fold rows ``self.rows..total_rows`` into every tracked statistic."""
         start = self.rows
         if total_rows < start:
@@ -357,11 +329,11 @@ class MiningState:
             )
         if total_rows == start:
             return
-        batch = {name: labels[name][start:] for name in self.names}
+        batch = {name: codes[name][start:] for name in self.names}
         for key, stats in self._sets.items():
             stats.add(code_histogram_items([batch[name] for name in key]))
         for name, root in self.roots.items():
-            self.roots[name] = root.extend([labels[name]], start)
+            self.roots[name] = root.extend([codes[name]], start)
         self.rows = total_rows
 
 
@@ -374,15 +346,9 @@ class _StateMeasurer:
     folds keep them current.
     """
 
-    def __init__(
-        self,
-        sample: Relation,
-        state: MiningState,
-        labels: "dict[str, NDArray[np.int64]]",
-    ):
-        self._sample = sample
+    def __init__(self, state: MiningState, codes: Codes):
         self._state = state
-        self._labels: dict[str, Labels] = dict(labels)
+        self._codes = codes
         self._partitions: dict[tuple[str, ...], Partition] = {
             (name,): root for name, root in state.roots.items()
         }
@@ -398,12 +364,10 @@ class _StateMeasurer:
     def _stats(self, key: tuple[str, ...]) -> _SetStats:
         stats = self._state._sets.get(key)
         if stats is None:
-            partition = _partition_for(
-                self._sample, key, self._partitions, self._labels
-            )
-            columns = [self._labels[name] for name in key]
+            partition = _partition_for(key, self._partitions, self._codes)
+            columns = [self._codes[name] for name in key]
             stats = _SetStats()
-            stats.add(class_counts(partition, columns).items())  # type: ignore[arg-type]
+            stats.add(class_counts(partition, columns).items())
             self._state._sets[key] = stats
         return stats
 
@@ -415,51 +379,25 @@ class _StateMeasurer:
                 self._state.roots[name] = partition
 
 
-def _mining_labels(sample: Relation, names: Sequence[str]) -> dict[str, Labels]:
-    """Per-attribute row labels to mine over.
-
-    On the columnar plane these are dictionary-code arrays (``-1`` = NULL),
-    which route partitioning and ``g3`` through the sort-based numpy kernels;
-    grouping by codes and grouping by the decoded values produce identical
-    classes because codes are assigned with the same ``dict`` equality.  If
-    any attribute is opaque (unhashable cells) — or the row plane is active —
-    every attribute falls back to raw value tuples together, so all labels
-    stay mutually consistent.
-    """
-    if use_columnar():
-        store = sample.columnar()
-        columns = [store.column(name) for name in names]
-        if all(column.is_encoded for column in columns):
-            return {
-                name: column.codes
-                for name, column in zip(names, columns)
-                if column.codes is not None
-            }
-    return {name: sample.column(name) for name in names}
+def _codes(sample: Relation, names: Sequence[str]) -> Codes:
+    """The dictionary-code column of every mined attribute."""
+    store = sample.columnar()
+    return {name: store.column(name).codes for name in names}
 
 
 def _partition_for(
-    sample: Relation,
     attributes: tuple[str, ...],
     cache: dict[tuple[str, ...], Partition],
-    labels: dict[str, Labels],
+    codes: Codes,
 ) -> Partition:
     """Compute (or fetch) ``Π_X``, refining a cached prefix when possible."""
     if attributes in cache:
         return cache[attributes]
-    if len(attributes) > 1:
-        prefix = attributes[:-1]
-        if prefix in cache:
-            partition = cache[prefix].refine(labels[attributes[-1]])
-            cache[attributes] = partition
-            return partition
-    first = labels[attributes[0]]
-    if isinstance(first, np.ndarray):
-        partition = partition_from_codes(
-            [labels[name] for name in attributes]  # type: ignore[misc]
-        )
+    prefix = attributes[:-1]
+    if prefix in cache:
+        partition = cache[prefix].refine(codes[attributes[-1]])
     else:
-        partition = partition_by(sample, attributes)
+        partition = partition_from_codes([codes[name] for name in attributes])
     cache[attributes] = partition
     return partition
 

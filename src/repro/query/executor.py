@@ -20,15 +20,13 @@ from __future__ import annotations
 # delegates here, so operating on relations directly is its whole job.
 # qpiadlint: disable-file=raw-relation-access
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.query.predicates import AttributePredicate, Predicate, conjuncts_of
 from repro.query.query import AggregateFunction, AggregateQuery, SelectionQuery
-from repro.relational.columnar import ColumnStore, use_columnar
+from repro.relational.columnar import ColumnStore
 from repro.relational.relation import Relation, Row
-from repro.relational.schema import Schema
 from repro.relational.values import is_null
 
 __all__ = [
@@ -44,16 +42,11 @@ __all__ = [
 def certain_answers(query: SelectionQuery, relation: Relation) -> Relation:
     """Rows of *relation* that certainly satisfy *query* (SQL semantics).
 
-    On the columnar plane the predicate is evaluated as a boolean mask over
-    the relation's column store; the per-row path (also used whenever the
-    predicate cannot be vectorized) compiles the predicate once so attribute
-    positions are not re-resolved for every row.
+    The predicate is evaluated as a boolean mask over the relation's column
+    store and the matching rows are gathered in row order.
     """
-    if use_columnar():
-        mask = query.predicate.mask(relation.columnar())
-        if mask is not None:
-            return relation.select_indices(np.flatnonzero(mask).tolist())
-    return relation.select(_compiled_matcher(query.predicate, relation.schema))
+    mask = query.predicate.mask(relation.columnar())
+    return relation.select_indices(np.flatnonzero(mask).tolist())
 
 
 def possible_answers(
@@ -67,116 +60,27 @@ def possible_answers(
     constrained attributes are excluded (the paper ranks only rows with at
     most one such NULL).
     """
-    schema = relation.schema
-    constrained = query.constrained_attributes
-    if use_columnar():
-        store = relation.columnar()
-        possible = query.predicate.possible_mask(store)
-        if possible is not None:
-            null_counts = _null_counts(store, constrained)
-            mask = possible & (null_counts > 0)
-            if max_nulls is not None:
-                mask &= null_counts <= max_nulls
-            return relation.select_indices(np.flatnonzero(mask).tolist())
-
-    constrained_positions = schema.indices_of(constrained)
-    possibly = _compiled_possibly(query.predicate, schema)
-
-    def qualifies(row: Row) -> bool:
-        nulls = 0
-        for position in constrained_positions:
-            if is_null(row[position]):
-                nulls += 1
-        if nulls == 0:
-            return False
-        if max_nulls is not None and nulls > max_nulls:
-            return False
-        return possibly(row)
-
-    return relation.select(qualifies)
+    store = relation.columnar()
+    null_counts = _null_counts(store, query.constrained_attributes)
+    mask = query.predicate.possible_mask(store) & (null_counts > 0)
+    if max_nulls is not None:
+        mask &= null_counts <= max_nulls
+    return relation.select_indices(np.flatnonzero(mask).tolist())
 
 
 def certain_or_possible(query: SelectionQuery, relation: Relation) -> Relation:
     """Union of certain and possible answers, preserving row order."""
-    if use_columnar():
-        possible = query.predicate.possible_mask(relation.columnar())
-        if possible is not None:
-            return relation.select_indices(np.flatnonzero(possible).tolist())
-    return relation.select(_compiled_possibly(query.predicate, relation.schema))
+    possible = query.predicate.possible_mask(relation.columnar())
+    return relation.select_indices(np.flatnonzero(possible).tolist())
 
 
 def certain_count(query: SelectionQuery, relation: Relation) -> int:
     """``len(certain_answers(query, relation))`` without materializing rows.
 
-    The selectivity estimator calls this per candidate rewritten query; on
-    the columnar plane it is a mask sum.
+    The selectivity estimator calls this per candidate rewritten query; it
+    is a mask sum.
     """
-    if use_columnar():
-        mask = query.predicate.mask(relation.columnar())
-        if mask is not None:
-            return int(mask.sum())
-    matches = _compiled_matcher(query.predicate, relation.schema)
-    count = 0
-    for row in relation:
-        if matches(row):
-            count += 1
-    return count
-
-
-def _compiled_matcher(predicate: Predicate, schema: Schema) -> Callable[[Row], bool]:
-    """A row matcher with every attribute position resolved once.
-
-    The naive form — ``predicate.matches(row, schema)`` per row — re-runs
-    ``schema.index_of`` for every conjunct of every row; this closure hoists
-    those lookups out of the loop.
-    """
-    tests: list[tuple[int, Callable[[Any], bool]]] = []
-    for conjunct in conjuncts_of(predicate):
-        if not isinstance(conjunct, AttributePredicate):
-            return lambda row: predicate.matches(row, schema)
-        tests.append((schema.index_of(conjunct.attribute), conjunct.matches_value))
-
-    def matches(row: Row) -> bool:
-        for position, test in tests:
-            if not test(row[position]):
-                return False
-        return True
-
-    return matches
-
-
-def _compiled_possibly(predicate: Predicate, schema: Schema) -> Callable[[Row], bool]:
-    """``predicate.possibly_matches`` with attribute positions pre-resolved."""
-    parts: list[tuple[Callable[[Row], bool], tuple[int, ...]]] = []
-    for conjunct in conjuncts_of(predicate):
-        positions = schema.indices_of(conjunct.attributes())
-        if isinstance(conjunct, AttributePredicate):
-            value_test = conjunct.matches_value
-            position = positions[0]
-
-            def test(
-                row: Row,
-                position: int = position,
-                value_test: Callable[[Any], bool] = value_test,
-            ) -> bool:
-                return value_test(row[position])
-
-        else:
-
-            def test(row: Row, conjunct: Predicate = conjunct) -> bool:
-                return conjunct.matches(row, schema)
-
-        parts.append((test, positions))
-
-    def possibly(row: Row) -> bool:
-        for matcher, positions in parts:
-            if matcher(row):
-                continue
-            if not any(is_null(row[position]) for position in positions):
-                return False
-        return True
-
-    return possibly
+    return int(query.predicate.mask(relation.columnar()).sum())
 
 
 def _null_counts(store: ColumnStore, attributes: Sequence[str]) -> "np.ndarray":

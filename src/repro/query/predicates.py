@@ -13,20 +13,23 @@ paper needs:
   in the tuple.  Tuples whose only failures are NULLs are the paper's
   *possible answers* (Definition 2).
 
-Each predicate also knows how to evaluate itself *vectorized* against a
+Each predicate also evaluates itself *vectorized* against a
 :class:`~repro.relational.columnar.ColumnStore`: :meth:`Predicate.mask`
 returns a boolean row mask of certain matches and
 :meth:`Predicate.possible_mask` the certain-or-possible mask, both exactly
-equivalent to the per-row methods.  A predicate that cannot be vectorized
-faithfully (opaque column, exotic constant) returns ``None`` and the
-executor falls back to per-row evaluation — correctness never depends on the
-fast path.
+equivalent to the per-row methods, which stay the reference semantics.
+Constants a dictionary lookup or a float64 comparison cannot handle
+faithfully (unhashable values, ints beyond 2**53, strings against numbers)
+are evaluated with :meth:`AttributePredicate.matches_value` once per
+dictionary entry and gathered to rows, so every mask is total.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from abc import ABC, abstractmethod
+from decimal import InvalidOperation
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,14 +92,12 @@ class Predicate(ABC):
     # Vectorized evaluation (columnar data plane)
     # ------------------------------------------------------------------
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
-        """Boolean row mask of certain matches, or ``None``.
+    @abstractmethod
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
+        """Boolean row mask of certain matches.
 
-        ``None`` means "this predicate cannot be vectorized faithfully";
-        callers must evaluate per row.  Masks, when returned, are exactly
-        equivalent to calling :meth:`matches` on every row.
+        Exactly equivalent to calling :meth:`matches` on every row.
         """
-        return None
 
     def null_any_mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
         """Rows NULL on at least one constrained attribute.
@@ -109,20 +110,17 @@ class Predicate(ABC):
             result = result | store.column(name).null_mask
         return result
 
-    def possible_mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
-        """Certain-or-possible row mask, or ``None`` for per-row fallback.
+    def possible_mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
+        """Certain-or-possible row mask.
 
         A row passes when every conjunct either matches or is NULL-blocked
         on one of its own attributes — exactly :meth:`possibly_matches`.
         """
-        result: "NDArray[np.bool_] | None" = None
-        for conjunct in conjuncts_of(self):
-            conjunct_mask = conjunct.mask(store)
-            if conjunct_mask is None:
-                return None
-            allowed = conjunct_mask | conjunct.null_any_mask(store)
-            result = allowed if result is None else result & allowed
-        return result
+        allowed = [
+            conjunct.mask(store) | conjunct.null_any_mask(store)
+            for conjunct in conjuncts_of(self)
+        ]
+        return functools.reduce(operator.and_, allowed)
 
     def __and__(self, other: "Predicate") -> "And":
         return And([self, other])
@@ -146,12 +144,27 @@ class AttributePredicate(Predicate):
         """True iff a cell holding *value* certainly satisfies the predicate.
 
         *value* may be NULL; implementations apply SQL semantics (NULL never
-        certainly matches).  The executor compiles row matchers from this so
-        the attribute position is resolved once per query, not once per row.
+        certainly matches).
         """
 
     def matches(self, row: Row, schema: Schema) -> bool:
         return self.matches_value(row[schema.index_of(self.attribute)])
+
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
+        """:meth:`matches_value` once per dictionary entry, gathered to rows.
+
+        Cells share a dictionary code only when they are ``==`` (and hash
+        equal), so one evaluation per entry decides every row holding it.
+        Subclasses override this with array kernels and fall back to it for
+        constants those kernels cannot compare exactly.
+        """
+        column = store.column(self.attribute)
+        per_value = np.fromiter(
+            map(self.matches_value, column.values),
+            dtype=np.bool_,
+            count=len(column.values),
+        )
+        return column.gather_bool(per_value)
 
     def _value_of(self, row: Row, schema: Schema) -> Any:
         return row[schema.index_of(self.attribute)]
@@ -185,19 +198,17 @@ class Equals(AttributePredicate):
     def matches_value(self, value: Any) -> bool:
         return not is_null(value) and value == self.value
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
         column = store.column(self.attribute)
         codes = column.codes
-        if codes is None:
-            return None
         try:
             if self.value != self.value:
                 # NaN: dictionary lookup would find an identical object, but
-                # the row plane compares with ``==`` which NaN never passes.
+                # matches_value compares with ``==``, which NaN never passes.
                 return np.zeros(codes.shape[0], dtype=np.bool_)
             code = column.code_of(self.value)
         except TypeError:
-            return None
+            return super().mask(store)
         if code is None:
             return np.zeros(codes.shape[0], dtype=np.bool_)
         result: "NDArray[np.bool_]" = codes == code
@@ -222,11 +233,9 @@ class NotEquals(AttributePredicate):
     def matches_value(self, value: Any) -> bool:
         return not is_null(value) and value != self.value
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
         column = store.column(self.attribute)
         codes = column.codes
-        if codes is None:
-            return None
         non_null: "NDArray[np.bool_]" = codes >= 0
         try:
             if self.value != self.value:
@@ -234,7 +243,7 @@ class NotEquals(AttributePredicate):
                 return non_null
             code = column.code_of(self.value)
         except TypeError:
-            return None
+            return super().mask(store)
         if code is None:
             return non_null
         return non_null & (codes != code)
@@ -246,6 +255,12 @@ class NotEquals(AttributePredicate):
         return f"{self.attribute}!={self.value!r}"
 
 
+#: Errors an ordering comparison raises for values that have no order: mixed
+#: types raise TypeError, and a Decimal ordered against a NaN signals
+#: InvalidOperation.  Such a value is never a certain range match.
+_INCOMPARABLE = (TypeError, InvalidOperation)
+
+
 class Between(AttributePredicate):
     """``attribute BETWEEN low AND high`` (inclusive on both ends)."""
 
@@ -253,7 +268,13 @@ class Between(AttributePredicate):
 
     def __init__(self, attribute: str, low: Any, high: Any):
         super().__init__(attribute)
-        if low > high:
+        try:
+            reversed_bounds = low > high
+        except _INCOMPARABLE:
+            raise QueryError(
+                f"between bounds for {attribute!r} are not comparable: {low!r}, {high!r}"
+            ) from None
+        if reversed_bounds:
             raise QueryError(f"between bounds reversed for {attribute!r}: {low!r} > {high!r}")
         self.low = low
         self.high = high
@@ -263,15 +284,13 @@ class Between(AttributePredicate):
             return False
         try:
             return bool(self.low <= value <= self.high)
-        except TypeError:
+        except _INCOMPARABLE:
             return False
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
-        column = store.column(self.attribute)
-        if column.codes is None:
-            return None
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
         if not (float64_exact(self.low) and float64_exact(self.high)):
-            return None
+            return super().mask(store)
+        column = store.column(self.attribute)
         values, exact = column.dictionary_numeric()
         per_value = (self.low <= values) & (values <= self.high) & exact
         return _patch_inexact(per_value, exact, column, self.matches_value)
@@ -308,15 +327,13 @@ class Comparison(AttributePredicate):
             return False
         try:
             return bool(_COMPARATORS[self.op](value, self.value))
-        except TypeError:
+        except _INCOMPARABLE:
             return False
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
-        column = store.column(self.attribute)
-        if column.codes is None:
-            return None
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
         if not float64_exact(self.value):
-            return None
+            return super().mask(store)
+        column = store.column(self.attribute)
         values, exact = column.dictionary_numeric()
         per_value = _COMPARATORS[self.op](values, self.value) & exact
         return _patch_inexact(per_value, exact, column, self.matches_value)
@@ -344,11 +361,9 @@ class OneOf(AttributePredicate):
     def matches_value(self, value: Any) -> bool:
         return not is_null(value) and value in self.values
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
         column = store.column(self.attribute)
         codes = column.codes
-        if codes is None:
-            return None
         wanted = [code for code in map(column.code_of, self.values) if code is not None]
         if not wanted:
             return np.zeros(codes.shape[0], dtype=np.bool_)
@@ -396,13 +411,10 @@ class And(Predicate):
     def matches(self, row: Row, schema: Schema) -> bool:
         return all(part.matches(row, schema) for part in self.parts)
 
-    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_] | None":
-        result: "NDArray[np.bool_] | None" = None
-        for part in self.parts:
-            part_mask = part.mask(store)
-            if part_mask is None:
-                return None
-            result = part_mask if result is None else result & part_mask
+    def mask(self, store: "ColumnStore") -> "NDArray[np.bool_]":
+        result = self.parts[0].mask(store)
+        for part in self.parts[1:]:
+            result = result & part.mask(store)
         return result
 
     def __eq__(self, other: object) -> bool:

@@ -7,15 +7,7 @@ round-tripping, and the columnar (numpy-backed) data plane behind the
 """
 
 from repro.relational.builders import RelationBuilder
-from repro.relational.columnar import (
-    DATA_PLANES,
-    Column,
-    ColumnStore,
-    data_plane,
-    data_plane_scope,
-    set_data_plane,
-    use_columnar,
-)
+from repro.relational.columnar import Column, ColumnStore
 from repro.relational.csvio import infer_schema, read_csv, write_csv
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, AttributeType, Schema
@@ -37,9 +29,4 @@ __all__ = [
     "RelationBuilder",
     "Column",
     "ColumnStore",
-    "DATA_PLANES",
-    "data_plane",
-    "data_plane_scope",
-    "set_data_plane",
-    "use_columnar",
 ]

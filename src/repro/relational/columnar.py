@@ -13,36 +13,26 @@ The encoding preserves the substrate's exact semantics:
   consumes.
 * **Python equality** — codes are assigned with an ordinary ``dict``, so two
   cells share a code exactly when ``==``/``hash`` say they are the same
-  value (``1``, ``1.0`` and ``True`` collapse, just as they do in the
-  row-oriented grouping and counting code).
+  value (``1``, ``1.0`` and ``True`` collapse, just as they do in
+  ``Relation.distinct_values`` and ``value_counts``).
 * **Float exactness** — the numeric projection marks a dictionary entry
   usable by vectorized range comparison only when its ``float64`` image is
-  exact (any float, or an int within ``±2**53``); everything else falls back
-  to per-value Python evaluation so vectorized answers stay bit-identical
-  to the row plane.
+  exact (any float, or an int within ``±2**53``); everything else is
+  evaluated per value in Python, so masks equal per-row evaluation bit for
+  bit.
 
-Columns holding unhashable values cannot be dictionary-encoded; they become
-*opaque* (``codes is None``) and only expose the NULL mask, which makes every
-consumer fall back to its per-row path for that column.
-
-The module also owns the **data-plane toggle**: the process-wide switch
-between the ``"columnar"`` kernels (default) and the pure-Python ``"row"``
-plane, used by the parity benchmarks and selectable via the
-``QPIAD_DATA_PLANE`` environment variable.  The toggle is read at well-known
-decision points (query evaluation, mining); flipping it concurrently with a
-running query is not supported.
+Every cell must be hashable: encoding raises :class:`SchemaError` naming the
+attribute that holds an unhashable cell, so every column has codes.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.errors import QpiadError, SchemaError
+from repro.errors import SchemaError
 from repro.relational.schema import Schema
 from repro.relational.values import NULL
 
@@ -52,65 +42,12 @@ if TYPE_CHECKING:
 __all__ = [
     "Column",
     "ColumnStore",
-    "DATA_PLANES",
     "EXACT_INT_BOUND",
-    "data_plane",
-    "data_plane_scope",
     "float64_exact",
-    "set_data_plane",
-    "use_columnar",
 ]
-
-#: The selectable data planes: vectorized kernels vs the pure-Python rows.
-DATA_PLANES = ("columnar", "row")
 
 #: Largest integer magnitude that float64 represents exactly (2**53).
 EXACT_INT_BOUND = 2**53
-
-_ENV_VAR = "QPIAD_DATA_PLANE"
-
-
-def _plane_from_env() -> str:
-    plane = os.environ.get(_ENV_VAR, "columnar").strip().lower()
-    if plane not in DATA_PLANES:
-        raise QpiadError(
-            f"{_ENV_VAR}={plane!r} is not a data plane; expected one of {DATA_PLANES}"
-        )
-    return plane
-
-
-_active_plane: str = _plane_from_env()
-
-
-def data_plane() -> str:
-    """The active data plane, ``"columnar"`` (default) or ``"row"``."""
-    return _active_plane
-
-
-def set_data_plane(plane: str) -> None:
-    """Select the active data plane process-wide."""
-    global _active_plane
-    if plane not in DATA_PLANES:
-        raise QpiadError(
-            f"unknown data plane {plane!r}; expected one of {DATA_PLANES}"
-        )
-    _active_plane = plane
-
-
-@contextmanager
-def data_plane_scope(plane: str) -> Iterator[None]:
-    """Temporarily select *plane*; restores the previous plane on exit."""
-    previous = data_plane()
-    set_data_plane(plane)
-    try:
-        yield
-    finally:
-        set_data_plane(previous)
-
-
-def use_columnar() -> bool:
-    """Whether consumers should take the vectorized kernels."""
-    return _active_plane == "columnar"
 
 
 def float64_exact(value: Any) -> bool:
@@ -118,7 +55,7 @@ def float64_exact(value: Any) -> bool:
 
     True for every float (Python floats *are* float64) and for ints within
     ``±2**53``; bools count as the ints 0/1.  Values outside this set must be
-    compared in Python to match the row plane bit for bit.
+    compared in Python to match per-row evaluation bit for bit.
     """
     if isinstance(value, float):
         return True
@@ -135,14 +72,12 @@ class Column:
     name:
         The attribute name.
     codes:
-        int64 dictionary codes per row (``-1`` for NULL), or ``None`` when
-        the column is *opaque* (holds unhashable values) and only the NULL
-        mask is available.
+        int64 dictionary codes per row (``-1`` for NULL).
     null_mask:
-        Boolean array marking NULL cells; always available.
+        Boolean array marking NULL cells.
     values:
         The dictionary: distinct non-NULL values in first-seen order, so
-        ``values[codes[i]]`` decodes row ``i``.  Empty for opaque columns.
+        ``values[codes[i]]`` decodes row ``i``.
     """
 
     __slots__ = ("name", "codes", "null_mask", "values", "_code_map", "_numeric")
@@ -150,10 +85,10 @@ class Column:
     def __init__(
         self,
         name: str,
-        codes: "NDArray[np.int64] | None",
+        codes: NDArray[np.int64],
         null_mask: NDArray[np.bool_],
         values: tuple[Any, ...],
-        code_map: "dict[Any, int] | None",
+        code_map: "dict[Any, int]",
     ):
         self.name = name
         self.codes = codes
@@ -162,17 +97,11 @@ class Column:
         self._code_map = code_map
         self._numeric: "tuple[NDArray[np.float64], NDArray[np.bool_]] | None" = None
 
-    @property
-    def is_encoded(self) -> bool:
-        """Whether dictionary codes are available (False for opaque columns)."""
-        return self.codes is not None
-
     def __len__(self) -> int:
         return int(self.null_mask.shape[0])
 
     def __repr__(self) -> str:
-        kind = f"{len(self.values)} distinct" if self.is_encoded else "opaque"
-        return f"Column({self.name!r}, {len(self)} rows, {kind})"
+        return f"Column({self.name!r}, {len(self)} rows, {len(self.values)} distinct)"
 
     def code_of(self, value: Any) -> "int | None":
         """The dictionary code of *value*, or ``None`` when absent.
@@ -180,10 +109,8 @@ class Column:
         Lookup uses ordinary dict semantics (hash + identity-or-equality),
         matching how cells were grouped during encoding.  Raises
         :class:`TypeError` for unhashable values — callers treat that as
-        "fall back to per-row evaluation".
+        "evaluate per dictionary entry".
         """
-        if self._code_map is None:
-            return None
         return self._code_map.get(value)
 
     def dictionary_numeric(self) -> "tuple[NDArray[np.float64], NDArray[np.bool_]]":
@@ -209,8 +136,6 @@ class Column:
     def gather_bool(self, per_value: NDArray[np.bool_]) -> NDArray[np.bool_]:
         """Scatter a per-dictionary-entry boolean to rows; NULL rows are False."""
         codes = self.codes
-        if codes is None:
-            raise TypeError(f"column {self.name!r} is opaque; no codes to gather by")
         if per_value.shape[0] == 0:
             return np.zeros(codes.shape[0], dtype=np.bool_)
         safe = np.where(codes >= 0, codes, 0)
@@ -218,48 +143,17 @@ class Column:
         return result
 
 
-def _encode_column(name: str, cells: "list[Any]") -> Column:
-    code_map: dict[Any, int] = {}
-    codes_list: list[int] = []
-    append = codes_list.append
-    try:
-        for value in cells:
-            if value is NULL:
-                append(-1)
-            else:
-                code = code_map.get(value)
-                if code is None:
-                    code = len(code_map)
-                    code_map[value] = code
-                append(code)
-    except TypeError:
-        # Unhashable cell: the column cannot be dictionary-encoded.  Keep
-        # the NULL mask (always computable) and mark the column opaque so
-        # every consumer takes its per-row fallback.
-        null_mask = np.fromiter(
-            (value is NULL for value in cells), dtype=np.bool_, count=len(cells)
-        )
-        return Column(name, None, null_mask, (), None)
-    codes = np.array(codes_list, dtype=np.int64)
-    return Column(name, codes, codes < 0, tuple(code_map), code_map)
-
-
-def _extend_column(column: Column, cells: "list[Any]") -> Column:
-    """Encode *cells* appended after *column*'s rows, reusing its dictionary.
+def _encode_column(
+    name: str, cells: "list[Any]", base: "Column | None" = None
+) -> Column:
+    """Dictionary-encode *cells*, appended after *base*'s rows when given.
 
     Codes are minted first-seen, so encoding only the new cells against a
-    copy of the existing dictionary produces exactly the codes a from-scratch
+    copy of *base*'s dictionary produces exactly the codes a from-scratch
     encoding of old+new cells would — the property incremental mining's
-    histogram keys depend on.  The original column is never mutated.
+    histogram keys depend on.  *base* is never mutated.
     """
-    if column.codes is None or column._code_map is None:
-        null_mask = np.fromiter(
-            (value is NULL for value in cells), dtype=np.bool_, count=len(cells)
-        )
-        return Column(
-            column.name, None, np.concatenate([column.null_mask, null_mask]), (), None
-        )
-    code_map = dict(column._code_map)
+    code_map: dict[Any, int] = {} if base is None else dict(base._code_map)
     codes_list: list[int] = []
     append = codes_list.append
     try:
@@ -273,16 +167,14 @@ def _extend_column(column: Column, cells: "list[Any]") -> Column:
                     code_map[value] = code
                 append(code)
     except TypeError:
-        # An unhashable new cell: a from-scratch encoding of the union would
-        # go opaque too, so the extension must as well.
-        null_mask = np.fromiter(
-            (value is NULL for value in cells), dtype=np.bool_, count=len(cells)
-        )
-        return Column(
-            column.name, None, np.concatenate([column.null_mask, null_mask]), (), None
-        )
-    codes = np.concatenate([column.codes, np.array(codes_list, dtype=np.int64)])
-    return Column(column.name, codes, codes < 0, tuple(code_map), code_map)
+        raise SchemaError(
+            f"attribute {name!r} holds an unhashable {type(value).__name__} "
+            "cell; relation cells must be hashable"
+        ) from None
+    codes = np.array(codes_list, dtype=np.int64)
+    if base is not None:
+        codes = np.concatenate([base.codes, codes])
+    return Column(name, codes, codes < 0, tuple(code_map), code_map)
 
 
 class ColumnStore:
@@ -338,8 +230,8 @@ class ColumnStore:
         where the historical sample dwarfs each folded batch.
         """
         columns = {
-            name: _extend_column(
-                self._columns[name], [row[position] for row in rows]
+            name: _encode_column(
+                name, [row[position] for row in rows], self._columns[name]
             )
             for position, name in enumerate(self._schema.names)
         }

@@ -161,7 +161,8 @@ class Relation:
 
         Built lazily on first use and memoized — the relation is immutable,
         so the store never goes stale.  Row-oriented callers that never ask
-        for it pay nothing.
+        for it pay nothing.  Raises :class:`~repro.errors.SchemaError`
+        naming the attribute when a cell is unhashable.
         """
         store = getattr(self, "_columnar", None)
         if store is None:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import RewrittenQuery, f_measure, order_rewritten_queries
-from repro.core.ranking import score_rewritten_queries
+from repro.core import RewrittenQuery
+from repro.planner import f_measure, order_rewritten_queries, score_rewritten_queries
 from repro.errors import QpiadError
 from repro.mining import Afd
 from repro.query import SelectionQuery

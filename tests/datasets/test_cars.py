@@ -59,7 +59,7 @@ class TestPlantedStructure:
 
     def test_miner_recovers_the_planted_afd(self, cars):
         partition = partition_by(cars, ["model"])
-        error = g3_error(partition, cars.column("body_style"))
+        error = g3_error(partition, cars.columnar().column("body_style").codes)
         assert 1 - error == pytest.approx(0.9, abs=0.06)
 
     def test_tane_finds_model_to_make(self, cars):

@@ -1,4 +1,4 @@
-"""The seeded scale-factor generators feeding the BENCH_8 sweep (PR 9)."""
+"""The seeded scale-factor generators feeding the scale benchmarks and goldens."""
 
 import pytest
 

@@ -1,60 +1,90 @@
-"""End-to-end row-vs-columnar parity of TANE and NBC (PR 9).
+"""TANE and NBC statistics against first-principles ``Counter`` references.
 
-The BENCH_8 sweep proves this at scale; these tests pin the same
-property — bit-identical mined knowledge on both data planes — at unit
-size, on generated data and on hand-built corner cases.
+The mining kernels count over dictionary codes; the references below count
+the decoded values row by row with ``collections.Counter``.  Mined AFD and
+AKey measurements and NBC count tables must equal the references exactly,
+float bits and first-seen insertion order included.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.datasets import generate_cars, make_incomplete
+from repro.errors import SchemaError
 from repro.mining.nbc import NaiveBayesClassifier
 from repro.mining.tane import TaneConfig, mine_dependencies
-from repro.relational import Relation, Schema, data_plane_scope
-from repro.relational.values import NULL
+from repro.relational import Relation, Schema
+from repro.relational.values import NULL, is_null
+
+
+def _groups(relation, attributes, dependent=None):
+    """Counter of *dependent* values (or of rows) per non-NULL X-value tuple."""
+    positions = relation.schema.indices_of(attributes)
+    target = None if dependent is None else relation.schema.index_of(dependent)
+    groups: dict = {}
+    for row in relation:
+        key = tuple(row[position] for position in positions)
+        label = None if target is None else row[target]
+        if not any(map(is_null, key + (label,))):
+            groups.setdefault(key, Counter())[label] += 1
+    return groups
+
+
+def _reference_g3_stats(relation, determining, dependent):
+    """``(support, kept)``: measured rows, rows kept by per-class majorities."""
+    groups = _groups(relation, determining, dependent).values()
+    return sum(sum(c.values()) for c in groups), sum(max(c.values()) for c in groups)
+
+
+def _reference_nbc_counts(relation, cls, features):
+    """Class counter, per-feature per-class counters, smoothed domain sizes."""
+    classes = Counter(value for value in relation.column(cls) if not is_null(value))
+    joint = {f: {k[0]: c for k, c in _groups(relation, (cls,), f).items()} for f in features}
+    domains = {f: max(1, len({v for c in joint[f].values() for v in c})) for f in features}
+    return classes, joint, domains
 
 
 def _sample() -> Relation:
     return make_incomplete(generate_cars(300, seed=7), seed=97).incomplete
 
 
-def _fresh(relation: Relation) -> Relation:
-    # New identity -> no memoized column store leaks across planes.
-    return Relation(relation.schema, relation.rows)
-
-
-def _both_planes(function):
-    results = {}
-    for plane in ("row", "columnar"):
-        with data_plane_scope(plane):
-            results[plane] = function()
-    return results["row"], results["columnar"]
+def _assert_measurements_match_reference(sample, mined):
+    assert mined.afds, "expected the sample to yield AFDs"
+    for afd in mined.afds:
+        support, kept = _reference_g3_stats(sample, afd.determining, afd.dependent)
+        assert afd.support == support, afd
+        assert afd.confidence == 1.0 - (support - kept) / support, afd
+    for key in mined.akeys:
+        groups = _groups(sample, key.attributes)
+        covered = sum(sum(c.values()) for c in groups.values())
+        assert key.support == covered, key
+        assert key.confidence == 1.0 - (covered - len(groups)) / covered, key
 
 
 class TestTaneParity:
     def test_afds_and_akeys_identical(self):
         sample = _sample()
-        row, columnar = _both_planes(lambda: mine_dependencies(_fresh(sample)))
-        assert row.afds == columnar.afds
-        assert row.akeys == columnar.akeys
+        _assert_measurements_match_reference(sample, mine_dependencies(sample))
 
     def test_confidences_are_float_bit_identical(self):
         sample = _sample()
-        row, columnar = _both_planes(lambda: mine_dependencies(_fresh(sample)))
-        for mined_row, mined_col in zip(row.afds, columnar.afds):
-            assert mined_row.confidence == mined_col.confidence
-            assert mined_row.support == mined_col.support
+        for afd in mine_dependencies(sample).afds:
+            support, kept = _reference_g3_stats(sample, afd.determining, afd.dependent)
+            expected = 1.0 - (support - kept) / support
+            assert afd.confidence.hex() == expected.hex(), afd
 
     def test_parity_survives_restricted_attribute_sets(self):
         sample = _sample()
         config = TaneConfig(attributes=("make", "model", "body_style"))
-        row, columnar = _both_planes(
-            lambda: mine_dependencies(_fresh(sample), config)
-        )
-        assert row.afds == columnar.afds
+        mined = mine_dependencies(sample, config)
+        for afd in mined.afds:
+            assert set(afd.determining) | {afd.dependent} <= set(config.attributes)
+        _assert_measurements_match_reference(sample, mined)
 
-    def test_parity_on_a_relation_with_unhashable_column(self):
-        # Opaque columns force the row path inside the columnar plane.
+    def test_unhashable_cell_raises_schema_error(self):
+        # Cells must be hashable to be dictionary-encoded, even in columns
+        # the miner was not asked to look at.
         relation = Relation(
             Schema.of("make", "tags", "body_style"),
             [
@@ -65,68 +95,60 @@ class TestTaneParity:
             ],
         )
         config = TaneConfig(attributes=("make", "body_style"))
-        row, columnar = _both_planes(
-            lambda: mine_dependencies(_fresh(relation), config)
-        )
-        assert row.afds == columnar.afds
+        with pytest.raises(SchemaError, match="'tags'"):
+            mine_dependencies(relation, config)
+
+
+def _assert_counts_match_reference(nbc, relation):
+    class_counts, joint, domains = _reference_nbc_counts(
+        relation, nbc.class_attribute, nbc.features
+    )
+    # Class order is first-seen order: ``classes`` breaks ties by it.
+    assert list(nbc._class_counts.items()) == list(class_counts.items())
+    assert nbc._joint_counts == joint
+    assert nbc._domain_sizes == domains
+
+
+def _assert_batch_matches_per_row(nbc, relation):
+    positions = {name: relation.schema.index_of(name) for name in nbc.features}
+    batch = nbc.distribution_batch(relation)
+    assert len(batch) == len(relation)
+    for row, posterior in zip(relation.rows, batch):
+        evidence = {name: row[index] for name, index in positions.items()}
+        assert posterior == nbc.distribution(evidence)
+        assert list(posterior) == list(nbc.distribution(evidence))
 
 
 class TestNbcParity:
     def test_counts_and_domains_identical_including_order(self):
         sample = _sample()
-
-        def train():
-            return NaiveBayesClassifier(_fresh(sample), "body_style", ("make", "model"))
-
-        row, columnar = _both_planes(train)
-        # dict equality also checks insertion order indirectly via lists
-        assert list(row._class_counts.items()) == list(columnar._class_counts.items())
-        assert row._joint_counts == columnar._joint_counts
-        assert row._domain_sizes == columnar._domain_sizes
+        nbc = NaiveBayesClassifier(sample, "body_style", ("make", "model"))
+        _assert_counts_match_reference(nbc, sample)
 
     def test_distribution_batch_matches_per_row_distribution(self):
         sample = _sample()
-        with data_plane_scope("columnar"):
-            nbc = NaiveBayesClassifier(_fresh(sample), "body_style", ("make", "model"))
-            batch = nbc.distribution_batch(_fresh(sample))
-        positions = {
-            name: sample.schema.index_of(name) for name in ("make", "model")
-        }
-        for row, posterior in zip(sample.rows, batch):
-            evidence = {name: row[index] for name, index in positions.items()}
-            assert posterior == nbc.distribution(evidence)
-
-    def test_distribution_batch_identical_across_planes(self):
-        sample = _sample()
-
-        def score():
-            nbc = NaiveBayesClassifier(_fresh(sample), "body_style", ("make", "model"))
-            return nbc.distribution_batch(_fresh(sample))
-
-        row, columnar = _both_planes(score)
-        assert row == columnar
+        nbc = NaiveBayesClassifier(sample, "body_style", ("make", "model"))
+        _assert_batch_matches_per_row(nbc, sample)
 
     def test_nbc_with_nulls_in_class_and_features(self):
         relation = Relation(
-            Schema.of("cls", "f"),
+            Schema.of("cls", "f", "g"),
             [
-                ("a", "x"),
-                ("a", NULL),
-                (NULL, "x"),
-                ("b", "y"),
-                ("b", "x"),
-                ("a", "y"),
+                ("a", "x", NULL),
+                ("a", NULL, NULL),
+                (NULL, "x", NULL),
+                ("b", "y", NULL),
+                ("b", "x", NULL),
+                ("a", "y", NULL),
             ],
         )
+        nbc = NaiveBayesClassifier(relation, "cls", ("f", "g"))
+        _assert_counts_match_reference(nbc, relation)
+        assert nbc._domain_sizes["g"] == 1  # all-NULL feature: smoothed to 1
+        _assert_batch_matches_per_row(nbc, relation)
 
-        def train():
-            nbc = NaiveBayesClassifier(_fresh(relation), "cls", ("f",))
-            return (
-                dict(nbc._class_counts),
-                nbc._joint_counts,
-                nbc._domain_sizes,
-                nbc.distribution_batch(_fresh(relation)),
-            )
-
-        row, columnar = _both_planes(train)
-        assert row == columnar
+    def test_extended_counts_match_reference_on_the_union(self):
+        sample = _sample()
+        head, tail = sample.take(200), Relation(sample.schema, sample.rows[200:])
+        nbc = NaiveBayesClassifier(head, "body_style", ("make", "model")).extended(tail)
+        _assert_counts_match_reference(nbc, sample)

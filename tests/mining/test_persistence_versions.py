@@ -15,7 +15,7 @@ from repro.datasets.incompleteness import make_incomplete
 from repro.errors import MiningError
 from repro.mining import KnowledgeBase, KnowledgeRefresher, KnowledgeStore
 from repro.mining.persistence import load_knowledge, save_knowledge
-from repro.relational import Relation, data_plane_scope
+from repro.relational import Relation
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +25,10 @@ def refreshed_knowledge():
     rows = whole.rows
     base = Relation(whole.schema, list(rows[:500]))
     batch = Relation(whole.schema, list(rows[100:200]))
-    with data_plane_scope("columnar"):
-        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-        refresher = KnowledgeRefresher(store)
-        refresher.prime()
-        refresher.refresh(batch)
+    store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+    refresher = KnowledgeRefresher(store)
+    refresher.prime()
+    refresher.refresh(batch)
     return store.current
 
 

@@ -8,7 +8,7 @@ from repro.errors import MiningError
 from repro.mining import KnowledgeBase, KnowledgeRefresher, KnowledgeStore, as_store
 from repro.planner.fingerprint import relation_fingerprint
 from repro.query import SelectionQuery
-from repro.relational import Relation, data_plane_scope
+from repro.relational import Relation
 from repro.relational.values import is_null
 
 
@@ -18,8 +18,8 @@ def pieces():
 
     The batches re-draw rows from within the base so the union's numeric
     ranges (hence the width-strategy bin edges) stay put and the folds can
-    take the incremental path; the fallback tests construct their own
-    edge-moving batches.
+    take the incremental path; the fallback test constructs its own
+    edge-moving batch.
     """
     whole = make_incomplete(generate_cars(900, seed=7), 0.10, seed=42).incomplete
     rows = whole.rows
@@ -30,11 +30,10 @@ def pieces():
 def _refreshed(pieces, **kwargs):
     """Fold both batches through a primed refresher; return (store, results)."""
     whole, base, batch1, batch2 = pieces
-    with data_plane_scope("columnar"):
-        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-        refresher = KnowledgeRefresher(store)
-        refresher.prime()
-        results = [refresher.refresh(batch1), refresher.refresh(batch2)]
+    store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+    refresher = KnowledgeRefresher(store)
+    refresher.prime()
+    results = [refresher.refresh(batch1), refresher.refresh(batch2)]
     return store, results
 
 
@@ -47,11 +46,10 @@ def folded(pieces):
 def oracle(pieces):
     """A one-shot mine over the full union — what folding must reproduce."""
     whole, base, batch1, batch2 = pieces
-    with data_plane_scope("columnar"):
-        knowledge = KnowledgeBase(
-            base.concat(batch1).concat(batch2), database_size=len(whole)
-        )
-        knowledge.fingerprint()
+    knowledge = KnowledgeBase(
+        base.concat(batch1).concat(batch2), database_size=len(whole)
+    )
+    knowledge.fingerprint()
     return knowledge
 
 
@@ -77,10 +75,9 @@ class TestFoldEquivalence:
             relation_fingerprint(batch1),
             relation_fingerprint(batch2),
         )
-        with data_plane_scope("columnar"):
-            base_fingerprint = KnowledgeBase(
-                base, database_size=len(whole)
-            ).fingerprint()
+        base_fingerprint = KnowledgeBase(
+            base, database_size=len(whole)
+        ).fingerprint()
         assert lineage.base_fingerprint == base_fingerprint
 
     def test_posteriors_match_fresh_mine(self, folded, oracle):
@@ -102,96 +99,79 @@ class TestFoldEquivalence:
 class TestAtomicSwap:
     def test_old_snapshot_survives_the_swap_frozen(self, pieces):
         whole, base, batch1, _ = pieces
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            old = store.current
-            before = old.fingerprint()
-            refresher = KnowledgeRefresher(store)
-            refresher.refresh(batch1)
-            assert store.current is not old
-            # The in-flight snapshot is untouched: same epoch, same content.
-            assert old.epoch == 0
-            assert old.fingerprint() == before
-            assert len(old.sample) == len(base)
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        old = store.current
+        before = old.fingerprint()
+        refresher = KnowledgeRefresher(store)
+        refresher.refresh(batch1)
+        assert store.current is not old
+        # The in-flight snapshot is untouched: same epoch, same content.
+        assert old.epoch == 0
+        assert old.fingerprint() == before
+        assert len(old.sample) == len(base)
 
     def test_swap_changes_the_fingerprint(self, pieces):
         whole, base, batch1, _ = pieces
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            before = store.current.fingerprint()
-            KnowledgeRefresher(store).refresh(batch1)
-            assert store.current.fingerprint() != before
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        before = store.current.fingerprint()
+        KnowledgeRefresher(store).refresh(batch1)
+        assert store.current.fingerprint() != before
 
     def test_shared_store_passes_through_as_store(self, pieces):
         whole, base, batch1, _ = pieces
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            assert as_store(store) is store
-            # Two refreshers sharing the store see each other's installs.
-            first = KnowledgeRefresher(store)
-            second = KnowledgeRefresher(store)
-            first.refresh(batch1)
-            assert second.knowledge.epoch == 1
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        assert as_store(store) is store
+        # Two refreshers sharing the store see each other's installs.
+        first = KnowledgeRefresher(store)
+        second = KnowledgeRefresher(store)
+        first.refresh(batch1)
+        assert second.knowledge.epoch == 1
 
 
 class TestStateReseedOnExternalSwap:
     def test_external_install_is_not_silently_folded_onto(self, pieces):
         whole, base, batch1, batch2 = pieces
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            refresher = KnowledgeRefresher(store)
-            refresher.prime()
-            refresher.refresh(batch1)
-            # Someone else swaps in a different generation underneath.
-            other = KnowledgeBase(
-                base.concat(batch2), database_size=len(whole)
-            )
-            store.install(other)
-            result = refresher.refresh(batch1)
-            oracle = KnowledgeBase(
-                base.concat(batch2).concat(batch1), database_size=len(whole)
-            )
-            assert result.fingerprint == oracle.fingerprint()
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        refresher = KnowledgeRefresher(store)
+        refresher.prime()
+        refresher.refresh(batch1)
+        # Someone else swaps in a different generation underneath.
+        other = KnowledgeBase(
+            base.concat(batch2), database_size=len(whole)
+        )
+        store.install(other)
+        result = refresher.refresh(batch1)
+        oracle = KnowledgeBase(
+            base.concat(batch2).concat(batch1), database_size=len(whole)
+        )
+        assert result.fingerprint == oracle.fingerprint()
 
 
 class TestRefreshIfStale:
     def test_fresh_probe_is_skipped(self, pieces):
         whole, base, _, _ = pieces
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            before = store.current
-            result = KnowledgeRefresher(store).refresh_if_stale(base)
-            assert result.mode == "skipped"
-            assert not result.refreshed
-            assert result.drift is not None and not result.drift.is_stale
-            assert store.current is before
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        before = store.current
+        result = KnowledgeRefresher(store).refresh_if_stale(base)
+        assert result.mode == "skipped"
+        assert not result.refreshed
+        assert result.drift is not None and not result.drift.is_stale
+        assert store.current is before
 
     def test_drifted_probe_triggers_fold_and_swap(self, pieces):
         whole, base, _, _ = pieces
         drifted = make_incomplete(
             generate_cars(300, seed=101, body_style_fidelity=0.3), 0.10, seed=43
         ).incomplete
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            result = KnowledgeRefresher(store).refresh_if_stale(drifted)
-            assert result.refreshed
-            assert result.drift is not None and result.drift.is_stale
-            assert store.current.epoch == 1
-            assert len(store.current.sample) == len(base) + len(drifted)
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        result = KnowledgeRefresher(store).refresh_if_stale(drifted)
+        assert result.refreshed
+        assert result.drift is not None and result.drift.is_stale
+        assert store.current.epoch == 1
+        assert len(store.current.sample) == len(base) + len(drifted)
 
 
 class TestFullFallback:
-    def test_row_plane_falls_back_to_full_with_same_result(self, pieces, oracle):
-        whole, base, batch1, batch2 = pieces
-        with data_plane_scope("row"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            refresher = KnowledgeRefresher(store)
-            assert refresher.prime() is False
-            results = [refresher.refresh(batch1), refresher.refresh(batch2)]
-        assert [result.mode for result in results] == ["full", "full"]
-        assert store.current.fingerprint() == oracle.fingerprint()
-        assert store.current.epoch == 2
-
     def test_moved_bin_edges_fall_back_to_full_with_same_result(self, pieces):
         whole, base, _, _ = pieces
         # Prices far outside the mined range move the union's bin edges, so
@@ -208,16 +188,15 @@ class TestFullFallback:
                 for row in base.rows[:150]
             ],
         )
-        with data_plane_scope("columnar"):
-            store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-            refresher = KnowledgeRefresher(store)
-            refresher.prime()
-            result = refresher.refresh(shifted)
-            oracle = KnowledgeBase(
-                base.concat(shifted), database_size=len(whole)
-            )
-            assert result.mode == "full"
-            assert result.fingerprint == oracle.fingerprint()
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        refresher = KnowledgeRefresher(store)
+        refresher.prime()
+        result = refresher.refresh(shifted)
+        oracle = KnowledgeBase(
+            base.concat(shifted), database_size=len(whole)
+        )
+        assert result.mode == "full"
+        assert result.fingerprint == oracle.fingerprint()
 
 
 class TestErrors:

@@ -2,6 +2,8 @@
 # NULL literals are constructed on purpose: the rejection path is under test.
 # qpiadlint: disable-file=null-in-predicate-literal
 
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import QueryError
@@ -61,6 +63,16 @@ class TestBetween:
 
     def test_uncomparable_value_is_not_a_match(self):
         assert not Between("price", 0, 10).matches(row(price="cheap"), SCHEMA)
+        # Decimal ordered against NaN signals InvalidOperation: no match.
+        nan = float("nan")
+        assert not Between("price", Decimal(0), Decimal(10)).matches(row(price=nan), SCHEMA)
+        assert not Comparison("price", "<", nan).matches(row(price=Decimal(1)), SCHEMA)
+
+    def test_incomparable_bounds_rejected(self):
+        with pytest.raises(QueryError, match="not comparable"):
+            Between("price", 5, "abc")
+        with pytest.raises(QueryError, match="not comparable"):
+            Between("price", Decimal(1), float("nan"))
 
 
 class TestComparison:

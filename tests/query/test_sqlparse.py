@@ -88,6 +88,10 @@ class TestRejections:
         with pytest.raises(QueryError):
             parse_selection(text)
 
+    def test_between_with_incomparable_bounds_is_a_query_error(self):
+        with pytest.raises(QueryError, match="not comparable"):
+            parse_selection("price between 5 and abc")
+
     def test_null_equality_rejected(self):
         # Equals itself refuses NULL; bareword NULL is just a string here,
         # but the library idiom is explicit possible-answer retrieval.

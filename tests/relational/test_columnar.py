@@ -1,17 +1,11 @@
-"""The ColumnStore encoding and the data-plane toggle (PR 9)."""
+"""The ColumnStore encoding."""
 
 import numpy as np
 import pytest
 
+from repro.errors import SchemaError
 from repro.relational import Relation, Schema
-from repro.relational.columnar import (
-    ColumnStore,
-    data_plane,
-    data_plane_scope,
-    float64_exact,
-    set_data_plane,
-    use_columnar,
-)
+from repro.relational.columnar import ColumnStore, float64_exact
 from repro.relational.values import NULL
 
 
@@ -55,24 +49,39 @@ class TestEncoding:
         ]
 
     def test_python_equality_collapses_codes(self):
-        # 1, 1.0 and True are == in Python; the encoder must agree with the
-        # row plane's dict-based grouping.
+        # 1, 1.0 and True are == in Python; the encoder must agree with
+        # dict-based grouping (distinct_values, value_counts).
         relation = Relation(Schema.of("x"), [(1,), (1.0,), (True,), (2,)])
         column = relation.columnar().column("x")
         assert column.codes.tolist() == [0, 0, 0, 1]
 
-    def test_unhashable_values_make_the_column_opaque(self):
-        relation = Relation(Schema.of("x"), [([1, 2],), (None,), ([3],)])
-        column = relation.columnar().column("x")
-        assert column.codes is None
-        assert not column.is_encoded
-        assert column.null_mask.tolist() == [False, True, False]
+    def test_unhashable_cell_raises_schema_error(self):
+        relation = Relation(Schema.of("ok", "x"), [(1, (2,)), (2, None), (3, [3])])
+        with pytest.raises(SchemaError, match="'x'.*unhashable list"):
+            relation.columnar()
+        with pytest.raises(SchemaError, match="'x'"):
+            ColumnStore.from_relation(relation)
+
+    def test_extending_with_an_unhashable_cell_raises_schema_error(self):
+        relation = Relation(Schema.of("x"), [(1,), (None,)])
+        with pytest.raises(SchemaError, match="'x'"):
+            relation.columnar().extended([({"a": 1},)])
+
+    def test_extended_store_equals_encoding_the_union(self):
+        relation = _cars()
+        batch = [("Toyota", 9000), (None, 7000), ("BMW", None)]
+        extended = relation.columnar().extended(batch)
+        direct = ColumnStore.from_rows(relation.schema, relation.rows + tuple(batch))
+        assert len(extended) == len(direct) == 8
+        for name in relation.schema.names:
+            assert extended.column(name).codes.tolist() == direct.column(name).codes.tolist()
+            assert extended.column(name).values == direct.column(name).values
 
     def test_code_of_known_unknown_and_unhashable_probe(self):
         column = _cars().columnar().column("make")
         assert column.code_of("Honda") == 0
         assert column.code_of("Toyota") is None
-        # Unhashable probes raise; callers treat that as "use the row path".
+        # Unhashable probes raise; callers evaluate per dictionary entry.
         with pytest.raises(TypeError):
             column.code_of([1])
 
@@ -137,25 +146,3 @@ class TestNumericProjection:
             False,  # NULL row never matches
             True,
         ]
-
-
-class TestPlaneToggle:
-    def test_default_plane_is_columnar(self):
-        assert data_plane() == "columnar"
-        assert use_columnar()
-
-    def test_scope_switches_and_restores(self):
-        with data_plane_scope("row"):
-            assert data_plane() == "row"
-            assert not use_columnar()
-            with data_plane_scope("columnar"):
-                assert use_columnar()
-            assert data_plane() == "row"
-        assert data_plane() == "columnar"
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(Exception):
-            set_data_plane("vectorized")
-        with pytest.raises(Exception):
-            with data_plane_scope("simd"):
-                pass

@@ -60,6 +60,12 @@ class TestSqlCommand:
         instance.onecmd("sql make = 'Honda' OR make = 'BMW'")
         assert "error:" in _output(out)
 
+    def test_sql_rejects_incomparable_between_bounds(self, shell):
+        instance, out = shell
+        instance.onecmd("sql price between 5 and abc")
+        assert "error:" in _output(out)
+        assert "not comparable" in _output(out)
+
 
 class TestExplainCommand:
     def test_explains_a_ranked_answer(self, shell):
