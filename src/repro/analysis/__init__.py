@@ -5,53 +5,42 @@ mediator must reach base data only through
 :class:`~repro.sources.AutonomousSource`, or that every RNG must be
 seeded.  This package checks those invariants over the AST, wired up as
 ``qpiad lint`` (and the ``qpiadlint`` console script), a tier-1 self-lint
-test, and a CI job.  Per-module rules live under ``rules/``; the
-whole-program layer (project index, call graph, interprocedural passes)
-lives under ``project/``.  See ``docs/linting.md`` for the catalogue.
+test, and a CI job.  Every rule is a per-module check under ``rules/``,
+run in one pass per file.  See ``docs/linting.md`` for the catalogue.
 """
 
 from repro.analysis.framework import (
     Finding,
     LintConfigError,
     ModuleContext,
-    ProjectRule,
     Rule,
     Severity,
     SuppressionIndex,
 )
 from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.rules import (
-    ALL_PROJECT_RULES,
     ALL_RULES,
-    default_project_rules,
     default_rules,
-    project_rule_ids,
     rule_ids,
-    select_project_rules,
     select_rules,
 )
 from repro.analysis.runner import LintReport, lint_context, lint_paths
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "ALL_RULES",
     "Finding",
     "LintConfigError",
     "LintReport",
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "Severity",
     "SuppressionIndex",
-    "default_project_rules",
     "default_rules",
     "lint_context",
     "lint_paths",
-    "project_rule_ids",
     "render_json",
     "render_sarif",
     "render_text",
     "rule_ids",
-    "select_project_rules",
     "select_rules",
 ]

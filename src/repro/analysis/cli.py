@@ -18,7 +18,7 @@ from repro.analysis.reporting import (
     render_sarif,
     render_text,
 )
-from repro.analysis.rules import select_project_rules, select_rules
+from repro.analysis.rules import select_rules
 from repro.analysis.runner import lint_paths
 
 __all__ = ["main", "run_lint", "add_lint_arguments"]
@@ -47,21 +47,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--select",
         action="append",
         metavar="RULE",
-        help="run only this rule (repeatable; module and project rules alike)",
+        help="run only this rule (repeatable)",
     )
     parser.add_argument(
         "--ignore",
         action="append",
         metavar="RULE",
-        help="skip this rule (repeatable; module and project rules alike)",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help=(
-            "skip the whole-program passes (project index + call graph); "
-            "they otherwise run whenever the linted set contains a package"
-        ),
+        help="skip this rule (repeatable)",
     )
     parser.add_argument(
         "--strict-suppressions",
@@ -93,7 +85,6 @@ def run_lint(args: argparse.Namespace) -> int:
     ignore = tuple(args.ignore) if args.ignore else None
     try:
         rules = select_rules(select, ignore)
-        project_rules = select_project_rules(select, ignore)
     except LintConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -103,11 +94,7 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
     try:
         report = lint_paths(
-            args.paths,
-            rules,
-            project_rules=project_rules,
-            include_project=not args.no_project,
-            strict_suppressions=args.strict_suppressions,
+            args.paths, rules, strict_suppressions=args.strict_suppressions
         )
     except LintConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

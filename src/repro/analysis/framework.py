@@ -31,13 +31,6 @@ string literals that merely *look* like directives are ignored):
 
 ``disable=all`` is deliberately rejected: suppressions must name the rule
 they silence so every exemption stays searchable and reviewable.
-
-Alongside the per-module :class:`Rule`, :class:`ProjectRule` is the
-whole-program pass kind: it checks a parsed
-:class:`~repro.analysis.project.ProjectIndex` (plus its call graph) rather
-than one module at a time, so invariants that span module boundaries —
-lock discipline on state shared across executor threads, seed provenance
-across call chains — are checkable too.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.errors import QpiadError
 
@@ -60,7 +53,6 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "ProjectRule",
     "SuppressionIndex",
     "parse_directives",
 ]
@@ -186,45 +178,6 @@ class Rule(ABC):
 
     def __repr__(self) -> str:
         return f"<Rule {self.id}>"
-
-
-class ProjectRule(ABC):
-    """One whole-program invariant check.
-
-    Where :class:`Rule` sees one module's AST at a time, a project rule
-    checks the fully indexed tree — symbol tables, inferred attribute
-    types, and the call graph — so it can follow values and control flow
-    across module boundaries.  Project rules run once per lint invocation
-    (after every module has been parsed) and must likewise be stateless
-    across runs.  Findings are anchored in whichever module the evidence
-    lives in; the runner routes each finding through that module's
-    suppression index exactly as for per-module rules.
-    """
-
-    id: str = ""
-    severity: Severity = Severity.ERROR
-    description: str = ""
-    rationale: str = ""
-
-    @abstractmethod
-    def check(self, project: "Any", graph: "Any") -> Iterator[Finding]:
-        """Yield every violation over *project* (a
-        :class:`~repro.analysis.project.ProjectIndex`) and its *graph*
-        (a :class:`~repro.analysis.project.CallGraph`)."""
-
-    def finding(self, path: "Path | str", node: ast.AST, message: str) -> Finding:
-        """A :class:`Finding` anchored at *node* in the module at *path*."""
-        return Finding(
-            path=str(path),
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            rule=self.id,
-            severity=self.severity,
-            message=message,
-        )
-
-    def __repr__(self) -> str:
-        return f"<ProjectRule {self.id}>"
 
 
 def parse_directives(source: str) -> Iterator[tuple[str, int, frozenset[str]]]:

@@ -109,7 +109,7 @@ class RuleRow(NamedTuple):
     """One catalogue entry, in registry (= reporting) order."""
 
     id: str
-    kind: str  # "module" | "project" | "runner"
+    kind: str  # "module" | "runner"
     severity: Severity
     description: str
     rationale: str
@@ -117,12 +117,10 @@ class RuleRow(NamedTuple):
 
 def iter_rule_rows() -> Iterator[RuleRow]:
     """Every rule id a report can contain, with its registered metadata."""
-    from repro.analysis.rules import ALL_PROJECT_RULES, ALL_RULES
+    from repro.analysis.rules import ALL_RULES
 
     for rule in ALL_RULES:
         yield RuleRow(rule.id, "module", rule.severity, rule.description, rule.rationale)
-    for rule in ALL_PROJECT_RULES:
-        yield RuleRow(rule.id, "project", rule.severity, rule.description, rule.rationale)
     for rule_id, (severity, description, rationale) in _PSEUDO_RULES.items():
         yield RuleRow(rule_id, "runner", severity, description, rationale)
 

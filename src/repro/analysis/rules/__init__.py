@@ -2,16 +2,14 @@
 
 Rules are registered here in the order reports list them.  Adding a rule:
 implement it in a module under this package, import it, append the class
-to :data:`ALL_RULES` (per-module rules) or :data:`ALL_PROJECT_RULES`
-(whole-program passes), and document it in ``docs/linting.md`` — the
+to :data:`ALL_RULES`, and document it in ``docs/linting.md`` — the
 ``--list-rules`` table and the docs are generated from this registry.
 """
 
 from __future__ import annotations
 
-from repro.analysis.framework import LintConfigError, ProjectRule, Rule
-from repro.analysis.project.concurrency import UnguardedSharedWriteRule
-from repro.analysis.project.determinism import UnseededRngFlowRule
+from repro.analysis.framework import LintConfigError, Rule
+from repro.analysis.rules.concurrency import UnguardedSharedWriteRule
 from repro.analysis.rules.dataplane import RowLoopInMiningRule
 from repro.analysis.rules.determinism import UnseededRngRule
 from repro.analysis.rules.freshness import StaleKnowledgeCaptureRule
@@ -33,13 +31,9 @@ from repro.analysis.rules.null_semantics import (
 
 __all__ = [
     "ALL_RULES",
-    "ALL_PROJECT_RULES",
     "default_rules",
-    "default_project_rules",
     "rule_ids",
-    "project_rule_ids",
     "select_rules",
-    "select_project_rules",
     "NullCompareRule",
     "NullInPredicateLiteralRule",
     "RawRelationAccessRule",
@@ -53,7 +47,6 @@ __all__ = [
     "RowLoopInMiningRule",
     "StaleKnowledgeCaptureRule",
     "UnguardedSharedWriteRule",
-    "UnseededRngFlowRule",
 ]
 
 #: Every registered rule class, in reporting order.
@@ -70,12 +63,7 @@ ALL_RULES: "tuple[type[Rule], ...]" = (
     NaiveFloatEqualityRule,
     RowLoopInMiningRule,
     StaleKnowledgeCaptureRule,
-)
-
-#: Every registered whole-program pass, in reporting order.
-ALL_PROJECT_RULES: "tuple[type[ProjectRule], ...]" = (
     UnguardedSharedWriteRule,
-    UnseededRngFlowRule,
 )
 
 
@@ -84,61 +72,27 @@ def default_rules() -> "list[Rule]":
     return [rule() for rule in ALL_RULES]
 
 
-def default_project_rules() -> "list[ProjectRule]":
-    """One instance of every registered whole-program pass."""
-    return [rule() for rule in ALL_PROJECT_RULES]
-
-
 def rule_ids() -> "tuple[str, ...]":
     return tuple(rule.id for rule in ALL_RULES)
-
-
-def project_rule_ids() -> "tuple[str, ...]":
-    return tuple(rule.id for rule in ALL_PROJECT_RULES)
-
-
-def _validate_names(
-    select: "tuple[str, ...] | None", ignore: "tuple[str, ...] | None"
-) -> None:
-    """Reject ids registered nowhere — typos cannot silently disable a check.
-
-    ``--select``/``--ignore`` name rules from *either* registry; each
-    selector then filters its own kind, so selecting a project rule simply
-    leaves the module-rule list empty and vice versa.
-    """
-    known = set(rule_ids()) | set(project_rule_ids())
-    for name in (*(select or ()), *(ignore or ())):
-        if name not in known:
-            raise LintConfigError(
-                f"unknown rule {name!r}; known rules: {', '.join(sorted(known))}"
-            )
 
 
 def select_rules(
     select: "tuple[str, ...] | None" = None,
     ignore: "tuple[str, ...] | None" = None,
 ) -> "list[Rule]":
-    """Instantiate the registered per-module rules, filtered by id.
+    """Instantiate the registered rules, filtered by id.
 
     ``select`` keeps only the named rules; ``ignore`` drops the named ones.
-    Unknown ids raise :class:`LintConfigError`.
+    Unknown ids raise :class:`LintConfigError`, so typos cannot silently
+    disable a check.
     """
-    _validate_names(select, ignore)
+    known = rule_ids()
+    for name in (*(select or ()), *(ignore or ())):
+        if name not in known:
+            raise LintConfigError(
+                f"unknown rule {name!r}; known rules: {', '.join(sorted(known))}"
+            )
     rules = default_rules()
-    if select:
-        rules = [rule for rule in rules if rule.id in select]
-    if ignore:
-        rules = [rule for rule in rules if rule.id not in ignore]
-    return rules
-
-
-def select_project_rules(
-    select: "tuple[str, ...] | None" = None,
-    ignore: "tuple[str, ...] | None" = None,
-) -> "list[ProjectRule]":
-    """Instantiate the registered whole-program passes, filtered by id."""
-    _validate_names(select, ignore)
-    rules = default_project_rules()
     if select:
         rules = [rule for rule in rules if rule.id in select]
     if ignore:

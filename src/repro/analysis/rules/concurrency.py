@@ -1,18 +1,21 @@
-"""Interprocedural lock-discipline pass.
+"""Rule pinning lock discipline on lock-holding classes.
 
-PR 4's concurrent executor made a handful of classes shared mutable
-state — ``AccessStatistics``, ``MetricsRegistry``, ``Tracer``,
-``FaultInjectingSource`` — and established, by hand, the invariant that
-every write to their shared attributes happens under the instance lock.
-This pass pins that invariant:
+The concurrent executor made a handful of classes shared mutable state —
+``AccessStatistics``, ``MetricsRegistry``, ``Tracer``,
+``FaultInjectingSource``, the admission scheduler and its token buckets —
+and established, by hand, the invariant that every write to their shared
+attributes happens under the instance lock.  This rule pins that
+invariant one class at a time:
 
-1. compute the set of callables that may run on a worker thread
-   (:meth:`CallGraph.thread_reachable`);
-2. for each class with at least one method reachable that way, collect
-   its **guarded attribute paths**: ``self.<path>`` targets assigned (or
-   mutated through ``append``/``update``/…) inside a ``with
-   self._lock:`` / ``with self._mutex:`` block anywhere in the class;
-3. flag every write to a guarded path outside a lock context.
+1. collect the class's **guarded attribute paths**: ``self.<path>``
+   targets assigned (or mutated through ``append``/``update``/…) inside a
+   ``with self._lock:`` / ``with self._mutex:`` block anywhere in the
+   class;
+2. flag every write to a guarded path outside a lock context.
+
+A class that takes its lock anywhere is held to its own discipline
+everywhere: holding a lock is the evidence that instances are shared, so
+no call-graph reachability question is asked.
 
 ``__init__`` / ``__post_init__`` / ``__new__`` are exempt — the instance
 is not yet shared while it is being constructed.  Paths are compared by
@@ -20,7 +23,7 @@ prefix in both directions, so replacing a guarded container
 (``self._entries = {}``) and writing a field of a guarded object
 (``self.statistics.calls``) are both caught.  Writes to *other* objects'
 guarded attributes are out of scope (a fresh local is not shared yet);
-the pass checks each class against its own discipline.
+each class is checked against its own discipline.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.framework import Finding, ProjectRule, Severity
-from repro.analysis.project.callgraph import CallGraph
-from repro.analysis.project.index import ClassInfo, ProjectIndex
+from repro.analysis.framework import Finding, ModuleContext, Rule, Severity
 
 __all__ = ["UnguardedSharedWriteRule"]
 
@@ -94,10 +95,11 @@ class _Write:
         self.method = method
 
 
-def _collect_writes(cls: ClassInfo) -> "list[_Write]":
+def _collect_writes(cls: ast.ClassDef) -> "list[_Write]":
     writes: list[_Write] = []
-    for name, method in cls.methods.items():
-        _walk_body(method.node.body, name, False, writes)
+    for method in cls.body:
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _walk_body(method.body, method.name, False, writes)
     return writes
 
 
@@ -196,58 +198,49 @@ def _conflicts(path: str, guarded: "dict[str, tuple[str, int]]") -> "str | None"
     return None
 
 
-class UnguardedSharedWriteRule(ProjectRule):
-    """Flag unlocked writes to lock-guarded attributes of thread-shared classes."""
+class UnguardedSharedWriteRule(Rule):
+    """Flag unlocked writes to the lock-guarded attributes of a class."""
 
     id = "unguarded-shared-write"
     severity = Severity.ERROR
     description = (
-        "attributes assigned under 'with self._lock:' anywhere in a class whose "
-        "instances are reachable from concurrent execution must never be written "
-        "without the lock"
+        "attributes a class assigns under 'with self._lock:' anywhere must "
+        "never be written without the lock"
     )
     rationale = (
         "The concurrent plan executor runs source calls on worker threads that all "
         "feed shared accounting objects (AccessStatistics, MetricsRegistry, Tracer, "
         "FaultInjectingSource); the chaos suite's exact-accounting assertions hold "
         "only because every one of those writes is serialized behind the instance "
-        "lock.  A single unlocked write reintroduces the lost-update races PR 4 "
-        "eliminated, and nothing at runtime would notice."
+        "lock.  A single unlocked write reintroduces lost-update races, and nothing "
+        "at runtime would notice."
     )
 
-    def check(self, project: ProjectIndex, graph: CallGraph) -> Iterator[Finding]:
-        reachable = graph.thread_reachable()
-        for qualname in sorted(project.classes):
-            cls = project.classes[qualname]
-            writes = _collect_writes(cls)
-            guarded: dict[str, tuple[str, int]] = {}
-            for write in writes:
-                if write.under_lock and write.path not in guarded:
-                    guarded[write.path] = (
-                        write.method,
-                        getattr(write.node, "lineno", cls.lineno),
-                    )
-            if not guarded:
-                continue
-            if not any(
-                method.qualname in reachable for method in cls.methods.values()
-            ):
-                continue
-            path = project.path_of(cls.module)
-            if path is None:  # pragma: no cover - modules always carry paths
-                continue
-            for write in writes:
-                if write.under_lock or write.method in _CONSTRUCTORS:
-                    continue
-                hit = _conflicts(write.path, guarded)
-                if hit is None:
-                    continue
-                guard_method, guard_line = guarded[hit]
-                yield self.finding(
-                    path,
-                    write.node,
-                    f"{cls.name}.{write.path} is written without holding the lock "
-                    f"that guards {cls.name}.{hit} elsewhere "
-                    f"({guard_method}, line {guard_line}); instances of "
-                    f"{cls.name} are reachable from concurrent execution",
+    def check(self, context: ModuleContext) -> Iterator[Finding]:
+        for cls in ast.walk(context.tree):
+            if isinstance(cls, ast.ClassDef):
+                yield from self._check_class(context, cls)
+
+    def _check_class(self, context: ModuleContext, cls: ast.ClassDef) -> Iterator[Finding]:
+        writes = _collect_writes(cls)
+        guarded: dict[str, tuple[str, int]] = {}
+        for write in writes:
+            if write.under_lock and write.path not in guarded:
+                guarded[write.path] = (
+                    write.method,
+                    getattr(write.node, "lineno", cls.lineno),
                 )
+        for write in writes:
+            if write.under_lock or write.method in _CONSTRUCTORS:
+                continue
+            hit = _conflicts(write.path, guarded)
+            if hit is None:
+                continue
+            guard_method, guard_line = guarded[hit]
+            yield self.finding(
+                context,
+                write.node,
+                f"{cls.name}.{write.path} is written without holding the lock "
+                f"that guards {cls.name}.{hit} elsewhere "
+                f"({guard_method}, line {guard_line})",
+            )

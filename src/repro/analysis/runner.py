@@ -6,11 +6,11 @@ The runner maps files to dotted module names by walking up through
 use.  Package-level suppressions declared in an ``__init__.py`` apply to
 every module beneath it.
 
-Each file is parsed exactly once: the resulting :class:`ModuleContext`
-objects feed the per-module rules *and* — when the linted set contains a
-package — the whole-program passes
-(:class:`~repro.analysis.framework.ProjectRule`), whose findings are
-routed back through the owning module's suppression index.
+Every rule is a per-module :class:`~repro.analysis.framework.Rule`, so
+each file is parsed once and checked in one pass; module names and
+package suppressions come from the filesystem, never from the linted
+root, so linting a subtree reports a subset of what linting the whole
+tree reports.
 
 Beyond rule findings, the runner emits three pseudo-rules of its own:
 
@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.analysis.framework import (
     Finding,
     ModuleContext,
-    ProjectRule,
     Rule,
     Severity,
     parse_directives,
@@ -168,25 +167,6 @@ def lint_context(context: ModuleContext, rules: Iterable[Rule]) -> LintReport:
     return report
 
 
-def _run_project_rules(
-    contexts: Sequence[ModuleContext],
-    project_rules: Sequence[ProjectRule],
-    report: LintReport,
-) -> None:
-    from repro.analysis.project import ProjectIndex, build_call_graph
-
-    index = ProjectIndex.build(contexts)
-    graph = build_call_graph(index)
-    by_path = {str(context.path): context for context in contexts}
-    for rule in project_rules:
-        for finding in rule.check(index, graph):
-            owner = by_path.get(finding.path)
-            if owner is not None and owner.suppressions.is_suppressed(finding):
-                report.suppressed_count += 1
-            else:
-                report.findings.append(finding)
-
-
 def _mark_package_usage(
     contexts: Sequence[ModuleContext],
     cache: "dict[Path, dict[str, int]]",
@@ -253,33 +233,21 @@ def lint_paths(
     paths: Sequence["Path | str"],
     rules: "Iterable[Rule] | None" = None,
     *,
-    project_rules: "Iterable[ProjectRule] | None" = None,
-    include_project: bool = True,
     strict_suppressions: bool = False,
 ) -> LintReport:
     """Lint every Python file under *paths* and return the merged report.
 
     Files that fail to parse contribute a ``parse-error`` finding rather
     than aborting the run, so one broken file cannot mask findings in the
-    rest of the tree.  Whole-program passes run when the linted set
-    contains at least one package ``__init__.py`` (there is no "project"
-    to analyse in a bag of loose scripts); ``include_project=False``
-    (the CLI's ``--no-project``) skips them outright.  With
-    ``strict_suppressions``, directives that suppressed nothing become
-    ``unused-suppression`` findings.
+    rest of the tree.  With ``strict_suppressions``, directives that
+    suppressed nothing become ``unused-suppression`` findings.
     """
-    from repro.analysis.rules import default_project_rules, default_rules
+    from repro.analysis.rules import default_rules, rule_ids
 
     active = list(rules) if rules is not None else default_rules()
-    project_active: "list[ProjectRule]" = []
-    if include_project:
-        project_active = (
-            list(project_rules) if project_rules is not None else default_project_rules()
-        )
     report = LintReport()
     package_cache: "dict[Path, dict[str, int]]" = {}
     contexts: list[ModuleContext] = []
-    has_package = False
     for file_path in iter_python_files([Path(p) for p in paths]):
         try:
             context = ModuleContext.from_file(file_path, module_name_for(file_path))
@@ -296,28 +264,14 @@ def lint_paths(
             )
             report.files_checked += 1
             continue
-        if file_path.name == "__init__.py":
-            has_package = True
         context.suppressions.add_package_rules(
             _package_suppressions(file_path, package_cache)
         )
         contexts.append(context)
         report.merge(lint_context(context, active))
-    ran_project = bool(project_active) and has_package and bool(contexts)
-    if ran_project:
-        _run_project_rules(contexts, project_active, report)
     if strict_suppressions:
-        from repro.analysis.rules import project_rule_ids, rule_ids
-
-        active_ids = frozenset(rule.id for rule in active) | frozenset(
-            rule.id for rule in (project_active if ran_project else ())
-        )
-        known_ids = (
-            frozenset(rule_ids())
-            | frozenset(project_rule_ids())
-            | frozenset(PSEUDO_RULE_IDS)
-            | active_ids
-        )
+        active_ids = frozenset(rule.id for rule in active)
+        known_ids = frozenset(rule_ids()) | frozenset(PSEUDO_RULE_IDS) | active_ids
         report.findings.extend(
             _unused_suppression_findings(contexts, active_ids, known_ids, package_cache)
         )

@@ -684,7 +684,9 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _load_or_mine(data_path: Path, kb_path: "Path | None", relation: Relation) -> KnowledgeBase:
+def _load_or_mine(
+    data_path: Path, kb_path: "str | Path | None", relation: Relation
+) -> KnowledgeBase:
     if kb_path:
         return load_knowledge(kb_path)
     # stderr keeps machine-readable stdout (``trace --json``) clean.

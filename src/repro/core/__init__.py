@@ -23,23 +23,12 @@ from repro.core.multijoin import (
 from repro.core.qpiad import QpiadConfig, QpiadMediator
 from repro.core.relaxation import QueryRelaxer, RelaxationPlan, RelaxedAnswer
 from repro.core.results import QueryFailure, QueryResult, RankedAnswer, RetrievalStats
-# Public-API re-export of the generation stage, not mediation: callers
-# outside repro.core (benchmarks, notebooks) keep their import surface
-# while mediators themselves go through the planner.
-from repro.core.rewriting import (  # qpiadlint: disable=raw-rewrite-call-in-core
-    RewrittenQuery,
-    generate_rewritten_queries,
-    target_probability,
-)
 
 __all__ = [
     "RankedAnswer",
     "QueryFailure",
     "RetrievalStats",
     "QueryResult",
-    "RewrittenQuery",
-    "generate_rewritten_queries",
-    "target_probability",
     "QpiadConfig",
     "QpiadMediator",
     "all_returned",

@@ -29,15 +29,15 @@ from repro.relational.values import NULL, is_null
 
 __all__ = ["save_knowledge", "load_knowledge"]
 
-# Version 2 added the knowledge fingerprint (verified on load so a stale or
-# hand-edited file cannot silently serve plans mined from different data).
-# Version 3 added generation lineage: the epoch counter plus the fingerprint
-# of the epoch-0 base and the digests of every folded batch, so a refreshed
+# Version 3 carries the knowledge fingerprint (verified on load so a stale or
+# hand-edited file cannot silently serve plans mined from different data)
+# and the generation lineage: the epoch counter plus the fingerprint of the
+# epoch-0 base and the digests of every folded batch, so a refreshed
 # knowledge base reloads as the same generation (and the lineage's internal
-# consistency is verified).  Version-1/2 files load fine — they simply skip
-# the checks their format predates and come back as epoch-0 generations.
+# consistency is verified).  Files in the older formats 1 and 2, which
+# predate lineage, are rejected.
 _FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_SUPPORTED_VERSIONS = (3,)
 
 
 def _encode_value(value: Any) -> Any:
@@ -161,10 +161,10 @@ def load_knowledge(path: "str | Path") -> KnowledgeBase:
             expand_near_keys=tane_payload["expand_near_keys"],
         ),
         pruning_delta=config_payload["pruning_delta"],
-        classifier_method=config_payload["classifier_method"] or "hybrid-one-afd",
+        classifier_method=config_payload["classifier_method"],
         smoothing_m=config_payload["smoothing_m"],
         discretize_bins=config_payload["discretize_bins"],
-        discretize_strategy=config_payload.get("discretize_strategy", "width"),
+        discretize_strategy=config_payload["discretize_strategy"],
     )
 
     sample = _decode_relation(payload["sample"])
@@ -181,23 +181,22 @@ def load_knowledge(path: "str | Path") -> KnowledgeBase:
         discretizer = None
         mining_view = sample
 
-    epoch = int(payload.get("epoch", 0))
-    lineage_payload = payload.get("lineage") or {}
+    epoch = int(payload["epoch"])
+    lineage_payload = payload["lineage"]
     lineage = KnowledgeLineage(
-        base_fingerprint=lineage_payload.get("base_fingerprint"),
-        batch_digests=tuple(lineage_payload.get("batch_digests", ())),
+        base_fingerprint=lineage_payload["base_fingerprint"],
+        batch_digests=tuple(lineage_payload["batch_digests"]),
     )
-    if version >= 3:
-        if len(lineage.batch_digests) != epoch:
-            raise MiningError(
-                f"knowledge base at {path} has inconsistent lineage: epoch "
-                f"{epoch} but {len(lineage.batch_digests)} folded batch digests"
-            )
-        if (lineage.base_fingerprint is None) != (epoch == 0):
-            raise MiningError(
-                f"knowledge base at {path} has inconsistent lineage: a base "
-                "fingerprint must be recorded exactly when epoch > 0"
-            )
+    if len(lineage.batch_digests) != epoch:
+        raise MiningError(
+            f"knowledge base at {path} has inconsistent lineage: epoch "
+            f"{epoch} but {len(lineage.batch_digests)} folded batch digests"
+        )
+    if (lineage.base_fingerprint is None) != (epoch == 0):
+        raise MiningError(
+            f"knowledge base at {path} has inconsistent lineage: a base "
+            "fingerprint must be recorded exactly when epoch > 0"
+        )
 
     knowledge = KnowledgeBase._from_parts(
         config=config,
@@ -223,8 +222,8 @@ def load_knowledge(path: "str | Path") -> KnowledgeBase:
         epoch=epoch,
         lineage=lineage,
     )
-    stored = payload.get("fingerprint")
-    if version >= 2 and stored != knowledge.fingerprint():
+    stored = payload["fingerprint"]
+    if stored != knowledge.fingerprint():
         raise MiningError(
             f"knowledge base at {path} failed fingerprint verification: the "
             f"stored digest {stored!r} does not match the rebuilt content "

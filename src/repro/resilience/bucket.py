@@ -20,7 +20,7 @@ rate budget ("cancel the loser's budget charge").
 Lock discipline: ``_advanced()`` is a *pure* computation of the refilled
 state; every assignment to ``_tokens`` / ``_updated`` happens
 syntactically inside ``with self._lock`` so the repo's
-``unguarded-shared-write`` whole-program pass can verify the invariant.
+``unguarded-shared-write`` lint rule can verify the invariant.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ attempt re-enters neither admission nor dedup — it is the same admitted
 call still running.  See ``docs/robustness.md`` for the full layering
 diagram.
 
-Lock discipline follows the repo's ``unguarded-shared-write`` pass:
+Lock discipline follows the repo's ``unguarded-shared-write`` lint rule:
 every mutation of shared state sits syntactically inside a
 ``with self._lock`` block; helpers that compute next states are pure.
 """

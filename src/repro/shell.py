@@ -74,12 +74,9 @@ class QpiadShell(cmd.Cmd):
             [_parse_where(spec, self.relation) for spec in specs]
         )
 
-    # -- commands ---------------------------------------------------------
-
-    def do_query(self, line: str) -> None:
-        """query ATTR=VALUE [ATTR=LOW..HIGH ...] — mediate a selection query."""
+    def _mediate(self, query: SelectionQuery) -> None:
+        """The retrieval path shared by ``query`` and ``sql``."""
         try:
-            query = self._parse_query(line)
             mediator = QpiadMediator(
                 self.source,
                 self.knowledge,
@@ -101,6 +98,17 @@ class QpiadShell(cmd.Cmd):
             f"{result.stats.tuples_retrieved} tuples"
         )
 
+    # -- commands ---------------------------------------------------------
+
+    def do_query(self, line: str) -> None:
+        """query ATTR=VALUE [ATTR=LOW..HIGH ...] — mediate a selection query."""
+        try:
+            query = self._parse_query(line)
+        except QpiadError as exc:
+            self._emit(f"error: {exc}")
+            return
+        self._mediate(query)
+
     def do_sql(self, line: str) -> None:
         """sql CONDITION — mediate a SQL-style query, e.g.
         sql make = 'Honda' AND price BETWEEN 15000 AND 20000"""
@@ -111,27 +119,7 @@ class QpiadShell(cmd.Cmd):
         except QpiadError as exc:
             self._emit(f"error: {exc}")
             return
-        self.do_query_object(query)
-
-    def do_query_object(self, query: SelectionQuery) -> None:
-        """Shared retrieval path for `query` and `sql`."""
-        try:
-            mediator = QpiadMediator(
-                self.source,
-                self.knowledge,
-                QpiadConfig(alpha=self.alpha, k=self.k),
-            )
-            result = mediator.query(query)
-        except QpiadError as exc:
-            self._emit(f"error: {exc}")
-            return
-        self.last_result = result
-        self._emit(f"{len(result.certain)} certain answers; first 3:")
-        for row in result.certain.rows[:3]:
-            self._emit(f"  {row}")
-        self._emit(f"{len(result.ranked)} ranked possible answers; top 5:")
-        for position, answer in enumerate(result.top(5), start=1):
-            self._emit(f"  [{position}] conf={answer.confidence:.3f}  {answer.row}")
+        self._mediate(query)
 
     def do_explain(self, line: str) -> None:
         """explain N — justify the Nth ranked answer of the last query."""
@@ -224,16 +212,10 @@ class QpiadShell(cmd.Cmd):
 
 def run_shell(data_path: "str | Path", kb_path: "str | Path | None" = None) -> int:
     """Entry point used by ``qpiad shell``."""
-    from repro.mining.persistence import load_knowledge
+    from repro.cli import _load_or_mine
     from repro.relational.csvio import read_csv
 
     relation = read_csv(data_path)
-    if kb_path:
-        knowledge = load_knowledge(kb_path)
-    else:
-        knowledge = KnowledgeBase(
-            relation.take(max(200, len(relation) // 10)),
-            database_size=len(relation),
-        )
+    knowledge = _load_or_mine(Path(data_path), kb_path, relation)
     QpiadShell(relation, knowledge, source_name=Path(data_path).name).cmdloop()
     return 0

@@ -10,19 +10,19 @@ from repro.analysis.reporting import (
     render_rule_list,
     render_rule_reference,
 )
-from repro.analysis.rules import project_rule_ids, rule_ids
+from repro.analysis.rules import rule_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRuleRows:
-    def test_rows_cover_both_registries_and_pseudo_rules(self):
+    def test_rows_cover_the_registry_and_pseudo_rules(self):
         rows = list(iter_rule_rows())
         by_kind = {}
         for row in rows:
             by_kind.setdefault(row.kind, []).append(row.id)
+        assert set(by_kind) == {"module", "runner"}
         assert tuple(by_kind["module"]) == rule_ids()
-        assert tuple(by_kind["project"]) == project_rule_ids()
         assert set(by_kind["runner"]) == {
             "parse-error",
             "misplaced-directive",
@@ -60,7 +60,7 @@ class TestDocsAgreement:
     def test_generated_table_matches_docs(self):
         assert self._docs_table() == render_rule_reference()
 
-    def test_catalogue_prose_covers_module_and_project_rules(self):
+    def test_catalogue_prose_covers_every_rule(self):
         docs = (REPO_ROOT / "docs" / "linting.md").read_text(encoding="utf-8")
-        for rule_id in (*rule_ids(), *project_rule_ids()):
+        for rule_id in rule_ids():
             assert f"### `{rule_id}`" in docs, f"docs missing section for {rule_id}"

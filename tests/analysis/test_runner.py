@@ -79,13 +79,14 @@ class TestLintPaths:
 class TestRuleSelection:
     def test_rule_ids_lists_every_registered_rule(self):
         ids = rule_ids()
-        assert len(ids) == 12
+        assert len(ids) == 13
         assert "null-compare" in ids
         assert "naive-float-equality" in ids
         assert "row-loop-in-mining" in ids
         assert "stale-knowledge-capture" in ids
         assert "raw-source-call-in-core" in ids
         assert "raw-rewrite-call-in-core" in ids
+        assert "unguarded-shared-write" in ids
 
     def test_select_narrows_and_ignore_removes(self):
         rules = select_rules(("null-compare", "bare-except"), None)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RewrittenQuery
+from repro.core.rewriting import RewrittenQuery
 from repro.planner import f_measure, order_rewritten_queries, score_rewritten_queries
 from repro.mining import Afd
 from repro.query import SelectionQuery

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import QpiadConfig, QpiadMediator, generate_rewritten_queries
-from repro.core.rewriting import target_probability
+from repro.core import QpiadConfig, QpiadMediator
+from repro.core.rewriting import generate_rewritten_queries, target_probability
 from repro.query import OneOf, SelectionQuery
 from repro.relational import is_null
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RewrittenQuery
+from repro.core.rewriting import RewrittenQuery
 from repro.planner import f_measure, order_rewritten_queries, score_rewritten_queries
 from repro.errors import QpiadError
 from repro.mining import Afd

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import generate_rewritten_queries, target_probability
+from repro.core.rewriting import generate_rewritten_queries, target_probability
 from repro.errors import RewritingError
 from repro.query import Between, Equals, SelectionQuery
 from repro.relational import NULL

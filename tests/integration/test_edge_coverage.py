@@ -100,7 +100,7 @@ class TestMultiJoinBookkeeping:
 
 class TestRewrittenQueryRepr:
     def test_reprs_are_informative(self, cars_env):
-        from repro.core import generate_rewritten_queries
+        from repro.core.rewriting import generate_rewritten_queries
 
         query = SelectionQuery.equals("body_style", "Convt")
         base = cars_env.web_source().execute(query)

@@ -70,7 +70,7 @@ class TestRoundTrip:
 
 
 class TestFingerprintVerification:
-    """Since format v2 the file carries the fingerprint, checked on load."""
+    """The file carries the knowledge fingerprint, checked on load."""
 
     def test_saved_payload_is_current_version_with_fingerprint(self, cars_env, saved):
         payload = json.loads(saved.read_text())
@@ -90,28 +90,6 @@ class TestFingerprintVerification:
         path.write_text(json.dumps(payload))
         with pytest.raises(MiningError, match="fingerprint"):
             load_knowledge(path)
-
-    def test_version_one_files_still_load(self, cars_env, saved, tmp_path):
-        payload = json.loads(saved.read_text())
-        payload["format_version"] = 1
-        del payload["fingerprint"]
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(payload))
-        legacy = load_knowledge(path)
-        assert legacy.afds == cars_env.knowledge.afds
-        assert legacy.sample == cars_env.knowledge.sample
-        assert legacy.fingerprint() == cars_env.knowledge.fingerprint()
-
-    def test_version_one_skips_verification_even_when_edited(self, saved, tmp_path):
-        # v1 predates the digest, so edits load silently — the documented
-        # reason to re-save probing results in the current format.
-        payload = json.loads(saved.read_text())
-        payload["format_version"] = 1
-        del payload["fingerprint"]
-        payload["database_size"] += 1
-        path = tmp_path / "legacy-edited.json"
-        path.write_text(json.dumps(payload))
-        assert load_knowledge(path).database_size == payload["database_size"]
 
 
 class TestErrors:

@@ -1,9 +1,9 @@
-"""Format-version matrix for knowledge persistence (v1 → v2 → v3).
+"""Format-version matrix for knowledge persistence.
 
-Version 1 predates fingerprints, version 2 added the verified content
-fingerprint, version 3 added generation lineage (epoch + base fingerprint +
-folded-batch digests).  Old files must keep loading — minus the checks
-their format predates — and new files must verify lineage consistency.
+Version 3 is the only format: it carries the verified content
+fingerprint and generation lineage (epoch + base fingerprint +
+folded-batch digests).  v3 files must round-trip and verify lineage
+consistency; files in the older formats 1 and 2 are rejected.
 """
 
 import json
@@ -64,33 +64,12 @@ class TestV3RoundTrip:
         assert load_knowledge(saved_v3).fingerprint() == refreshed_knowledge.fingerprint()
 
 
-class TestLegacyLoads:
-    def test_v2_loads_as_epoch_zero(self, refreshed_knowledge, saved_v3, tmp_path):
-        loaded = load_knowledge(_downgraded(saved_v3, tmp_path, 2))
-        assert loaded.epoch == 0
-        assert loaded.lineage.base_fingerprint is None
-        assert loaded.lineage.batch_digests == ()
-        assert loaded.afds == refreshed_knowledge.afds
-
-    def test_v1_loads_without_fingerprint_verification(
-        self, refreshed_knowledge, saved_v3, tmp_path
-    ):
-        loaded = load_knowledge(_downgraded(saved_v3, tmp_path, 1))
-        assert loaded.epoch == 0
-        assert loaded.akeys == refreshed_knowledge.akeys
-
-    def test_v1_tolerates_content_drift_v2_does_not(self, saved_v3, tmp_path):
-        """The fingerprint check arrived in v2; v1 files predate it."""
-        for version, should_raise in ((1, False), (2, True)):
+class TestLegacyRejections:
+    def test_v1_and_v2_files_are_rejected_naming_the_version(self, saved_v3, tmp_path):
+        for version in (1, 2):
             path = _downgraded(saved_v3, tmp_path, version)
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            payload["database_size"] += 1  # content no longer matches
-            path.write_text(json.dumps(payload), encoding="utf-8")
-            if should_raise:
-                with pytest.raises(MiningError, match="fingerprint verification"):
-                    load_knowledge(path)
-            else:
-                assert load_knowledge(path).database_size == payload["database_size"]
+            with pytest.raises(MiningError, match=f"format version {version}"):
+                load_knowledge(path)
 
 
 class TestV3Rejections:

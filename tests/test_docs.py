@@ -39,3 +39,29 @@ class TestReadmeQuickstart:
             assert (REPO_ROOT / "src" / "repro" / path).exists() or (
                 REPO_ROOT / "benchmarks" / Path(path).name
             ).exists(), f"DESIGN.md references missing module {path}"
+
+    def test_design_layout_names_real_files(self):
+        # The layout block lists files per directory: an unindented
+        # ``root/`` line, ``  pkg/`` lines under it, ``  a.py`` lines for
+        # the root's own files, and deeper-indented continuation lines.
+        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        block = re.search(
+            r"## 4\. Repository layout\n\n```\n(.*?)```", design, flags=re.DOTALL
+        )
+        assert block, "DESIGN.md must keep its repository layout block"
+        root = directory = ""
+        named = []
+        for line in block.group(1).splitlines():
+            tokens = line.split()
+            indent = len(line) - len(line.lstrip())
+            if indent == 0:
+                root = directory = tokens.pop(0)
+            elif tokens[0].endswith("/"):
+                directory = root + tokens.pop(0)
+            elif indent == 2:
+                directory = root
+            named += [directory + token for token in tokens if token.endswith(".py")]
+        assert len(named) > 80
+        for path in named:
+            assert path.startswith(("src/repro/", "examples/")), path
+            assert (REPO_ROOT / path).is_file(), f"DESIGN.md layout names missing {path}"

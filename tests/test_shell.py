@@ -55,6 +55,12 @@ class TestSqlCommand:
         assert "certain answers" in text
         assert instance.last_result is not None
 
+    def test_sql_prints_the_cost_line(self, shell):
+        instance, out = shell
+        instance.onecmd("sql body_style = 'Convt'")
+        assert "cost: " in _output(out)
+        assert "queries" in _output(out)
+
     def test_sql_rejects_disjunction(self, shell):
         instance, out = shell
         instance.onecmd("sql make = 'Honda' OR make = 'BMW'")
@@ -133,6 +139,18 @@ class TestOtherCommands:
         instance, out = shell
         instance.onecmd("frobnicate now")
         assert "unknown command" in _output(out)
+
+    def test_help_does_not_list_internal_helpers(self, shell):
+        instance, out = shell
+        instance.onecmd("help")
+        text = _output(out)
+        assert "query" in text and "sql" in text
+        assert "query_object" not in text
+
+    def test_internal_helper_is_not_a_command(self, shell):
+        instance, out = shell
+        instance.onecmd("query_object x")
+        assert "unknown command 'query_object'" in _output(out)
 
     def test_empty_line_is_a_no_op(self, shell):
         instance, out = shell
