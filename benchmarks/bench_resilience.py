@@ -47,7 +47,7 @@ from repro.resilience import (  # noqa: E402
     SourcePolicy,
     SourceScheduler,
 )
-from repro.sources import AutonomousSource  # noqa: E402
+from repro.sources import AutonomousSource, SourceDecorator  # noqa: E402
 
 WORKLOAD = (
     SelectionQuery.equals("body_style", "Convt"),
@@ -61,30 +61,15 @@ P99_BAR = 1.5
 DEDUP_BAR = 0.5
 
 
-class ThrottledSource:
+class ThrottledSource(SourceDecorator):
     """A slow, narrow front door: per-call sleep behind a small semaphore."""
 
     def __init__(self, inner, latency_seconds: float, width: int):
-        self.inner = inner
+        super().__init__(inner)
         self.latency_seconds = latency_seconds
         self._gate = threading.Semaphore(width)
         self._lock = threading.Lock()
         self.calls = 0
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
 
     def execute(self, query):
         with self._gate:
@@ -92,9 +77,6 @@ class ThrottledSource:
                 self.calls += 1
             time.sleep(self.latency_seconds)
             return self.inner.execute(query)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
 
 
 def _build(size: int, latency_seconds: float, source_width: int):

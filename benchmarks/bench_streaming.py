@@ -48,6 +48,7 @@ from repro.core import JoinConfig, JoinProcessor  # noqa: E402
 from repro.datasets import generate_cars, generate_complaints  # noqa: E402
 from repro.evaluation import build_environment  # noqa: E402
 from repro.query import JoinQuery, SelectionQuery  # noqa: E402
+from repro.sources import SourceDecorator  # noqa: E402
 
 JOIN = JoinQuery(
     SelectionQuery.equals("model", "Grand Cherokee"),
@@ -57,7 +58,7 @@ JOIN = JoinQuery(
 WIDTHS = (1, 2, 4, 8)
 
 
-class LatencySource:
+class LatencySource(SourceDecorator):
     """A source whose first call is fast and whose later calls are slow.
 
     The first call a mediator issues against each side is the base
@@ -67,22 +68,19 @@ class LatencySource:
     """
 
     def __init__(self, inner, base_seconds: float, slow_seconds: float, sleep=time.sleep):
-        self._inner = inner
+        super().__init__(inner)
         self._base_seconds = base_seconds
         self._slow_seconds = slow_seconds
         self._sleep = sleep
         self._lock = threading.Lock()
         self.calls = 0
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
     def execute(self, query):
         with self._lock:
             self.calls += 1
             delay = self._base_seconds if self.calls == 1 else self._slow_seconds
         self._sleep(delay)
-        return self._inner.execute(query)
+        return self.inner.execute(query)
 
 
 def _build(size: int):

@@ -99,9 +99,7 @@ class RawRelationAccessRule(Rule):
 
 
 #: The source-surface methods that constitute one billable call.
-_SOURCE_CALL_METHODS = frozenset(
-    {"execute", "execute_null_binding", "execute_certain_or_possible", "scan"}
-)
+_SOURCE_CALL_METHODS = frozenset({"execute", "execute_null_binding"})
 
 
 class RawSourceCallRule(Rule):
@@ -111,7 +109,7 @@ class RawSourceCallRule(Rule):
     severity = Severity.ERROR
     description = (
         "core mediators must issue source calls through the retrieval engine "
-        "(repro.engine), not by calling execute()/scan() on a source directly"
+        "(repro.engine), not by calling execute() on a source directly"
     )
     rationale = (
         "The engine is the one place that bills issuance before the call, "

@@ -57,7 +57,6 @@ from repro.query.query import SelectionQuery
 from repro.relational.csvio import read_csv, write_csv
 from repro.relational.relation import Relation
 from repro.sources.autonomous import AutonomousSource
-from repro.sources.capabilities import SourceCapabilities
 
 __all__ = ["main", "build_parser"]
 
@@ -507,11 +506,7 @@ def _build_mediation(args, telemetry=None):
     """Shared query/trace plumbing: load data, build mediator and query."""
     from repro.planner import PlanCache
 
-    relation = read_csv(args.data)
-    knowledge = _load_or_mine(args.data, args.kb, relation)
-    predicates = [_parse_where(spec, relation) for spec in args.where]
-    query = SelectionQuery.conjunction(predicates)
-    source = AutonomousSource(args.data.name, relation, SourceCapabilities.web_form())
+    __, knowledge, query, source = _session(args)
     config = QpiadConfig(
         alpha=args.alpha,
         k=args.k,
@@ -639,11 +634,7 @@ def _cmd_query(args) -> int:
 def _cmd_plan(args) -> int:
     from repro.planner import PlanCache, PlannerConfig, QueryPlanner
 
-    relation = read_csv(args.data)
-    knowledge = _load_or_mine(args.data, args.kb, relation)
-    predicates = [_parse_where(spec, relation) for spec in args.where]
-    query = SelectionQuery.conjunction(predicates)
-    source = AutonomousSource(args.data.name, relation, SourceCapabilities.web_form())
+    relation, knowledge, query, source = _session(args)
     # Plan-only mode: the base set is computed mediator-side from the CSV
     # the source wraps, so nothing is ever put on the wire — the source's
     # access statistics stay at zero.
@@ -685,28 +676,37 @@ def _cmd_trace(args) -> int:
 
 
 def _load_or_mine(
-    data_path: Path, kb_path: "str | Path | None", relation: Relation
-) -> KnowledgeBase:
+    data_path: "str | Path", kb_path: "str | Path | None"
+) -> "tuple[Relation, KnowledgeBase]":
+    """The CSV at *data_path*, with the knowledge base at *kb_path* or,
+    when none is given, one mined from the data itself."""
+    relation = read_csv(data_path)
     if kb_path:
-        return load_knowledge(kb_path)
+        return relation, load_knowledge(kb_path)
     # stderr keeps machine-readable stdout (``trace --json``) clean.
     print(
         "no --kb given; mining a knowledge base from the database itself ...",
         file=sys.stderr,
     )
-    return KnowledgeBase(
+    return relation, KnowledgeBase(
         relation.take(max(200, len(relation) // 10)), database_size=len(relation)
     )
+
+
+def _session(args):
+    """What ``query``, ``trace``, ``plan`` and ``relax`` run on: the
+    relation, its knowledge, the ``--where`` query and a web-form source."""
+    relation, knowledge = _load_or_mine(args.data, args.kb)
+    query = SelectionQuery.conjunction(
+        [_parse_where(spec, relation) for spec in args.where]
+    )
+    return relation, knowledge, query, AutonomousSource(args.data.name, relation)
 
 
 def _cmd_relax(args) -> int:
     from repro.core.relaxation import QueryRelaxer
 
-    relation = read_csv(args.data)
-    knowledge = _load_or_mine(args.data, args.kb, relation)
-    predicates = [_parse_where(spec, relation) for spec in args.where]
-    query = SelectionQuery.conjunction(predicates)
-    source = AutonomousSource(args.data.name, relation, SourceCapabilities.web_form())
+    __, knowledge, query, source = _session(args)
     relaxer = QueryRelaxer(source, knowledge)
     answers = relaxer.query(query, target_count=args.target)
     print(f"query: {query}")
@@ -722,8 +722,7 @@ def _cmd_relax(args) -> int:
 def _cmd_impute(args) -> int:
     from repro.mining.imputation import impute
 
-    relation = read_csv(args.data)
-    knowledge = _load_or_mine(args.data, args.kb, relation)
+    relation, knowledge = _load_or_mine(args.data, args.kb)
     report = impute(relation, knowledge, min_confidence=args.min_confidence)
     write_csv(report.relation, args.out)
     print(
@@ -872,8 +871,7 @@ def _cmd_drift(args) -> int:
 
     from repro.mining.drift import detect_drift, drift_payload, render_drift_text
 
-    relation = read_csv(args.data)
-    knowledge = _load_or_mine(args.data, args.kb, relation)
+    __, knowledge = _load_or_mine(args.data, args.kb)
     fresh = read_csv(args.fresh)
     report = detect_drift(
         knowledge,
@@ -927,8 +925,7 @@ def _cmd_refresh(args) -> int:
 
     from repro.mining.refresh import KnowledgeRefresher
 
-    relation = read_csv(args.data)
-    knowledge = _load_or_mine(args.data, args.kb, relation)
+    __, knowledge = _load_or_mine(args.data, args.kb)
     refresher = KnowledgeRefresher(knowledge)
     refresher.prime()  # seed incremental state so each refresh folds only its batch
 

@@ -27,7 +27,7 @@ from repro.planner import PlanCache, PlannerConfig, QueryPlanner
 from repro.query.query import AggregateFunction, AggregateQuery
 from repro.relational.relation import Relation
 from repro.relational.values import is_null
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 from repro.telemetry import Telemetry
 
 __all__ = ["AggregateResult", "AggregateProcessor"]
@@ -107,7 +107,7 @@ class AggregateProcessor:
 
     def __init__(
         self,
-        source: AutonomousSource,
+        source: Source,
         knowledge: "KnowledgeBase | KnowledgeStore",
         k: int | None = 10,
         alpha: float = 1.0,

@@ -25,13 +25,13 @@ from repro.planner import baseline_plan
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.relational.values import is_null
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 
 __all__ = ["all_returned", "all_ranked"]
 
 
 def _retrieve(
-    source: AutonomousSource,
+    source: Source,
     query: SelectionQuery,
     max_nulls: int | None,
 ) -> tuple[Relation, Relation, RetrievalStats]:
@@ -57,7 +57,7 @@ def _retrieve(
 
 
 def all_returned(
-    source: AutonomousSource,
+    source: Source,
     query: SelectionQuery,
     max_nulls: int | None = 1,
 ) -> QueryResult:
@@ -82,7 +82,7 @@ def all_returned(
 
 
 def all_ranked(
-    source: AutonomousSource,
+    source: Source,
     query: SelectionQuery,
     knowledge: KnowledgeBase,
     max_nulls: int | None = 1,
@@ -124,7 +124,7 @@ def all_ranked(
 
 
 def _single_null_attribute(
-    source: AutonomousSource, query: SelectionQuery
+    source: Source, query: SelectionQuery
 ) -> "Callable[[Row], str]":
     """Helper returning the (first) constrained attribute NULL in a row."""
     schema = source.schema

@@ -26,8 +26,8 @@ from repro.mining.store import KnowledgeStore, as_store
 from repro.planner import PlanCache, PlannerConfig, QueryPlanner
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Row
-from repro.sources.autonomous import AutonomousSource
 from repro.sources.registry import SourceRegistry
+from repro.sources.surface import Source
 from repro.telemetry import Telemetry
 
 __all__ = ["CorrelatedSourceMediator", "find_correlated_source"]
@@ -35,17 +35,17 @@ __all__ = ["CorrelatedSourceMediator", "find_correlated_source"]
 
 def find_correlated_source(
     attribute: str,
-    deficient: AutonomousSource,
+    deficient: Source,
     registry: SourceRegistry,
     knowledge_bases: dict[str, KnowledgeBase],
-) -> tuple[AutonomousSource, KnowledgeBase] | None:
+) -> tuple[Source, KnowledgeBase] | None:
     """The best correlated source for *attribute* per Definition 4.
 
     Candidates must support the attribute, have a (pruned) AFD with it on
     the right-hand side whose determining set the deficient source
     supports; among them the one with the highest-confidence AFD wins.
     """
-    best: tuple[float, AutonomousSource, KnowledgeBase] | None = None
+    best: tuple[float, Source, KnowledgeBase] | None = None
     for source in registry.supporting(attribute):
         if source.name == deficient.name:
             continue
@@ -137,7 +137,7 @@ class CorrelatedSourceMediator:
             telemetry=self._telemetry,
         )
 
-    def query(self, query: SelectionQuery, target: AutonomousSource) -> QueryResult:
+    def query(self, query: SelectionQuery, target: Source) -> QueryResult:
         """Retrieve relevant possible answers for *query* from *target*.
 
         *query* must constrain exactly the attributes *target* lacks plus

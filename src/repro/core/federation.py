@@ -58,8 +58,8 @@ from repro.mining.store import KnowledgeStore, as_store
 from repro.planner import PlanCache
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
-from repro.sources.autonomous import AutonomousSource
 from repro.sources.registry import SourceRegistry
+from repro.sources.surface import Source
 from repro.telemetry import Span, SpanKind, Telemetry, maybe_span
 
 __all__ = ["FederatedAnswer", "FederatedResult", "FederatedMediator", "SourceFailure"]
@@ -315,7 +315,7 @@ class FederatedMediator:
             if result.degraded:
                 telemetry.count("federation.queries_degraded")
 
-    def _build_tree(self, sources: list[AutonomousSource]) -> OperatorTree:
+    def _build_tree(self, sources: list[Source]) -> OperatorTree:
         """The federation's physical plan: N tagging projects into a union.
 
         ::
@@ -327,7 +327,7 @@ class FederatedMediator:
             Inlet "source:0"  "source:1"
         """
 
-        def tagger(source: AutonomousSource) -> StreamingProject:
+        def tagger(source: Source) -> StreamingProject:
             return StreamingProject(
                 lambda answer: FederatedAnswer(source.name, answer)
             )
@@ -343,7 +343,7 @@ class FederatedMediator:
     # ------------------------------------------------------------------
 
     def _prober(
-        self, source: AutonomousSource, query: SelectionQuery, root: "Span | None"
+        self, source: Source, query: SelectionQuery, root: "Span | None"
     ) -> Callable[[], _Probe]:
         """One source's probe as a side-effect-free executor task; its span
         nests under the federation's *root* on whichever thread it runs."""
@@ -363,7 +363,7 @@ class FederatedMediator:
         return run
 
     def _query_supporting(
-        self, source: AutonomousSource, query: SelectionQuery
+        self, source: Source, query: SelectionQuery
     ) -> _Probe:
         store = self._stores.get(source.name)
         if store is None:
@@ -381,7 +381,7 @@ class FederatedMediator:
         return (_MEDIATED, outcome)
 
     def _query_deficient(
-        self, source: AutonomousSource, query: SelectionQuery
+        self, source: Source, query: SelectionQuery
     ) -> _Probe:
         try:
             return (_MEDIATED, self.correlated.query(query, source))
@@ -389,7 +389,7 @@ class FederatedMediator:
             return (_SKIPPED, None)
 
     def _merge(
-        self, source: AutonomousSource, probe: _Probe, result: FederatedResult
+        self, source: Source, probe: _Probe, result: FederatedResult
     ) -> None:
         """Fold one source's payload into the federated result.
 

@@ -53,7 +53,7 @@ from repro.query.predicates import Equals
 from repro.query.query import JoinQuery, SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.relational.values import is_null
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 from repro.telemetry import Telemetry
 
 __all__ = ["JoinConfig", "JoinedAnswer", "JoinResult", "JoinProcessor"]
@@ -211,8 +211,8 @@ class JoinProcessor:
 
     def __init__(
         self,
-        left_source: AutonomousSource,
-        right_source: AutonomousSource,
+        left_source: Source,
+        right_source: Source,
         left_knowledge: "KnowledgeBase | KnowledgeStore",
         right_knowledge: "KnowledgeBase | KnowledgeStore",
         config: JoinConfig | None = None,
@@ -534,7 +534,7 @@ class JoinProcessor:
         right_index = self.right_source.schema.index_of(join.right_join_attribute)
 
         def prepare(
-            source: AutonomousSource,
+            source: Source,
             knowledge: KnowledgeBase,
             join_attribute: str,
             join_index: int,
@@ -620,7 +620,7 @@ class JoinProcessor:
         self,
         row: Row,
         join_index: int,
-        source: AutonomousSource,
+        source: Source,
         knowledge: KnowledgeBase,
         join_attribute: str,
         confidence: float,

@@ -46,7 +46,7 @@ from repro.planner import PlanCache
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Row
 from repro.relational.values import is_null
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 from repro.telemetry import Telemetry
 
 __all__ = ["MultiJoinStep", "MultiJoinedAnswer", "MultiJoinResult", "MultiJoinProcessor"]
@@ -74,7 +74,7 @@ class MultiJoinStep:
         names are ``step<i>.<name>``.
     """
 
-    source: AutonomousSource
+    source: Source
     knowledge: "KnowledgeBase | KnowledgeStore"
     query: SelectionQuery
     join_attribute: str

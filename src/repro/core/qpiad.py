@@ -34,7 +34,7 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.relational.values import is_null
 from repro.resilience.scheduler import SourceScheduler
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 from repro.telemetry import SpanKind, Telemetry, maybe_span
 
 __all__ = ["QpiadConfig", "QpiadMediator"]
@@ -206,7 +206,7 @@ class QpiadMediator:
 
     def __init__(
         self,
-        source: AutonomousSource,
+        source: Source,
         knowledge: "KnowledgeBase | KnowledgeStore",
         config: QpiadConfig | None = None,
         clock: Callable[[], float] = time.monotonic,

@@ -30,7 +30,7 @@ from repro.query.predicates import Predicate
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Row
 from repro.relational.schema import Schema
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 from repro.telemetry import Telemetry
 
 __all__ = ["RelaxedAnswer", "RelaxationPlan", "QueryRelaxer"]
@@ -77,7 +77,7 @@ class QueryRelaxer:
 
     def __init__(
         self,
-        source: AutonomousSource,
+        source: Source,
         knowledge: "KnowledgeBase | KnowledgeStore",
         max_dropped: int | None = None,
         telemetry: Telemetry | None = None,

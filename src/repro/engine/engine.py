@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
 
 from repro.engine.executor import (
     ConcurrentExecutor,
@@ -46,6 +46,9 @@ from repro.relational.relation import Relation
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.scheduler import SourceScheduler, current_scheduler
 from repro.telemetry import Span, SpanKind, Telemetry, maybe_span
+
+if TYPE_CHECKING:
+    from repro.sources.surface import Source
 
 __all__ = [
     "FailureKind",
@@ -83,14 +86,6 @@ class RetrievalStatsLike(Protocol):
     def record_failure(
         self, query: SelectionQuery | None, kind: str, message: str
     ) -> Any: ...
-
-
-class _SourceLike(Protocol):
-    def execute(self, query: SelectionQuery) -> Relation: ...
-
-    def execute_null_binding(
-        self, query: SelectionQuery, max_nulls: int | None = ...
-    ) -> Relation: ...
 
 
 _SPAN_KINDS = {
@@ -141,7 +136,7 @@ class RetrievalEngine:
 
     def __init__(
         self,
-        source: _SourceLike | None,
+        source: Source | None,
         policy: ExecutionPolicy,
         stats: RetrievalStatsLike,
         *,

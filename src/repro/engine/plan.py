@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.query.query import SelectionQuery
 
 if TYPE_CHECKING:
-    from repro.sources.autonomous import AutonomousSource
+    from repro.sources.surface import Source
 
 __all__ = ["PlannedQuery", "QueryKind", "RetrievalPlan"]
 
@@ -86,7 +86,7 @@ class PlannedQuery:
     estimated_recall: float = 0.0
     target_attribute: str | None = None
     explanation: Any = None
-    source: AutonomousSource | None = None
+    source: Source | None = None
     label: str | None = None
     max_nulls: int | None = None
     required: bool = False

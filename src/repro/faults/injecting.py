@@ -3,8 +3,9 @@
 QPIAD mediates *autonomous* web databases — exactly the kind of backend
 that times out, drops connections mid-transfer, and rate-limits without
 warning.  :class:`FaultInjectingSource` simulates that weather on top of
-any source-shaped object so the mediator's degradation paths can be driven
-deterministically in tests, benchmarks, and the ``qpiad chaos`` smoke run.
+any :class:`~repro.sources.surface.Source` so the mediator's degradation
+paths can be driven deterministically in tests, benchmarks, and the
+``qpiad chaos`` smoke run.
 
 It sits at the *bottom* of the production wrapper stack (retry → circuit
 breaker → fault injection → real source): the wrappers above it see exactly
@@ -18,9 +19,8 @@ from typing import Any, Callable
 
 from repro.errors import SourceUnavailableError
 from repro.faults.plan import FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultStatistics
-from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.sources.surface import Source, SourceDecorator
 from repro.telemetry import Telemetry
 
 __all__ = ["FaultInjectingSource"]
@@ -30,14 +30,20 @@ def _ignore_latency(seconds: float) -> None:
     """Default sleep hook: record-only, so tests and simulations stay instant."""
 
 
-class FaultInjectingSource:
+class FaultInjectingSource(SourceDecorator):
     """Wrap a source and fail it on a deterministic, seeded schedule.
+
+    Every call that reaches the source draws the next decision of the
+    plan.  A call the inner source itself refuses (spent budget, NULL
+    binding, unsupported attribute) is tallied as ``refused``: it is not
+    a fault and records no event, but it keeps the outcome counters
+    summing to ``statistics.calls``.
 
     Parameters
     ----------
     inner:
-        Any source-shaped object (:class:`~repro.sources.AutonomousSource`
-        or another wrapper).
+        Any :class:`~repro.sources.surface.Source`
+        (:class:`~repro.sources.AutonomousSource` or another wrapper).
     plan:
         The seeded fault schedule; see :class:`~repro.faults.FaultPlan`.
     sleep:
@@ -53,12 +59,12 @@ class FaultInjectingSource:
 
     def __init__(
         self,
-        inner,
+        inner: Source,
         plan: FaultPlan,
         sleep: Callable[[float], None] = _ignore_latency,
         telemetry: Telemetry | None = None,
     ):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self._sleep = sleep
         self._telemetry = telemetry
@@ -90,12 +96,7 @@ class FaultInjectingSource:
             for name, delta in deltas.items():
                 setattr(self.statistics, name, getattr(self.statistics, name) + delta)
 
-    def _faulted(
-        self,
-        operation: str,
-        call: Callable[[], Any],
-        truncatable: bool = True,
-    ) -> Any:
+    def _call(self, operation: str, thunk: Callable[[], Any]) -> Any:
         decision, index = self._next_decision()
         if decision.kind == FaultKind.UNAVAILABLE:
             self._tally(unavailable=1)
@@ -104,16 +105,22 @@ class FaultInjectingSource:
                 f"injected fault: {self.inner.name!r} unavailable "
                 f"(call {index}, {operation})"
             )
+        try:
+            result = thunk()
+        except Exception:
+            self._tally(refused=1)
+            raise
         if decision.kind == FaultKind.CHURN:
-            call()  # the source did the work and charged its budget ...
+            # The source did the work and charged its budget, but the
+            # response never arrived.
             self._tally(churned=1)
             self._record(index, FaultKind.CHURN, operation, "budget charged")
-            raise SourceUnavailableError(  # ... but the response never arrived
+            raise SourceUnavailableError(
                 f"injected fault: response from {self.inner.name!r} lost after "
                 f"execution (call {index}, {operation})"
             )
-        result = call()
-        if decision.kind == FaultKind.TRUNCATE and truncatable:
+        # An int result (cardinality) cannot be truncated; it counts healthy.
+        if decision.kind == FaultKind.TRUNCATE and isinstance(result, Relation):
             kept = int(len(result) * self.plan.truncate_fraction)
             dropped = len(result) - kept
             self._tally(truncated=1, tuples_dropped=dropped)
@@ -127,54 +134,9 @@ class FaultInjectingSource:
         self._tally(healthy=1)
         return result
 
-    # -- the source surface -------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def schema(self) -> Schema:
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute: str) -> bool:
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query: SelectionQuery) -> bool:
-        checker = getattr(self.inner, "can_answer", None)
-        return True if checker is None else checker(query)
-
-    def cardinality(self) -> int:
-        # An int result cannot be truncated; the other modes apply as usual.
-        return self._faulted(
-            "cardinality", self.inner.cardinality, truncatable=False
-        )
-
-    def execute(self, query: SelectionQuery) -> Relation:
-        return self._faulted("execute", lambda: self.inner.execute(query))
-
-    def execute_null_binding(self, query: SelectionQuery, max_nulls: int | None = None):
-        return self._faulted(
-            "execute_null_binding",
-            lambda: self.inner.execute_null_binding(query, max_nulls=max_nulls),
-        )
-
-    def execute_certain_or_possible(self, query: SelectionQuery) -> Relation:
-        return self._faulted(
-            "execute_certain_or_possible",
-            lambda: self.inner.execute_certain_or_possible(query),
-        )
-
-    def scan(self, limit: int | None = None) -> Relation:
-        return self._faulted("scan", lambda: self.inner.scan(limit))
-
     def reset_statistics(self) -> None:
         """Reset fault accounting *and* the call counter: the schedule replays."""
-        self.inner.reset_statistics()
+        super().reset_statistics()
         self.statistics.reset()
 
     def __repr__(self) -> str:

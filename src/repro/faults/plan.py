@@ -162,6 +162,7 @@ class FaultStatistics:
     churned: int = 0
     truncated: int = 0
     delayed: int = 0
+    refused: int = 0  # calls the inner source raised on: not a fault
     tuples_dropped: int = 0
     latency_injected_seconds: float = 0.0
     events: list[FaultEvent] = field(default_factory=list)
@@ -177,6 +178,7 @@ class FaultStatistics:
         self.churned = 0
         self.truncated = 0
         self.delayed = 0
+        self.refused = 0
         self.tuples_dropped = 0
         self.latency_injected_seconds = 0.0
         self.events.clear()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.core.rewriting import RewrittenQuery, generate_rewritten_queries
 from repro.errors import QueryError, RewritingError
@@ -23,6 +23,9 @@ from repro.mining.afd import Afd
 from repro.mining.knowledge import KnowledgeBase
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
+
+if TYPE_CHECKING:
+    from repro.sources.surface import Source
 
 __all__ = [
     "AfdRewriteGenerator",
@@ -34,16 +37,10 @@ __all__ = [
 ]
 
 
-def can_answer(source: Any, query: SelectionQuery) -> bool:
-    """Whether *source*'s interface can express *query*.
-
-    Sources (and wrappers) expose :meth:`can_answer`; anything without it —
-    including ``None`` — is assumed fully capable.
-    """
-    checker = getattr(source, "can_answer", None)
-    if checker is None:
-        return True
-    return bool(checker(query))
+def can_answer(source: "Source | None", query: SelectionQuery) -> bool:
+    """Whether *source*'s interface can express *query*; no source
+    (``None``) is assumed fully capable."""
+    return source is None or source.can_answer(query)
 
 
 class RewriteGenerator(Protocol):
@@ -96,7 +93,7 @@ class CorrelationRewriteGenerator:
     # Same single-query snapshot as AfdRewriteGenerator: one generation
     # per plan_correlated call, chosen by the planner.
     knowledge: KnowledgeBase  # qpiadlint: disable=stale-knowledge-capture
-    target: Any
+    target: "Source"
     method: "str | None" = None
 
     def generate(

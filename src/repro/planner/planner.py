@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, TypeVar
 
 if TYPE_CHECKING:
     from repro.core.relaxation import RelaxationPlan
+    from repro.sources.surface import Source
 
 from repro.core.rewriting import RewrittenQuery
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
@@ -208,7 +209,7 @@ class QueryPlanner:
         self,
         query: SelectionQuery,
         base_set: Relation,
-        source: Any = None,
+        source: "Source | None" = None,
         *,
         knowledge: "KnowledgeBase | None" = None,
     ) -> SelectionPlan:
@@ -238,7 +239,7 @@ class QueryPlanner:
         query: SelectionQuery,
         base_set: Relation,
         attribute: str,
-        target: Any,
+        target: "Source",
         *,
         knowledge: "KnowledgeBase | None" = None,
     ) -> SelectionPlan:
@@ -343,7 +344,7 @@ class QueryPlanner:
         self,
         query: SelectionQuery,
         base_set: Relation,
-        source: Any,
+        source: "Source | None",
         knowledge: KnowledgeBase,
     ) -> SelectionPlan:
         generator = AfdRewriteGenerator(knowledge, self.config.classifier_method)
@@ -386,7 +387,7 @@ class QueryPlanner:
         query: SelectionQuery,
         base_set: Relation,
         attribute: str,
-        target: Any,
+        target: "Source",
         knowledge: KnowledgeBase,
     ) -> SelectionPlan:
         generator = CorrelationRewriteGenerator(

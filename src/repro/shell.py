@@ -29,7 +29,6 @@ from repro.mining.knowledge import KnowledgeBase
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 from repro.sources.autonomous import AutonomousSource
-from repro.sources.capabilities import SourceCapabilities
 
 __all__ = ["QpiadShell"]
 
@@ -52,9 +51,7 @@ class QpiadShell(cmd.Cmd):
         super().__init__(**cmd_kwargs)
         self.relation = relation
         self.knowledge = knowledge
-        self.source = AutonomousSource(
-            source_name, relation, SourceCapabilities.web_form()
-        )
+        self.source = AutonomousSource(source_name, relation)
         self.alpha = 0.0
         self.k = 10
         self.last_result: QueryResult | None = None
@@ -213,9 +210,7 @@ class QpiadShell(cmd.Cmd):
 def run_shell(data_path: "str | Path", kb_path: "str | Path | None" = None) -> int:
     """Entry point used by ``qpiad shell``."""
     from repro.cli import _load_or_mine
-    from repro.relational.csvio import read_csv
 
-    relation = read_csv(data_path)
-    knowledge = _load_or_mine(Path(data_path), kb_path, relation)
+    relation, knowledge = _load_or_mine(data_path, kb_path)
     QpiadShell(relation, knowledge, source_name=Path(data_path).name).cmdloop()
     return 0

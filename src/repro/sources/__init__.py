@@ -17,8 +17,11 @@ from repro.sources.sampler import (
     split_relation,
     uniform_sample,
 )
+from repro.sources.surface import Source, SourceDecorator
 
 __all__ = [
+    "Source",
+    "SourceDecorator",
     "SourceCapabilities",
     "AutonomousSource",
     "AccessStatistics",

@@ -21,7 +21,7 @@ from repro.errors import (
     QueryBudgetExceededError,
     UnsupportedAttributeError,
 )
-from repro.query.executor import certain_answers, certain_or_possible, possible_answers
+from repro.query.executor import certain_answers, possible_answers
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -181,27 +181,6 @@ class AutonomousSource:
         self._validate(query)
         self._charge()
         result = possible_answers(query, self._view, max_nulls=max_nulls)
-        result = self._cap(result)
-        self.statistics.record(len(result))
-        return result
-
-    def execute_certain_or_possible(self, query: SelectionQuery) -> Relation:
-        """Certain plus possible answers in one scan (baseline helper)."""
-        if not self.capabilities.allows_null_binding:
-            self.statistics.record_rejection()
-            raise NullBindingError(
-                f"source {self.name!r} does not support binding NULL values"
-            )
-        self._validate(query)
-        self._charge()
-        result = self._cap(certain_or_possible(query, self._view))
-        self.statistics.record(len(result))
-        return result
-
-    def scan(self, limit: int | None = None) -> Relation:
-        """An unconstrained scan (browsing/pagination), budget-charged."""
-        self._charge()
-        result = self._view if limit is None else self._view.take(limit)
         result = self._cap(result)
         self.statistics.record(len(result))
         return result

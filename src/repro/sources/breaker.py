@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import CircuitOpenError, QpiadError, SourceUnavailableError
-from repro.query.query import SelectionQuery
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.sources.surface import Source, SourceDecorator
 from repro.telemetry import Telemetry
 
 __all__ = ["BreakerState", "BreakerStatistics", "CircuitBreakerSource"]
@@ -59,13 +57,13 @@ class BreakerStatistics:
     recoveries: int = 0  # half-open trials that closed the circuit again
 
 
-class CircuitBreakerSource:
+class CircuitBreakerSource(SourceDecorator):
     """Fail fast against a source that keeps failing.
 
     Parameters
     ----------
     inner:
-        Any source-shaped object; stack this *outside* a
+        Any :class:`~repro.sources.surface.Source`; stack this *outside* a
         :class:`~repro.sources.retrying.RetryingSource` wrapping it, or
         inside one to let the retry loop span recovery windows — see
         ``docs/robustness.md`` for the trade-off.
@@ -84,7 +82,7 @@ class CircuitBreakerSource:
 
     def __init__(
         self,
-        inner,
+        inner: Source,
         failure_threshold: int = 5,
         recovery_seconds: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
@@ -96,7 +94,7 @@ class CircuitBreakerSource:
             )
         if recovery_seconds < 0:
             raise QpiadError("recovery_seconds must be non-negative")
-        self.inner = inner
+        super().__init__(inner)
         self.failure_threshold = failure_threshold
         self.recovery_seconds = recovery_seconds
         self._clock = clock
@@ -168,7 +166,7 @@ class CircuitBreakerSource:
             self._telemetry.count("breaker.transitions")
         return decision, state, failures, remaining
 
-    def _call(self, operation: Callable[[], Any]) -> Any:
+    def _call(self, operation: str, thunk: Callable[[], Any]) -> Any:
         decision, state, failures, remaining = self._admit()
         if decision == self._REJECT_OPEN:
             if self._telemetry is not None:
@@ -185,7 +183,7 @@ class CircuitBreakerSource:
                 "trial call is already in flight; failing fast"
             )
         try:
-            result = operation()
+            result = thunk()
         except SourceUnavailableError:
             self._on_failure(state)
             raise
@@ -227,48 +225,8 @@ class CircuitBreakerSource:
             self._telemetry.count("breaker.recoveries")
             self._telemetry.count("breaker.transitions")
 
-    # -- the source surface -------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def schema(self) -> Schema:
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute: str) -> bool:
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query: SelectionQuery) -> bool:
-        # Expressibility, not health: an open circuit does not change what
-        # the web form could answer once the source recovers.
-        checker = getattr(self.inner, "can_answer", None)
-        return True if checker is None else checker(query)
-
-    def cardinality(self) -> int:
-        return self._call(self.inner.cardinality)
-
-    def execute(self, query: SelectionQuery) -> Relation:
-        return self._call(lambda: self.inner.execute(query))
-
-    def execute_null_binding(self, query: SelectionQuery, max_nulls: int | None = None):
-        return self._call(
-            lambda: self.inner.execute_null_binding(query, max_nulls=max_nulls)
-        )
-
-    def execute_certain_or_possible(self, query: SelectionQuery) -> Relation:
-        return self._call(lambda: self.inner.execute_certain_or_possible(query))
-
-    def scan(self, limit: int | None = None) -> Relation:
-        return self._call(lambda: self.inner.scan(limit))
-
     def reset_statistics(self) -> None:
-        self.inner.reset_statistics()
+        super().reset_statistics()
         with self._lock:
             self.statistics = BreakerStatistics()
 

@@ -6,9 +6,11 @@ call against their budget.  :class:`CachingSource` memoizes query results at
 the mediator so repeats cost nothing — the standard wrapper a production
 mediator puts in front of a rate-limited web source.
 
-The wrapper is transparent: it exposes the same interface as
-:class:`~repro.sources.AutonomousSource` and enforces nothing itself; cache
-*misses* still hit the underlying source with all its restrictions.
+The wrapper is transparent: a
+:class:`~repro.sources.surface.SourceDecorator` whose only override is
+:meth:`~CachingSource.execute`, because the cache key is the query.  It
+enforces nothing itself; cache *misses* still hit the underlying source
+with all its restrictions.
 
 Two robustness guarantees the test suite pins:
 
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 from repro.errors import QpiadError
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source, SourceDecorator
 from repro.telemetry import Telemetry
 
 __all__ = ["CacheStatistics", "CachingSource"]
@@ -51,7 +52,7 @@ class CacheStatistics:
         return self.hits / total if total else 0.0
 
 
-class CachingSource:
+class CachingSource(SourceDecorator):
     """An LRU result cache in front of an autonomous source.
 
     Parameters
@@ -71,44 +72,21 @@ class CachingSource:
 
     def __init__(
         self,
-        inner: AutonomousSource,
+        inner: Source,
         capacity: int = 256,
         telemetry: Telemetry | None = None,
     ):
         if capacity < 1:
             raise QpiadError(f"cache capacity must be positive, got {capacity}")
-        self.inner = inner
+        super().__init__(inner)
         self.capacity = capacity
         self.statistics = CacheStatistics()
         self._telemetry = telemetry
         self._lock = threading.Lock()
         self._cache: "OrderedDict[SelectionQuery, Relation]" = OrderedDict()
 
-    # -- the AutonomousSource surface the mediator uses -------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def schema(self) -> Schema:
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute: str) -> bool:
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query: SelectionQuery) -> bool:
-        return self.inner.can_answer(query)
-
-    def cardinality(self) -> int:
-        return self.inner.cardinality()
-
     def execute(self, query: SelectionQuery) -> Relation:
-        """Answer from the cache when possible; otherwise delegate.
+        """Answer from the cache when possible; a miss goes through :meth:`_call`.
 
         A raising inner call inserts nothing (no negative caching, no
         poisoned entries) and counts as neither hit nor miss — the
@@ -123,7 +101,7 @@ class CachingSource:
             if self._telemetry is not None:
                 self._telemetry.count("cache.hits")
             return cached
-        result = self.inner.execute(query)
+        result = self._call("execute", lambda: self.inner.execute(query))
         evicted = False
         with self._lock:
             self.statistics.misses += 1
@@ -138,17 +116,8 @@ class CachingSource:
                 self._telemetry.count("cache.evictions")
         return result
 
-    def execute_null_binding(self, query: SelectionQuery, max_nulls: int | None = None):
-        return self.inner.execute_null_binding(query, max_nulls=max_nulls)
-
-    def execute_certain_or_possible(self, query: SelectionQuery) -> Relation:
-        return self.inner.execute_certain_or_possible(query)
-
-    def scan(self, limit: int | None = None) -> Relation:
-        return self.inner.scan(limit)
-
     def reset_statistics(self) -> None:
-        self.inner.reset_statistics()
+        super().reset_statistics()
         with self._lock:
             self.statistics = CacheStatistics()
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from repro.errors import SchemaError
 from repro.relational.schema import Schema
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 
 __all__ = ["SourceRegistry"]
 
@@ -35,14 +35,14 @@ class SourceRegistry:
     """
 
     def __init__(
-        self, global_schema: Schema, sources: Iterable[AutonomousSource] = ()
+        self, global_schema: Schema, sources: Iterable[Source] = ()
     ):
         self.global_schema = global_schema
-        self._sources: dict[str, AutonomousSource] = {}
+        self._sources: dict[str, Source] = {}
         for source in sources:
             self.register(source)
 
-    def register(self, source: AutonomousSource) -> None:
+    def register(self, source: Source) -> None:
         """Add *source*, validating its local schema against the global one."""
         if source.name in self._sources:
             raise SchemaError(f"source {source.name!r} is already registered")
@@ -54,13 +54,13 @@ class SourceRegistry:
                 )
         self._sources[source.name] = source
 
-    def get(self, name: str) -> AutonomousSource:
+    def get(self, name: str) -> Source:
         try:
             return self._sources[name]
         except KeyError:
             raise SchemaError(f"no source named {name!r} is registered") from None
 
-    def __iter__(self) -> Iterator[AutonomousSource]:
+    def __iter__(self) -> Iterator[Source]:
         return iter(self._sources.values())
 
     def __len__(self) -> int:
@@ -73,10 +73,10 @@ class SourceRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(self._sources)
 
-    def supporting(self, attribute: str) -> list[AutonomousSource]:
+    def supporting(self, attribute: str) -> list[Source]:
         """Sources whose local schema includes *attribute*."""
         return [source for source in self if source.supports(attribute)]
 
-    def not_supporting(self, attribute: str) -> list[AutonomousSource]:
+    def not_supporting(self, attribute: str) -> list[Source]:
         """Sources whose local schema lacks *attribute* (need §4.3 handling)."""
         return [source for source in self if not source.supports(attribute)]

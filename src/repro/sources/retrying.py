@@ -23,18 +23,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Any, Callable
 
 from repro.errors import DeadlineExceededError, QpiadError, SourceUnavailableError
-from repro.query.query import SelectionQuery
-from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.resilience.deadline import remaining_deadline
+from repro.sources.surface import Source, SourceDecorator
 from repro.telemetry import Telemetry
 
 __all__ = ["RetryStatistics", "RetryingSource"]
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -46,13 +42,14 @@ class RetryStatistics:
     gave_up: int = 0
 
 
-class RetryingSource:
+class RetryingSource(SourceDecorator):
     """Retry transient failures of a wrapped source.
 
     Parameters
     ----------
     inner:
-        Any source-shaped object (:class:`~repro.sources.AutonomousSource`,
+        Any :class:`~repro.sources.surface.Source` (an
+        :class:`~repro.sources.AutonomousSource`, a
         :class:`~repro.sources.caching.CachingSource`, ...).
     max_attempts:
         Total tries per call (1 = no retrying).
@@ -79,7 +76,7 @@ class RetryingSource:
 
     def __init__(
         self,
-        inner,
+        inner: Source,
         max_attempts: int = 3,
         backoff_seconds: float = 0.0,
         max_backoff_seconds: float | None = None,
@@ -93,7 +90,7 @@ class RetryingSource:
             raise QpiadError("backoff_seconds must be non-negative")
         if max_backoff_seconds is not None and max_backoff_seconds < 0:
             raise QpiadError("max_backoff_seconds must be non-negative")
-        self.inner = inner
+        super().__init__(inner)
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.max_backoff_seconds = max_backoff_seconds
@@ -114,14 +111,14 @@ class RetryingSource:
             return delay
         return delay / 2 + self._jitter_rng.random() * delay / 2
 
-    def _call(self, operation: Callable[[], T]) -> T:
+    def _call(self, operation: str, thunk: Callable[[], Any]) -> Any:
         delay = self._capped(self.backoff_seconds)
         for attempt in range(1, self.max_attempts + 1):
             self.statistics.attempts += 1
             if self._telemetry is not None:
                 self._telemetry.count("retry.attempts")
             try:
-                return operation()
+                return thunk()
             except SourceUnavailableError as exc:
                 if attempt == self.max_attempts:
                     self.statistics.gave_up += 1
@@ -149,46 +146,8 @@ class RetryingSource:
                     delay = self._capped(delay * 2)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    # -- the source surface -------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def schema(self) -> Schema:
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute: str) -> bool:
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query: SelectionQuery) -> bool:
-        checker = getattr(self.inner, "can_answer", None)
-        return True if checker is None else checker(query)
-
-    def cardinality(self) -> int:
-        return self._call(self.inner.cardinality)
-
-    def execute(self, query: SelectionQuery) -> Relation:
-        return self._call(lambda: self.inner.execute(query))
-
-    def execute_null_binding(self, query: SelectionQuery, max_nulls: int | None = None):
-        return self._call(
-            lambda: self.inner.execute_null_binding(query, max_nulls=max_nulls)
-        )
-
-    def execute_certain_or_possible(self, query: SelectionQuery) -> Relation:
-        return self._call(lambda: self.inner.execute_certain_or_possible(query))
-
-    def scan(self, limit: int | None = None) -> Relation:
-        return self._call(lambda: self.inner.scan(limit))
-
     def reset_statistics(self) -> None:
-        self.inner.reset_statistics()
+        super().reset_statistics()
         self.statistics = RetryStatistics()
 
     def __repr__(self) -> str:

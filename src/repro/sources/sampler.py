@@ -22,7 +22,7 @@ from repro.errors import MiningError, QpiadError
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.relational.values import is_null
-from repro.sources.autonomous import AutonomousSource
+from repro.sources.surface import Source
 
 __all__ = ["RandomProbingSampler", "uniform_sample", "split_relation"]
 
@@ -79,7 +79,7 @@ class RandomProbingSampler:
 
     def __init__(
         self,
-        source: AutonomousSource,
+        source: Source,
         rng: random.Random,
         seed_queries: Sequence[SelectionQuery],
         probe_attributes: Sequence[str] | None = None,
@@ -160,7 +160,7 @@ class RandomProbingSampler:
 
 
 def estimate_sample_ratio(
-    source: AutonomousSource,
+    source: Source,
     sample: Relation,
     probe_queries: Iterable[SelectionQuery],
 ) -> float:

@@ -101,12 +101,10 @@ class TestRawSourceCall:
             """
             a = source.execute(q)
             b = source.execute_null_binding(q, max_nulls=None)
-            c = source.execute_certain_or_possible(q)
-            d = source.scan(10)
             """,
             module="repro.core.baselines",
         )
-        assert len(findings) == 4
+        assert len(findings) == 2
 
     # -- negatives ---------------------------------------------------------
 

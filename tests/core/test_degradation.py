@@ -11,35 +11,18 @@ import pytest
 from repro.core import QpiadConfig, QpiadMediator, QueryFailure
 from repro.errors import DeadlineExceededError, SourceUnavailableError
 from repro.query import SelectionQuery
+from repro.sources import SourceDecorator
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 
 
-class FailingAt:
+class FailingAt(SourceDecorator):
     """Delegate to a real source, failing at scripted execute-call indices."""
 
     def __init__(self, inner, fail_calls: set[int]):
-        self.inner = inner
+        super().__init__(inner)
         self.fail_calls = fail_calls
         self.calls = 0
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query):
-        return self.inner.can_answer(query)
 
     def execute(self, query):
         index = self.calls
@@ -47,12 +30,6 @@ class FailingAt:
         if index in self.fail_calls:
             raise SourceUnavailableError(f"scripted failure at call {index}")
         return self.inner.execute(query)
-
-    def execute_null_binding(self, query, max_nulls=None):
-        return self.inner.execute_null_binding(query, max_nulls=max_nulls)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
 
 
 class FakeClock:
@@ -134,16 +111,13 @@ class TestFailureBudget:
             mediator.query(QUERY)
 
 
-class SlowSource:
+class SlowSource(SourceDecorator):
     """Every execute call costs a fixed amount of fake time."""
 
     def __init__(self, inner, clock: FakeClock, seconds_per_call: float):
-        self.inner = inner
+        super().__init__(inner)
         self.clock = clock
         self.seconds_per_call = seconds_per_call
-
-    def __getattr__(self, attribute):
-        return getattr(self.inner, attribute)
 
     def execute(self, query):
         self.clock.tick(self.seconds_per_call)

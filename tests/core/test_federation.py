@@ -6,7 +6,12 @@ from repro.core import QpiadConfig
 from repro.core.federation import FederatedMediator
 from repro.errors import SourceUnavailableError
 from repro.query import SelectionQuery
-from repro.sources import AutonomousSource, SourceCapabilities, SourceRegistry
+from repro.sources import (
+    AutonomousSource,
+    SourceCapabilities,
+    SourceDecorator,
+    SourceRegistry,
+)
 
 YAHOO_ATTRS = ("make", "model", "year", "price", "mileage", "certified")
 
@@ -70,19 +75,10 @@ class TestFederatedQuery:
                 assert len(answer.row) == len(cars_env.test.schema)
 
 
-class DownSource:
-    """A source whose every query fails transiently."""
+class DownSource(SourceDecorator):
+    """A source whose every call fails transiently."""
 
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __getattr__(self, attribute):
-        return getattr(self.inner, attribute)
-
-    def execute(self, query):
-        raise SourceUnavailableError(f"{self.inner.name} timed out")
-
-    def execute_null_binding(self, query, max_nulls=None):
+    def _call(self, operation, thunk):
         raise SourceUnavailableError(f"{self.inner.name} timed out")
 
 
@@ -122,13 +118,10 @@ class TestSourceFailureDegradation:
         assert result.failures == []
 
     def test_per_source_degradation_propagates(self, cars_env):
-        class FailSecondCall:
+        class FailSecondCall(SourceDecorator):
             def __init__(self, inner):
-                self.inner = inner
+                super().__init__(inner)
                 self.calls = 0
-
-            def __getattr__(self, attribute):
-                return getattr(self.inner, attribute)
 
             def execute(self, query):
                 self.calls += 1

@@ -25,26 +25,23 @@ from repro.engine import engine as engine_module
 from repro.errors import QpiadError
 from repro.evaluation import multi_attribute_workload, selection_workload
 from repro.resilience import SchedulerConfig, SourcePolicy, SourceScheduler
-from repro.sources import AutonomousSource, SourceCapabilities
+from repro.sources import AutonomousSource, SourceCapabilities, SourceDecorator
 
 #: Per-call round trip of the sleeping source: long next to the base
 #: call's CPU time, short enough to keep the module fast.
 ROUND_TRIP_S = 0.005
 
 
-class SleepingSource:
+class SleepingSource(SourceDecorator):
     """A remote-looking source: each call sleeps before the in-process
     source answers.  Records the most calls ever in flight at once."""
 
     def __init__(self, inner: AutonomousSource, seconds: float = ROUND_TRIP_S):
-        self.inner = inner
+        super().__init__(inner)
         self.seconds = seconds
         self._lock = threading.Lock()
         self._in_flight = 0
         self.peak_in_flight = 0
-
-    def __getattr__(self, attribute):
-        return getattr(self.inner, attribute)
 
     def execute(self, query):
         with self._lock:

@@ -21,7 +21,9 @@ QUERY = SelectionQuery.equals("body_style", "Convt")
 SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
 
 
-def _chaotic_source(env, seed: int) -> FaultInjectingSource:
+def _chaotic_source(
+    env, seed: int, query_budget: "int | None" = None
+) -> FaultInjectingSource:
     plan = FaultPlan(
         seed=seed,
         unavailable_rate=0.25,
@@ -29,7 +31,7 @@ def _chaotic_source(env, seed: int) -> FaultInjectingSource:
         truncate_rate=0.1,
         spare_first=1,  # the base query must land
     )
-    return FaultInjectingSource(env.web_source(), plan)
+    return FaultInjectingSource(env.web_source(query_budget=query_budget), plan)
 
 
 class TestQueriesIssuedMatchesSourceCallLog:
@@ -49,19 +51,25 @@ class TestQueriesIssuedMatchesSourceCallLog:
         list(mediator.iter_possible(QUERY, stats))
         assert stats.queries_issued == source.statistics.calls
 
-    def test_failed_calls_are_the_difference_from_successes(self, cars_env):
-        source = _chaotic_source(cars_env, seed=2)
+    @pytest.mark.parametrize("query_budget", [None, 4])
+    def test_failed_calls_are_the_difference_from_successes(
+        self, cars_env, query_budget
+    ):
+        source = _chaotic_source(cars_env, seed=2, query_budget=query_budget)
         result = QpiadMediator(
             source, cars_env.knowledge, QpiadConfig(k=10)
         ).query(QUERY)
         stats = source.statistics
         # Calls the inner source answered + calls that never reached it
-        # (unavailable) + calls answered but lost in transit (churn).
+        # (unavailable) + calls answered but lost in transit (churn) +
+        # calls the inner source refused (here: its budget was spent).
         assert stats.calls == stats.healthy + stats.truncated + stats.delayed + (
-            stats.unavailable + stats.churned
+            stats.unavailable + stats.churned + stats.refused
         )
         assert result.stats.queries_issued == stats.calls
-        assert len(result.stats.failures) == stats.unavailable + stats.churned
+        assert len(result.stats.failures) == (
+            stats.unavailable + stats.churned + stats.refused
+        )
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_traced_chaos_run_spans_every_call(self, cars_env, seed):

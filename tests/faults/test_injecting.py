@@ -133,20 +133,12 @@ class TestReproducibility:
 
 
 class TestSurface:
-    def test_proxies_the_source_surface(self, backend):
-        faulty = FaultInjectingSource(backend, FaultPlan(seed=1))
-        assert faulty.name == "cars"
-        assert faulty.schema == backend.schema
-        assert faulty.supports("make")
-        assert faulty.can_answer(QUERY)
-        assert faulty.capabilities is backend.capabilities
-
     def test_every_query_method_is_faultable(self, backend):
         faulty = FaultInjectingSource(
             backend, FaultPlan(seed=1, unavailable_rate=1.0)
         )
         with pytest.raises(SourceUnavailableError):
-            faulty.scan()
+            faulty.execute_null_binding(QUERY)
         with pytest.raises(SourceUnavailableError):
             faulty.cardinality()
         assert faulty.statistics.calls == 2

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import JoinConfig, JoinProcessor
 from repro.query import JoinQuery, SelectionQuery
+from repro.sources import SourceDecorator
 
 JOIN = JoinQuery(
     SelectionQuery.equals("model", "Grand Cherokee"),
@@ -30,23 +31,20 @@ SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
 WIDTHS = (2, 4, 8)
 
 
-class JitterSource:
+class JitterSource(SourceDecorator):
     """Delegates to a real source after a seeded random delay per call,
     so concurrent component calls complete in a scrambled order."""
 
     def __init__(self, inner, seed):
-        self._inner = inner
+        super().__init__(inner)
         self._random = random.Random(seed)
         self._lock = threading.Lock()
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
     def execute(self, query):
         with self._lock:
             delay = self._random.uniform(0.0, 0.004)
         time.sleep(delay)
-        return self._inner.execute(query)
+        return self.inner.execute(query)
 
 
 def _processor(cars_env, complaints_env, width, jitter=None):

@@ -82,14 +82,6 @@ class TestBudgetsAndCaps:
         result = source.execute(SelectionQuery.equals("make", "Honda"))
         assert len(result) == 1
 
-    def test_scan_charges_budget(self, backend):
-        source = AutonomousSource(
-            "cars", backend, SourceCapabilities.web_form(query_budget=1)
-        )
-        source.scan(limit=2)
-        with pytest.raises(QueryBudgetExceededError):
-            source.scan()
-
 
 class TestBudgetUnderConcurrentCallers:
     BUDGET = 3

@@ -10,7 +10,12 @@ from repro.errors import (
 )
 from repro.query import SelectionQuery
 from repro.relational import Relation, Schema
-from repro.sources import AutonomousSource, BreakerState, CircuitBreakerSource
+from repro.sources import (
+    AutonomousSource,
+    BreakerState,
+    CircuitBreakerSource,
+    SourceDecorator,
+)
 
 
 QUERY = SelectionQuery.equals("make", "Honda")
@@ -27,42 +32,18 @@ class FakeClock:
         self.now += seconds
 
 
-class SwitchableSource:
+class SwitchableSource(SourceDecorator):
     """A source whose health the test flips on and off."""
 
     def __init__(self):
         relation = Relation(Schema.of("make"), [("Honda",)])
-        self.inner = AutonomousSource("cars", relation)
+        super().__init__(AutonomousSource("cars", relation))
         self.down = False
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query):
-        return self.inner.can_answer(query)
 
     def execute(self, query):
         if self.down:
             raise SourceUnavailableError("connection reset")
         return self.inner.execute(query)
-
-    def execute_null_binding(self, query, max_nulls=None):
-        return self.inner.execute_null_binding(query, max_nulls=max_nulls)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
 
 
 @pytest.fixture()
@@ -160,10 +141,3 @@ class TestValidationAndSurface:
             make_breaker(flaky, clock, threshold=0)
         with pytest.raises(QpiadError):
             make_breaker(flaky, clock, recovery=-1)
-
-    def test_surface_proxying(self, flaky, clock):
-        breaker = make_breaker(flaky, clock)
-        assert breaker.name == "cars"
-        assert breaker.supports("make")
-        assert breaker.can_answer(QUERY)
-        assert breaker.schema == flaky.schema

@@ -7,7 +7,12 @@ import pytest
 from repro.errors import CircuitOpenError, SourceUnavailableError
 from repro.query import SelectionQuery
 from repro.relational import Relation, Schema
-from repro.sources import AutonomousSource, BreakerState, CircuitBreakerSource
+from repro.sources import (
+    AutonomousSource,
+    BreakerState,
+    CircuitBreakerSource,
+    SourceDecorator,
+)
 
 QUERY = SelectionQuery.equals("make", "Honda")
 
@@ -23,32 +28,17 @@ class FakeClock:
         self.now += seconds
 
 
-class GatedSource:
+class GatedSource(SourceDecorator):
     """A source the test can hold mid-call and fail on demand."""
 
     def __init__(self):
         relation = Relation(Schema.of("make"), [("Honda",)])
-        self.inner = AutonomousSource("cars", relation)
+        super().__init__(AutonomousSource("cars", relation))
         self.down = False
         self.hold = None  # when set, execute blocks on this event
         self.entered = threading.Event()
         self.calls = 0
         self._lock = threading.Lock()
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
 
     def execute(self, query):
         with self._lock:
@@ -59,9 +49,6 @@ class GatedSource:
         if self.down:
             raise SourceUnavailableError("down")
         return self.inner.execute(query)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
 
 
 def tripped_breaker(clock, threshold=2, recovery=30.0):

@@ -7,35 +7,20 @@ import pytest
 from repro.errors import SourceUnavailableError
 from repro.query import SelectionQuery
 from repro.relational import Relation, Schema
-from repro.sources import AutonomousSource, CachingSource
+from repro.sources import AutonomousSource, CachingSource, SourceDecorator
 
 QUERY = SelectionQuery.equals("make", "Honda")
 
 
-class FlakyOnce:
+class FlakyOnce(SourceDecorator):
     """Raises on the first call, answers afterwards, counts everything."""
 
     def __init__(self, error=None):
         relation = Relation(Schema.of("make"), [("Honda",)])
-        self.inner = AutonomousSource("cars", relation)
+        super().__init__(AutonomousSource("cars", relation))
         self.error = error or SourceUnavailableError("connection reset")
         self.calls = 0
         self.fail_next = True
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
 
     def execute(self, query):
         self.calls += 1
@@ -43,9 +28,6 @@ class FlakyOnce:
             self.fail_next = False
             raise self.error
         return self.inner.execute(query)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
 
 
 class TestFailuresNeverPoison:

@@ -75,7 +75,6 @@ class TestMediatorSkipsUnissuableRewritings:
         assert result.stats.rewritten_skipped + result.stats.rewritten_issued > 0
 
     def test_caching_wrapper_proxies_can_answer(self, restricted_source):
-        from repro.query import Equals
         from repro.sources.caching import CachingSource
 
         cached = CachingSource(restricted_source)

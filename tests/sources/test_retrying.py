@@ -10,63 +10,23 @@ from repro.errors import (
 )
 from repro.query import SelectionQuery
 from repro.relational import Relation, Schema
-from repro.sources import AutonomousSource
+from repro.sources import AutonomousSource, SourceDecorator
 from repro.sources.retrying import RetryingSource
 
 
-class FlakySource:
+class FlakySource(SourceDecorator):
     """A test double that fails transiently every few calls."""
 
     def __init__(self, inner: AutonomousSource, fail_every: int = 2):
-        self.inner = inner
+        super().__init__(inner)
         self.fail_every = fail_every
         self._calls = 0
 
-    def _maybe_fail(self):
+    def _call(self, operation, thunk):
         self._calls += 1
         if self._calls % self.fail_every == 0:
             raise SourceUnavailableError("503 service unavailable")
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
-
-    def can_answer(self, query):
-        return self.inner.can_answer(query)
-
-    def cardinality(self):
-        self._maybe_fail()
-        return self.inner.cardinality()
-
-    def execute(self, query):
-        self._maybe_fail()
-        return self.inner.execute(query)
-
-    def execute_null_binding(self, query, max_nulls=None):
-        self._maybe_fail()
-        return self.inner.execute_null_binding(query, max_nulls=max_nulls)
-
-    def execute_certain_or_possible(self, query):
-        self._maybe_fail()
-        return self.inner.execute_certain_or_possible(query)
-
-    def scan(self, limit=None):
-        self._maybe_fail()
-        return self.inner.scan(limit)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
+        return thunk()
 
 
 @pytest.fixture()
@@ -181,13 +141,6 @@ class TestRetrying:
             RetryingSource(backend, backoff_seconds=-1)
         with pytest.raises(QpiadError):
             RetryingSource(backend, max_backoff_seconds=-1)
-
-    def test_surface_proxying(self, backend):
-        source = RetryingSource(FlakySource(backend, fail_every=10**9))
-        assert source.name == "cars"
-        assert source.supports("make")
-        assert source.cardinality() == 2
-        assert source.can_answer(SelectionQuery.equals("make", "Honda"))
 
 
 class TestMediationOverFlakySource:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import DeadlineExceededError, SourceUnavailableError
 from repro.query import SelectionQuery
 from repro.relational import Relation, Schema
-from repro.sources import AutonomousSource, RetryingSource
+from repro.sources import AutonomousSource, RetryingSource, SourceDecorator
 from repro.resilience import Deadline, deadline_scope
 
 QUERY = SelectionQuery.equals("make", "Honda")
@@ -19,29 +19,14 @@ class FakeClock:
         return self.now
 
 
-class FailingThenHealthy:
+class FailingThenHealthy(SourceDecorator):
     """Fails the first *failures* calls, then answers."""
 
     def __init__(self, failures):
         relation = Relation(Schema.of("make"), [("Honda",)])
-        self.inner = AutonomousSource("cars", relation)
+        super().__init__(AutonomousSource("cars", relation))
         self.remaining_failures = failures
         self.calls = 0
-
-    @property
-    def name(self):
-        return self.inner.name
-
-    @property
-    def schema(self):
-        return self.inner.schema
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
-
-    def supports(self, attribute):
-        return self.inner.supports(attribute)
 
     def execute(self, query):
         self.calls += 1
@@ -49,9 +34,6 @@ class FailingThenHealthy:
             self.remaining_failures -= 1
             raise SourceUnavailableError("flaky")
         return self.inner.execute(query)
-
-    def reset_statistics(self):
-        self.inner.reset_statistics()
 
 
 class TestDeadlineAwareBackoff:
