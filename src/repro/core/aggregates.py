@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.core.results import RetrievalStats
 from repro.engine import (
     ExecutionPolicy,
-    PlanExecutor,
     PlannedQuery,
     QueryKind,
     RetrievalEngine,
@@ -115,7 +114,6 @@ class AggregateProcessor:
         inclusion_rule: str = "argmax",
         max_concurrency: int = 1,
         telemetry: Telemetry | None = None,
-        executor: PlanExecutor | None = None,
         plan_cache: PlanCache | None = None,
     ):
         if inclusion_rule not in ("argmax", "fractional"):
@@ -135,7 +133,6 @@ class AggregateProcessor:
         self.inclusion_rule = inclusion_rule
         self.max_concurrency = max_concurrency
         self._telemetry = telemetry
-        self._executor = executor
         self.planner = QueryPlanner(
             self._store,
             PlannerConfig(
@@ -175,7 +172,6 @@ class AggregateProcessor:
             self.source,
             ExecutionPolicy.strict(max_concurrency=self.max_concurrency),
             stats,
-            executor=self._executor,
             telemetry=self._telemetry,
             label=str(aggregate),
         )

@@ -23,7 +23,7 @@ recorded in :attr:`FederatedResult.failures`, the result is flagged
 degraded, and mediation continues across the rest of the federation.
 
 Per-source mediations are independent, so the federation runs them
-through the engine's :class:`~repro.engine.PlanExecutor`: serial unless
+through one of the engine's executors: serial unless
 ``config.max_concurrency`` pins a width above 1, then fanned out over a
 thread pool.  Probe payloads stream back in *completion* order — a fast
 source's answers surface while slower sources are still mediating
@@ -35,19 +35,21 @@ strategy.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.core.correlated import CorrelatedConfig, CorrelatedSourceMediator
 from repro.core.qpiad import QpiadConfig, QpiadMediator
-from repro.core.results import QueryResult, RankedAnswer
+from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.engine import (
+    ExecutionPolicy,
     ExecutionTask,
     Inlet,
     OperatorNode,
     OperatorTree,
-    PlanExecutor,
+    PlannedQuery,
+    QueryKind,
+    RetrievalEngine,
     StreamingProject,
     StreamingUnion,
     build_executor,
@@ -60,7 +62,7 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.sources.registry import SourceRegistry
 from repro.sources.surface import Source
-from repro.telemetry import Span, SpanKind, Telemetry, maybe_span
+from repro.telemetry import Span, SpanKind, Telemetry, maybe_span, timed_first
 
 __all__ = ["FederatedAnswer", "FederatedResult", "FederatedMediator", "SourceFailure"]
 
@@ -156,9 +158,6 @@ class FederatedMediator:
         which the per-source retrieval spans nest.  Parentage is exact at
         any width: a probe run on a pool thread opens its source span
         under the federation root explicitly.
-    executor:
-        Optional explicit :class:`~repro.engine.PlanExecutor` for the
-        per-source fan-out, overriding ``config.max_concurrency``.
     plan_cache:
         Optional shared :class:`~repro.planner.PlanCache`, threaded into
         every per-source mediator (regular and correlated).  Keys include
@@ -175,7 +174,6 @@ class FederatedMediator:
         config: QpiadConfig | None = None,
         correlated_config: CorrelatedConfig | None = None,
         telemetry: Telemetry | None = None,
-        executor: PlanExecutor | None = None,
         plan_cache: PlanCache | None = None,
     ):
         self.registry = registry
@@ -185,7 +183,6 @@ class FederatedMediator:
         }
         self.config = config or QpiadConfig()
         self._telemetry = telemetry
-        self._executor = executor
         self._plan_cache = plan_cache
         # The correlated mediator shares the same stores, so a refresh
         # installing a new generation reaches both pipelines atomically.
@@ -237,27 +234,17 @@ class FederatedMediator:
         """
         if result is None:
             result = FederatedResult(query=query)
-        started = time.monotonic()
-        emitted = False
-        for answer in self._stream(query, result):
-            if not emitted:
-                emitted = True
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        "federation.time_to_first_answer_seconds",
-                        time.monotonic() - started,
-                    )
-            yield answer
+        return timed_first(
+            self._stream(query, result),
+            self._telemetry,
+            "federation.time_to_first_answer_seconds",
+        )
 
     def _stream(
         self, query: SelectionQuery, result: FederatedResult
     ) -> Iterator[FederatedAnswer]:
         telemetry = self._telemetry
-        executor = (
-            self._executor
-            if self._executor is not None
-            else build_executor(self.config.max_concurrency)
-        )
+        executor = build_executor(self.config.max_concurrency)
         with maybe_span(
             telemetry, f"federated {query}", SpanKind.FEDERATION, query=str(query)
         ) as root:
@@ -290,9 +277,7 @@ class FederatedMediator:
                         for ranked in payload.ranked:
                             yield from tree.push(f"source:{outcome.rank}", ranked)
             finally:
-                closer = getattr(outcomes, "close", None)
-                if closer is not None:
-                    closer()
+                outcomes.close()
             if tree is not None:
                 yield from tree.close()
             # Deterministic assembly: fold payloads and failures in
@@ -367,10 +352,17 @@ class FederatedMediator:
     ) -> _Probe:
         store = self._stores.get(source.name)
         if store is None:
-            # No statistics: certain answers only.  This is the one place a
-            # mediator bypasses the engine on purpose — there is no plan to
-            # run, just the user's own query passed straight through.
-            return (_CERTAIN_ONLY, source.execute(query))  # qpiadlint: disable=raw-source-call-in-core
+            # No statistics: certain answers only, from the user's own
+            # query issued as a base call, billed and spanned like any other.
+            engine = RetrievalEngine(
+                source,
+                ExecutionPolicy.strict(),
+                RetrievalStats(),
+                telemetry=self._telemetry,
+                label=str(query),
+            )
+            base = PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
+            return (_CERTAIN_ONLY, engine.run_base(base))
         outcome = QpiadMediator(
             source,
             store,

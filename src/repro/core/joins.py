@@ -26,7 +26,6 @@ order, so the final answer list is bit-identical at every executor width.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -37,7 +36,6 @@ from repro.engine import (
     Inlet,
     OperatorNode,
     OperatorTree,
-    PlanExecutor,
     PlannedQuery,
     QueryKind,
     RetrievalEngine,
@@ -54,7 +52,7 @@ from repro.query.query import JoinQuery, SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.relational.values import is_null
 from repro.sources.surface import Source
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, timed_first
 
 __all__ = ["JoinConfig", "JoinedAnswer", "JoinResult", "JoinProcessor"]
 
@@ -217,7 +215,6 @@ class JoinProcessor:
         right_knowledge: "KnowledgeBase | KnowledgeStore",
         config: JoinConfig | None = None,
         telemetry: Telemetry | None = None,
-        executor: PlanExecutor | None = None,
         plan_cache: PlanCache | None = None,
     ):
         self.left_source = left_source
@@ -226,7 +223,6 @@ class JoinProcessor:
         self._right_store = as_store(right_knowledge)
         self.config = config or JoinConfig()
         self._telemetry = telemetry
-        self._executor = executor
         # One planner per side: candidates come unlimited (k=None) because
         # the top-K budget applies to *pairs*, not components; the pair
         # ranker below applies it after joint scoring.
@@ -296,17 +292,11 @@ class JoinProcessor:
         """
         if result is None:
             result = JoinResult(query=join)
-        started = time.monotonic()
-        emitted = False
-        for candidate in self._stream(join, result):
-            if not emitted:
-                emitted = True
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        "mediator.time_to_first_answer_seconds",
-                        time.monotonic() - started,
-                    )
-            yield candidate
+        return timed_first(
+            self._stream(join, result),
+            self._telemetry,
+            "mediator.time_to_first_answer_seconds",
+        )
 
     def _stream(self, join: JoinQuery, result: JoinResult) -> Iterator[JoinedAnswer]:
         # One generation snapshot per side serves the whole join: pair
@@ -318,7 +308,6 @@ class JoinProcessor:
             None,  # every planned query carries its own side's source
             self.config.execution_policy(),
             result.stats,
-            executor=self._executor,
             telemetry=self._telemetry,
             label=str(join),
         )

@@ -24,7 +24,6 @@ with a total deterministic order at the edge.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -34,7 +33,6 @@ from repro.engine import (
     Inlet,
     OperatorNode,
     OperatorTree,
-    PlanExecutor,
     StreamingProject,
     SymmetricHashJoin,
     build_executor,
@@ -47,7 +45,7 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Row
 from repro.relational.values import is_null
 from repro.sources.surface import Source
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, timed_first
 
 __all__ = ["MultiJoinStep", "MultiJoinedAnswer", "MultiJoinResult", "MultiJoinProcessor"]
 
@@ -150,7 +148,6 @@ class MultiJoinProcessor:
                  k: int | None = 10, alpha: float = 0.5,
                  max_concurrency: int = 1,
                  telemetry: "Telemetry | None" = None,
-                 executor: "PlanExecutor | None" = None,
                  plan_cache: "PlanCache | None" = None):
         steps = list(steps)
         if len(steps) < 2:
@@ -180,7 +177,6 @@ class MultiJoinProcessor:
         self.alpha = alpha
         self.max_concurrency = max_concurrency
         self._telemetry = telemetry
-        self._executor = executor
         # One shared cache across all per-step mediators: keys carry each
         # step's knowledge fingerprint, so chains over different sources
         # coexist in it safely (including under a concurrent executor).
@@ -207,16 +203,9 @@ class MultiJoinProcessor:
         """
         if result is None:
             result = MultiJoinResult()
-        started = time.monotonic()
-        emitted = False
-        for partial in self._stream(result):
-            if not emitted:
-                emitted = True
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        "mediator.time_to_first_answer_seconds",
-                        time.monotonic() - started,
-                    )
+        for partial in timed_first(
+            self._stream(result), self._telemetry, "mediator.time_to_first_answer_seconds"
+        ):
             yield MultiJoinedAnswer(
                 partial.row_chain,
                 1.0 if partial.certain else partial.confidence,
@@ -234,11 +223,7 @@ class MultiJoinProcessor:
         exactly once.  Any step's failure propagates — a multi-way join
         cannot degrade around a missing relation.
         """
-        executor = (
-            self._executor
-            if self._executor is not None
-            else build_executor(self.max_concurrency)
-        )
+        executor = build_executor(self.max_concurrency)
         tree = self._build_tree()
         result.per_step_retrieved = [0] * len(self.steps)
         tasks = (
@@ -256,9 +241,7 @@ class MultiJoinProcessor:
                 for entry in answers:
                     yield from tree.push(inlet, entry)
         finally:
-            closer = getattr(outcomes, "close", None)
-            if closer is not None:
-                closer()
+            outcomes.close()
         yield from tree.close()
 
     def _build_tree(self) -> OperatorTree:

@@ -21,7 +21,6 @@ from typing import Callable, Iterator
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.engine import (
     ExecutionPolicy,
-    PlanExecutor,
     PlannedQuery,
     QueryKind,
     RetrievalEngine,
@@ -134,19 +133,7 @@ class QpiadConfig:
             raise QpiadError(
                 f"min_confidence must be in [0, 1], got {self.min_confidence}"
             )
-        if self.max_source_failures is not None and self.max_source_failures < 0:
-            raise QpiadError(
-                f"max_source_failures must be non-negative, got "
-                f"{self.max_source_failures}"
-            )
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise QpiadError(
-                f"deadline_seconds must be non-negative, got {self.deadline_seconds}"
-            )
-        if self.max_concurrency is not None and self.max_concurrency < 1:
-            raise QpiadError(
-                f"max_concurrency must be at least 1, got {self.max_concurrency}"
-            )
+        self.execution_policy()  # validates the engine-facing fields
 
     def execution_policy(self) -> ExecutionPolicy:
         """The engine-facing slice of this configuration."""
@@ -185,10 +172,6 @@ class QpiadMediator:
         call, failed calls included) and the registry's ``mediator.*``
         counters track issuance and transfer volume; when ``None`` (the
         default) each emit site costs a single ``None`` check.
-    executor:
-        Optional explicit :class:`~repro.engine.PlanExecutor`, overriding
-        the one ``config.max_concurrency`` would build or choose (tests
-        inject instrumented executors this way); it pins the width.
     scheduler:
         Optional :class:`~repro.resilience.SourceScheduler` this
         mediator's source calls are routed through.  When ``None`` (the
@@ -211,7 +194,6 @@ class QpiadMediator:
         config: QpiadConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Telemetry | None = None,
-        executor: PlanExecutor | None = None,
         plan_cache: PlanCache | None = None,
         scheduler: "SourceScheduler | None" = None,
     ):
@@ -220,7 +202,6 @@ class QpiadMediator:
         self.config = config or QpiadConfig()
         self._clock = clock
         self._telemetry = telemetry
-        self._executor = executor
         self._scheduler = scheduler
         self.planner = QueryPlanner(
             self._store,
@@ -247,21 +228,14 @@ class QpiadMediator:
         """Snapshot of the current knowledge generation."""
         return self._store.current
 
-    def _engine(
-        self,
-        stats: RetrievalStats,
-        query: SelectionQuery,
-        record_failures: bool = True,
-    ) -> RetrievalEngine:
+    def _engine(self, stats: RetrievalStats, query: SelectionQuery) -> RetrievalEngine:
         """A fresh engine for one retrieval over this mediator's source."""
         return RetrievalEngine(
             self.source,
             self.config.execution_policy(),
             stats,
-            executor=self._executor,
             telemetry=self._telemetry,
             clock=self._clock,
-            record_failures=record_failures,
             label=str(query),
             scheduler=self._scheduler,
         )
@@ -333,39 +307,17 @@ class QpiadMediator:
     def _mediate(self, query: SelectionQuery) -> QueryResult:
         stats = RetrievalStats()
         engine = self._engine(stats, query)
-
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
         result = QueryResult(query=query, certain=base_set, stats=stats)
         steps = self._plan_rewritten(query, base_set, stats)
         seen_rows: set[Row] = set(base_set)
-        schema = self.source.schema
-
         # Every outcome is consumed, so an unpinned engine may overlap the
         # plan's calls when the base call showed the source waits.
-        for step, retrieved in engine.stream(steps, drained=True):
-            assert step.target_attribute is not None
-            target_index = schema.index_of(step.target_attribute)
-            for row in retrieved:
-                # Post-filtering (step 2e): keep only tuples whose target
-                # attribute is actually missing; the rest are certain
-                # answers the base set already delivered.
-                if not is_null(row[target_index]):
-                    continue
-                if row in seen_rows:
-                    stats.duplicates_discarded += 1
-                    continue
-                seen_rows.add(row)
-                result.ranked.append(
-                    RankedAnswer(
-                        row=row,
-                        confidence=step.estimated_precision,
-                        retrieved_by=step.query,
-                        target_attribute=step.target_attribute,
-                        explanation=step.explanation,
-                    )
-                )
+        result.ranked.extend(
+            self._possible(engine, steps, seen_rows, stats, drained=True)
+        )
 
         constrained = query.constrained_attributes
         if (
@@ -395,26 +347,47 @@ class QpiadMediator:
 
         Degradation matches :meth:`query` — transient failures of single
         rewritten queries are skipped under ``config.max_source_failures``,
-        budget exhaustion and deadlines end the stream — but a generator
-        has no result object, so nothing is flagged.  Pass a *stats*
-        object to collect the same cost accounting :meth:`query` reports
-        (issuance is recorded before each call, so spent budget is counted
-        even when the call fails); callers needing the failure log itself
-        should use :meth:`query`.
+        budget exhaustion and deadlines end the stream.  Pass a *stats*
+        object to collect :meth:`query`'s cost accounting and failure log:
+        issuance is recorded before each call, so spent budget is counted
+        even when the call fails, and every absorbed failure lands in
+        ``stats.failures``.  Drained, the stream leaves *stats* equal to
+        the ``result.stats`` of :meth:`query` (without the multi-NULL
+        fetch, which only :meth:`query` makes).
         """
         stats = RetrievalStats() if stats is None else stats
-        engine = self._engine(stats, query, record_failures=False)
+        engine = self._engine(stats, query)
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
         steps = self._plan_rewritten(query, base_set, stats)
-        seen_rows: set[Row] = set(base_set)
+        yield from self._possible(engine, steps, set(base_set), stats)
+
+    def _possible(
+        self,
+        engine: RetrievalEngine,
+        steps: list[PlannedQuery],
+        seen_rows: set[Row],
+        stats: RetrievalStats,
+        *,
+        drained: bool = False,
+    ) -> Iterator[RankedAnswer]:
+        """Issue the rewritten *steps* and post-filter their rows (step 2e).
+
+        Keeps only tuples whose target attribute is actually missing — the
+        rest are certain answers the base set already delivered — and
+        counts a row already in *seen_rows* as a discarded duplicate.
+        *drained* is passed on to :meth:`RetrievalEngine.stream`.
+        """
         schema = self.source.schema
-        for step, retrieved in engine.stream(steps):
+        for step, retrieved in engine.stream(steps, drained=drained):
             assert step.target_attribute is not None
             target_index = schema.index_of(step.target_attribute)
             for row in retrieved:
-                if not is_null(row[target_index]) or row in seen_rows:
+                if not is_null(row[target_index]):
+                    continue
+                if row in seen_rows:
+                    stats.duplicates_discarded += 1
                     continue
                 seen_rows.add(row)
                 yield RankedAnswer(

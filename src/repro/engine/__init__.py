@@ -12,9 +12,9 @@ the loop into three explicit pieces:
 * :mod:`repro.engine.policy` — *how much* to tolerate:
   :class:`ExecutionPolicy` (failure budget, deadline, tolerate flags,
   concurrency width);
-* :mod:`repro.engine.executor` — *how* to run it: the
-  :class:`PlanExecutor` protocol with :class:`SerialExecutor`
-  (behaviour-identical to the historical loops) and
+* :mod:`repro.engine.executor` — *how* to run it: a
+  :data:`PlanExecutor`, either :class:`SerialExecutor`
+  (behaviour-identical to the historical loops) or
   :class:`ConcurrentExecutor` (a thread pool that issues queries in
   parallel but merges outcomes deterministically in plan order);
 * :mod:`repro.engine.engine` — the :class:`RetrievalEngine` that binds

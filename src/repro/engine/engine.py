@@ -1,22 +1,22 @@
 """The retrieval engine: one place for issuance, budgets, and telemetry.
 
 :class:`RetrievalEngine` is created per retrieval.  Mediators hand it
-planned queries; it issues them through the configured
-:class:`~repro.engine.executor.PlanExecutor`, billing every call *before*
-it runs (the accounting invariant: ``stats.queries_issued`` equals the
-source's own call log, whatever the weather), wrapping every call in a
-telemetry span when traced, and enforcing the
-:class:`~repro.engine.policy.ExecutionPolicy` — failure budget, source
-budget exhaustion, wall-clock deadline — identically for every mediator
-and every executor.
+planned queries; it issues them through the executor its policy's width
+selects, billing every call *before* it runs (the accounting invariant:
+``stats.queries_issued`` equals the source's own call log, whatever the
+weather), wrapping every call in a telemetry span when traced, and
+enforcing the :class:`~repro.engine.policy.ExecutionPolicy` — failure
+budget, source budget exhaustion, wall-clock deadline — identically for
+every mediator and every executor.  Plan order (:meth:`~RetrievalEngine.stream`)
+and completion order (:meth:`~RetrievalEngine.stream_tuples`) run through
+one loop.
 
 When the caller leaves the width unpinned (``policy.max_concurrency is
-None`` and no explicit executor), the engine picks it per retrieval.  It
-times the base call it issues anyway; if that call spent more of its
-wall-clock time waiting than computing, and nothing can end the plan early
-or shed part of it, a drained plan's calls are overlapped on a
-:class:`ConcurrentExecutor`.  Everything else runs one call at a time,
-exactly as the serial loop does.
+None``), the engine picks it per retrieval.  It times the base call it
+issues anyway; if that call spent more of its wall-clock time waiting
+than computing, and nothing can end the plan early or shed part of it, a
+drained plan's calls are overlapped on a :class:`ConcurrentExecutor`.
+Everything else runs one call at a time, exactly as the serial loop does.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
 from repro.engine.executor import (
     ConcurrentExecutor,
     ExecutionTask,
-    PlanExecutor,
+    Outcomes,
     build_executor,
 )
 from repro.engine.plan import PlannedQuery, QueryKind
@@ -112,23 +112,13 @@ class RetrievalEngine:
         Failure/deadline/concurrency limits (see :class:`ExecutionPolicy`).
     stats:
         The retrieval's cost accounting; every issued call is counted
-        here *before* it runs.
-    executor:
-        Execution strategy; pins the width when given.  Otherwise the
-        engine builds one from ``policy.max_concurrency``, or, when that
-        is ``None``, chooses the width of each drained plan itself (see
-        :meth:`stream`).
+        here *before* it runs, and every absorbed failure is recorded.
     telemetry:
         Optional telemetry hook; every source call becomes a span and
         feeds the ``mediator.*`` counters.
     clock:
         Injectable monotonic clock backing ``policy.deadline_seconds``.
         The deadline window opens when the engine is constructed.
-    record_failures:
-        Whether absorbed failures and blown deadlines are recorded into
-        ``stats.failures``.  The streaming interface passes ``False`` —
-        a generator has no result object to attach a failure log to —
-        while still counting issuance and telemetry identically.
     label:
         Description of the retrieval (normally the user query) used in
         deadline messages.
@@ -140,10 +130,8 @@ class RetrievalEngine:
         policy: ExecutionPolicy,
         stats: RetrievalStatsLike,
         *,
-        executor: PlanExecutor | None = None,
         telemetry: Telemetry | None = None,
         clock: Callable[[], float] = time.monotonic,
-        record_failures: bool = True,
         label: str | None = None,
         scheduler: SourceScheduler | None = None,
     ):
@@ -151,15 +139,12 @@ class RetrievalEngine:
         self._policy = policy
         self.stats = stats
         self._scheduler = scheduler if scheduler is not None else current_scheduler()
-        self._pinned = executor is not None or policy.max_concurrency is not None
-        self._executor = executor if executor is not None else build_executor(
-            policy.max_concurrency, scheduler=self._scheduler
-        )
+        self._pinned = policy.max_concurrency is not None
+        self._executor = build_executor(policy.max_concurrency)
         # Whether the timed base call mostly waited (unpinned width only).
         self._base_waited = False
         self._telemetry = telemetry
         self._clock = clock
-        self._record_failures = record_failures
         self._label = label
         self._started = clock()
         # The policy deadline as a propagatable value: queued admission
@@ -217,44 +202,12 @@ class RetrievalEngine:
         consumer never pays for calls it does not read.
         """
         steps = list(plan)
-        if not steps:
-            return
-        halted = [False]
-
-        def should_stop() -> bool:
-            return halted[0] or self.deadline_exceeded()
-
         executor = self._executor
         if drained and not self._pinned:
             width = self._fan_out_width(len(steps))
             if width > 1:
-                executor = ConcurrentExecutor(width, scheduler=self._scheduler)
-        tasks = (
-            ExecutionTask(step.rank, self._runner(step)) for step in steps
-        )
-        outcomes = executor.map(tasks, should_stop)
-        consumed = 0
-        try:
-            for step, outcome in zip(steps, outcomes):
-                consumed += 1
-                if outcome.error is None:
-                    if step.kind == QueryKind.REWRITTEN:
-                        with self._lock:
-                            self.stats.rewritten_issued += 1
-                    yield step, outcome.value
-                    continue
-                verdict = self._absorb(step, outcome.error)
-                if verdict == _RAISE:
-                    raise outcome.error
-                if verdict == _HALT:
-                    halted[0] = True
-                    break
-        finally:
-            closer = getattr(outcomes, "close", None)
-            if closer is not None:
-                closer()
-        if consumed < len(steps) and not halted[0] and self.deadline_exceeded():
-            self._note_deadline()
+                executor = ConcurrentExecutor(width)
+        yield from self._run(steps, executor.map)
 
     def stream_tuples(
         self, plan: Iterable[PlannedQuery]
@@ -278,42 +231,51 @@ class RetrievalEngine:
         must impose their own deterministic final order: rank at the
         end, stream in the middle.
         """
-        steps = list(plan)
+        for step, retrieved in self._run(list(plan), self._executor.map_completed):
+            for row in retrieved:
+                yield step, row
+
+    def _run(
+        self,
+        steps: list[PlannedQuery],
+        outcomes_of: Callable[[Iterable[ExecutionTask], Callable[[], bool]], Outcomes],
+    ) -> Iterator[tuple[PlannedQuery, Relation]]:
+        """The plan loop of both orders: run *steps* through *outcomes_of*
+        (an executor's ``map`` or ``map_completed``) and yield each answered
+        step with its relation, absorbing or raising failures."""
         if not steps:
             return
-        halted = [False]
+        halted = False
 
         def should_stop() -> bool:
-            return halted[0] or self.deadline_exceeded()
+            return halted or self.deadline_exceeded()
 
+        # Each task's rank is its step's position, whatever order it ends in.
         tasks = (
-            ExecutionTask(step.rank, self._runner(step)) for step in steps
+            ExecutionTask(position, self._runner(step))
+            for position, step in enumerate(steps)
         )
-        by_rank = {step.rank: step for step in steps}
-        outcomes = self._executor.map_completed(tasks, should_stop)
+        outcomes = outcomes_of(tasks, should_stop)
         consumed = 0
         try:
             for outcome in outcomes:
                 consumed += 1
-                step = by_rank[outcome.rank]
+                step = steps[outcome.rank]
                 if outcome.error is None:
                     if step.kind == QueryKind.REWRITTEN:
                         with self._lock:
                             self.stats.rewritten_issued += 1
-                    for row in outcome.value:
-                        yield step, row
+                    yield step, outcome.value
                     continue
                 verdict = self._absorb(step, outcome.error)
                 if verdict == _RAISE:
                     raise outcome.error
                 if verdict == _HALT:
-                    halted[0] = True
+                    halted = True
                     break
         finally:
-            closer = getattr(outcomes, "close", None)
-            if closer is not None:
-                closer()
-        if consumed < len(steps) and not halted[0] and self.deadline_exceeded():
+            outcomes.close()
+        if consumed < len(steps) and not halted and self.deadline_exceeded():
             self._note_deadline()
 
     def deadline_exceeded(self) -> bool:
@@ -467,10 +429,9 @@ class RetrievalEngine:
             return _CONTINUE
         failure_query = None if step.kind == QueryKind.MULTI_NULL else step.query
         if isinstance(error, QueryBudgetExceededError):
-            if self._record_failures:
-                self.stats.record_failure(
-                    failure_query, FailureKind.BUDGET_EXHAUSTED, str(error)
-                )
+            self.stats.record_failure(
+                failure_query, FailureKind.BUDGET_EXHAUSTED, str(error)
+            )
             self.degraded = True
             if self._telemetry is not None:
                 self._telemetry.count("mediator.budget_exhausted")
@@ -485,10 +446,9 @@ class RetrievalEngine:
             with self._lock:
                 self._source_failures += 1
                 failures = self._source_failures
-            if self._record_failures:
-                self.stats.record_failure(
-                    failure_query, FailureKind.ADMISSION_REJECTED, str(error)
-                )
+            self.stats.record_failure(
+                failure_query, FailureKind.ADMISSION_REJECTED, str(error)
+            )
             self.degraded = True
             if self._telemetry is not None:
                 self._telemetry.count("mediator.load_shed")
@@ -511,10 +471,9 @@ class RetrievalEngine:
             with self._lock:
                 self._source_failures += 1
                 failures = self._source_failures
-            if self._record_failures:
-                self.stats.record_failure(
-                    failure_query, FailureKind.SOURCE_UNAVAILABLE, str(error)
-                )
+            self.stats.record_failure(
+                failure_query, FailureKind.SOURCE_UNAVAILABLE, str(error)
+            )
             self.degraded = True
             if self._telemetry is not None:
                 self._telemetry.count("mediator.source_failures")
@@ -544,8 +503,7 @@ class RetrievalEngine:
             f"retrieval for {self._label} exceeded its deadline of "
             f"{self._policy.deadline_seconds}s after {elapsed:.3f}s"
         )
-        if self._record_failures:
-            self.stats.record_failure(None, FailureKind.DEADLINE, message)
+        self.stats.record_failure(None, FailureKind.DEADLINE, message)
         if self._telemetry is not None:
             self._telemetry.count("mediator.deadline_exceeded")
         self.degraded = True

@@ -30,10 +30,9 @@ it; consumers owe their own deterministic final ordering.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Generator, Iterable, TypeAlias
 
 from repro.errors import QpiadError
 
@@ -64,33 +63,8 @@ class TaskOutcome:
     error: BaseException | None = None
 
 
-class PlanExecutor(Protocol):
-    """The pluggable execution strategy for a retrieval plan."""
-
-    name: str
-
-    def map(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        """Yield one outcome per started task, in task order."""
-        ...
-
-    def map_completed(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        """Yield one outcome per started task, in *completion* order.
-
-        The streaming relaxation of :meth:`map`: outcomes surface the
-        moment their task finishes, so a fast task is never held back
-        behind a slow earlier one.  Consumers that need determinism must
-        impose their own final order (rank at the end, stream in the
-        middle); prefix semantics and errors-are-data still hold.
-        """
-        ...
+#: One stream of outcomes; closing it ends the executor's work.
+Outcomes: TypeAlias = Generator[TaskOutcome, None, None]
 
 
 class SerialExecutor:
@@ -100,30 +74,17 @@ class SerialExecutor:
     the engine runs whenever it does not fan a plan out: a task only runs
     when its outcome is consumed, so a caller that stops reading (the
     streaming interface) never spends budget on queries it did not need.
-
-    *scheduler*, when given, is the process's
-    :class:`~repro.resilience.SourceScheduler`; the executor notes each
-    task start with it so admission telemetry can attribute load to the
-    execution strategy that generated it.  (The actual admission /
-    dedup / hedging happens inside the engine's per-call routing, not
-    here — the executor's job is only *when* tasks run.)
     """
-
-    name = "serial"
-
-    def __init__(self, scheduler: Any = None):
-        self.scheduler = scheduler
 
     def map(
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
+    ) -> Outcomes:
+        """Yield one outcome per started task, in task order."""
         for task in tasks:
             if should_stop():
                 return
-            if self.scheduler is not None:
-                self.scheduler.note_task_start(self.name)
             try:
                 value = task.run()
             except Exception as exc:
@@ -135,13 +96,13 @@ class SerialExecutor:
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
+    ) -> Outcomes:
         """Serially, completion order *is* task order — same lazy loop."""
         return self.map(tasks, should_stop)
 
 
 class ConcurrentExecutor:
-    """Run up to *max_workers* tasks at once; merge outcomes in task order.
+    """Run up to *max_workers* tasks at once on a thread pool.
 
     The window is bounded: at most *max_workers* tasks are in flight (or
     prefetched) beyond what the consumer has read, so issuance stays
@@ -152,108 +113,86 @@ class ConcurrentExecutor:
     window wider than one.
     """
 
-    name = "concurrent"
-
-    def __init__(self, max_workers: int, scheduler: Any = None):
+    def __init__(self, max_workers: int):
         if max_workers < 1:
             raise QpiadError(f"max_workers must be at least 1, got {max_workers}")
         self.max_workers = max_workers
-        self.scheduler = scheduler
 
     def map(
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
-        iterator = iter(tasks)
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
-        ) as pool:
-            window: deque[tuple[ExecutionTask, Future[Any]]] = deque()
-            exhausted = False
-            while True:
-                while not exhausted and len(window) < self.max_workers:
-                    if should_stop():
-                        exhausted = True
-                        break
-                    try:
-                        task = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    if self.scheduler is not None:
-                        self.scheduler.note_task_start(self.name)
-                    window.append((task, pool.submit(task.run)))
-                if not window:
-                    return
-                task, future = window.popleft()
-                error = future.exception()
-                if error is not None:
-                    yield TaskOutcome(task.rank, error=error)
-                else:
-                    yield TaskOutcome(task.rank, value=future.result())
+    ) -> Outcomes:
+        """Yield one outcome per started task, in task order."""
+        return self._window(tasks, should_stop, completed=False)
 
     def map_completed(
         self,
         tasks: Iterable[ExecutionTask],
         should_stop: Callable[[], bool],
-    ) -> Iterator[TaskOutcome]:
+    ) -> Outcomes:
         """Yield outcomes the moment their call completes, window bounded.
 
-        Up to ``max_workers`` tasks are in flight; whichever finishes
-        first is yielded first and its slot refilled, so one slow source
-        call never delays the answers of the fast ones.  Stopping and
-        error semantics match :meth:`map` — submission stops when
-        ``should_stop()`` turns true, in-flight work completes, and
-        exceptions travel as data.
+        Whichever call in flight finishes first is yielded first and its
+        slot refilled, so one slow source call never delays the answers
+        of the fast ones.  Stopping and error semantics match :meth:`map`.
         """
+        return self._window(tasks, should_stop, completed=True)
+
+    def _window(
+        self,
+        tasks: Iterable[ExecutionTask],
+        should_stop: Callable[[], bool],
+        *,
+        completed: bool,
+    ) -> Outcomes:
+        """Keep the window full and yield one finished call at a time: the
+        oldest call in flight, or with *completed* the oldest one done."""
         iterator = iter(tasks)
         with ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
         ) as pool:
-            in_flight: dict[Future[Any], ExecutionTask] = {}
+            # Insertion-ordered, so iteration visits the oldest call first.
+            in_flight: dict[Future[Any], int] = {}
             exhausted = False
             while True:
                 while not exhausted and len(in_flight) < self.max_workers:
-                    if should_stop():
+                    task = None if should_stop() else next(iterator, None)
+                    if task is None:
                         exhausted = True
                         break
-                    try:
-                        task = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    if self.scheduler is not None:
-                        self.scheduler.note_task_start(self.name)
-                    in_flight[pool.submit(task.run)] = task
+                    in_flight[pool.submit(task.run)] = task.rank
                 if not in_flight:
                     return
-                done, __ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = in_flight.pop(future)
-                    error = future.exception()
-                    if error is not None:
-                        yield TaskOutcome(task.rank, error=error)
-                    else:
-                        yield TaskOutcome(task.rank, value=future.result())
+                if completed:
+                    done, __ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    future = next(call for call in in_flight if call in done)
+                else:
+                    future = next(iter(in_flight))
+                rank = in_flight.pop(future)
+                error = future.exception()
+                if error is not None:
+                    yield TaskOutcome(rank, error=error)
+                else:
+                    yield TaskOutcome(rank, value=future.result())
 
 
-def build_executor(
-    max_concurrency: int | None, scheduler: Any = None
-) -> PlanExecutor:
+#: The execution strategy a :class:`~repro.engine.RetrievalEngine` runs.
+PlanExecutor: TypeAlias = SerialExecutor | ConcurrentExecutor
+
+
+def build_executor(max_concurrency: int | None) -> PlanExecutor:
     """The executor for a concurrency width: serial at 1, thread pool above.
 
     ``None`` (an unpinned width) also gives the serial executor: a caller
     that leaves the width open runs one call at a time unless it decides
     to fan a plan out itself, as :class:`~repro.engine.RetrievalEngine`
-    does.  *scheduler* (a :class:`~repro.resilience.SourceScheduler`) is
-    handed to the executor for load attribution; it is duck-typed here to
-    keep this module free of a resilience-package import.
+    does.
     """
     if max_concurrency is None or max_concurrency == 1:
-        return SerialExecutor(scheduler=scheduler)
+        return SerialExecutor()
     if max_concurrency < 1:
         raise QpiadError(
             f"max_concurrency must be at least 1, got {max_concurrency}"
         )
-    return ConcurrentExecutor(max_concurrency, scheduler=scheduler)
+    return ConcurrentExecutor(max_concurrency)

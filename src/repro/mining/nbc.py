@@ -246,65 +246,6 @@ class NaiveBayesClassifier:
             return {value: self.prior(value) for value in scores}
         return {value: score / total for value, score in scores.items()}
 
-    def distribution_batch(self, relation: Relation) -> list[dict[Any, float]]:
-        """Posterior distributions for every row of *relation*, in row order.
-
-        Exactly ``[distribution(evidence_of(row)) for row in relation]`` where
-        each row's evidence is its values on this classifier's features
-        (features absent from the relation's schema are skipped, as are NULL
-        cells).  The likelihood products run as vectorized per-feature
-        gathers over dictionary codes, performing the float operations in
-        the same order as :meth:`distribution`, so the posteriors are
-        bit-identical.
-        """
-        present = [name for name in self.features if name in relation.schema.names]
-        store = relation.columnar()
-        count = len(store)
-        class_values = list(self._class_counts)
-        scores = [np.full(count, self.prior(value)) for value in class_values]
-        for name in present:
-            column = store.column(name)
-            codes = column.codes
-            if not column.values:
-                continue  # every cell NULL: the feature is skipped row-wise
-            valid = codes >= 0
-            safe = np.where(valid, codes, 0)
-            for position, class_value in enumerate(class_values):
-                table = np.array(
-                    [
-                        self.likelihood(name, value, class_value)
-                        for value in column.values
-                    ],
-                    dtype=np.float64,
-                )
-                # NULL rows skip the feature; multiplying by 1.0 is the
-                # bit-identical no-op.
-                scores[position] = scores[position] * np.where(
-                    valid, table[safe], 1.0
-                )
-        total = np.zeros(count, dtype=np.float64)
-        for score in scores:
-            total = total + score
-        positive = total > 0.0
-        safe_total = np.where(positive, total, 1.0)
-        normalized = [
-            np.where(positive, score / safe_total, 0.0).tolist() for score in scores
-        ]
-        priors = {value: self.prior(value) for value in class_values}
-        positive_list = positive.tolist()
-        results: list[dict[Any, float]] = []
-        for row_index in range(count):
-            if positive_list[row_index]:
-                results.append(
-                    {
-                        value: normalized[position][row_index]
-                        for position, value in enumerate(class_values)
-                    }
-                )
-            else:
-                results.append(dict(priors))
-        return results
-
     def predict(self, evidence: Mapping[str, Any]) -> tuple[Any, float]:
         """The argmax completion and its posterior probability.
 

@@ -343,15 +343,6 @@ class SourceScheduler:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def note_task_start(self, executor_name: str) -> None:
-        """Executor hook: count a plan task handed to this scheduler's care.
-
-        Plan executors carrying a scheduler call this as each task
-        starts, so ``scheduler.executor.<name>.tasks`` exposes which
-        execution strategy is driving the admission load.
-        """
-        self._count(f"scheduler.executor.{executor_name}.tasks")
-
     # -- the one entry point ------------------------------------------------
 
     def call(

@@ -22,7 +22,7 @@ from repro.telemetry.export import (
     telemetry_snapshot,
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
-from repro.telemetry.telemetry import Telemetry, maybe_span
+from repro.telemetry.telemetry import Telemetry, maybe_span, timed_first
 from repro.telemetry.tracer import Span, SpanContext, SpanKind, Tracer
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "Telemetry",
     "maybe_span",
+    "timed_first",
     "render_trace_text",
     "render_metrics_text",
     "render_telemetry_text",

@@ -16,12 +16,14 @@ for span-shaped sites so call sites stay one line.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Span, SpanContext, Tracer
 
-__all__ = ["Telemetry", "maybe_span"]
+__all__ = ["Telemetry", "maybe_span", "timed_first"]
+
+T = TypeVar("T")
 
 
 class Telemetry:
@@ -114,3 +116,23 @@ def maybe_span(
     if telemetry is None:
         return _NULL_SPAN
     return telemetry.span(name, kind, parent=parent, **attributes)
+
+
+def timed_first(
+    stream: Iterable[T], telemetry: "Telemetry | None", metric: str
+) -> Iterator[T]:
+    """Yield *stream* unchanged, observing the latency to its first item.
+
+    The clock starts when the first item is requested; the seconds until
+    it arrives feed the *metric* histogram once.  A stream that ends
+    empty observes nothing.  The streaming join and federation interfaces
+    report their time to first answer this way.
+    """
+    started = time.monotonic()
+    items = iter(stream)
+    for first in items:
+        if telemetry is not None:
+            telemetry.observe(metric, time.monotonic() - started)
+        yield first
+        break
+    yield from items

@@ -42,5 +42,8 @@ def test_suppressions_stay_bounded():
     # per-row count loop went away.  Lowered 10 -> 9 when repro.core
     # stopped re-exporting the rewriting stage: its callers import
     # repro.core.rewriting directly, so the re-export's suppression went.
+    # Lowered 9 -> 8 when the federation's certain-only probe of an
+    # unmined source became an engine base call: no raw-source-call-in-core
+    # suppression is left.
     report = lint_paths([SRC])
-    assert report.suppressed_count <= 9
+    assert report.suppressed_count <= 8

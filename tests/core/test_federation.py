@@ -6,12 +6,14 @@ from repro.core import QpiadConfig
 from repro.core.federation import FederatedMediator
 from repro.errors import SourceUnavailableError
 from repro.query import SelectionQuery
+from repro.resilience import SourceScheduler, scheduler_scope
 from repro.sources import (
     AutonomousSource,
     SourceCapabilities,
     SourceDecorator,
     SourceRegistry,
 )
+from repro.telemetry import SpanKind, Telemetry
 
 YAHOO_ATTRS = ("make", "model", "year", "price", "mileage", "certified")
 
@@ -73,6 +75,29 @@ class TestFederatedQuery:
                 assert len(answer.row) == len(YAHOO_ATTRS)
             else:
                 assert len(answer.row) == len(cars_env.test.schema)
+
+
+class TestFederatedBilling:
+    def test_every_source_call_goes_through_the_engine(self, cars_env):
+        # The unmined source's certain-only probe is a source call like
+        # any other: admitted by the scheduler, billed and spanned.
+        carscom = AutonomousSource("cars.com", cars_env.test, SourceCapabilities.web_form())
+        unmined = AutonomousSource("fresh-source", cars_env.test, SourceCapabilities.web_form())
+        registry = SourceRegistry(cars_env.test.schema, [carscom, unmined])
+        telemetry = Telemetry()
+        scheduler = SourceScheduler()
+        mediator = FederatedMediator(
+            registry, {"cars.com": cars_env.knowledge}, QpiadConfig(k=8), telemetry=telemetry
+        )
+        with scheduler_scope(scheduler):
+            mediator.query(SelectionQuery.equals("body_style", "Convt"))
+        answered = carscom.statistics.queries_answered + unmined.statistics.queries_answered
+        source_spans = [
+            span for span in telemetry.tracer.spans if span.kind in SpanKind.SOURCE_CALLS
+        ]
+        assert scheduler.metrics.value("scheduler.calls") == answered
+        assert telemetry.metrics.value("mediator.queries_issued") == answered
+        assert len(source_spans) == answered
 
 
 class DownSource(SourceDecorator):

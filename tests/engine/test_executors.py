@@ -8,6 +8,7 @@ laziness: a task only runs when its outcome is consumed.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -21,10 +22,26 @@ from repro.errors import QpiadError
 
 EXECUTORS = [SerialExecutor(), ConcurrentExecutor(4)]
 IDS = ["serial", "concurrent"]
+METHODS = ["map", "map_completed"]
 
 
 def _tasks(thunks):
     return [ExecutionTask(rank, thunk) for rank, thunk in enumerate(thunks)]
+
+
+def _recorded(count, started, lock, seconds=0.0):
+    """*count* tasks that note their start in *started*, then sleep."""
+
+    def make(i):
+        def run():
+            with lock:
+                started.append(i)
+            time.sleep(seconds)
+            return i
+
+        return run
+
+    return _tasks([make(i) for i in range(count)])
 
 
 class TestContract:
@@ -179,7 +196,8 @@ class TestSerialLaziness:
 
 
 class TestConcurrentWindow:
-    def test_runs_tasks_on_multiple_threads(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_runs_tasks_on_multiple_threads(self, method):
         gate = threading.Barrier(4, timeout=10)
 
         def rendezvous():
@@ -188,12 +206,36 @@ class TestConcurrentWindow:
             return threading.current_thread().name
 
         outcomes = list(
-            ConcurrentExecutor(4).map(_tasks([rendezvous] * 4), lambda: False)
+            getattr(ConcurrentExecutor(4), method)(_tasks([rendezvous] * 4), lambda: False)
         )
         assert len({o.value for o in outcomes}) > 1
         assert all(o.value.startswith("qpiad-engine") for o in outcomes)
 
-    def test_in_flight_work_completes_after_stop(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_in_flight_tasks_never_exceed_the_width(self, method):
+        started, lock = [], threading.Lock()
+        read = 0
+        for __ in getattr(ConcurrentExecutor(3), method)(
+            _recorded(12, started, lock, seconds=0.002), lambda: False
+        ):
+            # Started but not yet read, the outcome in hand included.
+            with lock:
+                assert len(started) - read <= 3
+            read += 1
+        assert read == 12
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_closing_after_one_outcome_starts_at_most_one_window(self, method):
+        started, lock = [], threading.Lock()
+        stream = getattr(ConcurrentExecutor(3), method)(
+            _recorded(12, started, lock, seconds=0.002), lambda: False
+        )
+        next(stream)
+        stream.close()
+        assert len(started) <= 1 + 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_in_flight_work_completes_after_stop(self, method):
         started = []
         finished = []
         stop = threading.Event()
@@ -208,14 +250,17 @@ class TestConcurrentWindow:
             return run
 
         outcomes = list(
-            ConcurrentExecutor(2).map(
+            getattr(ConcurrentExecutor(2), method)(
                 _tasks([make(i) for i in range(10)]), stop.is_set
             )
         )
         # Everything that started also finished (never cancelled), and the
-        # merged outcomes are exactly the started prefix.
+        # outcomes are exactly the started prefix, in plan order for map.
         assert sorted(started) == sorted(finished)
-        assert [o.value for o in outcomes] == list(range(len(outcomes)))
+        values = [o.value for o in outcomes]
+        if method == "map_completed":
+            values.sort()
+        assert values == list(range(len(outcomes)))
         assert len(outcomes) < 10
 
     def test_rejects_nonpositive_width(self):
@@ -228,11 +273,11 @@ class TestBuildExecutor:
         assert isinstance(build_executor(None), SerialExecutor)
 
     def test_one_is_serial(self):
-        assert build_executor(1).name == "serial"
+        assert isinstance(build_executor(1), SerialExecutor)
 
     def test_above_one_is_concurrent(self):
         executor = build_executor(6)
-        assert executor.name == "concurrent"
+        assert isinstance(executor, ConcurrentExecutor)
         assert executor.max_workers == 6
 
     def test_below_one_rejected(self):

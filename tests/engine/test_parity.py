@@ -12,7 +12,7 @@ import pytest
 from repro.core import AggregateProcessor, QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
 from repro.evaluation import selection_workload, multi_attribute_workload
-from repro.query import AggregateFunction, AggregateQuery
+from repro.query import AggregateFunction, AggregateQuery, SelectionQuery
 
 WIDTHS = [1, 4]
 
@@ -73,7 +73,9 @@ class TestStreamParity:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_iter_possible_matches_query(self, cars_env, width):
         source = cars_env.web_source()
-        for query in _workload(cars_env):
+        # The mileage query's plan retrieves a row twice: the drained
+        # stream must count the discarded duplicate as query() does.
+        for query in _workload(cars_env) + [SelectionQuery.equals("mileage", 47000)]:
             config = QpiadConfig(k=10, max_concurrency=width)
             eager = QpiadMediator(source, cars_env.knowledge, config).query(query)
             stats = RetrievalStats()
@@ -85,9 +87,7 @@ class TestStreamParity:
             assert [(a.row, a.confidence) for a in streamed] == [
                 (a.row, a.confidence) for a in eager.ranked
             ]
-            assert stats.queries_issued == eager.stats.queries_issued
-            assert stats.tuples_retrieved == eager.stats.tuples_retrieved
-            assert stats.rewritten_issued == eager.stats.rewritten_issued
+            assert stats == eager.stats, query
 
     def test_abandoned_stream_spends_less(self, cars_env):
         # Laziness survives the refactor: stopping early must not cost the
@@ -112,8 +112,6 @@ class TestStreamParity:
 class TestAggregateParity:
     @pytest.mark.parametrize("rule", ["argmax", "fractional"])
     def test_concurrent_equals_serial(self, cars_env, rule):
-        from repro.query import SelectionQuery
-
         aggregate = AggregateQuery(
             SelectionQuery.equals("body_style", "Convt"),
             AggregateFunction.SUM,
@@ -142,7 +140,6 @@ class TestAggregateParity:
 class TestFederationParity:
     def test_concurrent_equals_serial(self, cars_env):
         from repro.core.federation import FederatedMediator
-        from repro.query import SelectionQuery
         from repro.sources.registry import SourceRegistry
 
         source = cars_env.web_source()

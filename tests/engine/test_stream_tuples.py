@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.results import RetrievalStats
 from repro.engine import (
-    ConcurrentExecutor,
     ExecutionPolicy,
     PlannedQuery,
     QueryKind,
@@ -59,12 +58,11 @@ def _plan(queries, kind=QueryKind.REWRITTEN):
     ]
 
 
-def _engine(source, policy=None, stats=None, executor=None):
+def _engine(source, policy=None, stats=None):
     return RetrievalEngine(
         source,
         policy if policy is not None else ExecutionPolicy(),
         stats if stats is not None else RetrievalStats(),
-        executor=executor,
         label="test",
     )
 
@@ -109,9 +107,8 @@ class TestStreamTuples:
 
         source = Gated({slow: [("slow", "x")], fast: [("fast", "y")]})
         rows = []
-        for __, row in _engine(source, executor=ConcurrentExecutor(2)).stream_tuples(
-            _plan([slow, fast])
-        ):
+        engine = _engine(source, policy=ExecutionPolicy(max_concurrency=2))
+        for __, row in engine.stream_tuples(_plan([slow, fast])):
             rows.append(row)
             # The slow call may only finish once the fast call's row has
             # been *yielded*, forcing the overtaking order.

@@ -87,9 +87,9 @@ def fan_outs(monkeypatch) -> list[int]:
     widths: list[int] = []
 
     class Recording(ConcurrentExecutor):
-        def __init__(self, max_workers: int, scheduler=None):
+        def __init__(self, max_workers: int):
             widths.append(max_workers)
-            super().__init__(max_workers, scheduler=scheduler)
+            super().__init__(max_workers)
 
     monkeypatch.setattr(engine_module, "ConcurrentExecutor", Recording)
     return widths
@@ -133,6 +133,16 @@ class TestConfiguration:
             QpiadConfig(max_concurrency=width)
         with pytest.raises(QpiadError, match="max_concurrency"):
             ExecutionPolicy(max_concurrency=width)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_source_failures", -1), ("deadline_seconds", -1.0)],
+    )
+    def test_config_rejects_what_the_policy_rejects(self, field, value):
+        with pytest.raises(QpiadError, match=field):
+            QpiadConfig(**{field: value})
+        with pytest.raises(QpiadError, match=field):
+            ExecutionPolicy(**{field: value})
 
 
 class TestDefaultEqualsSerial:

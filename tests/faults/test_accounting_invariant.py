@@ -52,6 +52,23 @@ class TestQueriesIssuedMatchesSourceCallLog:
         assert stats.queries_issued == source.statistics.calls
 
     @pytest.mark.parametrize("query_budget", [None, 4])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_drained_stream_reports_the_query_stats(self, cars_env, seed, query_budget):
+        # Same seeded weather for both: failures, budget exhaustion and
+        # duplicates must land in the stream's stats as in query()'s.
+        config = QpiadConfig(k=10, max_concurrency=1)
+        result = QpiadMediator(
+            _chaotic_source(cars_env, seed, query_budget), cars_env.knowledge, config
+        ).query(QUERY)
+        stats = RetrievalStats()
+        list(
+            QpiadMediator(
+                _chaotic_source(cars_env, seed, query_budget), cars_env.knowledge, config
+            ).iter_possible(QUERY, stats)
+        )
+        assert stats == result.stats
+
+    @pytest.mark.parametrize("query_budget", [None, 4])
     def test_failed_calls_are_the_difference_from_successes(
         self, cars_env, query_budget
     ):

@@ -109,26 +109,11 @@ def _assert_counts_match_reference(nbc, relation):
     assert nbc._domain_sizes == domains
 
 
-def _assert_batch_matches_per_row(nbc, relation):
-    positions = {name: relation.schema.index_of(name) for name in nbc.features}
-    batch = nbc.distribution_batch(relation)
-    assert len(batch) == len(relation)
-    for row, posterior in zip(relation.rows, batch):
-        evidence = {name: row[index] for name, index in positions.items()}
-        assert posterior == nbc.distribution(evidence)
-        assert list(posterior) == list(nbc.distribution(evidence))
-
-
 class TestNbcParity:
     def test_counts_and_domains_identical_including_order(self):
         sample = _sample()
         nbc = NaiveBayesClassifier(sample, "body_style", ("make", "model"))
         _assert_counts_match_reference(nbc, sample)
-
-    def test_distribution_batch_matches_per_row_distribution(self):
-        sample = _sample()
-        nbc = NaiveBayesClassifier(sample, "body_style", ("make", "model"))
-        _assert_batch_matches_per_row(nbc, sample)
 
     def test_nbc_with_nulls_in_class_and_features(self):
         relation = Relation(
@@ -145,7 +130,6 @@ class TestNbcParity:
         nbc = NaiveBayesClassifier(relation, "cls", ("f", "g"))
         _assert_counts_match_reference(nbc, relation)
         assert nbc._domain_sizes["g"] == 1  # all-NULL feature: smoothed to 1
-        _assert_batch_matches_per_row(nbc, relation)
 
     def test_extended_counts_match_reference_on_the_union(self):
         sample = _sample()
