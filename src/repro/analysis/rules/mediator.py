@@ -147,6 +147,8 @@ _REWRITE_STAGE_CALLS = frozenset(
     {
         "generate_rewritten_queries",
         "order_rewritten_queries",
+        "rewriting_bindings",
+        "rewritten_from_bindings",
         "score_rewritten_queries",
     }
 )

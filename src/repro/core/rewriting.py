@@ -14,7 +14,8 @@ classifier and estimated selectivity from the sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import RewritingError
 from repro.mining.afd import Afd
@@ -24,7 +25,14 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 from repro.relational.values import is_null
 
-__all__ = ["RewrittenQuery", "generate_rewritten_queries", "target_probability"]
+__all__ = [
+    "RewritingBinding",
+    "RewrittenQuery",
+    "generate_rewritten_queries",
+    "rewriting_bindings",
+    "rewritten_from_bindings",
+    "target_probability",
+]
 
 
 @dataclass(frozen=True)
@@ -123,25 +131,111 @@ def generate_rewritten_queries(
 
     Attributes with no usable AFD are skipped (they cannot be rewritten);
     raises :class:`RewritingError` only when *no* constrained attribute is
-    rewritable.
+    rewritable.  Equivalent to :func:`rewritten_from_bindings` over
+    :func:`rewriting_bindings`, the two steps the planner runs separately.
     """
+    return rewritten_from_bindings(
+        query, rewriting_bindings(query, base_set, knowledge), knowledge, method
+    )
+
+
+class RewritingBinding(NamedTuple):
+    """What one constrained attribute's rewritings read from a base set.
+
+    Attributes
+    ----------
+    attribute:
+        The constrained attribute the rewritings hunt.
+    determining:
+        Its best AFD's determining attributes.
+    combos:
+        The raw determining-value combination of the first base tuple seen
+        in each mining-label class, in first-seen order; combinations with a
+        NULL are skipped.  Empty when the base set lacks a determining
+        attribute.
+    """
+
+    attribute: str
+    determining: tuple[str, ...]
+    combos: tuple[tuple[Any, ...], ...]
+
+
+def rewriting_bindings(
+    query: SelectionQuery, base_set: Relation, knowledge: KnowledgeBase
+) -> tuple[RewritingBinding, ...]:
+    """Everything rewriting reads from *base_set*, in one pass over it.
+
+    One binding per rewritable constrained attribute (one with a best AFD),
+    in constraint order.  Given the query and the knowledge, the candidates
+    are a pure function of these bindings — which is why the planner keys
+    cached plans on them rather than on every base-set row.
+
+    The pass projects each row onto the union of the determining columns
+    and deduplicates the projections in C (``itemgetter`` + ``dict.fromkeys``
+    keep the first-seen object of each distinct combination, in order)
+    before any mining label is computed.  Discretized numeric attributes
+    are then compared by bucket label, so two base tuples whose ages fall
+    in the same bucket bind one rewritten query rather than one per exact
+    age.  Web forms cannot bind NULL, so combinations containing one are
+    skipped.
+    """
+    rewritable = [
+        (attribute, afd.determining)
+        for attribute in query.constrained_attributes
+        if (afd := knowledge.best_afd(attribute)) is not None
+    ]
+    schema = base_set.schema
+    columns = tuple(
+        dict.fromkeys(
+            name
+            for __, determining in rewritable
+            for name in determining
+            if name in schema
+        )
+    )
+    distinct = (
+        tuple(dict.fromkeys(_project(base_set, schema.indices_of(columns))))
+        if columns
+        else ()
+    )
+    bindings: list[RewritingBinding] = []
+    for attribute, determining in rewritable:
+        if any(name not in schema for name in determining):
+            combos: tuple[tuple[Any, ...], ...] = ()
+        else:
+            positions = [columns.index(name) for name in determining]
+            combos = _first_per_label_class(
+                tuple(dict.fromkeys(_project(distinct, positions))),
+                determining,
+                knowledge,
+            )
+        bindings.append(RewritingBinding(attribute, determining, combos))
+    return tuple(bindings)
+
+
+def rewritten_from_bindings(
+    query: SelectionQuery,
+    bindings: Sequence[RewritingBinding],
+    knowledge: KnowledgeBase,
+    method: str | None = None,
+) -> list[RewrittenQuery]:
+    """The candidate rewritten queries *bindings* yield for *query*.
+
+    One candidate per bound combination, scored with its estimated
+    precision and selectivity.  Raises :class:`RewritingError` when no
+    constrained attribute is rewritable (*bindings* is empty).
+    """
+    if not bindings:
+        raise RewritingError(
+            f"no constrained attribute of {query!r} has a usable AFD; "
+            "cannot generate rewritten queries"
+        )
     candidates: list[RewrittenQuery] = []
-    rewritable = 0
     seen: set[tuple[str, SelectionQuery]] = set()
-
-    for attribute in query.constrained_attributes:
+    for attribute, determining, combos in bindings:
         best_afd = knowledge.best_afd(attribute)
-        if best_afd is None:
-            continue
-        rewritable += 1
-        determining = [
-            name for name in best_afd.determining if name in base_set.schema
-        ]
-        if len(determining) != len(best_afd.determining):
-            continue  # base set lacks some determining attributes
         target_conjuncts = query.conjuncts_on(attribute)
-
-        for combo, evidence in _distinct_combinations(base_set, determining, knowledge):
+        for combo in combos:
             replacements = [
                 _determining_predicate(knowledge, name, value)
                 for name, value in zip(determining, combo)
@@ -162,6 +256,7 @@ def generate_rewritten_queries(
                 continue
             seen.add(key)
 
+            evidence = dict(zip(determining, combo))
             precision = target_probability(
                 knowledge, attribute, target_conjuncts, evidence, method
             )
@@ -176,43 +271,40 @@ def generate_rewritten_queries(
                     afd=best_afd,
                 )
             )
-
-    if rewritable == 0:
-        raise RewritingError(
-            f"no constrained attribute of {query!r} has a usable AFD; "
-            "cannot generate rewritten queries"
-        )
     return candidates
 
 
-def _distinct_combinations(
-    base_set: Relation,
+def _project(rows: Iterable[tuple], indices: Sequence[int]) -> Iterable[tuple]:
+    """Each row's values at (one or more) *indices*, as a tuple, in C."""
+    if len(indices) == 1:
+        return zip(map(itemgetter(indices[0]), rows))
+    return map(itemgetter(*indices), rows)
+
+
+def _first_per_label_class(
+    combos: Sequence[tuple[Any, ...]],
     determining: Sequence[str],
     knowledge: KnowledgeBase,
-) -> Iterable[tuple[tuple, dict[str, Any]]]:
-    """Distinct determining-set value combinations, deduplicated in mining space.
+) -> tuple[tuple[Any, ...], ...]:
+    """The first NULL-free combination of each mining-label class.
 
-    Discretized numeric attributes are compared by bucket label, so two base
-    tuples whose ages fall in the same bucket yield one rewritten query
-    rather than one per exact age.  Combinations containing NULLs are
-    skipped — web forms cannot bind NULL.  Yields the raw value combination
-    (from the first tuple seen in each bucket-space class) and its evidence
-    mapping.
+    Labels are computed once per distinct value of each column, not once
+    per combination.  A NULL gets no label, so a combination holding one
+    maps to a ``None`` label and is skipped (cells are never ``None``).
     """
-    indices = base_set.schema.indices_of(determining)
-    seen_labels: set[tuple] = set()
-    for row in base_set:
-        combo = tuple(row[i] for i in indices)
-        if any(is_null(value) for value in combo):
-            continue
-        labels = tuple(
-            knowledge.mining_label(name, value)
-            for name, value in zip(determining, combo)
-        )
-        if labels in seen_labels:
-            continue
-        seen_labels.add(labels)
-        yield combo, dict(zip(determining, combo))
+    label_columns: list[Iterable[Any]] = []
+    for name, column in zip(determining, zip(*combos)):
+        label_of = {
+            value: knowledge.mining_label(name, value)
+            for value in dict.fromkeys(column)
+            if not is_null(value)
+        }
+        label_columns.append(map(label_of.get, column))
+    first: dict[tuple, tuple[Any, ...]] = {}
+    for combo, combo_labels in zip(combos, zip(*label_columns)):
+        if None not in combo_labels:
+            first.setdefault(combo_labels, combo)
+    return tuple(first.values())
 
 
 def _determining_predicate(

@@ -7,11 +7,15 @@ with the engine's ``max_concurrency`` executors and with several mediators
 sharing one cache (federation, multi-way joins).
 
 Keys are built by :class:`~repro.planner.planner.QueryPlanner` from
-content fingerprints — canonical query, base-set rows, planner config,
-source capability token, knowledge fingerprint — so entries are
-invalidated *exactly* when an input changes and never otherwise: reloading
-knowledge (same content) keeps hitting, re-mining or refreshing it misses,
-and two sources whose samples differ by one row can never cross-talk.
+content fingerprints — canonical query, the base set's rewriting bindings
+(the first raw determining-value combination of each mining-label class,
+which is all rewriting reads from a base set), planner config, source
+capability token, knowledge fingerprint — so entries are invalidated
+*exactly* when an input changes and never otherwise: reloading knowledge
+(same content) keeps hitting, re-mining or refreshing it misses, two
+sources whose samples differ by one row can never cross-talk, and a base
+set that differs from a cached one only outside the determining columns
+hits.
 """
 
 from __future__ import annotations

@@ -1,19 +1,23 @@
 """Deterministic content fingerprints for plan caching.
 
 A cached plan is only valid while everything it was derived from is
-unchanged: the user query, the base result set it was seeded with, the
-planner's own configuration, the capability surface of the source that
-gated it, and — most importantly — the mined knowledge.  Each of those
-inputs gets a canonical string encoding here, hashed with SHA-256, so two
-inputs share a fingerprint exactly when they are content-identical.
+unchanged: the user query, the rewriting bindings of the base result set
+it was seeded with, the planner's own configuration, the capability
+surface of the source that gated it, and — most importantly — the mined
+knowledge.  Each of those inputs gets a canonical string encoding here,
+hashed with SHA-256, so two inputs share a fingerprint exactly when they
+are content-identical.
 
 Encoding rules worth noting:
 
 * floats are encoded via ``repr``, which round-trips binary64 exactly, so
   a knowledge base saved to JSON and loaded back fingerprints identically;
-* relation rows are encoded **in order** — row order is semantic for
-  planning (rewritten queries bind the determining values of the *first*
-  base tuple seen per bucket-space class);
+* sequences are encoded **in order**.  Relation rows
+  (:func:`relation_fingerprint`, which knowledge fingerprints and refresh
+  lineage use) hash in row order, and so do the combinations of the
+  rewriting bindings the planner keys on: rewritten queries bind the
+  determining values of the *first* base tuple seen per bucket-space
+  class, so which raw value comes first is semantic;
 * sets, frozensets, and mappings are sorted into a canonical order so the
   fingerprint never depends on iteration order.
 """
@@ -90,6 +94,10 @@ def query_fingerprint(query: Any) -> str:
 
 def relation_fingerprint(relation: Relation) -> str:
     """Fingerprint of a relation's schema and rows, **in row order**.
+
+    Knowledge fingerprints hash their sample with it, and refresh lineage
+    records each folded batch by it.  The planner does not key on it: a
+    plan reads a base set only through its rewriting bindings.
 
     Delegates to the relation's memoized row-chain digest, which
     ``concat``/``concat_encoded`` extend in O(appended rows) — the reason

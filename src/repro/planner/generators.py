@@ -1,13 +1,15 @@
 """Composable rewrite generators: the candidate-producing planner stage.
 
-A :class:`RewriteGenerator` turns (query, base set) into candidate
-rewritten queries.  The planner composes one generator with the shared
+A :class:`RewriteGenerator` turns a query, the rewriting bindings of its
+base set and a knowledge generation into candidate rewritten queries.  The
+planner composes one generator with the shared
 :class:`~repro.planner.ranker.Ranker` and a gating policy to build a
 retrieval plan; mediators never call the generation machinery in
 :mod:`repro.core.rewriting` directly any more (the
 ``raw-rewrite-call-in-core`` lint rule keeps it that way).
 
-Generators are small frozen values so they can live inside cache keys and
+Generators are small frozen values holding only their knobs — the planner
+hands each ``generate`` call its per-call knowledge snapshot — so they can
 be shared across threads freely.
 """
 
@@ -17,12 +19,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Protocol, Sequence
 
-from repro.core.rewriting import RewrittenQuery, generate_rewritten_queries
+from repro.core.rewriting import (
+    RewritingBinding,
+    RewrittenQuery,
+    rewritten_from_bindings,
+)
 from repro.errors import QueryError, RewritingError
 from repro.mining.afd import Afd
 from repro.mining.knowledge import KnowledgeBase
 from repro.query.query import SelectionQuery
-from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
     from repro.sources.surface import Source
@@ -47,7 +52,10 @@ class RewriteGenerator(Protocol):
     """One way of producing candidate rewritten queries for a user query."""
 
     def generate(
-        self, query: SelectionQuery, base_set: Relation
+        self,
+        query: SelectionQuery,
+        bindings: "Sequence[RewritingBinding]",
+        knowledge: KnowledgeBase,
     ) -> "list[RewrittenQuery]": ...
 
 
@@ -56,24 +64,24 @@ class AfdRewriteGenerator:
     """Section 4.2's AFD-based rewriting (one candidate per distinct
     determining-set combination of the base set).
 
-    An unrewritable query (no constrained attribute has a usable AFD) is a
+    Reads the base set only through its
+    :func:`~repro.core.rewriting.rewriting_bindings`, and the knowledge
+    generation the planner snapshotted for this planning call.  An
+    unrewritable query (no constrained attribute has a usable AFD) is a
     planning outcome, not an error: it yields an empty candidate list and
     the retrieval proceeds with certain answers only.
     """
 
-    # A generator lives for exactly one plan_* call; the planner hands it
-    # the per-call generation snapshot on purpose, so candidate generation
-    # and ranking read one coherent set of statistics.
-    knowledge: KnowledgeBase  # qpiadlint: disable=stale-knowledge-capture
     method: "str | None" = None
 
     def generate(
-        self, query: SelectionQuery, base_set: Relation
+        self,
+        query: SelectionQuery,
+        bindings: "Sequence[RewritingBinding]",
+        knowledge: KnowledgeBase,
     ) -> "list[RewrittenQuery]":
         try:
-            return generate_rewritten_queries(
-                query, base_set, self.knowledge, self.method
-            )
+            return rewritten_from_bindings(query, bindings, knowledge, self.method)
         except RewritingError:
             return []
 
@@ -90,17 +98,17 @@ class CorrelationRewriteGenerator:
     normalization of a plan none of whose queries the target can run.
     """
 
-    # Same single-query snapshot as AfdRewriteGenerator: one generation
-    # per plan_correlated call, chosen by the planner.
-    knowledge: KnowledgeBase  # qpiadlint: disable=stale-knowledge-capture
     target: "Source"
     method: "str | None" = None
 
     def generate(
-        self, query: SelectionQuery, base_set: Relation
+        self,
+        query: SelectionQuery,
+        bindings: "Sequence[RewritingBinding]",
+        knowledge: KnowledgeBase,
     ) -> "list[RewrittenQuery]":
-        candidates = AfdRewriteGenerator(self.knowledge, self.method).generate(
-            query, base_set
+        candidates = AfdRewriteGenerator(self.method).generate(
+            query, bindings, knowledge
         )
         return [
             candidate

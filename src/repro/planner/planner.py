@@ -19,13 +19,21 @@ per mediator family:
 
 Every mode runs through one caching wrapper.  With a
 :class:`~repro.planner.cache.PlanCache` attached, results are memoized
-under a key built from content fingerprints — canonical query, base-set
-rows, planner config, source capability token, and the knowledge base's
+under a key built from content fingerprints — canonical query, the base
+set's rewriting bindings, planner config, source capability token, and
+the knowledge base's
 :meth:`~repro.mining.knowledge.KnowledgeBase.fingerprint` — so a cached
 plan is reused exactly when every planning input is bit-identical, and a
 knowledge refresh (new sample, re-mined AFDs, different discretization)
-invalidates it by construction.  Without a cache, no fingerprint is ever
-computed: the disabled path is the plain pipeline with zero overhead.
+invalidates it by construction.  The bindings
+(:func:`~repro.core.rewriting.rewriting_bindings`) are all that rewriting
+reads from a base set: per rewritable constrained attribute, its
+determining attributes and the first raw value combination seen in each
+mining-label class.  Each mode that reads a base set computes them once
+per call, keys the cache on their digest and, on a miss, hands the same
+bindings to the generator, so no call walks the base set twice or hashes
+its rows.  Without a cache, no fingerprint is ever computed: the disabled
+path is the plain pipeline with zero overhead.
 """
 
 from __future__ import annotations
@@ -37,17 +45,13 @@ if TYPE_CHECKING:
     from repro.core.relaxation import RelaxationPlan
     from repro.sources.surface import Source
 
-from repro.core.rewriting import RewrittenQuery
+from repro.core.rewriting import RewritingBinding, RewrittenQuery, rewriting_bindings
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
 from repro.errors import QueryError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner.cache import PlanCache
-from repro.planner.fingerprint import (
-    query_fingerprint,
-    relation_fingerprint,
-    source_token,
-)
+from repro.planner.fingerprint import query_fingerprint, source_token, stable_digest
 from repro.planner.generators import (
     AfdRewriteGenerator,
     CorrelationRewriteGenerator,
@@ -222,14 +226,15 @@ class QueryPlanner:
         generation snapshot instead of the store's current one.
         """
         snapshot = self._snapshot(knowledge)
+        bindings = rewriting_bindings(query, base_set, snapshot)
         return self._cached(
             "selection",
             lambda: (
                 query_fingerprint(query),
-                relation_fingerprint(base_set),
+                stable_digest(bindings),
                 source_token(source),
             ),
-            lambda: self._build_selection(query, base_set, source, snapshot),
+            lambda: self._build_selection(query, bindings, source, snapshot),
             name=str(query),
             knowledge=snapshot,
         )
@@ -251,15 +256,16 @@ class QueryPlanner:
         mediator attaches the target at execution time.
         """
         snapshot = self._snapshot(knowledge)
+        bindings = rewriting_bindings(query, base_set, snapshot)
         return self._cached(
             f"correlated:{attribute}",
             lambda: (
                 query_fingerprint(query),
-                relation_fingerprint(base_set),
+                stable_digest(bindings),
                 source_token(target),
             ),
             lambda: self._build_correlated(
-                query, base_set, attribute, target, snapshot
+                query, bindings, attribute, target, snapshot
             ),
             name=str(query),
             knowledge=snapshot,
@@ -279,13 +285,11 @@ class QueryPlanner:
         the wire — and the whole gate result is cacheable.
         """
         snapshot = self._snapshot(knowledge)
+        bindings = rewriting_bindings(selection, base_set, snapshot)
         return self._cached(
             "aggregate",
-            lambda: (
-                query_fingerprint(selection),
-                relation_fingerprint(base_set),
-            ),
-            lambda: self._build_aggregate(selection, base_set, snapshot),
+            lambda: (query_fingerprint(selection), stable_digest(bindings)),
+            lambda: self._build_aggregate(selection, bindings, snapshot),
             name=str(selection),
             knowledge=snapshot,
         )
@@ -300,13 +304,14 @@ class QueryPlanner:
         """Bare AFD-rewriting candidates, for pipelines with their own
         joint scoring (the join processor scores query *pairs*)."""
         snapshot = self._snapshot(knowledge)
+        bindings = rewriting_bindings(query, base_set, snapshot)
         return self._cached(
             "candidates",
-            lambda: (query_fingerprint(query), relation_fingerprint(base_set)),
+            lambda: (query_fingerprint(query), stable_digest(bindings)),
             lambda: tuple(
-                AfdRewriteGenerator(
-                    snapshot, self.config.classifier_method
-                ).generate(query, base_set)
+                AfdRewriteGenerator(self.config.classifier_method).generate(
+                    query, bindings, snapshot
+                )
             ),
             name=str(query),
             knowledge=snapshot,
@@ -343,12 +348,12 @@ class QueryPlanner:
     def _build_selection(
         self,
         query: SelectionQuery,
-        base_set: Relation,
+        bindings: "tuple[RewritingBinding, ...]",
         source: "Source | None",
         knowledge: KnowledgeBase,
     ) -> SelectionPlan:
-        generator = AfdRewriteGenerator(knowledge, self.config.classifier_method)
-        candidates = generator.generate(query, base_set)
+        generator = AfdRewriteGenerator(self.config.classifier_method)
+        candidates = generator.generate(query, bindings, knowledge)
         ordered = self._ranker.order(candidates)
         steps: "list[PlannedQuery]" = []
         unanswerable = 0
@@ -385,15 +390,13 @@ class QueryPlanner:
     def _build_correlated(
         self,
         query: SelectionQuery,
-        base_set: Relation,
+        bindings: "tuple[RewritingBinding, ...]",
         attribute: str,
         target: "Source",
         knowledge: KnowledgeBase,
     ) -> SelectionPlan:
-        generator = CorrelationRewriteGenerator(
-            knowledge, target, self.config.classifier_method
-        )
-        usable = generator.generate(query, base_set)
+        generator = CorrelationRewriteGenerator(target, self.config.classifier_method)
+        usable = generator.generate(query, bindings, knowledge)
         ordered = self._ranker.order(usable)
         steps = tuple(
             PlannedQuery(
@@ -412,11 +415,11 @@ class QueryPlanner:
     def _build_aggregate(
         self,
         selection: SelectionQuery,
-        base_set: Relation,
+        bindings: "tuple[RewritingBinding, ...]",
         knowledge: KnowledgeBase,
     ) -> AggregatePlan:
-        generator = AfdRewriteGenerator(knowledge, self.config.classifier_method)
-        candidates = generator.generate(selection, base_set)
+        generator = AfdRewriteGenerator(self.config.classifier_method)
+        candidates = generator.generate(selection, bindings, knowledge)
         ordered = self._ranker.order(candidates)
         steps: "list[PlannedQuery]" = []
         weights: "list[float]" = []

@@ -169,6 +169,17 @@ class TestRawRewriteCall:
         )
         assert len(findings) == 3
 
+    def test_flags_the_two_generation_steps(self, check):
+        findings = check(
+            self.rule,
+            """
+            bindings = rewriting_bindings(q, base, kb)
+            candidates = rewritten_from_bindings(q, bindings, kb)
+            """,
+            module="repro.core.aggregates",
+        )
+        assert len(findings) == 2
+
     def test_flags_stage_import_into_core(self, check):
         findings = check(
             self.rule,

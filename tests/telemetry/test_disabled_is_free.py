@@ -1,0 +1,92 @@
+"""Disabled means free: no plan cache and no telemetry cost nothing.
+
+With ``plan_cache=None`` and ``telemetry=None`` a mediated query must
+compute no fingerprint and open no span.  The check counts calls through
+a monkeypatch rather than timing anything, so it is deterministic.  The
+same counters see the work when a cache and a telemetry hook are given,
+which shows the patches are live.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+import repro.planner.fingerprint as fingerprint_module
+from repro.core import JoinConfig, JoinProcessor, QpiadMediator
+from repro.mining.knowledge import KnowledgeBase
+from repro.planner import PlanCache
+from repro.query import JoinQuery, SelectionQuery
+from repro.relational.relation import Relation
+from repro.telemetry import Span, Telemetry
+
+SELECTION = SelectionQuery.equals("body_style", "Convt")
+JOIN = JoinQuery(
+    SelectionQuery.equals("model", "Grand Cherokee"),
+    SelectionQuery.equals("general_component", "Engine and Engine Cooling"),
+    "model",
+)
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts of fingerprint computations and span constructions."""
+    counts: Counter = Counter()
+
+    def count(owner, attribute, label):
+        original = getattr(owner, attribute)
+
+        def counting(*args, **kwargs):
+            counts[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, counting)
+
+    # stable_digest is imported by name, so patch every module's binding.
+    digest = fingerprint_module.stable_digest
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("stable_digest") is digest:
+            count(module, "stable_digest", "stable_digest")
+    count(Relation, "content_digest", "content_digest")
+    count(KnowledgeBase, "fingerprint", "fingerprint")
+    count(Span, "__init__", "Span")
+    return counts
+
+
+def _selection(env, **hooks):
+    return QpiadMediator(env.web_source(), env.knowledge, **hooks).query(SELECTION)
+
+
+def _join(cars_env, complaints_env, **hooks):
+    return JoinProcessor(
+        cars_env.web_source(),
+        complaints_env.web_source(),
+        cars_env.knowledge,
+        complaints_env.knowledge,
+        JoinConfig(alpha=0.5, k_pairs=10),
+        **hooks,
+    ).query(JOIN)
+
+
+class TestDisabledIsFree:
+    def test_selection(self, cars_env, calls):
+        result = _selection(cars_env, plan_cache=None, telemetry=None)
+        assert result.ranked
+        assert calls == Counter()
+
+    def test_join(self, cars_env, complaints_env, calls):
+        result = _join(cars_env, complaints_env, plan_cache=None, telemetry=None)
+        assert result.possible
+        assert calls == Counter()
+
+
+class TestEnabledIsCounted:
+    def test_selection(self, cars_env, calls):
+        _selection(cars_env, plan_cache=PlanCache(), telemetry=Telemetry())
+        assert calls["stable_digest"] and calls["fingerprint"] and calls["Span"]
+
+    def test_join(self, cars_env, complaints_env, calls):
+        _join(cars_env, complaints_env, plan_cache=PlanCache(), telemetry=Telemetry())
+        assert calls["stable_digest"] and calls["fingerprint"] and calls["Span"]
