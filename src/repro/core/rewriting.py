@@ -23,6 +23,7 @@ from repro.mining.knowledge import KnowledgeBase
 from repro.query.predicates import Between, Equals, Predicate
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.relational.values import is_null
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "generate_rewritten_queries",
     "rewriting_bindings",
     "rewritten_from_bindings",
+    "target_probabilities",
     "target_probability",
 ]
 
@@ -97,23 +99,52 @@ def target_probability(
     value.  For range constraints the posterior mass of every completion
     satisfying all the conjuncts is summed; completions live in mining space
     (bucket labels for discretized numeric attributes), so each label is
-    mapped back to a representative raw value before testing.
+    mapped back to a representative raw value before testing.  The batch
+    of one of :func:`target_probabilities`.
     """
-    if len(target_conjuncts) == 1 and isinstance(target_conjuncts[0], Equals):
-        return knowledge.estimated_precision(
-            attribute, target_conjuncts[0].value, evidence, method
-        )
-    posterior = knowledge.value_distribution(attribute, evidence, method)
-    probability = 0.0
-    from repro.relational.schema import Schema  # tiny throwaway schema for predicate eval
+    return target_probabilities(
+        knowledge, attribute, target_conjuncts, [evidence], method
+    )[0]
 
+
+def target_probabilities(
+    knowledge: KnowledgeBase,
+    attribute: str,
+    target_conjuncts: Sequence[Predicate],
+    evidences: Sequence[Mapping[str, Any]],
+    method: str | None = None,
+) -> list[float]:
+    """:func:`target_probability` of each of *evidences*, in one batch.
+
+    The posteriors come from one :meth:`KnowledgeBase.value_distributions`
+    call, and whether a completion satisfies a range target is decided
+    once per distinct completion; each evidence's matching mass is then
+    summed in posterior order.
+    """
+    posteriors = knowledge.value_distributions(attribute, evidences, method)
+    if len(target_conjuncts) == 1 and isinstance(target_conjuncts[0], Equals):
+        value = target_conjuncts[0].value
+        return [posterior.get(value, 0.0) for posterior in posteriors]
     probe_schema = Schema.of(attribute)
-    for label, mass in posterior.items():
-        value = knowledge.representative_value(attribute, label)
-        row = (value,)
-        if all(conjunct.matches(row, probe_schema) for conjunct in target_conjuncts):
-            probability += mass
-    return probability
+    satisfied: dict[Any, bool] = {}
+
+    def satisfies(label: Any) -> bool:
+        verdict = satisfied.get(label)
+        if verdict is None:
+            row = (knowledge.representative_value(attribute, label),)
+            verdict = satisfied[label] = all(
+                conjunct.matches(row, probe_schema) for conjunct in target_conjuncts
+            )
+        return verdict
+
+    probabilities: list[float] = []
+    for posterior in posteriors:
+        probability = 0.0
+        for label, mass in posterior.items():
+            if satisfies(label):
+                probability += mass
+        probabilities.append(probability)
+    return probabilities
 
 
 def generate_rewritten_queries(
@@ -222,22 +253,41 @@ def rewritten_from_bindings(
     """The candidate rewritten queries *bindings* yield for *query*.
 
     One candidate per bound combination, scored with its estimated
-    precision and selectivity.  Raises :class:`RewritingError` when no
-    constrained attribute is rewritable (*bindings* is empty).
+    precision and selectivity.  A binding's queries are built first, each
+    determining predicate once per distinct value, and then scored
+    together: one :func:`target_probabilities` batch for precision and
+    one :meth:`SelectivityEstimator.estimate_all` batch for selectivity.
+    Raises :class:`RewritingError` when no constrained attribute is
+    rewritable (*bindings* is empty).
     """
     if not bindings:
         raise RewritingError(
             f"no constrained attribute of {query!r} has a usable AFD; "
             "cannot generate rewritten queries"
         )
+    # Keyed by value identity, not equality: 0.0 and -0.0 (or 1 and True)
+    # are equal but print differently, and each candidate binds exactly
+    # the value its combination holds.  The combinations keep every value
+    # alive for the whole call, so no identity is reused.
+    determining_predicates: dict[tuple[str, int], Predicate] = {}
+
+    def determining_predicate(name: str, value: Any) -> Predicate:
+        key = (name, id(value))
+        predicate = determining_predicates.get(key)
+        if predicate is None:
+            predicate = determining_predicates[key] = _determining_predicate(
+                knowledge, name, value
+            )
+        return predicate
+
     candidates: list[RewrittenQuery] = []
     seen: set[tuple[str, SelectionQuery]] = set()
     for attribute, determining, combos in bindings:
-        best_afd = knowledge.best_afd(attribute)
-        target_conjuncts = query.conjuncts_on(attribute)
+        queries: list[SelectionQuery] = []
+        evidences: list[dict[str, Any]] = []
         for combo in combos:
             replacements = [
-                _determining_predicate(knowledge, name, value)
+                determining_predicate(name, value)
                 for name, value in zip(determining, combo)
             ]
             rewritten = query.replacing(attribute, replacements)
@@ -255,22 +305,29 @@ def rewritten_from_bindings(
             if key in seen:
                 continue
             seen.add(key)
+            queries.append(rewritten)
+            evidences.append(dict(zip(determining, combo)))
+        if not queries:
+            continue
 
-            evidence = dict(zip(determining, combo))
-            precision = target_probability(
-                knowledge, attribute, target_conjuncts, evidence, method
+        best_afd = knowledge.best_afd(attribute)
+        precisions = target_probabilities(
+            knowledge, attribute, query.conjuncts_on(attribute), evidences, method
+        )
+        selectivities = knowledge.selectivity.estimate_all(queries)
+        candidates.extend(
+            RewrittenQuery(
+                query=rewritten,
+                target_attribute=attribute,
+                evidence=evidence,
+                estimated_precision=precision,
+                estimated_selectivity=selectivity,
+                afd=best_afd,
             )
-            selectivity = knowledge.selectivity.estimate(rewritten)
-            candidates.append(
-                RewrittenQuery(
-                    query=rewritten,
-                    target_attribute=attribute,
-                    evidence=evidence,
-                    estimated_precision=precision,
-                    estimated_selectivity=selectivity,
-                    afd=best_afd,
-                )
+            for rewritten, evidence, precision, selectivity in zip(
+                queries, evidences, precisions, selectivities
             )
+        )
     return candidates
 
 

@@ -54,6 +54,16 @@ class ValueDistributionClassifier(ABC):
     def distribution(self, evidence: Mapping[str, Any]) -> dict[Any, float]:
         """Normalized posterior over completions of :attr:`attribute`."""
 
+    def distributions(
+        self, evidences: Sequence[Mapping[str, Any]]
+    ) -> list[dict[Any, float]]:
+        """:meth:`distribution` of each of *evidences*, in order.
+
+        NBC-backed variants score the whole batch in one pass, sharing
+        likelihood rows across evidences.
+        """
+        return [self.distribution(evidence) for evidence in evidences]
+
     @property
     @abstractmethod
     def feature_attributes(self) -> tuple[str, ...]:
@@ -84,6 +94,11 @@ class _SingleNbcClassifier(ValueDistributionClassifier):
 
     def distribution(self, evidence: Mapping[str, Any]) -> dict[Any, float]:
         return self._nbc.distribution(evidence)
+
+    def distributions(
+        self, evidences: Sequence[Mapping[str, Any]]
+    ) -> list[dict[Any, float]]:
+        return self._nbc.distributions(evidences)
 
 
 class BestAfdClassifier(_SingleNbcClassifier):
@@ -174,14 +189,28 @@ class EnsembleAfdClassifier(ValueDistributionClassifier):
         return tuple(seen.keys())
 
     def distribution(self, evidence: Mapping[str, Any]) -> dict[Any, float]:
-        combined: dict[Any, float] = {}
+        return self.distributions([evidence])[0]
+
+    def distributions(
+        self, evidences: Sequence[Mapping[str, Any]]
+    ) -> list[dict[Any, float]]:
+        """Each evidence's members' posteriors, confidence-weighted and
+        combined in member order."""
         total_weight = sum(weight for weight, __ in self._members)
-        for weight, nbc in self._members:
-            for value, probability in nbc.distribution(evidence).items():
-                combined[value] = combined.get(value, 0.0) + weight * probability
         if total_weight <= 0:
             raise ClassifierError("ensemble has no positively weighted members")
-        return {value: score / total_weight for value, score in combined.items()}
+        weights = [weight for weight, __ in self._members]
+        batches = [nbc.distributions(evidences) for __, nbc in self._members]
+        combined_batch: list[dict[Any, float]] = []
+        for posteriors in zip(*batches):
+            combined: dict[Any, float] = {}
+            for weight, posterior in zip(weights, posteriors):
+                for value, probability in posterior.items():
+                    combined[value] = combined.get(value, 0.0) + weight * probability
+            combined_batch.append(
+                {value: score / total_weight for value, score in combined.items()}
+            )
+        return combined_batch
 
 
 def _best_afd_for(afds: Sequence[Afd], attribute: str) -> Afd | None:

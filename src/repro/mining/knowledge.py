@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.errors import MiningError
 from repro.mining.afd import Afd, AKey
@@ -322,10 +322,25 @@ class KnowledgeBase:
         Evidence values are raw (un-bucketed); numeric ones are bucketed
         internally to match the classifier's feature space.  Keys of the
         returned distribution are *raw domain values* — including for
-        numeric attributes, whose classifiers keep the class column raw.
+        numeric attributes, whose classifiers keep the class column raw —
+        in the training sample's first-seen class order for the NBC-backed
+        classifiers.
         """
-        prepared = self._prepare_evidence(evidence)
-        return self.classifier(attribute, method).distribution(prepared)
+        return self.value_distributions(attribute, [evidence], method)[0]
+
+    def value_distributions(
+        self,
+        attribute: str,
+        evidences: Sequence[Mapping[str, Any]],
+        method: str | None = None,
+    ) -> list[dict[Any, float]]:
+        """:meth:`value_distribution` of each of *evidences*, in one batch.
+
+        Rewriting scores all of a binding's candidates with one call, so
+        the classifier computes each likelihood row once for the batch.
+        """
+        prepared = [self._prepare_evidence(evidence) for evidence in evidences]
+        return self.classifier(attribute, method).distributions(prepared)
 
     def estimated_precision(
         self,
@@ -341,7 +356,12 @@ class KnowledgeBase:
     def predict_value(
         self, attribute: str, evidence: Mapping[str, Any], method: str | None = None
     ) -> tuple[Any, float]:
-        """Most likely completion (a raw domain value) and its probability."""
+        """Most likely completion (a raw domain value) and its probability.
+
+        An exact tie goes to the tied completion that comes first in the
+        posterior, which for the NBC-backed classifiers is the one seen
+        first in the training sample.
+        """
         posterior = self.value_distribution(attribute, evidence, method)
         if not posterior:
             raise MiningError(f"no distribution available for {attribute!r}")
@@ -383,7 +403,9 @@ class KnowledgeBase:
 
         This is the aggregate-inclusion test of Section 4.4: a rewritten
         query's aggregate is folded in only when the most likely completion
-        matches the original query's constrained value.
+        matches the original query's constrained value.  Exact ties break
+        as in :meth:`predict_value`: the first-seen tied completion is the
+        argmax.
         """
         posterior = self.value_distribution(attribute, evidence, method)
         if not posterior:

@@ -134,6 +134,7 @@ class NaiveBayesClassifier:
 
         self._class_counts = class_counts
         self._joint_counts = joint_counts
+        self._class_totals = _class_totals(joint_counts)
         self._domain_sizes = domain_sizes
 
     def extended(self, batch: Relation) -> "NaiveBayesClassifier":
@@ -194,6 +195,7 @@ class NaiveBayesClassifier:
         merged.m = self.m
         merged._class_counts = merged_class
         merged._joint_counts = merged_joint
+        merged._class_totals = _class_totals(merged_joint)
         merged._domain_sizes = domain_sizes
         merged._total = sum(merged_class.values())
         return merged
@@ -217,7 +219,7 @@ class NaiveBayesClassifier:
             raise ClassifierError(f"{feature!r} is not a feature of this classifier")
         per_class = self._joint_counts[feature].get(class_value, ())
         joint = per_class[value] if per_class and value in per_class else 0
-        class_total = sum(per_class.values()) if per_class else 0
+        class_total = self._class_totals[feature].get(class_value, 0)
         p_uniform = 1.0 / self._domain_sizes[feature]
         return (joint + self.m * p_uniform) / (class_total + self.m)
 
@@ -226,25 +228,55 @@ class NaiveBayesClassifier:
 
         *evidence* maps feature names to values; missing or NULL entries are
         skipped.  Extraneous keys are ignored so callers can pass whole
-        tuples as dictionaries.
+        tuples as dictionaries.  Keys follow the training sample's
+        first-seen class order (kept by :meth:`extended`).
         """
-        scores: dict[Any, float] = {}
-        for class_value in self._class_counts:
-            score = self.prior(class_value)
+        return self.distributions([evidence])[0]
+
+    def distributions(
+        self, evidences: Sequence[Mapping[str, Any]]
+    ) -> list[dict[Any, float]]:
+        """:meth:`distribution` of each of *evidences*, in one pass.
+
+        Each distinct (feature, value) pair's likelihood row over the
+        classes is computed once and shared by every evidence holding it.
+        A class's score is its prior times the likelihoods in
+        :attr:`features` order, and the scores are normalized by the
+        built-in ``sum`` in class order, so each posterior is bit-identical
+        to scoring its evidence alone.
+        """
+        classes = tuple(self._class_counts)
+        priors = [self.prior(class_value) for class_value in classes]
+        rows: dict[tuple[str, Any], list[float]] = {}
+        posteriors: list[dict[Any, float]] = []
+        for evidence in evidences:
+            scores = priors
             for feature in self.features:
                 value = evidence.get(feature)
                 if value is None or is_null(value):
                     continue
-                score *= self.likelihood(feature, value, class_value)
-            scores[class_value] = score
-        total = sum(scores.values())
-        if total <= 0.0:
-            # All posteriors vanished (m = 0 with unseen evidence, or long
-            # likelihood products that underflowed to zero); fall back to
-            # the *smoothed* prior distribution so the degenerate case stays
-            # consistent with :meth:`prior`.
-            return {value: self.prior(value) for value in scores}
-        return {value: score / total for value, score in scores.items()}
+                row = rows.get((feature, value))
+                if row is None:
+                    row = rows[(feature, value)] = [
+                        self.likelihood(feature, value, class_value)
+                        for class_value in classes
+                    ]
+                scores = [score * factor for score, factor in zip(scores, row)]
+            total = sum(scores)
+            if total <= 0.0:
+                # All posteriors vanished (m = 0 with unseen evidence, or
+                # long likelihood products that underflowed to zero); fall
+                # back to the *smoothed* prior distribution so the
+                # degenerate case stays consistent with :meth:`prior`.
+                posteriors.append(dict(zip(classes, priors)))
+            else:
+                posteriors.append(
+                    {
+                        class_value: score / total
+                        for class_value, score in zip(classes, scores)
+                    }
+                )
+        return posteriors
 
     def predict(self, evidence: Mapping[str, Any]) -> tuple[Any, float]:
         """The argmax completion and its posterior probability.
@@ -252,7 +284,9 @@ class NaiveBayesClassifier:
         Ties are broken deterministically: higher posterior, then higher
         smoothed prior, then the lexicographically smallest value — never
         dict insertion order, which would make predictions depend on the
-        order training rows happened to arrive in.
+        order training rows happened to arrive in.  The mediator predicts
+        through :meth:`KnowledgeBase.predict_value` instead, which gives an
+        exact tie to the first-seen class.
         """
         posterior = self.distribution(evidence)
         best_value = min(
@@ -264,3 +298,12 @@ class NaiveBayesClassifier:
     def probability(self, class_value: Any, evidence: Mapping[str, Any]) -> float:
         """Posterior probability of one specific completion (0.0 if unseen)."""
         return self.distribution(evidence).get(class_value, 0.0)
+
+
+def _class_totals(joint_counts: dict[str, dict[Any, Counter]]) -> dict[str, dict[Any, int]]:
+    """Per feature, each class's number of rows with that feature present:
+    the m-estimate's ``n``, summed once so :meth:`likelihood` is O(1)."""
+    return {
+        name: {class_value: sum(counter.values()) for class_value, counter in per_class.items()}
+        for name, per_class in joint_counts.items()
+    }

@@ -15,12 +15,20 @@ observed while building the sample.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import MiningError
 from repro.query.executor import certain_count
+from repro.query.predicates import Predicate
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 __all__ = ["SelectivityEstimator"]
 
@@ -118,4 +126,30 @@ class SelectivityEstimator:
         rewritten query's useful output is the tuples whose constrained
         attribute is missing (everything else is post-filtered).
         """
-        return self.estimated_cardinality(query) * self.incomplete_fraction
+        return self.estimate_all([query])[0]
+
+    def estimate_all(self, queries: Sequence[SelectionQuery]) -> list[float]:
+        """:meth:`estimate` of each of *queries*, masking the sample once
+        per distinct conjunct.
+
+        A query's sample count ANDs its conjuncts' masks in conjunct
+        order, which is what ``And.mask`` computes, so the rewritten
+        queries of one binding share the masks of the determining values
+        and kept constraints they have in common.  The count is then
+        scaled by ``sample_ratio`` and ``incomplete_fraction``, in that
+        order.
+        """
+        store = self.sample.columnar()
+        masks: dict[Predicate, "NDArray[np.bool_]"] = {}
+
+        def mask_of(conjunct: Predicate) -> "NDArray[np.bool_]":
+            mask = masks.get(conjunct)
+            if mask is None:
+                mask = masks[conjunct] = conjunct.mask(store)
+            return mask
+
+        estimates: list[float] = []
+        for query in queries:
+            count = int(reduce(operator.and_, map(mask_of, query.conjuncts)).sum())
+            estimates.append(count * self.sample_ratio * self.incomplete_fraction)
+        return estimates

@@ -77,8 +77,10 @@ def certain_or_possible(query: SelectionQuery, relation: Relation) -> Relation:
 def certain_count(query: SelectionQuery, relation: Relation) -> int:
     """``len(certain_answers(query, relation))`` without materializing rows.
 
-    The selectivity estimator calls this per candidate rewritten query; it
-    is a mask sum.
+    A mask sum.  ``SelectivityEstimator.sample_selectivity`` counts one
+    query this way; scoring rewritten queries does not call it, because
+    ``SelectivityEstimator.estimate_all`` masks the sample once per
+    distinct conjunct of a whole batch instead.
     """
     return int(query.predicate.mask(relation.columnar()).sum())
 

@@ -7,8 +7,8 @@ SHA-256 of that rendering with a digest recorded from a known-good build.
 A change to mining, NBC scoring or certain/possible extraction that moves
 any answer, its order, a confidence bit or an AFD shows up here.
 
-The digests must not depend on ``PYTHONHASHSEED``: run the module under
-several seeds after touching it.  To re-record after an *intended* change,
+The digests must not depend on ``PYTHONHASHSEED``: CI runs this module
+under seeds 0, 1 and 2.  To re-record after an *intended* change,
 print ``_digest(...)`` of the failing case and paste it in, saying in the
 commit message what moved and why.
 """
