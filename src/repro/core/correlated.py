@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.engine import ExecutionPolicy, PlannedQuery, QueryKind, RetrievalEngine
-from repro.errors import RewritingError, UnsupportedAttributeError
+from repro.errors import QpiadError, RewritingError, UnsupportedAttributeError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner import PlanCache, PlannerConfig, QueryPlanner
@@ -73,6 +73,16 @@ class CorrelatedConfig:
     k: int | None = 10
     classifier_method: str | None = None
     max_concurrency: int = 1
+
+    def __post_init__(self) -> None:
+        if self.alpha < 0:
+            raise QpiadError(f"alpha must be non-negative, got {self.alpha}")
+        if self.k is not None and self.k < 0:
+            raise QpiadError(f"k must be non-negative, got {self.k}")
+        if self.max_concurrency < 1:
+            raise QpiadError(
+                f"max_concurrency must be at least 1, got {self.max_concurrency}"
+            )
 
 
 class CorrelatedSourceMediator:

@@ -14,8 +14,8 @@ into an incrementally-maintained one:
 * :meth:`KnowledgeRefresher.refresh_if_stale` is the drift-triggered
   policy: probe, :func:`~repro.mining.drift.detect_drift`, fold, swap.
 
-The refresh invariant — tested in ``tests/mining/test_refresh.py`` and
-benchmarked in ``benchmarks/bench_refresh.py`` — is that folding batches
+The refresh invariant — tested in ``tests/mining/test_refresh.py``, with
+perfbench's ``mining.refresh_ms`` sizing the cost — is that folding batches
 ``B1..Bn`` into a knowledge base mined on ``S`` yields a generation whose
 :meth:`fingerprint` equals a full re-mine on ``S ∪ B1..Bn``: every folded
 statistic is an exact integer fed through the same float arithmetic as the

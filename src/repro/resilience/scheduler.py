@@ -62,6 +62,9 @@ __all__ = [
     "scheduler_scope",
 ]
 
+#: Threads in the shared pool that runs hedged calls (started on first use).
+HEDGE_POOL_SIZE = 16
+
 
 # ---------------------------------------------------------------------------
 # policy
@@ -286,14 +289,12 @@ class SourceScheduler:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         telemetry: Any = None,
-        hedge_pool_size: int = 16,
     ):
         self.config = config if config is not None else SchedulerConfig()
         self.metrics = MetricsRegistry()
         self._clock = clock
         self._sleep = sleep
         self._telemetry = telemetry
-        self._hedge_pool_size = hedge_pool_size
         self._lock = threading.Lock()
         self._states: "dict[str, _SourceState]" = {}
         self._flights = SingleFlight()
@@ -330,7 +331,7 @@ class SourceScheduler:
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._hedge_pool_size,
+                    max_workers=HEDGE_POOL_SIZE,
                     thread_name_prefix="qpiad-hedge",
                 )
             return self._pool

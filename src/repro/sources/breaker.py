@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import CircuitOpenError, QpiadError, SourceUnavailableError
 from repro.sources.surface import Source, SourceDecorator
@@ -113,21 +114,26 @@ class CircuitBreakerSource(SourceDecorator):
     _REJECT_OPEN = "reject-open"
     _REJECT_PROBE = "reject-probe"
 
+    @contextmanager
+    def _locked_after_recovery(self) -> Iterator[None]:
+        """Hold the lock, first moving open → half-open if the window passed."""
+        with self._lock:
+            transitioned = (
+                self._state == BreakerState.OPEN
+                and self._clock() - self._opened_at >= self.recovery_seconds
+            )
+            if transitioned:
+                self._state = BreakerState.HALF_OPEN
+                self._probe_in_flight = False
+            yield
+        if transitioned and self._telemetry is not None:
+            self._telemetry.count("breaker.transitions")
+
     @property
     def state(self) -> str:
         """The current state, advancing open → half-open when time is up."""
-        transitioned = False
-        with self._lock:
-            if (
-                self._state == BreakerState.OPEN
-                and self._clock() - self._opened_at >= self.recovery_seconds
-            ):
-                self._state = BreakerState.HALF_OPEN
-                self._probe_in_flight = False
-                transitioned = True
+        with self._locked_after_recovery():
             current = self._state
-        if transitioned and self._telemetry is not None:
-            self._telemetry.count("breaker.transitions")
         return current
 
     def _admit(self) -> "tuple[str, str, int, float]":
@@ -139,15 +145,7 @@ class CircuitBreakerSource(SourceDecorator):
         the first caller claims the probe slot; everyone else is
         rejected until the probe's outcome resolves the state.
         """
-        transitioned = False
-        with self._lock:
-            if (
-                self._state == BreakerState.OPEN
-                and self._clock() - self._opened_at >= self.recovery_seconds
-            ):
-                self._state = BreakerState.HALF_OPEN
-                self._probe_in_flight = False
-                transitioned = True
+        with self._locked_after_recovery():
             state = self._state
             failures = self._consecutive_failures
             remaining = self.recovery_seconds - (self._clock() - self._opened_at)
@@ -162,8 +160,6 @@ class CircuitBreakerSource(SourceDecorator):
                 decision = self._PASS
             else:
                 decision = self._PASS
-        if transitioned and self._telemetry is not None:
-            self._telemetry.count("breaker.transitions")
         return decision, state, failures, remaining
 
     def _call(self, operation: str, thunk: Callable[[], Any]) -> Any:

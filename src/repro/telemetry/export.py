@@ -5,9 +5,8 @@ Two formats, matching the two consumers:
 * **text** — ``qpiad trace`` / ``qpiad query --trace`` print an indented
   span tree (durations, status, key attributes) followed by counter and
   histogram tables, for a human reading one retrieval;
-* **JSON** — a stable, ``json``-serialisable snapshot for dashboards,
-  diffing chaos runs, and the perf trajectory
-  (``benchmarks/bench_perf.py`` embeds one in ``BENCH_3.json``).
+* **JSON** — a stable, ``json``-serialisable snapshot for dashboards
+  and for diffing chaos runs (``qpiad trace --json`` prints one).
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ and a :class:`~repro.telemetry.MetricsRegistry` behind the single
 The contract that keeps instrumentation honest about cost: **every emit
 site is guarded by a plain ``None`` check**.  A pipeline built without
 telemetry pays one pointer comparison per would-be event — no allocation,
-no string formatting, no clock read (``benchmarks/bench_perf.py``
-measures the enabled cost too).  :func:`maybe_span` packages the guard
-for span-shaped sites so call sites stay one line.
+no string formatting, no clock read (``tests/telemetry/test_disabled_is_free.py``
+checks it; perfbench's ``trace.overhead`` sizes the enabled cost).
+:func:`maybe_span` packages the guard for span-shaped sites so call sites stay one line.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ class Telemetry:
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic):
+        self.clock = clock
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
 
@@ -123,16 +124,19 @@ def timed_first(
 ) -> Iterator[T]:
     """Yield *stream* unchanged, observing the latency to its first item.
 
-    The clock starts when the first item is requested; the seconds until
-    it arrives feed the *metric* histogram once.  A stream that ends
-    empty observes nothing.  The streaming join and federation interfaces
-    report their time to first answer this way.
+    The telemetry's clock starts when the first item is requested; the
+    seconds until it arrives feed the *metric* histogram once.  A stream
+    that ends empty observes nothing; with no telemetry, no clock is read.
+    The streaming join and federation interfaces report their time to
+    first answer this way.
     """
-    started = time.monotonic()
+    if telemetry is None:
+        yield from stream
+        return
+    started = telemetry.clock()
     items = iter(stream)
     for first in items:
-        if telemetry is not None:
-            telemetry.observe(metric, time.monotonic() - started)
+        telemetry.observe(metric, telemetry.clock() - started)
         yield first
         break
     yield from items

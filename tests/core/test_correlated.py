@@ -7,7 +7,7 @@ from repro.core import (
     CorrelatedSourceMediator,
     find_correlated_source,
 )
-from repro.errors import RewritingError, UnsupportedAttributeError
+from repro.errors import QpiadError, RewritingError, UnsupportedAttributeError
 from repro.query import SelectionQuery
 from repro.sources import AutonomousSource, SourceCapabilities, SourceRegistry
 
@@ -29,6 +29,19 @@ def setting(cars_env):
     registry = SourceRegistry(cars_env.test.schema, [carscom, yahoo])
     knowledge = {"cars.com": cars_env.knowledge}
     return registry, knowledge, carscom, yahoo
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", -0.5), ("k", -1), ("max_concurrency", 0)]
+    )
+    def test_invalid_values_are_rejected_at_construction(self, field, value):
+        # Rejected before any mediator can bill a source call for them.
+        with pytest.raises(QpiadError, match=field):
+            CorrelatedConfig(**{field: value})
+
+    def test_unbounded_k_is_valid(self):
+        assert CorrelatedConfig(k=None).k is None
 
 
 class TestFindCorrelatedSource:

@@ -123,7 +123,7 @@ class TestWidthParity:
     """Stream in the middle, rank at the edge: the final answer list and
     every counter are bit-identical at any executor width."""
 
-    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("width", [2, 4, 8])
     def test_concurrent_widths_match_serial(
         self, cars_env, complaints_env, join_query, width
     ):
@@ -133,15 +133,16 @@ class TestWidthParity:
 
 
 class TestFirstAnswerLatency:
+    @pytest.mark.parametrize("width", [1, 4])
     def test_first_candidate_costs_only_the_base_retrievals(
-        self, cars_env, complaints_env, join_query
+        self, cars_env, complaints_env, join_query, width
     ):
-        processor, left, right = _processor(cars_env, complaints_env)
+        processor, left, right = _processor(cars_env, complaints_env, width=width)
         stream = processor.stream_answers(join_query)
         first = next(stream)
         # Base×base answers are pushed into the tree before any rewritten
         # component is issued, so the first candidate arrives after
-        # exactly the two base calls.
+        # exactly the two base calls, however wide the executor.
         assert first.certain
         assert _source_calls(left) + _source_calls(right) == 2
         stream.close()

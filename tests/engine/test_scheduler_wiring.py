@@ -1,5 +1,7 @@
 """The engine ↔ scheduler contract: routing, billing, failure absorption."""
 
+import threading
+
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
@@ -16,7 +18,7 @@ from repro.resilience import (
     remaining_deadline,
     scheduler_scope,
 )
-from repro.sources import AutonomousSource
+from repro.sources import AutonomousSource, SourceDecorator
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 
@@ -84,6 +86,88 @@ class TestMediatorRouting:
                 + source.statistics.rejected_queries
             )
             assert result.stats.queries_issued == source_calls
+
+
+class FollowerWatch:
+    """Scheduler telemetry that opens :attr:`gate` once enough dedup
+    followers have joined an in-flight call."""
+
+    def __init__(self, followers):
+        self.gate = threading.Event()
+        self._followers = followers
+        self._joined = 0
+        self._lock = threading.Lock()
+
+    def count(self, name, amount=1):
+        if name == "scheduler.dedup_hits":
+            with self._lock:
+                self._joined += amount
+                if self._joined >= self._followers:
+                    self.gate.set()
+
+    def observe(self, name, value):
+        pass
+
+
+class GatedBaseSource(SourceDecorator):
+    """Holds each wire call of *base* until *gate* opens, counting them."""
+
+    def __init__(self, inner, base, gate):
+        super().__init__(inner)
+        self._base = base
+        self._gate = gate
+        self._lock = threading.Lock()
+        self.base_calls = 0
+
+    def execute(self, query):
+        if query == self._base:
+            with self._lock:
+                self.base_calls += 1
+            self._gate.wait(timeout=10)
+        return self.inner.execute(query)
+
+
+class TestSharedBaseCall:
+    """Mediators firing one query through one scheduler share its wire call."""
+
+    MEDIATORS = 6
+
+    def test_the_base_query_reaches_the_wire_once(self, cars_env):
+        def answers(result):
+            return list(result.certain), [(a.row, a.confidence) for a in result.ranked]
+
+        watch = FollowerWatch(followers=self.MEDIATORS - 1)
+        scheduler = SourceScheduler(
+            SchedulerConfig(default=SourcePolicy(dedup=True, hedge=False)),
+            telemetry=watch,
+        )
+        source = GatedBaseSource(cars_env.web_source(), QUERY, watch.gate)
+        results: dict = {}
+
+        def run(index):
+            results[index] = QpiadMediator(
+                source, cars_env.knowledge, QpiadConfig(k=10), scheduler=scheduler
+            ).query(QUERY)
+
+        threads = [
+            threading.Thread(target=run, args=(index,))
+            for index in range(self.MEDIATORS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        # The leader's base call waited until every other mediator had
+        # joined it, so five followers shared one wire call.
+        assert watch.gate.is_set()
+        assert source.base_calls == 1
+        plain = QpiadMediator(
+            cars_env.web_source(), cars_env.knowledge, QpiadConfig(k=10)
+        ).query(QUERY)
+        assert len(results) == self.MEDIATORS
+        for result in results.values():
+            assert answers(result) == answers(plain)
 
 
 def engine_for(source, policy=None, stats=None, scheduler=None):

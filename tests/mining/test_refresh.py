@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.core import QpiadConfig, QpiadMediator
+from repro.datasets import scaled_incomplete
 from repro.datasets.cars import generate_cars
 from repro.datasets.incompleteness import make_incomplete
 from repro.errors import MiningError
 from repro.mining import KnowledgeBase, KnowledgeRefresher, KnowledgeStore, as_store
+from repro.planner import PlanCache
 from repro.planner.fingerprint import relation_fingerprint
 from repro.query import SelectionQuery
 from repro.relational import Relation
+from repro.relational.columnar import ColumnStore
 from repro.relational.values import is_null
+from repro.sources import AutonomousSource, SourceCapabilities
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +30,26 @@ def pieces():
     rows = whole.rows
     make = lambda part: Relation(whole.schema, list(part))  # noqa: E731
     return whole, make(rows[:700]), make(rows[100:200]), make(rows[300:400])
+
+
+@pytest.fixture(scope="module", params=[1, 10])
+def scaled(request):
+    """Cars at a scale factor, split 90/5/5 in row order into a base
+    sample and two batches, so base ⊕ batch1 ⊕ batch2 is the whole."""
+    whole = scaled_incomplete("cars", request.param).incomplete
+    rows = whole.rows
+    base_end = int(len(rows) * 0.9)
+    batch_end = base_end + (len(rows) - base_end) // 2
+    make = lambda part: Relation(whole.schema, list(part))  # noqa: E731
+    return whole, make(rows[:base_end]), make(rows[base_end:batch_end]), make(rows[batch_end:])
+
+
+@pytest.fixture(scope="module")
+def drifted():
+    """A Cars sample whose body_style no longer follows model and make."""
+    return make_incomplete(
+        generate_cars(300, seed=101, body_style_fidelity=0.3), 0.10, seed=43
+    ).incomplete
 
 
 def _refreshed(pieces, **kwargs):
@@ -95,6 +120,52 @@ class TestFoldEquivalence:
         assert estimator.incomplete_fraction == oracle.selectivity.incomplete_fraction
         assert estimator.estimate(query) == oracle.selectivity.estimate(query)
 
+    def test_scaled_cars_folds_match_full_remine(self, scaled):
+        whole = scaled[0]
+        store, results = _refreshed(scaled)
+        assert [result.mode for result in results] == ["incremental", "incremental"]
+        oracle = KnowledgeBase(whole, database_size=len(whole))
+        assert store.current.fingerprint() == oracle.fingerprint()
+
+
+class TestFoldEconomy:
+    def test_a_steady_fold_encodes_only_its_batch(self, scaled, monkeypatch):
+        whole, base, batch1, batch2 = scaled
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        refresher = KnowledgeRefresher(store)
+        refresher.prime()
+        refresher.refresh(batch1)  # encodes the base sample once
+
+        encodes: list = []
+        extended = ColumnStore.extended
+        from_rows = ColumnStore.from_rows.__func__
+        from_relation = ColumnStore.from_relation.__func__
+
+        def counting_extended(columns, rows):
+            encodes.append(("extended", len(rows)))
+            return extended(columns, rows)
+
+        def counting_from_rows(cls, schema, rows):
+            encodes.append(("from_rows", len(rows)))
+            return from_rows(cls, schema, rows)
+
+        def counting_from_relation(cls, relation):
+            encodes.append(("from_relation", len(relation)))
+            return from_relation(cls, relation)
+
+        monkeypatch.setattr(ColumnStore, "extended", counting_extended)
+        monkeypatch.setattr(ColumnStore, "from_rows", classmethod(counting_from_rows))
+        monkeypatch.setattr(
+            ColumnStore, "from_relation", classmethod(counting_from_relation)
+        )
+        result = refresher.refresh(batch2)
+        # The new generation's sample comes encoded: reading it, as the next
+        # query's masks do, encodes no historical row again.
+        store.current.sample.columnar()
+        assert result.mode == "incremental"
+        assert encodes
+        assert set(encodes) == {("extended", len(batch2))}
+
 
 class TestAtomicSwap:
     def test_old_snapshot_survives_the_swap_frozen(self, pieces):
@@ -158,17 +229,39 @@ class TestRefreshIfStale:
         assert result.drift is not None and not result.drift.is_stale
         assert store.current is before
 
-    def test_drifted_probe_triggers_fold_and_swap(self, pieces):
+    def test_drifted_probe_triggers_fold_and_swap(self, pieces, drifted):
         whole, base, _, _ = pieces
-        drifted = make_incomplete(
-            generate_cars(300, seed=101, body_style_fidelity=0.3), 0.10, seed=43
-        ).incomplete
         store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
         result = KnowledgeRefresher(store).refresh_if_stale(drifted)
         assert result.refreshed
         assert result.drift is not None and result.drift.is_stale
         assert store.current.epoch == 1
         assert len(store.current.sample) == len(base) + len(drifted)
+
+    def test_mediator_reads_the_swapped_generation(self, pieces, drifted):
+        whole, base, _, _ = pieces
+        query = SelectionQuery.equals("body_style", "Convt")
+        source = AutonomousSource("cars", whole, SourceCapabilities.web_form())
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        cache = PlanCache()
+        mediator = QpiadMediator(source, store, QpiadConfig(k=10), plan_cache=cache)
+        mediator.query(query)
+        mediator.query(query)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+        swap = KnowledgeRefresher(store).refresh_if_stale(drifted)
+        assert swap.refreshed and swap.epoch == 1
+        after = mediator.query(query)
+        # The swap changed the knowledge fingerprint in the key: the plan
+        # cached against the old generation is not served again.
+        assert cache.misses == 2
+
+        fresh = KnowledgeBase(base.concat(drifted), database_size=len(whole))
+        oracle = QpiadMediator(source, fresh, QpiadConfig(k=10)).query(query)
+        assert list(after.certain) == list(oracle.certain)
+        assert [(a.row, a.confidence) for a in after.ranked] == [
+            (a.row, a.confidence) for a in oracle.ranked
+        ]
 
 
 class TestFullFallback:

@@ -9,8 +9,12 @@ knowledge refresh or config change misses; a content-identical reload
 hits; two sources whose samples differ by one row never cross-talk.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+import repro.planner.generators as generators_module
 from repro.core import (
     AggregateProcessor,
     CorrelatedConfig,
@@ -25,7 +29,7 @@ from repro.core.multijoin import MultiJoinProcessor, MultiJoinStep
 from repro.core.relaxation import QueryRelaxer
 from repro.evaluation import multi_attribute_workload, selection_workload
 from repro.mining import KnowledgeBase
-from repro.planner import PlanCache, PlannerConfig, QueryPlanner
+from repro.planner import PlanCache, PlannerConfig, QueryPlanner, Ranker
 from repro.query import (
     AggregateFunction,
     AggregateQuery,
@@ -101,6 +105,59 @@ class TestSelectionParity:
         assert first.last_plan.steps == second.last_plan.steps
         assert first.last_plan.generated == second.last_plan.generated
         assert first.last_plan.skipped == second.last_plan.skipped
+
+
+class TestWarmHitsPlanNothing:
+    """A warm plan is a lookup: no candidate is generated and none ranked."""
+
+    QUERIES = (
+        SelectionQuery.equals("body_style", "Convt"),
+        SelectionQuery.equals("body_style", "Sedan"),
+        SelectionQuery.equals("make", "BMW"),
+        SelectionQuery.equals("make", "Honda"),
+    )
+
+    def test_warm_plans_call_neither_generator_nor_ranker(self, cars_env, monkeypatch):
+        source = cars_env.web_source()
+        base_sets = {query: source.execute(query) for query in self.QUERIES}
+        config = PlannerConfig(alpha=0.0, k=10)
+        uncached = QueryPlanner(cars_env.knowledge, config)
+        expected = {
+            query: uncached.plan_selection(query, base_sets[query], source=source)
+            for query in self.QUERIES
+        }
+
+        calls: Counter = Counter()
+
+        def count(owner, attribute):
+            original = getattr(owner, attribute)
+
+            def counting(*args, **kwargs):
+                calls[attribute] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, counting)
+
+        count(generators_module, "rewritten_from_bindings")
+        count(Ranker, "order")
+
+        cache = PlanCache()
+        planner = QueryPlanner(cars_env.knowledge, config, cache=cache)
+        for query in self.QUERIES:  # cold: each plan is built once
+            planner.plan_selection(query, base_sets[query], source=source)
+        built = len(self.QUERIES)
+        assert calls == Counter(rewritten_from_bindings=built, order=built)
+
+        calls.clear()
+        repetitions = 3
+        for _ in range(repetitions):
+            for query in self.QUERIES:
+                plan = planner.plan_selection(query, base_sets[query], source=source)
+                assert plan.cached
+                assert replace(plan, cached=False) == expected[query]
+        assert calls == Counter()
+        assert cache.hits == repetitions * len(self.QUERIES)
+        assert cache.misses == len(self.QUERIES)
 
 
 class TestCorrelatedParity:

@@ -1,20 +1,24 @@
 """Disabled means free: no plan cache and no telemetry cost nothing.
 
 With ``plan_cache=None`` and ``telemetry=None`` a mediated query must
-compute no fingerprint and open no span.  The check counts calls through
-a monkeypatch rather than timing anything, so it is deterministic.  The
-same counters see the work when a cache and a telemetry hook are given,
-which shows the patches are live.
+compute no fingerprint, open no span and read no telemetry clock.  The
+check counts calls through a monkeypatch rather than timing anything, so
+it is deterministic.  The same counters see the work when a cache and a
+telemetry hook are given, which shows the patches are live.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
+import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import repro.planner.fingerprint as fingerprint_module
+import repro.telemetry.telemetry as telemetry_module
 from repro.core import JoinConfig, JoinProcessor, QpiadMediator
 from repro.mining.knowledge import KnowledgeBase
 from repro.planner import PlanCache
@@ -52,6 +56,10 @@ def calls(monkeypatch):
     count(Relation, "content_digest", "content_digest")
     count(KnowledgeBase, "fingerprint", "fingerprint")
     count(Span, "__init__", "Span")
+    # The telemetry module reads the wall clock through its ``time`` binding.
+    clock = SimpleNamespace(monotonic=time.monotonic)
+    count(clock, "monotonic", "clock")
+    monkeypatch.setattr(telemetry_module, "time", clock)
     return counts
 
 
@@ -90,3 +98,15 @@ class TestEnabledIsCounted:
     def test_join(self, cars_env, complaints_env, calls):
         _join(cars_env, complaints_env, plan_cache=PlanCache(), telemetry=Telemetry())
         assert calls["stable_digest"] and calls["fingerprint"] and calls["Span"]
+
+
+class TestInjectedClock:
+    def test_first_answer_latency_uses_the_telemetry_clock(
+        self, cars_env, complaints_env
+    ):
+        ticks = itertools.count(0.0, 10.0)  # every read advances ten seconds
+        telemetry = Telemetry(clock=lambda: next(ticks))
+        _join(cars_env, complaints_env, telemetry=telemetry)
+        histogram = telemetry.metrics.histogram("mediator.time_to_first_answer_seconds")
+        assert histogram.count == 1
+        assert histogram.mean >= 10.0
