@@ -24,8 +24,8 @@ Installed as ``qpiad``.  Subcommands mirror the mediator's life cycle:
   compare mined statistics against a freshly probed sample; exit 1 when
   the knowledge base has gone stale (see ``docs/knowledge-refresh.md``)
 * ``qpiad refresh cars.csv --kb cars.kb.json --batch new.csv --out cars.kb.json``
-  — fold a fresh sample batch into the knowledge base without a full
-  re-mine (``--if-stale`` gates on drift, ``--watch`` keeps polling)
+  — fold a fresh sample batch into the knowledge base as its next
+  generation (``--if-stale`` gates on drift, ``--watch`` keeps polling)
 * ``qpiad lint [paths]`` — static domain-invariant checks (NULL semantics,
   mediator discipline, seeded RNGs; see ``docs/linting.md``)
 
@@ -308,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     refresh = sub.add_parser(
         "refresh",
-        help="fold a fresh sample batch into a knowledge base "
-        "(incremental when possible, full re-mine otherwise)",
+        help="fold a fresh sample batch into a knowledge base: re-mine the "
+        "union, extending the mined views by the batch alone unless the "
+        "numeric bin edges moved",
     )
     refresh.add_argument("data", type=Path, help="the (incomplete) database CSV")
     refresh.add_argument(
@@ -927,7 +928,6 @@ def _cmd_refresh(args) -> int:
 
     __, knowledge = _load_or_mine(args.data, args.kb)
     refresher = KnowledgeRefresher(knowledge)
-    refresher.prime()  # seed incremental state so each refresh folds only its batch
 
     def fold_once() -> int:
         batch = read_csv(args.batch)

@@ -24,7 +24,6 @@ from repro.mining.nbc import NaiveBayesClassifier
 from repro.mining.persistence import load_knowledge, save_knowledge
 from repro.mining.partitions import (
     Partition,
-    class_counts,
     g3_error,
     g3_stats,
     key_error,
@@ -34,13 +33,7 @@ from repro.mining.pruning import DEFAULT_DELTA, is_noisy, prune_noisy_afds
 from repro.mining.refresh import KnowledgeRefresher, RefreshResult
 from repro.mining.selectivity import SelectivityEstimator
 from repro.mining.store import KnowledgeStore, as_store, resolve_knowledge
-from repro.mining.tane import (
-    MiningState,
-    TaneConfig,
-    TaneResult,
-    mine_dependencies,
-    mine_dependencies_incremental,
-)
+from repro.mining.tane import TaneConfig, TaneResult, mine_dependencies
 
 __all__ = [
     "Afd",
@@ -49,13 +42,10 @@ __all__ = [
     "partition_by",
     "g3_error",
     "g3_stats",
-    "class_counts",
     "key_error",
     "TaneConfig",
     "TaneResult",
-    "MiningState",
     "mine_dependencies",
-    "mine_dependencies_incremental",
     "DEFAULT_DELTA",
     "is_noisy",
     "prune_noisy_afds",

@@ -22,7 +22,7 @@ order-insensitive sum, so class *order* is immaterial.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,9 +33,6 @@ __all__ = [
     "Partition",
     "partition_by",
     "partition_from_codes",
-    "class_counts",
-    "code_histogram",
-    "code_histogram_items",
     "g3_error",
     "g3_stats",
     "key_error",
@@ -120,68 +117,6 @@ class Partition:
         order = self.order
         return int((labels[order] >= 0).sum())
 
-    def extend(
-        self, columns: "Sequence[NDArray[np.int64]]", start: int
-    ) -> "Partition":
-        """Fold rows ``start..`` of *columns* into this partition.
-
-        *columns* are full-length dictionary-code arrays over a grown
-        relation whose first ``start`` rows are exactly the rows this
-        partition was built over.  Dictionary codes are minted first-seen,
-        so growing a relation never re-codes its existing prefix; batch
-        rows are partitioned with the same argsort kernels and merged into
-        the existing classes by their representative code key.  The result
-        has the same classes as ``partition_from_codes(columns)`` over the
-        full relation (class order may differ, which no error measure
-        depends on; members within a class stay ascending).
-        """
-        order, sizes = self.order, self.sizes
-        batch = partition_from_codes([column[start:] for column in columns])
-        b_order, b_sizes = batch.order, batch.sizes
-        if b_order.shape[0] == 0:
-            return Partition(order, sizes)
-        k_old = int(sizes.shape[0])
-        old_starts = np.cumsum(sizes) - sizes
-        b_starts = np.cumsum(b_sizes) - b_sizes
-        key_of: dict[tuple[int, ...], int] = {}
-        if k_old:
-            reps = order[old_starts]
-            stacked = np.stack([column[reps] for column in columns], axis=1)
-            for position, key in enumerate(stacked.tolist()):
-                key_of[tuple(key)] = position
-        b_reps = b_order[b_starts] + start
-        b_stacked = np.stack([column[b_reps] for column in columns], axis=1)
-        added = np.zeros(k_old, dtype=np.int64)
-        dest = np.empty(b_sizes.shape[0], dtype=np.int64)
-        fresh = k_old
-        # Per-class (not per-row) matching of batch classes to old classes.
-        for j, key in enumerate(b_stacked.tolist()):
-            position = key_of.get(tuple(key))
-            if position is None:
-                dest[j] = fresh
-                fresh += 1
-            else:
-                dest[j] = position
-                added[position] += b_sizes[j]
-        merged_sizes = np.empty(fresh, dtype=np.int64)
-        merged_sizes[:k_old] = sizes + added
-        is_new = dest >= k_old
-        merged_sizes[dest[is_new]] = b_sizes[is_new]
-        merged_starts = np.cumsum(merged_sizes) - merged_sizes
-        merged_order = np.empty(order.shape[0] + b_order.shape[0], dtype=np.int64)
-        if order.shape[0]:
-            offsets = np.arange(order.shape[0], dtype=np.int64) - np.repeat(
-                old_starts, sizes
-            )
-            merged_order[np.repeat(merged_starts[:k_old], sizes) + offsets] = order
-        base = merged_starts[dest]
-        base[~is_new] += sizes[dest[~is_new]]
-        b_offsets = np.arange(b_order.shape[0], dtype=np.int64) - np.repeat(
-            b_starts, b_sizes
-        )
-        merged_order[np.repeat(base, b_sizes) + b_offsets] = b_order + start
-        return Partition(merged_order, merged_sizes)
-
 
 def partition_by(relation: Relation, attributes: Sequence[str]) -> Partition:
     """Partition *relation*'s row indices by their values on *attributes*."""
@@ -227,10 +162,8 @@ def g3_stats(
 
     ``covered`` is the number of rows measured (non-NULL on ``X`` and on
     ``A``); ``kept`` is the number of rows retained when each X-class keeps
-    only its majority A-value.  Both are exact integers, so they can be
-    maintained incrementally and re-divided later without drift.  They are
-    counted over ``(class, code)`` pairs with ``np.unique`` and a per-class
-    ``np.maximum.reduceat``.
+    only its majority A-value.  They are counted over ``(class, code)``
+    pairs with ``np.unique`` and a per-class ``np.maximum.reduceat``.
     """
     order, sizes = x_partition.order, x_partition.sizes
     if order.shape[0] == 0:
@@ -267,74 +200,6 @@ def g3_error(x_partition: Partition, dependent_codes: "NDArray[np.int64]") -> fl
     if covered == 0:
         return 0.0
     return (covered - kept) / covered
-
-
-def class_counts(
-    partition: Partition, columns: "Sequence[NDArray[np.int64]]"
-) -> "dict[tuple[int, ...], int]":
-    """Map each class's representative code key to its class size.
-
-    *columns* must be the code arrays *partition* was built over (row
-    indices in the partition index into them).  Because all rows of a class
-    share the same codes, reading the codes at one representative row per
-    class recovers the full value-combination histogram — the sufficient
-    statistic incremental mining folds batches into.
-    """
-    order, sizes = partition.order, partition.sizes
-    if sizes.shape[0] == 0:
-        return {}
-    starts = np.cumsum(sizes) - sizes
-    reps = order[starts]
-    stacked = np.stack([column[reps] for column in columns], axis=1)
-    return {
-        tuple(key): int(size)
-        for key, size in zip(stacked.tolist(), sizes.tolist())
-    }
-
-
-def code_histogram(
-    columns: "Sequence[NDArray[np.int64]]",
-) -> "dict[tuple[int, ...], int]":
-    """The value-combination histogram of one or more code columns.
-
-    Equivalent to ``class_counts(partition_from_codes(columns), columns)``
-    — rows NULL (``-1``) on any column drop out, and each surviving code
-    combination maps to its row count — but computed with a single
-    mixed-radix ``np.unique`` instead of building partition classes.  This
-    is the kernel incremental mining folds batches with, where only the
-    histogram (never the row classes) is needed.  Falls back to the
-    partition route if the radix product would overflow int64.
-    """
-    return dict(code_histogram_items(columns))
-
-
-def code_histogram_items(
-    columns: "Sequence[NDArray[np.int64]]",
-) -> "Iterable[tuple[tuple[int, ...], int]]":
-    """:func:`code_histogram` as an iterable of ``(combo, count)`` pairs.
-
-    Saves materializing an intermediate dict when the consumer folds the
-    pairs straight into its own accumulator (the incremental mining state).
-    """
-    if not columns:
-        raise ValueError("code_histogram requires at least one column")
-    valid = columns[0] >= 0
-    for column in columns[1:]:
-        valid = valid & (column >= 0)
-    rows = np.flatnonzero(valid)
-    if rows.shape[0] == 0:
-        return ()
-    combined = columns[0][rows]
-    for column in columns[1:]:
-        codes = column[rows]
-        width = int(codes.max()) + 1
-        if int(combined.max()) > (2**62) // max(width, 1):
-            return class_counts(partition_from_codes(columns), columns).items()
-        combined = combined * width + codes
-    _, first, counts = np.unique(combined, return_index=True, return_counts=True)
-    reps = rows[first]
-    stacked = np.stack([column[reps] for column in columns], axis=1)
-    return zip(map(tuple, stacked.tolist()), map(int, counts.tolist()))
 
 
 def key_error(x_partition: Partition) -> float:

@@ -1,27 +1,27 @@
-"""Incremental, versioned refresh of mined knowledge.
+"""Versioned refresh of mined knowledge.
 
 QPIAD mines its statistics once, offline; the autonomous sources it
-mediates drift underneath.  This module turns the one-shot mining layer
-into an incrementally-maintained one:
+mediates drift underneath.  This module keeps the mining layer current:
 
-* :class:`KnowledgeRefresher` folds a fresh sample batch into the current
-  knowledge generation — stripped-partition fold-in for TANE (histogram
-  statistics + :meth:`Partition.extend`), ``g3`` confidence re-measurement
-  from exact integer counts, NBC count-matrix addition over the batch only,
-  and exact selectivity updates — and installs the result as a *new*
-  generation (epoch + 1, lineage extended) in a
-  :class:`~repro.mining.store.KnowledgeStore`.
+* :class:`KnowledgeRefresher` mines the union of the current generation's
+  sample and a fresh batch and installs the result as a *new* generation
+  (epoch + 1, lineage extended) in a
+  :class:`~repro.mining.store.KnowledgeStore`.  What extends additively is
+  extended from the batch alone — the sample's and mining view's columnar
+  codes, the classifiers' training views and NBC count matrices, and the
+  selectivity counters — while TANE re-walks the lattice over the union's
+  codes.
 * :meth:`KnowledgeRefresher.refresh_if_stale` is the drift-triggered
-  policy: probe, :func:`~repro.mining.drift.detect_drift`, fold, swap.
+  policy: probe, :func:`~repro.mining.drift.detect_drift`, refresh, swap.
 
 The refresh invariant — tested in ``tests/mining/test_refresh.py``, with
-perfbench's ``mining.refresh_ms`` sizing the cost — is that folding batches
-``B1..Bn`` into a knowledge base mined on ``S`` yields a generation whose
-:meth:`fingerprint` equals a full re-mine on ``S ∪ B1..Bn``: every folded
-statistic is an exact integer fed through the same float arithmetic as the
-one-shot kernels.  When that cannot be guaranteed — the discretizer's bin
-edges moved — the refresher transparently falls back to a full re-mine:
-more expensive, identical result.
+perfbench's ``mining.refresh_ms`` sizing the cost — is that refreshing a
+knowledge base mined on ``S`` with batches ``B1..Bn`` yields a generation
+whose :meth:`fingerprint` equals a full re-mine on ``S ∪ B1..Bn``: every
+extended statistic is an exact integer fed through the same float
+arithmetic as the one-shot kernels.  When the discretizer's bin edges move,
+the historical rows re-bucket, so the whole union is transformed for
+mining: more expensive, identical result.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.mining.drift import DriftReport, detect_drift
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.pruning import prune_noisy_afds
 from repro.mining.store import KnowledgeStore, as_store
-from repro.mining.tane import MiningState, TaneResult, mine_dependencies_incremental
+from repro.mining.tane import TaneResult, mine_dependencies
 from repro.relational.relation import Relation
 from repro.telemetry import SpanKind, Telemetry, maybe_span
 
@@ -46,10 +46,12 @@ __all__ = ["KnowledgeRefresher", "RefreshResult"]
 class RefreshResult:
     """What one refresh attempt did.
 
-    ``mode`` is ``"incremental"`` (statistics folded), ``"full"`` (fell
-    back to a complete re-mine of the union sample — same result, higher
-    cost), or ``"skipped"`` (:meth:`KnowledgeRefresher.refresh_if_stale`
-    found no drift and left the installed generation alone).
+    ``mode`` is ``"incremental"`` (the union kept the base's bin edges, so
+    the mining view, training views and NBC counts extend by the batch's
+    rows), ``"full"`` (the edges moved, so the whole union was re-bucketed
+    for mining — same result, higher cost), or ``"skipped"``
+    (:meth:`KnowledgeRefresher.refresh_if_stale` found no drift and left
+    the installed generation alone).
     """
 
     knowledge: KnowledgeBase
@@ -64,21 +66,17 @@ class RefreshResult:
 
 
 class KnowledgeRefresher:
-    """Folds sample batches into versioned knowledge generations.
+    """Refreshes the knowledge installed in a store, one batch at a time.
 
-    The refresher owns the mutable side of knowledge maintenance so the
-    generations themselves can stay frozen: it keeps the incremental
-    mining state (histograms + root partitions) between refreshes, builds
-    each new generation, and installs it atomically in the shared
-    :class:`KnowledgeStore`.  Mediators and planners that read through the
-    same store pick up the new generation at their next per-query
-    snapshot; their plan caches miss by construction because the
-    fingerprint changed.
-
-    One refresher should drive one store.  If the store is swapped by
-    someone else between refreshes, the fingerprint guard notices and the
-    mining state is re-seeded rather than silently folded onto the wrong
-    base.
+    The refresher keeps no state of its own between refreshes, so the
+    generations can stay frozen and a failed refresh leaves nothing
+    behind: each refresh reads the store's current generation, builds the
+    next one from it and the batch, and installs it atomically in the
+    shared :class:`KnowledgeStore`.  Mediators and planners that read
+    through the same store pick up the new generation at their next
+    per-query snapshot; their plan caches miss by construction because
+    the fingerprint changed.  A generation installed by someone else is
+    simply the base the next refresh builds on.
     """
 
     def __init__(
@@ -89,8 +87,6 @@ class KnowledgeRefresher:
     ):
         self._store = as_store(knowledge)
         self._telemetry = telemetry
-        self._state: "MiningState | None" = None
-        self._state_fingerprint: "str | None" = None
 
     @property
     def store(self) -> KnowledgeStore:
@@ -102,23 +98,12 @@ class KnowledgeRefresher:
         """Snapshot of the currently-installed generation."""
         return self._store.current
 
-    # ------------------------------------------------------------------
-    # Priming
-    # ------------------------------------------------------------------
-
     def prime(self) -> None:
-        """Pre-build incremental mining state from the current generation.
+        """Do nothing: refresh carries no mining state to pre-build.
 
-        Seeding walks the mining lattice once over the current sample to
-        populate the fold-in histograms and root partitions; afterwards
-        each refresh touches only its batch.  Without priming, the first
-        refresh absorbs this cost (it seeds over the union instead).
+        Kept only because perfbench's census-refresh set-up calls it and
+        its tracer wraps it.
         """
-        base = self._store.current
-        state = MiningState(self._mining_names(base))
-        mine_dependencies_incremental(base._mining_view, base.config.tane, state)
-        self._state = state
-        self._state_fingerprint = base.fingerprint()
 
     # ------------------------------------------------------------------
     # Refresh
@@ -127,13 +112,14 @@ class KnowledgeRefresher:
     def refresh(
         self, batch: Relation, *, database_size: "int | None" = None
     ) -> RefreshResult:
-        """Fold *batch* into the installed generation and swap the result in.
+        """Mine the installed generation's sample plus *batch*; swap it in.
 
         *batch* must share the sample's schema and be non-empty.  When
         *database_size* is given it replaces the advertised cardinality
-        (sources grow along with their distributions); otherwise the base
-        generation's size is kept.
+        (sources grow along with their distributions) and must be at least
+        1; otherwise the base generation's size is kept.
         """
+        _check_database_size(database_size)
         base = self._store.current
         if not len(batch):
             raise MiningError("cannot refresh knowledge from an empty batch")
@@ -174,11 +160,8 @@ class KnowledgeRefresher:
                 lineage=lineage,
             )
             if mode == "incremental":
-                self._state_fingerprint = refreshed.fingerprint()
                 self._prewarm_classifiers(base, refreshed, batch, discretizer)
-            else:
-                self._state = None
-                self._state_fingerprint = None
+            fingerprint = refreshed.fingerprint()
             self._store.install(refreshed)
             if span is not None:
                 span.set(mode=mode, epoch=refreshed.epoch)
@@ -193,7 +176,7 @@ class KnowledgeRefresher:
             mode=mode,
             refreshed=True,
             epoch=refreshed.epoch,
-            fingerprint=refreshed.fingerprint(),
+            fingerprint=fingerprint,
             previous_fingerprint=base.fingerprint(),
             rows_folded=len(batch),
             seconds=elapsed,
@@ -208,14 +191,15 @@ class KnowledgeRefresher:
         min_support: int = 20,
         database_size: "int | None" = None,
     ) -> RefreshResult:
-        """The drift-triggered policy: probe, detect, fold, swap.
+        """The drift-triggered policy: probe, detect, refresh, swap.
 
         *fresh_sample* is a newly-probed batch from the source.  When
         :func:`detect_drift` finds the installed generation stale against
-        it, the batch is folded in via :meth:`refresh`; otherwise nothing
+        it, the batch is mined in via :meth:`refresh`; otherwise nothing
         is installed and the result reports ``mode="skipped"``.  Either
         way the :class:`~repro.mining.drift.DriftReport` rides along.
         """
+        _check_database_size(database_size)
         base = self._store.current
         report = detect_drift(
             base,
@@ -247,65 +231,34 @@ class KnowledgeRefresher:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _mining_names(base: KnowledgeBase) -> tuple[str, ...]:
-        tane = base.config.tane
-        return tuple(tane.attributes or base._mining_view.schema.names)
-
     def _mine(
-        self, base: KnowledgeBase, batch: Relation, sample: Relation
+        base: KnowledgeBase, batch: Relation, sample: Relation
     ) -> "tuple[str, TaneResult, Discretizer | None, Relation]":
-        """Mine the union sample, incrementally when soundness allows.
+        """Mine the union *sample* with one lattice walk.
 
-        The incremental path requires the discretizer fitted on the union
-        to produce the *same bin edges* as the base's — otherwise the
-        historical rows' bucket labels would change and the folded
-        histograms would describe a view that no longer exists.  Moved
-        edges fall back to a full re-mine, which by the equivalence
-        invariant produces the identical result.
+        When the discretizer fitted on the union keeps the base's bin edges
+        (``"incremental"``), the historical rows keep their bucket labels
+        and codes, so the union's mining view is the base's extended by the
+        transformed batch.  Moved edges (``"full"``) re-bucket historical
+        rows, so the whole union is transformed.  Either way TANE measures
+        the union's codes, which makes the result equal a fresh mine.
         """
         config = base.config
-        if config.discretize_bins:
-            discretizer: "Discretizer | None" = Discretizer(
-                sample,
-                bins=config.discretize_bins,
-                strategy=config.discretize_strategy,
-            )
-        else:
-            discretizer = None
-        base_discretizer = base._discretizer
-        same_bins = (
-            discretizer is None
-            and base_discretizer is None
-        ) or (
-            discretizer is not None
-            and base_discretizer is not None
-            and discretizer.to_bins() == base_discretizer.to_bins()
+        if not config.discretize_bins:
+            return "incremental", mine_dependencies(sample, config.tane), None, sample
+        discretizer = Discretizer(
+            sample, bins=config.discretize_bins, strategy=config.discretize_strategy
         )
-        if same_bins:
-            if discretizer is not None:
-                mining_view = base._mining_view.concat_encoded(
-                    discretizer.transform(batch)
-                )
-            else:
-                mining_view = sample
-            mined = self._mine_incremental(base, mining_view)
-            return "incremental", mined, discretizer, mining_view
-        fresh = KnowledgeBase(sample, database_size=base.database_size, config=config)
-        result = TaneResult(afds=list(fresh.all_afds), akeys=list(fresh.akeys))
-        return "full", result, fresh._discretizer, fresh._mining_view
-
-    def _mine_incremental(
-        self, base: KnowledgeBase, mining_view: Relation
-    ) -> TaneResult:
-        state = self._state
-        if state is None or self._state_fingerprint != base.fingerprint():
-            # First refresh, or the store was swapped underneath us: the
-            # saved state describes some other generation's rows.  Re-seed
-            # over the union (one lattice walk; subsequent refreshes fold).
-            state = MiningState(self._mining_names(base))
-        mined = mine_dependencies_incremental(mining_view, base.config.tane, state)
-        self._state = state
-        return mined
+        if (
+            base._discretizer is not None
+            and discretizer.to_bins() == base._discretizer.to_bins()
+        ):
+            mode = "incremental"
+            mining_view = base._mining_view.concat_encoded(discretizer.transform(batch))
+        else:
+            mode = "full"
+            mining_view = discretizer.transform(sample)
+        return mode, mine_dependencies(mining_view, config.tane), discretizer, mining_view
 
     def _prewarm_classifiers(
         self,
@@ -371,3 +324,8 @@ class KnowledgeRefresher:
                 clone.afd = afd
             clone._nbc = classifier._nbc.extended(batch_view)
             refreshed._classifiers[(attribute, method)] = clone
+
+
+def _check_database_size(database_size: "int | None") -> None:
+    if database_size is not None and database_size < 1:
+        raise MiningError(f"database_size must be at least 1, got {database_size}")

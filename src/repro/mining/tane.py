@@ -22,32 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.errors import MiningError
 from repro.mining.afd import Afd, AKey
-from repro.mining.partitions import (
-    Partition,
-    class_counts,
-    code_histogram_items,
-    g3_stats,
-    partition_from_codes,
-)
+from repro.mining.partitions import Partition, g3_stats, partition_from_codes
 from repro.relational.relation import Relation
 
 #: Per-attribute dictionary-code arrays (``-1`` = NULL) being mined.
 Codes = dict[str, NDArray[np.int64]]
 
-__all__ = [
-    "TaneConfig",
-    "TaneResult",
-    "MiningState",
-    "mine_dependencies",
-    "mine_dependencies_incremental",
-]
+__all__ = ["TaneConfig", "TaneResult", "mine_dependencies"]
 
 
 @dataclass(frozen=True)
@@ -119,63 +106,24 @@ def mine_dependencies(sample: Relation, config: TaneConfig | None = None) -> Tan
     dependent attribute ``A ∉ X`` (sharing ``Π_X`` across all dependents).
     """
     config = config or TaneConfig()
-    names = _validated_names(sample, config)
-    return _walk(names, config, _KernelMeasurer(_codes(sample, names)))
-
-
-def mine_dependencies_incremental(
-    sample: Relation, config: TaneConfig | None, state: "MiningState"
-) -> TaneResult:
-    """Levelwise search over *sample* backed by folded sufficient statistics.
-
-    *sample* must extend the relation *state* last saw by appended rows
-    only; the new rows are folded into the tracked combination counts and
-    root partitions first, then the same lattice walk as
-    :func:`mine_dependencies` runs against the updated statistics.  Because
-    every measurement is an exact integer statistic feeding the same float
-    divisions as the partition kernels, the result — and therefore the
-    knowledge fingerprint derived from it — is bit-identical to a full
-    re-mine of *sample*.  Pruning decisions are re-derived on every walk
-    (confidences can move in both directions as batches fold in), so no
-    stale minimality or key-pruning state can leak across refreshes.
-    """
-    config = config or TaneConfig()
-    names = _validated_names(sample, config)
-    if state.names != tuple(names):
-        raise MiningError(
-            "mining state tracks attributes "
-            f"{state.names!r}, not {tuple(names)!r}"
-        )
-    codes = _codes(sample, names)
-    state.fold(codes, len(sample))
-    measurer = _StateMeasurer(state, codes)
-    result = _walk(names, config, measurer)
-    measurer.save_roots()
-    return result
-
-
-def _validated_names(sample: Relation, config: TaneConfig) -> list[str]:
     names = list(config.attributes or sample.schema.names)
     if len(names) < 2:
         raise MiningError("dependency mining needs at least two attributes")
     for name in names:
         sample.schema.index_of(name)  # validate early
-    return names
+    store = sample.columnar()
+    return _walk(names, config, {name: store.column(name).codes for name in names})
 
 
-def _walk(
-    names: list[str],
-    config: TaneConfig,
-    measurer: "_KernelMeasurer | _StateMeasurer",
-) -> TaneResult:
-    """The shared lattice walk, parameterized over how candidates are measured.
+def _walk(names: list[str], config: TaneConfig, codes: Codes) -> TaneResult:
+    """The lattice walk over the mined attributes' code columns.
 
-    Both measurers return exact integer statistics — ``(covered, classes)``
-    for a key candidate and ``(support, kept)`` for an AFD candidate — and
-    the walk owns the float arithmetic, so the one-shot and incremental
-    paths cannot diverge in what they admit, prune, or score.
+    Each candidate is measured as exact integers — ``(covered, classes)``
+    of ``Π_X`` as a key and ``(support, kept)`` of :func:`g3_stats` per
+    dependent — and divided here, in one place.
     """
     result = TaneResult()
+    partitions: dict[tuple[str, ...], Partition] = {}
     # Determining sets already satisfied per dependent: stop expanding them.
     satisfied: dict[str, list[frozenset[str]]] = {name: [] for name in names}
     discovered_keys: list[frozenset[str]] = []
@@ -192,7 +140,8 @@ def _walk(
                 key < candidate_set for key in discovered_keys
             ):
                 continue
-            covered, class_count = measurer.key_stats(candidate)
+            partition = _partition_for(candidate, partitions, codes)
+            covered, class_count = partition.covered, len(partition)
             if covered < config.min_support:
                 continue
 
@@ -214,7 +163,7 @@ def _walk(
                     continue
                 if any(prior <= candidate_set for prior in satisfied[dependent]):
                     continue  # a subset already determines this attribute
-                support, kept = measurer.afd_stats(candidate, dependent)
+                support, kept = g3_stats(partition, codes[dependent])
                 error = (support - kept) / support if support else 0.0
                 confidence = 1.0 - error
                 if support < config.min_support:
@@ -236,153 +185,6 @@ def _walk(
     result.afds.sort(key=lambda afd: (afd.dependent, -afd.confidence, len(afd.determining)))
     result.akeys.sort(key=lambda key: (-key.confidence, key.attributes))
     return result
-
-
-class _KernelMeasurer:
-    """Measure candidates directly from partitions (the one-shot path)."""
-
-    def __init__(self, codes: Codes):
-        self._codes = codes
-        self._partitions: dict[tuple[str, ...], Partition] = {}
-
-    def key_stats(self, candidate: tuple[str, ...]) -> tuple[int, int]:
-        partition = _partition_for(candidate, self._partitions, self._codes)
-        return partition.covered, len(partition)
-
-    def afd_stats(self, candidate: tuple[str, ...], dependent: str) -> tuple[int, int]:
-        partition = self._partitions[candidate]
-        return g3_stats(partition, self._codes[dependent])
-
-
-class _SetStats:
-    """Histogram of one tracked attribute set, plus walk-ready aggregates.
-
-    ``support`` is the running sum of all combination counts, and ``kept``
-    the running sum of per-prefix maxima — the ``g3`` "kept rows" numerator
-    when the set is read as a joint ``X + (A,)``.  Both are maintained
-    incrementally as batches fold in (counts only ever grow, so a prefix
-    maximum moves monotonically and the delta is exact), which makes every
-    candidate measurement during a lattice walk O(1) dictionary reads
-    instead of a full histogram scan.
-    """
-
-    __slots__ = ("counts", "support", "kept", "_best")
-
-    def __init__(self) -> None:
-        self.counts: dict[tuple[int, ...], int] = {}
-        self.support = 0
-        self.kept = 0
-        self._best: dict[tuple[int, ...], int] = {}
-
-    def add(self, fresh: "Iterable[tuple[tuple[int, ...], int]]") -> None:
-        """Fold batch histogram pairs in, keeping every aggregate consistent."""
-        counts = self.counts
-        best = self._best
-        for combo, count in fresh:
-            new = counts.get(combo, 0) + count
-            counts[combo] = new
-            self.support += count
-            prefix = combo[:-1]
-            old = best.get(prefix, 0)
-            if new > old:
-                self.kept += new - old
-                best[prefix] = new
-
-
-class MiningState:
-    """Sufficient statistics carried between incremental mining walks.
-
-    The state tracks, over all rows folded so far:
-
-    * ``_sets`` — for every attribute tuple the walk has ever measured
-      (candidate sets ``X`` and joints ``X + (A,)``), a :class:`_SetStats`:
-      the histogram of value-code combinations to their row counts, plus
-      incrementally maintained aggregates.  Key statistics are
-      ``(support, len(counts))``; ``g3`` statistics are ``(support, kept)``.
-    * ``roots`` — level-1 partitions over the full folded relation,
-      advanced batch-by-batch via :meth:`Partition.extend`; they seed the
-      prefix-refinement cache when the walk reaches a candidate it has not
-      measured before (pruning frontiers shift as confidences move).
-
-    Folding a batch touches only the batch rows (argsort kernels over the
-    batch slice), never the historical rows — that is the whole point.
-    Correctness rests on dictionary codes being minted first-seen: growing
-    a relation never re-codes its existing prefix, so histograms keyed by
-    code tuples stay valid across folds.
-    """
-
-    __slots__ = ("names", "rows", "roots", "_sets")
-
-    def __init__(self, names: Sequence[str]):
-        self.names = tuple(names)
-        self.rows = 0
-        self.roots: dict[str, Partition] = {}
-        self._sets: dict[tuple[str, ...], _SetStats] = {}
-
-    def fold(self, codes: Codes, total_rows: int) -> None:
-        """Fold rows ``self.rows..total_rows`` into every tracked statistic."""
-        start = self.rows
-        if total_rows < start:
-            raise MiningError(
-                f"mining state has folded {start} rows but the relation has "
-                f"only {total_rows}; state can only move forward"
-            )
-        if total_rows == start:
-            return
-        batch = {name: codes[name][start:] for name in self.names}
-        for key, stats in self._sets.items():
-            stats.add(code_histogram_items([batch[name] for name in key]))
-        for name, root in self.roots.items():
-            self.roots[name] = root.extend([codes[name]], start)
-        self.rows = total_rows
-
-
-class _StateMeasurer:
-    """Measure candidates from a :class:`MiningState`'s folded statistics.
-
-    Histogram hits are pure dict arithmetic; misses (candidates this state
-    never measured) are computed once from the full code arrays with the
-    same partition kernels the one-shot path uses, then tracked so future
-    folds keep them current.
-    """
-
-    def __init__(self, state: MiningState, codes: Codes):
-        self._state = state
-        self._codes = codes
-        self._partitions: dict[tuple[str, ...], Partition] = {
-            (name,): root for name, root in state.roots.items()
-        }
-
-    def key_stats(self, candidate: tuple[str, ...]) -> tuple[int, int]:
-        stats = self._stats(candidate)
-        return stats.support, len(stats.counts)
-
-    def afd_stats(self, candidate: tuple[str, ...], dependent: str) -> tuple[int, int]:
-        stats = self._stats(candidate + (dependent,))
-        return stats.support, stats.kept
-
-    def _stats(self, key: tuple[str, ...]) -> _SetStats:
-        stats = self._state._sets.get(key)
-        if stats is None:
-            partition = _partition_for(key, self._partitions, self._codes)
-            columns = [self._codes[name] for name in key]
-            stats = _SetStats()
-            stats.add(class_counts(partition, columns).items())
-            self._state._sets[key] = stats
-        return stats
-
-    def save_roots(self) -> None:
-        """Keep any level-1 partitions computed this walk for future folds."""
-        for name in self._state.names:
-            partition = self._partitions.get((name,))
-            if partition is not None:
-                self._state.roots[name] = partition
-
-
-def _codes(sample: Relation, names: Sequence[str]) -> Codes:
-    """The dictionary-code column of every mined attribute."""
-    store = sample.columnar()
-    return {name: store.column(name).codes for name in names}
 
 
 def _partition_for(

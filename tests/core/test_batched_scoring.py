@@ -371,7 +371,6 @@ def census_fold():
         for attribute in FOLD_ATTRIBUTES:
             base.classifier(attribute, method)
     refresher = KnowledgeRefresher(store)
-    refresher.prime()
     assert refresher.refresh(Relation(schema, rows[100:300])).mode == "incremental"
     return incomplete, base, store.current
 

@@ -81,7 +81,6 @@ def test_fingerprint_after_one_fold():
     batch = Relation(schema, rows[50:150])
     store = KnowledgeStore(KnowledgeBase(base, database_size=4000))
     refresher = KnowledgeRefresher(store)
-    refresher.prime()
     result = refresher.refresh(batch)
     assert result.mode == "incremental"
     assert _digest((result.fingerprint, result.epoch)) == FOLD_GOLDEN

@@ -27,7 +27,6 @@ def refreshed_knowledge():
     batch = Relation(whole.schema, list(rows[100:200]))
     store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
     refresher = KnowledgeRefresher(store)
-    refresher.prime()
     refresher.refresh(batch)
     return store.current
 

@@ -1,4 +1,6 @@
-"""Incremental knowledge refresh: fold-in equivalence, versioning, atomic swap."""
+"""Knowledge refresh: equivalence with a fresh mine, versioning, atomic swap."""
+
+import random
 
 import pytest
 
@@ -7,10 +9,16 @@ from repro.datasets import scaled_incomplete
 from repro.datasets.cars import generate_cars
 from repro.datasets.incompleteness import make_incomplete
 from repro.errors import MiningError
-from repro.mining import KnowledgeBase, KnowledgeRefresher, KnowledgeStore, as_store
+from repro.mining import (
+    KnowledgeBase,
+    KnowledgeRefresher,
+    KnowledgeStore,
+    SelectivityEstimator,
+    as_store,
+)
 from repro.planner import PlanCache
 from repro.planner.fingerprint import relation_fingerprint
-from repro.query import SelectionQuery
+from repro.query import And, Between, Comparison, Equals, SelectionQuery
 from repro.relational import Relation
 from repro.relational.columnar import ColumnStore
 from repro.relational.values import is_null
@@ -53,11 +61,10 @@ def drifted():
 
 
 def _refreshed(pieces, **kwargs):
-    """Fold both batches through a primed refresher; return (store, results)."""
+    """Fold both batches through one refresher; return (store, results)."""
     whole, base, batch1, batch2 = pieces
     store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
     refresher = KnowledgeRefresher(store)
-    refresher.prime()
     results = [refresher.refresh(batch1), refresher.refresh(batch2)]
     return store, results
 
@@ -133,7 +140,6 @@ class TestFoldEconomy:
         whole, base, batch1, batch2 = scaled
         store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
         refresher = KnowledgeRefresher(store)
-        refresher.prime()
         refresher.refresh(batch1)  # encodes the base sample once
 
         encodes: list = []
@@ -199,12 +205,11 @@ class TestAtomicSwap:
         assert second.knowledge.epoch == 1
 
 
-class TestStateReseedOnExternalSwap:
-    def test_external_install_is_not_silently_folded_onto(self, pieces):
+class TestExternalSwap:
+    def test_refresh_builds_on_the_installed_generation(self, pieces):
         whole, base, batch1, batch2 = pieces
         store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
         refresher = KnowledgeRefresher(store)
-        refresher.prime()
         refresher.refresh(batch1)
         # Someone else swaps in a different generation underneath.
         other = KnowledgeBase(
@@ -215,6 +220,52 @@ class TestStateReseedOnExternalSwap:
         oracle = KnowledgeBase(
             base.concat(batch2).concat(batch1), database_size=len(whole)
         )
+        assert result.fingerprint == oracle.fingerprint()
+
+
+class TestFailedRefresh:
+    """A refresh that raises leaves nothing behind for the next one."""
+
+    @pytest.fixture
+    def failed_once(self, pieces, monkeypatch):
+        """A store at epoch 1 whose second refresh raised part-way through."""
+        whole, base, batch1, batch2 = pieces
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        refresher = KnowledgeRefresher(store)
+        refresher.refresh(batch1)
+        before = store.current
+        extended = SelectivityEstimator.extended
+        calls: list = []
+
+        def fail_once(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("selectivity failed")
+            return extended(self, *args, **kwargs)
+
+        monkeypatch.setattr(SelectivityEstimator, "extended", fail_once)
+        with pytest.raises(RuntimeError, match="selectivity failed"):
+            refresher.refresh(batch2)
+        return store, refresher, before
+
+    def test_the_store_keeps_the_old_generation(self, failed_once):
+        store, _, before = failed_once
+        assert store.current is before
+        assert store.current.epoch == 1
+
+    def test_the_next_refresh_equals_a_fresh_mine_of_its_union(
+        self, pieces, failed_once
+    ):
+        whole, base, batch1, _ = pieces
+        store, refresher, _ = failed_once
+        # A batch as long as the failed one, with other rows: the union is
+        # base + batch1 + batch1, and batch2 is in no generation.
+        result = refresher.refresh(batch1)
+        oracle = KnowledgeBase(
+            base.concat(batch1).concat(batch1), database_size=len(whole)
+        )
+        assert result.epoch == 2
+        assert store.current.afds == oracle.afds
         assert result.fingerprint == oracle.fingerprint()
 
 
@@ -283,13 +334,84 @@ class TestFullFallback:
         )
         store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
         refresher = KnowledgeRefresher(store)
-        refresher.prime()
         result = refresher.refresh(shifted)
         oracle = KnowledgeBase(
             base.concat(shifted), database_size=len(whole)
         )
         assert result.mode == "full"
         assert result.fingerprint == oracle.fingerprint()
+
+
+#: Class attributes whose posteriors the Census sequence compares; ``age``
+#: is the numeric one whose bin edges the fallback batch moves.
+CENSUS_TARGETS = ("occupation", "relationship", "education", "age")
+CENSUS_QUERIES = (
+    SelectionQuery.equals("occupation", "Sales"),
+    SelectionQuery.equals("relationship", "Husband"),
+    SelectionQuery(Between("age", 30, 45)),
+    SelectionQuery(And([Equals("sex", "Female"), Comparison("age", "<", 35)])),
+    SelectionQuery(Comparison("hours_per_week", ">", 40)),
+)
+
+
+def _census_reads(knowledge: KnowledgeBase, union: Relation) -> tuple:
+    """Every posterior and estimate the Census sequence compares."""
+    names = union.schema.names
+    posteriors = []
+    for target in CENSUS_TARGETS:
+        evidences = [
+            {
+                name: value
+                for name, value in zip(names, row)
+                if name != target and not is_null(value)
+            }
+            for row in union.rows[::9]
+        ]
+        posteriors.append(repr(knowledge.value_distributions(target, evidences)))
+    return posteriors, knowledge.selectivity.estimate_all(CENSUS_QUERIES)
+
+
+class TestCensusSequence:
+    def test_each_refresh_equals_a_fresh_mine_of_its_union(self):
+        whole = scaled_incomplete("census", 1).incomplete
+        schema, rows = whole.schema, whole.rows
+        base = Relation(schema, rows[:300])
+        rng = random.Random(5)
+        age = schema.index_of("age")
+
+        def held_bins() -> Relation:
+            # Rows re-drawn from the base keep every numeric range, so the
+            # union keeps the bin edges of the generation before it.
+            return Relation(schema, rng.sample(base.rows, 40))
+
+        tripled = Relation(
+            schema,
+            [
+                tuple(
+                    value * 3 if index == age and not is_null(value) else value
+                    for index, value in enumerate(row)
+                )
+                for row in rng.sample(rows[300:], 40)
+            ],
+        )
+        steps = [
+            ("incremental", held_bins()),
+            ("full", tripled),
+            ("incremental", held_bins()),
+            ("incremental", held_bins()),
+        ]
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        # Build the base's classifiers, so held-bin refreshes carry them over.
+        _census_reads(store.current, base)
+        refresher = KnowledgeRefresher(store)
+        union = base
+        for mode, batch in steps:
+            result = refresher.refresh(batch)
+            union = union.concat(batch)
+            oracle = KnowledgeBase(union, database_size=len(whole))
+            assert result.mode == mode
+            assert result.fingerprint == oracle.fingerprint()
+            assert _census_reads(store.current, union) == _census_reads(oracle, union)
 
 
 class TestErrors:
@@ -305,3 +427,30 @@ class TestErrors:
         stranger = Relation(base.schema.project(["make", "model"]), [("BMW", "Z4")])
         with pytest.raises(MiningError, match="schema"):
             KnowledgeRefresher(store).refresh(stranger)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_database_size_below_one_is_rejected_before_mining(
+        self, pieces, monkeypatch, size
+    ):
+        whole, base, batch1, _ = pieces
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        before = store.current
+        mined: list = []
+        monkeypatch.setattr(
+            "repro.mining.refresh.mine_dependencies", lambda *a: mined.append(a)
+        )
+        with pytest.raises(
+            MiningError, match=f"database_size must be at least 1, got {size}"
+        ):
+            KnowledgeRefresher(store).refresh(batch1, database_size=size)
+        assert store.current is before
+        assert not mined
+
+    def test_drift_gated_refresh_rejects_database_size_below_one(self, pieces):
+        whole, base, _, _ = pieces
+        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
+        before = store.current
+        # The probe is fresh, so without the check the call would skip.
+        with pytest.raises(MiningError, match="database_size must be at least 1"):
+            KnowledgeRefresher(store).refresh_if_stale(base, database_size=0)
+        assert store.current is before
