@@ -10,7 +10,6 @@ from repro.datasets import generate_cars, make_incomplete
 from repro.evaluation import render_table
 from repro.mining import KnowledgeBase, MiningConfig, TaneConfig
 from repro.relational import Attribute, Relation, Schema
-from repro.relational.values import is_null
 
 
 def _with_vin(relation: Relation) -> Relation:
@@ -21,22 +20,16 @@ def _with_vin(relation: Relation) -> Relation:
 
 def _prediction_accuracy(kb: KnowledgeBase, dataset, attribute: str, limit: int = 150):
     schema = dataset.incomplete.schema
-    correct = total = 0
-    for cell in dataset.masked:
-        if cell.attribute != attribute:
-            continue
-        row = dataset.incomplete.rows[cell.row_index]
-        evidence = {
-            name: value
-            for name, value in zip(schema.names, row)
-            if not is_null(value) and name != attribute
-        }
-        predicted, __ = kb.predict_value(attribute, evidence, "best-afd")
-        correct += predicted == cell.true_value
-        total += 1
-        if total >= limit:
-            break
-    return correct / total if total else 0.0
+    cells = [cell for cell in dataset.masked if cell.attribute == attribute][:limit]
+    completions = kb.completions(
+        attribute,
+        [dict(zip(schema.names, dataset.incomplete.rows[cell.row_index])) for cell in cells],
+        "best-afd",
+    )
+    correct = sum(
+        predicted == cell.true_value for (predicted, __), cell in zip(completions, cells)
+    )
+    return correct / len(cells) if cells else 0.0
 
 
 def _run():

@@ -243,32 +243,33 @@ class AggregateProcessor:
         """Fold *rows* into the accumulator, optionally predicting NULLs.
 
         ``predict=True`` replaces a NULL in the aggregated attribute by the
-        classifier's most likely completion, using the tuple's present
-        values as evidence.  ``weight`` scales the contribution (the
-        footnote-4 fractional rule).
+        classifier's most likely completion, using the tuple as evidence;
+        all of *rows*' completions come from one
+        :meth:`KnowledgeBase.completions` batch.  ``weight`` scales the
+        contribution (the footnote-4 fractional rule).
         """
         if aggregate.function is AggregateFunction.COUNT and aggregate.attribute == "*":
             accumulator.add_count(weight * len(rows))
             return
         attribute = aggregate.attribute
+        names = rows.schema.names
         index = rows.schema.index_of(attribute)
+        missing = [row for row in rows if is_null(row[index])] if predict else []
+        completions = iter(
+            knowledge.completions(
+                attribute,
+                [dict(zip(names, row)) for row in missing],
+                self.classifier_method,
+            )
+        )
         values: list[float] = []
         for row in rows:
             value = row[index]
             if is_null(value):
                 if not predict:
                     continue
-                evidence = {
-                    name: v
-                    for name, v in zip(rows.schema.names, row)
-                    if not is_null(v) and name != attribute
-                }
-                predicted, __ = knowledge.predict_value(
-                    attribute, evidence, self.classifier_method
-                )
-                if is_null(predicted) or not isinstance(predicted, (int, float)):
+                value, __ = next(completions)
+                if is_null(value) or not isinstance(value, (int, float)):
                     continue
-                values.append(float(predicted))
-            else:
-                values.append(float(value))
+            values.append(float(value))
         accumulator.add(values, weight=weight)

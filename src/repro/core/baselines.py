@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
-from repro.core.rewriting import target_probability
+from repro.core.rewriting import row_probabilities
 from repro.engine import ExecutionPolicy, RetrievalEngine
 from repro.mining.knowledge import KnowledgeBase
 from repro.planner import baseline_plan
@@ -91,33 +91,24 @@ def all_ranked(
     """The A LL R ANKED baseline: retrieve all possible answers, rank each.
 
     Every NULL-bearing tuple is shipped to the mediator and ranked by the
-    classifier posterior that its missing value satisfies the query — the
-    per-tuple analogue of QPIAD's per-query precision.
+    classifier probability that its missing values satisfy the query (the
+    joint over all of them, see :func:`row_probabilities`) — the per-tuple
+    analogue of QPIAD's per-query precision.
     """
     certain, possible, stats = _retrieve(source, query, max_nulls)
     result = QueryResult(query=query, certain=certain, stats=stats)
-    schema = source.schema
     null_attr = _single_null_attribute(source, query)
-
-    answers: list[RankedAnswer] = []
-    for row in possible:
-        attribute = null_attr(row)
-        evidence = {
-            name: value
-            for name, value in zip(schema.names, row)
-            if not is_null(value) and name != attribute
-        }
-        confidence = target_probability(
-            knowledge, attribute, query.conjuncts_on(attribute), evidence, method
+    rows = list(possible)
+    confidences = row_probabilities(knowledge, query, source.schema, rows, method)
+    answers = [
+        RankedAnswer(
+            row=row,
+            confidence=confidence,
+            retrieved_by=query,
+            target_attribute=null_attr(row),
         )
-        answers.append(
-            RankedAnswer(
-                row=row,
-                confidence=confidence,
-                retrieved_by=query,
-                target_attribute=attribute,
-            )
-        )
+        for row, confidence in zip(rows, confidences)
+    ]
     answers.sort(key=lambda answer: -answer.confidence)
     result.ranked = answers
     return result

@@ -27,7 +27,7 @@ order, so the final answer list is bit-identical at every executor width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.results import RetrievalStats
 from repro.core.rewriting import RewrittenQuery
@@ -416,39 +416,42 @@ class JoinProcessor:
             )
         ]
         rewritten = planner.rewrite_candidates(complete_query, base_set)
-        for candidate in rewritten:
+        distributions = self._join_distributions(rewritten, knowledge, join_attribute)
+        for candidate, distribution in zip(rewritten, distributions):
             sides.append(
                 _Side(
                     query=candidate.query,
                     is_rewritten=True,
                     precision=candidate.estimated_precision,
                     selectivity=candidate.estimated_selectivity,
-                    join_distribution=self._join_distribution(
-                        candidate, knowledge, join_attribute
-                    ),
+                    join_distribution=distribution,
                     target_attribute=candidate.target_attribute,
                     afd=candidate.afd,
                 )
             )
         return sides
 
-    def _join_distribution(
-        self, rewritten: RewrittenQuery, knowledge: KnowledgeBase, join_attribute: str
-    ) -> Mapping[Any, float]:
-        """P(join value | query) for a rewritten query (step 3a).
+    def _join_distributions(
+        self,
+        candidates: Sequence[RewrittenQuery],
+        knowledge: KnowledgeBase,
+        join_attribute: str,
+    ) -> "list[dict[Any, float]]":
+        """P(join value | query) for each rewritten query (step 3a).
 
-        When the rewritten query binds the join attribute with an equality,
-        the distribution is a point mass; otherwise the NBC posterior given
-        the determining-set evidence is used.
+        When a rewritten query binds the join attribute with an equality,
+        the distribution is a point mass; the others' NBC posteriors given
+        their determining-set evidence come from one
+        :meth:`KnowledgeBase.value_distributions` batch.
         """
-        for conjunct in rewritten.query.conjuncts:
-            if isinstance(conjunct, Equals) and conjunct.attribute == join_attribute:
-                return {conjunct.value: 1.0}
-        if join_attribute in rewritten.evidence:
-            return {rewritten.evidence[join_attribute]: 1.0}
-        return knowledge.value_distribution(
-            join_attribute, rewritten.evidence, self.config.classifier_method
+        points = [_point_mass(candidate, join_attribute) for candidate in candidates]
+        unbound = [c.evidence for c, point in zip(candidates, points) if point is None]
+        posteriors = iter(
+            knowledge.value_distributions(
+                join_attribute, unbound, self.config.classifier_method
+            )
         )
+        return [point if point is not None else next(posteriors) for point in points]
 
     def _component_plan(
         self, selected: list[_QueryPair]
@@ -622,18 +625,25 @@ class JoinProcessor:
         value = row[join_index]
         if not is_null(value):
             return value, confidence
-        evidence = {
-            name: v
-            for name, v in zip(source.schema.names, row)
-            if not is_null(v) and name != join_attribute
-        }
         try:
-            predicted, probability = knowledge.predict_value(
-                join_attribute, evidence, self.config.classifier_method
+            [(predicted, probability)] = knowledge.completions(
+                join_attribute,
+                [dict(zip(source.schema.names, row))],
+                self.config.classifier_method,
             )
         except MiningError:
             return None, 0.0
         return predicted, confidence * probability
+
+
+def _point_mass(rewritten: RewrittenQuery, join_attribute: str) -> "dict[Any, float] | None":
+    """The join value a rewritten query binds, as a point mass, or ``None``."""
+    for conjunct in rewritten.query.conjuncts:
+        if isinstance(conjunct, Equals) and conjunct.attribute == join_attribute:
+            return {conjunct.value: 1.0}
+    if join_attribute in rewritten.evidence:
+        return {rewritten.evidence[join_attribute]: 1.0}
+    return None
 
 
 def _empirical_distribution(relation: Relation, attribute: str) -> dict[Any, float]:

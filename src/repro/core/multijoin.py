@@ -60,7 +60,8 @@ class MultiJoinStep:
         The autonomous source and its mined statistics — a bare
         :class:`~repro.mining.KnowledgeBase` snapshot or a
         :class:`~repro.mining.KnowledgeStore` whose current generation is
-        resolved at each use.
+        read once per query: the step's retrieval and its NULL join fill
+        use that one generation.
     query:
         This relation's selection constraints.
     join_attribute:
@@ -224,10 +225,11 @@ class MultiJoinProcessor:
         cannot degrade around a missing relation.
         """
         executor = build_executor(self.max_concurrency)
-        tree = self._build_tree()
+        knowledge = [resolve_knowledge(step.knowledge) for step in self.steps]
+        tree = self._build_tree(knowledge)
         result.per_step_retrieved = [0] * len(self.steps)
         tasks = (
-            ExecutionTask(index, self._retriever(step))
+            ExecutionTask(index, self._retriever(step, knowledge[index]))
             for index, step in enumerate(self.steps)
         )
         outcomes = executor.map_completed(tasks, lambda: False)
@@ -244,7 +246,7 @@ class MultiJoinProcessor:
             outcomes.close()
         yield from tree.close()
 
-    def _build_tree(self) -> OperatorTree:
+    def _build_tree(self, knowledge: "list[KnowledgeBase]") -> OperatorTree:
         """The left-deep physical plan over the chain's steps.
 
         ::
@@ -259,8 +261,9 @@ class MultiJoinProcessor:
                    |             |
             Inlet "step0"  Inlet "step1"
 
-        Projects resolve each answer's join value (predicting NULLs) and,
-        for step 0, seed the partial with its ``step0.*`` link namespace;
+        Projects resolve each answer's join value (predicting NULLs from
+        the step's *knowledge* snapshot) and, for step 0, seed the partial
+        with its ``step0.*`` link namespace;
         each join matches the running partial's link attribute against
         the step's effective join value, multiplying confidences.
         """
@@ -276,7 +279,7 @@ class MultiJoinProcessor:
                         for name, value in zip(schema.names, row)
                     }
                     return _Partial((row,), confidence, certain, link_values)
-                value, probability = self._join_value(step, row)
+                value, probability = self._join_value(step, knowledge[index], row)
                 if value is None:
                     return None
                 return _StepItem(row, confidence, certain, value, probability)
@@ -328,14 +331,14 @@ class MultiJoinProcessor:
         return OperatorTree(upstream)
 
     def _retriever(
-        self, step: MultiJoinStep
+        self, step: MultiJoinStep, knowledge: KnowledgeBase
     ) -> "Callable[[], list[tuple[Row, float, bool]]]":
-        """One step's QPIAD retrieval as an executor task."""
+        """One step's QPIAD retrieval, over *knowledge*, as an executor task."""
 
         def run() -> list[tuple[Row, float, bool]]:
             mediator = QpiadMediator(
                 step.source,
-                step.knowledge,
+                knowledge,
                 QpiadConfig(alpha=self.alpha, k=self.k),
                 telemetry=self._telemetry,
                 plan_cache=self._plan_cache,
@@ -351,20 +354,18 @@ class MultiJoinProcessor:
 
         return run
 
-    def _join_value(self, step: MultiJoinStep, row: Row) -> tuple[Any, float]:
+    def _join_value(
+        self, step: MultiJoinStep, knowledge: KnowledgeBase, row: Row
+    ) -> tuple[Any, float]:
         """The row's join value (predicted when NULL) and its probability."""
         schema = step.source.schema
         value = row[schema.index_of(step.join_attribute)]
         if not is_null(value):
             return value, 1.0
-        evidence = {
-            name: v
-            for name, v in zip(schema.names, row)
-            if not is_null(v) and name != step.join_attribute
-        }
         try:
-            return resolve_knowledge(step.knowledge).predict_value(
-                step.join_attribute, evidence
+            [completion] = knowledge.completions(
+                step.join_attribute, [dict(zip(schema.names, row))]
             )
         except MiningError:
             return None, 0.0
+        return completion

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
+from repro.core.rewriting import row_probabilities
 from repro.engine import (
     ExecutionPolicy,
     PlannedQuery,
@@ -428,36 +429,10 @@ class QpiadMediator:
                     seen_rows.add(row)
                     rows.append(row)
         if self.config.rank_multi_null:
-            # One generation snapshot ranks the whole batch: a refresh
-            # landing mid-sort must not mix posteriors across generations.
-            knowledge = self._store.current
-            rows.sort(
-                key=lambda row: -self._joint_probability(query, row, knowledge)
+            # One generation snapshot ranks the whole batch.
+            probabilities = row_probabilities(
+                self._store.current, query, schema, rows, self.config.classifier_method
             )
+            ranked = sorted(zip(probabilities, rows), key=lambda pair: -pair[0])
+            rows = [row for __, row in ranked]
         return rows
-
-    def _joint_probability(
-        self, query: SelectionQuery, row: Row, knowledge: KnowledgeBase
-    ) -> float:
-        """Naive joint probability that every missing constrained value of
-        *row* satisfies its conjuncts (independence assumption)."""
-        from repro.core.rewriting import target_probability
-
-        schema = self.source.schema
-        evidence = {
-            name: value
-            for name, value in zip(schema.names, row)
-            if not is_null(value)
-        }
-        probability = 1.0
-        for attribute in query.constrained_attributes:
-            if not is_null(row[schema.index_of(attribute)]):
-                continue
-            probability *= target_probability(
-                knowledge,
-                attribute,
-                query.conjuncts_on(attribute),
-                evidence,
-                self.config.classifier_method,
-            )
-        return probability

@@ -32,8 +32,8 @@ __all__ = [
     "generate_rewritten_queries",
     "rewriting_bindings",
     "rewritten_from_bindings",
+    "row_probabilities",
     "target_probabilities",
-    "target_probability",
 ]
 
 
@@ -86,27 +86,6 @@ class RewrittenQuery:
         )
 
 
-def target_probability(
-    knowledge: KnowledgeBase,
-    attribute: str,
-    target_conjuncts: Sequence[Predicate],
-    evidence: Mapping[str, Any],
-    method: str | None = None,
-) -> float:
-    """Probability that *attribute*'s missing value satisfies its constraints.
-
-    For an equality this is the classifier posterior of the constrained
-    value.  For range constraints the posterior mass of every completion
-    satisfying all the conjuncts is summed; completions live in mining space
-    (bucket labels for discretized numeric attributes), so each label is
-    mapped back to a representative raw value before testing.  The batch
-    of one of :func:`target_probabilities`.
-    """
-    return target_probabilities(
-        knowledge, attribute, target_conjuncts, [evidence], method
-    )[0]
-
-
 def target_probabilities(
     knowledge: KnowledgeBase,
     attribute: str,
@@ -114,9 +93,15 @@ def target_probabilities(
     evidences: Sequence[Mapping[str, Any]],
     method: str | None = None,
 ) -> list[float]:
-    """:func:`target_probability` of each of *evidences*, in one batch.
+    """Probability that *attribute*'s missing value satisfies its constraints,
+    given each of *evidences*.
 
-    The posteriors come from one :meth:`KnowledgeBase.value_distributions`
+    For an equality this is the classifier posterior of the constrained
+    value.  For range constraints the posterior mass of every completion
+    satisfying all the conjuncts is summed; completions live in mining space
+    (bucket labels for discretized numeric attributes), so each label is
+    mapped back to a representative raw value before testing.  The
+    posteriors come from one :meth:`KnowledgeBase.value_distributions`
     call, and whether a completion satisfies a range target is decided
     once per distinct completion; each evidence's matching mass is then
     summed in posterior order.
@@ -144,6 +129,34 @@ def target_probabilities(
             if satisfies(label):
                 probability += mass
         probabilities.append(probability)
+    return probabilities
+
+
+def row_probabilities(
+    knowledge: KnowledgeBase,
+    query: SelectionQuery,
+    schema: Schema,
+    rows: Sequence[tuple],
+    method: str | None = None,
+) -> list[float]:
+    """Probability that every constrained value each of *rows* is missing
+    satisfies *query*.
+
+    The naive joint (independence assumption): the product, in constraint
+    order, of each missing attribute's :func:`target_probabilities` given
+    the whole row as evidence.  A row missing no constrained value scores
+    1.0.  One batch per constrained attribute, over the rows missing it.
+    """
+    probabilities = [1.0] * len(rows)
+    for attribute in query.constrained_attributes:
+        index = schema.index_of(attribute)
+        missing = [position for position, row in enumerate(rows) if is_null(row[index])]
+        evidences = [dict(zip(schema.names, rows[position])) for position in missing]
+        factors = target_probabilities(
+            knowledge, attribute, query.conjuncts_on(attribute), evidences, method
+        )
+        for position, factor in zip(missing, factors):
+            probabilities[position] *= factor
     return probabilities
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.baselines import all_ranked, all_returned
 from repro.core.qpiad import QpiadConfig, QpiadMediator
@@ -26,8 +26,7 @@ from repro.errors import QpiadError
 from repro.evaluation.oracle import GroundTruthOracle
 from repro.mining.knowledge import KnowledgeBase, MiningConfig
 from repro.query.query import SelectionQuery
-from repro.relational.relation import Relation
-from repro.relational.values import is_null
+from repro.relational.relation import Relation, Row
 from repro.sources.autonomous import AutonomousSource
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.sampler import split_relation
@@ -196,11 +195,12 @@ def classification_accuracy(
 
     For every masked cell that landed in the test split, predict the missing
     value from the tuple's other attributes using the given classifier
-    variant and compare against the masked ground-truth value.
+    variant and compare against the masked ground-truth value.  Each
+    attribute's cells are predicted in one completions batch.
     """
     test_rows = set(env.test.rows)
     schema = env.dataset.incomplete.schema
-    correct = 0
+    cells: dict[str, list[tuple[Row, Any]]] = {}
     total = 0
     for cell in env.dataset.masked:
         if attributes is not None and cell.attribute not in attributes:
@@ -208,17 +208,19 @@ def classification_accuracy(
         row = env.dataset.incomplete.rows[cell.row_index]
         if row not in test_rows:
             continue
-        evidence = {
-            name: value
-            for name, value in zip(schema.names, row)
-            if not is_null(value) and name != cell.attribute
-        }
-        predicted, __ = env.knowledge.predict_value(cell.attribute, evidence, method)
-        if predicted == cell.true_value:
-            correct += 1
+        cells.setdefault(cell.attribute, []).append((row, cell.true_value))
         total += 1
         if limit is not None and total >= limit:
             break
     if total == 0:
         raise QpiadError("no masked cells fell into the test split")
+    correct = 0
+    for attribute, batch in cells.items():
+        completions = env.knowledge.completions(
+            attribute, [dict(zip(schema.names, row)) for row, __ in batch], method
+        )
+        correct += sum(
+            predicted == true_value
+            for (predicted, __), (__, true_value) in zip(completions, batch)
+        )
     return correct / total

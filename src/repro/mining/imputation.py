@@ -80,42 +80,34 @@ def impute(
     targets = list(attributes) if attributes is not None else list(schema.names)
     for name in targets:
         schema.index_of(name)  # validate
-    target_set = set(targets)
 
-    rows: list[tuple] = []
+    originals = list(relation)
+    rows = [list(row) for row in originals]
     imputed: list[ImputedCell] = []
     skipped_low = 0
     skipped_unpredictable = 0
-    for row_index, row in enumerate(relation):
-        values = list(row)
-        null_attributes = [
-            name
-            for name in targets
-            if is_null(row[schema.index_of(name)])
-        ]
-        if null_attributes:
-            evidence = {
-                name: value
-                for name, value in zip(schema.names, row)
-                if not is_null(value)
-            }
-            for name in null_attributes:
-                try:
-                    predicted, confidence = knowledge.predict_value(
-                        name, evidence, method
-                    )
-                except MiningError:
-                    skipped_unpredictable += 1
-                    continue
-                if confidence < min_confidence:
-                    skipped_low += 1
-                    continue
-                values[schema.index_of(name)] = predicted
-                imputed.append(ImputedCell(row_index, name, predicted, confidence))
-        rows.append(tuple(values))
+    # One completions batch per attribute, each row whole as its evidence.
+    for name in targets:
+        index = schema.index_of(name)
+        missing = [i for i, row in enumerate(originals) if is_null(row[index])]
+        try:
+            completions = knowledge.completions(
+                name, [dict(zip(schema.names, originals[i])) for i in missing], method
+            )
+        except MiningError:
+            skipped_unpredictable += len(missing)
+            continue
+        for row_index, (predicted, confidence) in zip(missing, completions):
+            if confidence < min_confidence:
+                skipped_low += 1
+                continue
+            rows[row_index][index] = predicted
+            imputed.append(ImputedCell(row_index, name, predicted, confidence))
+    # Report row by row, each row's cells in target order (the sort is stable).
+    imputed.sort(key=lambda cell: cell.row_index)
 
     return ImputationReport(
-        relation=Relation(schema, rows),
+        relation=Relation(schema, [tuple(values) for values in rows]),
         imputed=tuple(imputed),
         skipped_low_confidence=skipped_low,
         skipped_unpredictable=skipped_unpredictable,

@@ -30,7 +30,7 @@ from repro.mining.discretization import Discretizer
 from repro.mining.pruning import DEFAULT_DELTA, prune_noisy_afds
 from repro.mining.selectivity import SelectivityEstimator
 from repro.mining.tane import TaneConfig, mine_dependencies
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import Relation
 from repro.relational.values import is_null
 
 __all__ = ["MiningConfig", "KnowledgeBase", "KnowledgeLineage"]
@@ -314,59 +314,63 @@ class KnowledgeBase:
             )
         return self._training_views[class_attribute]
 
-    def value_distribution(
-        self, attribute: str, evidence: Mapping[str, Any], method: str | None = None
-    ) -> dict[Any, float]:
-        """Posterior over completions of *attribute* given raw *evidence*.
-
-        Evidence values are raw (un-bucketed); numeric ones are bucketed
-        internally to match the classifier's feature space.  Keys of the
-        returned distribution are *raw domain values* — including for
-        numeric attributes, whose classifiers keep the class column raw —
-        in the training sample's first-seen class order for the NBC-backed
-        classifiers.
-        """
-        return self.value_distributions(attribute, [evidence], method)[0]
-
     def value_distributions(
         self,
         attribute: str,
         evidences: Sequence[Mapping[str, Any]],
         method: str | None = None,
     ) -> list[dict[Any, float]]:
-        """:meth:`value_distribution` of each of *evidences*, in one batch.
+        """Posterior over completions of *attribute* given each of *evidences*.
 
-        Rewriting scores all of a binding's candidates with one call, so
-        the classifier computes each likelihood row once for the batch.
+        This and :meth:`completions` are how every NULL gets completed.
+        Evidence values are raw (un-bucketed); numeric ones are bucketed
+        internally to match the classifier's feature space.  NULL entries
+        are dropped, so a whole row, NULL target included, is valid
+        evidence.  Keys of each returned distribution are *raw domain
+        values* — including for numeric attributes, whose classifiers keep
+        the class column raw — in the training sample's first-seen class
+        order for the NBC-backed classifiers.
+
+        The classifier scores the whole batch in one pass, computing each
+        likelihood row once.  An empty batch builds no classifier.
         """
+        if not evidences:
+            return []
         prepared = [self._prepare_evidence(evidence) for evidence in evidences]
         return self.classifier(attribute, method).distributions(prepared)
 
-    def estimated_precision(
+    def value_distribution(
+        self, attribute: str, evidence: Mapping[str, Any], method: str | None = None
+    ) -> dict[Any, float]:
+        """:meth:`value_distributions` of one evidence.
+
+        Nothing in the package calls it.  It stays because perfbench's
+        tracer times ``mining.nbc`` by patching this name.
+        """
+        return self.value_distributions(attribute, [evidence], method)[0]
+
+    def completions(
         self,
         attribute: str,
-        value: Any,
-        evidence: Mapping[str, Any],
+        evidences: Sequence[Mapping[str, Any]],
         method: str | None = None,
-    ) -> float:
-        """``P(attribute = value | evidence)`` — a rewritten query's precision."""
-        posterior = self.value_distribution(attribute, evidence, method)
-        return posterior.get(value, 0.0)
+    ) -> list[tuple[Any, float]]:
+        """Most likely completion of *attribute* for each of *evidences*.
 
-    def predict_value(
-        self, attribute: str, evidence: Mapping[str, Any], method: str | None = None
-    ) -> tuple[Any, float]:
-        """Most likely completion (a raw domain value) and its probability.
-
-        An exact tie goes to the tied completion that comes first in the
-        posterior, which for the NBC-backed classifiers is the one seen
-        first in the training sample.
+        Each entry is the argmax of the evidence's
+        :meth:`value_distributions` posterior (a raw domain value) and its
+        probability.  An exact tie goes to the tied completion that comes
+        first in the posterior, which for the NBC-backed classifiers is the
+        one seen first in the training sample.  Raises
+        :class:`MiningError` when a posterior is empty.
         """
-        posterior = self.value_distribution(attribute, evidence, method)
-        if not posterior:
-            raise MiningError(f"no distribution available for {attribute!r}")
-        label = max(posterior, key=lambda candidate: posterior[candidate])
-        return label, posterior[label]
+        completed: list[tuple[Any, float]] = []
+        for posterior in self.value_distributions(attribute, evidences, method):
+            if not posterior:
+                raise MiningError(f"no distribution available for {attribute!r}")
+            label = max(posterior, key=posterior.__getitem__)
+            completed.append((label, posterior[label]))
+        return completed
 
     def mining_label(self, attribute: str, value: Any) -> Any:
         """Map a raw value into mining space (its bucket label if numeric)."""
@@ -391,39 +395,6 @@ class KnowledgeBase:
         if self._discretizer is not None:
             return self._discretizer.representative(attribute, label)
         return label
-
-    def predict_matches(
-        self,
-        attribute: str,
-        value: Any,
-        evidence: Mapping[str, Any],
-        method: str | None = None,
-    ) -> bool:
-        """Whether the argmax completion of *attribute* equals *value*.
-
-        This is the aggregate-inclusion test of Section 4.4: a rewritten
-        query's aggregate is folded in only when the most likely completion
-        matches the original query's constrained value.  Exact ties break
-        as in :meth:`predict_value`: the first-seen tied completion is the
-        argmax.
-        """
-        posterior = self.value_distribution(attribute, evidence, method)
-        if not posterior:
-            return False
-        label = max(posterior, key=lambda candidate: posterior[candidate])
-        return label == value
-
-    # ------------------------------------------------------------------
-    # Evidence helpers
-    # ------------------------------------------------------------------
-
-    def evidence_from_row(self, row: Row, relation: Relation) -> dict[str, Any]:
-        """Turn a relation row into a raw evidence mapping (NULLs dropped)."""
-        return {
-            name: value
-            for name, value in zip(relation.schema.names, row)
-            if not is_null(value)
-        }
 
     def _prepare_evidence(self, evidence: Mapping[str, Any]) -> dict[str, Any]:
         prepared = {k: v for k, v in evidence.items() if not is_null(v)}

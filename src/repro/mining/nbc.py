@@ -285,7 +285,7 @@ class NaiveBayesClassifier:
         smoothed prior, then the lexicographically smallest value — never
         dict insertion order, which would make predictions depend on the
         order training rows happened to arrive in.  The mediator predicts
-        through :meth:`KnowledgeBase.predict_value` instead, which gives an
+        through :meth:`KnowledgeBase.completions` instead, which gives an
         exact tie to the first-seen class.
         """
         posterior = self.distribution(evidence)

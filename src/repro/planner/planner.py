@@ -39,7 +39,7 @@ path is the plain pipeline with zero overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence, TypeVar
 
 if TYPE_CHECKING:
     from repro.core.relaxation import RelaxationPlan
@@ -424,9 +424,11 @@ class QueryPlanner:
         steps: "list[PlannedQuery]" = []
         weights: "list[float]" = []
         skipped = 0
-        for rewritten in ordered:
-            if self.config.inclusion_rule == "argmax":
-                if not self._argmax_matches(rewritten, selection, knowledge):
+        argmax = self.config.inclusion_rule == "argmax"
+        matches = self._argmax_matches(ordered, selection, knowledge) if argmax else []
+        for position, rewritten in enumerate(ordered):
+            if argmax:
+                if not matches[position]:
                     skipped += 1
                     continue
                 weight = 1.0
@@ -456,21 +458,34 @@ class QueryPlanner:
         )
 
     def _argmax_matches(
-        self, rewritten: Any, selection: SelectionQuery, knowledge: KnowledgeBase
-    ) -> bool:
-        """Section 4.4's inclusion rule: most-likely completion == query value."""
-        try:
-            value = selection.equality_value(rewritten.target_attribute)
-        except QueryError:
-            # Range-constrained target: include when the majority of the
-            # posterior mass satisfies the constraint (natural extension).
-            return rewritten.estimated_precision > 0.5
-        return knowledge.predict_matches(
-            rewritten.target_attribute,
-            value,
-            rewritten.evidence,
-            self.config.classifier_method,
-        )
+        self,
+        ordered: "Sequence[RewrittenQuery]",
+        selection: SelectionQuery,
+        knowledge: KnowledgeBase,
+    ) -> "list[bool]":
+        """Section 4.4's inclusion rule for each of *ordered*: most-likely
+        completion == query value.
+
+        One :meth:`KnowledgeBase.completions` batch per equality-bound
+        target attribute.  A range-constrained target is included when the
+        majority of the posterior mass satisfies the constraint (natural
+        extension).
+        """
+        matches = [rewritten.estimated_precision > 0.5 for rewritten in ordered]
+        for attribute in dict.fromkeys(r.target_attribute for r in ordered):
+            try:
+                value = selection.equality_value(attribute)
+            except QueryError:
+                continue
+            batch = [p for p, r in enumerate(ordered) if r.target_attribute == attribute]
+            completions = knowledge.completions(
+                attribute,
+                [ordered[position].evidence for position in batch],
+                self.config.classifier_method,
+            )
+            for position, (label, __) in zip(batch, completions):
+                matches[position] = label == value
+        return matches
 
     def _build_relaxation(
         self,

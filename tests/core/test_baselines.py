@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import all_ranked, all_returned
 from repro.errors import NullBindingError
-from repro.query import SelectionQuery
+from repro.query import Equals, SelectionQuery
 from repro.relational import is_null
 
 
@@ -71,3 +71,30 @@ class TestAllRanked:
         index = cars_env.test.schema.index_of("body_style")
         expected = sum(1 for row in cars_env.test if is_null(row[index]))
         assert len(result.ranked) == expected
+
+
+class TestAllRankedSeveralNulls:
+    def test_rows_with_several_nulls_score_their_joint_probability(
+        self, cars_env, cars_two_nulls
+    ):
+        """A row missing both constrained values is scored by the product
+        of both posteriors, as the mediator's multi-NULL ranking does, not
+        by its first missing value alone."""
+        source, two_nulls = cars_two_nulls
+        knowledge = cars_env.knowledge
+        query = SelectionQuery.conjunction(
+            [Equals("make", "BMW"), Equals("body_style", "Convt")]
+        )
+        result = all_ranked(source, query, knowledge, max_nulls=None)
+        names = source.schema.names
+        confidence = {answer.row: answer.confidence for answer in result.ranked}
+        for row in two_nulls:
+            evidence = {name: value for name, value in zip(names, row) if not is_null(value)}
+            [make] = knowledge.value_distributions("make", [evidence])
+            [body_style] = knowledge.value_distributions("body_style", [evidence])
+            expected = 1.0 * make.get("BMW", 0.0) * body_style.get("Convt", 0.0)
+            assert confidence[row].hex() == expected.hex()
+        ranked = [answer.row for answer in result.ranked if answer.row in two_nulls]
+        model = source.schema.index_of("model")
+        # The Z4 is the one BMW convertible; the 530i is a BMW sedan.
+        assert [row[model] for row in ranked[:2]] == ["Z4", "530i"]

@@ -490,9 +490,7 @@ class TestClassOrder:
         posterior = knowledge.value_distribution("c", {"f": "a"})
         assert list(posterior) == ["q", "p"]
         assert posterior["q"] == posterior["p"]
-        assert knowledge.predict_value("c", {"f": "a"}) == ("q", posterior["q"])
-        assert knowledge.predict_matches("c", "q", {"f": "a"})
-        assert not knowledge.predict_matches("c", "p", {"f": "a"})
+        assert knowledge.completions("c", [{"f": "a"}]) == [("q", posterior["q"])]
 
 
 # ----------------------------------------------------------------------

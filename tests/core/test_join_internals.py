@@ -79,8 +79,8 @@ class TestJoinDistribution:
             estimated_selectivity=5.0,
             afd=Afd(("model",), "body_style", 0.9),
         )
-        distribution = processor._join_distribution(
-            rewritten, cars_env.knowledge, "model"
+        [distribution] = processor._join_distributions(
+            [rewritten], cars_env.knowledge, "model"
         )
         assert distribution == {"Z4": 1.0}
 
@@ -104,8 +104,8 @@ class TestJoinDistribution:
             estimated_selectivity=5.0,
             afd=Afd(("make",), "model", 0.6),
         )
-        distribution = processor._join_distribution(
-            rewritten, cars_env.knowledge, "model"
+        [distribution] = processor._join_distributions(
+            [rewritten], cars_env.knowledge, "model"
         )
         assert sum(distribution.values()) == pytest.approx(1.0)
         assert len(distribution) > 1  # a genuine distribution over models

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.multijoin import MultiJoinProcessor, MultiJoinStep
 from repro.errors import QpiadError
+from repro.mining import KnowledgeStore
 from repro.query import SelectionQuery
 from repro.relational import is_null
 
@@ -142,3 +143,40 @@ class TestThreeWayJoin:
     def test_certain_sort_before_possible(self, result):
         kinds = [answer.certain for answer in result.answers]
         assert kinds == sorted(kinds, reverse=True)
+
+
+class _CountingStore(KnowledgeStore):
+    """A store that counts how often its generation is read."""
+
+    def __init__(self, knowledge):
+        super().__init__(knowledge)
+        self.reads = 0
+
+    @property
+    def current(self):
+        self.reads += 1
+        return super().current
+
+
+class TestKnowledgeSnapshot:
+    def test_each_step_reads_its_store_once_per_query(self, three_way):
+        """A step's retrieval and its NULL join fill use one generation:
+        the store is read once per query, not once per NULL join value."""
+        stores = [_CountingStore(step.knowledge) for step in three_way[:2]]
+        steps = [
+            MultiJoinStep(
+                source=step.source,
+                knowledge=store,
+                query=step.query,
+                join_attribute=step.join_attribute,
+                link_attribute=step.link_attribute,
+            )
+            for step, store in zip(three_way, stores)
+        ]
+        processor = MultiJoinProcessor(steps, k=5)
+        result = processor.query()
+        model = steps[1].source.schema.index_of("model")
+        assert any(is_null(answer.rows[1][model]) for answer in result.answers)
+        assert [store.reads for store in stores] == [1, 1]
+        processor.query()
+        assert [store.reads for store in stores] == [2, 2]

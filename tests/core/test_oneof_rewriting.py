@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.core.rewriting import generate_rewritten_queries, target_probability
+from repro.core.rewriting import generate_rewritten_queries, target_probabilities
 from repro.query import OneOf, SelectionQuery
 from repro.relational import is_null
 
@@ -17,8 +17,8 @@ class TestOneOfTargetProbability:
     def test_sums_posterior_over_the_set(self, cars_env, in_query):
         kb = cars_env.knowledge
         evidence = {"model": "Z4"}
-        combined = target_probability(
-            kb, "body_style", in_query.conjuncts_on("body_style"), evidence
+        [combined] = target_probabilities(
+            kb, "body_style", in_query.conjuncts_on("body_style"), [evidence]
         )
         posterior = kb.value_distribution("body_style", evidence)
         expected = posterior.get("Convt", 0.0) + posterior.get("Coupe", 0.0)
@@ -29,11 +29,11 @@ class TestOneOfTargetProbability:
         evidence = {"model": "Mustang"}
         narrow = SelectionQuery(OneOf("body_style", ["Coupe"]))
         wide = SelectionQuery(OneOf("body_style", ["Coupe", "Convt", "Sedan"]))
-        p_narrow = target_probability(
-            kb, "body_style", narrow.conjuncts_on("body_style"), evidence
+        [p_narrow] = target_probabilities(
+            kb, "body_style", narrow.conjuncts_on("body_style"), [evidence]
         )
-        p_wide = target_probability(
-            kb, "body_style", wide.conjuncts_on("body_style"), evidence
+        [p_wide] = target_probabilities(
+            kb, "body_style", wide.conjuncts_on("body_style"), [evidence]
         )
         assert p_wide >= p_narrow
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.rewriting import generate_rewritten_queries, target_probability
+from repro.core.rewriting import generate_rewritten_queries, target_probabilities
 from repro.errors import RewritingError
 from repro.query import Between, Equals, SelectionQuery
 from repro.relational import NULL
@@ -114,28 +114,28 @@ class TestNumericDeterminingSets:
 
 class TestTargetProbability:
     def test_equality_target(self, cars_env):
-        probability = target_probability(
+        [probability] = target_probabilities(
             cars_env.knowledge,
             "body_style",
             (Equals("body_style", "Convt"),),
-            {"model": "Z4"},
+            [{"model": "Z4"}],
         )
         assert probability > 0.5
 
     def test_range_target_sums_bucket_mass(self, cars_env):
-        probability = target_probability(
+        [probability] = target_probabilities(
             cars_env.knowledge,
             "price",
             (Between("price", 0, 10**9),),
-            {"model": "Accord", "year": 2005},
+            [{"model": "Accord", "year": 2005}],
         )
         assert probability == pytest.approx(1.0, abs=1e-6)
 
     def test_impossible_range_target_is_zero(self, cars_env):
-        probability = target_probability(
+        [probability] = target_probabilities(
             cars_env.knowledge,
             "price",
             (Between("price", -100, -1),),
-            {"model": "Accord", "year": 2005},
+            [{"model": "Accord", "year": 2005}],
         )
         assert probability == 0.0

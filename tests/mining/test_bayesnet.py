@@ -110,9 +110,8 @@ class TestCompetitiveOnCars:
             }
             prepared = kb._prepare_evidence(evidence)
             tan_correct += tan.predict(prepared)[0] == cell.true_value
-            nbc_correct += (
-                kb.predict_value("body_style", evidence)[0] == cell.true_value
-            )
+            [(predicted, __)] = kb.completions("body_style", [evidence])
+            nbc_correct += predicted == cell.true_value
             total += 1
         assert total >= 20
         # Competitive: within 10 points either way.

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.rewriting import target_probabilities
 from repro.errors import MiningError
 from repro.mining import KnowledgeBase, MiningConfig, TaneConfig
-from repro.relational import Relation, Schema
+from repro.query import Equals
+from repro.relational import Relation, Schema, is_null
 
 
 class TestConstruction:
@@ -64,7 +66,9 @@ class TestValueDistributions:
     def test_estimated_precision_matches_distribution(self, cars_env):
         kb = cars_env.knowledge
         posterior = kb.value_distribution("body_style", {"model": "Z4"})
-        precision = kb.estimated_precision("body_style", "Convt", {"model": "Z4"})
+        [precision] = target_probabilities(
+            kb, "body_style", (Equals("body_style", "Convt"),), [{"model": "Z4"}]
+        )
         assert precision == pytest.approx(posterior["Convt"])
 
     def test_numeric_evidence_is_bucketed(self, cars_env):
@@ -78,7 +82,7 @@ class TestValueDistributions:
 
     def test_predict_value_returns_raw_domain_value(self, cars_env):
         kb = cars_env.knowledge
-        value, probability = kb.predict_value("price", {"model": "911", "year": 2006})
+        [(value, probability)] = kb.completions("price", [{"model": "911", "year": 2006}])
         assert isinstance(value, (int, float))
         assert value in set(cars_env.train.column("price"))
         assert 0.0 < probability <= 1.0
@@ -87,7 +91,8 @@ class TestValueDistributions:
         kb = cars_env.knowledge
         posterior = kb.value_distribution("body_style", {"model": "Z4"})
         top = max(posterior, key=posterior.get)
-        assert kb.predict_matches("body_style", top, {"model": "Z4"})
+        [(label, probability)] = kb.completions("body_style", [{"model": "Z4"}])
+        assert label == top and probability == posterior[top]
 
     def test_classifier_cache_reuses_instances(self, cars_env):
         kb = cars_env.knowledge
@@ -97,11 +102,23 @@ class TestValueDistributions:
         )
 
     def test_evidence_from_row_drops_nulls(self, cars_env):
+        """A whole row, its NULL target included, is the same evidence as
+        the row with its NULLs and the target dropped by hand."""
         kb = cars_env.knowledge
         incomplete = cars_env.dataset.incomplete
+        names = incomplete.schema.names
         row = next(r for r in incomplete if not incomplete.is_complete_row(r))
-        evidence = kb.evidence_from_row(row, incomplete)
-        assert len(evidence) == len(incomplete.schema) - 1
+        [target] = [name for name, value in zip(names, row) if is_null(value)]
+        filtered = {
+            name: value
+            for name, value in zip(names, row)
+            if not is_null(value) and name != target
+        }
+        assert len(filtered) == len(incomplete.schema) - 1
+        whole, by_hand = kb.value_distributions(target, [dict(zip(names, row)), filtered])
+        assert [(repr(value), mass.hex()) for value, mass in whole.items()] == [
+            (repr(value), mass.hex()) for value, mass in by_hand.items()
+        ]
 
 
 class TestSelectivityWiring:
