@@ -7,9 +7,9 @@ recall.  This bench quantifies that gap.
 """
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.planner import order_rewritten_queries
+from repro.planner import Ranker
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
-from repro.core.rewriting import generate_rewritten_queries
+from repro.core.rewriting import rewriting_bindings, rewritten_from_bindings
 from repro.errors import RewritingError
 from repro.evaluation import render_table, selection_workload
 from repro.query.executor import certain_answers
@@ -21,14 +21,15 @@ def _sample_based_query(env, query, k=30):
     source = env.web_source()
     base = source.execute(query)
     sample_matches = certain_answers(query, env.knowledge.sample)
+    bindings = rewriting_bindings(query, sample_matches, env.knowledge)
     try:
-        candidates = generate_rewritten_queries(query, sample_matches, env.knowledge)
+        candidates = rewritten_from_bindings(query, bindings, env.knowledge)
     except RewritingError:
         candidates = []
     result = QueryResult(query=query, certain=base, stats=RetrievalStats())
     seen = set(base.rows)
     schema = source.schema
-    for rewritten in order_rewritten_queries(candidates, 0.0, k):
+    for rewritten in Ranker(0.0, k).order(candidates):
         for row in source.execute(rewritten.query):
             index = schema.index_of(rewritten.target_attribute)
             if not is_null(row[index]) or row in seen:

@@ -38,7 +38,7 @@ from repro.core import (
     all_returned,
     find_correlated_source,
 )
-from repro.core.rewriting import RewrittenQuery, generate_rewritten_queries
+from repro.core.rewriting import RewrittenQuery
 from repro.datasets import (
     IncompleteDataset,
     generate_cars,
@@ -53,7 +53,6 @@ from repro.core import (
 )
 from repro.errors import QpiadError
 from repro.mining import load_knowledge, save_knowledge
-from repro.planner import order_rewritten_queries
 from repro.sources.caching import CachingSource
 from repro.telemetry import MetricsRegistry, SpanKind, Telemetry, Tracer, maybe_span
 from repro.evaluation import (
@@ -118,8 +117,6 @@ __all__ = [
     "QueryResult",
     "RankedAnswer",
     "RewrittenQuery",
-    "generate_rewritten_queries",
-    "order_rewritten_queries",
     "all_returned",
     "all_ranked",
     "AggregateProcessor",

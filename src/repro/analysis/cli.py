@@ -1,4 +1,4 @@
-"""The ``qpiad lint`` / ``qpiadlint`` command.
+"""The ``qpiad lint`` command.
 
 Exit codes: 0 clean, 1 findings, 2 usage/configuration error — the same
 contract as the rest of the ``qpiad`` CLI, so CI scripts can chain it.
@@ -12,20 +12,18 @@ from pathlib import Path
 
 from repro.analysis.framework import LintConfigError
 from repro.analysis.reporting import (
-    render_json,
     render_rule_list,
     render_rule_reference,
     render_sarif,
     render_text,
 )
-from repro.analysis.rules import select_rules
 from repro.analysis.runner import lint_paths
 
-__all__ = ["main", "run_lint", "add_lint_arguments"]
+__all__ = ["run_lint", "add_lint_arguments"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to *parser* (shared with ``qpiad lint``)."""
+    """Attach the lint options to the ``qpiad lint`` *parser*."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -35,32 +33,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "markdown"),
+        choices=("text", "sarif", "markdown"),
         default="text",
         help=(
-            "report format (json and sarif output is sorted and byte-stable; "
-            "markdown is only valid with --list-rules and emits the docs "
-            "rule-reference table)"
-        ),
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        metavar="RULE",
-        help="run only this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULE",
-        help="skip this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--strict-suppressions",
-        action="store_true",
-        help=(
-            "report suppression directives that suppressed nothing as "
-            "unused-suppression findings (on in CI)"
+            "report format (sarif output is sorted and byte-stable; markdown "
+            "is only valid with --list-rules and emits the docs rule-reference "
+            "table)"
         ),
     )
     parser.add_argument(
@@ -81,42 +59,14 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.format == "markdown":
         print("error: --format markdown is only valid with --list-rules", file=sys.stderr)
         return 2
-    select = tuple(args.select) if args.select else None
-    ignore = tuple(args.ignore) if args.ignore else None
-    try:
-        rules = select_rules(select, ignore)
-    except LintConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         print(f"error: no such path: {missing[0]}", file=sys.stderr)
         return 2
     try:
-        report = lint_paths(
-            args.paths, rules, strict_suppressions=args.strict_suppressions
-        )
+        report = lint_paths(args.paths)
     except LintConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        rendered = render_json(report)
-    elif args.format == "sarif":
-        rendered = render_sarif(report)
-    else:
-        rendered = render_text(report)
-    print(rendered)
+    print(render_sarif(report) if args.format == "sarif" else render_text(report))
     return report.exit_code
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qpiadlint",
-        description="AST-based domain-invariant linter for the QPIAD reproduction",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,7 +9,7 @@ execution rather than discovered at runtime:
 
 * :class:`Rule` — a named, documented check over one module's AST,
 * :class:`Finding` — one violation, with a stable sort order,
-* :class:`Severity` — error / warning / info,
+* :class:`Severity` — error / warning,
 * :class:`ModuleContext` — a parsed module plus its dotted name,
 * :class:`SuppressionIndex` — ``# qpiadlint: disable=...`` comment handling.
 
@@ -18,16 +18,9 @@ string literals that merely *look* like directives are ignored):
 
 * ``# qpiadlint: disable=rule-a,rule-b`` — trailing a code line, suppresses
   those rules on that line only;
-* ``# qpiadlint: disable-next-line=rule-a`` — suppresses on the following
-  line;
 * ``# qpiadlint: disable-file=rule-a`` — anywhere in the file, suppresses
   for the whole module (conventionally placed right under the docstring
-  with a justification);
-* ``# qpiadlint: disable-package=rule-a`` — in a package's ``__init__.py``,
-  suppresses for every module under that package.  In any other module the
-  directive is *ignored* and reported as a ``misplaced-directive`` finding
-  (it used to silently act as ``disable-file``, which contradicted this
-  grammar).
+  with a justification).
 
 ``disable=all`` is deliberately rejected: suppressions must name the rule
 they silence so every exemption stays searchable and reviewable.
@@ -58,28 +51,20 @@ __all__ = [
 ]
 
 _DIRECTIVE = re.compile(
-    r"#\s*qpiadlint:\s*(?P<kind>disable(?:-next-line|-file|-package)?)\s*=\s*"
+    r"#\s*qpiadlint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_,\- ]+)"
 )
 
 
 class LintConfigError(QpiadError):
-    """A malformed suppression directive or rule selection."""
+    """A malformed suppression directive."""
 
 
 class Severity(IntEnum):
     """How bad an unsuppressed finding is.  Any finding fails the lint."""
 
-    INFO = 0
     WARNING = 1
     ERROR = 2
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise LintConfigError(f"unknown severity {text!r}") from None
 
     def __str__(self) -> str:
         return self.name.lower()
@@ -120,11 +105,7 @@ class ModuleContext:
 
     def __post_init__(self) -> None:
         if self.suppressions is None:
-            # ``disable-package`` is only meaningful in a package __init__.py;
-            # elsewhere it is collected as misplaced and never honoured.
-            self.suppressions = SuppressionIndex.from_source(
-                self.source, allow_package=self.path.name == "__init__.py"
-            )
+            self.suppressions = SuppressionIndex.from_source(self.source)
 
     @classmethod
     def from_source(
@@ -218,77 +199,40 @@ class SuppressionIndex:
     Besides answering :meth:`is_suppressed`, the index remembers every
     directive it was built from (with its line) and which of them actually
     fired, so the runner can report stale suppressions
-    (``unused-suppression``) and ``disable-package`` directives declared
-    outside a package ``__init__.py`` (``misplaced-directive``).
+    (``unused-suppression``).
     """
 
     def __init__(
         self,
         line_rules: "dict[int, frozenset[str]] | None" = None,
         file_rules: "frozenset[str] | None" = None,
-        package_rules: "frozenset[str] | None" = None,
         *,
         directives: "tuple[tuple[str, int, frozenset[str]], ...]" = (),
-        misplaced_package_directives: "tuple[tuple[int, frozenset[str]], ...]" = (),
     ):
-        self._line_rules: dict[int, set[str]] = {
-            line: set(rules) for line, rules in (line_rules or {}).items()
-        }
+        self._line_rules = dict(line_rules or {})
         self.file_rules = frozenset(file_rules or ())
-        self.package_rules = frozenset(package_rules or ())
         #: Every parsed directive, as ``(kind, line, rules)``.
         self.directives = directives
-        #: ``disable-package`` directives found outside an ``__init__.py``.
-        self.misplaced_package_directives = misplaced_package_directives
-        self._used: set[str] = set()
         self._used_lines: set[tuple[int, str]] = set()
         self._used_file: set[str] = set()
-        self._used_package: set[str] = set()
 
     @classmethod
-    def from_source(cls, source: str, *, allow_package: bool = True) -> "SuppressionIndex":
-        line_rules: dict[int, set[str]] = {}
+    def from_source(cls, source: str) -> "SuppressionIndex":
+        line_rules: dict[int, frozenset[str]] = {}
         file_rules: set[str] = set()
-        package_rules: set[str] = set()
-        directives: list[tuple[str, int, frozenset[str]]] = []
-        misplaced: list[tuple[int, frozenset[str]]] = []
-        for kind, line, rules in parse_directives(source):
+        directives = tuple(parse_directives(source))
+        for kind, line, rules in directives:
             if kind == "disable":
-                line_rules.setdefault(line, set()).update(rules)
-            elif kind == "disable-next-line":
-                line_rules.setdefault(line + 1, set()).update(rules)
-            elif kind == "disable-file":
+                line_rules[line] = line_rules.get(line, frozenset()) | rules
+            else:
                 file_rules.update(rules)
-            elif allow_package:  # disable-package, legitimately in an __init__.py
-                package_rules.update(rules)
-            else:  # disable-package outside an __init__.py: ignored, reported
-                misplaced.append((line, rules))
-                continue
-            directives.append((kind, line, rules))
-        return cls(
-            {line: frozenset(rules) for line, rules in line_rules.items()},
-            frozenset(file_rules),
-            frozenset(package_rules),
-            directives=tuple(directives),
-            misplaced_package_directives=tuple(misplaced),
-        )
-
-    def add_package_rules(self, rules: frozenset[str]) -> None:
-        """Fold in suppressions inherited from enclosing packages."""
-        self.package_rules = self.package_rules | rules
+        return cls(line_rules, frozenset(file_rules), directives=directives)
 
     def is_suppressed(self, finding: Finding) -> bool:
         if finding.rule in self.file_rules:
-            self._used.add(finding.rule)
             self._used_file.add(finding.rule)
             return True
-        if finding.rule in self.package_rules:
-            self._used.add(finding.rule)
-            self._used_package.add(finding.rule)
-            return True
-        rules = self._line_rules.get(finding.line, ())
-        if finding.rule in rules:
-            self._used.add(finding.rule)
+        if finding.rule in self._line_rules.get(finding.line, ()):
             self._used_lines.add((finding.line, finding.rule))
             return True
         return False
@@ -296,38 +240,18 @@ class SuppressionIndex:
     @property
     def used_rules(self) -> frozenset[str]:
         """Rules that actually suppressed at least one finding."""
-        return frozenset(self._used)
+        return frozenset(self._used_file) | {rule for __, rule in self._used_lines}
 
-    @property
-    def used_package_rules(self) -> frozenset[str]:
-        """Rules suppressed here *via an inherited package directive*."""
-        return frozenset(self._used_package)
-
-    def unused_directives(
-        self, active: frozenset[str], known: frozenset[str]
-    ) -> "list[tuple[int, str, str]]":
-        """Line/file directives that suppressed nothing, as ``(line, rule, why)``.
-
-        Directives naming a *known but inactive* rule (``--select`` narrowed
-        the run) are skipped — absence of findings proves nothing there.
-        ``disable-package`` directives are excluded too: their usage spans
-        modules, so the runner aggregates them package-wide.
-        """
+    def unused_directives(self, known: frozenset[str]) -> "list[tuple[int, str, str]]":
+        """Directives that suppressed nothing, as ``(line, rule, why)``."""
         stale: list[tuple[int, str, str]] = []
         for kind, line, rules in self.directives:
-            if kind == "disable-package":
-                continue
             for rule in sorted(rules):
                 if rule not in known:
                     stale.append((line, rule, "unknown rule"))
-                    continue
-                if rule not in active:
-                    continue
-                if kind == "disable-file":
+                elif kind == "disable-file":
                     if rule not in self._used_file:
                         stale.append((line, rule, "suppressed nothing"))
-                    continue
-                effective_line = line + 1 if kind == "disable-next-line" else line
-                if (effective_line, rule) not in self._used_lines:
+                elif (line, rule) not in self._used_lines:
                     stale.append((line, rule, "suppressed nothing"))
         return stale

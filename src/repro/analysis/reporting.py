@@ -1,10 +1,9 @@
-"""Rendering lint reports: human text, machine-stable JSON, and SARIF.
+"""Rendering lint reports: human text and SARIF.
 
-The JSON form is a contract: findings are sorted (path, line, column,
-rule), keys are emitted in sorted order, and no timestamps or absolute
-machine state leak in — identical trees produce byte-identical output,
-so CI can diff reports across runs.  The SARIF form (2.1.0) follows the
-same stability rules and is what CI uploads to GitHub code scanning.
+The SARIF form (2.1.0) is what CI uploads to GitHub code scanning.  It is
+a contract: findings are sorted (path, line, column, rule), keys are
+emitted in sorted order, and no timestamps or absolute machine state leak
+in — identical trees produce byte-identical output.
 
 This module also renders the rule catalogue itself — the ``--list-rules``
 table and the generated rule-reference table in ``docs/linting.md`` both
@@ -23,7 +22,6 @@ from repro.analysis.runner import LintReport
 
 __all__ = [
     "render_text",
-    "render_json",
     "render_sarif",
     "render_rule_list",
     "render_rule_reference",
@@ -38,23 +36,17 @@ _PSEUDO_RULES: "dict[str, tuple[Severity, str, str]]" = {
         "a linted file failed to parse",
         "an unparseable file would otherwise silently drop out of every check",
     ),
-    "misplaced-directive": (
-        Severity.WARNING,
-        "a disable-package directive outside a package __init__.py (ignored)",
-        "package-wide suppressions are declared once, in the package "
-        "__init__.py, where review can find them",
-    ),
     "unused-suppression": (
         Severity.WARNING,
         "a suppression directive that suppressed nothing, or names an "
-        "unknown rule (reported under --strict-suppressions)",
+        "unknown rule",
         "stale exemptions hide the rule they once silenced; pruning them "
         "keeps the suppression budget honest",
     ),
 }
 
 
-def render_text(report: LintReport, verbose: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """A compact, grep-friendly text report."""
     lines = [finding.format() for finding in report.findings]
     errors = report.count(Severity.ERROR)
@@ -73,36 +65,7 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_json(report: LintReport) -> str:
-    """The machine-readable report; stable across runs on identical input."""
-    payload = {
-        "findings": [
-            {
-                "path": finding.path,
-                "line": finding.line,
-                "column": finding.column,
-                "rule": finding.rule,
-                "severity": str(finding.severity),
-                "message": finding.message,
-            }
-            for finding in sorted(report.findings)
-        ],
-        "summary": {
-            "errors": report.count(Severity.ERROR),
-            "warnings": report.count(Severity.WARNING),
-            "files_checked": report.files_checked,
-            "suppressed": report.suppressed_count,
-            "total": len(report.findings),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_SARIF_LEVELS = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "note",
-}
+_SARIF_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
 class RuleRow(NamedTuple):

@@ -8,22 +8,13 @@ to :data:`ALL_RULES`, and document it in ``docs/linting.md`` — the
 
 from __future__ import annotations
 
-from repro.analysis.framework import LintConfigError, Rule
+from repro.analysis.framework import Rule
 from repro.analysis.rules.concurrency import UnguardedSharedWriteRule
 from repro.analysis.rules.dataplane import RowLoopInMiningRule
 from repro.analysis.rules.determinism import UnseededRngRule
 from repro.analysis.rules.freshness import StaleKnowledgeCaptureRule
-from repro.analysis.rules.hygiene import (
-    BannedImportRule,
-    BareExceptRule,
-    MutableDefaultArgRule,
-    NaiveFloatEqualityRule,
-)
-from repro.analysis.rules.mediator import (
-    RawRelationAccessRule,
-    RawRewriteCallRule,
-    RawSourceCallRule,
-)
+from repro.analysis.rules.hygiene import BannedImportRule, BareExceptRule
+from repro.analysis.rules.mediator import RawRelationAccessRule, RawSourceCallRule
 from repro.analysis.rules.null_semantics import (
     NullCompareRule,
     NullInPredicateLiteralRule,
@@ -33,17 +24,13 @@ __all__ = [
     "ALL_RULES",
     "default_rules",
     "rule_ids",
-    "select_rules",
     "NullCompareRule",
     "NullInPredicateLiteralRule",
     "RawRelationAccessRule",
-    "RawRewriteCallRule",
     "RawSourceCallRule",
     "UnseededRngRule",
     "BannedImportRule",
-    "MutableDefaultArgRule",
     "BareExceptRule",
-    "NaiveFloatEqualityRule",
     "RowLoopInMiningRule",
     "StaleKnowledgeCaptureRule",
     "UnguardedSharedWriteRule",
@@ -55,12 +42,9 @@ ALL_RULES: "tuple[type[Rule], ...]" = (
     NullInPredicateLiteralRule,
     RawRelationAccessRule,
     RawSourceCallRule,
-    RawRewriteCallRule,
     UnseededRngRule,
     BannedImportRule,
-    MutableDefaultArgRule,
     BareExceptRule,
-    NaiveFloatEqualityRule,
     RowLoopInMiningRule,
     StaleKnowledgeCaptureRule,
     UnguardedSharedWriteRule,
@@ -74,27 +58,3 @@ def default_rules() -> "list[Rule]":
 
 def rule_ids() -> "tuple[str, ...]":
     return tuple(rule.id for rule in ALL_RULES)
-
-
-def select_rules(
-    select: "tuple[str, ...] | None" = None,
-    ignore: "tuple[str, ...] | None" = None,
-) -> "list[Rule]":
-    """Instantiate the registered rules, filtered by id.
-
-    ``select`` keeps only the named rules; ``ignore`` drops the named ones.
-    Unknown ids raise :class:`LintConfigError`, so typos cannot silently
-    disable a check.
-    """
-    known = rule_ids()
-    for name in (*(select or ()), *(ignore or ())):
-        if name not in known:
-            raise LintConfigError(
-                f"unknown rule {name!r}; known rules: {', '.join(sorted(known))}"
-            )
-    rules = default_rules()
-    if select:
-        rules = [rule for rule in rules if rule.id in select]
-    if ignore:
-        rules = [rule for rule in rules if rule.id not in ignore]
-    return rules

@@ -2,9 +2,7 @@
 
 These are the checks whose violations historically produce the subtlest
 reproduction bugs: a dependency that smuggles in different NULL handling,
-a mutable default that leaks state between queries, a swallowed exception
-that hides a budget violation, a float equality that makes a paper metric
-flap across platforms.
+and a swallowed exception that hides a budget violation.
 """
 
 from __future__ import annotations
@@ -14,20 +12,10 @@ from typing import Iterator
 
 from repro.analysis.framework import Finding, ModuleContext, Rule, Severity
 
-__all__ = [
-    "BannedImportRule",
-    "MutableDefaultArgRule",
-    "BareExceptRule",
-    "NaiveFloatEqualityRule",
-]
+__all__ = ["BannedImportRule", "BareExceptRule"]
 
 #: Top-level distributions DESIGN.md's from-scratch constraint forbids.
 BANNED_MODULES = frozenset({"pandas", "sklearn", "scipy"})
-
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "Counter", "defaultdict", "deque"})
-
-#: Module-name fragments that mark metrics / estimator code.
-_METRIC_MODULE_HINTS = ("evaluation", "metrics", "selectivity", "stats", "estimat")
 
 
 class BannedImportRule(Rule):
@@ -61,44 +49,6 @@ class BannedImportRule(Rule):
                         f"import from banned dependency {root!r}; this repo is "
                         "from-scratch by design (see DESIGN.md)",
                     )
-
-
-class MutableDefaultArgRule(Rule):
-    """Flag mutable default argument values."""
-
-    id = "mutable-default-arg"
-    severity = Severity.WARNING
-    description = "default argument values must be immutable"
-    rationale = (
-        "A mutable default is shared across every call; in a long-lived "
-        "mediator serving many queries, state leaking between requests "
-        "corrupts rankings non-deterministically."
-    )
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for default in [*node.args.defaults, *node.args.kw_defaults]:
-                if default is None:
-                    continue
-                if self._is_mutable_literal(default):
-                    yield self.finding(
-                        context, default,
-                        f"mutable default argument in {node.name}(); use None "
-                        "and create the value inside the function",
-                    )
-
-    @staticmethod
-    def _is_mutable_literal(node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                             ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_CALLS
-        )
 
 
 class BareExceptRule(Rule):
@@ -137,44 +87,3 @@ class BareExceptRule(Rule):
                     f"'except {node.type.id}' that silently swallows; catch the "
                     "specific repro.errors type or handle the failure",
                 )
-
-
-class NaiveFloatEqualityRule(Rule):
-    """Flag ==/!= against float literals in metrics / estimator code."""
-
-    id = "naive-float-equality"
-    severity = Severity.WARNING
-    description = "metrics/estimator code must not compare floats with ==/!="
-    rationale = (
-        "Precision, recall, F-measure and selectivity values are accumulated "
-        "floating point; exact comparison makes the reproduced figures "
-        "platform- and summation-order-dependent.  Use math.isclose or an "
-        "explicit tolerance."
-    )
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        if not self._in_scope(context.module):
-            return
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if self._is_float_literal(left) or self._is_float_literal(right):
-                    yield self.finding(
-                        context, node,
-                        "float literal compared with ==/!= in metrics code; use "
-                        "math.isclose or an explicit tolerance",
-                    )
-
-    @staticmethod
-    def _in_scope(module: str) -> bool:
-        return any(hint in module for hint in _METRIC_MODULE_HINTS)
-
-    @staticmethod
-    def _is_float_literal(node: ast.AST) -> bool:
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            node = node.operand
-        return isinstance(node, ast.Constant) and isinstance(node.value, float)

@@ -1,13 +1,17 @@
-"""Rule enforcing the mediator's autonomy discipline (paper §1, Fig. 1).
+"""Rules enforcing the mediator's autonomy discipline (paper §1, Fig. 1).
 
 QPIAD is *non-intrusive*: the mediator may never modify — or even directly
 read — an autonomous source's base data.  In this codebase the only
 sanctioned gateway is :class:`repro.sources.AutonomousSource`, which
-enforces web-form capabilities, query budgets and result caps.  Mediator
-layers (``repro.core``, ``repro.query``, ``repro.rewriting``) that
+enforces web-form capabilities, query budgets and result caps, and the
+only sanctioned caller of it is the retrieval engine (``repro.engine``).
+Mediator layers (``repro.core``, ``repro.planner``, ``repro.engine``) that
 construct :class:`Relation` objects from raw rows, reach into a relation's
 ``.rows`` storage, or read base data straight off disk are bypassing that
-gateway, and with it every constraint the paper is built around.
+gateway, and with it every constraint the paper is built around
+(``raw-relation-access``); core mediators that call a source's
+``execute()`` themselves escape the engine's billing, failure budgets and
+spans (``raw-source-call-in-core``).
 
 Result-set *assembly* (building a relation to hand answers back to the
 caller) is legitimate; such sites carry a rule-specific suppression with a
@@ -21,10 +25,10 @@ from typing import Iterator
 
 from repro.analysis.framework import Finding, ModuleContext, Rule, Severity
 
-__all__ = ["RawRelationAccessRule", "RawRewriteCallRule", "RawSourceCallRule"]
+__all__ = ["RawRelationAccessRule", "RawSourceCallRule"]
 
 #: Dotted package prefixes that constitute "mediator-side" code.
-MEDIATOR_PACKAGES = ("repro.core", "repro.query", "repro.rewriting")
+MEDIATOR_PACKAGES = ("repro.core", "repro.planner", "repro.engine")
 
 #: Loader callables that read base data from outside any source gateway.
 _DIRECT_LOADERS = frozenset({"read_csv"})
@@ -140,81 +144,3 @@ class RawSourceCallRule(Rule):
                     "the call through RetrievalEngine so it is billed, "
                     "policy-checked, and traced (or suppress with a reason)",
                 )
-
-
-#: The rewrite-pipeline stage functions mediators must reach via the planner.
-_REWRITE_STAGE_CALLS = frozenset(
-    {
-        "generate_rewritten_queries",
-        "order_rewritten_queries",
-        "rewriting_bindings",
-        "rewritten_from_bindings",
-        "score_rewritten_queries",
-    }
-)
-
-#: Modules that legitimately *implement* the rewrite pipeline and so may
-#: name its stage functions.
-_REWRITE_PIPELINE_MODULES = ("repro.core.rewriting",)
-
-
-class RawRewriteCallRule(Rule):
-    """Flag ``repro.core`` code invoking rewrite-pipeline stages directly."""
-
-    id = "raw-rewrite-call-in-core"
-    severity = Severity.ERROR
-    description = (
-        "core mediators must plan rewritten queries through "
-        "repro.planner.QueryPlanner, not by calling the generation/ranking "
-        "stage functions directly"
-    )
-    rationale = (
-        "The planner facade is the one place candidate generation, F-measure "
-        "ranking and gating compose in a fixed order — it is what makes "
-        "every mediator rank identically, keeps skip accounting attached to "
-        "the plan, and makes the result cacheable under the knowledge "
-        "fingerprint.  A mediator calling generate_rewritten_queries() or "
-        "order_rewritten_queries() by hand re-creates the copy-paste "
-        "divergence (tie-break drift between qpiad/joins/correlated) the "
-        "planner extraction removed."
-    )
-
-    def __init__(self, packages: "tuple[str, ...]" = ("repro.core",)):
-        self.packages = packages
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        if not context.in_package(*self.packages):
-            return
-        if context.in_package(*_REWRITE_PIPELINE_MODULES):
-            return  # the pipeline's own implementation
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call):
-                name = _attr_or_name(node.func)
-                if name in _REWRITE_STAGE_CALLS:
-                    yield self.finding(
-                        context,
-                        node,
-                        f"{name}() called directly in a core mediator; plan "
-                        "through repro.planner.QueryPlanner so ranking, "
-                        "gating and caching stay unified",
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module.startswith("repro"):
-                    for alias in node.names:
-                        if alias.name in _REWRITE_STAGE_CALLS:
-                            yield self.finding(
-                                context,
-                                node,
-                                f"imports {alias.name} into a core mediator; "
-                                "rewrite planning belongs to "
-                                "repro.planner.QueryPlanner",
-                            )
-
-
-def _attr_or_name(func: ast.AST) -> "str | None":
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None

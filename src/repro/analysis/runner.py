@@ -3,24 +3,19 @@
 The runner maps files to dotted module names by walking up through
 ``__init__.py``-bearing directories, so package-scoped rules (e.g.
 ``raw-relation-access`` over ``repro.core``) see the same names imports
-use.  Package-level suppressions declared in an ``__init__.py`` apply to
-every module beneath it.
+use.
 
 Every rule is a per-module :class:`~repro.analysis.framework.Rule`, so
-each file is parsed once and checked in one pass; module names and
-package suppressions come from the filesystem, never from the linted
-root, so linting a subtree reports a subset of what linting the whole
-tree reports.
+each file is parsed once and checked in one pass; module names come from
+the filesystem, never from the linted root, so linting a subtree reports
+a subset of what linting the whole tree reports.
 
-Beyond rule findings, the runner emits three pseudo-rules of its own:
+Beyond rule findings, the runner emits two pseudo-rules of its own:
 
-* ``parse-error`` — a file failed to parse (always on; one broken file
-  cannot mask findings in the rest of the tree);
-* ``misplaced-directive`` — a ``disable-package`` directive outside a
-  package ``__init__.py`` (always on; the directive is ignored there);
+* ``parse-error`` — a file failed to parse (one broken file cannot mask
+  findings in the rest of the tree);
 * ``unused-suppression`` — a directive that suppressed nothing, or names
-  an unknown rule (only with ``strict_suppressions``; package directives
-  are aggregated across every module they cover before being judged).
+  an unknown rule.
 """
 
 from __future__ import annotations
@@ -29,13 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.framework import (
-    Finding,
-    ModuleContext,
-    Rule,
-    Severity,
-    parse_directives,
-)
+from repro.analysis.framework import Finding, ModuleContext, Rule, Severity
 
 __all__ = [
     "LintReport",
@@ -48,8 +37,8 @@ __all__ = [
 
 _SKIPPED_DIRS = frozenset({"__pycache__", ".git", ".venv", "venv", "build", "dist"})
 
-#: Findings the runner itself may emit, valid in ``--select`` / directives.
-PSEUDO_RULE_IDS = ("parse-error", "misplaced-directive", "unused-suppression")
+#: Findings the runner itself may emit, valid in directives.
+PSEUDO_RULE_IDS = ("parse-error", "unused-suppression")
 
 
 @dataclass
@@ -101,54 +90,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(reversed(parts))
 
 
-def _package_declarations(
-    directory: Path, cache: "dict[Path, dict[str, int]]"
-) -> "dict[str, int]":
-    """``rule -> declaring line`` from *directory*'s ``__init__.py``, cached."""
-    if directory not in cache:
-        declared: dict[str, int] = {}
-        source = (directory / "__init__.py").read_text(encoding="utf-8")
-        for kind, line, names in parse_directives(source):
-            if kind == "disable-package":
-                for name in names:
-                    declared.setdefault(name, line)
-        cache[directory] = declared
-    return cache[directory]
-
-
-def _package_suppressions(
-    path: Path, cache: "dict[Path, dict[str, int]]"
-) -> frozenset[str]:
-    """Union of disable-package rules from every enclosing ``__init__.py``."""
-    rules: set[str] = set()
-    parent = path.resolve().parent
-    while (parent / "__init__.py").exists():
-        rules.update(_package_declarations(parent, cache))
-        parent = parent.parent
-    return frozenset(rules)
-
-
-def _misplaced_directive_findings(context: ModuleContext) -> "list[Finding]":
-    findings: list[Finding] = []
-    for line, rules in context.suppressions.misplaced_package_directives:
-        findings.append(
-            Finding(
-                path=str(context.path),
-                line=line,
-                column=1,
-                rule="misplaced-directive",
-                severity=Severity.WARNING,
-                message=(
-                    f"disable-package={','.join(sorted(rules))} is only honoured "
-                    "in a package __init__.py and is ignored here; use "
-                    "disable-file, or move the directive into the package "
-                    "__init__.py"
-                ),
-            )
-        )
-    return findings
-
-
 def lint_context(context: ModuleContext, rules: Iterable[Rule]) -> LintReport:
     """Run *rules* over one parsed module, honouring its suppressions."""
     report = LintReport(files_checked=1)
@@ -158,96 +99,39 @@ def lint_context(context: ModuleContext, rules: Iterable[Rule]) -> LintReport:
                 report.suppressed_count += 1
             else:
                 report.findings.append(finding)
-    for finding in _misplaced_directive_findings(context):
-        if context.suppressions.is_suppressed(finding):
-            report.suppressed_count += 1
-        else:
-            report.findings.append(finding)
     report.sort()
     return report
 
 
-def _mark_package_usage(
-    contexts: Sequence[ModuleContext],
-    cache: "dict[Path, dict[str, int]]",
-) -> "set[tuple[Path, str]]":
-    """``(package dir, rule)`` pairs whose directive suppressed something."""
-    used: set[tuple[Path, str]] = set()
-    for context in contexts:
-        fired = context.suppressions.used_package_rules
-        if not fired:
-            continue
-        parent = context.path.resolve().parent
-        while (parent / "__init__.py").exists():
-            declared = cache.get(parent, {})
-            used.update((parent, rule) for rule in fired if rule in declared)
-            parent = parent.parent
-    return used
-
-
 def _unused_suppression_findings(
-    contexts: Sequence[ModuleContext],
-    active: frozenset[str],
-    known: frozenset[str],
-    cache: "dict[Path, dict[str, int]]",
+    context: ModuleContext, known: frozenset[str]
 ) -> "list[Finding]":
-    findings: list[Finding] = []
-    for context in contexts:
-        for line, rule, why in context.suppressions.unused_directives(active, known):
-            findings.append(
-                Finding(
-                    path=str(context.path),
-                    line=line,
-                    column=1,
-                    rule="unused-suppression",
-                    severity=Severity.WARNING,
-                    message=f"suppression of '{rule}' is stale: {why}",
-                )
-            )
-    used_pairs = _mark_package_usage(contexts, cache)
-    for context in contexts:
-        if context.path.name != "__init__.py":
-            continue
-        directory = context.path.resolve().parent
-        for rule, line in sorted(cache.get(directory, {}).items()):
-            if rule in known:
-                if rule not in active or (directory, rule) in used_pairs:
-                    continue
-                why = "it suppressed nothing anywhere in the package"
-            else:
-                why = "unknown rule"
-            findings.append(
-                Finding(
-                    path=str(context.path),
-                    line=line,
-                    column=1,
-                    rule="unused-suppression",
-                    severity=Severity.WARNING,
-                    message=f"disable-package of '{rule}' is stale: {why}",
-                )
-            )
-    return findings
+    return [
+        Finding(
+            path=str(context.path),
+            line=line,
+            column=1,
+            rule="unused-suppression",
+            severity=Severity.WARNING,
+            message=f"suppression of '{rule}' is stale: {why}",
+        )
+        for line, rule, why in context.suppressions.unused_directives(known)
+    ]
 
 
-def lint_paths(
-    paths: Sequence["Path | str"],
-    rules: "Iterable[Rule] | None" = None,
-    *,
-    strict_suppressions: bool = False,
-) -> LintReport:
-    """Lint every Python file under *paths* and return the merged report.
+def lint_paths(paths: Sequence["Path | str"]) -> LintReport:
+    """Lint every Python file under *paths* with every rule; merge the reports.
 
     Files that fail to parse contribute a ``parse-error`` finding rather
     than aborting the run, so one broken file cannot mask findings in the
-    rest of the tree.  With ``strict_suppressions``, directives that
-    suppressed nothing become ``unused-suppression`` findings.
+    rest of the tree.  Directives that suppressed nothing become
+    ``unused-suppression`` findings.
     """
     from repro.analysis.rules import default_rules, rule_ids
 
-    active = list(rules) if rules is not None else default_rules()
+    rules = default_rules()
+    known = frozenset(rule_ids()) | frozenset(PSEUDO_RULE_IDS)
     report = LintReport()
-    package_cache: "dict[Path, dict[str, int]]" = {}
-    contexts: list[ModuleContext] = []
     for file_path in iter_python_files([Path(p) for p in paths]):
         try:
             context = ModuleContext.from_file(file_path, module_name_for(file_path))
@@ -264,16 +148,7 @@ def lint_paths(
             )
             report.files_checked += 1
             continue
-        context.suppressions.add_package_rules(
-            _package_suppressions(file_path, package_cache)
-        )
-        contexts.append(context)
-        report.merge(lint_context(context, active))
-    if strict_suppressions:
-        active_ids = frozenset(rule.id for rule in active)
-        known_ids = frozenset(rule_ids()) | frozenset(PSEUDO_RULE_IDS) | active_ids
-        report.findings.extend(
-            _unused_suppression_findings(contexts, active_ids, known_ids, package_cache)
-        )
+        report.merge(lint_context(context, rules))
+        report.findings.extend(_unused_suppression_findings(context, known))
     report.sort()
     return report

@@ -116,11 +116,6 @@ class AggregateProcessor:
         telemetry: Telemetry | None = None,
         plan_cache: PlanCache | None = None,
     ):
-        if inclusion_rule not in ("argmax", "fractional"):
-            raise QueryError(
-                f"unknown inclusion rule {inclusion_rule!r}; "
-                "expected 'argmax' or 'fractional'"
-            )
         if max_concurrency < 1:
             raise QueryError(
                 f"max_concurrency must be at least 1, got {max_concurrency}"
@@ -203,24 +198,18 @@ class AggregateProcessor:
         stats.rewritten_skipped += plan.skipped
         result.considered_queries = plan.considered
         seen_rows = set(base_set)
-        schema = self.source.schema
 
         for step, retrieved in engine.stream(plan.steps):
             assert step.target_attribute is not None
-            target_index = schema.index_of(step.target_attribute)
-            rows = [
-                row
-                for row in retrieved
-                if is_null(row[target_index]) and row not in seen_rows
-            ]
-            if not rows:
+            target_index = retrieved.schema.index_of(step.target_attribute)
+            partial = retrieved.select(
+                lambda row: is_null(row[target_index]) and row not in seen_rows
+            )
+            if not partial:
                 continue
-            seen_rows.update(rows)
+            seen_rows.update(partial)
             result.included_queries += 1
-            result.possible_count += len(rows)
-            # Re-wrapping rows the source already shipped so the accumulator
-            # can reuse the relation API; not a base-data bypass.
-            partial = Relation(schema, rows)  # qpiadlint: disable=raw-relation-access
+            result.possible_count += len(partial)
             self._accumulate(
                 predicted_acc, aggregate, partial, knowledge, predict=True,
                 weight=plan.weights[step.rank],

@@ -159,6 +159,9 @@ class MultiJoinProcessor:
             raise QpiadError(
                 f"max_concurrency must be at least 1, got {max_concurrency}"
             )
+        # One config serves every step's mediator; building it here rejects a
+        # bad alpha or k at construction, not inside the first step's task.
+        self._config = QpiadConfig(alpha=alpha, k=k)
         # A link attribute that names nothing in the running result's
         # step<i>.<name> namespace used to slip through and silently
         # produce zero answers; fail at construction instead.
@@ -339,7 +342,7 @@ class MultiJoinProcessor:
             mediator = QpiadMediator(
                 step.source,
                 knowledge,
-                QpiadConfig(alpha=self.alpha, k=self.k),
+                self._config,
                 telemetry=self._telemetry,
                 plan_cache=self._plan_cache,
             )

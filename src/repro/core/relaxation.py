@@ -64,7 +64,8 @@ class QueryRelaxer:
     source / knowledge:
         The autonomous source and its mined statistics.
     max_dropped:
-        Never drop more than this many conjuncts (default: all but one).
+        Never drop more than this many conjuncts (default: all but one);
+        ``0`` returns exact answers only.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hook; every relaxed
         probe becomes a ``relaxed-query`` span and plan builds a ``plan``
@@ -83,6 +84,8 @@ class QueryRelaxer:
         telemetry: Telemetry | None = None,
         plan_cache: PlanCache | None = None,
     ):
+        if max_dropped is not None and max_dropped < 0:
+            raise QpiadError(f"max_dropped must be non-negative, got {max_dropped}")
         self.source = source
         self._store = as_store(knowledge)
         self.max_dropped = max_dropped

@@ -29,7 +29,6 @@ from repro.relational.values import is_null
 __all__ = [
     "RewritingBinding",
     "RewrittenQuery",
-    "generate_rewritten_queries",
     "rewriting_bindings",
     "rewritten_from_bindings",
     "row_probabilities",
@@ -158,29 +157,6 @@ def row_probabilities(
         for position, factor in zip(missing, factors):
             probabilities[position] *= factor
     return probabilities
-
-
-def generate_rewritten_queries(
-    query: SelectionQuery,
-    base_set: Relation,
-    knowledge: KnowledgeBase,
-    method: str | None = None,
-) -> list[RewrittenQuery]:
-    """All candidate rewritten queries for *query* given its *base_set*.
-
-    Implements step 2a of the QPIAD algorithm, including the multi-attribute
-    extension: the generation loop runs once per constrained attribute,
-    replacing that attribute's constraints with equalities on its
-    determining set while keeping every other original constraint.
-
-    Attributes with no usable AFD are skipped (they cannot be rewritten);
-    raises :class:`RewritingError` only when *no* constrained attribute is
-    rewritable.  Equivalent to :func:`rewritten_from_bindings` over
-    :func:`rewriting_bindings`, the two steps the planner runs separately.
-    """
-    return rewritten_from_bindings(
-        query, rewriting_bindings(query, base_set, knowledge), knowledge, method
-    )
 
 
 class RewritingBinding(NamedTuple):

@@ -28,12 +28,7 @@ from repro.planner.planner import (
     SelectionPlan,
     baseline_plan,
 )
-from repro.planner.ranker import (
-    Ranker,
-    f_measure,
-    order_rewritten_queries,
-    score_rewritten_queries,
-)
+from repro.planner.ranker import Ranker, f_measure
 
 __all__ = [
     "AfdRewriteGenerator",
@@ -50,10 +45,8 @@ __all__ = [
     "baseline_plan",
     "f_measure",
     "knowledge_fingerprint",
-    "order_rewritten_queries",
     "query_fingerprint",
     "relation_fingerprint",
-    "score_rewritten_queries",
     "source_token",
     "stable_digest",
 ]

@@ -4,9 +4,8 @@ A :class:`RewriteGenerator` turns a query, the rewriting bindings of its
 base set and a knowledge generation into candidate rewritten queries.  The
 planner composes one generator with the shared
 :class:`~repro.planner.ranker.Ranker` and a gating policy to build a
-retrieval plan; mediators never call the generation machinery in
-:mod:`repro.core.rewriting` directly any more (the
-``raw-rewrite-call-in-core`` lint rule keeps it that way).
+retrieval plan; the generators and the planner are the only callers of
+the generation machinery in :mod:`repro.core.rewriting`.
 
 Generators are small frozen values holding only their knobs — the planner
 hands each ``generate`` call its per-call knowledge snapshot — so they can

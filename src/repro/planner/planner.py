@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 
 from repro.core.rewriting import RewritingBinding, RewrittenQuery, rewriting_bindings
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
-from repro.errors import QueryError
+from repro.errors import QpiadError, QueryError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner.cache import PlanCache
@@ -89,6 +89,17 @@ class PlannerConfig:
     classifier_method: "str | None" = None
     min_confidence: float = 0.0
     inclusion_rule: str = "argmax"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.min_confidence <= 1.0:
+            raise QpiadError(
+                f"min_confidence must be in [0, 1], got {self.min_confidence}"
+            )
+        if self.inclusion_rule not in ("argmax", "fractional"):
+            raise QueryError(
+                f"unknown inclusion rule {self.inclusion_rule!r}; "
+                "expected 'argmax' or 'fractional'"
+            )
 
     def token(self) -> str:
         """Canonical cache-key component for this configuration."""

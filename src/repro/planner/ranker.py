@@ -35,7 +35,7 @@ from typing import Callable, Sequence, TypeVar
 from repro.core.rewriting import RewrittenQuery
 from repro.errors import QpiadError
 
-__all__ = ["Ranker", "f_measure", "order_rewritten_queries", "score_rewritten_queries"]
+__all__ = ["Ranker", "f_measure"]
 
 T = TypeVar("T")
 
@@ -54,59 +54,6 @@ def f_measure(precision: float, recall: float, alpha: float) -> float:
     if denominator <= 0.0:
         return 0.0
     return (1.0 + alpha) * precision * recall / denominator
-
-
-def score_rewritten_queries(
-    rewritten: Sequence[RewrittenQuery], alpha: float
-) -> "list[RewrittenQuery]":
-    """Attach estimated recall and F-measure to every rewritten query.
-
-    Recall is expected throughput normalized by the cumulative expected
-    throughput over *all* candidates (the paper's estimate of the fraction
-    of reachable relevant answers each query contributes).
-    """
-    total_throughput = sum(query.expected_throughput for query in rewritten)
-    scored = []
-    for query in rewritten:
-        if total_throughput > 0:
-            recall = query.expected_throughput / total_throughput
-        else:
-            recall = 0.0
-        scored.append(
-            query.with_ordering_scores(
-                recall, f_measure(query.estimated_precision, recall, alpha)
-            )
-        )
-    return scored
-
-
-def order_rewritten_queries(
-    rewritten: Sequence[RewrittenQuery],
-    alpha: float = 0.0,
-    k: "int | None" = None,
-) -> "list[RewrittenQuery]":
-    """Select and order the rewritten queries to issue.
-
-    1. Score every candidate with the F-measure at the given α.
-    2. Keep the top-K by F-measure (``k = None`` keeps all).
-    3. Re-order the survivors by estimated precision, descending, so that
-       issuing them in order yields answers in rank order (step 2c).
-
-    Ties break on expected throughput, then on the query's repr for
-    determinism.
-    """
-    if k is not None and k < 0:
-        raise QpiadError(f"k must be non-negative, got {k}")
-    scored = score_rewritten_queries(rewritten, alpha)
-    by_f = sorted(
-        scored,
-        key=lambda q: (-q.f_measure, -q.expected_throughput, repr(q.query)),
-    )
-    selected = by_f if k is None else by_f[:k]
-    return sorted(
-        selected,
-        key=lambda q: (-q.estimated_precision, -q.expected_throughput, repr(q.query)),
-    )
 
 
 @dataclass(frozen=True)
@@ -132,10 +79,48 @@ class Ranker:
         return f_measure(precision, recall, self.alpha)
 
     def score(self, rewritten: Sequence[RewrittenQuery]) -> "list[RewrittenQuery]":
-        return score_rewritten_queries(rewritten, self.alpha)
+        """Attach estimated recall and F-measure to every rewritten query.
+
+        Recall is expected throughput normalized by the cumulative expected
+        throughput over *all* candidates (the paper's estimate of the
+        fraction of reachable relevant answers each query contributes).
+        """
+        total_throughput = sum(query.expected_throughput for query in rewritten)
+        scored = []
+        for query in rewritten:
+            if total_throughput > 0:
+                recall = query.expected_throughput / total_throughput
+            else:
+                recall = 0.0
+            scored.append(
+                query.with_ordering_scores(
+                    recall, self.f_measure(query.estimated_precision, recall)
+                )
+            )
+        return scored
 
     def order(self, rewritten: Sequence[RewrittenQuery]) -> "list[RewrittenQuery]":
-        return order_rewritten_queries(rewritten, self.alpha, self.k)
+        """Select and order the rewritten queries to issue.
+
+        1. Score every candidate with the F-measure at this α.
+        2. Keep the top-K by F-measure (``k = None`` keeps all).
+        3. Re-order the survivors by estimated precision, descending, so
+           that issuing them in order yields answers in rank order
+           (step 2c).
+
+        Ties break on expected throughput, then on the query's repr for
+        determinism.
+        """
+        selected = self.select_top(
+            self.score(rewritten),
+            f=lambda q: q.f_measure,
+            throughput=lambda q: q.expected_throughput,
+            key=lambda q: repr(q.query),
+        )
+        return sorted(
+            selected,
+            key=lambda q: (-q.estimated_precision, -q.expected_throughput, repr(q.query)),
+        )
 
     def select_top(
         self,
@@ -148,9 +133,8 @@ class Ranker:
         """Top-K of *items* under the canonical selection tie-break.
 
         Sorts by ``(-F, -expected throughput, canonical key)`` and keeps
-        the first K — the exact policy :func:`order_rewritten_queries`
-        applies to rewritten queries, generalized to any jointly scored
-        item (the join processor's query pairs use it directly).
+        the first K.  :meth:`order` applies it to rewritten queries; the
+        join processor's query pairs use it directly.
         """
         ranked = sorted(items, key=lambda item: (-f(item), -throughput(item), key(item)))
         return ranked if self.k is None else ranked[: self.k]

@@ -16,10 +16,6 @@ Three evaluation modes mirror the paper's answer taxonomy (Definition 2):
 
 from __future__ import annotations
 
-# This module IS the source-side evaluation engine: AutonomousSource
-# delegates here, so operating on relations directly is its whole job.
-# qpiadlint: disable-file=raw-relation-access
-
 from typing import Any, Sequence
 
 import numpy as np

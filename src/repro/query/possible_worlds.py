@@ -22,10 +22,6 @@ the standard closed-world choice for finite enumeration.
 
 from __future__ import annotations
 
-# First-principles semantics used to *validate* the executor; it must
-# quantify over relations directly and never runs inside the mediator path.
-# qpiadlint: disable-file=raw-relation-access
-
 from itertools import product
 from typing import Iterator, Sequence
 

@@ -103,13 +103,12 @@ class TestRowLoopInMining:
         assert "repro.mining.nbc" in MINING_HOT_MODULES
         assert "repro.mining.tane" in MINING_HOT_MODULES
 
-    def test_next_line_suppression(self, report):
+    def test_line_suppression(self, report):
         result = report(
             self.rule,
             """
             def train(sample: Relation) -> None:
-                # qpiadlint: disable-next-line=row-loop-in-mining
-                for row in sample:
+                for row in sample:  # qpiadlint: disable=row-loop-in-mining
                     pass
             """,
             module=MINING,

@@ -1,11 +1,7 @@
 """Tests for the mediator autonomy rules (raw-relation-access,
-raw-source-call-in-core, raw-rewrite-call-in-core)."""
+raw-source-call-in-core)."""
 
-from repro.analysis.rules.mediator import (
-    RawRelationAccessRule,
-    RawRewriteCallRule,
-    RawSourceCallRule,
-)
+from repro.analysis.rules.mediator import RawRelationAccessRule, RawSourceCallRule
 
 
 class TestRawRelationAccess:
@@ -22,11 +18,19 @@ class TestRawRelationAccess:
         assert [f.rule for f in findings] == ["raw-relation-access"]
         assert "AutonomousSource" in findings[0].message
 
+    def test_flags_relation_construction_in_planner(self, check):
+        findings = check(
+            self.rule,
+            "candidates = Relation(schema, rows)\n",
+            module="repro.planner.planner",
+        )
+        assert [f.rule for f in findings] == ["raw-relation-access"]
+
     def test_flags_rows_attribute_read(self, check):
         findings = check(
             self.rule,
             "data = base.rows\n",
-            module="repro.query.executor",
+            module="repro.engine.engine",
         )
         assert len(findings) == 1
         assert ".rows" in findings[0].message
@@ -39,7 +43,7 @@ class TestRawRelationAccess:
 
             table = read_csv(path)
             """,
-            module="repro.rewriting.planner",
+            module="repro.planner.planner",
         )
         assert len(findings) == 2
 
@@ -137,86 +141,6 @@ class TestRawSourceCall:
                 for step, retrieved in engine.stream(plan):
                     merge(step, retrieved)
                 """,
-                module="repro.core.qpiad",
-            )
-            == []
-        )
-
-
-class TestRawRewriteCall:
-    rule = RawRewriteCallRule()
-
-    # -- positives ---------------------------------------------------------
-
-    def test_flags_direct_generation_call_in_core(self, check):
-        findings = check(
-            self.rule,
-            "candidates = generate_rewritten_queries(knowledge, query, base)\n",
-            module="repro.core.qpiad",
-        )
-        assert [f.rule for f in findings] == ["raw-rewrite-call-in-core"]
-        assert "QueryPlanner" in findings[0].message
-
-    def test_flags_every_stage_function(self, check):
-        findings = check(
-            self.rule,
-            """
-            a = generate_rewritten_queries(kb, q, base)
-            b = score_rewritten_queries(cands, alpha=0.5)
-            c = order_rewritten_queries(cands, alpha=0.5)
-            """,
-            module="repro.core.joins",
-        )
-        assert len(findings) == 3
-
-    def test_flags_the_two_generation_steps(self, check):
-        findings = check(
-            self.rule,
-            """
-            bindings = rewriting_bindings(q, base, kb)
-            candidates = rewritten_from_bindings(q, bindings, kb)
-            """,
-            module="repro.core.aggregates",
-        )
-        assert len(findings) == 2
-
-    def test_flags_stage_import_into_core(self, check):
-        findings = check(
-            self.rule,
-            "from repro.core.rewriting import generate_rewritten_queries\n",
-            module="repro.core.correlated",
-        )
-        assert len(findings) == 1
-        assert "imports generate_rewritten_queries" in findings[0].message
-
-    # -- negatives ---------------------------------------------------------
-
-    def test_pipeline_implementation_modules_are_exempt(self, check):
-        assert (
-            check(
-                self.rule,
-                "queries = generate_rewritten_queries(kb, q, base)\n",
-                module="repro.core.rewriting",
-            )
-            == []
-        )
-
-    def test_planner_package_is_out_of_scope(self, check):
-        # The planner is the sanctioned caller of the stage functions.
-        assert (
-            check(
-                self.rule,
-                "candidates = generate_rewritten_queries(kb, q, base)\n",
-                module="repro.planner.generators",
-            )
-            == []
-        )
-
-    def test_planner_mediated_calls_are_clean(self, check):
-        assert (
-            check(
-                self.rule,
-                "plan = self.planner.plan_selection(query, base, source=src)\n",
                 module="repro.core.qpiad",
             )
             == []

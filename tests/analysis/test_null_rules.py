@@ -122,13 +122,10 @@ class TestNullInPredicateLiteral:
 
     # -- suppression -------------------------------------------------------
 
-    def test_next_line_suppression(self, report):
+    def test_line_suppression(self, report):
         result = report(
             self.rule,
-            """
-            # qpiadlint: disable-next-line=null-in-predicate-literal
-            pred = Equals("make", None)
-            """,
+            'pred = Equals("make", None)  # qpiadlint: disable=null-in-predicate-literal\n',
         )
         assert result.findings == []
         assert result.suppressed_count == 1

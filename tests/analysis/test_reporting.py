@@ -1,8 +1,6 @@
-"""Reporter contract: grep-friendly text, byte-stable sorted JSON."""
+"""Reporter contract: grep-friendly text."""
 
-import json
-
-from repro.analysis import Finding, Severity, render_json, render_text
+from repro.analysis import Finding, Severity, render_text
 from repro.analysis.runner import LintReport
 
 
@@ -28,33 +26,3 @@ class TestTextReport:
     def test_clean_report_says_clean(self):
         text = render_text(LintReport(files_checked=5, suppressed_count=1))
         assert text == "clean: 5 file(s), 1 finding(s) suppressed"
-
-
-class TestJsonReport:
-    def test_round_trips_and_sorts_findings(self):
-        payload = json.loads(render_json(_report()))
-        ordered = [(f["path"], f["line"]) for f in payload["findings"]]
-        assert ordered == [("a.py", 2), ("a.py", 9), ("b.py", 4)]
-        assert payload["summary"] == {
-            "errors": 2,
-            "warnings": 1,
-            "files_checked": 2,
-            "suppressed": 3,
-            "total": 3,
-        }
-
-    def test_output_is_byte_stable(self):
-        # Same logical report, different insertion order -> identical bytes.
-        first = _report()
-        second = LintReport(
-            findings=list(reversed(first.findings)),
-            suppressed_count=3,
-            files_checked=2,
-        )
-        assert render_json(first) == render_json(second)
-
-    def test_keys_are_sorted(self):
-        rendered = render_json(_report())
-        finding_keys = list(json.loads(rendered)["findings"][0].keys())
-        assert finding_keys == sorted(finding_keys)
-        assert rendered.index('"findings"') < rendered.index('"summary"')

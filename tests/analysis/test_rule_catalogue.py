@@ -23,11 +23,7 @@ class TestRuleRows:
             by_kind.setdefault(row.kind, []).append(row.id)
         assert set(by_kind) == {"module", "runner"}
         assert tuple(by_kind["module"]) == rule_ids()
-        assert set(by_kind["runner"]) == {
-            "parse-error",
-            "misplaced-directive",
-            "unused-suppression",
-        }
+        assert set(by_kind["runner"]) == {"parse-error", "unused-suppression"}
 
     def test_every_row_has_metadata(self):
         for row in iter_rule_rows():

@@ -1,4 +1,4 @@
-"""Runner edge cases: parse errors, nested package suppressions, ordering."""
+"""Runner edge cases: parse errors, ordering."""
 
 from __future__ import annotations
 
@@ -67,56 +67,6 @@ class TestParseErrors:
         report = lint_paths([tmp_path])
         rules = sorted(f.rule for f in report.findings)
         assert rules == ["parse-error", "unguarded-shared-write"]
-
-
-class TestNestedPackageSuppressions:
-    def test_outer_package_directive_reaches_nested_modules(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "# qpiadlint: disable-package=bare-except\n",
-                "pkg/sub/__init__.py": "",
-                "pkg/sub/deep/__init__.py": "",
-                "pkg/sub/deep/mod.py": _BARE_EXCEPT,
-            },
-        )
-        report = lint_paths([tmp_path])
-        assert report.findings == []
-        assert report.suppressed_count == 1
-
-    def test_inner_package_directive_does_not_leak_outward(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/outer_mod.py": _BARE_EXCEPT,
-                "pkg/sub/__init__.py": "# qpiadlint: disable-package=bare-except\n",
-                "pkg/sub/mod.py": _BARE_EXCEPT,
-            },
-        )
-        report = lint_paths([tmp_path])
-        assert [f.rule for f in report.findings] == ["bare-except"]
-        assert report.findings[0].path.endswith("outer_mod.py")
-        assert report.suppressed_count == 1
-
-    def test_directives_from_every_level_accumulate(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "# qpiadlint: disable-package=bare-except\n",
-                "pkg/sub/__init__.py": "# qpiadlint: disable-package=mutable-default-arg\n",
-                "pkg/sub/mod.py": """
-                    def f(xs=[]):
-                        try:
-                            return xs
-                        except:
-                            pass
-                """,
-            },
-        )
-        report = lint_paths([tmp_path])
-        assert report.findings == []
-        assert report.suppressed_count == 2
 
 
 class TestDiscovery:

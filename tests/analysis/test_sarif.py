@@ -57,7 +57,7 @@ class TestSarif:
         assert declared == expected
         # Module rules and runner pseudo-rules are declared alike.
         assert {"unguarded-shared-write", "unseeded-rng"} <= declared
-        assert {"parse-error", "misplaced-directive", "unused-suppression"} <= declared
+        assert {"parse-error", "unused-suppression"} <= declared
 
     def test_rule_metadata_carries_descriptions_and_levels(self):
         driver = json.loads(render_sarif(LintReport()))["runs"][0]["tool"]["driver"]

@@ -1,12 +1,10 @@
-"""Misplaced ``disable-package`` directives and stale-suppression reporting."""
+"""Stale-suppression reporting."""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.analysis.framework import ModuleContext
-from repro.analysis.rules import select_rules
-from repro.analysis.runner import lint_context, lint_paths
+from repro.analysis.runner import lint_paths
 
 
 def _write(root, files):
@@ -14,73 +12,6 @@ def _write(root, files):
         path = root / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-
-
-_BARE_EXCEPT = """
-    def f():
-        try:
-            return 1
-        except:  # qpiadlint-test fixture
-            pass
-"""
-
-
-class TestMisplacedDirective:
-    def test_disable_package_outside_init_is_ignored_and_reported(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": """
-                    # qpiadlint: disable-package=bare-except
-
-                    def f():
-                        try:
-                            return 1
-                        except:
-                            pass
-                """,
-            },
-        )
-        report = lint_paths([tmp_path])
-        rules = sorted(f.rule for f in report.findings)
-        # The directive neither suppresses (bare-except still fires) nor
-        # passes silently (misplaced-directive warns about it).
-        assert rules == ["bare-except", "misplaced-directive"]
-        misplaced = next(f for f in report.findings if f.rule == "misplaced-directive")
-        assert misplaced.line == 2  # the fixture opens with a blank line
-        assert "disable-package=bare-except" in misplaced.message
-
-    def test_disable_package_in_init_is_honoured(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "# qpiadlint: disable-package=bare-except\n",
-                "pkg/mod.py": _BARE_EXCEPT,
-            },
-        )
-        report = lint_paths([tmp_path])
-        assert report.findings == []
-        assert report.suppressed_count == 1
-
-    def test_in_memory_contexts_treat_named_init_as_package(self):
-        source = "# qpiadlint: disable-package=bare-except\n"
-        init = ModuleContext.from_source(source, path="pkg/__init__.py", module="pkg")
-        plain = ModuleContext.from_source(source, path="pkg/mod.py", module="pkg.mod")
-        assert init.suppressions.package_rules == frozenset({"bare-except"})
-        assert plain.suppressions.package_rules == frozenset()
-        assert plain.suppressions.misplaced_package_directives == (
-            (1, frozenset({"bare-except"})),
-        )
-
-    def test_misplaced_finding_flows_through_lint_context(self):
-        context = ModuleContext.from_source(
-            "# qpiadlint: disable-package=bare-except\n",
-            path="pkg/mod.py",
-            module="pkg.mod",
-        )
-        report = lint_context(context, select_rules(select=("bare-except",)))
-        assert [f.rule for f in report.findings] == ["misplaced-directive"]
 
 
 class TestUnusedSuppressions:
@@ -92,11 +23,9 @@ class TestUnusedSuppressions:
                 "pkg/mod.py": "x = 1  # qpiadlint: disable=bare-except\n",
             },
         )
-        relaxed = lint_paths([tmp_path])
-        strict = lint_paths([tmp_path], strict_suppressions=True)
-        assert relaxed.findings == []
-        assert [f.rule for f in strict.findings] == ["unused-suppression"]
-        assert "bare-except" in strict.findings[0].message
+        report = lint_paths([tmp_path])
+        assert [f.rule for f in report.findings] == ["unused-suppression"]
+        assert "bare-except" in report.findings[0].message
 
     def test_used_directives_are_not_reported(self, tmp_path):
         _write(
@@ -112,7 +41,7 @@ class TestUnusedSuppressions:
                 """,
             },
         )
-        report = lint_paths([tmp_path], strict_suppressions=True)
+        report = lint_paths([tmp_path])
         assert report.findings == []
         assert report.suppressed_count == 1
 
@@ -124,26 +53,9 @@ class TestUnusedSuppressions:
                 "pkg/mod.py": "x = 1  # qpiadlint: disable=no-such-rule\n",
             },
         )
-        report = lint_paths([tmp_path], strict_suppressions=True)
+        report = lint_paths([tmp_path])
         assert [f.rule for f in report.findings] == ["unused-suppression"]
         assert "unknown rule" in report.findings[0].message
-
-    def test_known_but_inactive_rule_is_skipped(self, tmp_path):
-        # --select narrowed the run: absence of bare-except findings proves
-        # nothing about the directive, so strict mode stays quiet.
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/mod.py": "x = 1  # qpiadlint: disable=bare-except\n",
-            },
-        )
-        report = lint_paths(
-            [tmp_path],
-            rules=select_rules(select=("null-compare",)),
-            strict_suppressions=True,
-        )
-        assert report.findings == []
 
     def test_stale_disable_file_reported(self, tmp_path):
         _write(
@@ -153,33 +65,5 @@ class TestUnusedSuppressions:
                 "pkg/mod.py": "# qpiadlint: disable-file=bare-except\nx = 1\n",
             },
         )
-        report = lint_paths([tmp_path], strict_suppressions=True)
+        report = lint_paths([tmp_path])
         assert [f.rule for f in report.findings] == ["unused-suppression"]
-
-    def test_stale_package_directive_reported_at_declaration(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "# qpiadlint: disable-package=bare-except\n",
-                "pkg/mod.py": "x = 1\n",
-            },
-        )
-        report = lint_paths([tmp_path], strict_suppressions=True)
-        assert [f.rule for f in report.findings] == ["unused-suppression"]
-        finding = report.findings[0]
-        assert finding.path.endswith("__init__.py")
-        assert "disable-package" in finding.message
-
-    def test_package_directive_used_by_any_module_is_not_stale(self, tmp_path):
-        _write(
-            tmp_path,
-            {
-                "pkg/__init__.py": "# qpiadlint: disable-package=bare-except\n",
-                "pkg/clean.py": "x = 1\n",
-                "pkg/sub/__init__.py": "",
-                "pkg/sub/mod.py": _BARE_EXCEPT,
-            },
-        )
-        report = lint_paths([tmp_path], strict_suppressions=True)
-        assert report.findings == []
-        assert report.suppressed_count == 1

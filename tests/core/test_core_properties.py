@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.rewriting import RewrittenQuery
-from repro.planner import f_measure, order_rewritten_queries, score_rewritten_queries
+from repro.planner import Ranker, f_measure
 from repro.mining import Afd
 from repro.query import SelectionQuery
 
@@ -48,7 +48,7 @@ def test_f_measure_symmetric_at_alpha_one(precision, recall):
 @given(_BATCHES, st.floats(0.0, 4.0))
 def test_recall_scores_form_a_distribution(batch, alpha):
     queries = [_rq(i, p, s) for i, (p, s) in enumerate(batch)]
-    scored = score_rewritten_queries(queries, alpha)
+    scored = Ranker(alpha).score(queries)
     total = sum(q.estimated_recall for q in scored)
     if any(q.expected_throughput > 0 for q in queries):
         assert total == pytest.approx(1.0)
@@ -60,7 +60,7 @@ def test_recall_scores_form_a_distribution(batch, alpha):
 @given(_BATCHES, st.floats(0.0, 4.0), st.integers(0, 12))
 def test_selection_size_and_precision_order(batch, alpha, k):
     queries = [_rq(i, p, s) for i, (p, s) in enumerate(batch)]
-    ordered = order_rewritten_queries(queries, alpha, k)
+    ordered = Ranker(alpha, k).order(queries)
     assert len(ordered) == min(k, len(queries))
     precisions = [q.estimated_precision for q in ordered]
     assert precisions == sorted(precisions, reverse=True)
@@ -71,8 +71,8 @@ def test_selected_set_maximizes_f_measure(batch, alpha):
     """The chosen top-K are exactly the K best F-measure scores."""
     queries = [_rq(i, p, s) for i, (p, s) in enumerate(batch)]
     k = max(1, len(queries) // 2)
-    scored = score_rewritten_queries(queries, alpha)
-    chosen = order_rewritten_queries(queries, alpha, k)
+    scored = Ranker(alpha).score(queries)
+    chosen = Ranker(alpha, k).order(queries)
     chosen_f = sorted((q.f_measure for q in chosen), reverse=True)
     best_f = sorted((q.f_measure for q in scored), reverse=True)[:k]
     assert chosen_f == pytest.approx(best_f)

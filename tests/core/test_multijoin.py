@@ -91,6 +91,18 @@ class TestValidation:
         with pytest.raises(QpiadError, match="names nothing"):
             MultiJoinProcessor(broken)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [({"k": -1}, "k must be non-negative"), ({"alpha": -1.0}, "alpha must be")],
+    )
+    def test_invalid_alpha_or_k_rejected_at_construction(
+        self, three_way, options, message
+    ):
+        """Regression: these used to surface only at query(), from inside
+        the first step's executor task."""
+        with pytest.raises(QpiadError, match=message):
+            MultiJoinProcessor(three_way, **options)
+
 
 class TestThreeWayJoin:
     def test_produces_answers(self, result):

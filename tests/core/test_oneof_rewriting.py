@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.core.rewriting import generate_rewritten_queries, target_probabilities
+from repro.core.rewriting import (
+    rewriting_bindings,
+    rewritten_from_bindings,
+    target_probabilities,
+)
 from repro.query import OneOf, SelectionQuery
 from repro.relational import is_null
 
@@ -41,7 +45,10 @@ class TestOneOfTargetProbability:
 class TestOneOfMediation:
     def test_rewritten_queries_generated(self, cars_env, in_query):
         base = cars_env.web_source().execute(in_query)
-        rewritten = generate_rewritten_queries(in_query, base, cars_env.knowledge)
+        knowledge = cars_env.knowledge
+        rewritten = rewritten_from_bindings(
+            in_query, rewriting_bindings(in_query, base, knowledge), knowledge
+        )
         assert rewritten
         assert all("body_style" not in rw.query.constrained_attributes for rw in rewritten)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.rewriting import RewrittenQuery
-from repro.planner import f_measure, order_rewritten_queries, score_rewritten_queries
+from repro.planner import Ranker, f_measure
 from repro.errors import QpiadError
 from repro.mining import Afd
 from repro.query import SelectionQuery
@@ -49,7 +49,7 @@ class TestFMeasure:
 class TestScoring:
     def test_recall_normalizes_throughput(self):
         queries = [_rq("A", 0.9, 10), _rq("B", 0.5, 100)]
-        scored = score_rewritten_queries(queries, alpha=1.0)
+        scored = Ranker(alpha=1.0).score(queries)
         total = 0.9 * 10 + 0.5 * 100
         assert scored[0].estimated_recall == pytest.approx(0.9 * 10 / total)
         assert scored[1].estimated_recall == pytest.approx(0.5 * 100 / total)
@@ -57,7 +57,7 @@ class TestScoring:
 
     def test_zero_throughput_everywhere(self):
         queries = [_rq("A", 0.0, 0), _rq("B", 0.0, 0)]
-        scored = score_rewritten_queries(queries, alpha=1.0)
+        scored = Ranker(alpha=1.0).score(queries)
         assert all(q.estimated_recall == 0.0 for q in scored)
         assert all(q.f_measure == 0.0 for q in scored)
 
@@ -65,35 +65,35 @@ class TestScoring:
 class TestOrdering:
     def test_alpha_zero_orders_by_precision(self):
         queries = [_rq("A", 0.5, 1000), _rq("B", 0.9, 1)]
-        ordered = order_rewritten_queries(queries, alpha=0.0, k=None)
+        ordered = Ranker(alpha=0.0, k=None).order(queries)
         assert ordered[0].evidence["model"] == "B"
 
     def test_high_alpha_prefers_throughput(self):
         queries = [_rq("A", 0.5, 1000), _rq("B", 0.9, 1)]
-        top = order_rewritten_queries(queries, alpha=5.0, k=1)
+        top = Ranker(alpha=5.0, k=1).order(queries)
         assert top[0].evidence["model"] == "A"
 
     def test_top_k_truncates(self):
         queries = [_rq(str(i), 0.1 * i, 10) for i in range(1, 8)]
-        assert len(order_rewritten_queries(queries, alpha=0.0, k=3)) == 3
+        assert len(Ranker(alpha=0.0, k=3).order(queries)) == 3
 
     def test_selected_queries_are_issued_in_precision_order(self):
         queries = [_rq(str(i), p, s) for i, (p, s) in enumerate(
             [(0.2, 500), (0.9, 5), (0.6, 50), (0.4, 100)]
         )]
-        ordered = order_rewritten_queries(queries, alpha=1.0, k=3)
+        ordered = Ranker(alpha=1.0, k=3).order(queries)
         precisions = [q.estimated_precision for q in ordered]
         assert precisions == sorted(precisions, reverse=True)
 
     def test_k_zero_selects_nothing(self):
-        assert order_rewritten_queries([_rq("A", 0.5, 5)], alpha=0.0, k=0) == []
+        assert Ranker(alpha=0.0, k=0).order([_rq("A", 0.5, 5)]) == []
 
     def test_negative_k_rejected(self):
         with pytest.raises(QpiadError):
-            order_rewritten_queries([], alpha=0.0, k=-1)
+            Ranker(alpha=0.0, k=-1).order([])
 
     def test_deterministic_tie_breaking(self):
         queries = [_rq("B", 0.5, 10), _rq("A", 0.5, 10)]
-        first = order_rewritten_queries(queries, alpha=0.0, k=None)
-        second = order_rewritten_queries(list(reversed(queries)), alpha=0.0, k=None)
+        first = Ranker(alpha=0.0, k=None).order(queries)
+        second = Ranker(alpha=0.0, k=None).order(list(reversed(queries)))
         assert [q.query for q in first] == [q.query for q in second]

@@ -59,6 +59,15 @@ class TestPlan:
         plan = capped.plan(overconstrained)
         assert all(len(q.constrained_attributes) >= 2 for q in plan.queries)
 
+    def test_negative_max_dropped_rejected(self, cars_env):
+        """Regression: -1 used to be accepted and silently planned nothing."""
+        with pytest.raises(QpiadError, match="max_dropped"):
+            QueryRelaxer(cars_env.web_source(), cars_env.knowledge, max_dropped=-1)
+
+    def test_zero_max_dropped_means_exact_answers_only(self, cars_env, overconstrained):
+        exact = QueryRelaxer(cars_env.web_source(), cars_env.knowledge, max_dropped=0)
+        assert exact.plan(overconstrained).queries == ()
+
 
 class TestRelaxedRetrieval:
     def test_returns_answers_for_an_empty_query(self, relaxer, overconstrained, cars_env):

@@ -2,10 +2,20 @@
 
 import pytest
 
-from repro.core.rewriting import generate_rewritten_queries, target_probabilities
+from repro.core.rewriting import (
+    rewriting_bindings,
+    rewritten_from_bindings,
+    target_probabilities,
+)
 from repro.errors import RewritingError
 from repro.query import Between, Equals, SelectionQuery
 from repro.relational import NULL
+
+
+def _generate(query, base_set, knowledge):
+    return rewritten_from_bindings(
+        query, rewriting_bindings(query, base_set, knowledge), knowledge
+    )
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +30,7 @@ def base_set(cars_env, body_query):
 
 @pytest.fixture(scope="module")
 def rewritten(cars_env, body_query, base_set):
-    return generate_rewritten_queries(body_query, base_set, cars_env.knowledge)
+    return _generate(body_query, base_set, cars_env.knowledge)
 
 
 class TestGeneration:
@@ -72,7 +82,7 @@ class TestGeneration:
         assert not empty_kb.afds
         query = SelectionQuery.equals("body_style", "Convt")
         with pytest.raises(RewritingError):
-            generate_rewritten_queries(query, base_set, empty_kb)
+            _generate(query, base_set, empty_kb)
 
 
 class TestMultiAttributeQueries:
@@ -81,7 +91,7 @@ class TestMultiAttributeQueries:
             [Equals("model", "Accord"), Between("price", 12000, 22000)]
         )
         base = cars_env.web_source().execute(query)
-        rewritten = generate_rewritten_queries(query, base, cars_env.knowledge)
+        rewritten = _generate(query, base, cars_env.knowledge)
         targets = {rw.target_attribute for rw in rewritten}
         assert targets <= {"model", "price"}
         assert "model" in targets or "price" in targets
@@ -91,7 +101,7 @@ class TestMultiAttributeQueries:
             [Equals("model", "Accord"), Between("price", 12000, 22000)]
         )
         base = cars_env.web_source().execute(query)
-        rewritten = generate_rewritten_queries(query, base, cars_env.knowledge)
+        rewritten = _generate(query, base, cars_env.knowledge)
         for rw in rewritten:
             if rw.target_attribute == "price":
                 # When price determining set doesn't bind model, the
@@ -105,7 +115,7 @@ class TestNumericDeterminingSets:
     def test_numeric_determining_values_become_ranges(self, census_env):
         query = SelectionQuery.equals("relationship", "Own-child")
         base = census_env.web_source().execute(query)
-        rewritten = generate_rewritten_queries(query, base, census_env.knowledge)
+        rewritten = _generate(query, base, census_env.knowledge)
         for rw in rewritten:
             for conjunct in rw.query.conjuncts:
                 if conjunct.attribute in ("age", "hours_per_week"):

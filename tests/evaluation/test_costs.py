@@ -1,6 +1,4 @@
 """Retrieval cost model."""
-# Exact-value assertions over small integer-ratio costs are intentional here.
-# qpiadlint: disable-file=naive-float-equality
 
 import pytest
 

@@ -1,6 +1,4 @@
 """IR metrics used by the Section 6 experiments."""
-# Exact-value assertions: inputs are chosen so P/R/F are exactly representable.
-# qpiadlint: disable-file=naive-float-equality
 
 import pytest
 

@@ -1,6 +1,4 @@
 """Property-based invariants of the IR metrics."""
-# Exact-value assertions on exactly-representable edge cases are intentional.
-# qpiadlint: disable-file=naive-float-equality
 
 from hypothesis import given, strategies as st
 

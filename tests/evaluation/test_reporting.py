@@ -1,6 +1,4 @@
 """ASCII table/series rendering."""
-# Exact-value assertions: report inputs are exactly representable by design.
-# qpiadlint: disable-file=naive-float-equality
 
 from repro.evaluation import render_curves, render_series, render_table
 from repro.evaluation.stats import incompleteness_report

@@ -100,10 +100,13 @@ class TestMultiJoinBookkeeping:
 
 class TestRewrittenQueryRepr:
     def test_reprs_are_informative(self, cars_env):
-        from repro.core.rewriting import generate_rewritten_queries
+        from repro.core.rewriting import rewriting_bindings, rewritten_from_bindings
 
         query = SelectionQuery.equals("body_style", "Convt")
         base = cars_env.web_source().execute(query)
-        rewritten = generate_rewritten_queries(query, base, cars_env.knowledge)[0]
+        knowledge = cars_env.knowledge
+        rewritten = rewritten_from_bindings(
+            query, rewriting_bindings(query, base, knowledge), knowledge
+        )[0]
         text = repr(rewritten)
         assert "P=" in text and "Sel=" in text

@@ -64,13 +64,13 @@ class TestMultiAttributeRetrieval:
         assert sum(1 for gain in gains if gain >= 0) >= len(gains) - 1
 
     def test_rewriting_targets_both_attributes_when_it_can(self, cars_env, workload):
-        from repro.core.rewriting import generate_rewritten_queries
+        from repro.core.rewriting import rewriting_bindings, rewritten_from_bindings
 
+        knowledge = cars_env.knowledge
         covered = set()
         for query in workload:
             base = cars_env.web_source().execute(query)
-            for rewritten in generate_rewritten_queries(
-                query, base, cars_env.knowledge
-            ):
+            bindings = rewriting_bindings(query, base, knowledge)
+            for rewritten in rewritten_from_bindings(query, bindings, knowledge):
                 covered.add(rewritten.target_attribute)
         assert {"make", "body_style"} <= covered

@@ -1,6 +1,4 @@
 """Selectivity estimation: EstSel = SmplSel * SmplRatio * PerInc."""
-# Exact-value assertion: the ratio inputs are exactly representable by design.
-# qpiadlint: disable-file=naive-float-equality
 
 import pytest
 

@@ -1,9 +1,9 @@
 """The Ranker value object: one ranking policy for every pipeline.
 
-``tests/core/test_ranking.py`` covers the stage functions themselves;
-these tests pin the :class:`~repro.planner.Ranker` facade and — most
-importantly — the canonical ``select_top`` tie-break the join processor
-now shares.  The regression being pinned: the join processor once broke
+``tests/core/test_ranking.py`` covers F-measure scoring and top-K
+ordering; these tests pin the :class:`~repro.planner.Ranker` validation
+and — most importantly — the canonical ``select_top`` tie-break the join
+processor now shares.  The regression being pinned: the join processor once broke
 F-measure ties on bare precision (and its repr of the whole pair object),
 diverging from the selection pipeline's ``(-F, -throughput, key)`` rule.
 """
@@ -14,7 +14,6 @@ from repro.core.rewriting import RewrittenQuery
 from repro.errors import QpiadError
 from repro.mining import Afd
 from repro.planner import Ranker
-from repro.planner.ranker import order_rewritten_queries
 from repro.query import SelectionQuery
 
 
@@ -40,13 +39,6 @@ class TestValidation:
 
 
 class TestFacade:
-    def test_order_matches_the_stage_function(self):
-        queries = [_rq("A", 0.9, 10), _rq("B", 0.5, 100), _rq("C", 0.7, 40)]
-        ranker = Ranker(alpha=1.0, k=2)
-        assert [q.query for q in ranker.order(queries)] == [
-            q.query for q in order_rewritten_queries(queries, alpha=1.0, k=2)
-        ]
-
     def test_f_measure_delegates_alpha(self):
         assert Ranker(alpha=0.0).f_measure(0.7, 0.9) == 0.7
         assert Ranker(alpha=1.0).f_measure(0.5, 0.5) == pytest.approx(0.5)

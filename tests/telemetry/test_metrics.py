@@ -1,6 +1,4 @@
 """The name-addressed counter/histogram registry."""
-# Exact-value assertions: observed values are echoed back, not accumulated.
-# qpiadlint: disable-file=naive-float-equality
 
 from repro.telemetry import MetricsRegistry
 

@@ -178,6 +178,11 @@ class TestPlan:
         assert main(["plan", str(cars_ed_csv), "--where", "nonsense"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_plan_rejects_min_confidence_above_one(self, cars_ed_csv, capsys):
+        argv = ["plan", str(cars_ed_csv), "--where", "body_style=Convt"]
+        assert main([*argv, "--min-confidence", "1.5"]) == 2
+        assert "min_confidence must be in [0, 1]" in capsys.readouterr().err
+
 
 class TestExplain:
     def test_query_explain_appends_the_executed_plan(self, cars_ed_csv, capsys):
@@ -278,9 +283,11 @@ class TestLint:
         assert "null-compare" in out
         assert "raw-relation-access" in out
 
-    def test_lint_unknown_rule_is_a_usage_error(self, capsys):
-        assert main(["lint", "--select", "no-such-rule", "."]) == 2
-        assert "unknown rule" in capsys.readouterr().err
+    def test_lint_unknown_rule_is_a_usage_error(self, tmp_path, capsys):
+        probe = tmp_path / "probe.py"
+        probe.write_text("x = 1  # qpiadlint: disable=all\n", encoding="utf-8")
+        assert main(["lint", str(probe)]) == 2
+        assert "'disable=all' is not allowed" in capsys.readouterr().err
 
     def test_lint_missing_path_is_a_usage_error(self, tmp_path, capsys):
         assert main(["lint", str(tmp_path / "absent")]) == 2
