@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from repro.analysis.framework import Severity
-from repro.analysis.runner import LintReport
+from repro.analysis.runner import PSEUDO_RULES, LintReport
 
 __all__ = [
     "render_text",
@@ -27,23 +27,6 @@ __all__ = [
     "render_rule_reference",
     "iter_rule_rows",
 ]
-
-#: Findings the runner emits itself; described here so SARIF rule metadata
-#: and the catalogue cover every rule id a report can contain.
-_PSEUDO_RULES: "dict[str, tuple[Severity, str, str]]" = {
-    "parse-error": (
-        Severity.ERROR,
-        "a linted file failed to parse",
-        "an unparseable file would otherwise silently drop out of every check",
-    ),
-    "unused-suppression": (
-        Severity.WARNING,
-        "a suppression directive that suppressed nothing, or names an "
-        "unknown rule",
-        "stale exemptions hide the rule they once silenced; pruning them "
-        "keeps the suppression budget honest",
-    ),
-}
 
 
 def render_text(report: LintReport) -> str:
@@ -84,7 +67,7 @@ def iter_rule_rows() -> Iterator[RuleRow]:
 
     for rule in ALL_RULES:
         yield RuleRow(rule.id, "module", rule.severity, rule.description, rule.rationale)
-    for rule_id, (severity, description, rationale) in _PSEUDO_RULES.items():
+    for rule_id, (severity, description, rationale) in PSEUDO_RULES.items():
         yield RuleRow(rule_id, "runner", severity, description, rationale)
 
 

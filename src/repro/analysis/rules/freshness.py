@@ -63,11 +63,8 @@ class StaleKnowledgeCaptureRule(Rule):
         "with a justification."
     )
 
-    def __init__(self, packages: "tuple[str, ...]" = KNOWLEDGE_CONSUMER_PACKAGES):
-        self.packages = packages
-
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        if not context.in_package(*self.packages):
+        if not context.in_package(*KNOWLEDGE_CONSUMER_PACKAGES):
             return
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.ClassDef):

@@ -30,6 +30,9 @@ __all__ = ["RawRelationAccessRule", "RawSourceCallRule"]
 #: Dotted package prefixes that constitute "mediator-side" code.
 MEDIATOR_PACKAGES = ("repro.core", "repro.planner", "repro.engine")
 
+#: The core mediators, which must leave source calls to the engine.
+CORE_PACKAGES = ("repro.core",)
+
 #: Loader callables that read base data from outside any source gateway.
 _DIRECT_LOADERS = frozenset({"read_csv"})
 
@@ -50,11 +53,8 @@ class RawRelationAccessRule(Rule):
         "checks, query budgets and access statistics."
     )
 
-    def __init__(self, packages: "tuple[str, ...]" = MEDIATOR_PACKAGES):
-        self.packages = packages
-
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        if not context.in_package(*self.packages):
+        if not context.in_package(*MEDIATOR_PACKAGES):
             return
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Call):
@@ -125,11 +125,8 @@ class RawSourceCallRule(Rule):
         "suppression with a justification."
     )
 
-    def __init__(self, packages: "tuple[str, ...]" = ("repro.core",)):
-        self.packages = packages
-
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        if not context.in_package(*self.packages):
+        if not context.in_package(*CORE_PACKAGES):
             return
         for node in ast.walk(context.tree):
             if (

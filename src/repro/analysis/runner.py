@@ -32,13 +32,28 @@ __all__ = [
     "lint_context",
     "iter_python_files",
     "module_name_for",
-    "PSEUDO_RULE_IDS",
+    "PSEUDO_RULES",
 ]
 
 _SKIPPED_DIRS = frozenset({"__pycache__", ".git", ".venv", "venv", "build", "dist"})
 
-#: Findings the runner itself may emit, valid in directives.
-PSEUDO_RULE_IDS = ("parse-error", "unused-suppression")
+#: Findings the runner itself may emit, valid in directives: id →
+#: (severity, description, rationale), so SARIF rule metadata and the
+#: catalogue cover every rule id a report can contain.
+PSEUDO_RULES: "dict[str, tuple[Severity, str, str]]" = {
+    "parse-error": (
+        Severity.ERROR,
+        "a linted file failed to parse",
+        "an unparseable file would otherwise silently drop out of every check",
+    ),
+    "unused-suppression": (
+        Severity.WARNING,
+        "a suppression directive that suppressed nothing, or names an "
+        "unknown rule",
+        "stale exemptions hide the rule they once silenced; pruning them "
+        "keeps the suppression budget honest",
+    ),
+}
 
 
 @dataclass
@@ -130,7 +145,7 @@ def lint_paths(paths: Sequence["Path | str"]) -> LintReport:
     from repro.analysis.rules import default_rules, rule_ids
 
     rules = default_rules()
-    known = frozenset(rule_ids()) | frozenset(PSEUDO_RULE_IDS)
+    known = frozenset(rule_ids()) | frozenset(PSEUDO_RULES)
     report = LintReport()
     for file_path in iter_python_files([Path(p) for p in paths]):
         try:

@@ -137,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="KEY=VALUE",
         help="route source calls through a SourceScheduler; repeatable. "
-        "Keys: rate (calls/s), burst, concurrent, queue, dedup (on/off), "
-        "hedge (on/off), hedge-quantile, hedge-min-samples, hedge-min-delay",
+        "Keys: rate (calls/s), burst, concurrent, queue, dedup (on/off)",
     )
     query.add_argument(
         "--stream",
@@ -413,10 +412,6 @@ _ADMISSION_KEYS = {
     "concurrent": ("max_concurrent", int),
     "queue": ("max_queue", int),
     "dedup": ("dedup", None),  # None marks an on/off flag
-    "hedge": ("hedge", None),
-    "hedge-quantile": ("hedge_quantile", float),
-    "hedge-min-samples": ("hedge_min_samples", int),
-    "hedge-min-delay": ("hedge_min_delay_seconds", float),
 }
 
 
@@ -618,10 +613,9 @@ def _cmd_query(args) -> int:
         admitted = scheduler.metrics.value("scheduler.admitted")
         shed = scheduler.metrics.value("scheduler.rejected_queue_full")
         dedup = scheduler.metrics.value("scheduler.dedup_hits")
-        hedged = scheduler.metrics.value("scheduler.hedges_launched")
         print(
             f"admission: {admitted:.0f} admitted, {shed:.0f} shed, "
-            f"{dedup:.0f} deduplicated, {hedged:.0f} hedged"
+            f"{dedup:.0f} deduplicated"
         )
     if args.explain and mediator.last_plan is not None:
         print()
@@ -773,12 +767,9 @@ def _cmd_chaos(args) -> int:
     # With concurrent execution the fault schedule maps onto calls in
     # completion-dependent order, so two runs need not inject the same
     # faults at the same calls; the replay-identical check only holds
-    # serially.  Hedged requests likewise add latency-dependent extra
-    # calls.  The invariants that matter — certain answers survive,
+    # serially.  The invariants that matter — certain answers survive,
     # ranking stays a subsequence — are checked at any width.
-    check_replay = args.concurrency == 1 and not (
-        admission is not None and admission.default.hedge
-    )
+    check_replay = args.concurrency == 1
     shed_total = 0
     verdict = 0
     for index, query in enumerate(queries):
@@ -798,7 +789,7 @@ def _cmd_chaos(args) -> int:
                 from repro.resilience import SourceScheduler
 
                 # One scheduler per run: replay determinism needs fresh
-                # admission state, not a warm latency history.
+                # admission state.
                 scheduler = SourceScheduler(admission)
             mediator = QpiadMediator(
                 source, env.knowledge, config, scheduler=scheduler

@@ -141,11 +141,10 @@ class JoinedAnswer:
 class JoinResult:
     """Certain and ranked possible answers of a mediated join query.
 
-    ``base_queries_issued`` counts the two base retrievals (plus any
-    hedge backups they spawned); ``component_queries_issued`` counts only
-    the rewritten component calls.  The two always sum to
-    ``stats.queries_issued`` — the base calls used to be double-counted
-    into the component figure.
+    ``base_queries_issued`` counts the two base retrievals;
+    ``component_queries_issued`` counts only the rewritten component
+    calls.  The two always sum to ``stats.queries_issued`` — the base
+    calls used to be double-counted into the component figure.
     """
 
     query: JoinQuery
@@ -333,8 +332,8 @@ class JoinProcessor:
         ):
             bases[step.rank] = retrieved
         left_base, right_base = bases[0], bases[1]
-        # Snapshot after the bases (and any hedge backups they spawned)
-        # are billed: everything issued beyond this point is a component.
+        # Snapshot after the bases are billed: everything issued beyond
+        # this point is a component.
         result.base_queries_issued = result.stats.queries_issued
 
         left_sides = self._build_sides(

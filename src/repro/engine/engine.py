@@ -373,11 +373,11 @@ class RetrievalEngine:
         """Put one planned call on the wire, via the scheduler when present.
 
         The thunk carries the engine's deadline as ambient state so
-        layers beneath the call (retry backoff sleeps, hedge copies on
-        scheduler threads) see the same budget the engine enforces
-        between calls.  Hedge backups launched by the scheduler are
-        billed through ``_bill_hedge`` the moment they fire, keeping
-        ``stats.queries_issued`` equal to the source's own call log.
+        layers beneath the call (retry backoff sleeps) see the same
+        budget the engine enforces between calls, on executor worker
+        threads as well as the caller's.  The scheduler runs an admitted
+        thunk exactly once; a dedup follower shares its leader's wire
+        call instead.
         """
         if step.kind == QueryKind.MULTI_NULL:
             operation = f"null-binding:{step.max_nulls}"
@@ -403,16 +403,7 @@ class RetrievalEngine:
             operation,
             thunk,
             deadline=self._deadline,
-            on_hedge_launch=self._bill_hedge,
         )
-
-    def _bill_hedge(self) -> None:
-        """Count a hedge backup as one more issued query, as it launches."""
-        with self._lock:
-            self.stats.queries_issued += 1
-        if self._telemetry is not None:
-            self._telemetry.count("mediator.queries_issued")
-            self._telemetry.count("mediator.hedges_issued")
 
     # ------------------------------------------------------------------ #
     # Policy enforcement (absorbed in plan-merge order, so failure

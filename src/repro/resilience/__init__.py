@@ -1,4 +1,4 @@
-"""Shared resilience layer: admission control, dedup, hedging, deadlines.
+"""Shared resilience layer: admission control, dedup, deadlines.
 
 Where ``repro.sources`` wraps *one* source with per-call policies (retry,
 breaker, cache), this package coordinates *across* callers: a

@@ -13,10 +13,6 @@ spends one.  Two properties matter for the scheduler built on top:
   past it — a queued call whose token would only arrive after the
   caller's deadline is pure waste on both sides of the wire.
 
-Refunds exist for hedging: a hedge backup that loses the race gives its
-token back, so hedged retrievals do not pay double against the source's
-rate budget ("cancel the loser's budget charge").
-
 Lock discipline: ``_advanced()`` is a *pure* computation of the refilled
 state; every assignment to ``_tokens`` / ``_updated`` happens
 syntactically inside ``with self._lock`` so the repo's
@@ -77,15 +73,6 @@ class TokenBucket:
             tokens = min(float(self.burst), tokens + elapsed * self.rate_per_second)
         return tokens, now
 
-    def try_acquire(self) -> bool:
-        """Take a token if one is banked; never waits."""
-        with self._lock:
-            tokens, now = self._advanced()
-            taken = tokens >= 1.0
-            self._tokens = tokens - 1.0 if taken else tokens
-            self._updated = now
-            return taken
-
     def acquire(
         self,
         timeout: "float | None" = None,
@@ -115,13 +102,6 @@ class TokenBucket:
                 )
             sleep(deficit)
             waited += deficit
-
-    def refund(self) -> None:
-        """Return one token (a hedge loser's charge is cancelled)."""
-        with self._lock:
-            tokens, now = self._advanced()
-            self._tokens = min(float(self.burst), tokens + 1.0)
-            self._updated = now
 
     @property
     def available(self) -> float:

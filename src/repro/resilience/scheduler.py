@@ -15,10 +15,6 @@ cross-cutting concerns no single mediator can see:
 * **Single-flight dedup.**  Identical in-flight calls — same source,
   same operation, same query fingerprint — collapse onto one wire call;
   followers share the leader's outcome (value *or* exception).
-* **Hedged requests.**  Once a source's latency distribution is warm,
-  a straggling call races a backup fired after the policy percentile of
-  observed latency; the first result wins and the loser's rate-limit
-  charge is refunded.
 * **Deadline propagation.**  The caller's remaining budget caps every
   queue, slot, and token wait — a call that could only be admitted
   after its deadline fails fast with
@@ -40,9 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures import wait as wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Mapping
@@ -61,9 +54,6 @@ __all__ = [
     "current_scheduler",
     "scheduler_scope",
 ]
-
-#: Threads in the shared pool that runs hedged calls (started on first use).
-HEDGE_POOL_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +79,6 @@ class SourcePolicy:
         ``None`` = unbounded queue (admission never sheds).
     dedup:
         Collapse identical in-flight calls onto one wire call.
-    hedge:
-        Race a backup call against stragglers once latency is warm.
-    hedge_quantile:
-        Latency percentile (0..1) after which the backup fires.
-    hedge_min_samples:
-        Observed-latency samples required before hedging arms; until
-        then every call runs inline, which keeps cold-start behaviour
-        bit-identical to an unhedged scheduler.
-    hedge_min_delay_seconds:
-        Floor on the hedge delay so a momentarily fast window cannot
-        make the scheduler double-fire every call.
     """
 
     rate_per_second: "float | None" = None
@@ -107,10 +86,6 @@ class SourcePolicy:
     max_concurrent: "int | None" = None
     max_queue: "int | None" = 64
     dedup: bool = True
-    hedge: bool = False
-    hedge_quantile: float = 0.95
-    hedge_min_samples: int = 20
-    hedge_min_delay_seconds: float = 0.001
 
     def __post_init__(self) -> None:
         if self.rate_per_second is not None and self.rate_per_second <= 0:
@@ -125,14 +100,6 @@ class SourcePolicy:
             )
         if self.max_queue is not None and self.max_queue < 0:
             raise QpiadError(f"max_queue must be >= 0, got {self.max_queue}")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise QpiadError(
-                f"hedge_quantile must be within (0, 1), got {self.hedge_quantile}"
-            )
-        if self.hedge_min_samples < 1:
-            raise QpiadError(
-                f"hedge_min_samples must be at least 1, got {self.hedge_min_samples}"
-            )
 
 
 @dataclass
@@ -251,15 +218,6 @@ class _SourceState:
                 self._lock.wait(timeout=remaining)
             self.inflight += 1
 
-    def try_acquire_slot(self) -> bool:
-        """Non-blocking slot grab (hedge backups never queue)."""
-        with self._lock:
-            cap = self.policy.max_concurrent
-            if cap is not None and self.inflight >= cap:
-                return False
-            self.inflight += 1
-            return True
-
     def release_slot(self) -> None:
         with self._lock:
             self.inflight -= 1
@@ -272,7 +230,7 @@ class _SourceState:
 
 
 class SourceScheduler:
-    """Process-wide admission, dedup, and hedging for source calls.
+    """Process-wide admission and dedup for source calls.
 
     One instance is meant to be shared by every engine in the process
     (see :func:`install_scheduler`); per-source state is created lazily
@@ -298,7 +256,6 @@ class SourceScheduler:
         self._lock = threading.Lock()
         self._states: "dict[str, _SourceState]" = {}
         self._flights = SingleFlight()
-        self._pool: "ThreadPoolExecutor | None" = None
 
     # -- telemetry ----------------------------------------------------------
 
@@ -327,22 +284,13 @@ class SourceScheduler:
                 )
             return state
 
-    def _hedge_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=HEDGE_POOL_SIZE,
-                    thread_name_prefix="qpiad-hedge",
-                )
-            return self._pool
-
     def shutdown(self) -> None:
-        """Release the hedge pool's threads (idempotent)."""
-        with self._lock:
-            pool = self._pool
-            self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release the scheduler's resources; a no-op.
+
+        Every admitted call runs on its caller's thread, so the scheduler
+        holds no threads of its own.  The method stays for callers that
+        release a scheduler once they are done with it.
+        """
 
     # -- the one entry point ------------------------------------------------
 
@@ -354,21 +302,20 @@ class SourceScheduler:
         thunk: Callable[[], Any],
         *,
         deadline: "Deadline | None" = None,
-        on_hedge_launch: "Callable[[], None] | None" = None,
     ) -> Any:
-        """Route one source call through admission → dedup → hedging.
+        """Route one source call through dedup → admission → the thunk.
 
         *thunk* is the fully wrapped call (retry, breaker, and the
-        source itself); the scheduler decides when — and how many times
-        concurrently — it runs.  *operation* disambiguates call shapes
-        sharing a query (``"execute"`` vs ``"null-binding:2"``) so dedup
-        never conflates them.  *on_hedge_launch* lets the caller bill a
-        hedge backup as an extra issued query the moment it is fired.
+        source itself); the scheduler decides when it runs, and an
+        admitted call runs it exactly once, on the caller's thread.
+        *operation* disambiguates call shapes sharing a query
+        (``"execute"`` vs ``"null-binding:2"``) so dedup never
+        conflates them.
         """
         self._count("scheduler.calls")
         state = self.state_for(source)
         if not state.policy.dedup or query is None:
-            return self._admitted_call(state, thunk, deadline, on_hedge_launch)
+            return self._admitted_call(state, thunk, deadline)
 
         key = (state.name, operation, _fingerprint(query))
         flight, leader = self._flights.lead_or_join(key)
@@ -376,7 +323,7 @@ class SourceScheduler:
             value: Any = None
             error: "BaseException | None" = None
             try:
-                value = self._admitted_call(state, thunk, deadline, on_hedge_launch)
+                value = self._admitted_call(state, thunk, deadline)
                 return value
             except BaseException as exc:
                 error = exc
@@ -407,7 +354,6 @@ class SourceScheduler:
         state: _SourceState,
         thunk: Callable[[], Any],
         deadline: "Deadline | None",
-        on_hedge_launch: "Callable[[], None] | None",
     ) -> Any:
         arrived = self._clock()
         try:
@@ -437,103 +383,13 @@ class SourceScheduler:
         self._count("scheduler.admitted")
         self._observe("scheduler.queue_wait_seconds", self._clock() - arrived)
 
-        delay = self._hedge_delay(state)
-        if delay is None:
-            started = self._clock()
-            try:
-                value = thunk()
-            finally:
-                state.release_slot()
-            self._observe(self._latency_metric(state.name), self._clock() - started)
-            return value
-        return self._race_hedge(state, thunk, delay, on_hedge_launch)
-
-    # -- hedging ------------------------------------------------------------
-
-    def _hedge_delay(self, state: _SourceState) -> "float | None":
-        """Seconds to wait before firing a backup; ``None`` = run inline."""
-        policy = state.policy
-        if not policy.hedge:
-            return None
-        metric = self._latency_metric(state.name)
-        if self.metrics.histogram(metric).count < policy.hedge_min_samples:
-            return None
-        estimate = self.metrics.percentile(metric, policy.hedge_quantile)
-        if estimate is None:
-            return None
-        return max(estimate, policy.hedge_min_delay_seconds)
-
-    def _race_hedge(
-        self,
-        state: _SourceState,
-        thunk: Callable[[], Any],
-        delay: float,
-        on_hedge_launch: "Callable[[], None] | None",
-    ) -> Any:
-        """Run *thunk*, racing a backup copy once *delay* elapses.
-
-        Slot accounting moves from the caller to done-callbacks here:
-        each launched copy holds its slot until *it* finishes, not until
-        the race is decided — the loser is still occupying the source.
-        """
-        pool = self._hedge_pool()
         started = self._clock()
-
-        def _settle(future: Future) -> None:
-            state.release_slot()
-            future.exception()  # consume, so a loser's error is never orphaned
-
-        primary = pool.submit(thunk)
-        primary.add_done_callback(_settle)
         try:
-            value = primary.result(timeout=delay)
-        except FutureTimeoutError:
-            pass
-        else:
-            self._observe(self._latency_metric(state.name), self._clock() - started)
-            return value
-
-        # Primary is straggling past the latency percentile: try to fire
-        # a backup without waiting — a hedge that queues is no hedge.
-        hedged = state.try_acquire_slot()
-        if hedged and state.bucket is not None and not state.bucket.try_acquire():
+            value = thunk()
+        finally:
             state.release_slot()
-            hedged = False
-        if not hedged:
-            self._count("scheduler.hedges_suppressed")
-            value = primary.result()
-            self._observe(self._latency_metric(state.name), self._clock() - started)
-            return value
-
-        if on_hedge_launch is not None:
-            on_hedge_launch()
-        self._count("scheduler.hedges_launched")
-        backup = pool.submit(thunk)
-        backup.add_done_callback(_settle)
-
-        failures: "dict[Future, BaseException]" = {}
-        pending = {primary, backup}
-        while pending:
-            done, pending = wait_futures(pending, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=lambda f: f is not primary):
-                error = future.exception()
-                if error is not None:
-                    failures[future] = error
-                    continue
-                self._count(
-                    "scheduler.hedge_wins"
-                    if future is backup
-                    else "scheduler.hedge_losses"
-                )
-                if state.bucket is not None:
-                    state.bucket.refund()  # cancel the loser's rate charge
-                self._observe(
-                    self._latency_metric(state.name), self._clock() - started
-                )
-                return future.result()
-        # Both copies failed: surface the primary's error when it has one
-        # so hedging never changes which exception the caller sees.
-        raise failures.get(primary) or next(iter(failures.values()))
+        self._observe(self._latency_metric(state.name), self._clock() - started)
+        return value
 
 
 # ---------------------------------------------------------------------------

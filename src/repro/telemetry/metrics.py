@@ -3,25 +3,16 @@
 The registry is name-addressed: the first ``count("cache.hits")`` creates
 the counter, later calls find it again, so instrumentation sites never
 declare metrics up front.  Histograms keep streaming summaries
-(count/total/min/max) plus a bounded ring of the most recent samples —
-enough for the latency, throughput, and tail-percentile questions the
-exporters and the :class:`~repro.resilience.SourceScheduler` ask, with
-O(1) memory per metric whatever the traffic.
+(count/total/min/max/mean) — what the exporters and snapshots read —
+with O(1) memory per metric whatever the traffic.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Counter", "Histogram", "MetricsRegistry"]
-
-#: How many recent samples a histogram retains for percentile queries.
-#: A sliding window (rather than reservoir sampling) keeps the estimate
-#: deterministic — no RNG — and naturally tracks drift: a source whose
-#: latency regime changes is re-learned within one window.
-RECENT_WINDOW = 512
 
 
 @dataclass
@@ -37,48 +28,23 @@ class Counter:
 
 @dataclass
 class Histogram:
-    """Streaming summary of an observed distribution.
-
-    Alongside the O(1) summary fields, a bounded ring of the most recent
-    :data:`RECENT_WINDOW` samples supports :meth:`percentile` queries —
-    the hedging trigger in the resilience scheduler needs a live p95/p99
-    estimate per source, not just the mean.
-    """
+    """Streaming summary of an observed distribution, in O(1) memory."""
 
     name: str
     count: int = 0
     total: float = 0.0
     minimum: "float | None" = None
     maximum: "float | None" = None
-    recent: "deque[float]" = field(
-        default_factory=lambda: deque(maxlen=RECENT_WINDOW), repr=False
-    )
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
         self.minimum = value if self.minimum is None else min(self.minimum, value)
         self.maximum = value if self.maximum is None else max(self.maximum, value)
-        self.recent.append(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def percentile(self, quantile: float) -> "float | None":
-        """The *quantile* (0..1) over the recent-sample window.
-
-        Nearest-rank over a sorted copy of the window; ``None`` when no
-        samples were observed yet.  Callers gate on :attr:`count` (e.g.
-        ``hedge_min_samples``) before trusting the estimate.
-        """
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {quantile}")
-        ordered = sorted(self.recent)
-        if not ordered:
-            return None
-        rank = min(len(ordered) - 1, int(quantile * len(ordered)))
-        return ordered[rank]
 
 
 class MetricsRegistry:
@@ -127,20 +93,6 @@ class MetricsRegistry:
         """A counter's current value; 0 when it was never touched."""
         found = self._counters.get(name)
         return 0 if found is None else found.value
-
-    def percentile(self, name: str, quantile: float) -> "float | None":
-        """A histogram percentile read under the registry lock.
-
-        Sorting the sample window while another thread observes into it
-        would race on the deque; taking the lock here gives concurrent
-        readers (the scheduler's hedge-delay probe) a consistent view.
-        ``None`` when the histogram is absent or empty.
-        """
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                return None
-            return histogram.percentile(quantile)
 
     @property
     def counters(self) -> tuple[Counter, ...]:

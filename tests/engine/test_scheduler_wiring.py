@@ -138,7 +138,7 @@ class TestSharedBaseCall:
 
         watch = FollowerWatch(followers=self.MEDIATORS - 1)
         scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(dedup=True, hedge=False)),
+            SchedulerConfig(default=SourcePolicy(dedup=True)),
             telemetry=watch,
         )
         source = GatedBaseSource(cars_env.web_source(), QUERY, watch.gate)

@@ -1,8 +1,8 @@
 """The chaos invariants with the SourceScheduler in the loop.
 
 Admission control, dedup, and deadline propagation must not change what
-a mediated retrieval *means*.  With a scheduler attached (hedging off),
-at every executor width and every seed:
+a mediated retrieval *means*.  With a scheduler attached, at every
+executor width and every seed:
 
 * the accounting invariant holds exactly — ``queries_issued`` equals the
   fault-injecting source's own call log (dedup never fires inside one
@@ -32,7 +32,6 @@ def make_scheduler(**overrides):
         max_concurrent=8,
         max_queue=64,
         dedup=True,
-        hedge=False,
     )
     policy.update(overrides)
     return SourceScheduler(SchedulerConfig(default=SourcePolicy(**policy)))

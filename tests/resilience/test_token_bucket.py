@@ -1,4 +1,4 @@
-"""TokenBucket: pacing, deadline-capped waits, refunds."""
+"""TokenBucket: pacing and deadline-capped waits."""
 
 import threading
 
@@ -19,6 +19,16 @@ class FakeClock:
         self.now += seconds
 
 
+def try_acquire(bucket):
+    """Take a banked token without waiting: ``acquire`` on a zero budget
+    raises exactly when no whole token is banked."""
+    try:
+        bucket.acquire(timeout=0.0)
+    except DeadlineExceededError:
+        return False
+    return True
+
+
 class TestConstruction:
     def test_rejects_non_positive_rate(self):
         with pytest.raises(QpiadError):
@@ -36,17 +46,17 @@ class TestConstruction:
 class TestTryAcquire:
     def test_spends_banked_tokens_then_refuses(self):
         bucket = TokenBucket(1, burst=2, clock=FakeClock())
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
+        assert try_acquire(bucket)
+        assert try_acquire(bucket)
+        assert not try_acquire(bucket)
 
     def test_refills_continuously_at_the_rate(self):
         clock = FakeClock()
         bucket = TokenBucket(2, burst=1, clock=clock)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
+        assert try_acquire(bucket)
+        assert not try_acquire(bucket)
         clock.advance(0.5)  # 2/s × 0.5s = 1 token
-        assert bucket.try_acquire()
+        assert try_acquire(bucket)
 
     def test_never_banks_beyond_burst(self):
         clock = FakeClock()
@@ -63,7 +73,7 @@ class TestAcquire:
     def test_sleeps_exactly_the_deficit(self):
         clock = FakeClock()
         bucket = TokenBucket(4, burst=1, clock=clock)
-        bucket.try_acquire()
+        try_acquire(bucket)
         slept = []
 
         def sleep(seconds):
@@ -77,32 +87,18 @@ class TestAcquire:
     def test_raises_instead_of_sleeping_past_the_deadline(self):
         clock = FakeClock()
         bucket = TokenBucket(1, burst=1, clock=clock)
-        bucket.try_acquire()  # empty; next token in 1s
+        try_acquire(bucket)  # empty; next token in 1s
         with pytest.raises(DeadlineExceededError):
             bucket.acquire(timeout=0.5, sleep=lambda s: clock.advance(s))
 
     def test_deadline_error_leaves_no_token_spent(self):
         clock = FakeClock()
         bucket = TokenBucket(1, burst=1, clock=clock)
-        bucket.try_acquire()
+        try_acquire(bucket)
         with pytest.raises(DeadlineExceededError):
             bucket.acquire(timeout=0.1, sleep=lambda s: clock.advance(s))
         clock.advance(1.0)
-        assert bucket.try_acquire()  # the refilled token is intact
-
-
-class TestRefund:
-    def test_refund_returns_one_token(self):
-        bucket = TokenBucket(1, burst=2, clock=FakeClock())
-        bucket.try_acquire()
-        bucket.try_acquire()
-        bucket.refund()
-        assert bucket.try_acquire()
-
-    def test_refund_respects_the_burst_ceiling(self):
-        bucket = TokenBucket(1, burst=1, clock=FakeClock())
-        bucket.refund()
-        assert bucket.available == pytest.approx(1.0)
+        assert try_acquire(bucket)  # the refilled token is intact
 
 
 class TestThreadSafety:
@@ -113,7 +109,7 @@ class TestThreadSafety:
 
         def worker():
             for _ in range(20):
-                if bucket.try_acquire():
+                if try_acquire(bucket):
                     with lock:
                         taken.append(1)
 

@@ -36,19 +36,8 @@ class TestParseAdmission:
         ("off", False), ("false", False), ("no", False), ("0", False),
     ])
     def test_on_off_flags(self, raw, expected):
-        config = _parse_admission([f"dedup={raw}", f"hedge={raw}"])
+        config = _parse_admission([f"dedup={raw}"])
         assert config.default.dedup is expected
-        assert config.default.hedge is expected
-
-    def test_hedge_tuning_keys(self):
-        config = _parse_admission(
-            ["hedge=on", "hedge-quantile=0.9", "hedge-min-samples=5",
-             "hedge-min-delay=0.002"]
-        )
-        policy = config.default
-        assert policy.hedge and policy.hedge_quantile == 0.9
-        assert policy.hedge_min_samples == 5
-        assert policy.hedge_min_delay_seconds == 0.002
 
     def test_malformed_spec_is_rejected(self):
         with pytest.raises(QpiadError, match="expected KEY=VALUE"):
@@ -59,6 +48,11 @@ class TestParseAdmission:
     def test_unknown_key_lists_the_known_ones(self):
         with pytest.raises(QpiadError, match="known keys: .*burst"):
             _parse_admission(["ratelimit=5"])
+        # A key that names no SourcePolicy field is rejected, not ignored.
+        with pytest.raises(
+            QpiadError, match="unknown --admission key 'hedge'; known keys: .*dedup"
+        ):
+            _parse_admission(["hedge=on"])
 
     def test_bad_value_type_is_rejected(self):
         with pytest.raises(QpiadError, match="expects a float"):
@@ -68,7 +62,7 @@ class TestParseAdmission:
 
     def test_invalid_policy_values_surface_as_qpiad_errors(self):
         with pytest.raises(QpiadError):
-            _parse_admission(["hedge-quantile=1.5"])
+            _parse_admission(["burst=0"])
 
 
 class TestQueryWithAdmission:
@@ -107,7 +101,8 @@ class TestQueryWithAdmission:
 
 
 class TestChaosWithAdmission:
-    def test_chaos_passes_under_admission_control(self, capsys):
+    @pytest.mark.parametrize("width", ["1", "4"])
+    def test_chaos_passes_under_admission_control(self, width, capsys):
         code = main(
             [
                 "chaos",
@@ -120,10 +115,16 @@ class TestChaosWithAdmission:
                 "--admission",
                 "queue=32",
                 "--concurrency",
-                "4",
+                width,
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "chaos: ok" in out
         assert "load-shed across faulty runs" in out
+        if width == "1":
+            # Serially, every query's faulty run replays identically under
+            # admission control too.
+            query_lines = [line for line in out.splitlines() if "replay" in line]
+            assert len(query_lines) == 3
+            assert all(line.endswith("replay identical") for line in query_lines)
