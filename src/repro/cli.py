@@ -308,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     refresh = sub.add_parser(
         "refresh",
         help="fold a fresh sample batch into a knowledge base: re-mine the "
-        "union, extending the mined views by the batch alone unless the "
-        "numeric bin edges moved",
+        "mined sample plus the batch as the next generation",
     )
     refresh.add_argument("data", type=Path, help="the (incomplete) database CSV")
     refresh.add_argument(

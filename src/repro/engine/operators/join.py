@@ -73,7 +73,3 @@ class SymmetricHashJoin(Operator):
             left, right = (item, mate) if port == LEFT else (mate, item)
             if self._match is None or self._match(left, right):
                 yield self._combine(left, right)
-
-    def inserted(self, port: int) -> int:
-        """How many joinable items this port has absorbed (diagnostics)."""
-        return sum(len(bucket) for bucket in self._tables[port].values())

@@ -114,9 +114,10 @@ class KnowledgeBase:
     determined by the frozen payload, so they cannot affect identity).
 
     Refreshing knowledge therefore never mutates a generation — a
-    :class:`~repro.mining.refresh.KnowledgeRefresher` folds a batch into a
-    *new* generation (``epoch`` one higher, lineage extended) and installs
-    it atomically in a :class:`~repro.mining.store.KnowledgeStore`.
+    :class:`~repro.mining.refresh.KnowledgeRefresher` re-mines the sample
+    plus a batch into a *new* generation (``epoch`` one higher, lineage
+    extended) and installs it atomically in a
+    :class:`~repro.mining.store.KnowledgeStore`.
 
     Parameters
     ----------
@@ -153,12 +154,12 @@ class KnowledgeBase:
                 bins=self.config.discretize_bins,
                 strategy=self.config.discretize_strategy,
             )
-            self._mining_view = self._discretizer.transform(sample)
+            mining_view = self._discretizer.transform(sample)
         else:
             self._discretizer = None
-            self._mining_view = sample
+            mining_view = sample
 
-        mined = mine_dependencies(self._mining_view, self.config.tane)
+        mined = mine_dependencies(mining_view, self.config.tane)
         self.all_afds: tuple[Afd, ...] = tuple(mined.afds)
         self.akeys: tuple[AKey, ...] = tuple(mined.akeys)
         self.afds: tuple[Afd, ...] = tuple(
@@ -193,7 +194,6 @@ class KnowledgeBase:
         sample: Relation,
         database_size: int,
         discretizer: Discretizer | None,
-        mining_view: Relation,
         all_afds: tuple[Afd, ...],
         afds: tuple[Afd, ...],
         akeys: tuple[AKey, ...],
@@ -212,7 +212,6 @@ class KnowledgeBase:
         knowledge.sample = sample
         knowledge.database_size = database_size
         knowledge._discretizer = discretizer
-        knowledge._mining_view = mining_view
         knowledge.all_afds = tuple(all_afds)
         knowledge.akeys = tuple(akeys)
         knowledge.afds = tuple(afds)

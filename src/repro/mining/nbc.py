@@ -137,69 +137,6 @@ class NaiveBayesClassifier:
         self._class_totals = _class_totals(joint_counts)
         self._domain_sizes = domain_sizes
 
-    def extended(self, batch: Relation) -> "NaiveBayesClassifier":
-        """A new classifier whose counts fold in *batch*'s rows.
-
-        Count matrices are additive, so training on the batch alone (via
-        the same bincount kernel) and summing counters yields exactly
-        the counters a full retrain on training ⊕ batch would produce —
-        including insertion order, which :attr:`classes` tie-breaking
-        depends on: existing keys keep their first-seen positions and
-        batch-new keys append in batch first-seen order, which is the
-        union's first-seen order.  This object is not mutated.
-        """
-        batch.schema.index_of(self.class_attribute)  # validate early
-        scratch = NaiveBayesClassifier.__new__(NaiveBayesClassifier)
-        scratch.class_attribute = self.class_attribute
-        scratch.features = self.features
-        scratch.m = self.m
-        scratch._train(batch.columnar())
-
-        merged_class: Counter = Counter()
-        for value, count in self._class_counts.items():
-            merged_class[value] = count + scratch._class_counts.get(value, 0)
-        for value, count in scratch._class_counts.items():
-            if value not in merged_class:
-                merged_class[value] = count
-
-        merged_joint: dict[str, dict[Any, Counter]] = {}
-        domain_sizes: dict[str, int] = {}
-        for name in self.features:
-            old_per_class = self._joint_counts[name]
-            new_per_class = scratch._joint_counts[name]
-            per_class: dict[Any, Counter] = {}
-            for class_value, old_counter in old_per_class.items():
-                addition = new_per_class.get(class_value)
-                if addition is None:
-                    per_class[class_value] = Counter(old_counter)
-                    continue
-                counter: Counter = Counter()
-                for value, count in old_counter.items():
-                    counter[value] = count + addition.get(value, 0)
-                for value, count in addition.items():
-                    if value not in counter:
-                        counter[value] = count
-                per_class[class_value] = counter
-            for class_value, new_counter in new_per_class.items():
-                if class_value not in per_class:
-                    per_class[class_value] = Counter(new_counter)
-            merged_joint[name] = per_class
-            domain: set = set()
-            for counter in per_class.values():
-                domain.update(counter.keys())
-            domain_sizes[name] = max(1, len(domain))
-
-        merged = NaiveBayesClassifier.__new__(NaiveBayesClassifier)
-        merged.class_attribute = self.class_attribute
-        merged.features = self.features
-        merged.m = self.m
-        merged._class_counts = merged_class
-        merged._joint_counts = merged_joint
-        merged._class_totals = _class_totals(merged_joint)
-        merged._domain_sizes = domain_sizes
-        merged._total = sum(merged_class.values())
-        return merged
-
     # ------------------------------------------------------------------
 
     @property
@@ -229,7 +166,7 @@ class NaiveBayesClassifier:
         *evidence* maps feature names to values; missing or NULL entries are
         skipped.  Extraneous keys are ignored so callers can pass whole
         tuples as dictionaries.  Keys follow the training sample's
-        first-seen class order (kept by :meth:`extended`).
+        first-seen class order.
         """
         return self.distributions([evidence])[0]
 

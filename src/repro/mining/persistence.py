@@ -176,10 +176,8 @@ def load_knowledge(path: "str | Path") -> KnowledgeBase:
                 for name, entry in payload["discretizer"].items()
             }
         )
-        mining_view = discretizer.transform(sample)
     else:
         discretizer = None
-        mining_view = sample
 
     epoch = int(payload["epoch"])
     lineage_payload = payload["lineage"]
@@ -203,7 +201,6 @@ def load_knowledge(path: "str | Path") -> KnowledgeBase:
         sample=sample,
         database_size=payload["database_size"],
         discretizer=discretizer,
-        mining_view=mining_view,
         all_afds=tuple(
             Afd(tuple(a["determining"]), a["dependent"], a["confidence"], a["support"])
             for a in payload["afds"]

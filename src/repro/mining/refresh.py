@@ -3,25 +3,20 @@
 QPIAD mines its statistics once, offline; the autonomous sources it
 mediates drift underneath.  This module keeps the mining layer current:
 
-* :class:`KnowledgeRefresher` mines the union of the current generation's
-  sample and a fresh batch and installs the result as a *new* generation
-  (epoch + 1, lineage extended) in a
-  :class:`~repro.mining.store.KnowledgeStore`.  What extends additively is
-  extended from the batch alone — the sample's and mining view's columnar
-  codes, the classifiers' training views and NBC count matrices, and the
-  selectivity counters — while TANE re-walks the lattice over the union's
-  codes.
+* :class:`KnowledgeRefresher` re-mines the union of the current
+  generation's sample and a fresh batch, with the same routine a fresh
+  :class:`~repro.mining.knowledge.KnowledgeBase` runs, and installs the
+  result as a *new* generation (epoch + 1, lineage extended) in a
+  :class:`~repro.mining.store.KnowledgeStore`.
 * :meth:`KnowledgeRefresher.refresh_if_stale` is the drift-triggered
   policy: probe, :func:`~repro.mining.drift.detect_drift`, refresh, swap.
 
-The refresh invariant — tested in ``tests/mining/test_refresh.py``, with
-perfbench's ``mining.refresh_ms`` sizing the cost — is that refreshing a
-knowledge base mined on ``S`` with batches ``B1..Bn`` yields a generation
-whose :meth:`fingerprint` equals a full re-mine on ``S ∪ B1..Bn``: every
-extended statistic is an exact integer fed through the same float
-arithmetic as the one-shot kernels.  When the discretizer's bin edges move,
-the historical rows re-bucket, so the whole union is transformed for
-mining: more expensive, identical result.
+Because a refresh is a re-mine, refreshing a knowledge base mined on
+``S`` with batches ``B1..Bn`` yields a generation whose :meth:`fingerprint`
+equals a fresh mine of ``S ∪ B1..Bn`` by construction
+(``tests/mining/test_refresh.py``; perfbench's ``mining.refresh_ms`` sizes
+the cost).  Classifiers are not carried across: the new generation trains
+them lazily on first use.
 """
 
 from __future__ import annotations
@@ -30,12 +25,9 @@ import time
 from dataclasses import dataclass, replace
 
 from repro.errors import MiningError
-from repro.mining.discretization import Discretizer
 from repro.mining.drift import DriftReport, detect_drift
 from repro.mining.knowledge import KnowledgeBase
-from repro.mining.pruning import prune_noisy_afds
 from repro.mining.store import KnowledgeStore, as_store
-from repro.mining.tane import TaneResult, mine_dependencies
 from repro.relational.relation import Relation
 from repro.telemetry import SpanKind, Telemetry, maybe_span
 
@@ -46,12 +38,10 @@ __all__ = ["KnowledgeRefresher", "RefreshResult"]
 class RefreshResult:
     """What one refresh attempt did.
 
-    ``mode`` is ``"incremental"`` (the union kept the base's bin edges, so
-    the mining view, training views and NBC counts extend by the batch's
-    rows), ``"full"`` (the edges moved, so the whole union was re-bucketed
-    for mining — same result, higher cost), or ``"skipped"``
-    (:meth:`KnowledgeRefresher.refresh_if_stale` found no drift and left
-    the installed generation alone).
+    ``mode`` is ``"full"`` when a generation re-mined from the union was
+    installed, or ``"skipped"`` when
+    :meth:`KnowledgeRefresher.refresh_if_stale` found no drift and left
+    the installed generation alone.
     """
 
     knowledge: KnowledgeBase
@@ -133,47 +123,35 @@ class KnowledgeRefresher:
         with maybe_span(
             telemetry, "knowledge refresh", SpanKind.REFRESH, rows=len(batch)
         ) as span:
-            sample = base.sample.concat_encoded(batch)
-            mode, mined, discretizer, mining_view = self._mine(base, batch, sample)
-            afds = tuple(
-                prune_noisy_afds(
-                    list(mined.afds), list(mined.akeys), base.config.pruning_delta
-                )
-            )
-            selectivity = base.selectivity.extended(batch, size, union=sample)
+            mined = KnowledgeBase(base.sample.concat(batch), size, base.config)
             from repro.planner.fingerprint import relation_fingerprint
 
-            lineage = base.lineage.extended(
-                relation_fingerprint(batch), base.fingerprint()
-            )
             refreshed = KnowledgeBase._from_parts(
-                config=base.config,
-                sample=sample,
-                database_size=size,
-                discretizer=discretizer,
-                mining_view=mining_view,
-                all_afds=tuple(mined.afds),
-                afds=afds,
-                akeys=tuple(mined.akeys),
-                selectivity=selectivity,
+                config=mined.config,
+                sample=mined.sample,
+                database_size=mined.database_size,
+                discretizer=mined._discretizer,
+                all_afds=mined.all_afds,
+                afds=mined.afds,
+                akeys=mined.akeys,
+                selectivity=mined.selectivity,
                 epoch=base.epoch + 1,
-                lineage=lineage,
+                lineage=base.lineage.extended(
+                    relation_fingerprint(batch), base.fingerprint()
+                ),
             )
-            if mode == "incremental":
-                self._prewarm_classifiers(base, refreshed, batch, discretizer)
             fingerprint = refreshed.fingerprint()
             self._store.install(refreshed)
             if span is not None:
-                span.set(mode=mode, epoch=refreshed.epoch)
+                span.set(epoch=refreshed.epoch)
         elapsed = time.perf_counter() - started
         if telemetry is not None:
             telemetry.count("knowledge.refresh_total")
-            telemetry.count(f"knowledge.refresh_{mode}")
             telemetry.count("knowledge.refresh_rows_folded", len(batch))
             telemetry.observe("knowledge.refresh_seconds", elapsed)
         return RefreshResult(
             knowledge=refreshed,
-            mode=mode,
+            mode="full",
             refreshed=True,
             epoch=refreshed.epoch,
             fingerprint=fingerprint,
@@ -225,105 +203,6 @@ class KnowledgeRefresher:
             )
         result = self.refresh(fresh_sample, database_size=database_size)
         return replace(result, drift=report)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _mine(
-        base: KnowledgeBase, batch: Relation, sample: Relation
-    ) -> "tuple[str, TaneResult, Discretizer | None, Relation]":
-        """Mine the union *sample* with one lattice walk.
-
-        When the discretizer fitted on the union keeps the base's bin edges
-        (``"incremental"``), the historical rows keep their bucket labels
-        and codes, so the union's mining view is the base's extended by the
-        transformed batch.  Moved edges (``"full"``) re-bucket historical
-        rows, so the whole union is transformed.  Either way TANE measures
-        the union's codes, which makes the result equal a fresh mine.
-        """
-        config = base.config
-        if not config.discretize_bins:
-            return "incremental", mine_dependencies(sample, config.tane), None, sample
-        discretizer = Discretizer(
-            sample, bins=config.discretize_bins, strategy=config.discretize_strategy
-        )
-        if (
-            base._discretizer is not None
-            and discretizer.to_bins() == base._discretizer.to_bins()
-        ):
-            mode = "incremental"
-            mining_view = base._mining_view.concat_encoded(discretizer.transform(batch))
-        else:
-            mode = "full"
-            mining_view = discretizer.transform(sample)
-        return mode, mine_dependencies(mining_view, config.tane), discretizer, mining_view
-
-    def _prewarm_classifiers(
-        self,
-        base: KnowledgeBase,
-        refreshed: KnowledgeBase,
-        batch: Relation,
-        discretizer: "Discretizer | None",
-    ) -> None:
-        """Carry classifier caches across the swap via count-matrix addition.
-
-        Only single-NBC wrappers whose feature selection is unchanged under
-        the refreshed AFDs are carried over (their count matrices extend
-        additively, so the result equals a lazy retrain on the union view).
-        Everything else is simply dropped — the refreshed generation
-        retrains it lazily on first use, which is equivalent by
-        construction.  Training-view memos extend the same way.
-        """
-        from repro.mining.classifiers import (
-            HYBRID_CONFIDENCE_FLOOR,
-            AllAttributesClassifier,
-            BestAfdClassifier,
-            HybridOneAfdClassifier,
-            _best_afd_for,
-            _SingleNbcClassifier,
-        )
-
-        if discretizer is not None:
-            for attribute, view in base._training_views.items():
-                refreshed._training_views[attribute] = view.concat_encoded(
-                    discretizer.transform(batch, exclude={attribute})
-                )
-        for (attribute, method), classifier in base._classifiers.items():
-            if not isinstance(classifier, _SingleNbcClassifier):
-                continue
-            other = [
-                name
-                for name in refreshed.sample.schema.names
-                if name != attribute
-            ]
-            afd = _best_afd_for(refreshed.afds, attribute)
-            if isinstance(classifier, HybridOneAfdClassifier):
-                if afd is not None and afd.confidence >= HYBRID_CONFIDENCE_FLOOR:
-                    features = list(afd.determining)
-                else:
-                    afd = None
-                    features = other
-            elif isinstance(classifier, BestAfdClassifier):
-                features = list(afd.determining) if afd is not None else other
-            elif isinstance(classifier, AllAttributesClassifier):
-                afd = None
-                features = other
-            else:
-                continue
-            if tuple(features) != classifier._nbc.features:
-                continue  # feature selection moved: let it retrain lazily
-            if discretizer is not None:
-                batch_view = discretizer.transform(batch, exclude={attribute})
-            else:
-                batch_view = batch
-            clone = object.__new__(type(classifier))
-            clone.attribute = attribute
-            if isinstance(classifier, (BestAfdClassifier, HybridOneAfdClassifier)):
-                clone.afd = afd
-            clone._nbc = classifier._nbc.extended(batch_view)
-            refreshed._classifiers[(attribute, method)] = clone
 
 
 def _check_database_size(database_size: "int | None") -> None:

@@ -65,51 +65,11 @@ class SelectivityEstimator:
         """Build an estimator from a sample and the (advertised) database size."""
         if not len(sample):
             raise MiningError("cannot estimate selectivity from an empty sample")
-        incomplete = sample.incomplete_count()
-        estimator = cls(
+        return cls(
             sample=sample,
             sample_ratio=database_size / len(sample),
-            incomplete_fraction=incomplete / len(sample),
+            incomplete_fraction=sample.incomplete_fraction(),
         )
-        # Keep the integer numerator from the scan just done, so a later
-        # fold (:meth:`extended`) never rescans the old sample.
-        estimator.__dict__["_incomplete_cache"] = incomplete
-        return estimator
-
-    @property
-    def _incomplete_rows(self) -> int:
-        """Incomplete-row count of the sample (the PerInc numerator), memoized."""
-        cached = self.__dict__.get("_incomplete_cache")
-        if cached is None:
-            cached = self.sample.incomplete_count()
-            self.__dict__["_incomplete_cache"] = cached
-        return int(cached)
-
-    def extended(
-        self,
-        batch: Relation,
-        database_size: int,
-        union: "Relation | None" = None,
-    ) -> "SelectivityEstimator":
-        """Fold *batch* into the estimate without rescanning the old sample.
-
-        Exact, not approximate: the incomplete-row count is additive, so
-        the folded estimator equals ``from_sample(sample ⊕ batch, size)``
-        bit for bit (same integer numerators, same divisions).  *union* may
-        pass in an already-concatenated sample relation (refresh builds one
-        anyway) to avoid concatenating twice.
-        """
-        if union is None:
-            union = self.sample.concat(batch)
-        # Batch-only scan: folding touches the new rows, never the old sample.
-        incomplete = self._incomplete_rows + batch.incomplete_count()
-        folded = SelectivityEstimator(
-            sample=union,
-            sample_ratio=database_size / len(union),
-            incomplete_fraction=incomplete / len(union),
-        )
-        folded.__dict__["_incomplete_cache"] = incomplete
-        return folded
 
     def sample_selectivity(self, query: SelectionQuery) -> int:
         """``SmplSel(Q)``: how many sample tuples certainly match *query*."""

@@ -100,8 +100,9 @@ def relation_fingerprint(relation: Relation) -> str:
     plan reads a base set only through its rewriting bindings.
 
     Delegates to the relation's memoized row-chain digest, which
-    ``concat``/``concat_encoded`` extend in O(appended rows) — the reason
-    an incremental knowledge refresh never re-hashes its base sample.
+    ``concat`` extends in O(appended rows) — the reason a knowledge
+    refresh, which re-mines the base sample plus a batch, never re-hashes
+    the base sample.
     """
     return relation.content_digest()
 

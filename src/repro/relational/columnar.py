@@ -143,17 +143,9 @@ class Column:
         return result
 
 
-def _encode_column(
-    name: str, cells: "list[Any]", base: "Column | None" = None
-) -> Column:
-    """Dictionary-encode *cells*, appended after *base*'s rows when given.
-
-    Codes are minted first-seen, so encoding only the new cells against a
-    copy of *base*'s dictionary produces exactly the codes a from-scratch
-    encoding of old+new cells would — the property incremental mining's
-    histogram keys depend on.  *base* is never mutated.
-    """
-    code_map: dict[Any, int] = {} if base is None else dict(base._code_map)
+def _encode_column(name: str, cells: "list[Any]") -> Column:
+    """Dictionary-encode *cells*, minting codes in first-seen order."""
+    code_map: dict[Any, int] = {}
     codes_list: list[int] = []
     append = codes_list.append
     try:
@@ -172,8 +164,6 @@ def _encode_column(
             "cell; relation cells must be hashable"
         ) from None
     codes = np.array(codes_list, dtype=np.int64)
-    if base is not None:
-        codes = np.concatenate([base.codes, codes])
     return Column(name, codes, codes < 0, tuple(code_map), code_map)
 
 
@@ -220,22 +210,6 @@ class ColumnStore:
             raise SchemaError(
                 f"unknown attribute {name!r}; store has {', '.join(self._schema.names)}"
             ) from None
-
-    def extended(self, rows: Sequence[Sequence[Any]]) -> "ColumnStore":
-        """A store covering this store's rows followed by *rows*.
-
-        Dictionaries are carried forward, so the result is identical to
-        encoding the concatenated rows from scratch but costs only
-        ``O(len(rows))`` — the hot path of incremental knowledge refresh,
-        where the historical sample dwarfs each folded batch.
-        """
-        columns = {
-            name: _encode_column(
-                name, [row[position] for row in rows], self._columns[name]
-            )
-            for position, name in enumerate(self._schema.names)
-        }
-        return ColumnStore(self._schema, columns, self._length + len(rows))
 
     def __repr__(self) -> str:
         return f"ColumnStore({self._schema!r}, {self._length} rows)"

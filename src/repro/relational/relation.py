@@ -275,20 +275,6 @@ class Relation:
             result._digest = state
         return result
 
-    def concat_encoded(self, other: "Relation") -> "Relation":
-        """Union-all that carries this relation's columnar dictionary forward.
-
-        Semantically identical to :meth:`concat`; additionally the result's
-        column store is pre-built by encoding only *other*'s rows against
-        this relation's dictionaries (codes are minted first-seen, so the
-        result is bit-identical to encoding the union from scratch).  This
-        turns the per-refresh encoding cost of incremental knowledge
-        maintenance from O(total rows) into O(batch rows).
-        """
-        result = self.concat(other)
-        result._columnar = self.columnar().extended(other._rows)
-        return result
-
     def take(self, count: int) -> "Relation":
         """The first *count* rows."""
         return self._with_rows(self._rows[:count])

@@ -61,13 +61,6 @@ class MetricsRegistry:
 
     # -- access ------------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            found = self._counters.get(name)
-            if found is None:
-                found = self._counters[name] = Counter(name)
-            return found
-
     def histogram(self, name: str) -> Histogram:
         with self._lock:
             found = self._histograms.get(name)

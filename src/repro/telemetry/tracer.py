@@ -38,7 +38,7 @@ class SpanKind:
     MULTI_NULL = "multi-null-fetch"  # the >= 2-NULL counterfactual fetch
     FEDERATION = "federation"  # one federated query (root over sources)
     FEDERATION_SOURCE = "federation-source"  # one source's share of it
-    REFRESH = "knowledge-refresh"  # one incremental/full knowledge refresh
+    REFRESH = "knowledge-refresh"  # one knowledge refresh (a re-mine)
 
     ALL = (
         RETRIEVAL,

@@ -76,13 +76,12 @@ def test_fingerprint_after_one_fold():
     incomplete = scaled_incomplete("cars", 1).incomplete
     schema, rows = incomplete.schema, incomplete.rows
     base = Relation(schema, rows[:300])
-    # A batch re-drawn from the base keeps the bin edges, so the fold is
-    # incremental; the fingerprint equals a full re-mine of the union.
+    # A refresh re-mines the union, so its fingerprint is a fresh mine's.
     batch = Relation(schema, rows[50:150])
     store = KnowledgeStore(KnowledgeBase(base, database_size=4000))
     refresher = KnowledgeRefresher(store)
     result = refresher.refresh(batch)
-    assert result.mode == "incremental"
+    assert result.mode == "full"
     assert _digest((result.fingerprint, result.epoch)) == FOLD_GOLDEN
 
 

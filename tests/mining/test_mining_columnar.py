@@ -131,8 +131,3 @@ class TestNbcParity:
         _assert_counts_match_reference(nbc, relation)
         assert nbc._domain_sizes["g"] == 1  # all-NULL feature: smoothed to 1
 
-    def test_extended_counts_match_reference_on_the_union(self):
-        sample = _sample()
-        head, tail = sample.take(200), Relation(sample.schema, sample.rows[200:])
-        nbc = NaiveBayesClassifier(head, "body_style", ("make", "model")).extended(tail)
-        _assert_counts_match_reference(nbc, sample)

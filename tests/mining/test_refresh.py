@@ -20,7 +20,6 @@ from repro.planner import PlanCache
 from repro.planner.fingerprint import relation_fingerprint
 from repro.query import And, Between, Comparison, Equals, SelectionQuery
 from repro.relational import Relation
-from repro.relational.columnar import ColumnStore
 from repro.relational.values import is_null
 from repro.sources import AutonomousSource, SourceCapabilities
 
@@ -30,9 +29,8 @@ def pieces():
     """A small Cars relation: a base sample and two batches.
 
     The batches re-draw rows from within the base so the union's numeric
-    ranges (hence the width-strategy bin edges) stay put and the folds can
-    take the incremental path; the fallback test constructs its own
-    edge-moving batch.
+    ranges (hence the width-strategy bin edges) stay put; the bin-edge test
+    constructs its own edge-moving batch.
     """
     whole = make_incomplete(generate_cars(900, seed=7), 0.10, seed=42).incomplete
     rows = whole.rows
@@ -90,9 +88,9 @@ class TestFoldEquivalence:
         store, _ = folded
         assert store.current.fingerprint() == oracle.fingerprint()
 
-    def test_folds_stay_on_the_incremental_path(self, folded):
+    def test_every_fold_reports_mode_full(self, folded):
         _, results = folded
-        assert [result.mode for result in results] == ["incremental", "incremental"]
+        assert [result.mode for result in results] == ["full", "full"]
         assert all(result.refreshed for result in results)
 
     def test_epochs_advance_one_per_fold(self, folded):
@@ -130,47 +128,9 @@ class TestFoldEquivalence:
     def test_scaled_cars_folds_match_full_remine(self, scaled):
         whole = scaled[0]
         store, results = _refreshed(scaled)
-        assert [result.mode for result in results] == ["incremental", "incremental"]
+        assert [result.mode for result in results] == ["full", "full"]
         oracle = KnowledgeBase(whole, database_size=len(whole))
         assert store.current.fingerprint() == oracle.fingerprint()
-
-
-class TestFoldEconomy:
-    def test_a_steady_fold_encodes_only_its_batch(self, scaled, monkeypatch):
-        whole, base, batch1, batch2 = scaled
-        store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-        refresher = KnowledgeRefresher(store)
-        refresher.refresh(batch1)  # encodes the base sample once
-
-        encodes: list = []
-        extended = ColumnStore.extended
-        from_rows = ColumnStore.from_rows.__func__
-        from_relation = ColumnStore.from_relation.__func__
-
-        def counting_extended(columns, rows):
-            encodes.append(("extended", len(rows)))
-            return extended(columns, rows)
-
-        def counting_from_rows(cls, schema, rows):
-            encodes.append(("from_rows", len(rows)))
-            return from_rows(cls, schema, rows)
-
-        def counting_from_relation(cls, relation):
-            encodes.append(("from_relation", len(relation)))
-            return from_relation(cls, relation)
-
-        monkeypatch.setattr(ColumnStore, "extended", counting_extended)
-        monkeypatch.setattr(ColumnStore, "from_rows", classmethod(counting_from_rows))
-        monkeypatch.setattr(
-            ColumnStore, "from_relation", classmethod(counting_from_relation)
-        )
-        result = refresher.refresh(batch2)
-        # The new generation's sample comes encoded: reading it, as the next
-        # query's masks do, encodes no historical row again.
-        store.current.sample.columnar()
-        assert result.mode == "incremental"
-        assert encodes
-        assert set(encodes) == {("extended", len(batch2))}
 
 
 class TestAtomicSwap:
@@ -234,16 +194,18 @@ class TestFailedRefresh:
         refresher = KnowledgeRefresher(store)
         refresher.refresh(batch1)
         before = store.current
-        extended = SelectivityEstimator.extended
+        # The re-mine walks TANE before it counts selectivity, so this
+        # failure comes after mining.
+        from_sample = SelectivityEstimator.from_sample.__func__
         calls: list = []
 
-        def fail_once(self, *args, **kwargs):
+        def fail_once(cls, *args, **kwargs):
             calls.append(None)
             if len(calls) == 1:
                 raise RuntimeError("selectivity failed")
-            return extended(self, *args, **kwargs)
+            return from_sample(cls, *args, **kwargs)
 
-        monkeypatch.setattr(SelectivityEstimator, "extended", fail_once)
+        monkeypatch.setattr(SelectivityEstimator, "from_sample", classmethod(fail_once))
         with pytest.raises(RuntimeError, match="selectivity failed"):
             refresher.refresh(batch2)
         return store, refresher, before
@@ -319,8 +281,8 @@ class TestFullFallback:
     def test_moved_bin_edges_fall_back_to_full_with_same_result(self, pieces):
         whole, base, _, _ = pieces
         # Prices far outside the mined range move the union's bin edges, so
-        # the historical rows' bucket labels would change: fold-in is
-        # unsound and the refresher must re-mine — equivalently.
+        # the historical rows' bucket labels change; the re-mined
+        # generation still equals a fresh mine of the union.
         price = base.schema.index_of("price")
         shifted = Relation(
             base.schema,
@@ -343,7 +305,7 @@ class TestFullFallback:
 
 
 #: Class attributes whose posteriors the Census sequence compares; ``age``
-#: is the numeric one whose bin edges the fallback batch moves.
+#: is the numeric one whose bin edges the tripled batch moves.
 CENSUS_TARGETS = ("occupation", "relationship", "education", "age")
 CENSUS_QUERIES = (
     SelectionQuery.equals("occupation", "Sales"),
@@ -394,22 +356,18 @@ class TestCensusSequence:
                 for row in rng.sample(rows[300:], 40)
             ],
         )
-        steps = [
-            ("incremental", held_bins()),
-            ("full", tripled),
-            ("incremental", held_bins()),
-            ("incremental", held_bins()),
-        ]
+        steps = [held_bins(), tripled, held_bins(), held_bins()]
         store = KnowledgeStore(KnowledgeBase(base, database_size=len(whole)))
-        # Build the base's classifiers, so held-bin refreshes carry them over.
+        # Build the base's classifiers first: each refreshed generation
+        # must train its own.
         _census_reads(store.current, base)
         refresher = KnowledgeRefresher(store)
         union = base
-        for mode, batch in steps:
+        for batch in steps:
             result = refresher.refresh(batch)
             union = union.concat(batch)
             oracle = KnowledgeBase(union, database_size=len(whole))
-            assert result.mode == mode
+            assert result.mode == "full"
             assert result.fingerprint == oracle.fingerprint()
             assert _census_reads(store.current, union) == _census_reads(oracle, union)
 
@@ -437,7 +395,7 @@ class TestErrors:
         before = store.current
         mined: list = []
         monkeypatch.setattr(
-            "repro.mining.refresh.mine_dependencies", lambda *a: mined.append(a)
+            "repro.mining.knowledge.mine_dependencies", lambda *a: mined.append(a)
         )
         with pytest.raises(
             MiningError, match=f"database_size must be at least 1, got {size}"

@@ -62,21 +62,6 @@ class TestEncoding:
         with pytest.raises(SchemaError, match="'x'"):
             ColumnStore.from_relation(relation)
 
-    def test_extending_with_an_unhashable_cell_raises_schema_error(self):
-        relation = Relation(Schema.of("x"), [(1,), (None,)])
-        with pytest.raises(SchemaError, match="'x'"):
-            relation.columnar().extended([({"a": 1},)])
-
-    def test_extended_store_equals_encoding_the_union(self):
-        relation = _cars()
-        batch = [("Toyota", 9000), (None, 7000), ("BMW", None)]
-        extended = relation.columnar().extended(batch)
-        direct = ColumnStore.from_rows(relation.schema, relation.rows + tuple(batch))
-        assert len(extended) == len(direct) == 8
-        for name in relation.schema.names:
-            assert extended.column(name).codes.tolist() == direct.column(name).codes.tolist()
-            assert extended.column(name).values == direct.column(name).values
-
     def test_code_of_known_unknown_and_unhashable_probe(self):
         column = _cars().columnar().column("make")
         assert column.code_of("Honda") == 0
