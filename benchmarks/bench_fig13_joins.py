@@ -12,7 +12,6 @@ extend recall substantially at a modest precision cost.
 from repro.core import JoinConfig, JoinProcessor
 from repro.evaluation import precision_recall_curve, render_curves
 from repro.query import JoinQuery, SelectionQuery
-from repro.relational import Relation
 
 ALPHAS = (0.0, 0.5, 2.0)
 QUERIES = (
@@ -21,17 +20,28 @@ QUERIES = (
 )
 
 
+def _relevant_rows(env, keep):
+    """How many distinct hidden rows have a ground truth that satisfies *keep*."""
+    return sum(
+        1
+        for row in dict.fromkeys(env.test.rows)
+        if keep(env.oracle.ground_truth_row(row))
+    )
+
+
 def _oracle_join(cars_env, complaints_env, model, component):
-    """Ground-truth joined tuples over the complete databases, as key pairs."""
-    left = Relation(
-        cars_env.dataset.complete.schema,
-        [cars_env.oracle.ground_truth_row(row) for row in cars_env.test.rows],
-    ).select(lambda row: row[1] == model)
-    right = Relation(
-        complaints_env.dataset.complete.schema,
-        [complaints_env.oracle.ground_truth_row(row) for row in complaints_env.test.rows],
-    ).select(lambda row: row[4] == component and row[0] == model)
-    return len(left) * len(right) if len(left) and len(right) else 0
+    """Ground-truth joined pairs, counted over distinct hidden rows.
+
+    The join answers each distinct ``(left_row, right_row)`` pair once, so
+    the oracle counts each distinct hidden row once too, however often the
+    relation repeats it; otherwise the recall denominator would count
+    duplicate certain pairs as possible answers never retrieved.
+    """
+    left = _relevant_rows(cars_env, lambda truth: truth[1] == model)
+    right = _relevant_rows(
+        complaints_env, lambda truth: truth[4] == component and truth[0] == model
+    )
+    return left * right
 
 
 def _truth_flags(cars_env, complaints_env, result, model, component):

@@ -237,11 +237,6 @@ class SuppressionIndex:
             return True
         return False
 
-    @property
-    def used_rules(self) -> frozenset[str]:
-        """Rules that actually suppressed at least one finding."""
-        return frozenset(self._used_file) | {rule for __, rule in self._used_lines}
-
     def unused_directives(self, known: frozenset[str]) -> "list[tuple[int, str, str]]":
         """Directives that suppressed nothing, as ``(line, rule, why)``."""
         stale: list[tuple[int, str, str]] = []

@@ -6,6 +6,8 @@ Installed as ``qpiad``.  Subcommands mirror the mediator's life cycle:
 * ``qpiad stats cars.csv`` — Table-1 style incompleteness report
 * ``qpiad mine cars.csv --db-size 50000 --out cars.kb.json``
 * ``qpiad query cars.csv --kb cars.kb.json --where body_style=Convt``
+  (``--trace [--json]`` attaches telemetry and prints the span tree and
+  counters; see ``docs/observability.md``)
 * ``qpiad plan cars.csv --kb cars.kb.json --where body_style=Convt`` — print
   the ranked rewriting plan (P/R estimates, F-measure, justifying AFDs)
   without issuing a single source call (see ``docs/planner.md``)
@@ -17,15 +19,12 @@ Installed as ``qpiad``.  Subcommands mirror the mediator's life cycle:
 * ``qpiad chaos --seed 7`` — seeded fault-injection smoke run: mediates
   under transient failures and verifies no certain answer is lost
   (see ``docs/robustness.md``)
-* ``qpiad trace cars.csv --where body_style=Convt [--json]`` — mediate one
-  query with telemetry attached and print the span tree and counters
-  (see ``docs/observability.md``)
 * ``qpiad drift cars.csv --kb cars.kb.json --fresh probe.csv [--json]`` —
   compare mined statistics against a freshly probed sample; exit 1 when
   the knowledge base has gone stale (see ``docs/knowledge-refresh.md``)
 * ``qpiad refresh cars.csv --kb cars.kb.json --batch new.csv --out cars.kb.json``
   — fold a fresh sample batch into the knowledge base as its next
-  generation (``--if-stale`` gates on drift, ``--watch`` keeps polling)
+  generation (``--if-stale`` gates on drift)
 * ``qpiad lint [paths]`` — static domain-invariant checks (NULL semantics,
   mediator discipline, seeded RNGs; see ``docs/linting.md``)
 
@@ -117,6 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach telemetry and print the span tree and counters after the answers",
     )
     query.add_argument(
+        "--json",
+        action="store_true",
+        help="with --trace: print only the machine-readable telemetry snapshot",
+    )
+    query.add_argument(
         "--concurrency",
         type=int,
         default=None,
@@ -169,27 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="drop rewritten queries whose estimated precision is below this",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="mediate one query with telemetry attached; print spans and metrics",
-    )
-    trace.add_argument("data", type=Path, help="the (incomplete) database CSV")
-    trace.add_argument("--kb", type=Path, help="knowledge-base JSON (default: mine on the fly)")
-    trace.add_argument(
-        "--where",
-        action="append",
-        required=True,
-        metavar="ATTR=VALUE|ATTR=LOW..HIGH",
-        help="conjunct; repeatable",
-    )
-    trace.add_argument("--alpha", type=float, default=0.0)
-    trace.add_argument("--k", type=int, default=10)
-    trace.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable snapshot instead of the text rendering",
     )
 
     relax = sub.add_parser(
@@ -349,25 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="drift gate: minimum fresh-row support (with --if-stale)",
     )
     refresh.add_argument(
-        "--watch",
-        action="store_true",
-        help="keep polling --batch and fold whenever the file changes",
-    )
-    refresh.add_argument(
-        "--interval",
-        type=float,
-        default=5.0,
-        help="poll interval in seconds (with --watch)",
-    )
-    refresh.add_argument(
-        "--iterations",
-        type=int,
-        help="stop watching after this many polls (default: forever)",
-    )
-    refresh.add_argument(
         "--json",
         action="store_true",
-        help="emit one machine-readable result per fold",
+        help="emit the machine-readable result",
     )
 
     lint = sub.add_parser(
@@ -497,19 +464,14 @@ def _cmd_mine(args) -> int:
     return 0
 
 
-def _build_mediation(args, telemetry=None):
-    """Shared query/trace plumbing: load data, build mediator and query."""
-    from repro.planner import PlanCache
-
+def _build_mediation(args, telemetry):
+    """``qpiad query``'s plumbing: load data, build mediator and query."""
     __, knowledge, query, source = _session(args)
     config = QpiadConfig(
-        alpha=args.alpha,
-        k=args.k,
-        max_concurrency=getattr(args, "concurrency", None),
+        alpha=args.alpha, k=args.k, max_concurrency=args.concurrency
     )
-    plan_cache = PlanCache() if getattr(args, "explain", False) else None
     scheduler = None
-    scheduler_config = _parse_admission(getattr(args, "admission", None))
+    scheduler_config = _parse_admission(args.admission)
     if scheduler_config is not None:
         from repro.resilience import SourceScheduler
 
@@ -521,16 +483,9 @@ def _build_mediation(args, telemetry=None):
         knowledge,
         config,
         telemetry=telemetry,
-        plan_cache=plan_cache,
         scheduler=scheduler,
     )
     return query, mediator, scheduler
-
-
-def _mediate_csv(args, telemetry=None):
-    """Shared query/trace core: load data, build the mediator, run the query."""
-    query, mediator, scheduler = _build_mediation(args, telemetry)
-    return query, mediator, mediator.query(query), scheduler
 
 
 def _render_plan(plan, alpha: float) -> str:
@@ -589,15 +544,21 @@ def _stream_query(args, query, mediator) -> None:
 
 
 def _cmd_query(args) -> int:
-    from repro.telemetry import Telemetry, render_telemetry_text
+    from repro.telemetry import Telemetry, render_telemetry_json, render_telemetry_text
 
+    if args.json and not args.trace:
+        raise QpiadError("--json renders the trace; use it with --trace")
     telemetry = Telemetry() if args.trace else None
+    query, mediator, scheduler = _build_mediation(args, telemetry)
+    if telemetry is not None and args.json:
+        # Machine-readable mode: the snapshot is all that reaches stdout.
+        mediator.query(query)
+        print(render_telemetry_json(telemetry))
+        return 0
     if args.stream:
-        query, mediator, scheduler = _build_mediation(args, telemetry)
         _stream_query(args, query, mediator)
     else:
-        query, mediator, result, scheduler = _mediate_csv(args, telemetry)
-
+        result = mediator.query(query)
         print(f"query: {query}")
         print(f"{len(result.certain)} certain answers; first 5:")
         print(result.certain.take(5).head())
@@ -650,25 +611,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.telemetry import Telemetry, render_telemetry_json, render_telemetry_text
-
-    telemetry = Telemetry()
-    query, __, result, __ = _mediate_csv(args, telemetry)
-    if args.json:
-        print(render_telemetry_json(telemetry))
-        return 0
-    print(f"query: {query}")
-    print(
-        f"{len(result.certain)} certain, {len(result.ranked)} ranked possible, "
-        f"{len(result.unranked)} unranked answers"
-        f"{' (degraded)' if result.degraded else ''}"
-    )
-    print()
-    print(render_telemetry_text(telemetry))
-    return 0
-
-
 def _load_or_mine(
     data_path: "str | Path", kb_path: "str | Path | None"
 ) -> "tuple[Relation, KnowledgeBase]":
@@ -677,7 +619,7 @@ def _load_or_mine(
     relation = read_csv(data_path)
     if kb_path:
         return relation, load_knowledge(kb_path)
-    # stderr keeps machine-readable stdout (``trace --json``) clean.
+    # stderr keeps machine-readable stdout (``query --trace --json``) clean.
     print(
         "no --kb given; mining a knowledge base from the database itself ...",
         file=sys.stderr,
@@ -688,7 +630,7 @@ def _load_or_mine(
 
 
 def _session(args):
-    """What ``query``, ``trace``, ``plan`` and ``relax`` run on: the
+    """What ``query``, ``plan`` and ``relax`` run on: the
     relation, its knowledge, the ``--where`` query and a web-form source."""
     relation, knowledge = _load_or_mine(args.data, args.kb)
     query = SelectionQuery.conjunction(
@@ -912,52 +854,27 @@ def _print_refresh(result, as_json: bool) -> None:
 
 
 def _cmd_refresh(args) -> int:
-    import time
-
     from repro.mining.refresh import KnowledgeRefresher
 
     __, knowledge = _load_or_mine(args.data, args.kb)
     refresher = KnowledgeRefresher(knowledge)
-
-    def fold_once() -> int:
-        batch = read_csv(args.batch)
-        if args.if_stale:
-            result = refresher.refresh_if_stale(
-                batch,
-                confidence_tolerance=args.confidence_tolerance,
-                distribution_tolerance=args.distribution_tolerance,
-                min_support=args.min_support,
-                database_size=args.db_size,
-            )
-        else:
-            result = refresher.refresh(batch, database_size=args.db_size)
-        _print_refresh(result, args.json)
-        if result.refreshed and args.out:
-            save_knowledge(refresher.knowledge, args.out)
-            if not args.json:
-                print(f"  wrote {args.out}")
-        return 0 if result.refreshed or args.if_stale else 1
-
-    if not args.watch:
-        return fold_once()
-
-    # Watch mode: the batch CSV is a drop-box the probing job overwrites;
-    # each new version is folded exactly once (mtime-change detection).
-    last_seen: "int | None" = None
-    polls = 0
-    while args.iterations is None or polls < args.iterations:
-        if polls:
-            time.sleep(args.interval)
-        polls += 1
-        try:
-            stamp = args.batch.stat().st_mtime_ns
-        except OSError:
-            continue  # not dropped yet (or mid-replace); retry next poll
-        if stamp == last_seen:
-            continue
-        last_seen = stamp
-        fold_once()
-    return 0
+    batch = read_csv(args.batch)
+    if args.if_stale:
+        result = refresher.refresh_if_stale(
+            batch,
+            confidence_tolerance=args.confidence_tolerance,
+            distribution_tolerance=args.distribution_tolerance,
+            min_support=args.min_support,
+            database_size=args.db_size,
+        )
+    else:
+        result = refresher.refresh(batch, database_size=args.db_size)
+    _print_refresh(result, args.json)
+    if result.refreshed and args.out:
+        save_knowledge(refresher.knowledge, args.out)
+        if not args.json:
+            print(f"  wrote {args.out}")
+    return 0 if result.refreshed or args.if_stale else 1
 
 
 def _cmd_lint(args) -> int:
@@ -972,7 +889,6 @@ _COMMANDS = {
     "mine": _cmd_mine,
     "query": _cmd_query,
     "plan": _cmd_plan,
-    "trace": _cmd_trace,
     "relax": _cmd_relax,
     "impute": _cmd_impute,
     "shell": _cmd_shell,

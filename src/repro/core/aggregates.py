@@ -45,11 +45,6 @@ class AggregateResult:
     considered_queries: int = 0
     stats: RetrievalStats = field(default_factory=RetrievalStats)
 
-    @property
-    def improvement_available(self) -> bool:
-        """Whether prediction changed the aggregate at all."""
-        return self.possible_count > 0
-
 
 @dataclass
 class _Accumulator:
@@ -139,16 +134,6 @@ class AggregateProcessor:
             cache=plan_cache,
             telemetry=telemetry,
         )
-
-    @property
-    def store(self) -> KnowledgeStore:
-        """The knowledge store this processor reads through."""
-        return self._store
-
-    @property
-    def knowledge(self) -> KnowledgeBase:
-        """Snapshot of the current knowledge generation."""
-        return self._store.current
 
     def query(self, aggregate: AggregateQuery) -> AggregateResult:
         """Process *aggregate*, returning certain and predicted values.

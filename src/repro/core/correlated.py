@@ -126,11 +126,6 @@ class CorrelatedSourceMediator:
         self._plan_cache = plan_cache
 
     @property
-    def stores(self) -> "dict[str, KnowledgeStore]":
-        """The per-source knowledge stores this mediator reads through."""
-        return dict(self._stores)
-
-    @property
     def knowledge_bases(self) -> "dict[str, KnowledgeBase]":
         """Snapshots of every source's current knowledge generation."""
         return {name: store.current for name, store in self._stores.items()}

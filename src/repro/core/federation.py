@@ -26,11 +26,10 @@ Per-source mediations are independent, so the federation runs them
 through one of the engine's executors: serial unless
 ``config.max_concurrency`` pins a width above 1, then fanned out over a
 thread pool.  Probe payloads stream back in *completion* order — a fast
-source's answers surface while slower sources are still mediating
-(:meth:`FederatedMediator.stream_answers`, built on the streaming
-union/project operators) — and are then folded into the result in
-registry order, so the final ranking does not depend on the execution
-strategy.
+source's answers surface, tagged with their source, while slower sources
+are still mediating (:meth:`FederatedMediator.stream_answers`) — and are
+then folded into the result in registry order, so the final ranking does
+not depend on the execution strategy.
 """
 
 from __future__ import annotations
@@ -44,14 +43,9 @@ from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.engine import (
     ExecutionPolicy,
     ExecutionTask,
-    Inlet,
-    OperatorNode,
-    OperatorTree,
     PlannedQuery,
     QueryKind,
     RetrievalEngine,
-    StreamingProject,
-    StreamingUnion,
     build_executor,
 )
 from repro.errors import RewritingError, SourceUnavailableError, UnsupportedAttributeError
@@ -146,8 +140,12 @@ class FederatedMediator:
         Per-source mined statistics by source name.  Sources without one
         only contribute certain answers (when they support the query) and
         can still *receive* correlated-source rewritten queries.
-    config / correlated_config:
-        Parameters for the regular and cross-source pipelines.
+    config:
+        Parameters for every per-source pipeline.  Sources that support
+        the query run the regular QPIAD pipeline under it; deficient
+        sources run the cross-source pipeline under its α, K and
+        classifier variant, and under its width when pinned (unpinned,
+        their rewritten queries go one at a time).
         ``config.max_concurrency`` also sets how many *sources* are
         probed at once; left unpinned (``None``) the sources are probed
         one at a time, because the answer stream pulls them lazily.
@@ -172,7 +170,6 @@ class FederatedMediator:
         registry: SourceRegistry,
         knowledge_bases: "dict[str, KnowledgeBase | KnowledgeStore]",
         config: QpiadConfig | None = None,
-        correlated_config: CorrelatedConfig | None = None,
         telemetry: Telemetry | None = None,
         plan_cache: PlanCache | None = None,
     ):
@@ -189,20 +186,15 @@ class FederatedMediator:
         self.correlated = CorrelatedSourceMediator(
             registry,
             dict(self._stores),
-            correlated_config,
+            CorrelatedConfig(
+                alpha=self.config.alpha,
+                k=self.config.k,
+                classifier_method=self.config.classifier_method,
+                max_concurrency=self.config.max_concurrency or 1,
+            ),
             telemetry=telemetry,
             plan_cache=plan_cache,
         )
-
-    @property
-    def stores(self) -> "dict[str, KnowledgeStore]":
-        """The per-source knowledge stores this federation reads through."""
-        return dict(self._stores)
-
-    @property
-    def knowledge_bases(self) -> "dict[str, KnowledgeBase]":
-        """Snapshots of every source's current knowledge generation."""
-        return {name: store.current for name, store in self._stores.items()}
 
     def query(self, query: SelectionQuery) -> FederatedResult:
         """Mediate *query* over the whole federation.
@@ -249,7 +241,6 @@ class FederatedMediator:
             telemetry, f"federated {query}", SpanKind.FEDERATION, query=str(query)
         ) as root:
             sources = list(self.registry)
-            tree = self._build_tree(sources) if sources else None
             payloads: dict[int, _Probe] = {}
             failures: dict[int, SourceFailure] = {}
             tasks = (
@@ -272,14 +263,12 @@ class FederatedMediator:
                         raise outcome.error
                     payloads[outcome.rank] = outcome.value
                     tag, payload = outcome.value
-                    if tag == _MEDIATED and tree is not None:
+                    if tag == _MEDIATED:
                         assert isinstance(payload, QueryResult)
                         for ranked in payload.ranked:
-                            yield from tree.push(f"source:{outcome.rank}", ranked)
+                            yield FederatedAnswer(source.name, ranked)
             finally:
                 outcomes.close()
-            if tree is not None:
-                yield from tree.close()
             # Deterministic assembly: fold payloads and failures in
             # registry order, whatever order the probes completed in.
             for rank, source in enumerate(sources):
@@ -299,31 +288,6 @@ class FederatedMediator:
             telemetry.count("federation.queries")
             if result.degraded:
                 telemetry.count("federation.queries_degraded")
-
-    def _build_tree(self, sources: list[Source]) -> OperatorTree:
-        """The federation's physical plan: N tagging projects into a union.
-
-        ::
-
-                      StreamingUnion
-                    /       |        \\
-              project:s0  project:s1  ...   (tag answers with their source)
-                   |          |
-            Inlet "source:0"  "source:1"
-        """
-
-        def tagger(source: Source) -> StreamingProject:
-            return StreamingProject(
-                lambda answer: FederatedAnswer(source.name, answer)
-            )
-
-        arms = [
-            OperatorNode(tagger(source), [Inlet(f"source:{rank}")], f"project:{source.name}")
-            for rank, source in enumerate(sources)
-        ]
-        return OperatorTree(
-            OperatorNode(StreamingUnion(len(arms)), arms, "union")
-        )
 
     # ------------------------------------------------------------------
 

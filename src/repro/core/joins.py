@@ -238,16 +238,6 @@ class JoinProcessor:
         )
         self._pair_ranker = Ranker(self.config.alpha, self.config.k_pairs)
 
-    @property
-    def left_knowledge(self) -> KnowledgeBase:
-        """Snapshot of the left side's current knowledge generation."""
-        return self._left_store.current
-
-    @property
-    def right_knowledge(self) -> KnowledgeBase:
-        """Snapshot of the right side's current knowledge generation."""
-        return self._right_store.current
-
     def query(self, join: JoinQuery) -> JoinResult:
         """Execute *join*, returning certain + ranked possible joined tuples.
 
@@ -392,7 +382,6 @@ class JoinProcessor:
             result.component_queries_issued = (
                 result.stats.queries_issued - result.base_queries_issued
             )
-        yield from tree.close()
 
     # ------------------------------------------------------------------
 

@@ -247,7 +247,6 @@ class MultiJoinProcessor:
                     yield from tree.push(inlet, entry)
         finally:
             outcomes.close()
-        yield from tree.close()
 
     def _build_tree(self, knowledge: "list[KnowledgeBase]") -> OperatorTree:
         """The left-deep physical plan over the chain's steps.

@@ -219,16 +219,6 @@ class QpiadMediator:
         #: diagnostics (``qpiad query --explain`` renders it).
         self.last_plan: SelectionPlan | None = None
 
-    @property
-    def store(self) -> KnowledgeStore:
-        """The knowledge store this mediator reads through."""
-        return self._store
-
-    @property
-    def knowledge(self) -> KnowledgeBase:
-        """Snapshot of the current knowledge generation."""
-        return self._store.current
-
     def _engine(self, stats: RetrievalStats, query: SelectionQuery) -> RetrievalEngine:
         """A fresh engine for one retrieval over this mediator's source."""
         return RetrievalEngine(

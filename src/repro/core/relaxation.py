@@ -24,8 +24,8 @@ from repro.core.results import RetrievalStats
 from repro.engine import ExecutionPolicy, PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QpiadError
 from repro.mining.knowledge import KnowledgeBase
-from repro.mining.store import KnowledgeStore, as_store
-from repro.planner import PlanCache, QueryPlanner, attribute_influence
+from repro.mining.store import KnowledgeStore
+from repro.planner import PlanCache, QueryPlanner
 from repro.query.predicates import Predicate
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Row
@@ -87,33 +87,13 @@ class QueryRelaxer:
         if max_dropped is not None and max_dropped < 0:
             raise QpiadError(f"max_dropped must be non-negative, got {max_dropped}")
         self.source = source
-        self._store = as_store(knowledge)
         self.max_dropped = max_dropped
         self._telemetry = telemetry
         self.planner = QueryPlanner(
-            self._store, cache=plan_cache, telemetry=telemetry
+            knowledge, cache=plan_cache, telemetry=telemetry
         )
 
-    @property
-    def store(self) -> KnowledgeStore:
-        """The knowledge store this relaxer reads through."""
-        return self._store
-
-    @property
-    def knowledge(self) -> KnowledgeBase:
-        """Snapshot of the current knowledge generation."""
-        return self._store.current
-
     # ------------------------------------------------------------------
-
-    def attribute_influence(self, attribute: str) -> float:
-        """How strongly *attribute* determines others, per the mined AFDs.
-
-        The sum of confidences of pruned AFDs whose determining set contains
-        the attribute.  Attributes that determine nothing score 0 and are
-        relaxed first.
-        """
-        return attribute_influence(self.knowledge.afds, attribute)
 
     def plan(self, query: SelectionQuery) -> RelaxationPlan:
         """The relaxed queries, least-painful first.

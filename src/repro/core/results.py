@@ -14,7 +14,6 @@ The mediator streams answers in three bands, mirroring the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from repro.engine.engine import FailureKind
@@ -144,56 +143,9 @@ class QueryResult:
     stats: RetrievalStats = field(default_factory=RetrievalStats)
     degraded: bool = False
 
-    @property
-    def possible_rows(self) -> list[Row]:
-        """All possible-answer rows, ranked first then unranked."""
-        return [answer.row for answer in self.ranked] + list(self.unranked)
-
-    def all_rows(self) -> list[Row]:
-        """Certain answers followed by possible answers."""
-        return list(self.certain) + self.possible_rows
-
     def top(self, count: int) -> list[RankedAnswer]:
         """The *count* highest-confidence ranked answers."""
         return self.ranked[:count]
-
-    def above_confidence(self, threshold: float) -> list[RankedAnswer]:
-        """Ranked answers whose confidence meets *threshold* (Fig. 9)."""
-        return [answer for answer in self.ranked if answer.confidence >= threshold]
-
-    def to_relation(self) -> Relation:
-        """All answers as one relation with provenance columns appended.
-
-        Two extra columns: ``answer_kind`` (``certain`` / ``possible`` /
-        ``unranked``) and ``confidence`` (1.0 for certain answers, the
-        rank's confidence for possible ones, NULL for unranked).  Handy for
-        exporting mediated results to CSV or joining them downstream.
-        """
-        from repro.relational.schema import Attribute, AttributeType, Schema
-        from repro.relational.values import NULL
-
-        base = self.certain.schema
-        schema = Schema(
-            [
-                *base.attributes,
-                Attribute("answer_kind"),
-                Attribute("confidence", AttributeType.NUMERIC),
-            ]
-        )
-        rows = [row + ("certain", 1.0) for row in self.certain]
-        rows.extend(
-            answer.row + ("possible", answer.confidence) for answer in self.ranked
-        )
-        rows.extend(row + ("unranked", NULL) for row in self.unranked)
-        # Result assembly for the caller, not base-data access: the rows come
-        # from relations the source already shipped.
-        return Relation(schema, rows)  # qpiadlint: disable=raw-relation-access
-
-    def write_csv(self, path: "Path | str") -> None:
-        """Export :meth:`to_relation` to a CSV file."""
-        from repro.relational.csvio import write_csv
-
-        write_csv(self.to_relation(), path)
 
     def __iter__(self) -> Iterator[RankedAnswer]:
         return iter(self.ranked)

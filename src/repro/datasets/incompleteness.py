@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import QpiadError
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import Relation
 from repro.relational.values import NULL
 
 __all__ = ["MaskedCell", "IncompleteDataset", "make_incomplete"]
@@ -46,29 +46,6 @@ class IncompleteDataset:
     def true_value(self, row_index: int, attribute: str) -> object:
         """Ground-truth value of any cell (masked or not)."""
         return self.complete.value(self.complete.rows[row_index], attribute)
-
-    def masked_by_row(self) -> dict[int, MaskedCell]:
-        return {cell.row_index: cell for cell in self.masked}
-
-    def masked_on(self, attribute: str) -> list[MaskedCell]:
-        """Cells masked on a specific attribute."""
-        return [cell for cell in self.masked if cell.attribute == attribute]
-
-    def row_index_of(self, row: Row) -> int:
-        """Index of an ED row (identity-free lookup via exact match).
-
-        ED rows are unique only up to duplicates; the first match is
-        returned, which is sound for metrics that only need *a* consistent
-        ground-truth row for equal tuples.
-        """
-        try:
-            return self._row_lookup[row]
-        except AttributeError:
-            lookup: dict[Row, int] = {}
-            for index, candidate in enumerate(self.incomplete.rows):
-                lookup.setdefault(candidate, index)
-            self._row_lookup = lookup
-            return self._row_lookup[row]
 
 
 def make_incomplete(

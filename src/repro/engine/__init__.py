@@ -44,7 +44,6 @@ from repro.engine.operators import (
     OperatorNode,
     OperatorTree,
     StreamingProject,
-    StreamingUnion,
     SymmetricHashJoin,
 )
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
@@ -66,7 +65,6 @@ __all__ = [
     "RetrievalPlan",
     "SerialExecutor",
     "StreamingProject",
-    "StreamingUnion",
     "SymmetricHashJoin",
     "TaskOutcome",
     "build_executor",

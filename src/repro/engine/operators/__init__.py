@@ -6,7 +6,6 @@ small tree of push-based operators —
 
 * :class:`SymmetricHashJoin` — emits a joined tuple as soon as a match
   arrives from *either* side;
-* :class:`StreamingUnion` — merges N answer streams without blocking any;
 * :class:`StreamingProject` — per-item transform/filter, fused;
 
 — and drive it with
@@ -24,7 +23,6 @@ tree diagram and the full guarantees.
 from repro.engine.operators.base import Inlet, Operator, OperatorNode, OperatorTree
 from repro.engine.operators.join import SymmetricHashJoin
 from repro.engine.operators.project import StreamingProject
-from repro.engine.operators.union import StreamingUnion
 
 __all__ = [
     "Inlet",
@@ -32,6 +30,5 @@ __all__ = [
     "OperatorNode",
     "OperatorTree",
     "StreamingProject",
-    "StreamingUnion",
     "SymmetricHashJoin",
 ]

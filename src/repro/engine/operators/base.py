@@ -9,10 +9,10 @@ the driver collects them.  All the asynchrony lives *below* the tree, in
 the executor that overlaps source I/O; the tree itself is driven from
 exactly one thread and therefore needs no locks.
 
-This is the mediator-style non-blocking design (Xgjoin / Xunion /
-Xproject): a join emits a joined tuple the moment a match arrives from
-*either* side, so first-answer latency is bounded by the fastest useful
-input, not by the slowest source.  The price is ordering — outputs
+This is the mediator-style non-blocking design (Xgjoin / Xproject): a
+join emits a joined tuple the moment a match arrives from *either* side,
+so first-answer latency is bounded by the fastest useful input, not by
+the slowest source.  The price is ordering — outputs
 surface in data-arrival order, which is schedule-dependent — so every
 consumer ranks at the end: stream in the middle, sort at the edge.
 """
@@ -31,8 +31,7 @@ class Operator:
     """One physical operator: a synchronous, stateful push automaton.
 
     Subclasses declare ``arity`` (how many input ports they consume) and
-    implement :meth:`push`; operators that buffer state they can only
-    resolve at end-of-stream also override :meth:`close`.
+    implement :meth:`push`.
     """
 
     arity: int = 1
@@ -40,10 +39,6 @@ class Operator:
     def push(self, port: int, item: Any) -> Iterator[Any]:
         """React to *item* arriving on *port*; yield any output items."""
         raise NotImplementedError
-
-    def close(self) -> Iterator[Any]:
-        """Flush state held back until end-of-stream (default: nothing)."""
-        return iter(())
 
 
 @dataclass(frozen=True)
@@ -91,22 +86,18 @@ class OperatorTree:
     names, every node used at most once (a tree, not a DAG) — then
     routes: ``push(name, item)`` runs the item through the inlet's
     operator and cascades emissions parent-ward; whatever escapes the
-    root is yielded to the driver.  ``close()`` flushes operators
-    bottom-up (a child's end-of-stream output still flows through its
-    not-yet-closed ancestors) and yields the root's final emissions.
+    root is yielded to the driver.
 
-    Both methods return lazy iterators; the driver must drain them
-    (``yield from`` / list) for the pushes to actually happen.
+    ``push`` returns a lazy iterator; the driver must drain it
+    (``yield from`` / list) for the push to actually happen.
     """
 
     def __init__(self, root: OperatorNode):
         self.root = root
         self._parents: dict[int, tuple[OperatorNode, int]] = {}
         self._inlets: dict[str, tuple[OperatorNode, int]] = {}
-        self._postorder: list[OperatorNode] = []
         self._seen: set[int] = set()
         self._wire(root)
-        self._closed = False
 
     def _wire(self, node: OperatorNode) -> None:
         if id(node) in self._seen:
@@ -120,17 +111,9 @@ class OperatorTree:
             else:
                 self._parents[id(source)] = (node, port)
                 self._wire(source)
-        self._postorder.append(node)
-
-    @property
-    def inlets(self) -> tuple[str, ...]:
-        """The tree's entry points, in wiring order."""
-        return tuple(self._inlets)
 
     def push(self, inlet: str, item: Any) -> Iterator[Any]:
         """Push *item* into *inlet*; yield whatever reaches the root."""
-        if self._closed:
-            raise QpiadError("operator tree already closed")
         try:
             node, port = self._inlets[inlet]
         except KeyError:
@@ -149,12 +132,3 @@ class OperatorTree:
             yield item
             return
         yield from self._cascade(parent[0], parent[1], item)
-
-    def close(self) -> Iterator[Any]:
-        """Signal end-of-stream; flush bottom-up and yield final outputs."""
-        if self._closed:
-            return
-        self._closed = True
-        for node in self._postorder:
-            for emitted in node.operator.close():
-                yield from self._emit(node, emitted)

@@ -1,6 +1,5 @@
 """Evaluation machinery: ground-truth oracle, IR metrics, experiment harness."""
 
-from repro.evaluation.costs import CostModel, RetrievalCost
 from repro.evaluation.harness import (
     Environment,
     RunOutcome,
@@ -54,8 +53,6 @@ __all__ = [
     "aggregate_workload",
     "join_workload",
     "classification_accuracy",
-    "CostModel",
-    "RetrievalCost",
     "IncompletenessReport",
     "incompleteness_report",
     "SummaryResult",

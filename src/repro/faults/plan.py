@@ -114,16 +114,6 @@ class FaultPlan:
         if self.spare_first < 0:
             raise QpiadError("spare_first must be non-negative")
 
-    @property
-    def fault_rate(self) -> float:
-        """Total probability that a (non-spared) call is faulted."""
-        return (
-            self.unavailable_rate
-            + self.churn_rate
-            + self.truncate_rate
-            + self.latency_rate
-        )
-
     def decide(self, index: int) -> FaultDecision:
         """The fault decision for the *index*-th call, pure in (seed, index).
 

@@ -56,11 +56,6 @@ class Afd:
         if not 0.0 <= self.confidence <= 1.0 + 1e-9:
             raise MiningError(f"confidence out of range: {self.confidence}")
 
-    @property
-    def is_exact(self) -> bool:
-        """Whether the dependency held on every covered sample row."""
-        return self.confidence >= 1.0 - 1e-12
-
     def __str__(self) -> str:
         lhs = ", ".join(self.determining)
         return f"{{{lhs}}} ~> {self.dependent} (conf={self.confidence:.3f})"

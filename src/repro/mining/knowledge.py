@@ -264,20 +264,6 @@ class KnowledgeBase:
         candidates = self.afds_for(attribute)
         return candidates[0] if candidates else None
 
-    def determining_set(self, attribute: str) -> tuple[str, ...]:
-        """``dtrSet(attribute)`` per the best AFD.
-
-        Raises :class:`MiningError` when the attribute has no usable AFD —
-        the caller (rewriting) treats that as "cannot rewrite on this
-        attribute".
-        """
-        best = self.best_afd(attribute)
-        if best is None:
-            raise MiningError(
-                f"no AFD determines {attribute!r}; query rewriting cannot target it"
-            )
-        return best.determining
-
     # ------------------------------------------------------------------
     # Value distributions
     # ------------------------------------------------------------------

@@ -112,11 +112,6 @@ class Partition:
         new_sizes = np.diff(np.append(starts, sorted_keys.shape[0]))
         return Partition(order_v[sorter], new_sizes)
 
-    def covered_with(self, labels: "NDArray[np.int64]") -> int:
-        """Covered rows that are also non-NULL under a code column."""
-        order = self.order
-        return int((labels[order] >= 0).sum())
-
 
 def partition_by(relation: Relation, attributes: Sequence[str]) -> Partition:
     """Partition *relation*'s row indices by their values on *attributes*."""

@@ -79,11 +79,6 @@ class KnowledgeRefresher:
         self._telemetry = telemetry
 
     @property
-    def store(self) -> KnowledgeStore:
-        """The store refreshed generations are installed into."""
-        return self._store
-
-    @property
     def knowledge(self) -> KnowledgeBase:
         """Snapshot of the currently-installed generation."""
         return self._store.current

@@ -75,10 +75,6 @@ class SelectivityEstimator:
         """``SmplSel(Q)``: how many sample tuples certainly match *query*."""
         return certain_count(query, self.sample)
 
-    def estimated_cardinality(self, query: SelectionQuery) -> float:
-        """Expected number of tuples *query* retrieves from the database."""
-        return self.sample_selectivity(query) * self.sample_ratio
-
     def estimate(self, query: SelectionQuery) -> float:
         """``EstSel(Q)``: expected number of *incomplete* tuples retrieved.
 

@@ -207,16 +207,6 @@ class QueryPlanner:
         self._telemetry = telemetry
         self._ranker = Ranker(self.config.alpha, self.config.k)
 
-    @property
-    def store(self) -> KnowledgeStore:
-        """The knowledge store this planner reads through."""
-        return self._store
-
-    @property
-    def knowledge(self) -> KnowledgeBase:
-        """Snapshot of the current knowledge generation."""
-        return self._store.current
-
     # ------------------------------------------------------------------
     # Planning modes
 

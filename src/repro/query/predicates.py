@@ -166,9 +166,6 @@ class AttributePredicate(Predicate):
         )
         return column.gather_bool(per_value)
 
-    def _value_of(self, row: Row, schema: Schema) -> Any:
-        return row[schema.index_of(self.attribute)]
-
     def __eq__(self, other: object) -> bool:
         if type(self) is not type(other):
             return False

@@ -7,7 +7,7 @@ Three query classes mirror Section 4 of the paper:
 * :class:`JoinQuery` — a two-way equi-join of selections (4.5).
 
 Queries are immutable values; the rewriting machinery produces new queries
-from old ones via :meth:`SelectionQuery.replacing` / :meth:`SelectionQuery.and_also`.
+from old ones via :meth:`SelectionQuery.replacing`.
 """
 
 from __future__ import annotations
@@ -104,15 +104,6 @@ class SelectionQuery:
                 f"replacing {attribute!r} with nothing would produce an empty query"
             )
         return SelectionQuery(And(merged), self.relation)
-
-    def and_also(self, predicates: Sequence[Predicate]) -> "SelectionQuery":
-        """Conjoin extra *predicates* onto this query."""
-        if not predicates:
-            return self
-        return SelectionQuery(And(list(self.conjuncts) + list(predicates)), self.relation)
-
-    def for_relation(self, relation: str | None) -> "SelectionQuery":
-        return SelectionQuery(self.predicate, relation)
 
     # -- value semantics --------------------------------------------------
 

@@ -6,7 +6,6 @@ round-tripping, and the columnar (numpy-backed) data plane behind the
 :class:`Relation` facade.
 """
 
-from repro.relational.builders import RelationBuilder
 from repro.relational.columnar import Column, ColumnStore
 from repro.relational.csvio import infer_schema, read_csv, write_csv
 from repro.relational.relation import Relation, Row
@@ -26,7 +25,6 @@ __all__ = [
     "read_csv",
     "write_csv",
     "infer_schema",
-    "RelationBuilder",
     "Column",
     "ColumnStore",
 ]

@@ -258,10 +258,6 @@ class Relation:
             counts[value] += 1
         return counts
 
-    def extend(self, rows: Iterable[Sequence[Any]]) -> "Relation":
-        """A new relation with *rows* appended."""
-        return Relation(self._schema, list(self._rows) + [tuple(r) for r in rows])
-
     def concat(self, other: "Relation") -> "Relation":
         """Union-all with another relation over an identical schema."""
         if other.schema != self._schema:
@@ -279,15 +275,6 @@ class Relation:
         """The first *count* rows."""
         return self._with_rows(self._rows[:count])
 
-    def rename(self, mapping: dict[str, str]) -> "Relation":
-        """A relation with attributes renamed; rows are shared unchanged."""
-        renamed = Relation.__new__(Relation)
-        renamed._schema = self._schema.rename(mapping)
-        renamed._rows = self._rows
-        renamed._columnar = None
-        renamed._digest = None
-        return renamed
-
     # ------------------------------------------------------------------
     # NULL bookkeeping (Table 1 statistics)
     # ------------------------------------------------------------------
@@ -295,12 +282,6 @@ class Relation:
     def is_complete_row(self, row: Row) -> bool:
         """True if the row has no NULL in any attribute (Definition 1)."""
         return not any(is_null(value) for value in row)
-
-    def complete_rows(self) -> "Relation":
-        return self.select(self.is_complete_row)
-
-    def incomplete_rows(self) -> "Relation":
-        return self.select(lambda row: not self.is_complete_row(row))
 
     def null_count(self, attribute: str) -> int:
         """Number of rows where *attribute* is NULL."""
@@ -322,18 +303,6 @@ class Relation:
         if not self._rows:
             return 0.0
         return self.incomplete_count() / len(self._rows)
-
-    def rows_with_null_on(self, attributes: Sequence[str]) -> "Relation":
-        """Rows that are NULL on at least one of *attributes*."""
-        indices = self._schema.indices_of(attributes)
-        return self._with_rows(
-            row for row in self._rows if any(is_null(row[i]) for i in indices)
-        )
-
-    def null_count_over(self, row: Row, attributes: Sequence[str]) -> int:
-        """How many of *attributes* are NULL in *row* (the paper's 0/1/2+ rule)."""
-        indices = self._schema.indices_of(attributes)
-        return sum(1 for i in indices if is_null(row[i]))
 
     # ------------------------------------------------------------------
     # Presentation

@@ -23,11 +23,6 @@ class AttributeType(Enum):
     NUMERIC = "numeric"
     TEXT = "text"
 
-    @property
-    def is_ordered(self) -> bool:
-        """Whether range predicates (``between``, ``<``, ``>``) apply."""
-        return self is AttributeType.NUMERIC
-
 
 @dataclass(frozen=True)
 class Attribute:
@@ -61,7 +56,7 @@ class Schema:
     >>> schema = Schema.of("make", "model", ("price", AttributeType.NUMERIC))
     >>> schema.index_of("model")
     1
-    >>> schema["price"].type.is_ordered
+    >>> schema.is_numeric("price")
     True
     """
 
@@ -151,25 +146,6 @@ class Schema:
     def project(self, names: Sequence[str]) -> "Schema":
         """A new schema containing only *names*, in the given order."""
         return Schema(self[name] for name in names)
-
-    def without(self, names: Iterable[str]) -> "Schema":
-        """A new schema excluding *names* (which must all exist)."""
-        excluded = set(names)
-        for name in excluded:
-            self.index_of(name)  # validate
-        remaining = [attribute for attribute in self._attributes if attribute.name not in excluded]
-        if not remaining:
-            raise SchemaError("cannot drop every attribute from a schema")
-        return Schema(remaining)
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """A new schema with attributes renamed per *mapping*."""
-        for name in mapping:
-            self.index_of(name)  # validate
-        return Schema(
-            Attribute(mapping.get(attribute.name, attribute.name), attribute.type)
-            for attribute in self._attributes
-        )
 
     def is_numeric(self, name: str) -> bool:
         return self[name].type is AttributeType.NUMERIC

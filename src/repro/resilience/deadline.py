@@ -66,9 +66,6 @@ class Deadline:
         """Seconds left; zero or negative once the deadline has passed."""
         return self.expires_at - self.clock()
 
-    def expired(self) -> bool:
-        return self.remaining() <= 0
-
     def __repr__(self) -> str:
         return f"Deadline(remaining={self.remaining():.3f}s)"
 

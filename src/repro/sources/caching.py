@@ -121,11 +121,6 @@ class CachingSource(SourceDecorator):
         with self._lock:
             self.statistics = CacheStatistics()
 
-    def invalidate(self) -> None:
-        """Drop every cached result (e.g. after a known source refresh)."""
-        with self._lock:
-            self._cache.clear()
-
     def __repr__(self) -> str:
         return (
             f"CachingSource({self.inner!r}, {len(self._cache)}/{self.capacity} "

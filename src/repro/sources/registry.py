@@ -76,7 +76,3 @@ class SourceRegistry:
     def supporting(self, attribute: str) -> list[Source]:
         """Sources whose local schema includes *attribute*."""
         return [source for source in self if source.supports(attribute)]
-
-    def not_supporting(self, attribute: str) -> list[Source]:
-        """Sources whose local schema lacks *attribute* (need §4.3 handling)."""
-        return [source for source in self if not source.supports(attribute)]

@@ -2,11 +2,11 @@
 
 Two formats, matching the two consumers:
 
-* **text** — ``qpiad trace`` / ``qpiad query --trace`` print an indented
+* **text** — ``qpiad query --trace`` prints an indented
   span tree (durations, status, key attributes) followed by counter and
   histogram tables, for a human reading one retrieval;
 * **JSON** — a stable, ``json``-serialisable snapshot for dashboards
-  and for diffing chaos runs (``qpiad trace --json`` prints one).
+  and for diffing chaos runs (``qpiad query --trace --json`` prints one).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def render_metrics_text(metrics: MetricsRegistry) -> str:
 
 
 def render_telemetry_text(telemetry: Telemetry) -> str:
-    """Trace tree followed by metric tables — the ``qpiad trace`` output."""
+    """Trace tree followed by metric tables — the ``qpiad query --trace`` output."""
     parts = [render_trace_text(telemetry.tracer)]
     metrics = render_metrics_text(telemetry.metrics)
     if metrics:

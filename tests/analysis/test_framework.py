@@ -85,12 +85,6 @@ class TestSuppressionIndex:
         index = SuppressionIndex.from_source("# qpiadlint: disable-file=rule-a\n")
         assert index.is_suppressed(self._finding("rule-a", 99))
 
-    def test_used_rules_tracks_effective_suppressions(self):
-        index = SuppressionIndex.from_source("x = 1  # qpiadlint: disable=rule-a\n")
-        assert index.used_rules == frozenset()
-        index.is_suppressed(self._finding("rule-a", 1))
-        assert index.used_rules == frozenset({"rule-a"})
-
 
 class TestModuleContext:
     def test_in_package_matches_prefix_not_substring(self):

@@ -25,8 +25,8 @@ def test_src_repro_lints_clean():
 
 
 def test_suppressions_stay_bounded():
-    # The two exemptions are result assembly, not base-data access:
-    # QueryResult.to_relation and the correlated mediator's empty certain
-    # set hand answers back as a Relation by contract.
+    # The one exemption is result assembly, not base-data access: the
+    # correlated mediator's empty certain set hands answers back as a
+    # Relation by contract.
     report = lint_paths([SRC])
-    assert report.suppressed_count <= 2
+    assert report.suppressed_count <= 1

@@ -83,7 +83,6 @@ class TestInclusionRule:
         result = processor.query(aggregate)
         assert result.certain_count > 0
         assert result.possible_count >= 0
-        assert result.improvement_available == (result.possible_count > 0)
 
 
 class TestInclusionRules:

@@ -77,6 +77,22 @@ class TestFederatedQuery:
                 assert len(answer.row) == len(cars_env.test.schema)
 
 
+class TestConfigReachesDeficientSources:
+    def test_k_bounds_the_deficient_sources_rewritten_queries(self, cars_env):
+        carscom = AutonomousSource("cars.com", cars_env.test, SourceCapabilities.web_form())
+        yahoo = AutonomousSource(
+            "yahoo", cars_env.test, SourceCapabilities.web_form(), local_attributes=YAHOO_ATTRS
+        )
+        registry = SourceRegistry(cars_env.test.schema, [carscom, yahoo])
+        result = FederatedMediator(
+            registry, {"cars.com": cars_env.knowledge}, QpiadConfig(k=2)
+        ).query(SelectionQuery.equals("body_style", "Convt"))
+        # Every call yahoo answers is a rewritten query: the §4.3 base set
+        # comes from cars.com.
+        assert "yahoo" in result.per_source
+        assert 0 < yahoo.statistics.queries_answered <= 2
+
+
 class TestFederatedBilling:
     def test_every_source_call_goes_through_the_engine(self, cars_env):
         # The unmined source's certain-only probe is a source call like

@@ -5,7 +5,7 @@ import pytest
 from repro.core import QueryResult, RankedAnswer, RetrievalStats
 from repro.mining import Afd
 from repro.query import SelectionQuery
-from repro.relational import NULL, Relation, Schema, is_null
+from repro.relational import NULL, Relation, Schema
 
 
 @pytest.fixture()
@@ -27,19 +27,8 @@ def result() -> QueryResult:
 
 
 class TestQueryResult:
-    def test_possible_rows_order(self, result):
-        assert result.possible_rows == [("Boxster", NULL), ("A4", NULL), (NULL, NULL)]
-
-    def test_all_rows_certain_first(self, result):
-        assert result.all_rows()[0] == ("Z4", "Convt")
-        assert len(result.all_rows()) == 4
-
     def test_top(self, result):
         assert [a.confidence for a in result.top(1)] == [0.9]
-
-    def test_above_confidence(self, result):
-        assert len(result.above_confidence(0.5)) == 1
-        assert len(result.above_confidence(0.0)) == 2
 
     def test_iteration_yields_ranked(self, result):
         assert [a.confidence for a in result] == [0.9, 0.4]
@@ -47,29 +36,6 @@ class TestQueryResult:
     def test_repr_summarizes_counts(self, result):
         text = repr(result)
         assert "1 certain" in text and "2 ranked" in text and "1 unranked" in text
-
-
-class TestExport:
-    def test_to_relation_appends_provenance(self, result):
-        exported = result.to_relation()
-        assert exported.schema.names[-2:] == ("answer_kind", "confidence")
-        kinds = [exported.value(row, "answer_kind") for row in exported]
-        assert kinds == ["certain", "possible", "possible", "unranked"]
-        assert exported.value(exported.rows[0], "confidence") == 1.0
-        assert exported.value(exported.rows[1], "confidence") == 0.9
-
-    def test_unranked_confidence_is_null(self, result):
-        exported = result.to_relation()
-        assert is_null(exported.value(exported.rows[-1], "confidence"))
-
-    def test_write_csv_round_trips(self, result, tmp_path):
-        from repro.relational import read_csv
-
-        path = tmp_path / "answers.csv"
-        result.write_csv(path)
-        loaded = read_csv(path)
-        assert len(loaded) == 4
-        assert "answer_kind" in loaded.schema
 
 
 class TestExplanations:

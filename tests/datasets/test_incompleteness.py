@@ -76,11 +76,3 @@ class TestOptions:
         cars = generate_cars(100, seed=1)
         with pytest.raises(QpiadError):
             make_incomplete(cars, attribute_weights={"make": -1.0})
-
-    def test_helpers(self, dataset):
-        by_row = dataset.masked_by_row()
-        assert len(by_row) == len(dataset.masked)
-        on_body = dataset.masked_on("body_style")
-        assert all(cell.attribute == "body_style" for cell in on_body)
-        row = dataset.incomplete.rows[dataset.masked[0].row_index]
-        assert dataset.row_index_of(row) <= dataset.masked[0].row_index

@@ -2,8 +2,8 @@
 
 The contracts under test: a symmetric hash join emits each matching
 (left, right) combination exactly once, the moment its *second* half
-arrives, whatever the interleaving; union and project never buffer; the
-tree validates its wiring up front and cascades emissions to the root.
+arrives, whatever the interleaving; project never buffers; the tree
+validates its wiring up front and cascades emissions to the root.
 """
 
 import itertools
@@ -15,7 +15,6 @@ from repro.engine import (
     OperatorNode,
     OperatorTree,
     StreamingProject,
-    StreamingUnion,
     SymmetricHashJoin,
 )
 from repro.errors import QpiadError
@@ -72,32 +71,12 @@ class TestSymmetricHashJoin:
         tree = _join_tree()
         assert list(tree.push("left", (None, "l1"))) == []
         assert list(tree.push("right", (None, "r1"))) == []
-        assert list(tree.close()) == []
 
     def test_match_predicate_filters_pairs(self):
         tree = _join_tree(match=lambda left, right: right[1] != "r0")
         list(tree.push("left", ("k", "l0")))
         assert list(tree.push("right", ("k", "r0"))) == []
         assert list(tree.push("right", ("k", "r1"))) == [(("k", "l0"), ("k", "r1"))]
-
-    def test_nothing_held_back_at_close(self):
-        tree = _join_tree()
-        list(tree.push("left", ("k", "l0")))
-        assert list(tree.close()) == []
-
-
-class TestStreamingUnion:
-    def test_passes_items_through_immediately(self):
-        tree = OperatorTree(
-            OperatorNode(StreamingUnion(2), [Inlet("a"), Inlet("b")], "union")
-        )
-        assert list(tree.push("b", 1)) == [1]
-        assert list(tree.push("a", 2)) == [2]
-        assert list(tree.close()) == []
-
-    def test_rejects_zero_arity(self):
-        with pytest.raises(QpiadError, match="arity"):
-            StreamingUnion(0)
 
 
 class TestStreamingProject:
@@ -140,18 +119,9 @@ class TestOperatorTree:
     def test_node_reuse_rejected(self):
         shared = OperatorNode(StreamingProject(lambda x: x), [Inlet("a")], "shared")
         with pytest.raises(QpiadError, match="tree"):
-            OperatorTree(OperatorNode(StreamingUnion(2), [shared, shared], "union"))
+            OperatorTree(OperatorNode(_join(), [shared, shared], "join"))
 
     def test_unknown_inlet_rejected(self):
         tree = _join_tree()
         with pytest.raises(QpiadError, match="unknown inlet"):
             list(tree.push("middle", ("k", "x")))
-
-    def test_push_after_close_rejected(self):
-        tree = _join_tree()
-        list(tree.close())
-        with pytest.raises(QpiadError, match="closed"):
-            list(tree.push("left", ("k", "x")))
-
-    def test_inlets_listed_in_wiring_order(self):
-        assert _join_tree().inlets == ("left", "right")

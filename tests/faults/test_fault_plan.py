@@ -69,7 +69,3 @@ class TestValidation:
             FaultPlan(seed=1, latency_seconds=-1)
         with pytest.raises(QpiadError):
             FaultPlan(seed=1, spare_first=-1)
-
-    def test_fault_rate_totals(self):
-        plan = FaultPlan(seed=1, unavailable_rate=0.2, latency_rate=0.1)
-        assert plan.fault_rate == pytest.approx(0.3)

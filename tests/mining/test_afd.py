@@ -29,10 +29,6 @@ class TestAfd:
         with pytest.raises(MiningError):
             Afd((), "make", 0.9)
 
-    def test_is_exact(self):
-        assert Afd(("model",), "make", 1.0).is_exact
-        assert not Afd(("model",), "make", 0.99).is_exact
-
     def test_str(self):
         text = str(Afd(("model",), "body", 0.876))
         assert "model" in text and "0.876" in text

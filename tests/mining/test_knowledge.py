@@ -41,10 +41,6 @@ class TestAttributeCorrelations:
         confs = [a.confidence for a in afds]
         assert confs == sorted(confs, reverse=True)
 
-    def test_determining_set_raises_without_afd(self, cars_env):
-        with pytest.raises(MiningError):
-            cars_env.knowledge.determining_set("nonexistent_attribute")
-
     def test_pruned_afds_subset_of_all(self, cars_env):
         kb = cars_env.knowledge
         assert set(kb.afds) <= set(kb.all_afds)

@@ -117,15 +117,6 @@ class TestRefineParity:
         assert set(refined.classes) == set(expected)
         assert refined.covered == sum(map(len, expected))
 
-    def test_covered_with_matches_row_count(self):
-        relation = _relation()
-        base = partition_by(relation, ("make",))
-        codes = relation.columnar().column("body_style").codes
-        expected = sum(
-            1 for cls in base.classes for i in cls if codes[i] >= 0
-        )
-        assert base.covered_with(codes) == expected
-
 
 class TestG3Parity:
     @pytest.mark.parametrize("determining", [("make",), ("make", "model")])

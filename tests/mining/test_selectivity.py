@@ -47,10 +47,6 @@ class TestEstimates:
     def test_sample_selectivity_counts_certain_matches(self, estimator):
         assert estimator.sample_selectivity(SelectionQuery.equals("make", "Honda")) == 2
 
-    def test_estimated_cardinality_scales_by_ratio(self, estimator):
-        query = SelectionQuery.equals("make", "BMW")
-        assert estimator.estimated_cardinality(query) == pytest.approx(2 * 10.0)
-
     def test_estimate_multiplies_per_inc(self, estimator):
         query = SelectionQuery.equals("make", "BMW")
         assert estimator.estimate(query) == pytest.approx(2 * 10.0 * 0.4)

@@ -111,7 +111,7 @@ class TestNearKeyExpansion:
         )
         vin_afds = [afd for afd in result.afds if afd.determining == ("vin",)]
         assert vin_afds
-        assert all(afd.is_exact for afd in vin_afds)  # a key determines all
+        assert all(afd.confidence == 1.0 for afd in vin_afds)  # a key determines all
 
 
 class TestNullHandling:

@@ -49,12 +49,6 @@ class TestSelectionQuery:
         with pytest.raises(QueryError):
             query.replacing("make", [])
 
-    def test_and_also(self):
-        query = SelectionQuery.equals("make", "Honda")
-        extended = query.and_also([Equals("model", "Accord")])
-        assert set(extended.constrained_attributes) == {"make", "model"}
-        assert query.and_also([]) is query
-
     def test_value_equality_ignores_conjunct_order(self):
         a = SelectionQuery.conjunction([Equals("x", 1), Equals("y", 2)])
         b = SelectionQuery.conjunction([Equals("y", 2), Equals("x", 1)])
@@ -64,7 +58,6 @@ class TestSelectionQuery:
     def test_relation_routing(self):
         query = SelectionQuery.equals("make", "Honda", relation="cars.com")
         assert query.relation == "cars.com"
-        assert query.for_relation("yahoo").relation == "yahoo"
         assert query != SelectionQuery.equals("make", "Honda")
 
 

@@ -97,12 +97,6 @@ class TestMemoization:
         assert taken.columnar() is not store
         assert len(taken.columnar()) == 2
 
-    def test_rename_resets_the_store(self):
-        relation = _cars()
-        relation.columnar()
-        renamed = relation.rename({"make": "brand"})
-        assert renamed.columnar().column("brand").codes.tolist() == [0, 1, 0, -1, 2]
-
 
 class TestNumericProjection:
     def test_dictionary_numeric_marks_exact_entries(self):

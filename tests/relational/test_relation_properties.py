@@ -18,16 +18,6 @@ def _relation(rows) -> Relation:
 
 
 @given(_ROWS)
-def test_complete_plus_incomplete_partitions_rows(rows):
-    relation = _relation(rows)
-    complete = relation.complete_rows()
-    incomplete = relation.incomplete_rows()
-    assert len(complete) + len(incomplete) == len(relation)
-    assert all(relation.is_complete_row(row) for row in complete)
-    assert not any(relation.is_complete_row(row) for row in incomplete)
-
-
-@given(_ROWS)
 def test_incomplete_fraction_bounds(rows):
     fraction = _relation(rows).incomplete_fraction()
     assert 0.0 <= fraction <= 1.0

@@ -14,10 +14,6 @@ class TestAttribute:
         with pytest.raises(SchemaError):
             Attribute("")
 
-    def test_numeric_is_ordered(self):
-        assert AttributeType.NUMERIC.is_ordered
-        assert not AttributeType.CATEGORICAL.is_ordered
-
     def test_str(self):
         assert str(Attribute("price")) == "price"
 
@@ -81,25 +77,6 @@ class TestSchemaDerivation:
         projected = schema.project(["year", "make"])
         assert projected.names == ("year", "make")
         assert projected["year"].type is AttributeType.NUMERIC
-
-    def test_without(self, schema):
-        assert schema.without(["model"]).names == ("make", "year")
-
-    def test_without_everything_rejected(self, schema):
-        with pytest.raises(SchemaError):
-            schema.without(["make", "model", "year"])
-
-    def test_without_unknown_rejected(self, schema):
-        with pytest.raises(SchemaError):
-            schema.without(["color"])
-
-    def test_rename(self, schema):
-        renamed = schema.rename({"make": "manufacturer"})
-        assert renamed.names == ("manufacturer", "model", "year")
-
-    def test_rename_unknown_rejected(self, schema):
-        with pytest.raises(SchemaError):
-            schema.rename({"color": "hue"})
 
     def test_equality_and_hash(self, schema):
         twin = Schema.of("make", "model", ("year", AttributeType.NUMERIC))

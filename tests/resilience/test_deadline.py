@@ -24,13 +24,11 @@ class TestDeadline:
         deadline = Deadline.after(5.0, clock)
         clock.now = 3.0
         assert deadline.remaining() == 2.0
-        assert not deadline.expired()
 
     def test_expired_once_the_budget_is_spent(self):
         clock = FakeClock()
         deadline = Deadline.after(1.0, clock)
         clock.now = 1.5
-        assert deadline.expired()
         assert deadline.remaining() == -0.5
 
 

@@ -54,13 +54,6 @@ class TestCaching:
         source.execute(queries[0])  # evicted -> miss again
         assert source.statistics.misses == 4
 
-    def test_invalidate_clears_entries(self, source):
-        query = SelectionQuery.equals("make", "BMW")
-        source.execute(query)
-        source.invalidate()
-        source.execute(query)
-        assert source.statistics.misses == 2
-
     def test_hit_rate(self, source):
         query = SelectionQuery.equals("make", "BMW")
         source.execute(query)

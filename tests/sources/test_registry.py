@@ -45,10 +45,5 @@ class TestSupportQueries:
         names = [source.name for source in registry.supporting("body")]
         assert names == ["cars.com"]
 
-    def test_not_supporting(self, registry):
-        names = [source.name for source in registry.not_supporting("body")]
-        assert names == ["yahoo"]
-
     def test_everyone_supports_make(self, registry):
         assert len(registry.supporting("make")) == 2
-        assert registry.not_supporting("make") == []

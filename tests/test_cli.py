@@ -203,6 +203,43 @@ class TestExplain:
         assert "plan cache" not in capsys.readouterr().out
 
 
+class TestTrace:
+    def test_query_trace_appends_spans_and_counters(self, cars_ed_csv, capsys):
+        code = main(
+            ["query", str(cars_ed_csv), "--where", "body_style=Convt", "--trace"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        answers = out.index("possible answers")
+        assert out.index("[retrieval]", answers) > answers
+        assert out.index("[base-query]", answers) > answers
+        assert "mediator.queries_issued" in out[answers:]
+
+    def test_query_trace_json_prints_only_the_snapshot(self, cars_ed_csv, capsys):
+        import json
+
+        code = main(
+            [
+                "query",
+                str(cars_ed_csv),
+                "--where",
+                "body_style=Convt",
+                "--trace",
+                "--json",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert {"spans", "metrics"} <= set(payload)
+        assert "mining a knowledge base" in captured.err
+
+    def test_json_without_trace_is_a_usage_error(self, cars_ed_csv, capsys):
+        code = main(["query", str(cars_ed_csv), "--where", "body_style=Convt", "--json"])
+        assert code == 2
+        assert "--trace" in capsys.readouterr().err
+
+
 class TestRelax:
     def test_relax_returns_answers_for_empty_queries(self, cars_ed_csv, capsys):
         code = main(

@@ -1,12 +1,20 @@
 """Documentation contracts: the README quickstart and package docstring run."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import repro
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+MODULES = sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+)
 
 
 class TestPackageDocstring:
@@ -20,6 +28,12 @@ class TestPackageDocstring:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing name {name!r}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests_pass(name):
+    results = doctest.testmod(importlib.import_module(name), verbose=False)
+    assert results.failed == 0
 
 
 class TestReadmeQuickstart:
