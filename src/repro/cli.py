@@ -496,8 +496,8 @@ def _render_plan(plan, alpha: float) -> str:
     lines = [
         f"plan: {len(plan.steps)} rewritten queries to issue "
         f"({plan.generated} generated, {plan.skipped_unanswerable} inexpressible, "
-        f"{plan.skipped_below_confidence} below confidence); "
-        f"plan cache: {'hit' if plan.cached else 'miss'}"
+        f"{plan.skipped_below_confidence} below confidence, "
+        f"{plan.skipped_zero_selectivity} zero selectivity)"
     ]
     for step in plan.steps:
         f = ranker.f_measure(step.estimated_precision, step.estimated_recall)
@@ -587,7 +587,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.planner import PlanCache, PlannerConfig, QueryPlanner
+    from repro.planner import PlannerConfig, QueryPlanner
 
     relation, knowledge, query, source = _session(args)
     # Plan-only mode: the base set is computed mediator-side from the CSV
@@ -599,7 +599,6 @@ def _cmd_plan(args) -> int:
     planner = QueryPlanner(
         knowledge,
         PlannerConfig(alpha=args.alpha, k=args.k, min_confidence=args.min_confidence),
-        cache=PlanCache(),
     )
     plan = planner.plan_selection(query, base_set, source=source)
     print(f"query: {query}")

@@ -10,9 +10,10 @@ share join-attribute values, so components are scored jointly —
 where ``EstSel(qpᵢ, v) = precision · selectivity · P(join = v)`` and the
 join-value distribution ``P`` comes from the NBC classifiers (for rewritten
 queries) or the observed base set (for the complete queries).  Pairs are
-ordered by F-measure, the top-K pairs' component queries are issued (each
-component once), and tuples are joined with NULL join values filled in by
-the classifiers' most likely completion.
+ordered by F-measure, the component queries of up to K pairs are issued
+(each component once; a pair whose EstSel is zero is dropped), and tuples
+are joined with NULL join values filled in by the classifiers' most likely
+completion.
 
 Execution is *streaming*: component results flow through a symmetric-hash
 operator tree (:mod:`repro.engine.operators`) as source calls complete,
@@ -355,6 +356,10 @@ class JoinProcessor:
             throughput=lambda pair: pair.precision * est_sels[id(pair)],
             key=lambda pair: repr(pair.left.query) + repr(pair.right.query),
         )
+        # K is a ceiling: a pair whose estimate expects no joined tuple (a
+        # side without sample support, or join-value distributions that
+        # never meet) leaves the selection and issues nothing.
+        selected = [pair for pair in selected if est_sels[id(pair)] > 0]
         result.pairs_issued = len(selected)
 
         tree = self._build_tree(
@@ -403,7 +408,9 @@ class JoinProcessor:
                 join_distribution=_empirical_distribution(base_set, join_attribute),
             )
         ]
-        rewritten = planner.rewrite_candidates(complete_query, base_set)
+        rewritten = planner.rewrite_candidates(
+            complete_query, base_set, knowledge=knowledge
+        )
         distributions = self._join_distributions(rewritten, knowledge, join_attribute)
         for candidate, distribution in zip(rewritten, distributions):
             sides.append(
@@ -504,8 +511,8 @@ class JoinProcessor:
         attribute came back non-NULL, drop rows already in the base set)
         and resolves the effective join value, predicting NULLs; the join
         emits a candidate the moment a key matches across sides, and the
-        match predicate restricts the cross product to the top-K selected
-        query pairs while each component is still issued only once.
+        match predicate restricts the cross product to the selected query
+        pairs while each component is still issued only once.
         """
         selected_pairs = {
             (pair.left.query, pair.right.query) for pair in selected

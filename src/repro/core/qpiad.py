@@ -3,8 +3,9 @@
 :class:`QpiadMediator` wires the pieces together exactly as Figure 1 shows:
 the query reformulator issues the original query for the base result set,
 generates rewritten queries from mined AFDs, orders them by F-measure,
-issues the top-K in precision order, post-filters, and returns certain
-answers plus ranked relevant possible answers.
+issues up to K of them in that order (never one whose estimated
+selectivity is zero), post-filters, and returns certain answers plus
+ranked relevant possible answers.
 
 Since the engine refactor the mediator only *plans* and *post-filters*;
 issuing, cost accounting, failure budgets, deadlines, and telemetry spans
@@ -98,7 +99,7 @@ class QpiadConfig:
     max_concurrency:
         How many rewritten queries may be in flight at once.  ``None``
         (the default) lets the engine choose per query: :meth:`query`
-        issues the top-K rewritten queries together when the base query's
+        issues the planned rewritten queries together when the base query's
         call spent most of its time waiting on the source and nothing can
         end the plan early or shed part of it (no ``deadline_seconds``,
         ``max_source_failures`` left at ``None``, no ``query_budget``
@@ -264,17 +265,20 @@ class QpiadMediator:
         query: SelectionQuery,
         base_set: Relation,
         stats: RetrievalStats,
+        knowledge: KnowledgeBase,
     ) -> list[PlannedQuery]:
         """The rewritten-query plan, via the shared :class:`QueryPlanner`.
 
         Gating happens at plan time — inside the planner — so an
-        inexpressible or below-threshold rewriting never spends source
-        budget: it lands in ``stats.rewritten_skipped`` instead of being
-        retrieved and discarded.  The skip tallies travel *with* the plan,
-        which keeps stats and telemetry identical whether the plan was
-        freshly built or served from the cache.
+        inexpressible, below-threshold or zero-selectivity rewriting never
+        spends source budget: it lands in ``stats.rewritten_skipped``
+        instead of being retrieved and discarded.  The skip tallies travel
+        *with* the plan, which keeps stats and telemetry identical whether
+        the plan was freshly built or served from the cache.
         """
-        plan = self.planner.plan_selection(query, base_set, source=self.source)
+        plan = self.planner.plan_selection(
+            query, base_set, source=self.source, knowledge=knowledge
+        )
         self.last_plan = plan
         stats.rewritten_generated = plan.generated
         stats.rewritten_skipped += plan.skipped
@@ -289,6 +293,11 @@ class QpiadMediator:
                     "mediator.rewritten_below_confidence",
                     plan.skipped_below_confidence,
                 )
+            if plan.skipped_zero_selectivity:
+                telemetry.count(
+                    "mediator.rewritten_zero_selectivity",
+                    plan.skipped_zero_selectivity,
+                )
         logger.debug(
             "query %r: %d certain answers, %d rewritten candidates, issuing %d",
             query, len(base_set), plan.generated, len(plan.steps),
@@ -296,13 +305,17 @@ class QpiadMediator:
         return list(plan.steps)
 
     def _mediate(self, query: SelectionQuery) -> QueryResult:
+        # One generation snapshot serves the whole retrieval: planning and
+        # the multi-NULL ranking read the same statistics even if a refresh
+        # installs a new generation while a call is on the wire.
+        knowledge = self._store.current
         stats = RetrievalStats()
         engine = self._engine(stats, query)
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
         result = QueryResult(query=query, certain=base_set, stats=stats)
-        steps = self._plan_rewritten(query, base_set, stats)
+        steps = self._plan_rewritten(query, base_set, stats, knowledge)
         seen_rows: set[Row] = set(base_set)
         # Every outcome is consumed, so an unpinned engine may overlap the
         # plan's calls when the base call showed the source waits.
@@ -317,7 +330,9 @@ class QpiadMediator:
             and not engine.deadline_exceeded()
         ):
             result.unranked.extend(
-                self._fetch_multi_null(engine, query, seen_rows, rank=len(steps))
+                self._fetch_multi_null(
+                    engine, query, seen_rows, len(steps), knowledge
+                )
             )
         result.degraded = engine.degraded
         return result
@@ -346,12 +361,13 @@ class QpiadMediator:
         the ``result.stats`` of :meth:`query` (without the multi-NULL
         fetch, which only :meth:`query` makes).
         """
+        knowledge = self._store.current
         stats = RetrievalStats() if stats is None else stats
         engine = self._engine(stats, query)
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
-        steps = self._plan_rewritten(query, base_set, stats)
+        steps = self._plan_rewritten(query, base_set, stats, knowledge)
         yield from self._possible(engine, steps, set(base_set), stats)
 
     def _possible(
@@ -395,6 +411,7 @@ class QpiadMediator:
         query: SelectionQuery,
         seen_rows: set[Row],
         rank: int,
+        knowledge: KnowledgeBase,
     ) -> list[Row]:
         """Tuples with ≥2 NULLs over constrained attributes, unranked.
 
@@ -419,9 +436,8 @@ class QpiadMediator:
                     seen_rows.add(row)
                     rows.append(row)
         if self.config.rank_multi_null:
-            # One generation snapshot ranks the whole batch.
             probabilities = row_probabilities(
-                self._store.current, query, schema, rows, self.config.classifier_method
+                knowledge, query, schema, rows, self.config.classifier_method
             )
             ranked = sorted(zip(probabilities, rows), key=lambda pair: -pair[0])
             rows = [row for __, row in ranked]

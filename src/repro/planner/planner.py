@@ -8,7 +8,8 @@ and produces the immutable plans the
 per mediator family:
 
 * :meth:`plan_selection` — the QPIAD selection pipeline (generate, rank,
-  gate on expressibility and the confidence threshold);
+  gate on expressibility, the confidence threshold and a zero estimated
+  selectivity);
 * :meth:`plan_correlated` — the §4.3 cross-source variant (gate on the
   *target* source before ranking, force the unsupported attribute);
 * :meth:`plan_aggregate` — the §4.4 pipeline with argmax / fractional
@@ -124,11 +125,16 @@ class SelectionPlan:
     generated: int = 0
     skipped_unanswerable: int = 0
     skipped_below_confidence: int = 0
+    skipped_zero_selectivity: int = 0
     cached: bool = False
 
     @property
     def skipped(self) -> int:
-        return self.skipped_unanswerable + self.skipped_below_confidence
+        return (
+            self.skipped_unanswerable
+            + self.skipped_below_confidence
+            + self.skipped_zero_selectivity
+        )
 
 
 @dataclass(frozen=True)
@@ -220,8 +226,9 @@ class QueryPlanner:
     ) -> SelectionPlan:
         """The QPIAD selection plan: generated, ordered, gated, ranked.
 
-        Gating happens here — at plan time — so an inexpressible or
-        below-threshold rewriting never spends source budget; the skip
+        Gating happens here — at plan time — so an inexpressible,
+        below-threshold or zero-selectivity rewriting never spends source
+        budget; K is a ceiling on the steps, not a quota.  The skip
         tallies let the mediator keep its ``rewritten_skipped`` accounting
         without replanning.  Pass *knowledge* to plan against a caller-held
         generation snapshot instead of the store's current one.
@@ -359,6 +366,7 @@ class QueryPlanner:
         steps: "list[PlannedQuery]" = []
         unanswerable = 0
         below_confidence = 0
+        zero_selectivity = 0
         for rewritten in ordered:
             if not can_answer(source, rewritten.query):
                 unanswerable += 1
@@ -369,6 +377,12 @@ class QueryPlanner:
                 # threshold, so issuing it would only burn the source's
                 # query budget on rows the post-filter must discard.
                 below_confidence += 1
+                continue
+            if rewritten.estimated_selectivity == 0:
+                # No sample row matches the rewriting, or the sample has no
+                # incomplete row: the estimate expects no tuple, so K is a
+                # ceiling and this slot stays empty.
+                zero_selectivity += 1
                 continue
             steps.append(
                 PlannedQuery(
@@ -386,6 +400,7 @@ class QueryPlanner:
             generated=len(candidates),
             skipped_unanswerable=unanswerable,
             skipped_below_confidence=below_confidence,
+            skipped_zero_selectivity=zero_selectivity,
         )
 
     def _build_correlated(

@@ -109,7 +109,7 @@ MEDIATED_QUERIES = {
 }
 
 MEDIATED_GOLDENS = {
-    "cars": "61f869a82f213279b9eed90f4c281437ea6b624ec50e95745a0c41d6b7365bc9",
+    "cars": "40d9f189d9fceed19a053bb6a513346af45c8f1076989c97f47d5e5a29b40cb0",
     "census": "a503a6d59d5366c904918ef827b9bf12c6ccbf54673bfd5ac6b6fe05ebbf84c5",
 }
 

@@ -1,8 +1,16 @@
 """The qpiad command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: The plan header's tallies: what was generated and what each gate skipped.
+PLAN_TALLIES = (
+    r"\(\d+ generated, \d+ inexpressible, \d+ below confidence, "
+    r"\d+ zero selectivity\)"
+)
 
 
 @pytest.fixture()
@@ -162,9 +170,21 @@ class TestPlan:
         assert code == 0
         out = capsys.readouterr().out
         assert "rewritten queries to issue" in out
-        assert "plan cache: miss" in out
+        assert re.search(PLAN_TALLIES, out)
         assert "0 source calls" in out  # plan-only mode never touches the source
         assert "P=" in out and "R=" in out and "F(alpha=" in out
+
+    def test_plan_counts_rewrites_it_skips_for_zero_selectivity(
+        self, cars_ed_csv, capsys
+    ):
+        """K is a ceiling: two of the ten top-ranked rewritings match no
+        sample row, so the plan issues eight."""
+        assert main(["plan", str(cars_ed_csv), "--where", "model=Civic"]) == 0
+        out = capsys.readouterr().out
+        assert "plan: 8 rewritten queries to issue (23 generated, " in out
+        assert "0 below confidence, 2 zero selectivity)" in out
+        steps = [line for line in out.splitlines() if line.startswith("  [")]
+        assert len(steps) == 8
 
     def test_plan_respects_k_budget(self, cars_ed_csv, capsys):
         assert main(
@@ -194,13 +214,15 @@ class TestExplain:
         assert "certain answers" in out
         assert "possible answers" in out
         assert "rewritten queries to issue" in out
-        assert "plan cache: miss" in out
+        assert re.search(PLAN_TALLIES, out)
 
     def test_query_without_explain_stays_quiet_about_plans(
         self, cars_ed_csv, capsys
     ):
         assert main(["query", str(cars_ed_csv), "--where", "body_style=Convt"]) == 0
-        assert "plan cache" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "rewritten queries to issue" not in out
+        assert "zero selectivity" not in out
 
 
 class TestTrace:
