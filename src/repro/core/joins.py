@@ -13,16 +13,21 @@ queries) or the observed base set (for the complete queries).  Pairs are
 ordered by F-measure, the component queries of up to K pairs are issued
 (each component once; a pair whose EstSel is zero is dropped), and tuples
 are joined with NULL join values filled in by the classifiers' most likely
-completion.
+completion.  The complete×complete pair costs no call, so it is joined
+whenever its EstSel is non-zero, whatever its rank: the certain answers
+are never lost to the top K.
 
-Execution is *streaming*: component results flow through a symmetric-hash
-operator tree (:mod:`repro.engine.operators`) as source calls complete,
-so the first joined answer surfaces as soon as both halves of any match
-have arrived — the already-retrieved base sets are pushed in first, which
-bounds first-answer latency by the base retrievals rather than by the
-slowest rewritten component.  Candidates stream in arrival order;
-:meth:`JoinProcessor.query` ranks at the edge with a total deterministic
-order, so the final answer list is bit-identical at every executor width.
+Execution is *streaming*: results flow through a symmetric-hash operator
+tree (:mod:`repro.engine.operators`).  Once the two base calls return,
+the tree is built with the complete pair already matched and both base
+sets are pushed in, so the certain base×base answers surface before any
+rewriting is planned: first-answer latency is bounded by the base
+retrievals, in calls and in time.  Only then are both sides rewritten,
+the pairs ranked and the tree's match set extended with the selected
+pairs; the component results flow into the same tree as their calls
+complete.  Candidates stream in arrival order; :meth:`JoinProcessor.query`
+ranks at the edge with a total deterministic order, so the final answer
+list is bit-identical at every executor width.
 """
 
 from __future__ import annotations
@@ -168,9 +173,11 @@ class JoinResult:
 @dataclass(frozen=True)
 class _Arrival:
     """One retrieved row entering the operator tree, tagged with its
-    component query's side statistics."""
+    component query's side statistics and that side's position (0 is the
+    complete query)."""
 
     side: _Side
+    position: int
     row: Row
 
 
@@ -178,14 +185,16 @@ class _Arrival:
 class _JoinItem:
     """A post-filtered row ready for the symmetric hash join.
 
-    ``join_value`` is the *effective* value — predicted when the stored
-    one is NULL — and ``confidence`` is already discounted by the
-    prediction probability; ``null_join`` remembers whether the stored
-    value was NULL, which disqualifies the tuple from certainty even on
-    the complete×complete pair.
+    ``position`` is the row's component among its side's pair components
+    (0 is the complete query; rewriting never offers a query twice, so a
+    position names one component).  ``join_value`` is the *effective*
+    value — predicted when the stored one is NULL — and ``confidence`` is
+    already discounted by the prediction probability; ``null_join``
+    remembers whether the stored value was NULL, which disqualifies the
+    tuple from certainty even on the complete×complete pair.
     """
 
-    query: SelectionQuery
+    position: int
     row: Row
     join_value: Any
     confidence: float
@@ -289,11 +298,6 @@ class JoinProcessor:
         )
 
     def _stream(self, join: JoinQuery, result: JoinResult) -> Iterator[JoinedAnswer]:
-        # One generation snapshot per side serves the whole join: pair
-        # scoring, rewriting and NULL-fill prediction must read consistent
-        # statistics even if a refresh swaps a store mid-stream.
-        left_knowledge = self._left_store.current
-        right_knowledge = self._right_store.current
         engine = RetrievalEngine(
             None,  # every planned query carries its own side's source
             self.config.execution_policy(),
@@ -301,6 +305,27 @@ class JoinProcessor:
             telemetry=self._telemetry,
             label=str(join),
         )
+        try:
+            # One worker pool serves the base and the component plans;
+            # leaving the block joins its workers, so none outlives the join.
+            with engine:
+                yield from self._join(join, result, engine)
+        finally:
+            # Counted once the pool has run every call it accepted; a base
+            # call that failed leaves both counters at zero.
+            if result.base_queries_issued:
+                result.component_queries_issued = (
+                    result.stats.queries_issued - result.base_queries_issued
+                )
+
+    def _join(
+        self, join: JoinQuery, result: JoinResult, engine: RetrievalEngine
+    ) -> Iterator[JoinedAnswer]:
+        # One generation snapshot per side serves the whole join: pair
+        # scoring, rewriting and NULL-fill prediction must read consistent
+        # statistics even if a refresh swaps a store mid-stream.
+        left_knowledge = self._left_store.current
+        right_knowledge = self._right_store.current
 
         # Both base queries go through the engine too (in parallel when the
         # executor allows); outcomes arrive in plan order, left then right.
@@ -327,6 +352,26 @@ class JoinProcessor:
         # this point is a component.
         result.base_queries_issued = result.stats.queries_issued
 
+        # The complete pair needs no call and no rewriting, so its
+        # base×base answers stream before anything is planned: the first
+        # answer waits only for the base retrievals.  It is joined
+        # whenever its EstSel is non-zero, whatever its rank.
+        left_complete = _complete_side(join.left, left_base, join.left_join_attribute)
+        right_complete = _complete_side(
+            join.right, right_base, join.right_join_attribute
+        )
+        complete_joined = (
+            _QueryPair(left_complete, right_complete).estimated_selectivity() > 0
+        )
+        matched: set[tuple[int, int]] = {(0, 0)} if complete_joined else set()
+        tree = self._build_tree(
+            join, matched, left_base, right_base, left_knowledge, right_knowledge
+        )
+        for row in left_base:
+            yield from tree.push("left", _Arrival(left_complete, 0, row))
+        for row in right_base:
+            yield from tree.push("right", _Arrival(right_complete, 0, row))
+
         left_sides = self._build_sides(
             join.left, left_base, self._left_planner, left_knowledge,
             join.left_join_attribute,
@@ -335,58 +380,57 @@ class JoinProcessor:
             join.right, right_base, self._right_planner, right_knowledge,
             join.right_join_attribute,
         )
+        result.pairs_considered = len(left_sides) * len(right_sides)
+        selected = self._select_pairs(left_sides, right_sides)
+        if complete_joined and (0, 0) not in selected:
+            selected.append((0, 0))
+        result.pairs_issued = len(selected)
+        # The base rows already in the tree match the selected pairs that
+        # have a complete side from here on.
+        matched.update(selected)
 
-        pairs = [_QueryPair(l, r) for l in left_sides for r in right_sides]
-        result.pairs_considered = len(pairs)
+        # Component rows arrive in call-completion order and flow straight
+        # into the tree; the executor keeps issuing further components
+        # while the driver thread joins.
+        plan, arrivals = self._component_plan(selected, left_sides, right_sides)
+        for step, row in engine.stream_tuples(plan):
+            which, position = arrivals[step.rank]
+            sides = left_sides if which == "left" else right_sides
+            yield from tree.push(which, _Arrival(sides[position], position, row))
 
-        est_sels = {id(pair): pair.estimated_selectivity() for pair in pairs}
+    def _select_pairs(
+        self, left_sides: Sequence[_Side], right_sides: Sequence[_Side]
+    ) -> list[tuple[int, int]]:
+        """The top-K query pairs by F-measure, as ``(left, right)`` side
+        positions in rank order, less those whose EstSel is zero."""
+        pairs = {
+            (i, j): _QueryPair(left, right)
+            for i, left in enumerate(left_sides)
+            for j, right in enumerate(right_sides)
+        }
+        est_sels = {key: pair.estimated_selectivity() for key, pair in pairs.items()}
         total = sum(est_sels.values())
         f_scores = {
-            id(pair): self._pair_ranker.f_measure(
-                pair.precision, est_sels[id(pair)] / total if total > 0 else 0.0
+            key: self._pair_ranker.f_measure(
+                pair.precision, est_sels[key] / total if total > 0 else 0.0
             )
-            for pair in pairs
+            for key, pair in pairs.items()
         }
+        left_names = [repr(side.query) for side in left_sides]
+        right_names = [repr(side.query) for side in right_sides]
         # Pair selection uses the shared ranker's canonical tie-break
         # (-F, -expected throughput, repr).  This path used to break F ties
         # on bare precision, silently diverging from every other pipeline.
         selected = self._pair_ranker.select_top(
-            pairs,
-            f=lambda pair: f_scores[id(pair)],
-            throughput=lambda pair: pair.precision * est_sels[id(pair)],
-            key=lambda pair: repr(pair.left.query) + repr(pair.right.query),
+            list(pairs),
+            f=f_scores.__getitem__,
+            throughput=lambda key: pairs[key].precision * est_sels[key],
+            key=lambda key: left_names[key[0]] + right_names[key[1]],
         )
         # K is a ceiling: a pair whose estimate expects no joined tuple (a
         # side without sample support, or join-value distributions that
         # never meet) leaves the selection and issues nothing.
-        selected = [pair for pair in selected if est_sels[id(pair)] > 0]
-        result.pairs_issued = len(selected)
-
-        tree = self._build_tree(
-            join, selected, left_base, right_base, left_knowledge, right_knowledge
-        )
-
-        # The base sets are already in hand: feed them to the join first,
-        # so certain base×base answers emit before any component query
-        # returns — first-answer latency is bounded by the base
-        # retrievals, not by the slowest rewritten component.
-        for row in left_base:
-            yield from tree.push("left", _Arrival(left_sides[0], row))
-        for row in right_base:
-            yield from tree.push("right", _Arrival(right_sides[0], row))
-
-        plan, plan_sides = self._component_plan(selected)
-        try:
-            # Component rows arrive in call-completion order and flow
-            # straight into the tree; the executor keeps issuing further
-            # components while the driver thread joins.
-            for step, row in engine.stream_tuples(plan):
-                side, which = plan_sides[step.rank]
-                yield from tree.push(which, _Arrival(side, row))
-        finally:
-            result.component_queries_issued = (
-                result.stats.queries_issued - result.base_queries_issued
-            )
+        return [key for key in selected if est_sels[key] > 0]
 
     # ------------------------------------------------------------------
 
@@ -399,15 +443,7 @@ class JoinProcessor:
         join_attribute: str,
     ) -> list[_Side]:
         """The complete query plus all rewritten queries, as pair components."""
-        sides = [
-            _Side(
-                query=complete_query,
-                is_rewritten=False,
-                precision=1.0,
-                selectivity=float(len(base_set)),
-                join_distribution=_empirical_distribution(base_set, join_attribute),
-            )
-        ]
+        sides = [_complete_side(complete_query, base_set, join_attribute)]
         rewritten = planner.rewrite_candidates(
             complete_query, base_set, knowledge=knowledge
         )
@@ -431,45 +467,51 @@ class JoinProcessor:
         candidates: Sequence[RewrittenQuery],
         knowledge: KnowledgeBase,
         join_attribute: str,
-    ) -> "list[dict[Any, float]]":
+    ) -> "list[Mapping[Any, float]]":
         """P(join value | query) for each rewritten query (step 3a).
 
         When a rewritten query binds the join attribute with an equality,
-        the distribution is a point mass; the others' NBC posteriors given
-        their determining-set evidence come from one
-        :meth:`KnowledgeBase.value_distributions` batch.
+        the distribution is a point mass.  When it hunts the join
+        attribute, rewriting already scored its evidence against that
+        classifier, and the posterior it kept is the distribution.  The
+        others' NBC posteriors given their determining-set evidence come
+        from one :meth:`KnowledgeBase.value_distributions` batch.
         """
-        points = [_point_mass(candidate, join_attribute) for candidate in candidates]
-        unbound = [c.evidence for c, point in zip(candidates, points) if point is None]
+        known = [_known_distribution(c, join_attribute) for c in candidates]
+        unbound = [c.evidence for c, found in zip(candidates, known) if found is None]
         posteriors = iter(
             knowledge.value_distributions(
                 join_attribute, unbound, self.config.classifier_method
             )
         )
-        return [point if point is not None else next(posteriors) for point in points]
+        return [
+            distribution if distribution is not None else next(posteriors)
+            for distribution in known
+        ]
 
     def _component_plan(
-        self, selected: list[_QueryPair]
-    ) -> tuple[list[PlannedQuery], list[tuple[_Side, str]]]:
+        self,
+        selected: list[tuple[int, int]],
+        left_sides: Sequence[_Side],
+        right_sides: Sequence[_Side],
+    ) -> tuple[list[PlannedQuery], list[tuple[str, int]]]:
         """The selected pairs' rewritten components, each planned once.
 
         Both sides' components go into one retrieval plan, so a
         concurrent executor fans out across the two sources at once.
         Complete queries are never planned — their result is the base
-        set, already pushed into the tree.
+        set, already pushed into the tree.  Returns the plan and, per
+        step, the side and position its rows arrive as.
         """
         plan: list[PlannedQuery] = []
-        plan_sides: list[tuple[_Side, str]] = []
-        enqueued: set[tuple[SelectionQuery, str]] = set()
+        arrivals: list[tuple[str, int]] = []
+        enqueued: set[tuple[str, int]] = set()
         sources = {"left": self.left_source, "right": self.right_source}
 
-        def enqueue(side: _Side, which: str) -> None:
-            if not side.is_rewritten:
+        def enqueue(which: str, side: _Side, position: int) -> None:
+            if not side.is_rewritten or (which, position) in enqueued:
                 return
-            key = (side.query, which)
-            if key in enqueued:
-                return
-            enqueued.add(key)
+            enqueued.add((which, position))
             plan.append(
                 PlannedQuery(
                     query=side.query,
@@ -481,17 +523,17 @@ class JoinProcessor:
                     source=sources[which],
                 )
             )
-            plan_sides.append((side, which))
+            arrivals.append((which, position))
 
-        for pair in selected:
-            enqueue(pair.left, "left")
-            enqueue(pair.right, "right")
-        return plan, plan_sides
+        for left, right in selected:
+            enqueue("left", left_sides[left], left)
+            enqueue("right", right_sides[right], right)
+        return plan, arrivals
 
     def _build_tree(
         self,
         join: JoinQuery,
-        selected: list[_QueryPair],
+        matched: set[tuple[int, int]],
         left_base: Relation,
         right_base: Relation,
         left_knowledge: KnowledgeBase,
@@ -511,12 +553,11 @@ class JoinProcessor:
         attribute came back non-NULL, drop rows already in the base set)
         and resolves the effective join value, predicting NULLs; the join
         emits a candidate the moment a key matches across sides, and the
-        match predicate restricts the cross product to the selected query
-        pairs while each component is still issued only once.
+        match predicate restricts the cross product to the ``(left,
+        right)`` side positions in *matched* while each component is
+        still issued only once.  The tree reads *matched* live, so the
+        caller may extend it while rows stream.
         """
-        selected_pairs = {
-            (pair.left.query, pair.right.query) for pair in selected
-        }
         left_index = self.left_source.schema.index_of(join.left_join_attribute)
         right_index = self.right_source.schema.index_of(join.right_join_attribute)
 
@@ -547,7 +588,7 @@ class JoinProcessor:
                 if value is None:
                     return None
                 return _JoinItem(
-                    query=side.query,
+                    position=arrival.position,
                     row=row,
                     join_value=value,
                     confidence=adjusted,
@@ -573,7 +614,7 @@ class JoinProcessor:
             )
 
         def match(left: _JoinItem, right: _JoinItem) -> bool:
-            return (left.query, right.query) in selected_pairs
+            return (left.position, right.position) in matched
 
         left_project = OperatorNode(
             prepare(
@@ -629,6 +670,29 @@ class JoinProcessor:
         except MiningError:
             return None, 0.0
         return predicted, confidence * probability
+
+
+def _complete_side(query: SelectionQuery, base_set: Relation, join_attribute: str) -> _Side:
+    """The complete query as a pair component: its rows are the base set."""
+    return _Side(
+        query=query,
+        is_rewritten=False,
+        precision=1.0,
+        selectivity=float(len(base_set)),
+        join_distribution=_empirical_distribution(base_set, join_attribute),
+    )
+
+
+def _known_distribution(
+    rewritten: RewrittenQuery, join_attribute: str
+) -> "Mapping[Any, float] | None":
+    """The join-value distribution *rewritten* already determines: the
+    value it binds, or the posterior its rewriting kept when it hunts the
+    join attribute; ``None`` when the classifier must be asked."""
+    point = _point_mass(rewritten, join_attribute)
+    if point is None and rewritten.target_attribute == join_attribute:
+        return rewritten.posterior
+    return point
 
 
 def _point_mass(rewritten: RewrittenQuery, join_attribute: str) -> "dict[Any, float] | None":

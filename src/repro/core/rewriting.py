@@ -13,7 +13,7 @@ classifier and estimated selectivity from the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -59,6 +59,11 @@ class RewrittenQuery:
     estimated_recall / f_measure:
         Filled in by the ordering stage (normalized throughput and the
         weighted harmonic mean); zero until then.
+    posterior:
+        The classifier's posterior over :attr:`target_attribute` given
+        :attr:`evidence`, which :attr:`estimated_precision` was read
+        from; ``None`` when the query was built by hand.  Not part of
+        equality or ``repr``.
     """
 
     query: SelectionQuery
@@ -69,6 +74,7 @@ class RewrittenQuery:
     afd: Afd | None
     estimated_recall: float = 0.0
     f_measure: float = 0.0
+    posterior: Mapping[Any, float] | None = field(default=None, compare=False)
 
     @property
     def expected_throughput(self) -> float:
@@ -105,7 +111,22 @@ def target_probabilities(
     once per distinct completion; each evidence's matching mass is then
     summed in posterior order.
     """
-    posteriors = knowledge.value_distributions(attribute, evidences, method)
+    return _satisfying_mass(
+        knowledge,
+        attribute,
+        target_conjuncts,
+        knowledge.value_distributions(attribute, evidences, method),
+    )
+
+
+def _satisfying_mass(
+    knowledge: KnowledgeBase,
+    attribute: str,
+    target_conjuncts: Sequence[Predicate],
+    posteriors: Sequence[Mapping[Any, float]],
+) -> list[float]:
+    """Each posterior's mass on the completions of *attribute* that satisfy
+    *target_conjuncts* (see :func:`target_probabilities`)."""
     if len(target_conjuncts) == 1 and isinstance(target_conjuncts[0], Equals):
         value = target_conjuncts[0].value
         return [posterior.get(value, 0.0) for posterior in posteriors]
@@ -244,8 +265,10 @@ def rewritten_from_bindings(
     One candidate per bound combination, scored with its estimated
     precision and selectivity.  A binding's queries are built first, each
     determining predicate once per distinct value, and then scored
-    together: one :func:`target_probabilities` batch for precision and
-    one :meth:`SelectivityEstimator.estimate_all` batch for selectivity.
+    together: one :meth:`KnowledgeBase.value_distributions` batch for
+    precision, as :func:`target_probabilities` reads it (each candidate
+    keeps its posterior), and one
+    :meth:`SelectivityEstimator.estimate_all` batch for selectivity.
     Raises :class:`RewritingError` when no constrained attribute is
     rewritable (*bindings* is empty).
     """
@@ -300,8 +323,9 @@ def rewritten_from_bindings(
             continue
 
         best_afd = knowledge.best_afd(attribute)
-        precisions = target_probabilities(
-            knowledge, attribute, query.conjuncts_on(attribute), evidences, method
+        posteriors = knowledge.value_distributions(attribute, evidences, method)
+        precisions = _satisfying_mass(
+            knowledge, attribute, query.conjuncts_on(attribute), posteriors
         )
         selectivities = knowledge.selectivity.estimate_all(queries)
         candidates.extend(
@@ -312,9 +336,10 @@ def rewritten_from_bindings(
                 estimated_precision=precision,
                 estimated_selectivity=selectivity,
                 afd=best_afd,
+                posterior=posterior,
             )
-            for rewritten, evidence, precision, selectivity in zip(
-                queries, evidences, precisions, selectivities
+            for rewritten, evidence, precision, selectivity, posterior in zip(
+                queries, evidences, precisions, selectivities, posteriors
             )
         )
     return candidates

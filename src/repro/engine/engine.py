@@ -17,6 +17,11 @@ issues anyway; if that call spent more of its wall-clock time waiting
 than computing, and nothing can end the plan early or shed part of it, a
 drained plan's calls are overlapped on a :class:`ConcurrentExecutor`.
 Everything else runs one call at a time, exactly as the serial loop does.
+
+A retrieval that runs several plans uses the engine as a context manager:
+a pinned width's worker pool then serves every plan of the block and is
+shut down, its workers joined, when the block ends.  A fanned-out plan's
+executor is the plan's own and ends with it.
 """
 
 from __future__ import annotations
@@ -122,6 +127,11 @@ class RetrievalEngine:
     label:
         Description of the retrieval (normally the user query) used in
         deadline messages.
+
+    Entered with ``with``, the engine keeps its pinned-width executor's
+    worker pool open for every plan of the block; leaving the block
+    shuts the pool down after the calls it accepted, so every call is
+    billed and no worker outlives the retrieval.
     """
 
     def __init__(
@@ -158,6 +168,13 @@ class RetrievalEngine:
         self._source_failures = 0
         self._deadline_noted = False
         self.degraded = False
+
+    def __enter__(self) -> "RetrievalEngine":
+        self._executor.__enter__()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._executor.__exit__(*exc_info)
 
     # ------------------------------------------------------------------ #
     # Plan execution

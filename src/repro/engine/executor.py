@@ -19,7 +19,9 @@ honours:
 historical mediator loop, pulling one task per outcome consumed.
 :class:`ConcurrentExecutor` keeps up to ``max_workers`` tasks in flight
 on a thread pool; it trades the serial executor's strict laziness for
-bounded prefetch.
+bounded prefetch.  Both are context managers: inside a ``with`` block a
+concurrent executor runs every plan on one pool and joins its workers
+when the block ends; outside one, each plan starts and joins its own.
 
 Both additionally offer ``map_completed``, the streaming relaxation of
 the plan-order contract: outcomes surface in *completion* order, so a
@@ -31,6 +33,7 @@ it; consumers owe their own deterministic final ordering.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, TypeAlias
 
@@ -76,6 +79,12 @@ class SerialExecutor:
     streaming interface) never spends budget on queries it did not need.
     """
 
+    def __enter__(self) -> "SerialExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Nothing to release: every task ran on the caller's thread."""
+
     def map(
         self,
         tasks: Iterable[ExecutionTask],
@@ -111,12 +120,33 @@ class ConcurrentExecutor:
     cancelled) and any unread outcomes are discarded with it — exactly
     the serial executor's "break out of the loop" generalised to a
     window wider than one.
+
+    Inside a ``with`` block every plan runs on the block's one pool, so a
+    retrieval that runs several plans starts its workers once; leaving
+    the block shuts the pool down after the calls it accepted and joins
+    its workers.  Outside a block each plan gets a pool of its own, shut
+    down and joined when the plan's outcome stream ends.
     """
 
     def __init__(self, max_workers: int):
         if max_workers < 1:
             raise QpiadError(f"max_workers must be at least 1, got {max_workers}")
         self.max_workers = max_workers
+        self._pool: ThreadPoolExecutor | None = None
+
+    def __enter__(self) -> "ConcurrentExecutor":
+        self._pool = self._new_pool()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _new_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
+        )
 
     def map(
         self,
@@ -149,9 +179,11 @@ class ConcurrentExecutor:
         """Keep the window full and yield one finished call at a time: the
         oldest call in flight, or with *completed* the oldest one done."""
         iterator = iter(tasks)
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
-        ) as pool:
+        held = self._pool
+        scope: AbstractContextManager[ThreadPoolExecutor] = (
+            nullcontext(held) if held is not None else self._new_pool()
+        )
+        with scope as pool:
             # Insertion-ordered, so iteration visits the oldest call first.
             in_flight: dict[Future[Any], int] = {}
             exhausted = False

@@ -616,5 +616,5 @@ class TestOneBatchPerCaller:
         assert len(unbound) > 1
         # The join attribute is also the rewritten target here: rewriting
         # scores the candidates in one batch, and the unbound candidates'
-        # join distributions come from one more.
-        assert classifier_calls["model"] == 2
+        # join distributions are the posteriors that batch kept.
+        assert classifier_calls["model"] == 1

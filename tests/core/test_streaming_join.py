@@ -2,17 +2,22 @@
 base/component accounting split.
 
 These pin the contracts the operator refactor introduced: candidates
-stream as matches arrive (first answer after only the base retrievals),
+stream as matches arrive (first answer after only the base retrievals,
+before either side is rewritten),
 the final ranked answers are independent of executor width and of which
 component delivered a duplicate first, and issuance counters partition
 exactly into base and component calls that agree with the sources' own
 access logs.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import JoinConfig, JoinProcessor
 from repro.core.joins import JoinedAnswer
+from repro.mining import KnowledgeBase
+from repro.planner import QueryPlanner
 from repro.query import JoinQuery, SelectionQuery
 
 
@@ -42,6 +47,23 @@ def _processor(cars_env, complaints_env, width=1):
 
 def _source_calls(source):
     return source.statistics.queries_answered + source.statistics.rejected_queries
+
+
+@pytest.fixture()
+def planning_calls(monkeypatch):
+    """Calls to the planning a join does between its base and component
+    calls: rewriting a side, and asking a classifier for posteriors."""
+    calls: Counter = Counter()
+    for owner, name in (
+        (QueryPlanner, "rewrite_candidates"),
+        (KnowledgeBase, "value_distributions"),
+    ):
+        def counted(self, *args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _fingerprint(result):
@@ -146,6 +168,36 @@ class TestFirstAnswerLatency:
         assert first.certain
         assert _source_calls(left) + _source_calls(right) == 2
         stream.close()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_first_candidate_comes_before_any_planning(
+        self, cars_env, complaints_env, join_query, planning_calls, width
+    ):
+        processor, left, right = _processor(cars_env, complaints_env, width=width)
+        stream = processor.stream_answers(join_query)
+        first = next(stream)
+        # The complete pair needs no rewriting: its base×base answers are
+        # pushed as soon as the two base calls return, before either side
+        # is rewritten or any posterior is asked for.
+        assert first.certain
+        assert _source_calls(left) + _source_calls(right) == 2
+        assert planning_calls["rewrite_candidates"] == 0
+        assert planning_calls["value_distributions"] == 0
+        stream.close()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_stream_closed_after_first_candidate_plans_nothing(
+        self, cars_env, complaints_env, join_query, planning_calls, width
+    ):
+        processor, left, right = _processor(cars_env, complaints_env, width=width)
+        stream = processor.stream_answers(join_query)
+        next(stream)
+        stream.close()
+        assert planning_calls["rewrite_candidates"] == 0
+        assert _source_calls(left) + _source_calls(right) == 2
+        # Drained instead, the same join rewrites both sides.
+        processor.query(join_query)
+        assert planning_calls["rewrite_candidates"] == 2
 
     def test_abandoned_stream_spends_no_further_queries(
         self, cars_env, complaints_env, join_query
