@@ -10,7 +10,7 @@ construct :class:`Relation` objects from raw rows, reach into a relation's
 ``.rows`` storage, or read base data straight off disk are bypassing that
 gateway, and with it every constraint the paper is built around
 (``raw-relation-access``); core mediators that call a source's
-``execute()`` themselves escape the engine's billing, failure budgets and
+``execute()`` themselves escape the engine's billing, failure handling and
 spans (``raw-source-call-in-core``).
 
 Result-set *assembly* (building a relation to hand answers back to the
@@ -117,7 +117,7 @@ class RawSourceCallRule(Rule):
     )
     rationale = (
         "The engine is the one place that bills issuance before the call, "
-        "enforces failure budgets and deadlines, and emits telemetry spans.  "
+        "handles failures, and emits telemetry spans.  "
         "A direct source call in repro.core silently escapes the accounting "
         "invariant (stats.queries_issued == the source's own call log) and "
         "every policy the executor split centralised.  Deliberate bypasses "

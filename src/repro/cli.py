@@ -382,14 +382,11 @@ _ADMISSION_KEYS = {
 
 
 def _parse_admission(specs):
-    """``--admission KEY=VALUE`` pairs → a ``SchedulerConfig`` (or ``None``).
-
-    The parsed policy becomes the scheduler-wide default; per-source
-    overrides stay a library-level feature (``SchedulerConfig.per_source``).
-    """
+    """``--admission KEY=VALUE`` pairs → the ``SourcePolicy`` the scheduler
+    applies to every source (or ``None`` for no scheduler)."""
     if not specs:
         return None
-    from repro.resilience import SchedulerConfig, SourcePolicy
+    from repro.resilience import SourcePolicy
 
     kwargs = {}
     for spec in specs:
@@ -416,7 +413,7 @@ def _parse_admission(specs):
             raise QpiadError(
                 f"--admission {key} expects a {cast.__name__}, got {raw!r}"
             ) from exc
-    return SchedulerConfig(default=SourcePolicy(**kwargs))
+    return SourcePolicy(**kwargs)
 
 
 def _cmd_generate(args) -> int:
@@ -471,13 +468,13 @@ def _build_mediation(args, telemetry):
         alpha=args.alpha, k=args.k, max_concurrency=args.concurrency
     )
     scheduler = None
-    scheduler_config = _parse_admission(args.admission)
-    if scheduler_config is not None:
+    admission = _parse_admission(args.admission)
+    if admission is not None:
         from repro.resilience import SourceScheduler
 
         # Mirror scheduler.* counters into the trace telemetry when one
         # is attached, so `--trace --admission ...` shows admission work.
-        scheduler = SourceScheduler(scheduler_config, telemetry=telemetry)
+        scheduler = SourceScheduler(admission, telemetry=telemetry)
     mediator = QpiadMediator(
         source,
         knowledge,

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.results import RetrievalStats
-from repro.engine import (
-    ExecutionPolicy,
-    PlannedQuery,
-    QueryKind,
-    RetrievalEngine,
-)
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QueryError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
@@ -138,9 +133,9 @@ class AggregateProcessor:
     def query(self, aggregate: AggregateQuery) -> AggregateResult:
         """Process *aggregate*, returning certain and predicted values.
 
-        All source calls run through the retrieval engine under a strict
-        policy: aggregates are numbers, not answer lists, so there is no
-        sensible partial result to degrade to and any failure propagates.
+        All source calls run through a strict retrieval engine: aggregates
+        are numbers, not answer lists, so there is no sensible partial
+        result to degrade to and any failure propagates.
         """
         selection = aggregate.selection
         # One generation snapshot serves the whole aggregate: planning and
@@ -150,10 +145,10 @@ class AggregateProcessor:
         stats = RetrievalStats()
         engine = RetrievalEngine(
             self.source,
-            ExecutionPolicy.strict(max_concurrency=self.max_concurrency),
             stats,
+            strict=True,
+            max_concurrency=self.max_concurrency,
             telemetry=self._telemetry,
-            label=str(aggregate),
         )
         base_set = engine.run_base(
             PlannedQuery(query=selection, kind=QueryKind.BASE, rank=0)

@@ -19,7 +19,7 @@ from typing import Callable
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.core.rewriting import row_probabilities
-from repro.engine import ExecutionPolicy, RetrievalEngine
+from repro.engine import RetrievalEngine
 from repro.mining.knowledge import KnowledgeBase
 from repro.planner import baseline_plan
 from repro.query.query import SelectionQuery
@@ -37,19 +37,14 @@ def _retrieve(
 ) -> tuple[Relation, Relation, RetrievalStats]:
     """Run the two-step counterfactual plan: certain set, then NULL fetch.
 
-    Both calls go through the engine under a strict policy, so issuance is
-    billed before each call and spans appear when traced, exactly as for
-    the mediated pipelines.  The NULL-binding step is *required*: a source
+    Both calls go through a strict engine, so issuance is billed before
+    each call and spans appear when traced, exactly as for the mediated
+    pipelines.  The NULL-binding step is *required*: a source
     that cannot bind NULL fails the baseline loudly — that incapability is
     the entire point of the comparison.
     """
     stats = RetrievalStats()
-    engine = RetrievalEngine(
-        source,
-        ExecutionPolicy.strict(),
-        stats,
-        label=str(query),
-    )
+    engine = RetrievalEngine(source, stats, strict=True, max_concurrency=1)
     outcomes: dict[int, Relation] = {}
     for step, retrieved in engine.stream(baseline_plan(query, max_nulls=max_nulls)):
         outcomes[step.rank] = retrieved

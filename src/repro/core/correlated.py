@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
-from repro.engine import ExecutionPolicy, PlannedQuery, QueryKind, RetrievalEngine
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QpiadError, RewritingError, UnsupportedAttributeError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
@@ -185,10 +185,10 @@ class CorrelatedSourceMediator:
         # the caller (the federated mediator absorbs it per source).
         engine = RetrievalEngine(
             target,
-            ExecutionPolicy.strict(max_concurrency=self.config.max_concurrency),
             stats,
+            strict=True,
+            max_concurrency=self.config.max_concurrency,
             telemetry=telemetry,
-            label=str(query),
         )
         # Step 1 (modified): base set from the correlated source.  The
         # engine counts issuance before the call, matching QpiadMediator's

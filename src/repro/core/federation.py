@@ -34,6 +34,7 @@ not depend on the execution strategy.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -41,7 +42,6 @@ from repro.core.correlated import CorrelatedConfig, CorrelatedSourceMediator
 from repro.core.qpiad import QpiadConfig, QpiadMediator
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.engine import (
-    ExecutionPolicy,
     ExecutionTask,
     PlannedQuery,
     QueryKind,
@@ -56,7 +56,7 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation, Row
 from repro.sources.registry import SourceRegistry
 from repro.sources.surface import Source
-from repro.telemetry import Span, SpanKind, Telemetry, maybe_span, timed_first
+from repro.telemetry import Span, SpanKind, Telemetry, timed_first
 
 __all__ = ["FederatedAnswer", "FederatedResult", "FederatedMediator", "SourceFailure"]
 
@@ -237,9 +237,15 @@ class FederatedMediator:
     ) -> Iterator[FederatedAnswer]:
         telemetry = self._telemetry
         executor = build_executor(self.config.max_concurrency)
-        with maybe_span(
-            telemetry, f"federated {query}", SpanKind.FEDERATION, query=str(query)
-        ) as root:
+        # Span names and attributes are formatted only when traced.
+        root_span: AbstractContextManager[Span | None] = (
+            nullcontext()
+            if telemetry is None
+            else telemetry.span(
+                f"federated {query}", SpanKind.FEDERATION, query=str(query)
+            )
+        )
+        with root_span as root:
             sources = list(self.registry)
             payloads: dict[int, _Probe] = {}
             failures: dict[int, SourceFailure] = {}
@@ -297,14 +303,20 @@ class FederatedMediator:
         """One source's probe as a side-effect-free executor task; its span
         nests under the federation's *root* on whichever thread it runs."""
 
+        telemetry = self._telemetry
+
         def run() -> _Probe:
-            with maybe_span(
-                self._telemetry,
-                f"source {source.name}",
-                SpanKind.FEDERATION_SOURCE,
-                parent=root,
-                source=source.name,
-            ):
+            span: AbstractContextManager[Span | None] = (
+                nullcontext()
+                if telemetry is None
+                else telemetry.span(
+                    f"source {source.name}",
+                    SpanKind.FEDERATION_SOURCE,
+                    parent=root,
+                    source=source.name,
+                )
+            )
+            with span:
                 if source.can_answer(query):
                     return self._query_supporting(source, query)
                 return self._query_deficient(source, query)
@@ -320,10 +332,10 @@ class FederatedMediator:
             # query issued as a base call, billed and spanned like any other.
             engine = RetrievalEngine(
                 source,
-                ExecutionPolicy.strict(),
                 RetrievalStats(),
+                strict=True,
+                max_concurrency=1,
                 telemetry=self._telemetry,
-                label=str(query),
             )
             base = PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
             return (_CERTAIN_ONLY, engine.run_base(base))

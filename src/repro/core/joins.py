@@ -38,7 +38,6 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro.core.results import RetrievalStats
 from repro.core.rewriting import RewrittenQuery
 from repro.engine import (
-    ExecutionPolicy,
     Inlet,
     OperatorNode,
     OperatorTree,
@@ -70,7 +69,8 @@ class JoinConfig:
     ``alpha`` deserves a larger default than for selections: the paper
     observes that with α = 0 the pairing over-commits to precision and
     never retrieves incomplete tuples from the side that is harder to
-    predict (Section 6.6), so recall stalls.
+    predict (Section 6.6), so recall stalls.  ``max_concurrency`` is the
+    engine's pinned width; join processing is strict at any width.
     """
 
     alpha: float = 0.5
@@ -87,11 +87,6 @@ class JoinConfig:
             raise QpiadError(
                 f"max_concurrency must be at least 1, got {self.max_concurrency}"
             )
-
-    def execution_policy(self) -> ExecutionPolicy:
-        """Join processing predates graceful degradation: strict semantics,
-        with the configured fan-out width."""
-        return ExecutionPolicy.strict(max_concurrency=self.max_concurrency)
 
 
 @dataclass(frozen=True)
@@ -298,12 +293,13 @@ class JoinProcessor:
         )
 
     def _stream(self, join: JoinQuery, result: JoinResult) -> Iterator[JoinedAnswer]:
+        # Join processing predates graceful degradation: any failure raises.
         engine = RetrievalEngine(
             None,  # every planned query carries its own side's source
-            self.config.execution_policy(),
             result.stats,
+            strict=True,
+            max_concurrency=self.config.max_concurrency,
             telemetry=self._telemetry,
-            label=str(join),
         )
         try:
             # One worker pool serves the base and the component plans;

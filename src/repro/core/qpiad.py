@@ -8,25 +8,22 @@ selectivity is zero), post-filters, and returns certain answers plus
 ranked relevant possible answers.
 
 Since the engine refactor the mediator only *plans* and *post-filters*;
-issuing, cost accounting, failure budgets, deadlines, and telemetry spans
-live in :class:`~repro.engine.RetrievalEngine`, shared by every mediator.
+issuing, cost accounting, failure handling and telemetry spans live in
+:class:`~repro.engine.RetrievalEngine`, shared by every mediator.  This
+mediator's engine degrades: a failed rewritten query is recorded and
+skipped, and an exhausted source budget ends the plan with the answers
+gathered so far.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
 from repro.core.rewriting import row_probabilities
-from repro.engine import (
-    ExecutionPolicy,
-    PlannedQuery,
-    QueryKind,
-    RetrievalEngine,
-)
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QpiadError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
@@ -36,7 +33,7 @@ from repro.relational.relation import Relation, Row
 from repro.relational.values import is_null
 from repro.resilience.scheduler import SourceScheduler
 from repro.sources.surface import Source
-from repro.telemetry import SpanKind, Telemetry, maybe_span
+from repro.telemetry import SpanKind, Telemetry
 
 __all__ = ["QpiadConfig", "QpiadMediator"]
 
@@ -72,42 +69,16 @@ class QpiadConfig:
     min_confidence:
         Drop ranked answers whose confidence falls below this threshold
         (Fig. 9's user-side filter); 0 keeps everything.
-    tolerate_budget_exhaustion:
-        When the source's query budget runs out mid-retrieval, return the
-        answers gathered so far instead of propagating the error.  The base
-        query's failure always propagates — without certain answers there
-        is nothing to return.
-    max_source_failures:
-        Failure budget for transient source errors on *rewritten* queries:
-        each :class:`~repro.errors.SourceUnavailableError` is recorded in
-        the result's failure log and the plan continues with the next
-        rewriting, until this many failures have been absorbed — the next
-        one propagates.  ``None`` (the default) tolerates any number, so a
-        flaky source degrades the answer instead of destroying it; ``0``
-        restores strict all-or-nothing behaviour.  The base query is never
-        covered by this budget: without certain answers there is nothing to
-        degrade *to*.
-    deadline_seconds:
-        Optional wall-clock budget for one mediated retrieval, measured by
-        the mediator's injectable clock.  Checked between source calls (a
-        call in flight is never interrupted); once exceeded, no further
-        rewritten queries are issued.
-    tolerate_deadline_exceeded:
-        When the deadline passes mid-plan, return the answers gathered so
-        far (flagged degraded) rather than raising
-        :class:`~repro.errors.DeadlineExceededError`.
     max_concurrency:
         How many rewritten queries may be in flight at once.  ``None``
         (the default) lets the engine choose per query: :meth:`query`
         issues the planned rewritten queries together when the base query's
         call spent most of its time waiting on the source and nothing can
-        end the plan early or shed part of it (no ``deadline_seconds``,
-        ``max_source_failures`` left at ``None``, no ``query_budget``
+        end the plan early or shed part of it (no ``query_budget``
         declared by the source, no bounded admission queue on the
-        scheduler), up to the source's declared ``max_concurrent_requests``
-        and the scheduler's ``max_concurrent``; otherwise, and always in
-        :meth:`iter_possible`, it issues them one at a time, exactly as the
-        paper's loop.  An int pins the width: ``1`` is
+        scheduler), up to the scheduler's ``max_concurrent``; otherwise,
+        and always in :meth:`iter_possible`, it issues them one at a
+        time, exactly as the paper's loop.  An int pins the width: ``1`` is
         always serial, a higher value always runs the thread-pool executor
         (``qpiad query --concurrency N`` on the CLI).  Outcomes merge in
         plan order at any width, so answers, order, confidences and
@@ -120,10 +91,6 @@ class QpiadConfig:
     retrieve_multi_null: bool = False
     rank_multi_null: bool = False
     min_confidence: float = 0.0
-    tolerate_budget_exhaustion: bool = True
-    max_source_failures: int | None = None
-    deadline_seconds: float | None = None
-    tolerate_deadline_exceeded: bool = True
     max_concurrency: int | None = None
 
     def __post_init__(self) -> None:
@@ -135,17 +102,10 @@ class QpiadConfig:
             raise QpiadError(
                 f"min_confidence must be in [0, 1], got {self.min_confidence}"
             )
-        self.execution_policy()  # validates the engine-facing fields
-
-    def execution_policy(self) -> ExecutionPolicy:
-        """The engine-facing slice of this configuration."""
-        return ExecutionPolicy(
-            max_source_failures=self.max_source_failures,
-            deadline_seconds=self.deadline_seconds,
-            tolerate_budget_exhaustion=self.tolerate_budget_exhaustion,
-            tolerate_deadline_exceeded=self.tolerate_deadline_exceeded,
-            max_concurrency=self.max_concurrency,
-        )
+        if self.max_concurrency is not None and self.max_concurrency < 1:
+            raise QpiadError(
+                f"max_concurrency must be at least 1, got {self.max_concurrency}"
+            )
 
 
 class QpiadMediator:
@@ -165,9 +125,6 @@ class QpiadMediator:
         generation mid-stream never mixes statistics within one query.
     config:
         Mediation parameters.
-    clock:
-        Injectable monotonic clock backing ``config.deadline_seconds``
-        (tests drive it manually; production uses ``time.monotonic``).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hook.  When given,
         every retrieval becomes a span tree (one child span per source
@@ -194,7 +151,6 @@ class QpiadMediator:
         source: Source,
         knowledge: "KnowledgeBase | KnowledgeStore",
         config: QpiadConfig | None = None,
-        clock: Callable[[], float] = time.monotonic,
         telemetry: Telemetry | None = None,
         plan_cache: PlanCache | None = None,
         scheduler: "SourceScheduler | None" = None,
@@ -202,7 +158,6 @@ class QpiadMediator:
         self.source = source
         self._store = as_store(knowledge)
         self.config = config or QpiadConfig()
-        self._clock = clock
         self._telemetry = telemetry
         self._scheduler = scheduler
         self.planner = QueryPlanner(
@@ -220,15 +175,14 @@ class QpiadMediator:
         #: diagnostics (``qpiad query --explain`` renders it).
         self.last_plan: SelectionPlan | None = None
 
-    def _engine(self, stats: RetrievalStats, query: SelectionQuery) -> RetrievalEngine:
-        """A fresh engine for one retrieval over this mediator's source."""
+    def _engine(self, stats: RetrievalStats) -> RetrievalEngine:
+        """A fresh, degrading engine for one retrieval over this mediator's
+        source."""
         return RetrievalEngine(
             self.source,
-            self.config.execution_policy(),
             stats,
+            max_concurrency=self.config.max_concurrency,
             telemetry=self._telemetry,
-            clock=self._clock,
-            label=str(query),
             scheduler=self._scheduler,
         )
 
@@ -237,27 +191,28 @@ class QpiadMediator:
 
         The base query's failure always propagates; failures of individual
         rewritten queries degrade the result instead of aborting it (see
-        :class:`QpiadConfig` and :attr:`QueryResult.degraded`).
+        :attr:`QueryResult.degraded`).
         """
         telemetry = self._telemetry
-        with maybe_span(
-            telemetry, f"qpiad.query {query}", SpanKind.RETRIEVAL, query=str(query)
+        if telemetry is None:
+            return self._mediate(query)
+        # The root span's name and attributes are formatted only when traced.
+        with telemetry.span(
+            f"qpiad.query {query}", SpanKind.RETRIEVAL, query=str(query)
         ) as root:
             result = self._mediate(query)
-            if root is not None:
-                root.set(
-                    certain=len(result.certain),
-                    ranked=len(result.ranked),
-                    unranked=len(result.unranked),
-                    queries_issued=result.stats.queries_issued,
-                    degraded=result.degraded,
-                )
-        if telemetry is not None:
-            telemetry.count("mediator.retrievals")
-            if result.degraded:
-                telemetry.count("mediator.retrievals_degraded")
-            telemetry.count("mediator.answers_certain", len(result.certain))
-            telemetry.count("mediator.answers_ranked", len(result.ranked))
+            root.set(
+                certain=len(result.certain),
+                ranked=len(result.ranked),
+                unranked=len(result.unranked),
+                queries_issued=result.stats.queries_issued,
+                degraded=result.degraded,
+            )
+        telemetry.count("mediator.retrievals")
+        if result.degraded:
+            telemetry.count("mediator.retrievals_degraded")
+        telemetry.count("mediator.answers_certain", len(result.certain))
+        telemetry.count("mediator.answers_ranked", len(result.ranked))
         return result
 
     def _plan_rewritten(
@@ -310,7 +265,7 @@ class QpiadMediator:
         # installs a new generation while a call is on the wire.
         knowledge = self._store.current
         stats = RetrievalStats()
-        engine = self._engine(stats, query)
+        engine = self._engine(stats)
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
@@ -323,12 +278,7 @@ class QpiadMediator:
             self._possible(engine, steps, seen_rows, stats, drained=True)
         )
 
-        constrained = query.constrained_attributes
-        if (
-            self.config.retrieve_multi_null
-            and len(constrained) > 1
-            and not engine.deadline_exceeded()
-        ):
+        if self.config.retrieve_multi_null and len(query.constrained_attributes) > 1:
             result.unranked.extend(
                 self._fetch_multi_null(
                     engine, query, seen_rows, len(steps), knowledge
@@ -352,18 +302,17 @@ class QpiadMediator:
         stream keeps the strict one-call-per-answer-pulled economy.)
 
         Degradation matches :meth:`query` — transient failures of single
-        rewritten queries are skipped under ``config.max_source_failures``,
-        budget exhaustion and deadlines end the stream.  Pass a *stats*
-        object to collect :meth:`query`'s cost accounting and failure log:
-        issuance is recorded before each call, so spent budget is counted
-        even when the call fails, and every absorbed failure lands in
-        ``stats.failures``.  Drained, the stream leaves *stats* equal to
-        the ``result.stats`` of :meth:`query` (without the multi-NULL
-        fetch, which only :meth:`query` makes).
+        rewritten queries are skipped, budget exhaustion ends the stream.
+        Pass a *stats* object to collect :meth:`query`'s cost accounting
+        and failure log: issuance is recorded before each call, so spent
+        budget is counted even when the call fails, and every absorbed
+        failure lands in ``stats.failures``.  Drained, the stream leaves
+        *stats* equal to the ``result.stats`` of :meth:`query` (without the
+        multi-NULL fetch, which only :meth:`query` makes).
         """
         knowledge = self._store.current
         stats = RetrievalStats() if stats is None else stats
-        engine = self._engine(stats, query)
+        engine = self._engine(stats)
         base_set = engine.run_base(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
         )
@@ -419,9 +368,9 @@ class QpiadMediator:
         forms do not, so this quietly returns nothing for them.  The
         attempt is still counted as an issued query — the mediator did put
         a call on the wire, and the source's own log records the
-        rejection.  Failures share the retrieval's failure budget with
-        the rewritten plan and are recorded with ``query=None`` (the
-        fetch is a plan-level step, not a rewriting).
+        rejection.  Its failures degrade the result like the rewritten
+        plan's and are recorded with ``query=None`` (the fetch is a
+        plan-level step, not a rewriting).
         """
         step = PlannedQuery(query=query, kind=QueryKind.MULTI_NULL, rank=rank)
         rows: list[Row] = []

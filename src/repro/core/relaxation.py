@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.results import RetrievalStats
-from repro.engine import ExecutionPolicy, PlannedQuery, QueryKind, RetrievalEngine
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QpiadError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore
@@ -120,10 +120,10 @@ class QueryRelaxer:
         stats = RetrievalStats()
         engine = RetrievalEngine(
             self.source,
-            ExecutionPolicy.strict(),
             stats,
+            strict=True,
+            max_concurrency=1,
             telemetry=self._telemetry,
-            label=str(query),
         )
 
         collected: dict[Row, RelaxedAnswer] = {}

@@ -70,10 +70,11 @@ class QueryFailure:
     Attributes
     ----------
     query:
-        The rewritten query that failed, or ``None`` for plan-level events
-        (a wall-clock deadline, budget exhaustion detected between calls).
+        The rewritten query that failed, or ``None`` for the plan-level
+        multi-NULL fetch.
     kind:
-        ``"source-unavailable"``, ``"budget-exhausted"`` or ``"deadline"``.
+        ``"source-unavailable"``, ``"budget-exhausted"`` or
+        ``"admission-rejected"``.
     message:
         The underlying error text, for logs and reports.
     """
@@ -82,7 +83,7 @@ class QueryFailure:
     # that decides what counts as which failure.
     SOURCE_UNAVAILABLE = FailureKind.SOURCE_UNAVAILABLE
     BUDGET_EXHAUSTED = FailureKind.BUDGET_EXHAUSTED
-    DEADLINE = FailureKind.DEADLINE
+    ADMISSION_REJECTED = FailureKind.ADMISSION_REJECTED
 
     query: SelectionQuery | None
     kind: str
@@ -129,8 +130,8 @@ class QueryResult:
 
     :attr:`degraded` distinguishes *complete* answers from *best-effort*
     ones: it is set whenever the mediator skipped part of its retrieval
-    plan (a rewritten query failed, the source budget ran out, a deadline
-    passed) instead of aborting.  The certain answers are always complete —
+    plan (a rewritten query failed or was load-shed, the source budget ran
+    out) instead of aborting.  The certain answers are always complete —
     a failed base query propagates — but a degraded result may be missing
     possible answers; :attr:`RetrievalStats.failures` records exactly what
     was lost and why.

@@ -3,15 +3,12 @@
 The paper's Figure 1 loop — issue the base query, generate rewritten
 queries, order them, issue the top-K, post-filter, merge — used to be
 re-implemented by every mediator, each copy separately threading failure
-budgets, deadlines, telemetry, and cost accounting.  This package factors
-the loop into three explicit pieces:
+handling, telemetry, and cost accounting.  This package factors the loop
+into three explicit pieces:
 
 * :mod:`repro.engine.plan` — *what* to retrieve: :class:`PlannedQuery`
   steps (base / rewritten / multi-null, with plan rank and estimated
   precision/recall) collected into a :class:`RetrievalPlan`;
-* :mod:`repro.engine.policy` — *how much* to tolerate:
-  :class:`ExecutionPolicy` (failure budget, deadline, tolerate flags,
-  concurrency width);
 * :mod:`repro.engine.executor` — *how* to run it: a
   :data:`PlanExecutor`, either :class:`SerialExecutor`
   (behaviour-identical to the historical loops) or
@@ -19,7 +16,8 @@ the loop into three explicit pieces:
   parallel but merges outcomes deterministically in plan order);
 * :mod:`repro.engine.engine` — the :class:`RetrievalEngine` that binds
   them together and owns issuance accounting, telemetry spans, and
-  degradation semantics in exactly one place.  Unless the caller pins a
+  failure handling (a retrieval is ``strict`` or it degrades) in exactly
+  one place.  Unless the caller pins a
   width, it picks the executor per retrieval: a drained plan runs on the
   thread pool when the base call showed the source waits and nothing can
   end the plan early or shed part of it, and serially otherwise.
@@ -47,11 +45,9 @@ from repro.engine.operators import (
     SymmetricHashJoin,
 )
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
-from repro.engine.policy import ExecutionPolicy
 
 __all__ = [
     "ConcurrentExecutor",
-    "ExecutionPolicy",
     "ExecutionTask",
     "FailureKind",
     "Inlet",

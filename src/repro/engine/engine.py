@@ -1,18 +1,17 @@
-"""The retrieval engine: one place for issuance, budgets, and telemetry.
+"""The retrieval engine: one place for issuance, failures, and telemetry.
 
 :class:`RetrievalEngine` is created per retrieval.  Mediators hand it
-planned queries; it issues them through the executor its policy's width
-selects, billing every call *before* it runs (the accounting invariant:
+planned queries; it issues them through the executor its width selects,
+billing every call *before* it runs (the accounting invariant:
 ``stats.queries_issued`` equals the source's own call log, whatever the
 weather), wrapping every call in a telemetry span when traced, and
-enforcing the :class:`~repro.engine.policy.ExecutionPolicy` — failure
-budget, source budget exhaustion, wall-clock deadline — identically for
-every mediator and every executor.  Plan order (:meth:`~RetrievalEngine.stream`)
-and completion order (:meth:`~RetrievalEngine.stream_tuples`) run through
-one loop.
+handling failures identically for every mediator and every executor: a
+``strict`` engine raises the first one, any other records it and
+degrades.  Plan order (:meth:`~RetrievalEngine.stream`) and completion
+order (:meth:`~RetrievalEngine.stream_tuples`) run through one loop.
 
-When the caller leaves the width unpinned (``policy.max_concurrency is
-None``), the engine picks it per retrieval.  It times the base call it
+When the caller leaves the width unpinned (``max_concurrency=None``),
+the engine picks it per retrieval.  It times the base call it
 issues anyway; if that call spent more of its wall-clock time waiting
 than computing, and nothing can end the plan early or shed part of it, a
 drained plan's calls are overlapped on a :class:`ConcurrentExecutor`.
@@ -38,19 +37,17 @@ from repro.engine.executor import (
     build_executor,
 )
 from repro.engine.plan import PlannedQuery, QueryKind
-from repro.engine.policy import ExecutionPolicy
 from repro.errors import (
     AdmissionRejectedError,
-    DeadlineExceededError,
     NullBindingError,
+    QpiadError,
     QueryBudgetExceededError,
     SourceUnavailableError,
 )
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
-from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.scheduler import SourceScheduler, current_scheduler
-from repro.telemetry import Span, SpanKind, Telemetry, maybe_span
+from repro.telemetry import Span, SpanKind, Telemetry
 
 if TYPE_CHECKING:
     from repro.sources.surface import Source
@@ -75,7 +72,6 @@ class FailureKind:
 
     SOURCE_UNAVAILABLE = "source-unavailable"
     BUDGET_EXHAUSTED = "budget-exhausted"
-    DEADLINE = "deadline"
     ADMISSION_REJECTED = "admission-rejected"
 
 
@@ -113,20 +109,28 @@ class RetrievalEngine:
     ----------
     source:
         Default source for planned queries without a per-step override.
-    policy:
-        Failure/deadline/concurrency limits (see :class:`ExecutionPolicy`).
     stats:
         The retrieval's cost accounting; every issued call is counted
-        here *before* it runs, and every absorbed failure is recorded.
+        here *before* it runs, and every failure is recorded.
+    strict:
+        Raise the first failure of a planned query.  Otherwise the engine
+        degrades: a transient source failure or a load-shed call is
+        recorded and skipped, and an exhausted source budget ends the
+        plan with the answers gathered so far.  Either way the failure is
+        recorded and :attr:`degraded` set.
+    max_concurrency:
+        How many planned queries may be in flight at once.  An int pins
+        the width: ``1`` is the serial loop, higher values run the
+        thread-pool executor.  ``None`` leaves the width to the engine,
+        which decides per plan (see :meth:`stream`).  Whatever the width,
+        outcomes merge in plan order, so answers, order and confidences
+        are identical on a healthy source.
     telemetry:
         Optional telemetry hook; every source call becomes a span and
         feeds the ``mediator.*`` counters.
-    clock:
-        Injectable monotonic clock backing ``policy.deadline_seconds``.
-        The deadline window opens when the engine is constructed.
-    label:
-        Description of the retrieval (normally the user query) used in
-        deadline messages.
+    scheduler:
+        The :class:`~repro.resilience.SourceScheduler` source calls go
+        through; ``None`` falls back to the process-wide one, if any.
 
     Entered with ``with``, the engine keeps its pinned-width executor's
     worker pool open for every plan of the block; leaving the block
@@ -137,36 +141,27 @@ class RetrievalEngine:
     def __init__(
         self,
         source: Source | None,
-        policy: ExecutionPolicy,
         stats: RetrievalStatsLike,
         *,
+        strict: bool = False,
+        max_concurrency: int | None = None,
         telemetry: Telemetry | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        label: str | None = None,
         scheduler: SourceScheduler | None = None,
     ):
+        if max_concurrency is not None and max_concurrency < 1:
+            raise QpiadError(
+                f"max_concurrency must be at least 1, got {max_concurrency}"
+            )
         self._source = source
-        self._policy = policy
         self.stats = stats
+        self._strict = strict
         self._scheduler = scheduler if scheduler is not None else current_scheduler()
-        self._pinned = policy.max_concurrency is not None
-        self._executor = build_executor(policy.max_concurrency)
+        self._pinned = max_concurrency is not None
+        self._executor = build_executor(max_concurrency)
         # Whether the timed base call mostly waited (unpinned width only).
         self._base_waited = False
         self._telemetry = telemetry
-        self._clock = clock
-        self._label = label
-        self._started = clock()
-        # The policy deadline as a propagatable value: queued admission
-        # waits and retry backoffs below this engine cap against it.
-        self._deadline = (
-            Deadline(self._started + policy.deadline_seconds, clock)
-            if policy.deadline_seconds is not None
-            else None
-        )
         self._lock = threading.Lock()
-        self._source_failures = 0
-        self._deadline_noted = False
         self.degraded = False
 
     def __enter__(self) -> "RetrievalEngine":
@@ -182,8 +177,8 @@ class RetrievalEngine:
     def run_base(self, step: PlannedQuery) -> Relation:
         """Issue a base query inline; its failure always propagates.
 
-        Base queries run serially and outside the failure budget: without
-        certain answers there is nothing to degrade *to*.  When the width
+        Base queries run serially and are never absorbed: without certain
+        answers there is nothing to degrade *to*.  When the width
         is not pinned the call is also timed: whether its wall-clock time
         was mostly waiting, rather than this thread's CPU time, decides
         whether a drained plan fans out (see :meth:`stream`).
@@ -202,21 +197,20 @@ class RetrievalEngine:
     ) -> Iterator[tuple[PlannedQuery, Relation]]:
         """Execute planned queries, yielding ``(step, relation)`` in plan order.
 
-        Failed steps are absorbed (recorded, counted, skipped) or
-        re-raised according to the policy; a blown deadline stops
-        issuance — work in flight completes and merges, nothing new
-        starts — and is noted exactly once.
+        A strict engine raises the first failed step.  Otherwise a failed
+        step is recorded, counted and skipped, and an exhausted source
+        budget stops issuance: work in flight completes and merges,
+        nothing new starts.
 
         *drained* is the caller's promise to consume every outcome.  When
         the width is not pinned, a drained plan fans out if the base call
         mostly waited and nothing can end the plan early or shed part of
-        it: no deadline, no finite failure budget, no query budget
-        declared by the source, and no bounded admission queue on the
-        scheduler the calls go through.  Its width is then the plan
-        length, capped by :data:`MAX_FAN_OUT_WIDTH`, the source's declared
-        ``max_concurrent_requests`` and the scheduler's ``max_concurrent``
-        for the source.  Any other plan runs one call at a time, so a lazy
-        consumer never pays for calls it does not read.
+        it: the engine is not strict, the source declares no query
+        budget, and the scheduler the calls go through has no bounded
+        admission queue.  Its width is then the plan length, capped by
+        :data:`MAX_FAN_OUT_WIDTH` and the scheduler's ``max_concurrent``.
+        Any other plan runs one call at a time, so a lazy consumer never
+        pays for calls it does not read.
         """
         steps = list(plan)
         executor = self._executor
@@ -239,14 +233,13 @@ class RetrievalEngine:
         stream emits its first joined tuple as soon as a match exists,
         independent of the slowest source.
 
-        Billing, telemetry, and failure absorption are identical to
+        Billing, telemetry, and failure handling are identical to
         :meth:`stream` — every call is counted before it runs — but
-        failures are absorbed in completion order, so under a failure
-        *budget* the set of absorbed steps may be schedule-dependent
-        (the strict policies the join processors run under are not
-        affected: their first failure raises at any width).  Consumers
-        must impose their own deterministic final order: rank at the
-        end, stream in the middle.
+        failures are met in completion order, so which failed step a
+        strict engine raises, or which steps a degrading one skips before
+        an exhausted budget halts it, may depend on the schedule.
+        Consumers must impose their own deterministic final order: rank
+        at the end, stream in the middle.
         """
         for step, retrieved in self._run(list(plan), self._executor.map_completed):
             for row in retrieved:
@@ -265,7 +258,7 @@ class RetrievalEngine:
         halted = False
 
         def should_stop() -> bool:
-            return halted or self.deadline_exceeded()
+            return halted
 
         # Each task's rank is its step's position, whatever order it ends in.
         tasks = (
@@ -273,10 +266,8 @@ class RetrievalEngine:
             for position, step in enumerate(steps)
         )
         outcomes = outcomes_of(tasks, should_stop)
-        consumed = 0
         try:
             for outcome in outcomes:
-                consumed += 1
                 step = steps[outcome.rank]
                 if outcome.error is None:
                     if step.kind == QueryKind.REWRITTEN:
@@ -292,40 +283,29 @@ class RetrievalEngine:
                     break
         finally:
             outcomes.close()
-        if consumed < len(steps) and not halted and self.deadline_exceeded():
-            self._note_deadline()
-
-    def deadline_exceeded(self) -> bool:
-        deadline = self._policy.deadline_seconds
-        return deadline is not None and self._clock() - self._started > deadline
 
     def _fan_out_width(self, steps: int) -> int:
         """How many of a drained *steps*-long plan's calls to overlap.
 
         Overlapping pays only when the calls wait: on a source that
-        computes in-process it adds threads to CPU work.  A plan that a
-        deadline, a failure budget or a query budget can stop part-way
-        must stay serial, or a wider window would put calls on the wire
-        that a serial run never makes.  So must a plan whose calls queue
-        for admission in a bounded queue: a serial plan holds one place in
-        it, a fanned-out one up to its width, and the scheduler sheds the
-        callers past the bound.
+        computes in-process it adds threads to CPU work.  A plan that can
+        stop part-way — a strict one at its first failure, any plan at the
+        end of the source's query budget — must stay serial, or a wider
+        window would put calls on the wire that a serial run never makes.
+        So must a plan whose calls queue for admission in a bounded queue:
+        a serial plan holds one place in it, a fanned-out one up to its
+        width, and the scheduler sheds the callers past the bound.
         """
-        policy = self._policy
         capabilities = getattr(self._source, "capabilities", None)
         if (
-            not self._base_waited
-            or policy.deadline_seconds is not None
-            or policy.max_source_failures is not None
+            self._strict
+            or not self._base_waited
             or getattr(capabilities, "query_budget", None) is not None
         ):
             return 1
         width = min(steps, MAX_FAN_OUT_WIDTH)
-        declared = getattr(capabilities, "max_concurrent_requests", None)
-        if declared is not None:
-            width = min(width, declared)
         if self._scheduler is not None:
-            admission = self._scheduler.state_for(self._source).policy
+            admission = self._scheduler.policy
             if admission.max_queue is not None:
                 return 1
             if admission.max_concurrent is not None:
@@ -363,38 +343,31 @@ class RetrievalEngine:
         with self._lock:
             self.stats.queries_issued += 1
         telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.count("mediator.queries_issued")
-        attributes: dict[str, Any] = {"query": str(step.query)}
-        if step.kind == QueryKind.REWRITTEN:
-            attributes["precision"] = round(step.estimated_precision, 6)
-        if step.source is not None:
-            attributes["source"] = getattr(source, "name", "?")
-        with maybe_span(
-            telemetry,
-            step.span_name(),
-            _SPAN_KINDS[step.kind],
-            parent=parent,
-            **attributes,
-        ) as span:
+        if telemetry is None:
             retrieved = self._call_source(source, step)
-            if span is not None:
+        else:
+            # The span's name and attributes are formatted only when traced.
+            telemetry.count("mediator.queries_issued")
+            attributes: dict[str, Any] = {"query": str(step.query)}
+            if step.kind == QueryKind.REWRITTEN:
+                attributes["precision"] = round(step.estimated_precision, 6)
+            if step.source is not None:
+                attributes["source"] = getattr(source, "name", "?")
+            with telemetry.span(
+                step.span_name(), _SPAN_KINDS[step.kind], parent=parent, **attributes
+            ) as span:
+                retrieved = self._call_source(source, step)
                 span.set(tuples=len(retrieved))
+            telemetry.count("mediator.tuples_retrieved", len(retrieved))
         with self._lock:
             self.stats.tuples_retrieved += len(retrieved)
-        if telemetry is not None:
-            telemetry.count("mediator.tuples_retrieved", len(retrieved))
         return retrieved
 
     def _call_source(self, source: Any, step: PlannedQuery) -> Relation:
         """Put one planned call on the wire, via the scheduler when present.
 
-        The thunk carries the engine's deadline as ambient state so
-        layers beneath the call (retry backoff sleeps) see the same
-        budget the engine enforces between calls, on executor worker
-        threads as well as the caller's.  The scheduler runs an admitted
-        thunk exactly once; a dedup follower shares its leader's wire
-        call instead.
+        The scheduler runs an admitted thunk exactly once; a dedup
+        follower shares its leader's wire call instead.
         """
         if step.kind == QueryKind.MULTI_NULL:
             operation = f"null-binding:{step.max_nulls}"
@@ -407,114 +380,50 @@ class RetrievalEngine:
             def perform() -> Relation:
                 return source.execute(step.query)
 
-        def thunk() -> Relation:
-            with deadline_scope(self._deadline):
-                return perform()
-
         scheduler = self._scheduler
         if scheduler is None:
-            return thunk()
-        return scheduler.call(
-            source,
-            step.query,
-            operation,
-            thunk,
-            deadline=self._deadline,
-        )
+            return perform()
+        return scheduler.call(source, step.query, operation, perform)
 
     # ------------------------------------------------------------------ #
-    # Policy enforcement (absorbed in plan-merge order, so failure
-    # semantics do not depend on the execution strategy)
+    # Failure handling (in plan-merge order, so failure semantics do not
+    # depend on the execution strategy)
 
     def _absorb(self, step: PlannedQuery, error: BaseException) -> str:
         if step.required:
-            # Required steps are exempt from every absorption rule: their
-            # failure is the retrieval's failure (counterfactual baselines).
+            # Required steps are never absorbed: their failure is the
+            # retrieval's failure (counterfactual baselines).
             return _RAISE
         if isinstance(error, NullBindingError) and step.kind == QueryKind.MULTI_NULL:
             # A capability gap, not a failure: the attempt was billed (the
             # source's own log records the rejection) but lost no answers.
             return _CONTINUE
-        failure_query = None if step.kind == QueryKind.MULTI_NULL else step.query
+        telemetry = self._telemetry
         if isinstance(error, QueryBudgetExceededError):
-            self.stats.record_failure(
-                failure_query, FailureKind.BUDGET_EXHAUSTED, str(error)
-            )
-            self.degraded = True
-            if self._telemetry is not None:
-                self._telemetry.count("mediator.budget_exhausted")
-            if self._policy.tolerate_budget_exhaustion:
-                return _HALT  # degrade gracefully: ship what we have
+            kind, verdict = FailureKind.BUDGET_EXHAUSTED, _HALT
+            if telemetry is not None:
+                telemetry.count("mediator.budget_exhausted")
+        elif isinstance(error, AdmissionRejectedError):
+            # Load shedding: the scheduler refused to queue the call.  It
+            # is skipped like a transient source failure, but counted
+            # apart so that congestion is visible as such.
+            kind, verdict = FailureKind.ADMISSION_REJECTED, _CONTINUE
+            if telemetry is not None:
+                telemetry.count("mediator.load_shed")
+        elif isinstance(error, SourceUnavailableError):
+            kind, verdict = FailureKind.SOURCE_UNAVAILABLE, _CONTINUE
+            if telemetry is not None:
+                telemetry.count("mediator.source_failures")
+        else:
             return _RAISE
-        if isinstance(error, AdmissionRejectedError):
-            # Load shedding: the scheduler refused to queue the call.
-            # Absorbed under the same failure budget as transient source
-            # errors — the plan degrades instead of failing outright —
-            # but counted separately so congestion is visible as such.
-            with self._lock:
-                self._source_failures += 1
-                failures = self._source_failures
-            self.stats.record_failure(
-                failure_query, FailureKind.ADMISSION_REJECTED, str(error)
-            )
-            self.degraded = True
-            if self._telemetry is not None:
-                self._telemetry.count("mediator.load_shed")
-            budget = self._policy.max_source_failures
-            if budget is not None and failures > budget:
-                return _RAISE
-            logger.info(
-                "planned query %r was load-shed by the source scheduler; "
-                "continuing with the remaining plan", step.query,
-            )
-            return _CONTINUE
-        if isinstance(error, DeadlineExceededError):
-            # A layer below the engine (admission wait, retry backoff,
-            # dedup follower timeout) hit the propagated deadline.  Note
-            # it once and halt: nothing later in the plan can be
-            # admitted either.
-            self._note_deadline()
-            return _HALT
-        if isinstance(error, SourceUnavailableError):
-            with self._lock:
-                self._source_failures += 1
-                failures = self._source_failures
-            self.stats.record_failure(
-                failure_query, FailureKind.SOURCE_UNAVAILABLE, str(error)
-            )
-            self.degraded = True
-            if self._telemetry is not None:
-                self._telemetry.count("mediator.source_failures")
-            budget = self._policy.max_source_failures
-            if budget is not None and failures > budget:
-                return _RAISE
-            logger.info(
-                "planned query %r failed transiently (%s); continuing "
-                "with the remaining plan", step.query, error,
-            )
-            return _CONTINUE  # skip this step, the rest of the plan stands
-        return _RAISE
-
-    def _note_deadline(self) -> None:
-        """Record the blown deadline; raise when strict mode demands it.
-
-        Noted at most once per retrieval: a deadline error absorbed from
-        a plan step and the post-stream deadline check must not produce
-        two failure records for the same spent budget.
-        """
-        with self._lock:
-            if self._deadline_noted:
-                return
-            self._deadline_noted = True
-        elapsed = self._clock() - self._started
-        message = (
-            f"retrieval for {self._label} exceeded its deadline of "
-            f"{self._policy.deadline_seconds}s after {elapsed:.3f}s"
-        )
-        self.stats.record_failure(None, FailureKind.DEADLINE, message)
-        if self._telemetry is not None:
-            self._telemetry.count("mediator.deadline_exceeded")
+        failure_query = None if step.kind == QueryKind.MULTI_NULL else step.query
+        self.stats.record_failure(failure_query, kind, str(error))
         self.degraded = True
-        if not self._policy.tolerate_deadline_exceeded:
-            raise DeadlineExceededError(message)
-        logger.info("%s; returning a degraded result", message)
+        if self._strict:
+            return _RAISE
+        if verdict == _CONTINUE:
+            logger.info(
+                "planned query %r failed (%s); continuing with the remaining plan",
+                step.query, error,
+            )
+        return verdict

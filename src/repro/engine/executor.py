@@ -13,7 +13,7 @@ honours:
   The consumed outcomes are always a prefix of the plan.
 * **Errors are data.**  A task that raises yields an outcome carrying
   the exception instead of propagating it; the engine decides whether to
-  absorb or re-raise, so failure-budget semantics live in one place.
+  absorb or re-raise, so failure semantics live in one place.
 
 :class:`SerialExecutor` runs tasks inline and lazily — it is the
 historical mediator loop, pulling one task per outcome consumed.

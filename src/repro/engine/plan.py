@@ -71,7 +71,7 @@ class PlannedQuery:
         ``execute_null_binding`` (``None`` = unlimited, the mediator's
         historical behaviour; the baselines bind exactly one).
     required:
-        A required step's failure always propagates, whatever the policy —
+        A required step's failure always propagates, strict engine or not —
         it is exempt from every absorption rule, including the
         capability-gap pass the multi-NULL fetch normally gets.  The
         counterfactual baselines use this: they exist to quantify what

@@ -73,17 +73,9 @@ class AdmissionRejectedError(QpiadError):
     mediator-side admission queue is the resource that ran out — so
     :class:`repro.sources.retrying.RetryingSource` does not hammer an
     overloaded scheduler with immediate retries and the circuit breaker
-    does not open over local congestion.  The engine absorbs it under
-    the same failure budget as transient source errors.
-    """
-
-
-class DeadlineExceededError(QpiadError):
-    """A mediated retrieval ran past its wall-clock deadline.
-
-    Only raised when :attr:`repro.core.qpiad.QpiadConfig.deadline_seconds`
-    is set and ``tolerate_deadline_exceeded`` is off; the default is to stop
-    issuing rewritten queries and return a degraded result instead.
+    does not open over local congestion.  The engine handles it as it
+    does transient source errors: a degrading retrieval skips the call,
+    a strict one raises.
     """
 
 

@@ -49,7 +49,7 @@ class FaultInjectingSource(SourceDecorator):
     sleep:
         Hook receiving injected latency.  The default ignores the delay (the
         statistics still record it); pass ``time.sleep`` for wall-clock
-        chaos runs or a fake-clock advance in deadline tests.
+        chaos runs or a fake-clock advance in tests.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hook; every injected
         fault counts as ``fault.injected`` plus a per-kind counter

@@ -62,7 +62,7 @@ from repro.planner.generators import (
 from repro.planner.ranker import Ranker
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
-from repro.telemetry import SpanKind, Telemetry, maybe_span
+from repro.telemetry import SpanKind, Telemetry
 
 __all__ = [
     "AggregatePlan",
@@ -243,7 +243,7 @@ class QueryPlanner:
                 source_token(source),
             ),
             lambda: self._build_selection(query, bindings, source, snapshot),
-            name=str(query),
+            query=query,
             knowledge=snapshot,
         )
 
@@ -275,7 +275,7 @@ class QueryPlanner:
             lambda: self._build_correlated(
                 query, bindings, attribute, target, snapshot
             ),
-            name=str(query),
+            query=query,
             knowledge=snapshot,
         )
 
@@ -298,7 +298,7 @@ class QueryPlanner:
             "aggregate",
             lambda: (query_fingerprint(selection), stable_digest(bindings)),
             lambda: self._build_aggregate(selection, bindings, snapshot),
-            name=str(selection),
+            query=selection,
             knowledge=snapshot,
         )
 
@@ -321,7 +321,7 @@ class QueryPlanner:
                     query, bindings, snapshot
                 )
             ),
-            name=str(query),
+            query=query,
             knowledge=snapshot,
         )
 
@@ -338,7 +338,7 @@ class QueryPlanner:
             f"relaxation:{max_dropped!r}",
             lambda: (query_fingerprint(query),),
             lambda: self._build_relaxation(query, max_dropped, snapshot),
-            name=str(query),
+            query=query,
             knowledge=snapshot,
         )
 
@@ -525,7 +525,7 @@ class QueryPlanner:
         mode: str,
         key_parts: Callable[[], "tuple[Hashable, ...]"],
         build: Callable[[], PlanT],
-        name: str,
+        query: object,
         knowledge: KnowledgeBase,
     ) -> PlanT:
         telemetry = self._telemetry
@@ -533,7 +533,7 @@ class QueryPlanner:
         if cache is None:
             # The disabled path computes no fingerprints at all: planning
             # with the cache off costs exactly what the raw pipeline does.
-            return self._build_spanned(mode, build, name)
+            return self._build_spanned(mode, build, query)
         key = (
             mode,
             self.config.token(),
@@ -549,28 +549,28 @@ class QueryPlanner:
             return hit
         if telemetry is not None:
             telemetry.count("planner.cache_misses")
-        plan = self._build_spanned(mode, build, name)
+        plan = self._build_spanned(mode, build, query)
         evicted = cache.store(key, plan)
         if evicted and telemetry is not None:
             telemetry.count("planner.cache_evictions")
         return plan
 
     def _build_spanned(
-        self, mode: str, build: Callable[[], PlanT], name: str
+        self, mode: str, build: Callable[[], PlanT], query: object
     ) -> PlanT:
         telemetry = self._telemetry
-        with maybe_span(
-            telemetry, f"plan {name}", SpanKind.PLAN, mode=mode
-        ) as span:
+        if telemetry is None:
+            return build()
+        # The span name formats the query, so only when traced.
+        with telemetry.span(f"plan {query}", SpanKind.PLAN, mode=mode) as span:
             plan = build()
-            if span is not None:
-                payload = getattr(plan, "steps", None)
-                if payload is None:
-                    payload = getattr(plan, "queries", None)
-                if payload is None and isinstance(plan, tuple):
-                    payload = plan
-                span.set(
-                    steps=len(payload) if payload is not None else 0,
-                    cache="off" if self.cache is None else "miss",
-                )
+            payload = getattr(plan, "steps", None)
+            if payload is None:
+                payload = getattr(plan, "queries", None)
+            if payload is None and isinstance(plan, tuple):
+                payload = plan
+            span.set(
+                steps=len(payload) if payload is not None else 0,
+                cache="off" if self.cache is None else "miss",
+            )
         return plan

@@ -1,17 +1,9 @@
-"""A deadline-aware token bucket.
+"""A token bucket.
 
 The classic pacing primitive: tokens refill continuously at
 ``rate_per_second`` up to a ``burst`` capacity, and each admitted call
-spends one.  Two properties matter for the scheduler built on top:
-
-* **Injectable time.**  Both the clock and the sleep are parameters, so
-  simulations and tests drive refills manually and never wait on the
-  wall clock.
-* **Deadline-capped waits.**  :meth:`acquire` takes the caller's
-  remaining budget and raises
-  :class:`~repro.errors.DeadlineExceededError` *instead of* sleeping
-  past it — a queued call whose token would only arrive after the
-  caller's deadline is pure waste on both sides of the wire.
+spends one.  Both the clock and the sleep are parameters, so simulations
+and tests drive refills manually and never wait on the wall clock.
 
 Lock discipline: ``_advanced()`` is a *pure* computation of the refilled
 state; every assignment to ``_tokens`` / ``_updated`` happens
@@ -25,13 +17,13 @@ import threading
 import time
 from typing import Callable
 
-from repro.errors import DeadlineExceededError, QpiadError
+from repro.errors import QpiadError
 
 __all__ = ["TokenBucket"]
 
 
 class TokenBucket:
-    """Continuous-refill token bucket with blocking, deadline-capped waits.
+    """Continuous-refill token bucket with blocking waits.
 
     Parameters
     ----------
@@ -73,18 +65,8 @@ class TokenBucket:
             tokens = min(float(self.burst), tokens + elapsed * self.rate_per_second)
         return tokens, now
 
-    def acquire(
-        self,
-        timeout: "float | None" = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> float:
-        """Take a token, sleeping until one refills; returns seconds waited.
-
-        *timeout* is the caller's remaining deadline budget: when the
-        next token would land beyond it, the bucket raises
-        :class:`DeadlineExceededError` immediately — it never sleeps past
-        a deadline only to fail afterwards.
-        """
+    def acquire(self, sleep: Callable[[float], None] = time.sleep) -> float:
+        """Take a token, sleeping until one refills; returns seconds waited."""
         waited = 0.0
         while True:
             with self._lock:
@@ -95,11 +77,6 @@ class TokenBucket:
                 if taken:
                     return waited
                 deficit = (1.0 - tokens) / self.rate_per_second
-            if timeout is not None and waited + deficit > timeout:
-                raise DeadlineExceededError(
-                    f"rate limit wait of {deficit:.3f}s exceeds the remaining "
-                    f"deadline budget of {max(timeout - waited, 0.0):.3f}s"
-                )
             sleep(deficit)
             waited += deficit
 

@@ -4,21 +4,15 @@ Every mediated retrieval in the process ultimately funnels its source
 calls through one :class:`SourceScheduler`.  The scheduler owns the
 cross-cutting concerns no single mediator can see:
 
-* **Admission control.**  Each source gets a bounded wait queue, an
-  optional concurrency cap, and an optional token-bucket rate limit —
-  declared per source via
-  :class:`~repro.sources.capabilities.SourceCapabilities` or configured
-  explicitly through :class:`SchedulerConfig`.  A call arriving at a
-  full queue is shed immediately with
+* **Admission control.**  One :class:`SourcePolicy` applies to every
+  source: a bounded wait queue, an optional concurrency cap, and an
+  optional token-bucket rate limit, each kept per source.  A call
+  arriving at a full queue is shed immediately with
   :class:`~repro.errors.AdmissionRejectedError` instead of deepening the
   backlog.
 * **Single-flight dedup.**  Identical in-flight calls — same source,
   same operation, same query fingerprint — collapse onto one wire call;
   followers share the leader's outcome (value *or* exception).
-* **Deadline propagation.**  The caller's remaining budget caps every
-  queue, slot, and token wait — a call that could only be admitted
-  after its deadline fails fast with
-  :class:`~repro.errors.DeadlineExceededError`.
 
 Ordering relative to the source-wrapper stack: the scheduler sits
 *outside* retry and breaker wrappers (the engine routes the whole
@@ -37,18 +31,16 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
-from repro.errors import AdmissionRejectedError, DeadlineExceededError, QpiadError
+from repro.errors import AdmissionRejectedError, QpiadError
 from repro.resilience.bucket import TokenBucket
-from repro.resilience.deadline import Deadline
 from repro.resilience.singleflight import SingleFlight
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "SourcePolicy",
-    "SchedulerConfig",
     "SourceScheduler",
     "install_scheduler",
     "current_scheduler",
@@ -63,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourcePolicy:
-    """Admission rules for one source (or the scheduler-wide default).
+    """The admission rules a scheduler applies to each source.
 
     Parameters
     ----------
@@ -100,40 +92,6 @@ class SourcePolicy:
             )
         if self.max_queue is not None and self.max_queue < 0:
             raise QpiadError(f"max_queue must be >= 0, got {self.max_queue}")
-
-
-@dataclass
-class SchedulerConfig:
-    """Scheduler-wide defaults plus per-source overrides.
-
-    Resolution order in :meth:`policy_for`: an explicit ``per_source``
-    entry wins outright; otherwise the default policy is specialised
-    with whatever pacing the source's own capabilities declare
-    (``rate_limit_per_second`` / ``burst`` / ``max_concurrent_requests``).
-    """
-
-    default: SourcePolicy = field(default_factory=SourcePolicy)
-    per_source: "Mapping[str, SourcePolicy]" = field(default_factory=dict)
-
-    def policy_for(self, source: Any) -> SourcePolicy:
-        name = source_name(source)
-        explicit = self.per_source.get(name)
-        if explicit is not None:
-            return explicit
-        capabilities = getattr(source, "capabilities", None)
-        if capabilities is None:
-            return self.default
-        overrides: "dict[str, Any]" = {}
-        declared_rate = getattr(capabilities, "rate_limit_per_second", None)
-        if declared_rate is not None:
-            overrides["rate_per_second"] = declared_rate
-            declared_burst = getattr(capabilities, "burst", None)
-            if declared_burst is not None:
-                overrides["burst"] = declared_burst
-        declared_cap = getattr(capabilities, "max_concurrent_requests", None)
-        if declared_cap is not None:
-            overrides["max_concurrent"] = declared_cap
-        return replace(self.default, **overrides) if overrides else self.default
 
 
 def _fingerprint(query: Any) -> str:
@@ -204,18 +162,12 @@ class _SourceState:
 
     # -- concurrency slots --------------------------------------------------
 
-    def acquire_slot(self, deadline: "Deadline | None") -> None:
-        """Take an in-flight slot, waiting no longer than the deadline."""
+    def acquire_slot(self) -> None:
+        """Take an in-flight slot, waiting until one is free."""
         cap = self.policy.max_concurrent
         with self._lock:
             while cap is not None and self.inflight >= cap:
-                remaining = None if deadline is None else deadline.remaining()
-                if remaining is not None and remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"no execution slot freed on source {self.name!r} "
-                        "within the remaining deadline budget"
-                    )
-                self._lock.wait(timeout=remaining)
+                self._lock.wait()
             self.inflight += 1
 
     def release_slot(self) -> None:
@@ -233,8 +185,10 @@ class SourceScheduler:
     """Process-wide admission and dedup for source calls.
 
     One instance is meant to be shared by every engine in the process
-    (see :func:`install_scheduler`); per-source state is created lazily
-    on first call.  The scheduler keeps its own always-on
+    (see :func:`install_scheduler`).  It applies *policy* (by default
+    ``SourcePolicy()``) to every source; the per-source state the policy
+    governs is created lazily on a source's first call and keyed by its
+    name (see :func:`source_name`).  The scheduler keeps its own always-on
     :class:`MetricsRegistry` (``scheduler.*`` counters and per-source
     latency histograms) and mirrors every emission into an attached
     :class:`~repro.telemetry.Telemetry` when one is given.
@@ -242,13 +196,13 @@ class SourceScheduler:
 
     def __init__(
         self,
-        config: "SchedulerConfig | None" = None,
+        policy: "SourcePolicy | None" = None,
         *,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         telemetry: Any = None,
     ):
-        self.config = config if config is not None else SchedulerConfig()
+        self.policy = policy if policy is not None else SourcePolicy()
         self.metrics = MetricsRegistry()
         self._clock = clock
         self._sleep = sleep
@@ -280,7 +234,7 @@ class SourceScheduler:
             state = self._states.get(name)
             if state is None:
                 state = self._states[name] = _SourceState(
-                    name, self.config.policy_for(source), self._clock
+                    name, self.policy, self._clock
                 )
             return state
 
@@ -300,8 +254,6 @@ class SourceScheduler:
         query: Any,
         operation: str,
         thunk: Callable[[], Any],
-        *,
-        deadline: "Deadline | None" = None,
     ) -> Any:
         """Route one source call through dedup → admission → the thunk.
 
@@ -315,7 +267,7 @@ class SourceScheduler:
         self._count("scheduler.calls")
         state = self.state_for(source)
         if not state.policy.dedup or query is None:
-            return self._admitted_call(state, thunk, deadline)
+            return self._admitted_call(state, thunk)
 
         key = (state.name, operation, _fingerprint(query))
         flight, leader = self._flights.lead_or_join(key)
@@ -323,7 +275,7 @@ class SourceScheduler:
             value: Any = None
             error: "BaseException | None" = None
             try:
-                value = self._admitted_call(state, thunk, deadline)
+                value = self._admitted_call(state, thunk)
                 return value
             except BaseException as exc:
                 error = exc
@@ -342,19 +294,13 @@ class SourceScheduler:
             self._count("scheduler.rejected_queue_full")
             raise
         try:
-            timeout = None if deadline is None else max(deadline.remaining(), 0.0)
-            return self._flights.wait(flight, timeout)
+            return self._flights.wait(flight)
         finally:
             state.exit_queue()
 
     # -- admission ----------------------------------------------------------
 
-    def _admitted_call(
-        self,
-        state: _SourceState,
-        thunk: Callable[[], Any],
-        deadline: "Deadline | None",
-    ) -> Any:
+    def _admitted_call(self, state: _SourceState, thunk: Callable[[], Any]) -> Any:
         arrived = self._clock()
         try:
             state.enter_queue()
@@ -363,16 +309,10 @@ class SourceScheduler:
             raise
         slot_held = False
         try:
-            state.acquire_slot(deadline)
+            state.acquire_slot()
             slot_held = True
             if state.bucket is not None:
-                remaining = None if deadline is None else deadline.remaining()
-                state.bucket.acquire(timeout=remaining, sleep=self._sleep)
-        except DeadlineExceededError:
-            if slot_held:
-                state.release_slot()
-            self._count("scheduler.rejected_deadline")
-            raise
+                state.bucket.acquire(sleep=self._sleep)
         except BaseException:
             if slot_held:
                 state.release_slot()

@@ -21,8 +21,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Hashable
 
-from repro.errors import DeadlineExceededError
-
 __all__ = ["Flight", "SingleFlight"]
 
 
@@ -49,7 +47,7 @@ class SingleFlight:
         """The flight for *key* plus whether this caller leads it.
 
         The leader **must** later call :meth:`complete` (typically in a
-        ``finally``) or every follower deadlocks until its timeout.
+        ``finally``) or every follower waits forever.
         """
         with self._lock:
             flight = self._flights.get(key)
@@ -81,19 +79,12 @@ class SingleFlight:
         flight.event.set()
         return followers
 
-    def wait(self, flight: Flight, timeout: "float | None" = None) -> Any:
+    def wait(self, flight: Flight) -> Any:
         """A follower's side: block for the outcome and share it.
 
-        Raises the leader's exception verbatim when the call failed, or
-        :class:`DeadlineExceededError` when *timeout* (the follower's own
-        remaining deadline budget) elapses first — the leader's call
-        keeps running for the consumers that can still afford to wait.
+        Raises the leader's exception verbatim when the call failed.
         """
-        if not flight.event.wait(timeout):
-            raise DeadlineExceededError(
-                "deduplicated call did not complete within the remaining "
-                f"deadline budget of {timeout:.3f}s"
-            )
+        flight.event.wait()
         if flight.error is not None:
             raise flight.error
         return flight.value

@@ -46,22 +46,6 @@ class SourceCapabilities:
         attribute).  Models forms that display attributes they do not let
         you filter by — the "limited support for query patterns" of the
         paper's abstract.  Returned tuples still carry all local attributes.
-    rate_limit_per_second:
-        Sustained request rate the source tolerates before throttling
-        (``None`` = undeclared).  Unlike :attr:`query_budget` — a hard
-        per-session total the source itself enforces — this is a *pacing*
-        declaration the mediator honours voluntarily: the
-        :class:`~repro.resilience.SourceScheduler` turns it into a
-        token-bucket admission limit so concurrent plans share the
-        source's goodwill instead of racing for it.
-    burst:
-        Token-bucket capacity paired with :attr:`rate_limit_per_second`:
-        how many calls may be issued back-to-back before pacing kicks in.
-        ``None`` lets the scheduler pick its default.
-    max_concurrent_requests:
-        How many calls the source tolerates *in flight* at once
-        (``None`` = undeclared).  The scheduler queues (or sheds)
-        admissions beyond this cap.
     """
 
     allows_null_binding: bool = False
@@ -69,9 +53,6 @@ class SourceCapabilities:
     query_budget: int | None = None
     exposes_cardinality: bool = True
     queryable_attributes: frozenset[str] | None = None
-    rate_limit_per_second: float | None = None
-    burst: int | None = None
-    max_concurrent_requests: int | None = None
 
     def can_bind(self, attribute: str) -> bool:
         """Whether the interface accepts a constraint on *attribute*."""

@@ -9,13 +9,6 @@ wraps any source and retries calls that raise
 Permanent failures (capability violations, budget exhaustion) are *not*
 retried: repeating a query a web form cannot express never helps, and
 retrying against an exhausted budget only burns goodwill.
-
-The wrapper is deadline-aware: before each backoff sleep it consults the
-ambient :func:`repro.resilience.remaining_deadline` (published by the
-engine around every source call) and raises
-:class:`~repro.errors.DeadlineExceededError` instead of sleeping past
-the retrieval's budget — a retry that could only land after the caller
-stopped listening is pure waste.
 """
 
 from __future__ import annotations
@@ -25,8 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import DeadlineExceededError, QpiadError, SourceUnavailableError
-from repro.resilience.deadline import remaining_deadline
+from repro.errors import QpiadError, SourceUnavailableError
 from repro.sources.surface import Source, SourceDecorator
 from repro.telemetry import Telemetry
 
@@ -119,7 +111,7 @@ class RetryingSource(SourceDecorator):
                 self._telemetry.count("retry.attempts")
             try:
                 return thunk()
-            except SourceUnavailableError as exc:
+            except SourceUnavailableError:
                 if attempt == self.max_attempts:
                     self.statistics.gave_up += 1
                     if self._telemetry is not None:
@@ -129,20 +121,7 @@ class RetryingSource(SourceDecorator):
                 if self._telemetry is not None:
                     self._telemetry.count("retry.retries")
                 if delay:
-                    pause = self._jittered(delay)
-                    budget = remaining_deadline()
-                    if budget is not None and pause >= budget:
-                        # Sleeping would outlive the retrieval's budget:
-                        # surface the deadline now instead of waking up
-                        # only to find nobody listening.
-                        self.statistics.gave_up += 1
-                        if self._telemetry is not None:
-                            self._telemetry.count("retry.deadline_preempted")
-                        raise DeadlineExceededError(
-                            f"retry backoff of {pause:.3f}s exceeds the "
-                            f"remaining deadline budget of {max(budget, 0.0):.3f}s"
-                        ) from exc
-                    self._sleep(pause)
+                    self._sleep(self._jittered(delay))
                     delay = self._capped(delay * 2)
         raise AssertionError("unreachable")  # pragma: no cover
 

@@ -10,7 +10,9 @@ site is guarded by a plain ``None`` check**.  A pipeline built without
 telemetry pays one pointer comparison per would-be event — no allocation,
 no string formatting, no clock read (``tests/telemetry/test_disabled_is_free.py``
 checks it; perfbench's ``trace.overhead`` sizes the enabled cost).
-:func:`maybe_span` packages the guard for span-shaped sites so call sites stay one line.
+:func:`maybe_span` packages the guard for spans with a constant name; a site
+whose span name or attributes must be formatted opens the span behind its
+own ``None`` check instead.
 """
 
 from __future__ import annotations

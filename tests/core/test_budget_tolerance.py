@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
+from repro.core.results import RetrievalStats
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QueryBudgetExceededError
 from repro.query import SelectionQuery
 from repro.sources import AutonomousSource, SourceCapabilities
@@ -17,9 +19,7 @@ def _budgeted_source(env, budget: int) -> AutonomousSource:
 class TestToleratedExhaustion:
     def test_partial_results_returned(self, cars_env):
         source = _budgeted_source(cars_env, budget=3)  # base + 2 rewritten
-        mediator = QpiadMediator(
-            source, cars_env.knowledge, QpiadConfig(k=10, tolerate_budget_exhaustion=True)
-        )
+        mediator = QpiadMediator(source, cars_env.knowledge, QpiadConfig(k=10))
         result = mediator.query(SelectionQuery.equals("body_style", "Convt"))
         assert len(result.certain) > 0
         assert result.stats.rewritten_issued == 2
@@ -39,14 +39,25 @@ class TestToleratedExhaustion:
 
 class TestStrictMode:
     def test_exhaustion_propagates_when_not_tolerated(self, cars_env):
-        source = _budgeted_source(cars_env, budget=2)
-        mediator = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(k=10, tolerate_budget_exhaustion=False),
+        source = _budgeted_source(cars_env, budget=2)  # base + 1 rewritten
+        stats = RetrievalStats()
+        engine = RetrievalEngine(source, stats, strict=True)
+        engine.run_base(
+            PlannedQuery(
+                query=SelectionQuery.equals("body_style", "Convt"),
+                kind=QueryKind.BASE,
+                rank=0,
+            )
         )
+        plan = [
+            PlannedQuery(query=SelectionQuery.equals("model", model), rank=rank)
+            for rank, model in enumerate(["Boxster", "Z4", "Solara"])
+        ]
         with pytest.raises(QueryBudgetExceededError):
-            mediator.query(SelectionQuery.equals("body_style", "Convt"))
+            list(engine.stream(plan, drained=True))
+        # The exhaustion is recorded before it propagates.
+        assert [failure.kind for failure in stats.failures] == ["budget-exhausted"]
+        assert engine.degraded
 
     def test_base_query_failure_always_propagates(self, cars_env):
         source = _budgeted_source(cars_env, budget=0)

@@ -3,15 +3,18 @@
 The companion chaos suite (``tests/faults/``) drives randomized seeded
 schedules; these tests script *exact* failure points to pin down the
 degradation semantics: which failures are absorbed, what the failure log
-records, and when strict configurations propagate instead.
+records, and that a strict engine propagates them instead.
 """
 
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator, QueryFailure
-from repro.errors import DeadlineExceededError, SourceUnavailableError
+from repro.core.results import RetrievalStats
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
+from repro.errors import QueryBudgetExceededError, SourceUnavailableError
+from repro.planner import PlannerConfig, QueryPlanner
 from repro.query import SelectionQuery
-from repro.sources import SourceDecorator
+from repro.sources import AutonomousSource, SourceCapabilities, SourceDecorator
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 
@@ -32,15 +35,15 @@ class FailingAt(SourceDecorator):
         return self.inner.execute(query)
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def tick(self, seconds: float) -> None:
-        self.now += seconds
+def strict_retrieval(env, source):
+    """Run the mediator's retrieval of QUERY (the base call, then its
+    top-10 rewritten plan, drained) on a strict engine."""
+    engine = RetrievalEngine(source, RetrievalStats(), strict=True, max_concurrency=1)
+    base = engine.run_base(PlannedQuery(query=QUERY, kind=QueryKind.BASE, rank=0))
+    planner = QueryPlanner(env.knowledge, PlannerConfig(k=10))
+    steps = planner.plan_selection(QUERY, base, source=source).steps
+    for __ in engine.stream(steps, drained=True):
+        pass
 
 
 def clean_result(env, config=None):
@@ -78,91 +81,19 @@ class TestSkipAndContinue:
         assert result.stats.failures == []
 
 
-class TestFailureBudget:
-    def test_failures_beyond_the_budget_propagate(self, cars_env):
-        source = FailingAt(cars_env.web_source(), fail_calls={1, 2, 3})
-        mediator = QpiadMediator(
-            source, cars_env.knowledge, QpiadConfig(k=10, max_source_failures=2)
-        )
-        with pytest.raises(SourceUnavailableError):
-            mediator.query(QUERY)
-
-    def test_budget_zero_restores_strictness(self, cars_env):
+class TestStrictness:
+    def test_a_strict_engine_raises_the_first_failure(self, cars_env):
         source = FailingAt(cars_env.web_source(), fail_calls={1})
-        mediator = QpiadMediator(
-            source, cars_env.knowledge, QpiadConfig(k=10, max_source_failures=0)
-        )
         with pytest.raises(SourceUnavailableError):
-            mediator.query(QUERY)
-
-    def test_failures_within_the_budget_are_absorbed(self, cars_env):
-        source = FailingAt(cars_env.web_source(), fail_calls={1, 3})
-        mediator = QpiadMediator(
-            source, cars_env.knowledge, QpiadConfig(k=10, max_source_failures=2)
-        )
-        result = mediator.query(QUERY)
-        assert result.degraded
-        assert len(result.stats.failures) == 2
+            strict_retrieval(cars_env, source)
+        # The plan stopped at the failed rewrite: base + one call.
+        assert source.calls == 2
 
     def test_base_query_failure_always_propagates(self, cars_env):
         source = FailingAt(cars_env.web_source(), fail_calls={0})
         mediator = QpiadMediator(source, cars_env.knowledge, QpiadConfig(k=10))
         with pytest.raises(SourceUnavailableError):
             mediator.query(QUERY)
-
-
-class SlowSource(SourceDecorator):
-    """Every execute call costs a fixed amount of fake time."""
-
-    def __init__(self, inner, clock: FakeClock, seconds_per_call: float):
-        super().__init__(inner)
-        self.clock = clock
-        self.seconds_per_call = seconds_per_call
-
-    def execute(self, query):
-        self.clock.tick(self.seconds_per_call)
-        return self.inner.execute(query)
-
-
-class TestDeadline:
-    def test_deadline_stops_the_plan_and_flags_degradation(self, cars_env):
-        clock = FakeClock()
-        source = SlowSource(cars_env.web_source(), clock, seconds_per_call=1.0)
-        mediator = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(k=10, deadline_seconds=3.5),
-            clock=clock,
-        )
-        result = mediator.query(QUERY)
-        assert result.degraded
-        kinds = [failure.kind for failure in result.stats.failures]
-        assert kinds == [QueryFailure.DEADLINE]
-        # base + 3 rewrites fit into 3.5 fake seconds; the rest were cut.
-        assert result.stats.rewritten_issued == 3
-        assert len(result.certain) > 0  # certain answers always survive
-
-    def test_strict_deadline_raises(self, cars_env):
-        clock = FakeClock()
-        source = SlowSource(cars_env.web_source(), clock, seconds_per_call=2.0)
-        mediator = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(
-                k=10, deadline_seconds=1.0, tolerate_deadline_exceeded=False
-            ),
-            clock=clock,
-        )
-        with pytest.raises(DeadlineExceededError):
-            mediator.query(QUERY)
-
-    def test_no_deadline_no_degradation(self, cars_env):
-        clock = FakeClock()
-        source = SlowSource(cars_env.web_source(), clock, seconds_per_call=100.0)
-        mediator = QpiadMediator(
-            source, cars_env.knowledge, QpiadConfig(k=10), clock=clock
-        )
-        assert not mediator.query(QUERY).degraded
 
 
 class TestStreamingDegradation:
@@ -188,41 +119,9 @@ class TestStreamingDegradation:
         iterator = iter(clean_rows)
         assert all(row in iterator for row in streamed_rows)
 
-    def test_stream_failure_budget_propagates(self, cars_env):
-        source = FailingAt(cars_env.web_source(), fail_calls={1, 2})
-        mediator = QpiadMediator(
-            source, cars_env.knowledge, QpiadConfig(k=10, max_source_failures=1)
-        )
-        with pytest.raises(SourceUnavailableError):
-            list(mediator.iter_possible(QUERY))
-
     def test_strict_budget_exhaustion_raises_mid_stream(self, cars_env):
-        from repro.errors import QueryBudgetExceededError
-        from repro.sources import AutonomousSource, SourceCapabilities
-
         source = AutonomousSource(
             "limited", cars_env.test, SourceCapabilities.web_form(query_budget=2)
         )
-        mediator = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(k=10, tolerate_budget_exhaustion=False),
-        )
         with pytest.raises(QueryBudgetExceededError):
-            list(mediator.iter_possible(QUERY))
-
-    def test_deadline_ends_the_stream(self, cars_env):
-        clock = FakeClock()
-        source = SlowSource(cars_env.web_source(), clock, seconds_per_call=1.0)
-        mediator = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(k=10, deadline_seconds=2.5),
-            clock=clock,
-        )
-        answers = list(mediator.iter_possible(QUERY))
-        # base + 2 rewrites fit; the stream ended early but cleanly.
-        batch = QpiadMediator(
-            cars_env.web_source(), cars_env.knowledge, QpiadConfig(k=10)
-        ).query(QUERY)
-        assert len(answers) < len(batch.ranked)
+            strict_retrieval(cars_env, source)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import JoinConfig, JoinProcessor, JoinResult
 from repro.core.results import RetrievalStats
-from repro.engine import ExecutionPolicy, PlannedQuery, QueryKind, RetrievalEngine
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.planner import PlannerConfig, QueryPlanner
 from repro.query import JoinQuery, SelectionQuery
 from repro.sources import SourceDecorator
@@ -114,7 +114,7 @@ class TestFanOutPlan:
         query = SelectionQuery.equals("body_style", "Convt")
         planner = QueryPlanner(cars_env.knowledge, PlannerConfig(k=10))
         before = set(threading.enumerate())
-        with RetrievalEngine(source, ExecutionPolicy(), RetrievalStats()) as engine:
+        with RetrievalEngine(source, RetrievalStats()) as engine:
             base = engine.run_base(
                 PlannedQuery(query=query, kind=QueryKind.BASE, rank=0)
             )

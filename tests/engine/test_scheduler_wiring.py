@@ -2,29 +2,21 @@
 
 import threading
 
-import pytest
-
 from repro.core import QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
-from repro.engine import ExecutionPolicy, FailureKind, PlannedQuery, QueryKind
+from repro.engine import FailureKind, PlannedQuery, QueryKind
 from repro.engine.engine import RetrievalEngine
-from repro.errors import AdmissionRejectedError, DeadlineExceededError
+from repro.errors import AdmissionRejectedError
 from repro.query import SelectionQuery
 from repro.relational import Relation, Schema
-from repro.resilience import (
-    SchedulerConfig,
-    SourcePolicy,
-    SourceScheduler,
-    remaining_deadline,
-    scheduler_scope,
-)
+from repro.resilience import SourcePolicy, SourceScheduler, scheduler_scope
 from repro.sources import AutonomousSource, SourceDecorator
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 
 
 def make_scheduler(**policy):
-    return SourceScheduler(SchedulerConfig(default=SourcePolicy(**policy)))
+    return SourceScheduler(SourcePolicy(**policy))
 
 
 class TestMediatorRouting:
@@ -137,10 +129,7 @@ class TestSharedBaseCall:
             return list(result.certain), [(a.row, a.confidence) for a in result.ranked]
 
         watch = FollowerWatch(followers=self.MEDIATORS - 1)
-        scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(dedup=True)),
-            telemetry=watch,
-        )
+        scheduler = SourceScheduler(SourcePolicy(dedup=True), telemetry=watch)
         source = GatedBaseSource(cars_env.web_source(), QUERY, watch.gate)
         results: dict = {}
 
@@ -170,13 +159,12 @@ class TestSharedBaseCall:
             assert answers(result) == answers(plain)
 
 
-def engine_for(source, policy=None, stats=None, scheduler=None):
+def engine_for(source, stats=None, scheduler=None, strict=False):
     return RetrievalEngine(
         source,
-        policy if policy is not None else ExecutionPolicy(),
         stats if stats is not None else RetrievalStats(),
+        strict=strict,
         scheduler=scheduler,
-        label="test",
     )
 
 
@@ -202,40 +190,13 @@ class TestFailureAbsorption:
         assert engine.degraded
         assert [f.kind for f in stats.failures] == [FailureKind.ADMISSION_REJECTED]
 
-    def test_admission_rejections_count_against_the_failure_budget(self):
+    def test_a_strict_engine_records_then_raises(self):
         stats = RetrievalStats()
-        engine = engine_for(
-            backend(), policy=ExecutionPolicy(max_source_failures=1), stats=stats
-        )
-        assert engine._absorb(step(QUERY), AdmissionRejectedError("shed")) == (
-            "continue"
-        )
-        assert engine._absorb(step(QUERY), AdmissionRejectedError("shed")) == (
-            "raise"
-        )
-
-    def test_deadline_error_from_below_halts_and_notes_once(self):
-        stats = RetrievalStats()
-        engine = engine_for(
-            backend(),
-            policy=ExecutionPolicy(deadline_seconds=10.0),
-            stats=stats,
-        )
-        outcome = engine._absorb(step(QUERY), DeadlineExceededError("too slow"))
-        assert outcome == "halt"
-        # Noted exactly once even if the post-stream check fires too.
-        engine._note_deadline()
-        assert [f.kind for f in stats.failures] == [FailureKind.DEADLINE]
-
-    def test_strict_deadline_policy_reraises(self):
-        engine = engine_for(
-            backend(),
-            policy=ExecutionPolicy(
-                deadline_seconds=10.0, tolerate_deadline_exceeded=False
-            ),
-        )
-        with pytest.raises(DeadlineExceededError):
-            engine._absorb(step(QUERY), DeadlineExceededError("too slow"))
+        engine = engine_for(backend(), stats=stats, strict=True)
+        outcome = engine._absorb(step(QUERY), AdmissionRejectedError("shed"))
+        assert outcome == "raise"
+        assert engine.degraded
+        assert [f.kind for f in stats.failures] == [FailureKind.ADMISSION_REJECTED]
 
     def test_required_steps_always_reraise(self):
         engine = engine_for(backend())
@@ -245,58 +206,3 @@ class TestFailureAbsorption:
         assert engine._absorb(
             required, AdmissionRejectedError("shed")
         ) == "raise"
-
-
-class TestDeadlinePropagation:
-    def test_source_calls_see_the_engine_deadline(self):
-        seen = []
-
-        class PeekingSource:
-            name = "peek"
-            schema = Schema.of("make")
-            capabilities = backend().capabilities
-
-            def execute(self, query):
-                seen.append(remaining_deadline())
-                return Relation(Schema.of("make"), [("BMW",)])
-
-        engine = engine_for(
-            PeekingSource(), policy=ExecutionPolicy(deadline_seconds=30.0)
-        )
-        engine.run_base(step(SelectionQuery.equals("make", "BMW"), kind=QueryKind.BASE))
-        assert len(seen) == 1
-        assert seen[0] is not None and 0 < seen[0] <= 30.0
-
-    def test_no_policy_deadline_means_unbounded_calls(self):
-        seen = []
-
-        class PeekingSource:
-            name = "peek"
-            schema = Schema.of("make")
-            capabilities = backend().capabilities
-
-            def execute(self, query):
-                seen.append(remaining_deadline())
-                return Relation(Schema.of("make"), [("BMW",)])
-
-        engine = engine_for(PeekingSource())
-        engine.run_base(step(SelectionQuery.equals("make", "BMW"), kind=QueryKind.BASE))
-        assert seen == [None]
-
-    def test_scheduler_receives_the_deadline(self):
-        scheduler = make_scheduler(rate_per_second=0.0001, burst=1)
-        source = backend()
-        stats = RetrievalStats()
-        engine = engine_for(
-            source,
-            policy=ExecutionPolicy(deadline_seconds=0.05),
-            stats=stats,
-            scheduler=scheduler,
-        )
-        engine.run_base(step(QUERY, kind=QueryKind.BASE))  # spends the burst
-        # The next token is ~10000s away; the deadline preempts the wait.
-        with pytest.raises(DeadlineExceededError):
-            engine.run_base(
-                step(SelectionQuery.equals("make", "Audi"), kind=QueryKind.BASE)
-            )
-        assert scheduler.metrics.value("scheduler.rejected_deadline") == 1

@@ -11,12 +11,7 @@ import threading
 import pytest
 
 from repro.core.results import RetrievalStats
-from repro.engine import (
-    ExecutionPolicy,
-    PlannedQuery,
-    QueryKind,
-    RetrievalEngine,
-)
+from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import SourceUnavailableError
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
@@ -58,12 +53,9 @@ def _plan(queries, kind=QueryKind.REWRITTEN):
     ]
 
 
-def _engine(source, policy=None, stats=None):
+def _engine(source, stats=None, **options):
     return RetrievalEngine(
-        source,
-        policy if policy is not None else ExecutionPolicy(),
-        stats if stats is not None else RetrievalStats(),
-        label="test",
+        source, stats if stats is not None else RetrievalStats(), **options
     )
 
 
@@ -107,7 +99,7 @@ class TestStreamTuples:
 
         source = Gated({slow: [("slow", "x")], fast: [("fast", "y")]})
         rows = []
-        engine = _engine(source, policy=ExecutionPolicy(max_concurrency=2))
+        engine = _engine(source, max_concurrency=2)
         for __, row in engine.stream_tuples(_plan([slow, fast])):
             rows.append(row)
             # The slow call may only finish once the fast call's row has
@@ -135,11 +127,7 @@ class TestStreamTuples:
             }
         )
         stats = RetrievalStats()
-        engine = _engine(
-            source,
-            policy=ExecutionPolicy(),
-            stats=stats,
-        )
+        engine = _engine(source, stats=stats)
         rows = [row for __, row in engine.stream_tuples(_plan([_query("down"), _query("ok")]))]
         assert rows == [("ok", "x")]
         # The failed call is still billed: issuance is counted up front.
@@ -148,7 +136,7 @@ class TestStreamTuples:
 
     def test_strict_policy_raises_on_failure(self):
         source = MappingSource({_query("down"): SourceUnavailableError("down")})
-        engine = _engine(source, policy=ExecutionPolicy.strict())
+        engine = _engine(source, strict=True, max_concurrency=1)
         with pytest.raises(SourceUnavailableError):
             list(engine.stream_tuples(_plan([_query("down")])))
 

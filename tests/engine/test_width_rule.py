@@ -4,10 +4,10 @@ With ``QpiadConfig.max_concurrency`` left at ``None``, the engine times
 the base call it issues anyway.  A drained plan (``QpiadMediator.query``)
 fans out only when that call mostly waited on the source and nothing can
 end the plan early or shed part of it; everything else — an in-process
-source, a deadline, a finite failure budget, a declared query budget, a
-bounded admission queue, the lazy ``iter_possible`` stream — keeps one
-call in flight.  Whatever the width, the answers and their accounting
-must equal the serial run's bit for bit.
+source, a strict engine, a declared query budget, a bounded admission
+queue, the lazy ``iter_possible`` stream — keeps one call in flight.
+Whatever the width, the answers and their accounting must equal the
+serial run's bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
-from repro.engine import ConcurrentExecutor, ExecutionPolicy
+from repro.engine import ConcurrentExecutor, PlannedQuery, QueryKind, RetrievalEngine
 from repro.engine import engine as engine_module
 from repro.errors import QpiadError
 from repro.evaluation import multi_attribute_workload, selection_workload
-from repro.resilience import SchedulerConfig, SourcePolicy, SourceScheduler
+from repro.planner import PlannerConfig, QueryPlanner
+from repro.resilience import SourcePolicy, SourceScheduler
 from repro.sources import AutonomousSource, SourceCapabilities, SourceDecorator
 
 #: Per-call round trip of the sleeping source: long next to the base
@@ -124,25 +125,13 @@ def observed(result) -> dict:
 class TestConfiguration:
     def test_width_is_unpinned_by_default(self):
         assert QpiadConfig().max_concurrency is None
-        assert ExecutionPolicy().max_concurrency is None
-        assert ExecutionPolicy.strict().max_concurrency == 1
 
     @pytest.mark.parametrize("width", [0, -1])
     def test_a_pinned_width_must_be_positive(self, width):
         with pytest.raises(QpiadError, match="max_concurrency"):
             QpiadConfig(max_concurrency=width)
         with pytest.raises(QpiadError, match="max_concurrency"):
-            ExecutionPolicy(max_concurrency=width)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("max_source_failures", -1), ("deadline_seconds", -1.0)],
-    )
-    def test_config_rejects_what_the_policy_rejects(self, field, value):
-        with pytest.raises(QpiadError, match=field):
-            QpiadConfig(**{field: value})
-        with pytest.raises(QpiadError, match=field):
-            ExecutionPolicy(**{field: value})
+            RetrievalEngine(None, RetrievalStats(), max_concurrency=width)
 
 
 class TestDefaultEqualsSerial:
@@ -194,22 +183,30 @@ class TestMeasurement:
 
 class TestStaysSerial:
     @pytest.mark.parametrize(
-        "config, capabilities",
-        [
-            (QpiadConfig(deadline_seconds=60.0), None),
-            (QpiadConfig(), SourceCapabilities.web_form(query_budget=100)),
-            (QpiadConfig(max_source_failures=3), None),
-        ],
-        ids=["deadline", "query-budget", "failure-budget"],
+        "capabilities",
+        [SourceCapabilities.web_form(query_budget=100)],
+        ids=["query-budget"],
     )
-    def test_a_plan_that_can_end_early(
-        self, cars_env, fan_outs, config, capabilities
-    ):
+    def test_a_plan_that_can_end_early(self, cars_env, fan_outs, capabilities):
         source = sleeping(cars_env, capabilities)
-        result = QpiadMediator(source, cars_env.knowledge, config).query(
+        result = QpiadMediator(source, cars_env.knowledge).query(
             cars_queries(cars_env)[0]
         )
         assert result.stats.rewritten_issued > 1  # a plan worth overlapping
+        assert source.peak_in_flight == 1
+        assert fan_outs == []
+
+    def test_a_strict_engine(self, cars_env, fan_outs):
+        # Its first failure ends the plan, so a wider window could put
+        # calls on the wire that a serial run never makes.
+        source = sleeping(cars_env)
+        query = cars_queries(cars_env)[0]
+        stats = RetrievalStats()
+        engine = RetrievalEngine(source, stats, strict=True)
+        base = engine.run_base(PlannedQuery(query=query, kind=QueryKind.BASE, rank=0))
+        planner = QueryPlanner(cars_env.knowledge, PlannerConfig(k=10))
+        steps = planner.plan_selection(query, base, source=source).steps
+        assert len(list(engine.stream(steps, drained=True))) > 1
         assert source.peak_in_flight == 1
         assert fan_outs == []
 
@@ -226,10 +223,10 @@ class TestStaysSerial:
             sleeping(cars_env),
             cars_env.knowledge,
             QpiadConfig(max_concurrency=1),
-            scheduler=SourceScheduler(SchedulerConfig(default=policy)),
+            scheduler=SourceScheduler(policy),
         ).query(query)
         source = sleeping(cars_env)
-        scheduler = SourceScheduler(SchedulerConfig(default=policy))
+        scheduler = SourceScheduler(policy)
         default = QpiadMediator(
             source, cars_env.knowledge, scheduler=scheduler
         ).query(query)
@@ -250,26 +247,13 @@ class TestStaysSerial:
 
 
 class TestWidth:
-    def test_declared_concurrency_cap_bounds_calls_in_flight(
-        self, cars_env, fan_outs
-    ):
-        source = sleeping(cars_env, SourceCapabilities(max_concurrent_requests=2))
-        result = QpiadMediator(source, cars_env.knowledge).query(
-            cars_queries(cars_env)[0]
-        )
-        assert result.stats.rewritten_issued > 2
-        assert fan_outs == [2]
-        assert source.peak_in_flight == 2
-
     def test_scheduler_concurrency_cap_bounds_the_width(self, cars_env, fan_outs):
         query = cars_queries(cars_env)[0]
         serial = QpiadMediator(
             sleeping(cars_env), cars_env.knowledge, QpiadConfig(max_concurrency=1)
         ).query(query)
         source = sleeping(cars_env)
-        scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(max_concurrent=3, max_queue=None))
-        )
+        scheduler = SourceScheduler(SourcePolicy(max_concurrent=3, max_queue=None))
         default = QpiadMediator(
             source, cars_env.knowledge, scheduler=scheduler
         ).query(query)

@@ -1,7 +1,7 @@
 """The chaos invariants with the SourceScheduler in the loop.
 
-Admission control, dedup, and deadline propagation must not change what
-a mediated retrieval *means*.  With a scheduler attached, at every
+Admission control and dedup must not change what a mediated retrieval
+*means*.  With a scheduler attached, at every
 executor width and every seed:
 
 * the accounting invariant holds exactly — ``queries_issued`` equals the
@@ -18,7 +18,7 @@ import pytest
 from repro.core import QpiadConfig, QpiadMediator
 from repro.faults import FaultInjectingSource, FaultPlan
 from repro.query import SelectionQuery
-from repro.resilience import SchedulerConfig, SourcePolicy, SourceScheduler
+from repro.resilience import SourcePolicy, SourceScheduler
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
@@ -34,7 +34,7 @@ def make_scheduler(**overrides):
         dedup=True,
     )
     policy.update(overrides)
-    return SourceScheduler(SchedulerConfig(default=SourcePolicy(**policy)))
+    return SourceScheduler(SourcePolicy(**policy))
 
 
 def chaos_mediate(env, seed, width):
@@ -142,7 +142,7 @@ class TestLoadShedding:
         result = QpiadMediator(
             source,
             cars_env.knowledge,
-            QpiadConfig(k=10, max_concurrency=width, max_source_failures=None),
+            QpiadConfig(k=10, max_concurrency=width),
             scheduler=scheduler,
         ).query(QUERY)
         assert set(result.certain) == set(clean.certain)

@@ -1,67 +1,50 @@
-"""SourceScheduler: policy resolution, admission, load shedding, dedup."""
+"""SourceScheduler: one policy, admission, load shedding, dedup."""
 
 import threading
 import time
 
 import pytest
 
-from repro.errors import AdmissionRejectedError, DeadlineExceededError, QpiadError
+from repro.errors import AdmissionRejectedError, QpiadError
 from repro.query import SelectionQuery
 from repro.resilience import (
-    Deadline,
-    SchedulerConfig,
     SourcePolicy,
     SourceScheduler,
     current_scheduler,
     install_scheduler,
     scheduler_scope,
 )
-from repro.sources import SourceCapabilities
 
 QUERY = SelectionQuery.equals("make", "BMW")
 OTHER = SelectionQuery.equals("make", "Audi")
 
 
 class FakeSource:
-    def __init__(self, name="src", capabilities=None):
+    def __init__(self, name="src"):
         self.name = name
-        if capabilities is not None:
-            self.capabilities = capabilities
 
 
 def wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
+    give_up_at = time.monotonic() + timeout
     while not predicate():
-        if time.monotonic() > deadline:
+        if time.monotonic() > give_up_at:
             raise AssertionError("condition never became true")
         time.sleep(0.001)
 
 
 class TestPolicyResolution:
-    def test_default_policy_when_nothing_declared(self):
-        config = SchedulerConfig()
-        assert config.policy_for(FakeSource()) == config.default
+    def test_every_source_gets_the_one_policy(self):
+        policy = SourcePolicy(rate_per_second=5.0, max_concurrent=3)
+        scheduler = SourceScheduler(policy)
+        first, second = FakeSource("a"), FakeSource("b")
+        assert scheduler.state_for(first).policy is policy
+        assert scheduler.state_for(second).policy is policy
+        # Each source keeps its own state: one bucket per name.
+        assert scheduler.state_for(first) is scheduler.state_for(FakeSource("a"))
+        assert scheduler.state_for(first) is not scheduler.state_for(second)
 
-    def test_capabilities_declarations_specialise_the_default(self):
-        config = SchedulerConfig()
-        source = FakeSource(
-            capabilities=SourceCapabilities(
-                rate_limit_per_second=5.0, burst=2, max_concurrent_requests=3
-            )
-        )
-        policy = config.policy_for(source)
-        assert policy.rate_per_second == 5.0
-        assert policy.burst == 2
-        assert policy.max_concurrent == 3
-        assert policy.dedup == config.default.dedup
-
-    def test_explicit_per_source_override_beats_capabilities(self):
-        explicit = SourcePolicy(rate_per_second=99.0, dedup=False)
-        config = SchedulerConfig(per_source={"src": explicit})
-        source = FakeSource(
-            capabilities=SourceCapabilities(rate_limit_per_second=5.0)
-        )
-        assert config.policy_for(source) is explicit
+    def test_the_default_policy(self):
+        assert SourceScheduler().policy == SourcePolicy()
 
     def test_policy_validation(self):
         with pytest.raises(QpiadError):
@@ -79,7 +62,7 @@ class TestAdmission:
     def test_rate_limit_waits_via_the_injected_sleep(self):
         slept = []
         scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(rate_per_second=10, burst=1)),
+            SourcePolicy(rate_per_second=10, burst=1),
             sleep=lambda s: slept.append(s),
         )
         source = FakeSource()
@@ -87,27 +70,9 @@ class TestAdmission:
         scheduler.call(source, OTHER, "execute", lambda: 2)  # bucket is empty
         assert slept  # the second call paid a pacing wait
 
-    def test_rate_limit_wait_respects_the_deadline(self):
-        scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(rate_per_second=0.001, burst=1))
-        )
-        source = FakeSource()
-        scheduler.call(source, QUERY, "execute", lambda: 1)
-        with pytest.raises(DeadlineExceededError):
-            scheduler.call(
-                source,
-                OTHER,
-                "execute",
-                lambda: 2,
-                deadline=Deadline.after(0.05),
-            )
-        assert scheduler.metrics.value("scheduler.rejected_deadline") == 1
-
     def test_full_queue_sheds_with_admission_rejected(self):
         scheduler = SourceScheduler(
-            SchedulerConfig(
-                default=SourcePolicy(max_concurrent=1, max_queue=1, dedup=False)
-            )
+            SourcePolicy(max_concurrent=1, max_queue=1, dedup=False)
         )
         source = FakeSource()
         state = scheduler.state_for(source)
@@ -139,36 +104,15 @@ class TestAdmission:
         second.join(timeout=5)
         assert outcomes == [True, True]
 
-    def test_slot_wait_respects_an_expired_deadline(self):
-        scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(max_concurrent=1, dedup=False))
-        )
-        source = FakeSource()
-        state = scheduler.state_for(source)
-        release = threading.Event()
-        holder = threading.Thread(
-            target=scheduler.call,
-            args=(source, QUERY, "execute", lambda: release.wait(5.0)),
-        )
-        holder.start()
-        wait_until(lambda: state.inflight == 1)
-        with pytest.raises(DeadlineExceededError):
-            scheduler.call(
-                source, OTHER, "execute", lambda: 2, deadline=Deadline.after(0.0)
-            )
-        release.set()
-        holder.join(timeout=5)
-
 
 class TestDedup:
     def make(self, **policy):
-        return SourceScheduler(SchedulerConfig(default=SourcePolicy(**policy)))
+        return SourceScheduler(SourcePolicy(**policy))
 
     def test_identical_inflight_calls_share_one_source_call(self):
         # Rate-limited on a frozen clock, so no token refills mid-test.
         scheduler = SourceScheduler(
-            SchedulerConfig(default=SourcePolicy(rate_per_second=1, burst=4)),
-            clock=lambda: 0.0,
+            SourcePolicy(rate_per_second=1, burst=4), clock=lambda: 0.0
         )
         source = FakeSource()
         release = threading.Event()

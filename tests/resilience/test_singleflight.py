@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.errors import DeadlineExceededError, SourceUnavailableError
+from repro.errors import SourceUnavailableError
 from repro.resilience import SingleFlight
 
 
@@ -52,12 +52,6 @@ class TestOutcomeSharing:
             flights.wait(flight)
         assert caught.value is error
 
-    def test_wait_timeout_raises_deadline_exceeded(self):
-        flights = SingleFlight()
-        flight, __ = flights.lead_or_join("k")
-        with pytest.raises(DeadlineExceededError):
-            flights.wait(flight, timeout=0.01)
-
     def test_concurrent_followers_each_get_the_result_once(self):
         flights = SingleFlight()
         flight, __ = flights.lead_or_join("k")
@@ -67,7 +61,7 @@ class TestOutcomeSharing:
         def follow():
             __, leads = flights.lead_or_join("k")
             assert not leads
-            value = flights.wait(flight, timeout=5.0)
+            value = flights.wait(flight)
             with lock:
                 results.append(value)
 

@@ -1,10 +1,10 @@
-"""TokenBucket: pacing and deadline-capped waits."""
+"""TokenBucket: pacing and blocking waits."""
 
 import threading
 
 import pytest
 
-from repro.errors import DeadlineExceededError, QpiadError
+from repro.errors import QpiadError
 from repro.resilience import TokenBucket
 
 
@@ -19,12 +19,20 @@ class FakeClock:
         self.now += seconds
 
 
+class _WouldWait(Exception):
+    pass
+
+
+def _refuse_to_wait(seconds):
+    raise _WouldWait
+
+
 def try_acquire(bucket):
-    """Take a banked token without waiting: ``acquire`` on a zero budget
-    raises exactly when no whole token is banked."""
+    """Take a banked token without waiting: ``acquire`` sleeps exactly
+    when no whole token is banked, and a sleep that raises takes none."""
     try:
-        bucket.acquire(timeout=0.0)
-    except DeadlineExceededError:
+        bucket.acquire(sleep=_refuse_to_wait)
+    except _WouldWait:
         return False
     return True
 
@@ -83,22 +91,6 @@ class TestAcquire:
         waited = bucket.acquire(sleep=sleep)
         assert slept == [pytest.approx(0.25)]
         assert waited == pytest.approx(0.25)
-
-    def test_raises_instead_of_sleeping_past_the_deadline(self):
-        clock = FakeClock()
-        bucket = TokenBucket(1, burst=1, clock=clock)
-        try_acquire(bucket)  # empty; next token in 1s
-        with pytest.raises(DeadlineExceededError):
-            bucket.acquire(timeout=0.5, sleep=lambda s: clock.advance(s))
-
-    def test_deadline_error_leaves_no_token_spent(self):
-        clock = FakeClock()
-        bucket = TokenBucket(1, burst=1, clock=clock)
-        try_acquire(bucket)
-        with pytest.raises(DeadlineExceededError):
-            bucket.acquire(timeout=0.1, sleep=lambda s: clock.advance(s))
-        clock.advance(1.0)
-        assert try_acquire(bucket)  # the refilled token is intact
 
 
 class TestThreadSafety:

@@ -1,9 +1,9 @@
 """Disabled means free: no plan cache and no telemetry cost nothing.
 
 With ``plan_cache=None`` and ``telemetry=None`` a mediated query must
-compute no fingerprint, open no span and read no telemetry clock.  The
-check counts calls through a monkeypatch rather than timing anything, so
-it is deterministic.  The same counters see the work when a cache and a
+compute no fingerprint, open no span, format no span name and read no
+telemetry clock.  The check counts calls through a monkeypatch rather
+than timing anything, so it is deterministic.  The same counters see the work when a cache and a
 telemetry hook are given, which shows the patches are live.
 """
 
@@ -20,6 +20,7 @@ import pytest
 import repro.planner.fingerprint as fingerprint_module
 import repro.telemetry.telemetry as telemetry_module
 from repro.core import JoinConfig, JoinProcessor, QpiadMediator
+from repro.engine import PlannedQuery
 from repro.mining.knowledge import KnowledgeBase
 from repro.planner import PlanCache
 from repro.query import JoinQuery, SelectionQuery
@@ -36,7 +37,8 @@ JOIN = JoinQuery(
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Counts of fingerprint computations and span constructions."""
+    """Counts of fingerprint computations, span constructions and the
+    formatting of span names."""
     counts: Counter = Counter()
 
     def count(owner, attribute, label):
@@ -56,6 +58,17 @@ def calls(monkeypatch):
     count(Relation, "content_digest", "content_digest")
     count(KnowledgeBase, "fingerprint", "fingerprint")
     count(Span, "__init__", "Span")
+    # A span name formats its planned query, and a root span the user's.
+    count(PlannedQuery, "span_name", "span_name")
+    for query_type, user_query in ((SelectionQuery, SELECTION), (JoinQuery, JOIN)):
+        original_repr = query_type.__repr__
+
+        def counting_repr(self, original_repr=original_repr, user_query=user_query):
+            if self is user_query:
+                counts["user query repr"] += 1
+            return original_repr(self)
+
+        monkeypatch.setattr(query_type, "__repr__", counting_repr)
     # The telemetry module reads the wall clock through its ``time`` binding.
     clock = SimpleNamespace(monotonic=time.monotonic)
     count(clock, "monotonic", "clock")
@@ -94,10 +107,12 @@ class TestEnabledIsCounted:
     def test_selection(self, cars_env, calls):
         _selection(cars_env, plan_cache=PlanCache(), telemetry=Telemetry())
         assert calls["stable_digest"] and calls["fingerprint"] and calls["Span"]
+        assert calls["span_name"] and calls["user query repr"]
 
     def test_join(self, cars_env, complaints_env, calls):
         _join(cars_env, complaints_env, plan_cache=PlanCache(), telemetry=Telemetry())
         assert calls["stable_digest"] and calls["fingerprint"] and calls["Span"]
+        assert calls["span_name"]
 
 
 class TestInjectedClock:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _parse_admission, main
 from repro.errors import QpiadError
+from repro.resilience import SourcePolicy
 
 
 @pytest.fixture()
@@ -22,10 +23,12 @@ class TestParseAdmission:
         assert _parse_admission([]) is None
 
     def test_numeric_keys_build_the_default_policy(self):
-        config = _parse_admission(
+        policy = _parse_admission(
             ["rate=250", "burst=8", "concurrent=4", "queue=16"]
         )
-        policy = config.default
+        assert policy == SourcePolicy(
+            rate_per_second=250.0, burst=8, max_concurrent=4, max_queue=16
+        )
         assert policy.rate_per_second == 250.0
         assert policy.burst == 8
         assert policy.max_concurrent == 4
@@ -36,8 +39,8 @@ class TestParseAdmission:
         ("off", False), ("false", False), ("no", False), ("0", False),
     ])
     def test_on_off_flags(self, raw, expected):
-        config = _parse_admission([f"dedup={raw}"])
-        assert config.default.dedup is expected
+        policy = _parse_admission([f"dedup={raw}"])
+        assert policy.dedup is expected
 
     def test_malformed_spec_is_rejected(self):
         with pytest.raises(QpiadError, match="expected KEY=VALUE"):

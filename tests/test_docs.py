@@ -79,3 +79,37 @@ class TestReadmeQuickstart:
         for path in named:
             assert path.startswith(("src/repro/", "examples/")), path
             assert (REPO_ROOT / path).is_file(), f"DESIGN.md layout names missing {path}"
+
+
+class TestObservabilityDoc:
+    @staticmethod
+    def _emitted_counters() -> set[str]:
+        """Counter names ``src/`` passes as string literals to a
+        ``telemetry.count`` or ``self._count`` call."""
+        names: set[str] = set()
+        for path in (REPO_ROOT / "src").rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            names.update(
+                re.findall(r'(?:\.count|\bself\._count)\(\s*"([^"]+)"', text)
+            )
+        return names
+
+    @staticmethod
+    def _documented_counters() -> set[str]:
+        """The Counters column of the "What gets emitted" table, each name
+        under its row's prefix."""
+        doc = (REPO_ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+        table = re.search(r"### What gets emitted\n\n(.*?)\n\n", doc, flags=re.DOTALL)
+        assert table, "docs/observability.md must keep its counter table"
+        names: set[str] = set()
+        for line in table.group(1).splitlines()[2:]:
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            prefix = cells[0].strip("`").rstrip("*")
+            names.update(prefix + name for name in re.findall(r"`([a-z_]+)`", cells[2]))
+        return names
+
+    def test_counter_table_names_what_src_emits(self):
+        emitted = self._emitted_counters()
+        assert len(emitted) > 30
+        assert self._documented_counters() == emitted
+

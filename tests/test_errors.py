@@ -19,7 +19,7 @@ class TestHierarchy:
             "RewritingError",
             "SourceUnavailableError",
             "CircuitOpenError",
-            "DeadlineExceededError",
+            "AdmissionRejectedError",
         ):
             assert issubclass(getattr(errors, name), errors.QpiadError)
 
@@ -35,7 +35,8 @@ class TestHierarchy:
         # Open circuits read as transient unavailability, so skip-and-continue
         # degradation (and retry wrappers) handle them uniformly.
         assert issubclass(errors.CircuitOpenError, errors.SourceUnavailableError)
-        assert not issubclass(errors.DeadlineExceededError, errors.SourceUnavailableError)
+        # A shed call is local congestion: the source itself is healthy.
+        assert not issubclass(errors.AdmissionRejectedError, errors.SourceUnavailableError)
 
     def test_one_except_clause_catches_the_library(self):
         with pytest.raises(errors.QpiadError):
