@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="KEY=VALUE",
         help="route source calls through a SourceScheduler; repeatable. "
-        "Keys: rate (calls/s), burst, concurrent, queue, dedup (on/off)",
+        "Keys: rate (calls/s), burst, concurrent, queue",
     )
     query.add_argument(
         "--stream",
@@ -377,7 +377,6 @@ _ADMISSION_KEYS = {
     "burst": ("burst", int),
     "concurrent": ("max_concurrent", int),
     "queue": ("max_queue", int),
-    "dedup": ("dedup", None),  # None marks an on/off flag
 }
 
 
@@ -398,15 +397,6 @@ def _parse_admission(specs):
             known = ", ".join(sorted(_ADMISSION_KEYS))
             raise QpiadError(f"unknown --admission key {key!r}; known keys: {known}")
         field, cast = _ADMISSION_KEYS[key]
-        if cast is None:
-            lowered = raw.lower()
-            if lowered in ("on", "true", "yes", "1"):
-                kwargs[field] = True
-            elif lowered in ("off", "false", "no", "0"):
-                kwargs[field] = False
-            else:
-                raise QpiadError(f"--admission {key} expects on/off, got {raw!r}")
-            continue
         try:
             kwargs[field] = cast(raw)
         except ValueError as exc:
@@ -463,12 +453,12 @@ def _cmd_mine(args) -> int:
 
 def _build_mediation(args, telemetry):
     """``qpiad query``'s plumbing: load data, build mediator and query."""
+    admission = _parse_admission(args.admission)
     __, knowledge, query, source = _session(args)
     config = QpiadConfig(
         alpha=args.alpha, k=args.k, max_concurrency=args.concurrency
     )
     scheduler = None
-    admission = _parse_admission(args.admission)
     if admission is not None:
         from repro.resilience import SourceScheduler
 
@@ -569,11 +559,7 @@ def _cmd_query(args) -> int:
     if scheduler is not None:
         admitted = scheduler.metrics.value("scheduler.admitted")
         shed = scheduler.metrics.value("scheduler.rejected_queue_full")
-        dedup = scheduler.metrics.value("scheduler.dedup_hits")
-        print(
-            f"admission: {admitted:.0f} admitted, {shed:.0f} shed, "
-            f"{dedup:.0f} deduplicated"
-        )
+        print(f"admission: {admitted:.0f} admitted, {shed:.0f} shed")
     if args.explain and mediator.last_plan is not None:
         print()
         print(_render_plan(mediator.last_plan, args.alpha))
@@ -686,6 +672,7 @@ def _cmd_chaos(args) -> int:
     from repro.evaluation.harness import build_environment
     from repro.faults import FaultInjectingSource, FaultPlan
 
+    admission = _parse_admission(args.admission)
     print(
         f"chaos: {args.size} car listings, seed {args.seed}, "
         f"{args.failure_rate:.0%} unavailable / {args.churn_rate:.0%} churned / "
@@ -700,7 +687,6 @@ def _cmd_chaos(args) -> int:
         SelectionQuery.equals("make", "BMW"),
     ]
     config = QpiadConfig(k=args.k, max_concurrency=args.concurrency)
-    admission = _parse_admission(args.admission)
     # With concurrent execution the fault schedule maps onto calls in
     # completion-dependent order, so two runs need not inject the same
     # faults at the same calls; the replay-identical check only holds

@@ -366,8 +366,9 @@ class RetrievalEngine:
     def _call_source(self, source: Any, step: PlannedQuery) -> Relation:
         """Put one planned call on the wire, via the scheduler when present.
 
-        The scheduler runs an admitted thunk exactly once; a dedup
-        follower shares its leader's wire call instead.
+        The scheduler runs an admitted thunk exactly once and sheds the
+        rest, so every call billed above either reaches the source or
+        fails with :class:`~repro.errors.AdmissionRejectedError`.
         """
         if step.kind == QueryKind.MULTI_NULL:
             operation = f"null-binding:{step.max_nulls}"

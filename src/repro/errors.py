@@ -45,20 +45,9 @@ class SourceUnavailableError(QpiadError):
     """A source failed transiently (timeout, 5xx, connection reset).
 
     Unlike :class:`CapabilityError` — which means the query can *never*
-    succeed — this failure is worth retrying; see
-    :class:`repro.sources.retrying.RetryingSource`.
-    """
-
-
-class CircuitOpenError(SourceUnavailableError):
-    """A circuit breaker rejected the call without contacting the source.
-
-    Raised by :class:`repro.sources.breaker.CircuitBreakerSource` while its
-    circuit is open: the source failed repeatedly and calls now fail fast
-    instead of burning latency (and goodwill) on a database that is down.
-    Subclasses :class:`SourceUnavailableError` because to the caller it *is*
-    a transient unavailability — the source may recover once the breaker
-    half-opens — so the mediator's skip-and-continue degradation applies.
+    succeed — this failure says nothing about the query itself: a
+    degrading retrieval skips the call and keeps what it has, a strict
+    one raises.
     """
 
 
@@ -66,16 +55,14 @@ class AdmissionRejectedError(QpiadError):
     """The source scheduler shed this call instead of queueing it.
 
     Raised by :class:`repro.resilience.SourceScheduler` when a source's
-    bounded wait queue is already full: admitting one more caller would
-    only grow the backlog, so the scheduler fails the call immediately
-    (load shedding).  Deliberately *not* a
+    bounded admission queue is already full: admitting one more caller
+    would only grow the backlog, so the scheduler fails the call
+    immediately (load shedding).  Deliberately *not* a
     :class:`SourceUnavailableError` — the source itself is healthy, the
-    mediator-side admission queue is the resource that ran out — so
-    :class:`repro.sources.retrying.RetryingSource` does not hammer an
-    overloaded scheduler with immediate retries and the circuit breaker
-    does not open over local congestion.  The engine handles it as it
-    does transient source errors: a degrading retrieval skips the call,
-    a strict one raises.
+    mediator-side admission queue is the resource that ran out — so the
+    engine records it under its own failure kind, ``admission-rejected``.
+    Otherwise it handles it as it does transient source errors: a
+    degrading retrieval skips the call, a strict one raises.
     """
 
 

@@ -1,9 +1,7 @@
 """Deterministic fault injection for chaos-testing the mediator stack.
 
-See ``docs/robustness.md`` for how this package relates to the production
-wrappers (:class:`~repro.sources.RetryingSource`,
-:class:`~repro.sources.CircuitBreakerSource`) and the mediator's
-degraded-result semantics.
+See ``docs/robustness.md`` for where the injecting wrapper sits in the
+source stack and for the mediator's degraded-result semantics.
 """
 
 from repro.faults.injecting import FaultInjectingSource

@@ -7,9 +7,9 @@ any :class:`~repro.sources.surface.Source` so the mediator's degradation
 paths can be driven deterministically in tests, benchmarks, and the
 ``qpiad chaos`` smoke run.
 
-It sits at the *bottom* of the production wrapper stack (retry → circuit
-breaker → fault injection → real source): the wrappers above it see exactly
-the failures a live source would produce.
+It sits directly above the real source, so everything above it (other
+wrappers, the scheduler, the mediator) sees exactly the failures a live
+source would produce.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from repro.sources.surface import Source, SourceDecorator
 from repro.telemetry import Telemetry
 
 __all__ = ["FaultInjectingSource"]
-
-
-def _ignore_latency(seconds: float) -> None:
-    """Default sleep hook: record-only, so tests and simulations stay instant."""
 
 
 class FaultInjectingSource(SourceDecorator):
@@ -46,10 +42,6 @@ class FaultInjectingSource(SourceDecorator):
         (:class:`~repro.sources.AutonomousSource` or another wrapper).
     plan:
         The seeded fault schedule; see :class:`~repro.faults.FaultPlan`.
-    sleep:
-        Hook receiving injected latency.  The default ignores the delay (the
-        statistics still record it); pass ``time.sleep`` for wall-clock
-        chaos runs or a fake-clock advance in tests.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hook; every injected
         fault counts as ``fault.injected`` plus a per-kind counter
@@ -61,12 +53,10 @@ class FaultInjectingSource(SourceDecorator):
         self,
         inner: Source,
         plan: FaultPlan,
-        sleep: Callable[[float], None] = _ignore_latency,
         telemetry: Telemetry | None = None,
     ):
         super().__init__(inner)
         self.plan = plan
-        self._sleep = sleep
         self._telemetry = telemetry
         self.statistics = FaultStatistics()
         # The concurrent executor calls into one wrapper from several
@@ -90,7 +80,7 @@ class FaultInjectingSource(SourceDecorator):
             self._telemetry.count("fault.injected")
             self._telemetry.count(f"fault.{kind}")
 
-    def _tally(self, **deltas: float) -> None:
+    def _tally(self, **deltas: int) -> None:
         """Locked increments of the named statistics counters."""
         with self._lock:
             for name, delta in deltas.items():
@@ -126,11 +116,6 @@ class FaultInjectingSource(SourceDecorator):
             self._tally(truncated=1, tuples_dropped=dropped)
             self._record(index, FaultKind.TRUNCATE, operation, f"dropped {dropped} tuples")
             return result.take(kept)
-        if decision.kind == FaultKind.LATENCY:
-            self._tally(delayed=1, latency_injected_seconds=self.plan.latency_seconds)
-            self._record(index, FaultKind.LATENCY, operation, f"{self.plan.latency_seconds}s")
-            self._sleep(self.plan.latency_seconds)
-            return result
         self._tally(healthy=1)
         return result
 

@@ -25,9 +25,8 @@ class FaultKind:
     UNAVAILABLE = "unavailable"  # raise SourceUnavailableError before any work
     CHURN = "churn"  # do the work, charge the budget, then fail anyway
     TRUNCATE = "truncate"  # return only a prefix of the result
-    LATENCY = "latency"  # deliver the full result, but slowly
 
-    ALL = (UNAVAILABLE, CHURN, TRUNCATE, LATENCY)
+    ALL = (UNAVAILABLE, CHURN, TRUNCATE)
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class FaultEvent:
     index: int  # 0-based call index at the wrapper
     kind: str  # FaultKind constant
     operation: str  # which source method was hit
-    detail: str = ""  # e.g. tuples dropped, seconds of latency
+    detail: str = ""  # e.g. tuples dropped
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,11 @@ class FaultPlan:
         Probability a call returns only a prefix of its result (a dropped
         connection mid-transfer); :attr:`truncate_fraction` of the tuples
         survive.
-    latency_rate:
-        Probability a call succeeds but takes :attr:`latency_seconds`
-        longer, as reported through the wrapper's sleep hook.
     spare_first:
         Number of initial calls that are never faulted.  Chaos tests use 1
         to let the base query through: QPIAD cannot return *anything*
-        without certain answers, so faulting call 0 tests the caller's
-        retry stack, not the mediator's degradation.
+        without certain answers, so a faulted call 0 fails the retrieval
+        outright and tests nothing of the mediator's degradation.
     """
 
     seed: int
@@ -87,8 +83,6 @@ class FaultPlan:
     churn_rate: float = 0.0
     truncate_rate: float = 0.0
     truncate_fraction: float = 0.5
-    latency_rate: float = 0.0
-    latency_seconds: float = 0.25
     spare_first: int = 0
 
     def __post_init__(self) -> None:
@@ -96,7 +90,6 @@ class FaultPlan:
             "unavailable_rate": self.unavailable_rate,
             "churn_rate": self.churn_rate,
             "truncate_rate": self.truncate_rate,
-            "latency_rate": self.latency_rate,
         }
         for name, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
@@ -109,8 +102,6 @@ class FaultPlan:
             raise QpiadError(
                 f"truncate_fraction must be in [0, 1], got {self.truncate_fraction}"
             )
-        if self.latency_seconds < 0:
-            raise QpiadError("latency_seconds must be non-negative")
         if self.spare_first < 0:
             raise QpiadError("spare_first must be non-negative")
 
@@ -130,7 +121,6 @@ class FaultPlan:
             (FaultKind.UNAVAILABLE, self.unavailable_rate),
             (FaultKind.CHURN, self.churn_rate),
             (FaultKind.TRUNCATE, self.truncate_rate),
-            (FaultKind.LATENCY, self.latency_rate),
         ):
             threshold += rate
             if draw < threshold:
@@ -151,15 +141,13 @@ class FaultStatistics:
     unavailable: int = 0
     churned: int = 0
     truncated: int = 0
-    delayed: int = 0
     refused: int = 0  # calls the inner source raised on: not a fault
     tuples_dropped: int = 0
-    latency_injected_seconds: float = 0.0
     events: list[FaultEvent] = field(default_factory=list)
 
     @property
     def faults_injected(self) -> int:
-        return self.unavailable + self.churned + self.truncated + self.delayed
+        return self.unavailable + self.churned + self.truncated
 
     def reset(self) -> None:
         self.calls = 0
@@ -167,8 +155,6 @@ class FaultStatistics:
         self.unavailable = 0
         self.churned = 0
         self.truncated = 0
-        self.delayed = 0
         self.refused = 0
         self.tuples_dropped = 0
-        self.latency_injected_seconds = 0.0
         self.events.clear()

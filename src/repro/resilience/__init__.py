@@ -1,10 +1,9 @@
-"""Shared resilience layer: admission control and dedup.
+"""Shared resilience layer: admission control.
 
-Where ``repro.sources`` wraps *one* source with per-call policies (retry,
-breaker, cache), this package coordinates *across* callers: a
+Where ``repro.sources`` wraps *one* source with per-call behaviour (a
+cache, injected faults), this package coordinates *across* callers: a
 process-wide :class:`SourceScheduler` that every engine routes source
-calls through, plus the primitives it composes —
-:class:`TokenBucket` pacing and :class:`SingleFlight` dedup.  See
+calls through, with :class:`TokenBucket` pacing.  See
 ``docs/robustness.md`` for how the layers stack.
 """
 
@@ -17,12 +16,9 @@ from repro.resilience.scheduler import (
     scheduler_scope,
     source_name,
 )
-from repro.resilience.singleflight import Flight, SingleFlight
 
 __all__ = [
     "TokenBucket",
-    "Flight",
-    "SingleFlight",
     "SourcePolicy",
     "SourceScheduler",
     "install_scheduler",

@@ -1,24 +1,18 @@
 """The shared source-admission scheduler.
 
-Every mediated retrieval in the process ultimately funnels its source
-calls through one :class:`SourceScheduler`.  The scheduler owns the
-cross-cutting concerns no single mediator can see:
+Every mediated retrieval in the process can funnel its source calls
+through one :class:`SourceScheduler`, which owns the one concern no
+single mediator can see: **admission control**.  One
+:class:`SourcePolicy` applies to every source: a bounded admission
+queue, an optional concurrency cap, and an optional token-bucket rate
+limit, each kept per source.  A call arriving at a full queue is shed
+immediately with :class:`~repro.errors.AdmissionRejectedError` instead
+of deepening the backlog.
 
-* **Admission control.**  One :class:`SourcePolicy` applies to every
-  source: a bounded wait queue, an optional concurrency cap, and an
-  optional token-bucket rate limit, each kept per source.  A call
-  arriving at a full queue is shed immediately with
-  :class:`~repro.errors.AdmissionRejectedError` instead of deepening the
-  backlog.
-* **Single-flight dedup.**  Identical in-flight calls — same source,
-  same operation, same query fingerprint — collapse onto one wire call;
-  followers share the leader's outcome (value *or* exception).
-
-Ordering relative to the source-wrapper stack: the scheduler sits
-*outside* retry and breaker wrappers (the engine routes the whole
-wrapped call through :meth:`SourceScheduler.call`), so a retry's second
-attempt re-enters neither admission nor dedup — it is the same admitted
-call still running.  See ``docs/robustness.md`` for the full layering
+An admitted call runs its thunk exactly once, on the caller's thread,
+so every call a mediator bills either reaches the source once or is
+shed before it: ``queries_issued`` equals the source's own call log
+plus the calls shed.  See ``docs/robustness.md`` for the layering
 diagram.
 
 Lock discipline follows the repo's ``unguarded-shared-write`` lint rule:
@@ -36,7 +30,6 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import AdmissionRejectedError, QpiadError
 from repro.resilience.bucket import TokenBucket
-from repro.resilience.singleflight import SingleFlight
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -66,18 +59,16 @@ class SourcePolicy:
     max_concurrent:
         Cap on calls in flight against the source; ``None`` = unlimited.
     max_queue:
-        Bound on callers *waiting* for admission (dedup followers
-        included); one more is shed with ``AdmissionRejectedError``.
-        ``None`` = unbounded queue (admission never sheds).
-    dedup:
-        Collapse identical in-flight calls onto one wire call.
+        Bound on callers in admission, the one taking a free slot
+        included; one more is shed with ``AdmissionRejectedError``, so
+        the bound is at least 1.  ``None`` = unbounded queue (admission
+        never sheds).
     """
 
     rate_per_second: "float | None" = None
     burst: int = 4
     max_concurrent: "int | None" = None
     max_queue: "int | None" = 64
-    dedup: bool = True
 
     def __post_init__(self) -> None:
         if self.rate_per_second is not None and self.rate_per_second <= 0:
@@ -90,29 +81,17 @@ class SourcePolicy:
             raise QpiadError(
                 f"max_concurrent must be at least 1, got {self.max_concurrent}"
             )
-        if self.max_queue is not None and self.max_queue < 0:
-            raise QpiadError(f"max_queue must be >= 0, got {self.max_queue}")
-
-
-def _fingerprint(query: Any) -> str:
-    """The planner's content fingerprint for *query*.
-
-    Imported lazily: the fingerprint module lives in ``repro.planner``,
-    whose package init reaches back into ``repro.engine`` — importing it
-    at module load would close a cycle with the engine's import of this
-    scheduler.  By the first call every package is fully initialised.
-    """
-    from repro.planner.fingerprint import query_fingerprint
-
-    return query_fingerprint(query)
+        if self.max_queue is not None and self.max_queue < 1:
+            raise QpiadError(
+                f"max_queue must be at least 1, got {self.max_queue}"
+            )
 
 
 def source_name(source: Any) -> str:
     """The logical identity admission state is keyed by.
 
     Two wrappers reporting the same ``name`` are treated as the same
-    backend: they share one rate budget and their identical in-flight
-    calls dedup against each other.
+    backend: they share one queue, one set of slots and one rate budget.
     """
     name = getattr(source, "name", None)
     return name if isinstance(name, str) and name else type(source).__name__
@@ -182,7 +161,7 @@ class _SourceState:
 
 
 class SourceScheduler:
-    """Process-wide admission and dedup for source calls.
+    """Process-wide admission control for source calls.
 
     One instance is meant to be shared by every engine in the process
     (see :func:`install_scheduler`).  It applies *policy* (by default
@@ -209,7 +188,6 @@ class SourceScheduler:
         self._telemetry = telemetry
         self._lock = threading.Lock()
         self._states: "dict[str, _SourceState]" = {}
-        self._flights = SingleFlight()
 
     # -- telemetry ----------------------------------------------------------
 
@@ -255,52 +233,16 @@ class SourceScheduler:
         operation: str,
         thunk: Callable[[], Any],
     ) -> Any:
-        """Route one source call through dedup → admission → the thunk.
+        """Route one source call through admission, then run *thunk* once.
 
-        *thunk* is the fully wrapped call (retry, breaker, and the
-        source itself); the scheduler decides when it runs, and an
-        admitted call runs it exactly once, on the caller's thread.
-        *operation* disambiguates call shapes sharing a query
-        (``"execute"`` vs ``"null-binding:2"``) so dedup never
-        conflates them.
+        *thunk* is the fully wrapped call; the scheduler decides when it
+        runs, and an admitted call runs it exactly once, on the caller's
+        thread.  Admission is keyed by *source* alone: *query* and
+        *operation* describe the call to whoever wraps this method (a
+        tracer, say) and are not read here.
         """
         self._count("scheduler.calls")
         state = self.state_for(source)
-        if not state.policy.dedup or query is None:
-            return self._admitted_call(state, thunk)
-
-        key = (state.name, operation, _fingerprint(query))
-        flight, leader = self._flights.lead_or_join(key)
-        if leader:
-            value: Any = None
-            error: "BaseException | None" = None
-            try:
-                value = self._admitted_call(state, thunk)
-                return value
-            except BaseException as exc:
-                error = exc
-                raise
-            finally:
-                shared = self._flights.complete(key, flight, value, error)
-                if shared:
-                    self._count("scheduler.dedup_flights_shared")
-
-        # Follower: no wire call of its own, but it still occupies the
-        # bounded queue — a thousand piled-up followers are load too.
-        self._count("scheduler.dedup_hits")
-        try:
-            state.enter_queue()
-        except AdmissionRejectedError:
-            self._count("scheduler.rejected_queue_full")
-            raise
-        try:
-            return self._flights.wait(flight)
-        finally:
-            state.exit_queue()
-
-    # -- admission ----------------------------------------------------------
-
-    def _admitted_call(self, state: _SourceState, thunk: Callable[[], Any]) -> Any:
         arrived = self._clock()
         try:
             state.enter_queue()

@@ -6,11 +6,9 @@ from repro.sources.alignment import (
     merge_redundant_attributes,
 )
 from repro.sources.autonomous import AccessStatistics, AutonomousSource
-from repro.sources.breaker import BreakerState, BreakerStatistics, CircuitBreakerSource
 from repro.sources.caching import CacheStatistics, CachingSource
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.registry import SourceRegistry
-from repro.sources.retrying import RetryingSource, RetryStatistics
 from repro.sources.sampler import (
     RandomProbingSampler,
     estimate_sample_ratio,
@@ -35,9 +33,4 @@ __all__ = [
     "RedundancyCandidate",
     "find_redundant_attributes",
     "merge_redundant_attributes",
-    "RetryingSource",
-    "RetryStatistics",
-    "BreakerState",
-    "BreakerStatistics",
-    "CircuitBreakerSource",
 ]

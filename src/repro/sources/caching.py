@@ -19,7 +19,7 @@ Two robustness guarantees the test suite pins:
   replaying a cached exception or an empty placeholder.
 * **Thread safety.**  Cache and statistics mutations are locked, so the
   wrapper can sit under the concurrent plan executor; the inner call
-  itself runs outside the lock (it may sleep in a retry backoff) so a
+  itself runs outside the lock (it may wait on a remote source) so a
   slow miss never blocks concurrent hits.
 """
 
@@ -90,7 +90,7 @@ class CachingSource(SourceDecorator):
 
         A raising inner call inserts nothing (no negative caching, no
         poisoned entries) and counts as neither hit nor miss — the
-        failure is the retry/breaker layers' business, not the cache's.
+        failure is the mediator's to absorb or raise, not the cache's.
         """
         with self._lock:
             cached = self._cache.get(query)

@@ -6,8 +6,7 @@ NULL unless the form allows it, and is rate-limited.  :class:`Source`
 declares that interface once; every parameter that accepts any source —
 an :class:`~repro.sources.AutonomousSource` or a wrapper stack around one
 — is typed with it.  :class:`SourceDecorator` is the base of every
-wrapper: retry, circuit breaking, caching, fault injection and the test
-doubles.
+wrapper: caching, fault injection and the test doubles.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class SourceDecorator:
 
     The schema-level members forward unchanged: a wrapper changes how a
     call is made, never what the source's interface could express (an
-    open circuit, say, does not change what the form answers once the
+    injected outage, say, does not change what the form answers once the
     source recovers).  ``cardinality``, ``execute`` and
     ``execute_null_binding`` each pass through :meth:`_call` exactly once,
     under their own name.  A wrapper that acts on every call overrides

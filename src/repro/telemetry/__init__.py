@@ -6,7 +6,7 @@ observability layer that makes the mediator's cost accounting *visible*.
 Every source call in a mediated retrieval becomes a
 :class:`~repro.telemetry.Span`; counters and histograms in a
 :class:`~repro.telemetry.MetricsRegistry` track queries issued, tuples
-retrieved, cache hit rates, breaker transitions and fault events.
+retrieved, cache hit rates, admission outcomes and fault events.
 
 Pass a :class:`Telemetry` to ``QpiadMediator``, ``FederatedMediator`` or
 any source wrapper (``telemetry=...``); leave it ``None`` (the default)

@@ -246,7 +246,7 @@ class TestSeedProvenanceKnownGood:
         assert check(self.rule, source) == []
 
     def test_none_guard_in_conditional_expression_is_respected(self, check):
-        # RetryingSource's shape: None deliberately means "no jitter".
+        # An optional seed whose None deliberately means "no randomness".
         source = """
             import random
 

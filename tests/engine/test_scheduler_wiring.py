@@ -2,12 +2,12 @@
 
 import threading
 
-from repro.core import QpiadConfig, QpiadMediator
+from repro.core import JoinConfig, JoinProcessor, QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
 from repro.engine import FailureKind, PlannedQuery, QueryKind
 from repro.engine.engine import RetrievalEngine
 from repro.errors import AdmissionRejectedError
-from repro.query import SelectionQuery
+from repro.query import JoinQuery, SelectionQuery
 from repro.relational import Relation, Schema
 from repro.resilience import SourcePolicy, SourceScheduler, scheduler_scope
 from repro.sources import AutonomousSource, SourceDecorator
@@ -80,83 +80,61 @@ class TestMediatorRouting:
             assert result.stats.queries_issued == source_calls
 
 
-class FollowerWatch:
-    """Scheduler telemetry that opens :attr:`gate` once enough dedup
-    followers have joined an in-flight call."""
+class HeldUntilCopy(SourceDecorator):
+    """Holds each call of *held* until a second copy of it arrives or 2 s
+    pass, so two copies in flight at once overlap at the source instead of
+    being left to thread timing."""
 
-    def __init__(self, followers):
-        self.gate = threading.Event()
-        self._followers = followers
-        self._joined = 0
-        self._lock = threading.Lock()
-
-    def count(self, name, amount=1):
-        if name == "scheduler.dedup_hits":
-            with self._lock:
-                self._joined += amount
-                if self._joined >= self._followers:
-                    self.gate.set()
-
-    def observe(self, name, value):
-        pass
-
-
-class GatedBaseSource(SourceDecorator):
-    """Holds each wire call of *base* until *gate* opens, counting them."""
-
-    def __init__(self, inner, base, gate):
+    def __init__(self, inner, held):
         super().__init__(inner)
-        self._base = base
-        self._gate = gate
+        self._held = held
+        self._copies = 0
+        self._copy_arrived = threading.Event()
         self._lock = threading.Lock()
-        self.base_calls = 0
 
     def execute(self, query):
-        if query == self._base:
+        if query == self._held:
             with self._lock:
-                self.base_calls += 1
-            self._gate.wait(timeout=10)
+                self._copies += 1
+                if self._copies == 2:
+                    self._copy_arrived.set()
+            self._copy_arrived.wait(timeout=2.0)
         return self.inner.execute(query)
 
 
-class TestSharedBaseCall:
-    """Mediators firing one query through one scheduler share its wire call."""
+class TestSelfJoinBilling:
+    """Two copies of one call in flight each reach the source and are
+    billed once: a scheduler never splits billing from the call log."""
 
-    MEDIATORS = 6
+    JOIN = JoinQuery(QUERY, QUERY, "model")
 
-    def test_the_base_query_reaches_the_wire_once(self, cars_env):
+    def test_queries_issued_equals_the_source_call_log(self, cars_env):
         def answers(result):
-            return list(result.certain), [(a.row, a.confidence) for a in result.ranked]
+            return [
+                (a.left_row, a.right_row, a.certain, a.confidence)
+                for a in result.answers
+            ]
 
-        watch = FollowerWatch(followers=self.MEDIATORS - 1)
-        scheduler = SourceScheduler(SourcePolicy(dedup=True), telemetry=watch)
-        source = GatedBaseSource(cars_env.web_source(), QUERY, watch.gate)
-        results: dict = {}
+        def join(source):
+            return JoinProcessor(
+                source,
+                source,
+                cars_env.knowledge,
+                cars_env.knowledge,
+                JoinConfig(max_concurrency=2),
+            ).query(self.JOIN)
 
-        def run(index):
-            results[index] = QpiadMediator(
-                source, cars_env.knowledge, QpiadConfig(k=10), scheduler=scheduler
-            ).query(QUERY)
-
-        threads = [
-            threading.Thread(target=run, args=(index,))
-            for index in range(self.MEDIATORS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        # The leader's base call waited until every other mediator had
-        # joined it, so five followers shared one wire call.
-        assert watch.gate.is_set()
-        assert source.base_calls == 1
-        plain = QpiadMediator(
-            cars_env.web_source(), cars_env.knowledge, QpiadConfig(k=10)
-        ).query(QUERY)
-        assert len(results) == self.MEDIATORS
-        for result in results.values():
-            assert answers(result) == answers(plain)
+        plain = join(cars_env.web_source())
+        backend = cars_env.web_source()
+        with scheduler_scope(SourceScheduler()):
+            scheduled = join(HeldUntilCopy(backend, QUERY))
+        # Width 2 puts both base calls in flight at once; each is billed.
+        assert scheduled.base_queries_issued == 2
+        source_calls = (
+            backend.statistics.queries_answered + backend.statistics.rejected_queries
+        )
+        assert scheduled.stats.queries_issued == source_calls
+        assert answers(scheduled) == answers(plain)
 
 
 def engine_for(source, stats=None, scheduler=None, strict=False):

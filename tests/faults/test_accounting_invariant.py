@@ -80,7 +80,7 @@ class TestQueriesIssuedMatchesSourceCallLog:
         # Calls the inner source answered + calls that never reached it
         # (unavailable) + calls answered but lost in transit (churn) +
         # calls the inner source refused (here: its budget was spent).
-        assert stats.calls == stats.healthy + stats.truncated + stats.delayed + (
+        assert stats.calls == stats.healthy + stats.truncated + (
             stats.unavailable + stats.churned + stats.refused
         )
         assert result.stats.queries_issued == stats.calls

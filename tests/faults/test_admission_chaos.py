@@ -1,17 +1,17 @@
 """The chaos invariants with the SourceScheduler in the loop.
 
-Admission control and dedup must not change what a mediated retrieval
-*means*.  With a scheduler attached, at every
-executor width and every seed:
+Admission control must not change what a mediated retrieval *means*.
+With a scheduler attached, at every executor width and every seed:
 
 * the accounting invariant holds exactly — ``queries_issued`` equals the
-  fault-injecting source's own call log (dedup never fires inside one
-  retrieval: every plan step is a distinct query, so nothing is shared);
+  fault-injecting source's own call log;
 * certain answers are never lost;
 * surviving ranked answers are a subsequence of the clean ranking;
 * on a clean source the ranked order is bit-identical to a serial,
   scheduler-less run.
 """
+
+import threading
 
 import pytest
 
@@ -19,22 +19,22 @@ from repro.core import QpiadConfig, QpiadMediator
 from repro.faults import FaultInjectingSource, FaultPlan
 from repro.query import SelectionQuery
 from repro.resilience import SourcePolicy, SourceScheduler
+from repro.sources import SourceDecorator
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 SEEDS = (0, 1, 2, 3, 4, 5, 6, 7)
 WIDTHS = (1, 2, 4, 8)
 
 
-def make_scheduler(**overrides):
+def make_scheduler(telemetry=None, **overrides):
     policy = dict(
         rate_per_second=100_000.0,  # pacing on, but never the bottleneck
         burst=64,
         max_concurrent=8,
         max_queue=64,
-        dedup=True,
     )
     policy.update(overrides)
-    return SourceScheduler(SourcePolicy(**policy))
+    return SourceScheduler(SourcePolicy(**policy), telemetry=telemetry)
 
 
 def chaos_mediate(env, seed, width):
@@ -132,25 +132,78 @@ class TestDeterminismUnderAdmission:
         assert [a.row for a in first.ranked] == [a.row for a in second.ranked]
 
 
+class ShedWatch:
+    """Scheduler telemetry that opens :attr:`gate` once *shed* calls have
+    been rejected at a full admission queue."""
+
+    def __init__(self, shed):
+        self.gate = threading.Event()
+        self._wanted = shed
+        self._shed = 0
+        self._lock = threading.Lock()
+
+    def count(self, name, amount=1):
+        if name == "scheduler.rejected_queue_full":
+            with self._lock:
+                self._shed += amount
+                if self._shed >= self._wanted:
+                    self.gate.set()
+
+    def observe(self, name, value):
+        pass
+
+
+class HoldFirstRewritten(SourceDecorator):
+    """Holds the first call other than *base* until *gate* opens."""
+
+    def __init__(self, inner, base, gate):
+        super().__init__(inner)
+        self._base = base
+        self._gate = gate
+        self._lock = threading.Lock()
+        self._held_one = False
+
+    def execute(self, query):
+        if query != self._base:
+            with self._lock:
+                hold, self._held_one = not self._held_one, True
+            if hold:
+                self._gate.wait(timeout=10)
+        return self.inner.execute(query)
+
+
 class TestLoadShedding:
     @pytest.mark.parametrize("width", (4, 8))
     def test_shed_calls_degrade_instead_of_failing(self, cars_env, clean, width):
-        # One slot, one queue seat: concurrent rewrites beyond the seat
-        # are shed.  The base query runs alone, so certain answers land.
-        scheduler = make_scheduler(max_concurrent=1, max_queue=1, dedup=False)
-        source = cars_env.web_source()
+        # One slot, one queue seat.  The base query runs alone, so certain
+        # answers land.  The first rewritten call then holds the slot until
+        # the rest of the first window is shed: one more caller waits in
+        # the seat, and the other width - 2 find the queue full.
+        watch = ShedWatch(shed=width - 2)
+        scheduler = make_scheduler(
+            telemetry=watch, max_concurrent=1, max_queue=1
+        )
+        backend = cars_env.web_source()
+        source = HoldFirstRewritten(backend, QUERY, watch.gate)
         result = QpiadMediator(
             source,
             cars_env.knowledge,
             QpiadConfig(k=10, max_concurrency=width),
             scheduler=scheduler,
         ).query(QUERY)
-        assert set(result.certain) == set(clean.certain)
+        assert watch.gate.is_set()
         shed = scheduler.metrics.value("scheduler.rejected_queue_full")
-        if shed:
-            assert result.degraded
-            kinds = {failure.kind for failure in result.stats.failures}
-            assert kinds == {"admission-rejected"}
+        assert shed >= width - 2
+        assert len(result.stats.failures) == shed
+        # A shed call is billed but never reaches the source.
+        source_calls = (
+            backend.statistics.queries_answered + backend.statistics.rejected_queries
+        )
+        assert result.stats.queries_issued == source_calls + shed
+        assert result.degraded
+        kinds = {failure.kind for failure in result.stats.failures}
+        assert kinds == {"admission-rejected"}
+        assert set(result.certain) == set(clean.certain)
         assert is_subsequence(
             [answer.row for answer in result.ranked],
             [answer.row for answer in clean.ranked],

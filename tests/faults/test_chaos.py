@@ -19,8 +19,6 @@ from repro.faults import FaultInjectingSource, FaultPlan
 from repro.query import SelectionQuery
 from repro.sources import (
     AutonomousSource,
-    CircuitBreakerSource,
-    RetryingSource,
     SourceCapabilities,
     SourceRegistry,
 )
@@ -118,41 +116,6 @@ class TestMixedFaultWeather:
         assert is_subsequence(
             [a.row for a in result.ranked], [a.row for a in clean.ranked]
         )
-
-
-class TestRecoveryStack:
-    def test_retrying_recovers_most_of_the_plan(self, cars_env, clean):
-        plan = FaultPlan(seed=1, unavailable_rate=0.3)
-        faulty = FaultInjectingSource(cars_env.web_source(), plan)
-        source = RetryingSource(faulty, max_attempts=5)
-        result = QpiadMediator(source, cars_env.knowledge, QpiadConfig(k=10)).query(
-            QUERY
-        )
-        # Five attempts against a 30% failure rate recover the full plan.
-        assert list(result.certain) == list(clean.certain)
-        assert [a.row for a in result.ranked] == [a.row for a in clean.ranked]
-        assert not result.degraded
-        assert source.statistics.retries > 0
-
-    def test_breaker_fails_the_remaining_plan_fast(self, cars_env, clean):
-        plan = FaultPlan(seed=3, unavailable_rate=1.0, spare_first=1)
-        faulty = FaultInjectingSource(cars_env.web_source(), plan)
-        clock_value = [0.0]
-        breaker = CircuitBreakerSource(
-            faulty, failure_threshold=2, recovery_seconds=60.0,
-            clock=lambda: clock_value[0],
-        )
-        result = QpiadMediator(breaker, cars_env.knowledge, QpiadConfig(k=10)).query(
-            QUERY
-        )
-        # Certain answers landed (spared call); then two real failures opened
-        # the circuit and the rest of the plan failed fast without touching
-        # the source.
-        assert list(result.certain) == list(clean.certain)
-        assert result.degraded
-        assert breaker.statistics.failures == 2
-        assert breaker.statistics.fast_failures > 0
-        assert faulty.statistics.calls == 3  # base + the two real attempts
 
 
 class TestChaosCachedPlans:

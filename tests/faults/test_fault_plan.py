@@ -41,10 +41,9 @@ class TestDeterminism:
     def test_all_modes_reachable(self):
         plan = FaultPlan(
             seed=9,
-            unavailable_rate=0.25,
-            churn_rate=0.25,
-            truncate_rate=0.25,
-            latency_rate=0.25,
+            unavailable_rate=0.3,
+            churn_rate=0.3,
+            truncate_rate=0.4,
         )
         assert set(plan.schedule(500)) == set(FaultKind.ALL)
 
@@ -65,7 +64,5 @@ class TestValidation:
             FaultPlan(seed=1, truncate_fraction=1.2)
 
     def test_negative_knobs_rejected(self):
-        with pytest.raises(QpiadError):
-            FaultPlan(seed=1, latency_seconds=-1)
         with pytest.raises(QpiadError):
             FaultPlan(seed=1, spare_first=-1)

@@ -74,27 +74,6 @@ class TestTruncation:
         assert faulty.cardinality() == 4
 
 
-class TestLatency:
-    def test_latency_reported_through_the_sleep_hook(self, backend):
-        delays = []
-        faulty = FaultInjectingSource(
-            backend,
-            FaultPlan(seed=1, latency_rate=1.0, latency_seconds=0.75),
-            sleep=delays.append,
-        )
-        result = faulty.execute(QUERY)
-        assert len(result) == 2  # the answer is intact, just late
-        assert delays == [0.75]
-        assert faulty.statistics.latency_injected_seconds == pytest.approx(0.75)
-
-    def test_default_sleep_is_recording_only(self, backend):
-        faulty = FaultInjectingSource(
-            backend, FaultPlan(seed=1, latency_rate=1.0)
-        )
-        faulty.execute(QUERY)  # returns instantly
-        assert faulty.statistics.delayed == 1
-
-
 class TestReproducibility:
     def test_same_seed_same_events(self, backend):
         def run(seed: int):

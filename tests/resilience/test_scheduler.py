@@ -1,4 +1,4 @@
-"""SourceScheduler: one policy, admission, load shedding, dedup."""
+"""SourceScheduler: one policy, admission, load shedding."""
 
 import threading
 import time
@@ -51,6 +51,10 @@ class TestPolicyResolution:
             SourcePolicy(rate_per_second=-1)
         with pytest.raises(QpiadError):
             SourcePolicy(max_concurrent=0)
+        # The queue counts the caller taking a free slot, so a bound of 0
+        # would shed every call with every slot free.
+        with pytest.raises(QpiadError, match="max_queue must be at least 1"):
+            SourcePolicy(max_queue=0)
 
 
 class TestAdmission:
@@ -72,7 +76,7 @@ class TestAdmission:
 
     def test_full_queue_sheds_with_admission_rejected(self):
         scheduler = SourceScheduler(
-            SourcePolicy(max_concurrent=1, max_queue=1, dedup=False)
+            SourcePolicy(max_concurrent=1, max_queue=1)
         )
         source = FakeSource()
         state = scheduler.state_for(source)
@@ -103,94 +107,6 @@ class TestAdmission:
         first.join(timeout=5)
         second.join(timeout=5)
         assert outcomes == [True, True]
-
-
-class TestDedup:
-    def make(self, **policy):
-        return SourceScheduler(SourcePolicy(**policy))
-
-    def test_identical_inflight_calls_share_one_source_call(self):
-        # Rate-limited on a frozen clock, so no token refills mid-test.
-        scheduler = SourceScheduler(
-            SourcePolicy(rate_per_second=1, burst=4), clock=lambda: 0.0
-        )
-        source = FakeSource()
-        release = threading.Event()
-        calls = []
-        results = []
-
-        def thunk():
-            calls.append(1)
-            release.wait(5.0)
-            return "answer"
-
-        def run():
-            results.append(scheduler.call(source, QUERY, "execute", thunk))
-
-        leader = threading.Thread(target=run)
-        leader.start()
-        wait_until(lambda: scheduler._flights.in_flight() == 1)
-        follower = threading.Thread(target=run)
-        follower.start()
-        wait_until(lambda: scheduler.metrics.value("scheduler.dedup_hits") == 1)
-        release.set()
-        leader.join(timeout=5)
-        follower.join(timeout=5)
-        assert results == ["answer", "answer"]
-        assert len(calls) == 1  # one wire call, two consumers
-        # The rate charge equals the wire calls: the follower spends no token.
-        assert scheduler.state_for(source).bucket.available == 3
-
-    def test_leader_failure_propagates_to_followers(self):
-        scheduler = self.make()
-        source = FakeSource()
-        release = threading.Event()
-        caught = []
-
-        def thunk():
-            release.wait(5.0)
-            raise AdmissionRejectedError("synthetic failure")
-
-        def run():
-            try:
-                scheduler.call(source, QUERY, "execute", thunk)
-            except AdmissionRejectedError as exc:
-                caught.append(exc)
-
-        leader = threading.Thread(target=run)
-        leader.start()
-        wait_until(lambda: scheduler._flights.in_flight() == 1)
-        follower = threading.Thread(target=run)
-        follower.start()
-        wait_until(lambda: scheduler.metrics.value("scheduler.dedup_hits") == 1)
-        release.set()
-        leader.join(timeout=5)
-        follower.join(timeout=5)
-        assert len(caught) == 2
-        assert caught[0] is caught[1]  # the very same exception instance
-
-    def test_different_operations_never_conflate(self):
-        scheduler = self.make()
-        source = FakeSource()
-        calls = []
-        scheduler.call(source, QUERY, "execute", lambda: calls.append("a"))
-        scheduler.call(source, QUERY, "null-binding:2", lambda: calls.append("b"))
-        assert calls == ["a", "b"]
-
-    def test_dedup_disabled_by_policy(self):
-        scheduler = self.make(dedup=False)
-        source = FakeSource()
-        scheduler.call(source, QUERY, "execute", lambda: 1)
-        assert scheduler._flights.in_flight() == 0
-        assert scheduler.metrics.value("scheduler.dedup_hits") == 0
-
-    def test_sequential_identical_calls_both_hit_the_source(self):
-        scheduler = self.make()
-        source = FakeSource()
-        calls = []
-        scheduler.call(source, QUERY, "execute", lambda: calls.append(1))
-        scheduler.call(source, QUERY, "execute", lambda: calls.append(2))
-        assert calls == [1, 2]  # dedup is in-flight only, never a cache
 
 
 class TestProcessWideInstall:

@@ -14,8 +14,6 @@ from repro.relational import NULL, Relation, Schema
 from repro.sources import (
     AutonomousSource,
     CachingSource,
-    CircuitBreakerSource,
-    RetryingSource,
     Source,
     SourceCapabilities,
     SourceDecorator,
@@ -25,8 +23,6 @@ BINDABLE = SelectionQuery.equals("make", "Honda")
 UNBINDABLE = SelectionQuery.equals("price", 20000)
 
 WRAPPERS = {
-    "retrying": RetryingSource,
-    "breaker": CircuitBreakerSource,
     "caching": CachingSource,
     "injecting": lambda inner: FaultInjectingSource(inner, FaultPlan(seed=1)),
 }

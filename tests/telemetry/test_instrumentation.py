@@ -10,14 +10,12 @@ import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
 from repro.core.federation import FederatedMediator
-from repro.errors import CircuitOpenError, SourceUnavailableError
+from repro.errors import SourceUnavailableError
 from repro.faults import FaultInjectingSource, FaultPlan
 from repro.query import SelectionQuery
 from repro.sources import (
     AutonomousSource,
     CachingSource,
-    CircuitBreakerSource,
-    RetryingSource,
     SourceCapabilities,
     SourceRegistry,
 )
@@ -185,46 +183,6 @@ class TestWrapperCounters:
             == source.statistics.evictions
             == 1
         )
-
-    def test_retry_counters(self, backend):
-        telemetry = Telemetry()
-        plan = FaultPlan(seed=0, unavailable_rate=1.0)  # every call fails
-        flaky = FaultInjectingSource(backend, plan)
-        source = RetryingSource(flaky, max_attempts=3, telemetry=telemetry)
-        with pytest.raises(SourceUnavailableError):
-            source.execute(SelectionQuery.equals("make", "Honda"))
-        assert telemetry.metrics.value("retry.attempts") == 3
-        assert telemetry.metrics.value("retry.retries") == 2
-        assert telemetry.metrics.value("retry.gave_up") == 1
-
-    def test_breaker_counters(self, backend):
-        telemetry = Telemetry()
-        clock = [0.0]
-        plan = FaultPlan(seed=0, unavailable_rate=1.0)
-        dead = FaultInjectingSource(backend, plan)
-        source = CircuitBreakerSource(
-            dead,
-            failure_threshold=2,
-            recovery_seconds=10.0,
-            clock=lambda: clock[0],
-            telemetry=telemetry,
-        )
-        query = SelectionQuery.equals("make", "Honda")
-        for __ in range(2):  # two real failures open the circuit
-            with pytest.raises(SourceUnavailableError):
-                source.execute(query)
-        with pytest.raises(CircuitOpenError):  # fast-failed, source untouched
-            source.execute(query)
-        assert telemetry.metrics.value("breaker.opens") == 1
-        assert telemetry.metrics.value("breaker.fast_failures") == 1
-
-        clock[0] = 11.0  # recovery window passed: open -> half-open
-        dead.plan = FaultPlan(seed=0, unavailable_rate=0.0)  # source healed
-        dead.reset_statistics()
-        source.execute(query)  # half-open trial succeeds -> closed
-        assert telemetry.metrics.value("breaker.recoveries") == 1
-        # closed->open, open->half-open, half-open->closed.
-        assert telemetry.metrics.value("breaker.transitions") == 3
 
     def test_fault_kind_counters(self, backend):
         telemetry = Telemetry()

@@ -1,5 +1,7 @@
 """The ``--admission`` knobs on ``qpiad query`` and ``qpiad chaos``."""
 
+import re
+
 import pytest
 
 from repro.cli import _parse_admission, main
@@ -34,14 +36,6 @@ class TestParseAdmission:
         assert policy.max_concurrent == 4
         assert policy.max_queue == 16
 
-    @pytest.mark.parametrize("raw,expected", [
-        ("on", True), ("true", True), ("yes", True), ("1", True),
-        ("off", False), ("false", False), ("no", False), ("0", False),
-    ])
-    def test_on_off_flags(self, raw, expected):
-        policy = _parse_admission([f"dedup={raw}"])
-        assert policy.dedup is expected
-
     def test_malformed_spec_is_rejected(self):
         with pytest.raises(QpiadError, match="expected KEY=VALUE"):
             _parse_admission(["rate"])
@@ -53,15 +47,17 @@ class TestParseAdmission:
             _parse_admission(["ratelimit=5"])
         # A key that names no SourcePolicy field is rejected, not ignored.
         with pytest.raises(
-            QpiadError, match="unknown --admission key 'hedge'; known keys: .*dedup"
+            QpiadError,
+            match="unknown --admission key 'hedge'; "
+            "known keys: burst, concurrent, queue, rate$",
         ):
             _parse_admission(["hedge=on"])
 
     def test_bad_value_type_is_rejected(self):
         with pytest.raises(QpiadError, match="expects a float"):
             _parse_admission(["rate=fast"])
-        with pytest.raises(QpiadError, match="expects on/off"):
-            _parse_admission(["dedup=maybe"])
+        with pytest.raises(QpiadError, match="--admission queue expects"):
+            _parse_admission(["queue=many"])
 
     def test_invalid_policy_values_surface_as_qpiad_errors(self):
         with pytest.raises(QpiadError):
@@ -78,14 +74,29 @@ class TestQueryWithAdmission:
                 "body_style=Convt",
                 "--admission",
                 "rate=10000",
-                "--admission",
-                "dedup=on",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "admission:" in out
-        assert "admitted" in out and "shed" in out
+        assert re.search(r"^admission: \d+ admitted, 0 shed$", out, flags=re.M)
+
+    def test_a_queue_of_zero_is_a_usage_error(self, cars_ed_csv, capsys):
+        # A zero bound would shed the base query with every slot free.
+        code = main(
+            [
+                "query",
+                str(cars_ed_csv),
+                "--where",
+                "body_style=Convt",
+                "--admission",
+                "queue=0",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "max_queue must be at least 1, got 0" in captured.err
+        # The usage error is reported before any knowledge is mined.
+        assert "mining" not in captured.err
 
     def test_answers_match_the_unscheduled_run(self, cars_ed_csv, capsys):
         args = ["query", str(cars_ed_csv), "--where", "body_style=Convt"]

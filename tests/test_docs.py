@@ -110,6 +110,8 @@ class TestObservabilityDoc:
 
     def test_counter_table_names_what_src_emits(self):
         emitted = self._emitted_counters()
-        assert len(emitted) > 30
+        # A floor on what the scan finds, so a regex that matches nothing
+        # cannot pass the equality below: src/ emits 28 counters.
+        assert len(emitted) > 20
         assert self._documented_counters() == emitted
 

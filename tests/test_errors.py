@@ -18,7 +18,6 @@ class TestHierarchy:
             "ClassifierError",
             "RewritingError",
             "SourceUnavailableError",
-            "CircuitOpenError",
             "AdmissionRejectedError",
         ):
             assert issubclass(getattr(errors, name), errors.QpiadError)
@@ -31,10 +30,7 @@ class TestHierarchy:
     def test_classifier_error_is_a_mining_error(self):
         assert issubclass(errors.ClassifierError, errors.MiningError)
 
-    def test_circuit_open_is_transient(self):
-        # Open circuits read as transient unavailability, so skip-and-continue
-        # degradation (and retry wrappers) handle them uniformly.
-        assert issubclass(errors.CircuitOpenError, errors.SourceUnavailableError)
+    def test_a_shed_call_is_not_a_source_failure(self):
         # A shed call is local congestion: the source itself is healthy.
         assert not issubclass(errors.AdmissionRejectedError, errors.SourceUnavailableError)
 
