@@ -46,11 +46,7 @@ from repro.datasets import (
     generate_complaints,
     make_incomplete,
 )
-from repro.core import (
-    MultiJoinProcessor,
-    MultiJoinStep,
-    QueryRelaxer,
-)
+from repro.core import QueryRelaxer
 from repro.errors import QpiadError
 from repro.mining import load_knowledge, save_knowledge
 from repro.sources.caching import CachingSource
@@ -76,7 +72,6 @@ from repro.query import (
 from repro.relational import NULL, Attribute, AttributeType, Relation, Schema, is_null
 from repro.sources import (
     AutonomousSource,
-    RandomProbingSampler,
     SourceCapabilities,
     SourceRegistry,
 )
@@ -104,7 +99,6 @@ __all__ = [
     "AutonomousSource",
     "SourceCapabilities",
     "SourceRegistry",
-    "RandomProbingSampler",
     # mining
     "Afd",
     "AKey",
@@ -142,8 +136,6 @@ __all__ = [
     "run_all_returned",
     "run_all_ranked",
     # extensions
-    "MultiJoinProcessor",
-    "MultiJoinStep",
     "QueryRelaxer",
     "CachingSource",
     "save_knowledge",

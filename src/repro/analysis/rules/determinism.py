@@ -147,7 +147,7 @@ class UnseededRngRule(Rule):
         "None-default parameter"
     )
     rationale = (
-        "The paper's experiments (GD→ED masking, probing samples, workloads) are "
+        "The paper's experiments (GD→ED masking, training splits, workloads) are "
         "reproduced bit-for-bit only if every random draw is derived from an "
         "explicit seed; module-level random.* and np.random.* share mutable "
         "global state that import order silently perturbs, and random.Random(seed) "

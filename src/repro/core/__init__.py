@@ -7,19 +7,7 @@ from repro.core.correlated import (
     CorrelatedSourceMediator,
     find_correlated_source,
 )
-from repro.core.federation import (
-    FederatedAnswer,
-    FederatedMediator,
-    FederatedResult,
-    SourceFailure,
-)
 from repro.core.joins import JoinConfig, JoinedAnswer, JoinProcessor, JoinResult
-from repro.core.multijoin import (
-    MultiJoinedAnswer,
-    MultiJoinProcessor,
-    MultiJoinResult,
-    MultiJoinStep,
-)
 from repro.core.qpiad import QpiadConfig, QpiadMediator
 from repro.core.relaxation import QueryRelaxer, RelaxationPlan, RelaxedAnswer
 from repro.core.results import QueryFailure, QueryResult, RankedAnswer, RetrievalStats
@@ -42,15 +30,7 @@ __all__ = [
     "CorrelatedConfig",
     "CorrelatedSourceMediator",
     "find_correlated_source",
-    "MultiJoinStep",
-    "MultiJoinProcessor",
-    "MultiJoinResult",
-    "MultiJoinedAnswer",
     "QueryRelaxer",
-    "FederatedMediator",
-    "FederatedResult",
-    "FederatedAnswer",
-    "SourceFailure",
     "RelaxationPlan",
     "RelaxedAnswer",
 ]

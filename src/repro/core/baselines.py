@@ -38,10 +38,10 @@ def _retrieve(
     """Run the two-step counterfactual plan: certain set, then NULL fetch.
 
     Both calls go through a strict engine, so issuance is billed before
-    each call and spans appear when traced, exactly as for the mediated
-    pipelines.  The NULL-binding step is *required*: a source
-    that cannot bind NULL fails the baseline loudly — that incapability is
-    the entire point of the comparison.
+    each call, exactly as for the mediated pipelines.  A source that
+    cannot bind NULL raises :class:`~repro.errors.NullBindingError`,
+    which no engine absorbs, so the baseline fails loudly — that
+    incapability is the entire point of the comparison.
     """
     stats = RetrievalStats()
     engine = RetrievalEngine(source, stats, strict=True, max_concurrency=1)

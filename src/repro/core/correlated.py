@@ -99,8 +99,7 @@ class CorrelatedSourceMediator:
         Retrieval parameters.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hook; every call to
-        the correlated and deficient sources becomes a span, so federated
-        traces cover the §4.3 path too.
+        the correlated and deficient sources becomes a span.
     plan_cache:
         Optional shared :class:`~repro.planner.PlanCache`.  Plans are
         keyed by the correlated knowledge base's fingerprint and the
@@ -182,7 +181,7 @@ class CorrelatedSourceMediator:
         stats = RetrievalStats()
         # All engine-side failure handling is strict here: §4.3 retrieval
         # predates graceful degradation, so any source error propagates to
-        # the caller (the federated mediator absorbs it per source).
+        # the caller.
         engine = RetrievalEngine(
             target,
             stats,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.results import QueryResult, RankedAnswer, RetrievalStats
-from repro.core.rewriting import row_probabilities
 from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QpiadError
 from repro.mining.knowledge import KnowledgeBase
@@ -54,18 +53,6 @@ class QpiadConfig:
         (``None`` = unlimited).  Models source rate limits.
     classifier_method:
         Which Table-3 classifier variant assesses value distributions.
-    retrieve_multi_null:
-        When the source (counterfactually) supports NULL binding, also fetch
-        tuples with ≥2 NULLs over the constrained attributes and append them
-        unranked, per the paper's assumption; ignored for plain web sources,
-        which cannot express such a request.
-    rank_multi_null:
-        With :attr:`retrieve_multi_null`, additionally order the appended
-        multi-NULL tuples among themselves by the joint probability that
-        *all* their missing constrained values satisfy the query (naive
-        product of per-attribute posteriors).  They still sort after every
-        single-NULL ranked answer, honouring the paper's assumption that
-        such tuples are less relevant.
     min_confidence:
         Drop ranked answers whose confidence falls below this threshold
         (Fig. 9's user-side filter); 0 keeps everything.
@@ -88,8 +75,6 @@ class QpiadConfig:
     alpha: float = 0.0
     k: int | None = 10
     classifier_method: str | None = None
-    retrieve_multi_null: bool = False
-    rank_multi_null: bool = False
     min_confidence: float = 0.0
     max_concurrency: int | None = None
 
@@ -204,7 +189,6 @@ class QpiadMediator:
             root.set(
                 certain=len(result.certain),
                 ranked=len(result.ranked),
-                unranked=len(result.unranked),
                 queries_issued=result.stats.queries_issued,
                 degraded=result.degraded,
             )
@@ -260,9 +244,9 @@ class QpiadMediator:
         return list(plan.steps)
 
     def _mediate(self, query: SelectionQuery) -> QueryResult:
-        # One generation snapshot serves the whole retrieval: planning and
-        # the multi-NULL ranking read the same statistics even if a refresh
-        # installs a new generation while a call is on the wire.
+        # One generation snapshot serves the whole retrieval: planning reads
+        # one set of statistics even if a refresh installs a new generation
+        # while a call is on the wire.
         knowledge = self._store.current
         stats = RetrievalStats()
         engine = self._engine(stats)
@@ -271,19 +255,11 @@ class QpiadMediator:
         )
         result = QueryResult(query=query, certain=base_set, stats=stats)
         steps = self._plan_rewritten(query, base_set, stats, knowledge)
-        seen_rows: set[Row] = set(base_set)
         # Every outcome is consumed, so an unpinned engine may overlap the
         # plan's calls when the base call showed the source waits.
         result.ranked.extend(
-            self._possible(engine, steps, seen_rows, stats, drained=True)
+            self._possible(engine, steps, set(base_set), stats, drained=True)
         )
-
-        if self.config.retrieve_multi_null and len(query.constrained_attributes) > 1:
-            result.unranked.extend(
-                self._fetch_multi_null(
-                    engine, query, seen_rows, len(steps), knowledge
-                )
-            )
         result.degraded = engine.degraded
         return result
 
@@ -307,8 +283,7 @@ class QpiadMediator:
         and failure log: issuance is recorded before each call, so spent
         budget is counted even when the call fails, and every absorbed
         failure lands in ``stats.failures``.  Drained, the stream leaves
-        *stats* equal to the ``result.stats`` of :meth:`query` (without the
-        multi-NULL fetch, which only :meth:`query` makes).
+        *stats* equal to the ``result.stats`` of :meth:`query`.
         """
         knowledge = self._store.current
         stats = RetrievalStats() if stats is None else stats
@@ -354,40 +329,3 @@ class QpiadMediator:
                     explanation=step.explanation,
                 )
 
-    def _fetch_multi_null(
-        self,
-        engine: RetrievalEngine,
-        query: SelectionQuery,
-        seen_rows: set[Row],
-        rank: int,
-        knowledge: KnowledgeBase,
-    ) -> list[Row]:
-        """Tuples with ≥2 NULLs over constrained attributes, unranked.
-
-        Only expressible when the source supports NULL binding; real web
-        forms do not, so this quietly returns nothing for them.  The
-        attempt is still counted as an issued query — the mediator did put
-        a call on the wire, and the source's own log records the
-        rejection.  Its failures degrade the result like the rewritten
-        plan's and are recorded with ``query=None`` (the fetch is a
-        plan-level step, not a rewriting).
-        """
-        step = PlannedQuery(query=query, kind=QueryKind.MULTI_NULL, rank=rank)
-        rows: list[Row] = []
-        schema = self.source.schema
-        constrained = query.constrained_attributes
-        for __, retrieved in engine.stream([step]):
-            for row in retrieved:
-                nulls = sum(
-                    1 for name in constrained if is_null(row[schema.index_of(name)])
-                )
-                if nulls >= 2 and row not in seen_rows:
-                    seen_rows.add(row)
-                    rows.append(row)
-        if self.config.rank_multi_null:
-            probabilities = row_probabilities(
-                knowledge, query, schema, rows, self.config.classifier_method
-            )
-            ranked = sorted(zip(probabilities, rows), key=lambda pair: -pair[0])
-            rows = [row for __, row in ranked]
-        return rows

@@ -1,14 +1,16 @@
 """Result objects returned by the QPIAD mediator.
 
-The mediator streams answers in three bands, mirroring the paper:
+The mediator returns answers in two bands, mirroring the paper:
 
 1. **certain answers** — the base result set, exactly matching the query;
 2. **ranked possible answers** — tuples with (at most one) NULL on a
    constrained attribute, each carrying a *confidence* equal to the
    estimated precision of the rewritten query that retrieved it, plus an
-   explanation (the AFD used) per Section 6.1;
-3. **unranked possible answers** — tuples with two or more NULLs over the
-   constrained attributes, appended last per the paper's assumption.
+   explanation (the AFD used) per Section 6.1.
+
+The mediator never returns tuples with two or more NULLs over the
+constrained attributes: a web form cannot bind NULL, so no call can ask
+for them.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ class QueryFailure:
     Attributes
     ----------
     query:
-        The rewritten query that failed, or ``None`` for the plan-level
-        multi-NULL fetch.
+        The planned query that failed.
     kind:
         ``"source-unavailable"``, ``"budget-exhausted"`` or
         ``"admission-rejected"``.
@@ -85,13 +86,12 @@ class QueryFailure:
     BUDGET_EXHAUSTED = FailureKind.BUDGET_EXHAUSTED
     ADMISSION_REJECTED = FailureKind.ADMISSION_REJECTED
 
-    query: SelectionQuery | None
+    query: SelectionQuery
     kind: str
     message: str
 
     def __str__(self) -> str:
-        at = f" at {self.query}" if self.query is not None else ""
-        return f"[{self.kind}]{at}: {self.message}"
+        return f"[{self.kind}] at {self.query}: {self.message}"
 
 
 @dataclass
@@ -117,7 +117,7 @@ class RetrievalStats:
     failures: list[QueryFailure] = field(default_factory=list)
 
     def record_failure(
-        self, query: SelectionQuery | None, kind: str, message: str
+        self, query: SelectionQuery, kind: str, message: str
     ) -> QueryFailure:
         failure = QueryFailure(query=query, kind=kind, message=message)
         self.failures.append(failure)
@@ -135,6 +135,11 @@ class QueryResult:
     a failed base query propagates — but a degraded result may be missing
     possible answers; :attr:`RetrievalStats.failures` records exactly what
     was lost and why.
+
+    :attr:`unranked` is always empty.  It held tuples with two or more NULLs
+    on constrained attributes, which no call can fetch from a source that
+    cannot bind NULL; it stays because the benchmark's answer digests
+    (``perfbench/workloads.py``) hash it.
     """
 
     query: SelectionQuery

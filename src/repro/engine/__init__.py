@@ -7,8 +7,8 @@ handling, telemetry, and cost accounting.  This package factors the loop
 into three explicit pieces:
 
 * :mod:`repro.engine.plan` — *what* to retrieve: :class:`PlannedQuery`
-  steps (base / rewritten / multi-null, with plan rank and estimated
-  precision/recall) collected into a :class:`RetrievalPlan`;
+  steps (base / rewritten / relaxed / null-binding, with plan rank and
+  estimated precision/recall) collected into a :class:`RetrievalPlan`;
 * :mod:`repro.engine.executor` — *how* to run it: a
   :data:`PlanExecutor`, either :class:`SerialExecutor`
   (behaviour-identical to the historical loops) or

@@ -39,7 +39,6 @@ from repro.engine.executor import (
 from repro.engine.plan import PlannedQuery, QueryKind
 from repro.errors import (
     AdmissionRejectedError,
-    NullBindingError,
     QpiadError,
     QueryBudgetExceededError,
     SourceUnavailableError,
@@ -84,16 +83,14 @@ class RetrievalStatsLike(Protocol):
     tuples_retrieved: int
     rewritten_issued: int
 
-    def record_failure(
-        self, query: SelectionQuery | None, kind: str, message: str
-    ) -> Any: ...
+    def record_failure(self, query: SelectionQuery, kind: str, message: str) -> Any: ...
 
 
 _SPAN_KINDS = {
     QueryKind.BASE: SpanKind.BASE_QUERY,
     QueryKind.REWRITTEN: SpanKind.REWRITTEN_QUERY,
     QueryKind.RELAXED: SpanKind.RELAXED_QUERY,
-    QueryKind.MULTI_NULL: SpanKind.MULTI_NULL,
+    QueryKind.NULL_BINDING: SpanKind.NULL_BINDING,
 }
 
 # What the engine does with an absorbed outcome.
@@ -370,7 +367,7 @@ class RetrievalEngine:
         rest, so every call billed above either reaches the source or
         fails with :class:`~repro.errors.AdmissionRejectedError`.
         """
-        if step.kind == QueryKind.MULTI_NULL:
+        if step.kind == QueryKind.NULL_BINDING:
             operation = f"null-binding:{step.max_nulls}"
 
             def perform() -> Relation:
@@ -391,14 +388,6 @@ class RetrievalEngine:
     # depend on the execution strategy)
 
     def _absorb(self, step: PlannedQuery, error: BaseException) -> str:
-        if step.required:
-            # Required steps are never absorbed: their failure is the
-            # retrieval's failure (counterfactual baselines).
-            return _RAISE
-        if isinstance(error, NullBindingError) and step.kind == QueryKind.MULTI_NULL:
-            # A capability gap, not a failure: the attempt was billed (the
-            # source's own log records the rejection) but lost no answers.
-            return _CONTINUE
         telemetry = self._telemetry
         if isinstance(error, QueryBudgetExceededError):
             kind, verdict = FailureKind.BUDGET_EXHAUSTED, _HALT
@@ -417,8 +406,7 @@ class RetrievalEngine:
                 telemetry.count("mediator.source_failures")
         else:
             return _RAISE
-        failure_query = None if step.kind == QueryKind.MULTI_NULL else step.query
-        self.stats.record_failure(failure_query, kind, str(error))
+        self.stats.record_failure(step.query, kind, str(error))
         self.degraded = True
         if self._strict:
             return _RAISE

@@ -21,15 +21,16 @@ __all__ = ["PlannedQuery", "QueryKind", "RetrievalPlan"]
 
 
 class QueryKind:
-    """The ways a mediated retrieval touches a source (Figure 1, plus the
-    relaxation extension of Section 7)."""
+    """The ways a retrieval touches a source: Figure 1's base and rewritten
+    queries, the relaxation extension of Section 7, and the baselines'
+    counterfactual NULL-binding fetch (§6.2)."""
 
     BASE = "base"
     REWRITTEN = "rewritten"
     RELAXED = "relaxed"
-    MULTI_NULL = "multi-null"
+    NULL_BINDING = "null-binding"
 
-    ALL = (BASE, REWRITTEN, RELAXED, MULTI_NULL)
+    ALL = (BASE, REWRITTEN, RELAXED, NULL_BINDING)
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class PlannedQuery:
         The selection query to put on the wire.
     kind:
         One of :class:`QueryKind` — decides how the engine issues it
-        (``execute`` vs ``execute_null_binding``) and which span kind and
-        failure bookkeeping it gets.
+        (``execute_null_binding`` for :attr:`QueryKind.NULL_BINDING`,
+        ``execute`` otherwise) and which span kind it gets.
     rank:
         Position in the plan.  Outcomes are always merged in rank order.
     estimated_precision:
@@ -67,16 +68,9 @@ class PlannedQuery:
         Optional span-name prefix override (defaults to *kind*), e.g.
         ``"correlated-base"``.
     max_nulls:
-        For :attr:`QueryKind.MULTI_NULL` steps, the NULL budget handed to
-        ``execute_null_binding`` (``None`` = unlimited, the mediator's
-        historical behaviour; the baselines bind exactly one).
-    required:
-        A required step's failure always propagates, strict engine or not —
-        it is exempt from every absorption rule, including the
-        capability-gap pass the multi-NULL fetch normally gets.  The
-        counterfactual baselines use this: they exist to quantify what
-        NULL binding would buy, so a source that cannot bind NULL must
-        fail the retrieval loudly.
+        For :attr:`QueryKind.NULL_BINDING` steps, the most NULLs over the
+        constrained attributes a returned row may have, handed to
+        ``execute_null_binding`` (``None`` = no bound).
     """
 
     query: SelectionQuery
@@ -89,7 +83,6 @@ class PlannedQuery:
     source: Source | None = None
     label: str | None = None
     max_nulls: int | None = None
-    required: bool = False
 
     def span_name(self) -> str:
         return f"{self.label or self.kind} {self.query}"

@@ -32,7 +32,7 @@ from repro.mining.partitions import (
 from repro.mining.pruning import DEFAULT_DELTA, is_noisy, prune_noisy_afds
 from repro.mining.refresh import KnowledgeRefresher, RefreshResult
 from repro.mining.selectivity import SelectivityEstimator
-from repro.mining.store import KnowledgeStore, as_store, resolve_knowledge
+from repro.mining.store import KnowledgeStore, as_store
 from repro.mining.tane import TaneConfig, TaneResult, mine_dependencies
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "MiningConfig",
     "KnowledgeStore",
     "as_store",
-    "resolve_knowledge",
     "KnowledgeRefresher",
     "RefreshResult",
     "save_knowledge",

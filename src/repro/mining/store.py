@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Union
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mining.knowledge import KnowledgeBase
 
-__all__ = ["KnowledgeStore", "as_store", "resolve_knowledge"]
+__all__ = ["KnowledgeStore", "as_store"]
 
 
 class KnowledgeStore:
@@ -78,11 +78,3 @@ def as_store(knowledge: "Union[KnowledgeBase, KnowledgeStore]") -> KnowledgeStor
         return knowledge
     return KnowledgeStore(knowledge)
 
-
-def resolve_knowledge(
-    knowledge: "Union[KnowledgeBase, KnowledgeStore]",
-) -> "KnowledgeBase":
-    """Snapshot a generation from either a bare knowledge base or a store."""
-    if isinstance(knowledge, KnowledgeStore):
-        return knowledge.current
-    return knowledge

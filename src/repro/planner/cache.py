@@ -4,7 +4,8 @@ Plans are immutable (frozen dataclasses holding tuples), so a cached plan
 can be handed to any number of concurrent retrievals without copying; the
 cache itself serializes its bookkeeping behind one lock, which composes
 with the engine's ``max_concurrency`` executors and with several mediators
-sharing one cache (federation, multi-way joins).
+sharing one cache (a join's two sides, the correlated-source mediator's
+pairings).
 
 Keys are built by :class:`~repro.planner.planner.QueryPlanner` from
 content fingerprints — canonical query, the base set's rewriting bindings

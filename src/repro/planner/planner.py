@@ -153,20 +153,13 @@ def baseline_plan(query: SelectionQuery, max_nulls: "int | None" = 1) -> Retriev
     """The counterfactual baselines' two-step plan (§6.2).
 
     One base query for the certain answers, one NULL-binding fetch for the
-    possible ones.  The fetch is ``required``: the baselines exist to
-    quantify what NULL binding would buy, so a source that cannot bind
-    NULL must fail the retrieval loudly, not degrade it.
+    possible ones.
     """
     return RetrievalPlan(
         steps=(
             PlannedQuery(query=query, kind=QueryKind.BASE, rank=0),
             PlannedQuery(
-                query=query,
-                kind=QueryKind.MULTI_NULL,
-                rank=1,
-                max_nulls=max_nulls,
-                required=True,
-                label="null-binding",
+                query=query, kind=QueryKind.NULL_BINDING, rank=1, max_nulls=max_nulls
             ),
         )
     )

@@ -9,7 +9,6 @@ from repro.query.executor import (
     certain_count,
     certain_or_possible,
     evaluate_aggregate,
-    natural_join,
     possible_answers,
 )
 from repro.query.possible_worlds import (
@@ -55,7 +54,6 @@ __all__ = [
     "possible_answers",
     "certain_or_possible",
     "evaluate_aggregate",
-    "natural_join",
     "active_domains",
     "witness_domains",
     "completions_of",

@@ -16,13 +16,13 @@ Three evaluation modes mirror the paper's answer taxonomy (Definition 2):
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.query.query import AggregateFunction, AggregateQuery, SelectionQuery
 from repro.relational.columnar import ColumnStore
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import Relation
 from repro.relational.values import is_null
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "certain_or_possible",
     "certain_count",
     "evaluate_aggregate",
-    "natural_join",
 ]
 
 
@@ -101,55 +100,3 @@ def evaluate_aggregate(query: AggregateQuery, relation: Relation) -> float | Non
     values = [value for value in answers.column(query.attribute) if not is_null(value)]
     return query.function.compute(values)
 
-
-def natural_join(
-    left: Relation,
-    right: Relation,
-    left_attribute: str,
-    right_attribute: str | None = None,
-    right_prefix: str = "right_",
-) -> Relation:
-    """Equi-join two relations on one attribute pair (hash join).
-
-    NULL join values never match (SQL semantics).  Overlapping attribute
-    names on the right side are prefixed with *right_prefix* so the joined
-    schema stays unambiguous; the right join column is dropped since it
-    always equals the left one.
-    """
-    right_attribute = right_attribute or left_attribute
-    left_index = left.schema.index_of(left_attribute)
-    right_index = right.schema.index_of(right_attribute)
-
-    buckets: dict[Any, list[Row]] = {}
-    for row in right:
-        key = row[right_index]
-        if is_null(key):
-            continue
-        buckets.setdefault(key, []).append(row)
-
-    left_names = set(left.schema.names)
-    mapping = {
-        name: (right_prefix + name if name in left_names else name)
-        for name in right.schema.names
-        if name != right_attribute
-    }
-    from repro.relational.schema import Attribute, Schema  # local to avoid cycle at import
-
-    joined_attrs = list(left.schema.attributes) + [
-        Attribute(mapping[attr.name], attr.type)
-        for attr in right.schema.attributes
-        if attr.name != right_attribute
-    ]
-    joined_schema = Schema(joined_attrs)
-
-    rows: list[Row] = []
-    for row in left:
-        key = row[left_index]
-        if is_null(key):
-            continue
-        for match in buckets.get(key, ()):
-            tail = tuple(
-                value for position, value in enumerate(match) if position != right_index
-            )
-            rows.append(row + tail)
-    return Relation(joined_schema, rows)

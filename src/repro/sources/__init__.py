@@ -9,12 +9,7 @@ from repro.sources.autonomous import AccessStatistics, AutonomousSource
 from repro.sources.caching import CacheStatistics, CachingSource
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.registry import SourceRegistry
-from repro.sources.sampler import (
-    RandomProbingSampler,
-    estimate_sample_ratio,
-    split_relation,
-    uniform_sample,
-)
+from repro.sources.sampler import split_relation
 from repro.sources.surface import Source, SourceDecorator
 
 __all__ = [
@@ -24,10 +19,7 @@ __all__ = [
     "AutonomousSource",
     "AccessStatistics",
     "SourceRegistry",
-    "RandomProbingSampler",
-    "uniform_sample",
     "split_relation",
-    "estimate_sample_ratio",
     "CachingSource",
     "CacheStatistics",
     "RedundancyCandidate",

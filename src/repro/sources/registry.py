@@ -54,24 +54,8 @@ class SourceRegistry:
                 )
         self._sources[source.name] = source
 
-    def get(self, name: str) -> Source:
-        try:
-            return self._sources[name]
-        except KeyError:
-            raise SchemaError(f"no source named {name!r} is registered") from None
-
     def __iter__(self) -> Iterator[Source]:
         return iter(self._sources.values())
-
-    def __len__(self) -> int:
-        return len(self._sources)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._sources
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._sources)
 
     def supporting(self, attribute: str) -> list[Source]:
         """Sources whose local schema includes *attribute*."""

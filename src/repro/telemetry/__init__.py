@@ -8,7 +8,7 @@ Every source call in a mediated retrieval becomes a
 :class:`~repro.telemetry.MetricsRegistry` track queries issued, tuples
 retrieved, cache hit rates, admission outcomes and fault events.
 
-Pass a :class:`Telemetry` to ``QpiadMediator``, ``FederatedMediator`` or
+Pass a :class:`Telemetry` to ``QpiadMediator``, ``JoinProcessor`` or
 any source wrapper (``telemetry=...``); leave it ``None`` (the default)
 and every emit site reduces to a single ``None`` check.  See
 ``docs/observability.md``.

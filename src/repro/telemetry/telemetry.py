@@ -2,8 +2,8 @@
 
 One :class:`Telemetry` object bundles a :class:`~repro.telemetry.Tracer`
 and a :class:`~repro.telemetry.MetricsRegistry` behind the single
-``telemetry=`` parameter that :class:`~repro.core.QpiadMediator`,
-:class:`~repro.core.FederatedMediator` and every source wrapper accept.
+``telemetry=`` parameter that :class:`~repro.core.QpiadMediator`, the
+other mediators and every source wrapper accept.
 
 The contract that keeps instrumentation honest about cost: **every emit
 site is guarded by a plain ``None`` check**.  A pipeline built without
@@ -129,8 +129,7 @@ def timed_first(
     The telemetry's clock starts when the first item is requested; the
     seconds until it arrives feed the *metric* histogram once.  A stream
     that ends empty observes nothing; with no telemetry, no clock is read.
-    The streaming join and federation interfaces report their time to
-    first answer this way.
+    The streaming join reports its time to first answer this way.
     """
     if telemetry is None:
         yield from stream

@@ -1,12 +1,11 @@
 """Structured tracing of mediated retrievals.
 
-A mediated query is a small distributed plan: one base query, a ranked
-batch of rewritten queries, possibly a multi-NULL fetch, each of them a
-billable call against a rate-limited autonomous source.  The
-:class:`Tracer` records that plan as a tree of :class:`Span` objects —
-one span per source call, nested under one retrieval-level root — with
-timings taken from an injectable clock so tests and simulations never
-depend on wall time.
+A mediated query is a small distributed plan: one base query and a ranked
+batch of rewritten queries, each of them a billable call against a
+rate-limited autonomous source.  The :class:`Tracer` records that plan as
+a tree of :class:`Span` objects — one span per source call, nested under
+one retrieval-level root — with timings taken from an injectable clock so
+tests and simulations never depend on wall time.
 
 The tracer is deliberately tiny: spans are plain mutable dataclasses,
 parentage comes from a stack of open spans kept per thread, and nothing
@@ -35,9 +34,7 @@ class SpanKind:
     BASE_QUERY = "base-query"  # the user's original query against the source
     REWRITTEN_QUERY = "rewritten-query"  # one AFD-rewritten probe
     RELAXED_QUERY = "relaxed-query"  # one influence-guided relaxation probe
-    MULTI_NULL = "multi-null-fetch"  # the >= 2-NULL counterfactual fetch
-    FEDERATION = "federation"  # one federated query (root over sources)
-    FEDERATION_SOURCE = "federation-source"  # one source's share of it
+    NULL_BINDING = "null-binding"  # the baselines' counterfactual NULL fetch
     REFRESH = "knowledge-refresh"  # one knowledge refresh (a re-mine)
 
     ALL = (
@@ -46,14 +43,12 @@ class SpanKind:
         BASE_QUERY,
         REWRITTEN_QUERY,
         RELAXED_QUERY,
-        MULTI_NULL,
-        FEDERATION,
-        FEDERATION_SOURCE,
+        NULL_BINDING,
         REFRESH,
     )
 
     # The kinds that correspond to exactly one source call each.
-    SOURCE_CALLS = (BASE_QUERY, REWRITTEN_QUERY, RELAXED_QUERY, MULTI_NULL)
+    SOURCE_CALLS = (BASE_QUERY, REWRITTEN_QUERY, RELAXED_QUERY, NULL_BINDING)
 
 
 @dataclass

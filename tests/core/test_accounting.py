@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
-from repro.query import Equals, SelectionQuery
+from repro.query import SelectionQuery
 from repro.sources import AutonomousSource, SourceCapabilities
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
@@ -101,23 +101,6 @@ class TestIssuanceCountedBeforeTheCall:
         # budget answered calls plus the one rejection.
         assert source.statistics.queries_answered == budget
         assert result.stats.queries_issued == budget + 1
-
-    def test_rejected_multi_null_fetch_is_counted(self, cars_env):
-        query = SelectionQuery.conjunction(
-            [Equals("body_style", "Convt"), Equals("make", "BMW")]
-        )
-        source = cars_env.web_source()  # web forms reject NULL binding
-        result = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(k=5, retrieve_multi_null=True),
-        ).query(query)
-        stats = source.statistics
-        assert stats.rejected_queries == 1
-        assert result.stats.queries_issued == (
-            stats.queries_answered + stats.rejected_queries
-        )
-        assert result.unranked == []  # the rejection lost no answers
 
     def test_streaming_interface_reports_the_same_accounting(self, cars_env):
         source = cars_env.web_source()

@@ -78,8 +78,7 @@ class TestAllRankedSeveralNulls:
         self, cars_env, cars_two_nulls
     ):
         """A row missing both constrained values is scored by the product
-        of both posteriors, as the mediator's multi-NULL ranking does, not
-        by its first missing value alone."""
+        of both posteriors, not by its first missing value alone."""
         source, two_nulls = cars_two_nulls
         knowledge = cars_env.knowledge
         query = SelectionQuery.conjunction(

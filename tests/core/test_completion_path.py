@@ -3,8 +3,8 @@
 ``KnowledgeBase.value_distributions`` and ``KnowledgeBase.completions``,
 and ``row_probabilities`` on top of ``target_probabilities``, are the only
 ways a NULL gets completed.  Each caller asks one batch per relation,
-attribute or join side, and the two streaming join operators ask a
-one-row batch per arriving row.  That is only correct if every caller
+attribute or join side, and the streaming join asks a one-row batch per
+arriving row.  That is only correct if every caller
 comes out exactly as its old loop made it, one posterior at a time with
 a hand-built evidence dict.  Those loops are kept here as references (each
 posterior a batch of one), and the two are compared by ``repr`` and by
@@ -22,11 +22,8 @@ from repro.core import (
     AggregateProcessor,
     JoinConfig,
     JoinProcessor,
-    QpiadConfig,
-    QpiadMediator,
     all_ranked,
 )
-from repro.core.multijoin import MultiJoinProcessor, MultiJoinStep
 from repro.core.rewriting import row_probabilities, target_probabilities
 from repro.errors import MiningError, QueryError
 from repro.evaluation import classification_accuracy
@@ -201,24 +198,8 @@ def _reference_effective_join_value(
     return predicted, confidence * probability
 
 
-def _reference_join_value(self, step, knowledge, row):
-    schema = step.source.schema
-    value = row[schema.index_of(step.join_attribute)]
-    if not is_null(value):
-        return value, 1.0
-    evidence = {
-        name: v
-        for name, v in zip(schema.names, row)
-        if not is_null(v) and name != step.join_attribute
-    }
-    try:
-        return _predict_value(knowledge, step.join_attribute, evidence)
-    except MiningError:
-        return None, 0.0
-
-
 def _reference_joint(knowledge, query, schema, row, method=None):
-    """``QpiadMediator._joint_probability``: a product of batches of one."""
+    """``row_probabilities`` for one row: a product of batches of one."""
     evidence = {name: value for name, value in zip(schema.names, row) if not is_null(value)}
     probability = 1.0
     for attribute in query.constrained_attributes:
@@ -442,21 +423,6 @@ class TestRowProbabilities:
         expected = [_reference_joint(cars_env.knowledge, query, schema, row) for row in rows]
         assert [p.hex() for p in actual] == [p.hex() for p in expected]
 
-    def test_multi_null_ranking_matches_per_row_sort(self, cars_env, cars_two_nulls):
-        source, two_nulls = cars_two_nulls
-        query = SelectionQuery.conjunction(
-            [Equals("make", "BMW"), Equals("body_style", "Convt")]
-        )
-        mediator = QpiadMediator(
-            source,
-            cars_env.knowledge,
-            QpiadConfig(k=10, retrieve_multi_null=True, rank_multi_null=True),
-        )
-        expected = sorted(
-            two_nulls,
-            key=lambda row: -_reference_joint(cars_env.knowledge, query, source.schema, row),
-        )
-        assert mediator.query(query).unranked == expected
 
 
 JOIN_QUERIES = (
@@ -518,39 +484,6 @@ class TestJoins:
         assert actual == expected
         assert any(not certain for *__, certain in actual[0])
 
-    def test_multi_join_matches_per_row_loop(self, cars_env, complaints_env, monkeypatch):
-        steps = [
-            MultiJoinStep(
-                source=cars_env.web_source(),
-                knowledge=cars_env.knowledge,
-                query=SelectionQuery.equals("model", "Grand Cherokee"),
-                join_attribute="model",
-            ),
-            MultiJoinStep(
-                source=complaints_env.web_source(),
-                knowledge=complaints_env.knowledge,
-                query=SelectionQuery.equals("crash", "Yes"),
-                join_attribute="model",
-                link_attribute="step0.model",
-            ),
-        ]
-
-        def run():
-            result = MultiJoinProcessor(steps, k=5).query()
-            return (
-                [
-                    (repr(answer.rows), answer.confidence.hex(), answer.certain)
-                    for answer in result.answers
-                ],
-                result.per_step_retrieved,
-            )
-
-        actual = run()
-        with monkeypatch.context() as patched:
-            patched.setattr(MultiJoinProcessor, "_join_value", _reference_join_value)
-            expected = run()
-        assert actual == expected
-        assert any(not certain for *__, certain in actual[0])
 
 
 # ----------------------------------------------------------------------

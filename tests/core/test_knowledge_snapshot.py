@@ -1,12 +1,11 @@
 """One knowledge snapshot per retrieval.
 
 A refresher may install a new generation while a retrieval's base call is
-on the wire.  The retrieval must still plan, rewrite, score its join pairs
-and rank its multi-NULL tuples against the generation it started with, so
-it returns exactly what it returns when nothing is installed.  Each test
-wraps the source so that its first call installs a generation mined from
-another sample, then compares the retrieval with one over the old
-generation alone.
+on the wire.  The retrieval must still plan, rewrite and score its join
+pairs against the generation it started with, so it returns exactly what
+it returns when nothing is installed.  Each test wraps the source so that
+its first call installs a generation mined from another sample, then
+compares the retrieval with one over the old generation alone.
 """
 
 from __future__ import annotations
@@ -50,23 +49,17 @@ def _selection(result):
 
 class TestSelection:
     QUERY = SelectionQuery(And([Equals("make", "BMW"), Equals("body_style", "Convt")]))
-    CONFIG = QpiadConfig(
-        k=10, retrieve_multi_null=True, rank_multi_null=True, max_concurrency=1
-    )
+    CONFIG = QpiadConfig(k=10, max_concurrency=1)
 
-    def test_query_plans_and_ranks_against_its_first_generation(
-        self, cars_env, cars_two_nulls
-    ):
-        source, two_nulls = cars_two_nulls
-        reference = QpiadMediator(source, cars_env.knowledge, self.CONFIG).query(
-            self.QUERY
-        )
-        assert sorted(reference.unranked) == sorted(two_nulls)
+    def test_query_plans_and_ranks_against_its_first_generation(self, cars_env):
+        reference = QpiadMediator(
+            cars_env.web_source(), cars_env.knowledge, self.CONFIG
+        ).query(self.QUERY)
 
         store = KnowledgeStore(cars_env.knowledge)
         other = _other_generation(cars_env)
         mediator = QpiadMediator(
-            InstallsOnFirstCall(source, store, other), store, self.CONFIG
+            InstallsOnFirstCall(cars_env.web_source(), store, other), store, self.CONFIG
         )
         result = mediator.query(self.QUERY)
         assert store.current is other

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
 from repro.errors import QpiadError
-from repro.query import Equals, SelectionQuery
+from repro.query import SelectionQuery
 from repro.relational import is_null
 
 
@@ -115,35 +115,3 @@ class TestUnrewritableQueries:
         result = mediator.query(SelectionQuery.equals("body_style", "Convt"))
         assert result.ranked == [] and result.stats.queries_issued == 1
 
-
-class TestMultiNullHandling:
-    def test_web_source_cannot_fetch_multi_null(self, cars_env):
-        mediator = QpiadMediator(
-            cars_env.web_source(),
-            cars_env.knowledge,
-            QpiadConfig(retrieve_multi_null=True),
-        )
-        query = SelectionQuery.conjunction(
-            [Equals("make", "BMW"), Equals("body_style", "Convt")]
-        )
-        result = mediator.query(query)
-        assert result.unranked == []  # web forms reject NULL binding
-
-    def test_permissive_source_appends_unranked_multi_null(self, cars_env):
-        mediator = QpiadMediator(
-            cars_env.permissive_source(),
-            cars_env.knowledge,
-            QpiadConfig(retrieve_multi_null=True),
-        )
-        query = SelectionQuery.conjunction(
-            [Equals("make", "BMW"), Equals("body_style", "Convt")]
-        )
-        result = mediator.query(query)
-        schema = cars_env.test.schema
-        for row in result.unranked:
-            nulls = sum(
-                1
-                for name in ("make", "body_style")
-                if is_null(row[schema.index_of(name)])
-            )
-            assert nulls >= 2

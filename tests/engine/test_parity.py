@@ -136,28 +136,3 @@ class TestAggregateParity:
             )
         assert outcomes[0] == outcomes[1]
 
-
-class TestFederationParity:
-    def test_concurrent_equals_serial(self, cars_env):
-        from repro.core.federation import FederatedMediator
-        from repro.sources.registry import SourceRegistry
-
-        source = cars_env.web_source()
-        registry = SourceRegistry(source.schema)
-        registry.register(source)
-        knowledge = {source.name: cars_env.knowledge}
-        query = SelectionQuery.equals("body_style", "Convt")
-        outcomes = []
-        for width in (1, 3):
-            result = FederatedMediator(
-                registry, knowledge, QpiadConfig(k=10, max_concurrency=width)
-            ).query(query)
-            outcomes.append(
-                (
-                    {name: list(rel) for name, rel in result.certain.items()},
-                    [(a.source, a.row, a.confidence) for a in result.ranked],
-                    result.skipped_sources,
-                    result.degraded,
-                )
-            )
-        assert outcomes[0] == outcomes[1]

@@ -175,12 +175,3 @@ class TestFailureAbsorption:
         assert outcome == "raise"
         assert engine.degraded
         assert [f.kind for f in stats.failures] == [FailureKind.ADMISSION_REJECTED]
-
-    def test_required_steps_always_reraise(self):
-        engine = engine_for(backend())
-        required = PlannedQuery(
-            query=QUERY, kind=QueryKind.REWRITTEN, rank=0, required=True
-        )
-        assert engine._absorb(
-            required, AdmissionRejectedError("shed")
-        ) == "raise"

@@ -14,14 +14,8 @@ rewritten-query executions,
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.core.federation import FederatedMediator
 from repro.faults import FaultInjectingSource, FaultPlan
 from repro.query import SelectionQuery
-from repro.sources import (
-    AutonomousSource,
-    SourceCapabilities,
-    SourceRegistry,
-)
 
 QUERY = SelectionQuery.equals("body_style", "Convt")
 SEEDS = (0, 1, 2, 3, 4)
@@ -175,39 +169,3 @@ class TestChaosStreaming:
         streamed = [answer.row for answer in mediator.iter_possible(QUERY)]
         assert is_subsequence(streamed, [answer.row for answer in clean.ranked])
 
-
-class TestChaosFederation:
-    def test_federation_survives_a_fully_dead_source(self, cars_env):
-        healthy = AutonomousSource(
-            "cars.com", cars_env.test, SourceCapabilities.web_form()
-        )
-        dead = FaultInjectingSource(
-            AutonomousSource("down.com", cars_env.test, SourceCapabilities.web_form()),
-            FaultPlan(seed=1, unavailable_rate=1.0),
-        )
-        registry = SourceRegistry(cars_env.test.schema, [healthy, dead])
-        mediator = FederatedMediator(
-            registry,
-            {"cars.com": cars_env.knowledge, "down.com": cars_env.knowledge},
-            QpiadConfig(k=8),
-        )
-        result = mediator.query(QUERY)
-        assert len(result.certain["cars.com"]) > 0
-        assert result.ranked
-        assert result.degraded
-        assert result.failed_sources == ("down.com",)
-
-    def test_federation_with_flaky_source_degrades_not_dies(self, cars_env):
-        flaky = FaultInjectingSource(
-            AutonomousSource("flaky.com", cars_env.test, SourceCapabilities.web_form()),
-            FaultPlan(seed=2, unavailable_rate=0.4, spare_first=1),
-        )
-        registry = SourceRegistry(cars_env.test.schema, [flaky])
-        mediator = FederatedMediator(
-            registry, {"flaky.com": cars_env.knowledge}, QpiadConfig(k=10)
-        )
-        result = mediator.query(QUERY)
-        assert len(result.certain["flaky.com"]) > 0
-        outcome = result.per_source["flaky.com"]
-        assert result.degraded == outcome.degraded
-        assert len(outcome.stats.failures) == flaky.statistics.unavailable

@@ -46,21 +46,6 @@ class TestRunShell:
         assert run_shell(csv_path) == 0
 
 
-class TestFederationConfigPropagation:
-    def test_k_limits_apply_per_source(self, cars_env):
-        from repro.core import QpiadConfig
-        from repro.core.federation import FederatedMediator
-        from repro.sources import AutonomousSource, SourceRegistry
-
-        source = AutonomousSource("only", cars_env.test)
-        registry = SourceRegistry(cars_env.test.schema, [source])
-        mediator = FederatedMediator(
-            registry, {"only": cars_env.knowledge}, QpiadConfig(k=2)
-        )
-        result = mediator.query(SelectionQuery.equals("body_style", "Convt"))
-        assert result.per_source["only"].stats.rewritten_issued <= 2
-
-
 class TestCsvTextType:
     def test_text_attribute_round_trips(self, tmp_path):
         from repro.relational import Attribute, AttributeType, Relation, Schema
@@ -72,30 +57,6 @@ class TestCsvTextType:
         write_csv(relation, path)
         loaded = read_csv(path, schema=schema)
         assert loaded == relation
-
-
-class TestMultiJoinBookkeeping:
-    def test_per_step_retrieved_counts(self, cars_env, complaints_env):
-        from repro.core.multijoin import MultiJoinProcessor, MultiJoinStep
-
-        steps = [
-            MultiJoinStep(
-                source=cars_env.web_source(),
-                knowledge=cars_env.knowledge,
-                query=SelectionQuery.equals("model", "F150"),
-                join_attribute="model",
-            ),
-            MultiJoinStep(
-                source=complaints_env.web_source(),
-                knowledge=complaints_env.knowledge,
-                query=SelectionQuery.equals("crash", "Yes"),
-                join_attribute="model",
-                link_attribute="step0.model",
-            ),
-        ]
-        result = MultiJoinProcessor(steps, k=3).query()
-        assert len(result.per_step_retrieved) == 2
-        assert all(count > 0 for count in result.per_step_retrieved)
 
 
 class TestRewrittenQueryRepr:

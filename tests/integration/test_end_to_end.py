@@ -1,4 +1,4 @@
-"""End-to-end flows: mediator over a probed sample, multi-source mediation."""
+"""End-to-end flows: mediator over a mined training split, budgets, bands."""
 
 import random
 
@@ -9,33 +9,23 @@ from repro.datasets import generate_cars, make_incomplete
 from repro.mining import KnowledgeBase
 from repro.query import SelectionQuery
 from repro.relational import is_null
-from repro.sources import (
-    AutonomousSource,
-    RandomProbingSampler,
-    SourceCapabilities,
-)
+from repro.sources import AutonomousSource, SourceCapabilities, split_relation
 
 
-class TestProbedSamplePipeline:
-    """The full honest pipeline: the mediator never touches the backend —
-    knowledge is mined from tuples obtained through probing queries only."""
+class TestTrainingSplitPipeline:
+    """The §6.2 pipeline: knowledge is mined from a 10% training split, and
+    the mediator reaches the other 90% only through the web form."""
 
     @pytest.fixture(scope="class")
     def pipeline(self):
         cars = generate_cars(4000, seed=77)
         dataset = make_incomplete(cars, seed=78)
-        source = AutonomousSource("cars.com", dataset.incomplete)
-        seeds = [
-            SelectionQuery.equals("make", make)
-            for make in ("Honda", "Toyota", "Ford")
-        ]
-        sampler = RandomProbingSampler(source, random.Random(79), seeds)
-        sample = sampler.sample(target_size=400, max_queries=300)
-        knowledge = KnowledgeBase(sample, database_size=source.cardinality())
-        source.reset_statistics()
+        train, test = split_relation(dataset.incomplete, 0.1, random.Random(79))
+        source = AutonomousSource("cars.com", test)
+        knowledge = KnowledgeBase(train, database_size=source.cardinality())
         return dataset, source, knowledge
 
-    def test_probing_learned_usable_afds(self, pipeline):
+    def test_the_split_learns_usable_afds(self, pipeline):
         __, __, knowledge = pipeline
         best = knowledge.best_afd("body_style")
         assert best is not None and "model" in best.determining
@@ -71,13 +61,11 @@ class TestBudgetedMediation:
 
 
 class TestAnswerBands:
-    def test_certain_then_ranked_then_unranked(self, cars_env):
+    def test_certain_then_ranked(self, cars_env):
         from repro.query import Equals
 
         mediator = QpiadMediator(
-            cars_env.permissive_source(),
-            cars_env.knowledge,
-            QpiadConfig(k=10, retrieve_multi_null=True),
+            cars_env.permissive_source(), cars_env.knowledge, QpiadConfig(k=10)
         )
         query = SelectionQuery.conjunction(
             [Equals("model", "Z4"), Equals("body_style", "Convt")]
@@ -85,10 +73,14 @@ class TestAnswerBands:
         result = mediator.query(query)
         schema = cars_env.test.schema
         assert all(query.predicate.matches(row, schema) for row in result.certain)
-        for row in result.unranked:
+        assert result.ranked
+        for answer in result.ranked:
             nulls = sum(
                 1
                 for name in ("model", "body_style")
-                if is_null(row[schema.index_of(name)])
+                if is_null(answer.row[schema.index_of(name)])
             )
-            assert nulls >= 2
+            assert nulls == 1
+        # No call can ask for the tuples with two NULLs, even where the
+        # source could bind NULL: the band they filled stays empty.
+        assert result.unranked == []

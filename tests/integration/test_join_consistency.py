@@ -1,65 +1,41 @@
-"""Cross-checks between the two join implementations.
+"""The §4.5 pair-scoring JoinProcessor against first principles.
 
-The §4.5 pair-scoring JoinProcessor and the multi-way fold of
-``core.multijoin`` approach the same two-relation problem differently; on
-the *certain* side they must agree exactly, and their possible sides must
-both be sound (join values really match, ground truth confirms components).
+On the *certain* side the join must return exactly the pairs of base rows
+that share a stored, non-NULL join value (``test_certain_pair.py``'s
+oracle); its possible side must be sound (wherever both join values are
+stored, they match).
 """
 
 import pytest
 
 from repro.core import JoinConfig, JoinProcessor
-from repro.core.multijoin import MultiJoinProcessor, MultiJoinStep
-from repro.query import JoinQuery, SelectionQuery
 from repro.relational import is_null
+from tests.core.test_certain_pair import JOIN, _base_pairs
 
 
 @pytest.fixture(scope="module")
-def setting(cars_env, complaints_env):
-    left = SelectionQuery.equals("model", "Grand Cherokee")
-    right = SelectionQuery.equals("general_component", "Engine and Engine Cooling")
-
-    pairwise = JoinProcessor(
+def pairwise(cars_env, complaints_env):
+    return JoinProcessor(
         cars_env.web_source(),
         complaints_env.web_source(),
         cars_env.knowledge,
         complaints_env.knowledge,
         JoinConfig(alpha=0.5, k_pairs=10),
-    ).query(JoinQuery(left, right, "model"))
-
-    folded = MultiJoinProcessor(
-        [
-            MultiJoinStep(
-                source=cars_env.web_source(),
-                knowledge=cars_env.knowledge,
-                query=left,
-                join_attribute="model",
-            ),
-            MultiJoinStep(
-                source=complaints_env.web_source(),
-                knowledge=complaints_env.knowledge,
-                query=right,
-                join_attribute="model",
-                link_attribute="step0.model",
-            ),
-        ],
-        k=10,
-        alpha=0.5,
-    ).query()
-    return pairwise, folded
+    ).query(JOIN)
 
 
 class TestCertainAgreement:
-    def test_same_certain_joined_pairs(self, setting):
-        pairwise, folded = setting
-        pair_keys = {(a.left_row, a.right_row) for a in pairwise.certain}
-        fold_keys = {(a.rows[0], a.rows[1]) for a in folded.certain}
-        assert pair_keys == fold_keys
+    def test_same_certain_joined_pairs(self, pairwise, cars_env, complaints_env):
+        expected = _base_pairs(cars_env, complaints_env)
+        assert expected
+        assert {(a.left_row, a.right_row) for a in pairwise.certain} == expected
 
 
 class TestPossibleSoundness:
-    def test_pairwise_possible_rows_join_consistently(self, setting, cars_env, complaints_env):
-        pairwise, __ = setting
+    def test_pairwise_possible_rows_join_consistently(
+        self, pairwise, cars_env, complaints_env
+    ):
+        assert pairwise.possible
         left_index = cars_env.test.schema.index_of("model")
         right_index = complaints_env.test.schema.index_of("model")
         for answer in pairwise.possible:
@@ -67,18 +43,3 @@ class TestPossibleSoundness:
             rv = answer.right_row[right_index]
             if not is_null(lv) and not is_null(rv):
                 assert lv == rv
-
-    def test_folded_possible_rows_join_consistently(self, setting, cars_env, complaints_env):
-        __, folded = setting
-        left_index = cars_env.test.schema.index_of("model")
-        right_index = complaints_env.test.schema.index_of("model")
-        for answer in folded.possible:
-            lv = answer.rows[0][left_index]
-            rv = answer.rows[1][right_index]
-            if not is_null(lv) and not is_null(rv):
-                assert lv == rv
-
-    def test_both_find_possible_answers(self, setting):
-        pairwise, folded = setting
-        assert pairwise.possible
-        assert folded.possible

@@ -8,13 +8,13 @@ from repro.datasets import generate_cars
 from repro.errors import MiningError
 from repro.mining.drift import detect_drift, drift_payload, render_drift_text
 from repro.relational import Relation
-from repro.sources import uniform_sample
+from repro.sources import split_relation
 
 
 @pytest.fixture(scope="module")
 def fresh_same_distribution(cars_env):
     """A disjoint-ish sample from the same underlying generator."""
-    return uniform_sample(cars_env.test, 0.15, random.Random(99))
+    return split_relation(cars_env.test, 0.15, random.Random(99))[0]
 
 
 class TestNoDrift:

@@ -24,8 +24,6 @@ from repro.core import (
     QpiadConfig,
     QpiadMediator,
 )
-from repro.core.federation import FederatedMediator
-from repro.core.multijoin import MultiJoinProcessor, MultiJoinStep
 from repro.core.relaxation import QueryRelaxer
 from repro.evaluation import multi_attribute_workload, selection_workload
 from repro.mining import KnowledgeBase
@@ -249,68 +247,6 @@ class TestJoinParity:
                     (a.left_row, a.right_row, a.join_value, a.confidence, a.certain)
                     for a in result.certain + result.possible
                 ]
-            )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert cache.hits >= 1
-
-
-class TestMultiJoinParity:
-    def test_cached_equals_uncached(self, cars_env, complaints_env):
-        steps = [
-            MultiJoinStep(
-                source=cars_env.web_source(),
-                knowledge=cars_env.knowledge,
-                query=SelectionQuery.equals("model", "Grand Cherokee"),
-                join_attribute="model",
-            ),
-            MultiJoinStep(
-                source=complaints_env.web_source(),
-                knowledge=complaints_env.knowledge,
-                query=SelectionQuery.equals(
-                    "general_component", "Engine and Engine Cooling"
-                ),
-                join_attribute="model",
-                link_attribute="step0.model",
-            ),
-        ]
-        cache = PlanCache()
-        outcomes = []
-        for plan_cache in (None, cache, cache):
-            result = MultiJoinProcessor(steps, k=5, plan_cache=plan_cache).query()
-            outcomes.append(
-                (
-                    [(a.rows, a.confidence, a.certain) for a in result.answers],
-                    result.per_step_retrieved,
-                )
-            )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert cache.hits >= 1
-
-
-class TestFederationParity:
-    @pytest.mark.parametrize("width", (1, 3))
-    def test_cached_equals_uncached(self, cars_env, width):
-        source = cars_env.web_source()
-        registry = SourceRegistry(source.schema)
-        registry.register(source)
-        knowledge = {source.name: cars_env.knowledge}
-        query = SelectionQuery.equals("body_style", "Convt")
-        cache = PlanCache()
-        outcomes = []
-        for plan_cache in (None, cache, cache):
-            result = FederatedMediator(
-                registry,
-                knowledge,
-                QpiadConfig(k=10, max_concurrency=width),
-                plan_cache=plan_cache,
-            ).query(query)
-            outcomes.append(
-                (
-                    {name: list(rel) for name, rel in result.certain.items()},
-                    [(a.source, a.row, a.confidence) for a in result.ranked],
-                    result.skipped_sources,
-                    result.degraded,
-                )
             )
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert cache.hits >= 1

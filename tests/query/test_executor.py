@@ -1,4 +1,4 @@
-"""Certain/possible answer evaluation and joins (Definition 2 semantics)."""
+"""Certain/possible answer evaluation and aggregates (Definition 2 semantics)."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.query import (
     certain_answers,
     certain_or_possible,
     evaluate_aggregate,
-    natural_join,
     possible_answers,
 )
 from repro.relational import NULL, AttributeType, Relation, Schema
@@ -100,34 +99,3 @@ class TestAggregates:
         )
         assert evaluate_aggregate(query, cars) is None
 
-
-class TestNaturalJoin:
-    @pytest.fixture()
-    def complaints(self) -> Relation:
-        schema = Schema.of("model", "component")
-        return Relation(
-            schema,
-            [
-                ("Accord", "Brakes"),
-                ("Accord", "Engine"),
-                ("Z4", "Electrical"),
-                (NULL, "Steering"),
-            ],
-        )
-
-    def test_join_matches_on_key(self, cars, complaints):
-        joined = natural_join(cars, complaints, "model")
-        assert len(joined) == 3  # Accord x2, Z4 x1
-
-    def test_null_join_values_never_match(self, cars, complaints):
-        joined = natural_join(cars, complaints, "model")
-        assert all(row[1] is not NULL for row in joined)
-
-    def test_overlapping_names_are_prefixed(self, complaints):
-        left = Relation(Schema.of("model", "component"), [("Accord", "Body")])
-        joined = natural_join(left, complaints, "model")
-        assert "right_component" in joined.schema.names
-
-    def test_joined_schema_drops_right_join_column(self, cars, complaints):
-        joined = natural_join(cars, complaints, "model")
-        assert joined.schema.names.count("model") == 1

@@ -81,35 +81,3 @@ class TestMediatorSkipsUnissuableRewritings:
         assert not cached.can_answer(SelectionQuery.equals("price", 20000))
         assert cached.can_answer(SelectionQuery.equals("make", "Honda"))
 
-
-class TestRankedMultiNull:
-    def test_multi_null_tuples_ranked_by_joint_probability(self, cars_env, cars_two_nulls):
-        from repro.query import Equals
-        from repro.relational import is_null
-
-        source, two_nulls = cars_two_nulls
-        knowledge = cars_env.knowledge
-        mediator = QpiadMediator(
-            source,
-            knowledge,
-            QpiadConfig(k=10, retrieve_multi_null=True, rank_multi_null=True),
-        )
-        query = SelectionQuery.conjunction(
-            [Equals("make", "BMW"), Equals("body_style", "Convt")]
-        )
-        result = mediator.query(query)
-        assert len(result.unranked) == 12
-
-        def joint(row):
-            evidence = {
-                name: value
-                for name, value in zip(source.schema.names, row)
-                if not is_null(value)
-            }
-            [make] = knowledge.value_distributions("make", [evidence])
-            [body_style] = knowledge.value_distributions("body_style", [evidence])
-            return make.get("BMW", 0.0) * body_style.get("Convt", 0.0)
-
-        expected = sorted(two_nulls, key=lambda row: -joint(row))
-        assert result.unranked == expected
-        assert len({joint(row) for row in two_nulls}) == 12

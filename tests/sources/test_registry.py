@@ -18,8 +18,7 @@ def registry() -> SourceRegistry:
 
 class TestRegistration:
     def test_sources_are_registered(self, registry):
-        assert len(registry) == 2
-        assert set(registry.names) == {"cars.com", "yahoo"}
+        assert [source.name for source in registry] == ["cars.com", "yahoo"]
 
     def test_duplicate_name_rejected(self, registry):
         backend = Relation(Schema.of("make"), [("Honda",)])
@@ -32,12 +31,6 @@ class TestRegistration:
         registry = SourceRegistry(global_schema)
         with pytest.raises(SchemaError, match="not in the global schema"):
             registry.register(AutonomousSource("odd", backend))
-
-    def test_get_and_contains(self, registry):
-        assert registry.get("yahoo").name == "yahoo"
-        assert "yahoo" in registry and "nope" not in registry
-        with pytest.raises(SchemaError):
-            registry.get("nope")
 
 
 class TestSupportQueries:

@@ -1,47 +1,18 @@
-"""Sampling: uniform, split, and random probing through the query interface."""
+"""Sampling: the training/test split of the experimental dataset."""
 
 import random
 
 import pytest
 
 from repro.datasets import generate_cars
-from repro.errors import MiningError, QpiadError
-from repro.query import SelectionQuery
-from repro.relational import Relation, Schema
-from repro.sources import (
-    AutonomousSource,
-    RandomProbingSampler,
-    estimate_sample_ratio,
-    split_relation,
-    uniform_sample,
-)
+from repro.errors import QpiadError
+from repro.relational import Relation
+from repro.sources import split_relation
 
 
 @pytest.fixture(scope="module")
 def cars() -> Relation:
     return generate_cars(1000, seed=3)
-
-
-class TestUniformSample:
-    def test_size_matches_fraction(self, cars):
-        sample = uniform_sample(cars, 0.1, random.Random(1))
-        assert len(sample) == 100
-
-    def test_rows_come_from_the_relation(self, cars):
-        sample = uniform_sample(cars, 0.05, random.Random(1))
-        population = set(cars.rows)
-        assert all(row in population for row in sample)
-
-    def test_deterministic_under_seed(self, cars):
-        a = uniform_sample(cars, 0.1, random.Random(5))
-        b = uniform_sample(cars, 0.1, random.Random(5))
-        assert a.rows == b.rows
-
-    def test_invalid_fraction_rejected(self, cars):
-        with pytest.raises(QpiadError):
-            uniform_sample(cars, 0.0, random.Random(1))
-        with pytest.raises(QpiadError):
-            uniform_sample(cars, 1.5, random.Random(1))
 
 
 class TestSplitRelation:
@@ -53,67 +24,3 @@ class TestSplitRelation:
     def test_invalid_fraction_rejected(self, cars):
         with pytest.raises(QpiadError):
             split_relation(cars, 1.0, random.Random(1))
-
-
-class TestRandomProbing:
-    def test_probing_collects_requested_size(self, cars):
-        source = AutonomousSource("cars", cars)
-        seeds = [SelectionQuery.equals("make", "Honda")]
-        sampler = RandomProbingSampler(source, random.Random(4), seeds)
-        sample = sampler.sample(target_size=400, max_queries=300)
-        assert len(sample) == 400
-        assert source.statistics.queries_answered > 1  # one seed can't cover 400
-
-    def test_sample_tuples_are_real(self, cars):
-        source = AutonomousSource("cars", cars)
-        seeds = [SelectionQuery.equals("make", "Toyota")]
-        sample = RandomProbingSampler(source, random.Random(4), seeds).sample(50)
-        population = set(cars.rows)
-        assert all(row in population for row in sample)
-
-    def test_requires_seed_queries(self, cars):
-        source = AutonomousSource("cars", cars)
-        with pytest.raises(MiningError):
-            RandomProbingSampler(source, random.Random(1), [])
-
-    def test_unknown_probe_attribute_rejected(self, cars):
-        source = AutonomousSource("cars", cars)
-        with pytest.raises(MiningError):
-            RandomProbingSampler(
-                source,
-                random.Random(1),
-                [SelectionQuery.equals("make", "Honda")],
-                probe_attributes=["nonexistent"],
-            )
-
-    def test_useless_seed_raises(self):
-        relation = Relation(Schema.of("make"), [("Honda",)])
-        source = AutonomousSource("tiny", relation)
-        sampler = RandomProbingSampler(
-            source, random.Random(1), [SelectionQuery.equals("make", "Fiat")]
-        )
-        with pytest.raises(MiningError, match="no tuples"):
-            sampler.sample(10)
-
-
-class TestSampleRatio:
-    def test_ratio_from_advertised_cardinality(self, cars):
-        source = AutonomousSource("cars", cars)
-        sample = uniform_sample(cars, 0.1, random.Random(1))
-        assert estimate_sample_ratio(source, sample, []) == pytest.approx(10.0)
-
-    def test_ratio_from_probe_queries(self, cars):
-        from repro.sources import SourceCapabilities
-
-        source = AutonomousSource(
-            "cars", cars, SourceCapabilities(exposes_cardinality=False)
-        )
-        sample = uniform_sample(cars, 0.2, random.Random(1))
-        probes = [SelectionQuery.equals("make", make) for make in ("Honda", "Toyota", "BMW")]
-        ratio = estimate_sample_ratio(source, sample, probes)
-        assert 2.0 < ratio < 12.0  # around 5, loose because probes are noisy
-
-    def test_empty_sample_rejected(self, cars):
-        source = AutonomousSource("cars", cars)
-        with pytest.raises(MiningError):
-            estimate_sample_ratio(source, Relation(cars.schema, []), [])

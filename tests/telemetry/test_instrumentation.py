@@ -1,24 +1,18 @@
 """Telemetry threaded through the mediator stack and the source wrappers.
 
 The tentpole property: **every source call in a traced retrieval appears
-as a span** — base query, each rewritten query, the multi-NULL fetch —
-and the ``mediator.*`` counters agree with the retrieval's own
+as a span** — the base query and each rewritten query — and the
+``mediator.*`` counters agree with the retrieval's own
 :class:`~repro.core.results.RetrievalStats`.
 """
 
 import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
-from repro.core.federation import FederatedMediator
 from repro.errors import SourceUnavailableError
 from repro.faults import FaultInjectingSource, FaultPlan
 from repro.query import SelectionQuery
-from repro.sources import (
-    AutonomousSource,
-    CachingSource,
-    SourceCapabilities,
-    SourceRegistry,
-)
+from repro.sources import AutonomousSource, CachingSource
 from repro.telemetry import SpanKind, Telemetry
 from tests.engine.test_width_rule import sleeping
 
@@ -116,27 +110,6 @@ class TestParentageUnderConcurrency:
         if remote:
             assert source.peak_in_flight > 1  # the default did fan out
 
-    def test_federation_source_spans_nest_under_the_root_at_width_4(self, cars_env):
-        telemetry = Telemetry()
-        sources = [
-            AutonomousSource(name, cars_env.test, SourceCapabilities.web_form())
-            for name in ("a.com", "b.com", "c.com")
-        ]
-        mediator = FederatedMediator(
-            SourceRegistry(cars_env.test.schema, sources),
-            {source.name: cars_env.knowledge for source in sources},
-            QpiadConfig(k=5, max_concurrency=4),
-            telemetry=telemetry,
-        )
-        mediator.query(QUERY)
-
-        (root,) = telemetry.tracer.roots()
-        per_source = telemetry.tracer.by_kind(SpanKind.FEDERATION_SOURCE)
-        assert len(per_source) == 3
-        assert {span.parent_id for span in per_source} == {root.span_id}
-        for span in telemetry.tracer.by_kind(SpanKind.RETRIEVAL):
-            assert span.parent_id in {source.span_id for source in per_source}
-
 
 class TestFailedCallsAreSpanned:
     def test_faulted_calls_still_produce_spans(self, cars_env):
@@ -193,29 +166,3 @@ class TestWrapperCounters:
         assert telemetry.metrics.value("fault.injected") == 1
         assert telemetry.metrics.value("fault.unavailable") == 1
 
-
-class TestFederationSpans:
-    def test_federated_query_nests_per_source_spans(self, cars_env):
-        telemetry = Telemetry()
-        carscom = AutonomousSource(
-            "cars.com", cars_env.test, SourceCapabilities.web_form()
-        )
-        registry = SourceRegistry(cars_env.test.schema, [carscom])
-        mediator = FederatedMediator(
-            registry,
-            {"cars.com": cars_env.knowledge},
-            QpiadConfig(k=5),
-            telemetry=telemetry,
-        )
-        result = mediator.query(QUERY)
-
-        roots = telemetry.tracer.roots()
-        assert len(roots) == 1
-        assert roots[0].kind == SpanKind.FEDERATION
-        per_source = telemetry.tracer.children(roots[0])
-        assert [span.kind for span in per_source] == [SpanKind.FEDERATION_SOURCE]
-        # The per-source QPIAD retrieval nests under the federation source span.
-        retrievals = telemetry.tracer.children(per_source[0])
-        assert [span.kind for span in retrievals] == [SpanKind.RETRIEVAL]
-        assert telemetry.metrics.value("federation.queries") == 1
-        assert roots[0].attributes["ranked"] == len(result.ranked)
