@@ -19,21 +19,24 @@ are never lost to the top K.
 
 Execution is *streaming*: results flow through a symmetric-hash operator
 tree (:mod:`repro.engine.operators`).  Once the two base calls return,
-the tree is built with the complete pair already matched and both base
-sets are pushed in, so the certain base×base answers surface before any
+the tree is built with the complete pair already matched and base rows
+are pushed in until the first base×base answer, which surfaces before any
 rewriting is planned: first-answer latency is bounded by the base
 retrievals, in calls and in time.  Only then are both sides rewritten,
-the pairs ranked and the tree's match set extended with the selected
-pairs; the component results flow into the same tree as their calls
-complete.  Candidates stream in arrival order; :meth:`JoinProcessor.query`
-ranks at the edge with a total deterministic order, so the final answer
-list is bit-identical at every executor width.
+the pairs ranked, the tree's match set extended with the selected pairs
+and the component calls started; the rest of the base rows is pushed
+while those calls wait on the sources, and the component results flow
+into the same tree as their calls complete.  Candidates stream in
+arrival order; :meth:`JoinProcessor.query` ranks at the edge with a total
+deterministic order, so the final answer list is bit-identical at every
+executor width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeAlias
 
 from repro.core.results import RetrievalStats
 from repro.core.rewriting import RewrittenQuery
@@ -60,6 +63,10 @@ from repro.sources.surface import Source
 from repro.telemetry import Telemetry, timed_first
 
 __all__ = ["JoinConfig", "JoinedAnswer", "JoinResult", "JoinProcessor"]
+
+#: A NULL join value's most likely completion and its probability, or
+#: ``None`` when the classifier cannot predict it.
+_Completion: TypeAlias = tuple[Any, float] | None
 
 
 @dataclass(frozen=True)
@@ -360,20 +367,28 @@ class JoinProcessor:
             _QueryPair(left_complete, right_complete).estimated_selectivity() > 0
         )
         matched: set[tuple[int, int]] = {(0, 0)} if complete_joined else set()
-        tree = self._build_tree(
+        tree, fills = self._build_tree(
             join, matched, left_base, right_base, left_knowledge, right_knowledge
         )
-        for row in left_base:
-            yield from tree.push("left", _Arrival(left_complete, 0, row))
-        for row in right_base:
-            yield from tree.push("right", _Arrival(right_complete, 0, row))
+        base_sides = {"left": left_complete, "right": right_complete}
+        base_rows = chain(zip(repeat("left"), left_base), zip(repeat("right"), right_base))
+        # Push base rows until the first candidate and hand it over; the
+        # rest of that push and of the base rows waits until the
+        # components are on the wire.
+        candidates: Iterator[JoinedAnswer] = iter(())
+        for which, row in base_rows:
+            candidates = tree.push(which, _Arrival(base_sides[which], 0, row))
+            first = next(candidates, None)
+            if first is not None:
+                yield first
+                break
 
         left_sides = self._build_sides(
-            join.left, left_base, self._left_planner, left_knowledge,
+            left_complete, left_base, self._left_planner, left_knowledge,
             join.left_join_attribute,
         )
         right_sides = self._build_sides(
-            join.right, right_base, self._right_planner, right_knowledge,
+            right_complete, right_base, self._right_planner, right_knowledge,
             join.right_join_attribute,
         )
         result.pairs_considered = len(left_sides) * len(right_sides)
@@ -381,18 +396,32 @@ class JoinProcessor:
         if complete_joined and (0, 0) not in selected:
             selected.append((0, 0))
         result.pairs_issued = len(selected)
-        # The base rows already in the tree match the selected pairs that
-        # have a complete side from here on.
+        # Only pairs with a rewritten side join from here on: base rows
+        # carry position 0 on both sides, so (0, 0) alone decides them.
         matched.update(selected)
 
         # Component rows arrive in call-completion order and flow straight
-        # into the tree; the executor keeps issuing further components
-        # while the driver thread joins.
+        # into the tree.  The stream starts its calls now, so at a width
+        # above 1 they wait on the sources while the driver thread pushes
+        # the remaining base rows; component rows still follow the last
+        # base row, so at any width every base×base candidate comes first.
         plan, arrivals = self._component_plan(selected, left_sides, right_sides)
-        for step, row in engine.stream_tuples(plan):
-            which, position = arrivals[step.rank]
-            sides = left_sides if which == "left" else right_sides
-            yield from tree.push(which, _Arrival(sides[position], position, row))
+        components = engine.stream_tuples(plan)
+        try:
+            yield from candidates
+            # A classifier batch here no longer delays the first answer, so
+            # each side's remaining NULL join values are completed at once.
+            rest = list(base_rows)
+            for which, fill in fills.items():
+                fill([row for side, row in rest if side == which])
+            for which, row in rest:
+                yield from tree.push(which, _Arrival(base_sides[which], 0, row))
+            for step, row in components:
+                which, position = arrivals[step.rank]
+                sides = left_sides if which == "left" else right_sides
+                yield from tree.push(which, _Arrival(sides[position], position, row))
+        finally:
+            components.close()
 
     def _select_pairs(
         self, left_sides: Sequence[_Side], right_sides: Sequence[_Side]
@@ -432,16 +461,16 @@ class JoinProcessor:
 
     def _build_sides(
         self,
-        complete_query: SelectionQuery,
+        complete: _Side,
         base_set: Relation,
         planner: QueryPlanner,
         knowledge: KnowledgeBase,
         join_attribute: str,
     ) -> list[_Side]:
-        """The complete query plus all rewritten queries, as pair components."""
-        sides = [_complete_side(complete_query, base_set, join_attribute)]
+        """The *complete* side plus all rewritten queries, as pair components."""
+        sides = [complete]
         rewritten = planner.rewrite_candidates(
-            complete_query, base_set, knowledge=knowledge
+            complete.query, base_set, knowledge=knowledge
         )
         distributions = self._join_distributions(rewritten, knowledge, join_attribute)
         for candidate, distribution in zip(rewritten, distributions):
@@ -534,7 +563,7 @@ class JoinProcessor:
         right_base: Relation,
         left_knowledge: KnowledgeBase,
         right_knowledge: KnowledgeBase,
-    ) -> OperatorTree:
+    ) -> tuple[OperatorTree, dict[str, Callable[[Sequence[Row]], None]]]:
         """The physical plan: per-side project into a symmetric hash join.
 
         ::
@@ -553,6 +582,10 @@ class JoinProcessor:
         right)`` side positions in *matched* while each component is
         still issued only once.  The tree reads *matched* live, so the
         caller may extend it while rows stream.
+
+        Returns the tree and, per side, a hook that completes the NULL
+        join values of rows about to be pushed in one classifier batch;
+        a row no hook has seen is completed alone when it arrives.
         """
         left_index = self.left_source.schema.index_of(join.left_join_attribute)
         right_index = self.right_source.schema.index_of(join.right_join_attribute)
@@ -563,10 +596,18 @@ class JoinProcessor:
             join_attribute: str,
             join_index: int,
             base_set: Relation,
-        ) -> StreamingProject:
+        ) -> tuple[StreamingProject, Callable[[Sequence[Row]], None]]:
             # One frozen base-row set per side, shared by every component
             # arrival (this used to be rebuilt per retrieved relation).
             base_rows = frozenset(base_set)
+            completed: dict[Row, _Completion] = {}
+
+            def fill(rows: Sequence[Row]) -> None:
+                nulls = [row for row in rows if is_null(row[join_index])]
+                if nulls:
+                    completed.update(
+                        zip(nulls, self._completions(nulls, source, knowledge, join_attribute))
+                    )
 
             def transform(arrival: _Arrival) -> _JoinItem | None:
                 side, row = arrival.side, arrival.row
@@ -579,7 +620,8 @@ class JoinProcessor:
                         return None
                 confidence = side.precision if side.is_rewritten else 1.0
                 value, adjusted = self._effective_join_value(
-                    row, join_index, source, knowledge, join_attribute, confidence
+                    row, join_index, source, knowledge, join_attribute, confidence,
+                    completed,
                 )
                 if value is None:
                     return None
@@ -592,7 +634,7 @@ class JoinProcessor:
                     null_join=is_null(row[join_index]),
                 )
 
-            return StreamingProject(transform)
+            return StreamingProject(transform), fill
 
         def combine(left: _JoinItem, right: _JoinItem) -> JoinedAnswer:
             certain = (
@@ -612,22 +654,16 @@ class JoinProcessor:
         def match(left: _JoinItem, right: _JoinItem) -> bool:
             return (left.position, right.position) in matched
 
-        left_project = OperatorNode(
-            prepare(
-                self.left_source, left_knowledge,
-                join.left_join_attribute, left_index, left_base,
-            ),
-            [Inlet("left")],
-            "project:left",
+        left_transform, left_fill = prepare(
+            self.left_source, left_knowledge,
+            join.left_join_attribute, left_index, left_base,
         )
-        right_project = OperatorNode(
-            prepare(
-                self.right_source, right_knowledge,
-                join.right_join_attribute, right_index, right_base,
-            ),
-            [Inlet("right")],
-            "project:right",
+        right_transform, right_fill = prepare(
+            self.right_source, right_knowledge,
+            join.right_join_attribute, right_index, right_base,
         )
+        left_project = OperatorNode(left_transform, [Inlet("left")], "project:left")
+        right_project = OperatorNode(right_transform, [Inlet("right")], "project:right")
         join_node = OperatorNode(
             SymmetricHashJoin(
                 left_key=lambda item: item.join_value,
@@ -638,7 +674,7 @@ class JoinProcessor:
             [left_project, right_project],
             "join",
         )
-        return OperatorTree(join_node)
+        return OperatorTree(join_node), {"left": left_fill, "right": right_fill}
 
     def _effective_join_value(
         self,
@@ -648,24 +684,49 @@ class JoinProcessor:
         knowledge: KnowledgeBase,
         join_attribute: str,
         confidence: float,
+        completed: Mapping[Row, _Completion],
     ) -> tuple[Any, float]:
         """The row's join value, predicting it when NULL (step 6).
 
-        Returns ``(None, 0)`` when the value is NULL and unpredictable.
-        The confidence is discounted by the prediction probability.
+        A NULL value is read from *completed* when a batch filled it, and
+        otherwise completed on its own.  Returns ``(None, 0)`` when the
+        value is NULL and unpredictable.  The confidence is discounted by
+        the prediction probability.
         """
         value = row[join_index]
         if not is_null(value):
             return value, confidence
+        if row in completed:
+            completion = completed[row]
+        else:
+            [completion] = self._completions([row], source, knowledge, join_attribute)
+        if completion is None:
+            return None, 0.0
+        predicted, probability = completion
+        return predicted, confidence * probability
+
+    def _completions(
+        self,
+        rows: Sequence[Row],
+        source: Source,
+        knowledge: KnowledgeBase,
+        join_attribute: str,
+    ) -> Sequence[_Completion]:
+        """The most likely join value of each of *rows*, and its
+        probability, from one classifier batch.
+
+        A posterior is empty only when the classifier has no class at all,
+        so one empty posterior means all are: every row is then
+        unpredictable (``None``), as it would be completed alone.
+        """
         try:
-            [(predicted, probability)] = knowledge.completions(
+            return knowledge.completions(
                 join_attribute,
-                [dict(zip(source.schema.names, row))],
+                [dict(zip(source.schema.names, row)) for row in rows],
                 self.config.classifier_method,
             )
         except MiningError:
-            return None, 0.0
-        return predicted, confidence * probability
+            return [None] * len(rows)
 
 
 def _complete_side(query: SelectionQuery, base_set: Relation, join_attribute: str) -> _Side:

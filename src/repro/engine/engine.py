@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator, Protocol
 
 from repro.engine.executor import (
     ConcurrentExecutor,
@@ -219,7 +219,7 @@ class RetrievalEngine:
 
     def stream_tuples(
         self, plan: Iterable[PlannedQuery]
-    ) -> Iterator[tuple[PlannedQuery, Any]]:
+    ) -> Generator[tuple[PlannedQuery, Any], None, None]:
         """Execute planned queries, yielding ``(step, row)`` as calls complete.
 
         The incremental tuple path behind the non-blocking operators
@@ -237,21 +237,27 @@ class RetrievalEngine:
         an exhausted budget halts it, may depend on the schedule.
         Consumers must impose their own deterministic final order: rank
         at the end, stream in the middle.
+
+        The plan starts when this is called, not when the first row is
+        read: a pinned width above 1 has its first window of calls on the
+        wire by the time this returns, so the caller can do other work
+        while they wait on the sources.  The serial executor still runs a
+        call only when its rows are read.
         """
-        for step, retrieved in self._run(list(plan), self._executor.map_completed):
-            for row in retrieved:
-                yield step, row
+        answered = self._run(list(plan), self._executor.map_completed)
+        return ((step, row) for step, retrieved in answered for row in retrieved)
 
     def _run(
         self,
         steps: list[PlannedQuery],
         outcomes_of: Callable[[Iterable[ExecutionTask], Callable[[], bool]], Outcomes],
     ) -> Iterator[tuple[PlannedQuery, Relation]]:
-        """The plan loop of both orders: run *steps* through *outcomes_of*
-        (an executor's ``map`` or ``map_completed``) and yield each answered
-        step with its relation, absorbing or raising failures."""
+        """The plan loop of both orders: start *steps* on *outcomes_of* (an
+        executor's ``map`` or ``map_completed``) now, and return the stream
+        of each answered step with its relation, which absorbs or raises
+        failures as it is read."""
         if not steps:
-            return
+            return iter(())
         halted = False
 
         def should_stop() -> bool:
@@ -263,23 +269,28 @@ class RetrievalEngine:
             for position, step in enumerate(steps)
         )
         outcomes = outcomes_of(tasks, should_stop)
-        try:
-            for outcome in outcomes:
-                step = steps[outcome.rank]
-                if outcome.error is None:
-                    if step.kind == QueryKind.REWRITTEN:
-                        with self._lock:
-                            self.stats.rewritten_issued += 1
-                    yield step, outcome.value
-                    continue
-                verdict = self._absorb(step, outcome.error)
-                if verdict == _RAISE:
-                    raise outcome.error
-                if verdict == _HALT:
-                    halted = True
-                    break
-        finally:
-            outcomes.close()
+
+        def answered() -> Iterator[tuple[PlannedQuery, Relation]]:
+            nonlocal halted
+            try:
+                for outcome in outcomes:
+                    step = steps[outcome.rank]
+                    if outcome.error is None:
+                        if step.kind == QueryKind.REWRITTEN:
+                            with self._lock:
+                                self.stats.rewritten_issued += 1
+                        yield step, outcome.value
+                        continue
+                    verdict = self._absorb(step, outcome.error)
+                    if verdict == _RAISE:
+                        raise outcome.error
+                    if verdict == _HALT:
+                        halted = True
+                        break
+            finally:
+                outcomes.close()
+
+        return answered()
 
     def _fan_out_width(self, steps: int) -> int:
         """How many of a drained *steps*-long plan's calls to overlap.

@@ -19,9 +19,13 @@ honours:
 historical mediator loop, pulling one task per outcome consumed.
 :class:`ConcurrentExecutor` keeps up to ``max_workers`` tasks in flight
 on a thread pool; it trades the serial executor's strict laziness for
-bounded prefetch.  Both are context managers: inside a ``with`` block a
-concurrent executor runs every plan on one pool and joins its workers
-when the block ends; outside one, each plan starts and joins its own.
+bounded prefetch.  Its first window goes out when ``map`` or
+``map_completed`` is called, not when the first outcome is read, and
+every fill waits until each submitted task has started on its worker, so
+the caller's next stretch of Python cannot hold a submitted call off the
+wire.  Both are context managers: inside a ``with`` block a concurrent
+executor runs every plan on one pool and joins its workers when the
+block ends; outside one, each plan starts and joins its own.
 
 Both additionally offer ``map_completed``, the streaming relaxation of
 the plan-order contract: outcomes surface in *completion* order, so a
@@ -32,10 +36,11 @@ it; consumers owe their own deterministic final ordering.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, TypeAlias
+from typing import Any, Callable, Generator, Iterable, Iterator, TypeAlias, cast
 
 from repro.errors import QpiadError
 
@@ -115,11 +120,14 @@ class ConcurrentExecutor:
 
     The window is bounded: at most *max_workers* tasks are in flight (or
     prefetched) beyond what the consumer has read, so issuance stays
-    roughly demand-driven.  When ``should_stop()`` turns true, submission
+    roughly demand-driven.  The first window fills when the stream is
+    created, and each fill returns only once every task it submitted has
+    started on a worker.  When ``should_stop()`` turns true, submission
     stops; tasks already submitted run to completion (the pool is never
     cancelled) and any unread outcomes are discarded with it — exactly
     the serial executor's "break out of the loop" generalised to a
-    window wider than one.
+    window wider than one.  A stream closed before its first read has
+    still put its first window on the wire.
 
     Inside a ``with`` block every plan runs on the block's one pool, so a
     retrieval that runs several plans starts its workers once; leaving
@@ -176,9 +184,25 @@ class ConcurrentExecutor:
         *,
         completed: bool,
     ) -> Outcomes:
-        """Keep the window full and yield one finished call at a time: the
-        oldest call in flight, or with *completed* the oldest one done."""
-        iterator = iter(tasks)
+        """Fill the first window now and return the stream of its outcomes.
+
+        The stream is run to the end of that fill before it is handed
+        back, so its ``finally`` shuts a per-plan pool down whenever the
+        stream is closed or dropped, read or not.
+        """
+        outcomes = self._outcomes(iter(tasks), should_stop, completed)
+        next(outcomes)
+        return cast(Outcomes, outcomes)
+
+    def _outcomes(
+        self,
+        tasks: Iterator[ExecutionTask],
+        should_stop: Callable[[], bool],
+        completed: bool,
+    ) -> Generator[TaskOutcome | None, None, None]:
+        """Yield ``None`` once the first window is on the wire, then one
+        finished call at a time: the oldest call in flight, or with
+        *completed* the oldest one done, refilling the window before each."""
         held = self._pool
         scope: AbstractContextManager[ThreadPoolExecutor] = (
             nullcontext(held) if held is not None else self._new_pool()
@@ -186,16 +210,9 @@ class ConcurrentExecutor:
         with scope as pool:
             # Insertion-ordered, so iteration visits the oldest call first.
             in_flight: dict[Future[Any], int] = {}
-            exhausted = False
-            while True:
-                while not exhausted and len(in_flight) < self.max_workers:
-                    task = None if should_stop() else next(iterator, None)
-                    if task is None:
-                        exhausted = True
-                        break
-                    in_flight[pool.submit(task.run)] = task.rank
-                if not in_flight:
-                    return
+            exhausted = self._fill(pool, in_flight, tasks, should_stop)
+            yield None
+            while in_flight:
                 if completed:
                     done, __ = wait(in_flight, return_when=FIRST_COMPLETED)
                     future = next(call for call in in_flight if call in done)
@@ -207,6 +224,42 @@ class ConcurrentExecutor:
                     yield TaskOutcome(rank, error=error)
                 else:
                     yield TaskOutcome(rank, value=future.result())
+                if not exhausted:
+                    exhausted = self._fill(pool, in_flight, tasks, should_stop)
+
+    def _fill(
+        self,
+        pool: ThreadPoolExecutor,
+        in_flight: dict[Future[Any], int],
+        tasks: Iterator[ExecutionTask],
+        should_stop: Callable[[], bool],
+    ) -> bool:
+        """Submit tasks until the window is full, then wait until each one
+        has started on its worker; return whether submission has ended.
+
+        Without the wait a worker could be kept from its call by this
+        thread's next stretch of Python, for up to the interpreter's
+        switch interval.
+        """
+        started = threading.Semaphore(0)
+        submitted = 0
+        exhausted = False
+        while len(in_flight) < self.max_workers:
+            task = None if should_stop() else next(tasks, None)
+            if task is None:
+                exhausted = True
+                break
+            in_flight[pool.submit(_announced, started, task.run)] = task.rank
+            submitted += 1
+        for __ in range(submitted):
+            started.acquire()
+        return exhausted
+
+
+def _announced(started: threading.Semaphore, run: Callable[[], Any]) -> Any:
+    """Run *run* on a worker after telling the submitting thread it began."""
+    started.release()
+    return run()
 
 
 #: The execution strategy a :class:`~repro.engine.RetrievalEngine` runs.

@@ -38,9 +38,9 @@ class _DominantRightSide(JoinProcessor):
     """A join processor whose right side offers one hand-made rewritten
     query in place of the mined ones."""
 
-    def _build_sides(self, complete_query, base_set, planner, knowledge, join_attribute):
+    def _build_sides(self, complete, base_set, planner, knowledge, join_attribute):
         sides = super()._build_sides(
-            complete_query, base_set, planner, knowledge, join_attribute
+            complete, base_set, planner, knowledge, join_attribute
         )
         return [sides[0], DOMINANT] if planner is self._right_planner else sides
 

@@ -24,6 +24,7 @@ from repro.core import (
     JoinProcessor,
     all_ranked,
 )
+from repro.core.joins import _complete_side
 from repro.core.rewriting import row_probabilities, target_probabilities
 from repro.errors import MiningError, QueryError
 from repro.evaluation import classification_accuracy
@@ -179,8 +180,9 @@ def _reference_join_distributions(self, candidates, knowledge, join_attribute):
 
 
 def _reference_effective_join_value(
-    self, row, join_index, source, knowledge, join_attribute, confidence
+    self, row, join_index, source, knowledge, join_attribute, confidence, completed
 ):
+    # Every NULL is completed alone, *completed*'s batch fills included.
     value = row[join_index]
     if not is_null(value):
         return value, confidence
@@ -541,7 +543,11 @@ class TestOneBatchPerCaller:
         query = SelectionQuery.equals("model", "Grand Cherokee")
         base_set = cars_env.web_source().execute(query)
         sides = processor._build_sides(
-            query, base_set, processor._left_planner, cars_env.knowledge, "model"
+            _complete_side(query, base_set, "model"),
+            base_set,
+            processor._left_planner,
+            cars_env.knowledge,
+            "model",
         )
         unbound = [
             side for side in sides if side.is_rewritten and len(side.join_distribution) > 1

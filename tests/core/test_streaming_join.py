@@ -10,15 +10,18 @@ exactly into base and component calls that agree with the sources' own
 access logs.
 """
 
+import threading
 from collections import Counter
 
 import pytest
 
-from repro.core import JoinConfig, JoinProcessor
+from repro.core import JoinConfig, JoinProcessor, JoinResult
 from repro.core.joins import JoinedAnswer
 from repro.mining import KnowledgeBase
 from repro.planner import QueryPlanner
 from repro.query import JoinQuery, SelectionQuery
+from repro.relational import Relation, is_null
+from repro.sources import SourceDecorator
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +233,123 @@ class TestFirstAnswerLatency:
             "mediator.time_to_first_answer_seconds"
         )
         assert histogram.count == 1
+
+
+class ComponentSignal(SourceDecorator):
+    """Sets *entered* as soon as a call other than the side's base query
+    enters ``execute``."""
+
+    def __init__(self, inner, base, entered):
+        super().__init__(inner)
+        self.base = base
+        self.entered = entered
+
+    def execute(self, query):
+        if query != self.base:
+            self.entered.set()
+        return super().execute(query)
+
+
+class TestComponentsOverlapTheBasePush:
+    """After the first answer the join plans and starts its component
+    calls, and only then pushes the rest of the base rows: at a width
+    above 1 the components wait on the sources while base×base answers
+    still stream; the serial executor runs them only when read."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_components_are_on_the_wire_by_the_second_candidate(
+        self, cars_env, complaints_env, join_query, width
+    ):
+        entered = threading.Event()
+        processor = JoinProcessor(
+            ComponentSignal(cars_env.web_source(), join_query.left, entered),
+            ComponentSignal(complaints_env.web_source(), join_query.right, entered),
+            cars_env.knowledge,
+            complaints_env.knowledge,
+            JoinConfig(alpha=0.5, k_pairs=10, max_concurrency=width),
+        )
+        result = JoinResult(query=join_query)
+        stream = processor.stream_answers(join_query, result=result)
+        try:
+            next(stream)
+            # Component rows come only after the last base row, so the
+            # second candidate is still a base×base one.
+            next(stream)
+            overlapped = entered.wait(5) if width > 1 else entered.is_set()
+        finally:
+            stream.close()
+        # Closed early, the join has spent at most one window of component
+        # calls, each of them billed.
+        if width == 1:
+            assert not overlapped
+            assert result.component_queries_issued == 0
+        else:
+            assert overlapped
+            assert 1 <= result.component_queries_issued <= width
+
+
+class TestBaseNullFill:
+    """Once the first answer is out, a side's remaining NULL join values
+    are completed in one classifier batch; the rows pushed before it are
+    completed one at a time, so no classifier call precedes the first
+    answer."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_rows_after_the_first_candidate_are_completed_in_one_batch(
+        self, cars_env, complaints_env, join_query, monkeypatch, width
+    ):
+        serial = _processor(cars_env, complaints_env, width=1)[0].query(join_query)
+        right_base = complaints_env.web_source().execute(join_query.right)
+        model = right_base.schema.index_of("model")
+        null_rows = {row for row in right_base if is_null(row[model])}
+        batches: list[list[tuple]] = []
+        original = KnowledgeBase.completions
+
+        def recorded(self, attribute, evidences, method=None):
+            batches.append([tuple(evidence.values()) for evidence in evidences])
+            return original(self, attribute, evidences, method)
+
+        monkeypatch.setattr(KnowledgeBase, "completions", recorded)
+        processor = _processor(cars_env, complaints_env, width=width)[0]
+        stream = processor.stream_answers(join_query)
+        candidates = [next(stream)]
+        before_first = len(batches)
+        candidates += stream
+        # Component rows are completed one at a time and are never base
+        # rows, so a batch holding a NULL-model base row is a base batch.
+        base_batches = [
+            batch for batch in batches[before_first:] if set(batch) & null_rows
+        ]
+        assert len(base_batches) == 1
+        [batch] = base_batches
+        assert len(batch) >= 2
+        assert set(batch) <= null_rows
+        # Every NULL-model base row is completed exactly once.
+        assert sum(row in null_rows for batch in batches for row in batch) == sum(
+            is_null(row[model]) for row in right_base
+        )
+        best: dict = {}
+        for candidate in candidates:
+            key = (candidate.left_row, candidate.right_row)
+            best[key] = max(best.get(key, (False, 0.0)), (candidate.certain, candidate.confidence))
+        assert best == {
+            (a.left_row, a.right_row): (a.certain, a.confidence) for a in serial.answers
+        }
+
+
+class TestCompleteSidesBuiltOnce:
+    def test_each_base_set_is_counted_once_per_join(
+        self, cars_env, complaints_env, join_query, monkeypatch
+    ):
+        counted: list[int] = []
+        original = Relation.value_counts
+
+        def value_counts(self, attribute):
+            counted.append(len(self))
+            return original(self, attribute)
+
+        monkeypatch.setattr(Relation, "value_counts", value_counts)
+        processor = _processor(cars_env, complaints_env)[0]
+        processor.query(join_query)
+        # One empirical join-value distribution per side's complete query.
+        assert len(counted) == 2

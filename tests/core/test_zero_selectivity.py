@@ -136,9 +136,9 @@ class _ExtraLeftSide(JoinProcessor):
         super().__init__(*args, **kwargs)
         self._extra = extra
 
-    def _build_sides(self, complete_query, base_set, planner, knowledge, join_attribute):
+    def _build_sides(self, complete, base_set, planner, knowledge, join_attribute):
         complete, *__ = super()._build_sides(
-            complete_query, base_set, planner, knowledge, join_attribute
+            complete, base_set, planner, knowledge, join_attribute
         )
         return [complete, self._extra] if planner is self._left_planner else [complete]
 

@@ -7,6 +7,7 @@ raising them.  The serial executor additionally promises strict
 laziness: a task only runs when its outcome is consumed.
 """
 
+import sys
 import threading
 import time
 
@@ -210,6 +211,62 @@ class TestConcurrentWindow:
         )
         assert len({o.value for o in outcomes}) > 1
         assert all(o.value.startswith("qpiad-engine") for o in outcomes)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_first_window_is_running_when_the_call_returns(self, method):
+        gate = threading.Barrier(4, timeout=5)
+
+        def rendezvous():
+            gate.wait()
+            return threading.current_thread().name
+
+        stream = getattr(ConcurrentExecutor(3), method)(
+            _tasks([rendezvous] * 3), lambda: False
+        )
+        # Before any next(): the barrier only opens if the window's three
+        # tasks are already running and waiting for this thread.
+        gate.wait()
+        outcomes = list(stream)
+        assert sorted(o.rank for o in outcomes) == [0, 1, 2]
+        assert all(o.error is None for o in outcomes)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_start_handshake_completes_under_frequent_switches(self, method):
+        outcomes = []
+
+        def drain():
+            stream = getattr(ConcurrentExecutor(8), method)(
+                _tasks([lambda i=i: i for i in range(400)]), lambda: False
+            )
+            outcomes.extend(stream)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=drain, daemon=True)
+            runner.start()
+            runner.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        # A lost start signal would leave the driver waiting for ever.
+        assert not runner.is_alive()
+        assert sorted(o.value for o in outcomes) == list(range(400))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_an_unread_stream_joins_its_workers_when_closed(self, method):
+        before = set(threading.enumerate())
+        started, lock = [], threading.Lock()
+        stream = getattr(ConcurrentExecutor(3), method)(
+            _recorded(6, started, lock, seconds=0.002), lambda: False
+        )
+        stream.close()
+        # The plan's own pool ran its first window and is gone.
+        assert sorted(started) == [0, 1, 2]
+        assert [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("qpiad-engine")
+        ] == []
 
     @pytest.mark.parametrize("method", METHODS)
     def test_in_flight_tasks_never_exceed_the_width(self, method):
