@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.core.results import RetrievalStats
 from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
-from repro.errors import QueryError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
 from repro.planner import PlanCache, PlannerConfig, QueryPlanner
@@ -102,21 +101,15 @@ class AggregateProcessor:
         alpha: float = 1.0,
         classifier_method: str | None = None,
         inclusion_rule: str = "argmax",
-        max_concurrency: int = 1,
         telemetry: Telemetry | None = None,
         plan_cache: PlanCache | None = None,
     ):
-        if max_concurrency < 1:
-            raise QueryError(
-                f"max_concurrency must be at least 1, got {max_concurrency}"
-            )
         self.source = source
         self._store = as_store(knowledge)
         self.k = k
         self.alpha = alpha
         self.classifier_method = classifier_method
         self.inclusion_rule = inclusion_rule
-        self.max_concurrency = max_concurrency
         self._telemetry = telemetry
         self.planner = QueryPlanner(
             self._store,
@@ -133,9 +126,9 @@ class AggregateProcessor:
     def query(self, aggregate: AggregateQuery) -> AggregateResult:
         """Process *aggregate*, returning certain and predicted values.
 
-        All source calls run through a strict retrieval engine: aggregates
-        are numbers, not answer lists, so there is no sensible partial
-        result to degrade to and any failure propagates.
+        All source calls run one at a time through a strict retrieval
+        engine: aggregates are numbers, not answer lists, so there is no
+        sensible partial result to degrade to and any failure propagates.
         """
         selection = aggregate.selection
         # One generation snapshot serves the whole aggregate: planning and
@@ -147,7 +140,7 @@ class AggregateProcessor:
             self.source,
             stats,
             strict=True,
-            max_concurrency=self.max_concurrency,
+            max_concurrency=1,
             telemetry=self._telemetry,
         )
         base_set = engine.run_base(

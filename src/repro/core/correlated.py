@@ -23,12 +23,11 @@ from repro.engine import PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import QpiadError, RewritingError, UnsupportedAttributeError
 from repro.mining.knowledge import KnowledgeBase
 from repro.mining.store import KnowledgeStore, as_store
-from repro.planner import PlanCache, PlannerConfig, QueryPlanner
+from repro.planner import PlannerConfig, QueryPlanner
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Row
 from repro.sources.registry import SourceRegistry
 from repro.sources.surface import Source
-from repro.telemetry import Telemetry
 
 __all__ = ["CorrelatedSourceMediator", "find_correlated_source"]
 
@@ -72,17 +71,12 @@ class CorrelatedConfig:
     alpha: float = 0.0
     k: int | None = 10
     classifier_method: str | None = None
-    max_concurrency: int = 1
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise QpiadError(f"alpha must be non-negative, got {self.alpha}")
         if self.k is not None and self.k < 0:
             raise QpiadError(f"k must be non-negative, got {self.k}")
-        if self.max_concurrency < 1:
-            raise QpiadError(
-                f"max_concurrency must be at least 1, got {self.max_concurrency}"
-            )
 
 
 class CorrelatedSourceMediator:
@@ -97,14 +91,6 @@ class CorrelatedSourceMediator:
         that support the query attribute need one).
     config:
         Retrieval parameters.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` hook; every call to
-        the correlated and deficient sources becomes a span.
-    plan_cache:
-        Optional shared :class:`~repro.planner.PlanCache`.  Plans are
-        keyed by the correlated knowledge base's fingerprint and the
-        target source's capability token, so one cache safely serves
-        every (correlated, deficient) pairing.
     """
 
     def __init__(
@@ -112,8 +98,6 @@ class CorrelatedSourceMediator:
         registry: SourceRegistry,
         knowledge_bases: "dict[str, KnowledgeBase | KnowledgeStore]",
         config: CorrelatedConfig | None = None,
-        telemetry: Telemetry | None = None,
-        plan_cache: PlanCache | None = None,
     ):
         self.registry = registry
         self._stores = {
@@ -121,8 +105,6 @@ class CorrelatedSourceMediator:
             for name, knowledge in knowledge_bases.items()
         }
         self.config = config or CorrelatedConfig()
-        self._telemetry = telemetry
-        self._plan_cache = plan_cache
 
     @property
     def knowledge_bases(self) -> "dict[str, KnowledgeBase]":
@@ -137,8 +119,6 @@ class CorrelatedSourceMediator:
                 k=self.config.k,
                 classifier_method=self.config.classifier_method,
             ),
-            cache=self._plan_cache,
-            telemetry=self._telemetry,
         )
 
     def query(self, query: SelectionQuery, target: Source) -> QueryResult:
@@ -177,18 +157,11 @@ class CorrelatedSourceMediator:
             )
         correlated, knowledge = found
 
-        telemetry = self._telemetry
         stats = RetrievalStats()
         # All engine-side failure handling is strict here: §4.3 retrieval
         # predates graceful degradation, so any source error propagates to
-        # the caller.
-        engine = RetrievalEngine(
-            target,
-            stats,
-            strict=True,
-            max_concurrency=self.config.max_concurrency,
-            telemetry=telemetry,
-        )
+        # the caller.  The calls go out one at a time.
+        engine = RetrievalEngine(target, stats, strict=True, max_concurrency=1)
         # Step 1 (modified): base set from the correlated source.  The
         # engine counts issuance before the call, matching QpiadMediator's
         # accounting.
@@ -198,7 +171,6 @@ class CorrelatedSourceMediator:
                 kind=QueryKind.BASE,
                 rank=0,
                 source=correlated,
-                label="correlated-base",
             )
         )
 

@@ -17,19 +17,19 @@ completion.  The complete×complete pair costs no call, so it is joined
 whenever its EstSel is non-zero, whatever its rank: the certain answers
 are never lost to the top K.
 
-Execution is *streaming*: results flow through a symmetric-hash operator
-tree (:mod:`repro.engine.operators`).  Once the two base calls return,
-the tree is built with the complete pair already matched and base rows
-are pushed in until the first base×base answer, which surfaces before any
-rewriting is planned: first-answer latency is bounded by the base
-retrievals, in calls and in time.  Only then are both sides rewritten,
-the pairs ranked, the tree's match set extended with the selected pairs
-and the component calls started; the rest of the base rows is pushed
-while those calls wait on the sources, and the component results flow
-into the same tree as their calls complete.  Candidates stream in
-arrival order; :meth:`JoinProcessor.query` ranks at the edge with a total
-deterministic order, so the final answer list is bit-identical at every
-executor width.
+Execution is *streaming*: results flow through one symmetric hash join
+(:class:`~repro.engine.operators.OperatorTree`).  Once the two base
+calls return, the tree is built with the complete pair already matched
+and base rows are pushed in until the first base×base answer, which
+surfaces before any rewriting is planned: first-answer latency is
+bounded by the base retrievals, in calls and in time.  Only then are
+both sides rewritten, the pairs ranked, the tree's match set extended
+with the selected pairs and the component calls started; the rest of the
+base rows is pushed while those calls wait on the sources, and the
+component results flow into the same tree as their calls complete.
+Candidates stream in arrival order; :meth:`JoinProcessor.query` ranks at
+the edge with a total deterministic order, so the final answer list is
+bit-identical at every executor width.
 """
 
 from __future__ import annotations
@@ -40,16 +40,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, TypeAlias
 
 from repro.core.results import RetrievalStats
 from repro.core.rewriting import RewrittenQuery
-from repro.engine import (
-    Inlet,
-    OperatorNode,
-    OperatorTree,
-    PlannedQuery,
-    QueryKind,
-    RetrievalEngine,
-    StreamingProject,
-    SymmetricHashJoin,
-)
+from repro.engine import OperatorTree, PlannedQuery, QueryKind, RetrievalEngine
 from repro.errors import MiningError, QpiadError
 from repro.mining.afd import Afd
 from repro.mining.knowledge import KnowledgeBase
@@ -564,21 +555,21 @@ class JoinProcessor:
         left_knowledge: KnowledgeBase,
         right_knowledge: KnowledgeBase,
     ) -> tuple[OperatorTree, dict[str, Callable[[Sequence[Row]], None]]]:
-        """The physical plan: per-side project into a symmetric hash join.
+        """The physical plan: per-side projection into a symmetric hash join.
 
         ::
 
-                     SymmetricHashJoin           (match: selected pairs)
-                     /               \\
-            StreamingProject   StreamingProject  (post-filter + NULL fill)
-                    |                 |
-              Inlet "left"      Inlet "right"
+                 hash join on join_value       (match: selected pairs)
+                 /                     \\
+            project                 project    (post-filter + NULL fill)
+               |                       |
+             "left"                 "right"
 
-        Each project post-filters rewritten rows (drop rows whose target
-        attribute came back non-NULL, drop rows already in the base set)
-        and resolves the effective join value, predicting NULLs; the join
-        emits a candidate the moment a key matches across sides, and the
-        match predicate restricts the cross product to the ``(left,
+        Each projection post-filters rewritten rows (drop rows whose
+        target attribute came back non-NULL, drop rows already in the base
+        set) and resolves the effective join value, predicting NULLs; the
+        join emits a candidate the moment a key matches across sides, and
+        the match predicate restricts the cross product to the ``(left,
         right)`` side positions in *matched* while each component is
         still issued only once.  The tree reads *matched* live, so the
         caller may extend it while rows stream.
@@ -596,7 +587,7 @@ class JoinProcessor:
             join_attribute: str,
             join_index: int,
             base_set: Relation,
-        ) -> tuple[StreamingProject, Callable[[Sequence[Row]], None]]:
+        ) -> tuple[Callable[[_Arrival], _JoinItem | None], Callable[[Sequence[Row]], None]]:
             # One frozen base-row set per side, shared by every component
             # arrival (this used to be rebuilt per retrieved relation).
             base_rows = frozenset(base_set)
@@ -634,7 +625,7 @@ class JoinProcessor:
                     null_join=is_null(row[join_index]),
                 )
 
-            return StreamingProject(transform), fill
+            return transform, fill
 
         def combine(left: _JoinItem, right: _JoinItem) -> JoinedAnswer:
             certain = (
@@ -662,19 +653,14 @@ class JoinProcessor:
             self.right_source, right_knowledge,
             join.right_join_attribute, right_index, right_base,
         )
-        left_project = OperatorNode(left_transform, [Inlet("left")], "project:left")
-        right_project = OperatorNode(right_transform, [Inlet("right")], "project:right")
-        join_node = OperatorNode(
-            SymmetricHashJoin(
-                left_key=lambda item: item.join_value,
-                right_key=lambda item: item.join_value,
-                combine=combine,
-                match=match,
-            ),
-            [left_project, right_project],
-            "join",
+        tree = OperatorTree(
+            left_transform,
+            right_transform,
+            key=lambda item: item.join_value,
+            combine=combine,
+            match=match,
         )
-        return OperatorTree(join_node), {"left": left_fill, "right": right_fill}
+        return tree, {"left": left_fill, "right": right_fill}
 
     def _effective_join_value(
         self,

@@ -23,8 +23,10 @@ into three explicit pieces:
   end the plan early or shed part of it, and serially otherwise.
 
 Mediators construct plans and post-filter rows; the engine does the
-issuing.  See ``docs/engine.md`` for the model and its determinism
-guarantees.
+issuing.  A join pushes its rows, in call-completion order, through
+:class:`OperatorTree` (:mod:`repro.engine.operators`): two projections
+into one symmetric hash join.  See ``docs/engine.md`` for the model and
+its determinism guarantees.
 """
 
 from repro.engine.engine import FailureKind, RetrievalEngine
@@ -36,23 +38,13 @@ from repro.engine.executor import (
     TaskOutcome,
     build_executor,
 )
-from repro.engine.operators import (
-    Inlet,
-    Operator,
-    OperatorNode,
-    OperatorTree,
-    StreamingProject,
-    SymmetricHashJoin,
-)
+from repro.engine.operators import OperatorTree
 from repro.engine.plan import PlannedQuery, QueryKind, RetrievalPlan
 
 __all__ = [
     "ConcurrentExecutor",
     "ExecutionTask",
     "FailureKind",
-    "Inlet",
-    "Operator",
-    "OperatorNode",
     "OperatorTree",
     "PlanExecutor",
     "PlannedQuery",
@@ -60,8 +52,6 @@ __all__ = [
     "RetrievalEngine",
     "RetrievalPlan",
     "SerialExecutor",
-    "StreamingProject",
-    "SymmetricHashJoin",
     "TaskOutcome",
     "build_executor",
 ]

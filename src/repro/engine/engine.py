@@ -196,8 +196,8 @@ class RetrievalEngine:
 
         A strict engine raises the first failed step.  Otherwise a failed
         step is recorded, counted and skipped, and an exhausted source
-        budget stops issuance: work in flight completes and merges,
-        nothing new starts.
+        budget ends the plan: the engine closes the outcome stream, so
+        nothing new starts, and calls in flight complete and are billed.
 
         *drained* is the caller's promise to consume every outcome.  When
         the width is not pinned, a drained plan fans out if the base call
@@ -250,7 +250,7 @@ class RetrievalEngine:
     def _run(
         self,
         steps: list[PlannedQuery],
-        outcomes_of: Callable[[Iterable[ExecutionTask], Callable[[], bool]], Outcomes],
+        outcomes_of: Callable[[Iterable[ExecutionTask]], Outcomes],
     ) -> Iterator[tuple[PlannedQuery, Relation]]:
         """The plan loop of both orders: start *steps* on *outcomes_of* (an
         executor's ``map`` or ``map_completed``) now, and return the stream
@@ -258,20 +258,14 @@ class RetrievalEngine:
         failures as it is read."""
         if not steps:
             return iter(())
-        halted = False
-
-        def should_stop() -> bool:
-            return halted
-
         # Each task's rank is its step's position, whatever order it ends in.
         tasks = (
             ExecutionTask(position, self._runner(step))
             for position, step in enumerate(steps)
         )
-        outcomes = outcomes_of(tasks, should_stop)
+        outcomes = outcomes_of(tasks)
 
         def answered() -> Iterator[tuple[PlannedQuery, Relation]]:
-            nonlocal halted
             try:
                 for outcome in outcomes:
                     step = steps[outcome.rank]
@@ -285,7 +279,6 @@ class RetrievalEngine:
                     if verdict == _RAISE:
                         raise outcome.error
                     if verdict == _HALT:
-                        halted = True
                         break
             finally:
                 outcomes.close()

@@ -7,10 +7,11 @@ honours:
 * **Plan-order merge.**  Outcomes are yielded strictly in task order,
   whatever order the underlying calls complete in.  Answer order (and
   therefore ranking) never depends on the execution strategy.
-* **Prefix semantics.**  When ``should_stop()`` turns true, no further
-  tasks are *started*; work already in flight runs to completion (a call
-  on the wire is never interrupted) but the outcome stream simply ends.
-  The consumed outcomes are always a prefix of the plan.
+* **Prefix semantics.**  Closing the outcome stream ends submission: no
+  further tasks are *started*, and work already in flight runs to
+  completion (a call on the wire is never interrupted) while its unread
+  outcomes are dropped.  The consumed outcomes are always a prefix of
+  the plan.
 * **Errors are data.**  A task that raises yields an outcome carrying
   the exception instead of propagating it; the engine decides whether to
   absorb or re-raise, so failure semantics live in one place.
@@ -90,15 +91,9 @@ class SerialExecutor:
     def __exit__(self, *exc_info: object) -> None:
         """Nothing to release: every task ran on the caller's thread."""
 
-    def map(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Outcomes:
-        """Yield one outcome per started task, in task order."""
+    def map(self, tasks: Iterable[ExecutionTask]) -> Outcomes:
+        """Yield one outcome per task, in task order."""
         for task in tasks:
-            if should_stop():
-                return
             try:
                 value = task.run()
             except Exception as exc:
@@ -106,13 +101,9 @@ class SerialExecutor:
             else:
                 yield TaskOutcome(task.rank, value=value)
 
-    def map_completed(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Outcomes:
+    def map_completed(self, tasks: Iterable[ExecutionTask]) -> Outcomes:
         """Serially, completion order *is* task order — same lazy loop."""
-        return self.map(tasks, should_stop)
+        return self.map(tasks)
 
 
 class ConcurrentExecutor:
@@ -122,12 +113,12 @@ class ConcurrentExecutor:
     prefetched) beyond what the consumer has read, so issuance stays
     roughly demand-driven.  The first window fills when the stream is
     created, and each fill returns only once every task it submitted has
-    started on a worker.  When ``should_stop()`` turns true, submission
-    stops; tasks already submitted run to completion (the pool is never
-    cancelled) and any unread outcomes are discarded with it — exactly
-    the serial executor's "break out of the loop" generalised to a
-    window wider than one.  A stream closed before its first read has
-    still put its first window on the wire.
+    started on a worker.  Closing the stream ends submission: tasks
+    already submitted run to completion (the pool is never cancelled)
+    and any unread outcomes are discarded with it — exactly the serial
+    executor's "break out of the loop" generalised to a window wider
+    than one.  A stream closed before its first read has still put its
+    first window on the wire.
 
     Inside a ``with`` block every plan runs on the block's one pool, so a
     retrieval that runs several plans starts its workers once; leaving
@@ -156,49 +147,32 @@ class ConcurrentExecutor:
             max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
         )
 
-    def map(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Outcomes:
+    def map(self, tasks: Iterable[ExecutionTask]) -> Outcomes:
         """Yield one outcome per started task, in task order."""
-        return self._window(tasks, should_stop, completed=False)
+        return self._window(tasks, completed=False)
 
-    def map_completed(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-    ) -> Outcomes:
+    def map_completed(self, tasks: Iterable[ExecutionTask]) -> Outcomes:
         """Yield outcomes the moment their call completes, window bounded.
 
         Whichever call in flight finishes first is yielded first and its
         slot refilled, so one slow source call never delays the answers
-        of the fast ones.  Stopping and error semantics match :meth:`map`.
+        of the fast ones.  Closing and error semantics match :meth:`map`.
         """
-        return self._window(tasks, should_stop, completed=True)
+        return self._window(tasks, completed=True)
 
-    def _window(
-        self,
-        tasks: Iterable[ExecutionTask],
-        should_stop: Callable[[], bool],
-        *,
-        completed: bool,
-    ) -> Outcomes:
+    def _window(self, tasks: Iterable[ExecutionTask], *, completed: bool) -> Outcomes:
         """Fill the first window now and return the stream of its outcomes.
 
         The stream is run to the end of that fill before it is handed
         back, so its ``finally`` shuts a per-plan pool down whenever the
         stream is closed or dropped, read or not.
         """
-        outcomes = self._outcomes(iter(tasks), should_stop, completed)
+        outcomes = self._outcomes(iter(tasks), completed)
         next(outcomes)
         return cast(Outcomes, outcomes)
 
     def _outcomes(
-        self,
-        tasks: Iterator[ExecutionTask],
-        should_stop: Callable[[], bool],
-        completed: bool,
+        self, tasks: Iterator[ExecutionTask], completed: bool
     ) -> Generator[TaskOutcome | None, None, None]:
         """Yield ``None`` once the first window is on the wire, then one
         finished call at a time: the oldest call in flight, or with
@@ -210,7 +184,7 @@ class ConcurrentExecutor:
         with scope as pool:
             # Insertion-ordered, so iteration visits the oldest call first.
             in_flight: dict[Future[Any], int] = {}
-            exhausted = self._fill(pool, in_flight, tasks, should_stop)
+            exhausted = self._fill(pool, in_flight, tasks)
             yield None
             while in_flight:
                 if completed:
@@ -225,14 +199,13 @@ class ConcurrentExecutor:
                 else:
                     yield TaskOutcome(rank, value=future.result())
                 if not exhausted:
-                    exhausted = self._fill(pool, in_flight, tasks, should_stop)
+                    exhausted = self._fill(pool, in_flight, tasks)
 
     def _fill(
         self,
         pool: ThreadPoolExecutor,
         in_flight: dict[Future[Any], int],
         tasks: Iterator[ExecutionTask],
-        should_stop: Callable[[], bool],
     ) -> bool:
         """Submit tasks until the window is full, then wait until each one
         has started on its worker; return whether submission has ended.
@@ -245,7 +218,7 @@ class ConcurrentExecutor:
         submitted = 0
         exhausted = False
         while len(in_flight) < self.max_workers:
-            task = None if should_stop() else next(tasks, None)
+            task = next(tasks, None)
             if task is None:
                 exhausted = True
                 break

@@ -64,9 +64,6 @@ class PlannedQuery:
         Optional per-step source override for plans spanning several
         sources (joins, correlated mediation).  ``None`` uses the
         engine's default source.
-    label:
-        Optional span-name prefix override (defaults to *kind*), e.g.
-        ``"correlated-base"``.
     max_nulls:
         For :attr:`QueryKind.NULL_BINDING` steps, the most NULLs over the
         constrained attributes a returned row may have, handed to
@@ -81,11 +78,10 @@ class PlannedQuery:
     target_attribute: str | None = None
     explanation: Any = None
     source: Source | None = None
-    label: str | None = None
     max_nulls: int | None = None
 
     def span_name(self) -> str:
-        return f"{self.label or self.kind} {self.query}"
+        return f"{self.kind} {self.query}"
 
 
 @dataclass(frozen=True)

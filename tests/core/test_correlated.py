@@ -32,9 +32,7 @@ def setting(cars_env):
 
 
 class TestConfig:
-    @pytest.mark.parametrize(
-        "field, value", [("alpha", -0.5), ("k", -1), ("max_concurrency", 0)]
-    )
+    @pytest.mark.parametrize("field, value", [("alpha", -0.5), ("k", -1)])
     def test_invalid_values_are_rejected_at_construction(self, field, value):
         # Rejected before any mediator can bill a source call for them.
         with pytest.raises(QpiadError, match=field):

@@ -1,7 +1,7 @@
 """Unit tests of the plan executors' shared contract.
 
 Every executor must (1) merge outcomes strictly in task order, (2) stop
-*starting* tasks once ``should_stop()`` turns true while letting work in
+*starting* tasks once its outcome stream is closed while letting work in
 flight complete, and (3) carry task exceptions as data instead of
 raising them.  The serial executor additionally promises strict
 laziness: a task only runs when its outcome is consumed.
@@ -48,9 +48,7 @@ def _recorded(count, started, lock, seconds=0.0):
 class TestContract:
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_outcomes_arrive_in_task_order(self, executor):
-        outcomes = list(
-            executor.map(_tasks([lambda i=i: i * 10 for i in range(20)]), lambda: False)
-        )
+        outcomes = list(executor.map(_tasks([lambda i=i: i * 10 for i in range(20)])))
         assert [o.rank for o in outcomes] == list(range(20))
         assert [o.value for o in outcomes] == [i * 10 for i in range(20)]
 
@@ -61,36 +59,14 @@ class TestContract:
         def fail():
             raise boom
 
-        outcomes = list(
-            executor.map(_tasks([lambda: 1, fail, lambda: 3]), lambda: False)
-        )
+        outcomes = list(executor.map(_tasks([lambda: 1, fail, lambda: 3])))
         assert [o.value for o in outcomes] == [1, None, 3]
         assert outcomes[1].error is boom
         assert outcomes[0].error is None and outcomes[2].error is None
 
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
-    def test_should_stop_yields_a_prefix(self, executor):
-        ran = []
-
-        def make(i):
-            def run():
-                ran.append(i)
-                return i
-
-            return run
-
-        consumed = []
-        for outcome in executor.map(_tasks([make(i) for i in range(50)]), lambda: len(consumed) >= 3):
-            consumed.append(outcome.value)
-        # Consumed outcomes are a prefix of the plan; started tasks are
-        # bounded by the consumed prefix plus the executor's window.
-        assert consumed == list(range(len(consumed)))
-        assert 3 <= len(consumed)
-        assert len(ran) <= len(consumed) + getattr(executor, "max_workers", 1)
-
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_empty_plan_is_empty_stream(self, executor):
-        assert list(executor.map([], lambda: False)) == []
+        assert list(executor.map([])) == []
 
 
 class TestMapCompleted:
@@ -99,18 +75,14 @@ class TestMapCompleted:
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_one_outcome_per_task(self, executor):
         outcomes = list(
-            executor.map_completed(
-                _tasks([lambda i=i: i * 10 for i in range(20)]), lambda: False
-            )
+            executor.map_completed(_tasks([lambda i=i: i * 10 for i in range(20)]))
         )
         assert sorted(o.rank for o in outcomes) == list(range(20))
         assert all(o.value == o.rank * 10 for o in outcomes)
 
     def test_serial_completion_order_is_task_order(self):
         outcomes = list(
-            SerialExecutor().map_completed(
-                _tasks([lambda i=i: i for i in range(10)]), lambda: False
-            )
+            SerialExecutor().map_completed(_tasks([lambda i=i: i for i in range(10)]))
         )
         assert [o.rank for o in outcomes] == list(range(10))
 
@@ -125,9 +97,7 @@ class TestMapCompleted:
             return "fast"
 
         outcomes = []
-        for outcome in ConcurrentExecutor(2).map_completed(
-            _tasks([slow, fast]), lambda: False
-        ):
+        for outcome in ConcurrentExecutor(2).map_completed(_tasks([slow, fast])):
             outcomes.append(outcome)
             # Only once "fast" has been *yielded* may "slow" finish, so
             # the overtaking order is forced, not just likely.
@@ -144,35 +114,14 @@ class TestMapCompleted:
         def fail():
             raise boom
 
-        outcomes = list(
-            executor.map_completed(_tasks([lambda: 1, fail, lambda: 3]), lambda: False)
-        )
+        outcomes = list(executor.map_completed(_tasks([lambda: 1, fail, lambda: 3])))
         by_rank = {o.rank: o for o in outcomes}
         assert by_rank[1].error is boom
         assert by_rank[0].value == 1 and by_rank[2].value == 3
 
     @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
-    def test_should_stop_halts_submission(self, executor):
-        ran = []
-
-        def make(i):
-            def run():
-                ran.append(i)
-                return i
-
-            return run
-
-        consumed = []
-        for outcome in executor.map_completed(
-            _tasks([make(i) for i in range(50)]), lambda: len(consumed) >= 3
-        ):
-            consumed.append(outcome.value)
-        assert 3 <= len(consumed)
-        assert len(ran) <= len(consumed) + getattr(executor, "max_workers", 1)
-
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=IDS)
     def test_empty_plan_is_empty_stream(self, executor):
-        assert list(executor.map_completed([], lambda: False)) == []
+        assert list(executor.map_completed([])) == []
 
 
 class TestSerialLaziness:
@@ -186,7 +135,7 @@ class TestSerialLaziness:
 
             return run
 
-        outcomes = SerialExecutor().map(_tasks([make(i) for i in range(5)]), lambda: False)
+        outcomes = SerialExecutor().map(_tasks([make(i) for i in range(5)]))
         assert ran == []  # nothing runs before the first pull
         next(outcomes)
         assert ran == [0]
@@ -207,7 +156,7 @@ class TestConcurrentWindow:
             return threading.current_thread().name
 
         outcomes = list(
-            getattr(ConcurrentExecutor(4), method)(_tasks([rendezvous] * 4), lambda: False)
+            getattr(ConcurrentExecutor(4), method)(_tasks([rendezvous] * 4))
         )
         assert len({o.value for o in outcomes}) > 1
         assert all(o.value.startswith("qpiad-engine") for o in outcomes)
@@ -220,9 +169,7 @@ class TestConcurrentWindow:
             gate.wait()
             return threading.current_thread().name
 
-        stream = getattr(ConcurrentExecutor(3), method)(
-            _tasks([rendezvous] * 3), lambda: False
-        )
+        stream = getattr(ConcurrentExecutor(3), method)(_tasks([rendezvous] * 3))
         # Before any next(): the barrier only opens if the window's three
         # tasks are already running and waiting for this thread.
         gate.wait()
@@ -236,7 +183,7 @@ class TestConcurrentWindow:
 
         def drain():
             stream = getattr(ConcurrentExecutor(8), method)(
-                _tasks([lambda i=i: i for i in range(400)]), lambda: False
+                _tasks([lambda i=i: i for i in range(400)])
             )
             outcomes.extend(stream)
 
@@ -257,7 +204,7 @@ class TestConcurrentWindow:
         before = set(threading.enumerate())
         started, lock = [], threading.Lock()
         stream = getattr(ConcurrentExecutor(3), method)(
-            _recorded(6, started, lock, seconds=0.002), lambda: False
+            _recorded(6, started, lock, seconds=0.002)
         )
         stream.close()
         # The plan's own pool ran its first window and is gone.
@@ -273,7 +220,7 @@ class TestConcurrentWindow:
         started, lock = [], threading.Lock()
         read = 0
         for __ in getattr(ConcurrentExecutor(3), method)(
-            _recorded(12, started, lock, seconds=0.002), lambda: False
+            _recorded(12, started, lock, seconds=0.002)
         ):
             # Started but not yet read, the outcome in hand included.
             with lock:
@@ -285,40 +232,11 @@ class TestConcurrentWindow:
     def test_closing_after_one_outcome_starts_at_most_one_window(self, method):
         started, lock = [], threading.Lock()
         stream = getattr(ConcurrentExecutor(3), method)(
-            _recorded(12, started, lock, seconds=0.002), lambda: False
+            _recorded(12, started, lock, seconds=0.002)
         )
         next(stream)
         stream.close()
         assert len(started) <= 1 + 3
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_in_flight_work_completes_after_stop(self, method):
-        started = []
-        finished = []
-        stop = threading.Event()
-
-        def make(i):
-            def run():
-                started.append(i)
-                stop.set()  # ask for a stop as soon as anything runs
-                finished.append(i)
-                return i
-
-            return run
-
-        outcomes = list(
-            getattr(ConcurrentExecutor(2), method)(
-                _tasks([make(i) for i in range(10)]), stop.is_set
-            )
-        )
-        # Everything that started also finished (never cancelled), and the
-        # outcomes are exactly the started prefix, in plan order for map.
-        assert sorted(started) == sorted(finished)
-        values = [o.value for o in outcomes]
-        if method == "map_completed":
-            values.sort()
-        assert values == list(range(len(outcomes)))
-        assert len(outcomes) < 10
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(QpiadError, match="max_workers"):

@@ -1,48 +1,37 @@
-"""Unit tests of the non-blocking operator layer.
+"""Unit tests of the join's streaming operator.
 
-The contracts under test: a symmetric hash join emits each matching
-(left, right) combination exactly once, the moment its *second* half
-arrives, whatever the interleaving; project never buffers; the tree
-validates its wiring up front and cascades emissions to the root.
+The contracts under test: the operator emits each matching (left, right)
+combination exactly once, the moment its *second* half arrives, whatever
+the interleaving; each inlet's projection decides what is keyed and
+combined, and drops an item by returning ``None``; and a push does its
+work only as the caller reads it.
 """
 
 import itertools
 
-import pytest
-
-from repro.engine import (
-    Inlet,
-    OperatorNode,
-    OperatorTree,
-    StreamingProject,
-    SymmetricHashJoin,
-)
-from repro.errors import QpiadError
+from repro.engine import OperatorTree
 
 
-def _join(match=None):
-    return SymmetricHashJoin(
-        left_key=lambda item: item[0],
-        right_key=lambda item: item[0],
-        combine=lambda left, right: (left, right),
-        match=match,
-    )
+def _keep(item):
+    return item
 
 
-def _join_tree(match=None):
-    return OperatorTree(
-        OperatorNode(_join(match), [Inlet("left"), Inlet("right")], "join")
-    )
+def _pair(left, right):
+    return left, right
 
 
-class TestSymmetricHashJoin:
+def _tree(match=lambda left, right: True, left=_keep, right=_keep, combine=_pair):
+    return OperatorTree(left, right, key=lambda item: item[0], combine=combine, match=match)
+
+
+class TestOperatorTree:
     def test_emits_when_second_half_arrives(self):
-        tree = _join_tree()
+        tree = _tree()
         assert list(tree.push("left", ("k", "l1"))) == []
         assert list(tree.push("right", ("k", "r1"))) == [(("k", "l1"), ("k", "r1"))]
 
     def test_emits_from_either_side(self):
-        tree = _join_tree()
+        tree = _tree()
         assert list(tree.push("right", ("k", "r1"))) == []
         # The left arrival completes the match: output is still (left, right).
         assert list(tree.push("left", ("k", "l1"))) == [(("k", "l1"), ("k", "r1"))]
@@ -60,68 +49,63 @@ class TestSymmetricHashJoin:
             ("right", item) for item in rights
         ]
         for permutation in itertools.permutations(arrivals):
-            tree = _join_tree()
+            tree = _tree()
             emitted = []
             for inlet, item in permutation:
                 emitted.extend(tree.push(inlet, item))
             assert len(emitted) == len(expected)
             assert set(emitted) == expected
 
-    def test_none_keys_are_dropped(self):
-        tree = _join_tree()
-        assert list(tree.push("left", (None, "l1"))) == []
-        assert list(tree.push("right", (None, "r1"))) == []
-
     def test_match_predicate_filters_pairs(self):
-        tree = _join_tree(match=lambda left, right: right[1] != "r0")
+        tree = _tree(match=lambda left, right: right[1] != "r0")
         list(tree.push("left", ("k", "l0")))
         assert list(tree.push("right", ("k", "r0"))) == []
         assert list(tree.push("right", ("k", "r1"))) == [(("k", "l0"), ("k", "r1"))]
 
-
-class TestStreamingProject:
     def test_transforms_each_item(self):
-        tree = OperatorTree(
-            OperatorNode(StreamingProject(lambda x: x * 2), [Inlet("in")], "proj")
+        tree = _tree(
+            left=lambda item: (item[0], item[1].upper()),
+            right=lambda item: (item[0], item[1] * 2),
         )
-        assert list(tree.push("in", 3)) == [6]
+        list(tree.push("left", ("k", "l")))
+        # combine sees the projected items, not the pushed ones.
+        assert list(tree.push("right", ("k", "r"))) == [(("k", "L"), ("k", "rr"))]
+
+    def test_projection_output_is_the_key(self):
+        # The left side keys on the last digit, the right on the first.
+        tree = _tree(
+            left=lambda n: (n % 10, f"l{n}"), right=lambda n: (n // 10, f"r{n}")
+        )
+        assert list(tree.push("left", 23)) == []
+        assert list(tree.push("right", 41)) == []
+        assert list(tree.push("right", 35)) == [((3, "l23"), (3, "r35"))]
 
     def test_none_drops_the_item(self):
-        tree = OperatorTree(
-            OperatorNode(
-                StreamingProject(lambda x: x if x % 2 else None), [Inlet("in")], "proj"
-            )
-        )
-        assert list(tree.push("in", 2)) == []
-        assert list(tree.push("in", 3)) == [3]
+        tree = _tree(left=lambda item: None if item[1] == "drop" else item)
+        assert list(tree.push("left", ("k", "drop"))) == []
+        # The dropped item was never stored, so nothing can match it.
+        assert list(tree.push("right", ("k", "r"))) == []
+        assert list(tree.push("left", ("k", "l"))) == [(("k", "l"), ("k", "r"))]
 
+    def test_push_is_lazy(self):
+        projected, combined = [], []
 
-class TestOperatorTree:
-    def test_cascades_through_composed_operators(self):
-        join = OperatorNode(_join(), [Inlet("left"), Inlet("right")], "join")
-        project = OperatorNode(
-            StreamingProject(lambda pair: pair[0][1] + pair[1][1]), [join], "proj"
-        )
-        tree = OperatorTree(project)
-        list(tree.push("left", ("k", "l")))
-        assert list(tree.push("right", ("k", "r"))) == ["lr"]
+        def project(item):
+            projected.append(item)
+            return item
 
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(QpiadError, match="arity"):
-            OperatorNode(_join(), [Inlet("only")], "join")
+        def combine(left, right):
+            combined.append((left, right))
+            return left, right
 
-    def test_duplicate_inlet_names_rejected(self):
-        with pytest.raises(QpiadError, match="duplicate inlet"):
-            OperatorTree(
-                OperatorNode(_join(), [Inlet("x"), Inlet("x")], "join")
-            )
-
-    def test_node_reuse_rejected(self):
-        shared = OperatorNode(StreamingProject(lambda x: x), [Inlet("a")], "shared")
-        with pytest.raises(QpiadError, match="tree"):
-            OperatorTree(OperatorNode(_join(), [shared, shared], "join"))
-
-    def test_unknown_inlet_rejected(self):
-        tree = _join_tree()
-        with pytest.raises(QpiadError, match="unknown inlet"):
-            list(tree.push("middle", ("k", "x")))
+        tree = _tree(left=project, right=project, combine=combine)
+        list(tree.push("left", ("k", "l0")))
+        list(tree.push("left", ("k", "l1")))
+        pushed = tree.push("right", ("k", "r0"))  # completes two pairs
+        assert next(pushed) == (("k", "l0"), ("k", "r0"))
+        assert len(combined) == 1
+        # A push that is never read projects nothing.
+        tree.push("left", ("k", "l2"))
+        assert projected == [("k", "l0"), ("k", "l1"), ("k", "r0")]
+        assert list(pushed) == [(("k", "l1"), ("k", "r0"))]
+        assert len(combined) == 2

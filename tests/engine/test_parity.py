@@ -9,10 +9,10 @@ same confidences, same cost accounting — and the streaming interface
 
 import pytest
 
-from repro.core import AggregateProcessor, QpiadConfig, QpiadMediator
+from repro.core import QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
 from repro.evaluation import selection_workload, multi_attribute_workload
-from repro.query import AggregateFunction, AggregateQuery, SelectionQuery
+from repro.query import SelectionQuery
 
 WIDTHS = [1, 4]
 
@@ -107,32 +107,3 @@ class TestStreamParity:
             next(stream)
             stream.close()
             assert stats.queries_issued <= 2 + width
-
-
-class TestAggregateParity:
-    @pytest.mark.parametrize("rule", ["argmax", "fractional"])
-    def test_concurrent_equals_serial(self, cars_env, rule):
-        aggregate = AggregateQuery(
-            SelectionQuery.equals("body_style", "Convt"),
-            AggregateFunction.SUM,
-            "price",
-        )
-        outcomes = []
-        for width in (1, 4):
-            result = AggregateProcessor(
-                cars_env.web_source(),
-                cars_env.knowledge,
-                inclusion_rule=rule,
-                max_concurrency=width,
-            ).query(aggregate)
-            outcomes.append(
-                (
-                    result.certain_value,
-                    result.predicted_value,
-                    result.included_queries,
-                    result.considered_queries,
-                    result.stats.queries_issued,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-
