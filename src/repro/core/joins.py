@@ -35,6 +35,7 @@ bit-identical at every executor width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeAlias
 
@@ -68,7 +69,12 @@ class JoinConfig:
     observes that with α = 0 the pairing over-commits to precision and
     never retrieves incomplete tuples from the side that is harder to
     predict (Section 6.6), so recall stalls.  ``max_concurrency`` is the
-    engine's pinned width; join processing is strict at any width.
+    engine's pinned width.  Above 1 it is the calls in flight per source,
+    as the paper's autonomy constraint is per source: the left and the
+    right source each keep up to that many, so the two sides' calls
+    overlap and the join as a whole may have twice as many on the wire.
+    At 1 the join runs one call at a time.  Join processing is strict at
+    any width.
     """
 
     alpha: float = 0.5
@@ -99,6 +105,12 @@ class _Side:
     target_attribute: str | None = None
     afd: Afd | None = None
 
+    @cached_property
+    def join_values(self) -> set[Any]:
+        """The join values of the distribution, built once for every pair
+        the side is scored in."""
+        return set(self.join_distribution)
+
     def est_sel(self, join_value: Any) -> float:
         return (
             self.precision
@@ -117,7 +129,7 @@ class _QueryPair:
         return self.left.precision * self.right.precision
 
     def estimated_selectivity(self) -> float:
-        common = set(self.left.join_distribution) & set(self.right.join_distribution)
+        common = self.left.join_values & self.right.join_values
         return sum(self.left.est_sel(v) * self.right.est_sel(v) for v in common)
 
 
@@ -300,17 +312,19 @@ class JoinProcessor:
             telemetry=self._telemetry,
         )
         try:
-            # One worker pool serves the base and the component plans;
-            # leaving the block joins its workers, so none outlives the join.
+            # Each source's worker pool serves its base and component calls;
+            # leaving the block joins the workers, so none outlives the join.
             with engine:
                 yield from self._join(join, result, engine)
         finally:
-            # Counted once the pool has run every call it accepted; a base
-            # call that failed leaves both counters at zero.
-            if result.base_queries_issued:
-                result.component_queries_issued = (
-                    result.stats.queries_issued - result.base_queries_issued
-                )
+            # Counted once the pools have run every call they accepted.  A
+            # base call that failed ended the join before its components,
+            # so every call billed by then is a base call.
+            if not result.base_queries_issued:
+                result.base_queries_issued = result.stats.queries_issued
+            result.component_queries_issued = (
+                result.stats.queries_issued - result.base_queries_issued
+            )
 
     def _join(
         self, join: JoinQuery, result: JoinResult, engine: RetrievalEngine
@@ -514,7 +528,8 @@ class JoinProcessor:
         """The selected pairs' rewritten components, each planned once.
 
         Both sides' components go into one retrieval plan, so a
-        concurrent executor fans out across the two sources at once.
+        concurrent executor, whose window is counted per source, keeps
+        both sources busy at once.
         Complete queries are never planned — their result is the base
         set, already pushed into the tree.  Returns the plan and, per
         step, the side and position its rows arrive as.

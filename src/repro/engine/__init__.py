@@ -12,8 +12,9 @@ into three explicit pieces:
 * :mod:`repro.engine.executor` — *how* to run it: a
   :data:`PlanExecutor`, either :class:`SerialExecutor`
   (behaviour-identical to the historical loops) or
-  :class:`ConcurrentExecutor` (a thread pool that issues queries in
-  parallel but merges outcomes deterministically in plan order);
+  :class:`ConcurrentExecutor` (thread pools, one per source, that issue
+  queries in parallel, up to a window per source, but merge outcomes
+  deterministically in plan order);
 * :mod:`repro.engine.engine` — the :class:`RetrievalEngine` that binds
   them together and owns issuance accounting, telemetry spans, and
   failure handling (a retrieval is ``strict`` or it degrades) in exactly

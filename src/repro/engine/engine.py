@@ -18,9 +18,9 @@ drained plan's calls are overlapped on a :class:`ConcurrentExecutor`.
 Everything else runs one call at a time, exactly as the serial loop does.
 
 A retrieval that runs several plans uses the engine as a context manager:
-a pinned width's worker pool then serves every plan of the block and is
-shut down, its workers joined, when the block ends.  A fanned-out plan's
-executor is the plan's own and ends with it.
+a pinned width's worker pools, one per source, then serve every plan of
+the block and are shut down, their workers joined, when the block ends.
+A fanned-out plan's executor is the plan's own and ends with it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
-from repro.resilience.scheduler import SourceScheduler, current_scheduler
+from repro.resilience.scheduler import SourceScheduler, current_scheduler, source_name
 from repro.telemetry import Span, SpanKind, Telemetry
 
 if TYPE_CHECKING:
@@ -116,12 +116,14 @@ class RetrievalEngine:
         plan with the answers gathered so far.  Either way the failure is
         recorded and :attr:`degraded` set.
     max_concurrency:
-        How many planned queries may be in flight at once.  An int pins
-        the width: ``1`` is the serial loop, higher values run the
-        thread-pool executor.  ``None`` leaves the width to the engine,
-        which decides per plan (see :meth:`stream`).  Whatever the width,
-        outcomes merge in plan order, so answers, order and confidences
-        are identical on a healthy source.
+        How many planned queries may be in flight at once against each
+        source.  An int pins the width: ``1`` is the serial loop, higher
+        values run the thread-pool executor, whose window is counted per
+        source, so a plan over two sources (a join's) keeps up to that
+        many calls on each at once.  ``None`` leaves the width to the
+        engine, which decides per plan (see :meth:`stream`).  Whatever the
+        width, outcomes merge in plan order, so answers, order and
+        confidences are identical on a healthy source.
     telemetry:
         Optional telemetry hook; every source call becomes a span and
         feeds the ``mediator.*`` counters.
@@ -130,8 +132,8 @@ class RetrievalEngine:
         through; ``None`` falls back to the process-wide one, if any.
 
     Entered with ``with``, the engine keeps its pinned-width executor's
-    worker pool open for every plan of the block; leaving the block
-    shuts the pool down after the calls it accepted, so every call is
+    worker pools open for every plan of the block; leaving the block
+    shuts them down after the calls they accepted, so every call is
     billed and no worker outlives the retrieval.
     """
 
@@ -239,10 +241,10 @@ class RetrievalEngine:
         at the end, stream in the middle.
 
         The plan starts when this is called, not when the first row is
-        read: a pinned width above 1 has its first window of calls on the
-        wire by the time this returns, so the caller can do other work
-        while they wait on the sources.  The serial executor still runs a
-        call only when its rows are read.
+        read: a pinned width above 1 has its first window of calls per
+        source on the wire by the time this returns, so the caller can do
+        other work while they wait on the sources.  The serial executor
+        still runs a call only when its rows are read.
         """
         answered = self._run(list(plan), self._executor.map_completed)
         return ((step, row) for step, retrieved in answered for row in retrieved)
@@ -258,9 +260,15 @@ class RetrievalEngine:
         failures as it is read."""
         if not steps:
             return iter(())
-        # Each task's rank is its step's position, whatever order it ends in.
+        # Each task's rank is its step's position, whatever order it ends
+        # in; its source is the backend the scheduler keys it by, so two
+        # wrappers of one backend share that backend's window.
         tasks = (
-            ExecutionTask(position, self._runner(step))
+            ExecutionTask(
+                position,
+                self._runner(step),
+                source_name(step.source if step.source is not None else self._source),
+            )
             for position, step in enumerate(steps)
         )
         outcomes = outcomes_of(tasks)

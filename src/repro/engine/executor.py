@@ -18,14 +18,17 @@ honours:
 
 :class:`SerialExecutor` runs tasks inline and lazily — it is the
 historical mediator loop, pulling one task per outcome consumed.
-:class:`ConcurrentExecutor` keeps up to ``max_workers`` tasks in flight
-on a thread pool; it trades the serial executor's strict laziness for
-bounded prefetch.  Its first window goes out when ``map`` or
-``map_completed`` is called, not when the first outcome is read, and
-every fill waits until each submitted task has started on its worker, so
-the caller's next stretch of Python cannot hold a submitted call off the
-wire.  Both are context managers: inside a ``with`` block a concurrent
-executor runs every plan on one pool and joins its workers when the
+:class:`ConcurrentExecutor` keeps up to ``max_workers`` tasks of each
+source in flight on threads; it trades the serial executor's strict
+laziness for prefetch bounded per source, so a plan over two sources
+keeps both busy at once while neither sees more than ``max_workers``
+calls.  A plan over one source has one window, ``max_workers`` wide.
+Its first window per source goes out when ``map`` or ``map_completed``
+is called, not when the first outcome is read, and every fill waits
+until each submitted task has started on its worker, so the caller's
+next stretch of Python cannot hold a submitted call off the wire.  Both
+are context managers: inside a ``with`` block a concurrent executor runs
+every plan on the same per-source pools and joins their workers when the
 block ends; outside one, each plan starts and joins its own.
 
 Both additionally offer ``map_completed``, the streaming relaxation of
@@ -38,8 +41,8 @@ it; consumers owe their own deterministic final ordering.
 from __future__ import annotations
 
 import threading
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Iterator, TypeAlias, cast
 
@@ -57,10 +60,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExecutionTask:
-    """One unit of plan work: a rank and a thunk that performs the call."""
+    """One unit of plan work: a rank, a thunk that performs the call, and
+    the name of the source it calls, which a concurrent executor counts
+    its window by (tasks that name no source share one window)."""
 
     rank: int
     run: Callable[[], Any]
+    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -107,45 +113,53 @@ class SerialExecutor:
 
 
 class ConcurrentExecutor:
-    """Run up to *max_workers* tasks at once on a thread pool.
+    """Run up to *max_workers* tasks of each source at once on threads.
 
-    The window is bounded: at most *max_workers* tasks are in flight (or
-    prefetched) beyond what the consumer has read, so issuance stays
-    roughly demand-driven.  The first window fills when the stream is
-    created, and each fill returns only once every task it submitted has
-    started on a worker.  Closing the stream ends submission: tasks
-    already submitted run to completion (the pool is never cancelled)
-    and any unread outcomes are discarded with it — exactly the serial
-    executor's "break out of the loop" generalised to a window wider
-    than one.  A stream closed before its first read has still put its
-    first window on the wire.
+    The window is counted per source (:attr:`ExecutionTask.source`): at
+    most *max_workers* tasks of one source are in flight (or prefetched)
+    beyond what the consumer has read, so each source's issuance stays
+    roughly demand-driven, and the calls of a plan over two sources
+    overlap while neither source sees more than *max_workers*.  A plan
+    whose tasks name one source, or none, has one window, as wide as
+    *max_workers*.  :meth:`map` yields in task order, so it stops
+    filling at the first task whose source is full; :meth:`map_completed`
+    reads past that task to the next one whose source has room, so a full
+    source never holds back another source's call.  Reading ahead starts
+    nothing: a task is a thunk.
 
-    Inside a ``with`` block every plan runs on the block's one pool, so a
-    retrieval that runs several plans starts its workers once; leaving
-    the block shuts the pool down after the calls it accepted and joins
-    its workers.  Outside a block each plan gets a pool of its own, shut
-    down and joined when the plan's outcome stream ends.
+    The first window per source fills when the stream is created, and
+    each fill returns only once every task it submitted has started on a
+    worker.  Closing the stream ends submission: tasks already submitted
+    run to completion (a pool is never cancelled), tasks read but not
+    submitted never start, and any unread outcomes are discarded with
+    them — exactly the serial executor's "break out of the loop"
+    generalised to a window wider than one.  A stream closed before its
+    first read has still put its first window on the wire.
+
+    Each source's tasks run on a pool of *max_workers* threads of its
+    own, started with that source's first submission, so a submitted task
+    never waits behind busy workers.  Inside a ``with`` block the pools
+    serve every plan of the block, so a retrieval that runs several plans
+    starts its workers once; leaving the block shuts them down after the
+    calls they accepted and joins their workers.  Outside a block each
+    plan gets pools of its own, shut down and joined when the plan's
+    outcome stream ends.
     """
 
     def __init__(self, max_workers: int):
         if max_workers < 1:
             raise QpiadError(f"max_workers must be at least 1, got {max_workers}")
         self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
+        self._pools: dict[str, ThreadPoolExecutor] | None = None
 
     def __enter__(self) -> "ConcurrentExecutor":
-        self._pool = self._new_pool()
+        self._pools = {}
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _new_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="qpiad-engine"
-        )
+        pools, self._pools = self._pools, None
+        if pools is not None:
+            _shut_down(pools)
 
     def map(self, tasks: Iterable[ExecutionTask]) -> Outcomes:
         """Yield one outcome per started task, in task order."""
@@ -164,7 +178,7 @@ class ConcurrentExecutor:
         """Fill the first window now and return the stream of its outcomes.
 
         The stream is run to the end of that fill before it is handed
-        back, so its ``finally`` shuts a per-plan pool down whenever the
+        back, so its ``finally`` shuts per-plan pools down whenever the
         stream is closed or dropped, read or not.
         """
         outcomes = self._outcomes(iter(tasks), completed)
@@ -177,38 +191,57 @@ class ConcurrentExecutor:
         """Yield ``None`` once the first window is on the wire, then one
         finished call at a time: the oldest call in flight, or with
         *completed* the oldest one done, refilling the window before each."""
-        held = self._pool
-        scope: AbstractContextManager[ThreadPoolExecutor] = (
-            nullcontext(held) if held is not None else self._new_pool()
-        )
-        with scope as pool:
-            # Insertion-ordered, so iteration visits the oldest call first.
-            in_flight: dict[Future[Any], int] = {}
-            exhausted = self._fill(pool, in_flight, tasks)
+        held = self._pools
+        pools: dict[str, ThreadPoolExecutor] = held if held is not None else {}
+        try:
+            window = _Window(self.max_workers, pools, tasks, completed=completed)
+            window.fill()
             yield None
-            while in_flight:
-                if completed:
-                    done, __ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    future = next(call for call in in_flight if call in done)
-                else:
-                    future = next(iter(in_flight))
-                rank = in_flight.pop(future)
-                error = future.exception()
-                if error is not None:
-                    yield TaskOutcome(rank, error=error)
-                else:
-                    yield TaskOutcome(rank, value=future.result())
-                if not exhausted:
-                    exhausted = self._fill(pool, in_flight, tasks)
+            while window.in_flight:
+                yield window.take()
+                window.fill()
+        finally:
+            if held is None:
+                _shut_down(pools)
 
-    def _fill(
+
+class _Window:
+    """The calls of one outcome stream, counted per source, taken in task
+    order or, with *completed*, in completion order.
+
+    ``in_flight`` maps each submitted call's future to its task, oldest
+    first; ``busy`` counts them per source, a call counting until its
+    outcome is taken.  ``held`` keeps, per source and in task order, the
+    tasks read from the plan that could not start because their source
+    was full.
+    """
+
+    def __init__(
         self,
-        pool: ThreadPoolExecutor,
-        in_flight: dict[Future[Any], int],
+        width: int,
+        pools: dict[str, ThreadPoolExecutor],
         tasks: Iterator[ExecutionTask],
-    ) -> bool:
-        """Submit tasks until the window is full, then wait until each one
-        has started on its worker; return whether submission has ended.
+        *,
+        completed: bool,
+    ):
+        self.width = width
+        self.pools = pools
+        self.tasks = tasks
+        self.completed = completed
+        self.in_flight: dict[Future[Any], ExecutionTask] = {}
+        self.busy: Counter[str] = Counter()
+        self.held: dict[str, deque[ExecutionTask]] = {}
+        self.exhausted = False
+
+    def fill(self) -> None:
+        """Submit every task that has room, then wait until each one has
+        started on its worker.
+
+        Held tasks go first.  Then the plan is read on: a task whose
+        source has room is submitted, and one whose source is full is
+        held.  In completion order reading goes on past a held task, to
+        the end of the plan if need be; in task order it stops at the
+        first held task, whose outcome must come before any later one's.
 
         Without the wait a worker could be kept from its call by this
         thread's next stretch of Python, for up to the interpreter's
@@ -216,17 +249,51 @@ class ConcurrentExecutor:
         """
         started = threading.Semaphore(0)
         submitted = 0
-        exhausted = False
-        while len(in_flight) < self.max_workers:
-            task = next(tasks, None)
+        for source, queue in self.held.items():
+            while queue and self.busy[source] < self.width:
+                self._submit(queue.popleft(), started)
+                submitted += 1
+        while not self.exhausted and (self.completed or not any(self.held.values())):
+            task = next(self.tasks, None)
             if task is None:
-                exhausted = True
-                break
-            in_flight[pool.submit(_announced, started, task.run)] = task.rank
-            submitted += 1
+                self.exhausted = True
+            elif self.busy[task.source] < self.width:
+                self._submit(task, started)
+                submitted += 1
+            else:
+                self.held.setdefault(task.source, deque()).append(task)
         for __ in range(submitted):
             started.acquire()
-        return exhausted
+
+    def _submit(self, task: ExecutionTask, started: threading.Semaphore) -> None:
+        pool = self.pools.get(task.source)
+        if pool is None:
+            pool = self.pools[task.source] = ThreadPoolExecutor(
+                max_workers=self.width, thread_name_prefix="qpiad-engine"
+            )
+        self.in_flight[pool.submit(_announced, started, task.run)] = task
+        self.busy[task.source] += 1
+
+    def take(self) -> TaskOutcome:
+        """The outcome of the oldest call in flight, or in completion
+        order of the oldest one done, freeing its source's slot."""
+        if self.completed:
+            done, __ = wait(self.in_flight, return_when=FIRST_COMPLETED)
+            future = next(call for call in self.in_flight if call in done)
+        else:
+            future = next(iter(self.in_flight))
+        task = self.in_flight.pop(future)
+        self.busy[task.source] -= 1
+        error = future.exception()
+        if error is not None:
+            return TaskOutcome(task.rank, error=error)
+        return TaskOutcome(task.rank, value=future.result())
+
+
+def _shut_down(pools: dict[str, ThreadPoolExecutor]) -> None:
+    """Shut every pool down after the calls it accepted, joining its workers."""
+    for pool in pools.values():
+        pool.shutdown(wait=True)
 
 
 def _announced(started: threading.Semaphore, run: Callable[[], Any]) -> Any:

@@ -11,12 +11,14 @@ access logs.
 """
 
 import threading
+import time
 from collections import Counter
 
 import pytest
 
 from repro.core import JoinConfig, JoinProcessor, JoinResult
 from repro.core.joins import JoinedAnswer
+from repro.errors import SourceUnavailableError
 from repro.mining import KnowledgeBase
 from repro.planner import QueryPlanner
 from repro.query import JoinQuery, SelectionQuery
@@ -143,6 +145,54 @@ class TestAccountingSplit:
             right
         )
 
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("failing", ["left", "right"])
+    def test_a_failed_base_call_bills_every_call_as_a_base_call(
+        self, cars_env, complaints_env, join_query, failing, width
+    ):
+        left = FailingBase(
+            cars_env.web_source(), join_query.left if failing == "left" else None
+        )
+        right = FailingBase(
+            complaints_env.web_source(), join_query.right if failing == "right" else None
+        )
+        processor = JoinProcessor(
+            left,
+            right,
+            cars_env.knowledge,
+            complaints_env.knowledge,
+            JoinConfig(alpha=0.5, k_pairs=10, max_concurrency=width),
+        )
+        result = JoinResult(query=join_query)
+        with pytest.raises(SourceUnavailableError):
+            for __ in processor.stream_answers(join_query, result=result):
+                pass
+        # Serially a failed left base call ends the join before the right
+        # one; wider, both base calls were on the wire.
+        calls = left.calls + right.calls
+        assert calls == (1 if width == 1 and failing == "left" else 2)
+        assert result.stats.queries_issued == calls
+        assert result.base_queries_issued == calls
+        assert result.component_queries_issued == 0
+
+
+class FailingBase(SourceDecorator):
+    """Logs every call, and fails the call of *fails* (a base query, or
+    ``None`` for none) as a source that is down would."""
+
+    def __init__(self, inner, fails):
+        super().__init__(inner)
+        self.fails = fails
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def execute(self, query):
+        with self._lock:
+            self.calls += 1
+        if query == self.fails:
+            raise SourceUnavailableError(f"{self.name} is down")
+        return super().execute(query)
+
 
 class TestWidthParity:
     """Stream in the middle, rank at the edge: the final answer list and
@@ -261,9 +311,10 @@ class TestComponentsOverlapTheBasePush:
         self, cars_env, complaints_env, join_query, width
     ):
         entered = threading.Event()
+        left, right = cars_env.web_source(), complaints_env.web_source()
         processor = JoinProcessor(
-            ComponentSignal(cars_env.web_source(), join_query.left, entered),
-            ComponentSignal(complaints_env.web_source(), join_query.right, entered),
+            ComponentSignal(left, join_query.left, entered),
+            ComponentSignal(right, join_query.right, entered),
             cars_env.knowledge,
             complaints_env.knowledge,
             JoinConfig(alpha=0.5, k_pairs=10, max_concurrency=width),
@@ -279,13 +330,101 @@ class TestComponentsOverlapTheBasePush:
         finally:
             stream.close()
         # Closed early, the join has spent at most one window of component
-        # calls, each of them billed.
+        # calls per source, each of them billed.
         if width == 1:
             assert not overlapped
             assert result.component_queries_issued == 0
         else:
             assert overlapped
-            assert 1 <= result.component_queries_issued <= width
+            components = [_source_calls(source) - 1 for source in (left, right)]
+            assert all(calls <= width for calls in components)
+            assert 1 <= result.component_queries_issued == sum(components) <= 2 * width
+
+
+class InFlight:
+    """Calls in flight now and at their peak, per key."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._now: Counter = Counter()
+        self.peak: Counter = Counter()
+
+    def enter(self, *keys):
+        with self._lock:
+            for key in keys:
+                self._now[key] += 1
+                self.peak[key] = max(self.peak[key], self._now[key])
+
+    def leave(self, *keys):
+        with self._lock:
+            for key in keys:
+                self._now[key] -= 1
+
+
+class SleepingSource(SourceDecorator):
+    """Waits out a round trip in every call, counting the calls in flight
+    at its backend (every wrapper of one ``name``) and at the mediator."""
+
+    def __init__(self, inner, in_flight, seconds=0.03):
+        super().__init__(inner)
+        self.in_flight = in_flight
+        self.seconds = seconds
+
+    def execute(self, query):
+        keys = (self.name, "mediator")
+        self.in_flight.enter(*keys)
+        try:
+            time.sleep(self.seconds)
+            return super().execute(query)
+        finally:
+            self.in_flight.leave(*keys)
+
+
+class TestPerSourceWidth:
+    """A join's width is a limit per source: each source keeps up to
+    ``max_concurrency`` calls in flight, and the two sources overlap."""
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_each_source_peaks_at_the_limit(
+        self, cars_env, complaints_env, join_query, limit
+    ):
+        in_flight = InFlight()
+        processor = JoinProcessor(
+            SleepingSource(cars_env.web_source(), in_flight),
+            SleepingSource(complaints_env.web_source(), in_flight),
+            cars_env.knowledge,
+            complaints_env.knowledge,
+            JoinConfig(alpha=0.5, k_pairs=10, max_concurrency=limit),
+        )
+        result = processor.query(join_query)
+        # Enough calls on each side to fill a window of two.
+        assert result.component_queries_issued >= 4
+        assert in_flight.peak["cars"] == limit
+        assert in_flight.peak["complaints"] == limit
+        if limit == 1:
+            assert in_flight.peak["mediator"] == 1
+        else:
+            # The two sources' calls overlap.
+            assert in_flight.peak["mediator"] > limit
+
+    def test_a_self_join_keeps_its_backend_within_the_limit(self, cars_env):
+        in_flight = InFlight()
+        join = JoinQuery(
+            SelectionQuery.equals("model", "Grand Cherokee"),
+            SelectionQuery.equals("body_style", "Convt"),
+            "model",
+        )
+        # Two wrappers of two sources named alike: one backend.
+        processor = JoinProcessor(
+            SleepingSource(cars_env.web_source(), in_flight),
+            SleepingSource(cars_env.web_source(), in_flight),
+            cars_env.knowledge,
+            cars_env.knowledge,
+            JoinConfig(alpha=0.5, k_pairs=10, max_concurrency=2),
+        )
+        result = processor.query(join)
+        assert result.component_queries_issued >= 4
+        assert in_flight.peak["cars"] == 2
 
 
 class TestBaseNullFill:

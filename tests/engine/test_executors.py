@@ -4,12 +4,14 @@ Every executor must (1) merge outcomes strictly in task order, (2) stop
 *starting* tasks once its outcome stream is closed while letting work in
 flight complete, and (3) carry task exceptions as data instead of
 raising them.  The serial executor additionally promises strict
-laziness: a task only runs when its outcome is consumed.
+laziness: a task only runs when its outcome is consumed.  The concurrent
+executor counts its window per source.
 """
 
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -241,6 +243,138 @@ class TestConcurrentWindow:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(QpiadError, match="max_workers"):
             ConcurrentExecutor(0)
+
+
+def _sourced(sources, started, lock, seconds=0.0):
+    """One task per letter of *sources*, calling that source; each notes
+    its source in *started*, then sleeps."""
+
+    def make(i, source):
+        def run():
+            with lock:
+                started.append(source)
+            time.sleep(seconds)
+            return i
+
+        return run
+
+    return [
+        ExecutionTask(i, make(i, source), source) for i, source in enumerate(sources)
+    ]
+
+
+class TestPerSourceWindow:
+    def test_a_full_source_never_holds_back_another_sources_task(self):
+        other_ran = threading.Event()
+
+        def waits_for_other():
+            return other_ran.wait(5)
+
+        def other():
+            other_ran.set()
+            return True
+
+        # Source "a" fills its window of two and holds its third task; "b"'s
+        # task comes after that one in the plan.  The two "a" calls on the
+        # wire return only once "b"'s has run.
+        tasks = [ExecutionTask(i, waits_for_other, "a") for i in range(3)]
+        tasks.append(ExecutionTask(3, other, "b"))
+        outcomes = list(ConcurrentExecutor(2).map_completed(tasks))
+        assert sorted(o.rank for o in outcomes) == [0, 1, 2, 3]
+        assert all(o.value is True for o in outcomes)
+
+    def test_map_yields_in_task_order_across_sources(self):
+        def make(i):
+            def run():
+                # Later tasks finish first.
+                time.sleep(0.001 * (8 - i))
+                return i
+
+            return run
+
+        tasks = [
+            ExecutionTask(i, make(i), source) for i, source in enumerate("aaabbbab")
+        ]
+        outcomes = list(ConcurrentExecutor(2).map(tasks))
+        assert [o.rank for o in outcomes] == list(range(8))
+        assert [o.value for o in outcomes] == list(range(8))
+
+    @pytest.mark.parametrize("source", ["", "cars"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_one_source_window_is_exactly_the_width(self, method, source):
+        width = 3
+        gate = threading.Barrier(width, timeout=5)
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+
+        def run():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                # Passes only while *width* tasks are running at once.
+                gate.wait()
+                time.sleep(0.002)
+            finally:
+                with lock:
+                    running[0] -= 1
+            return True
+
+        tasks = [ExecutionTask(i, run, source) for i in range(2 * width)]
+        outcomes = list(getattr(ConcurrentExecutor(width), method)(tasks))
+        assert [o.error for o in outcomes] == [None] * (2 * width)
+        assert peak[0] == width
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_windows_hold_under_frequent_switches(self, method):
+        lock = threading.Lock()
+        running, peak = Counter(), Counter()
+
+        def make(i, source):
+            def run():
+                with lock:
+                    running[source] += 1
+                    peak[source] = max(peak[source], running[source])
+                with lock:
+                    running[source] -= 1
+                return i
+
+            return run
+
+        outcomes = []
+
+        def drain():
+            # Three sources of width 3: nine workers on two cores.
+            tasks = [
+                ExecutionTask(i, make(i, source), source)
+                for i, source in enumerate("abc" * 100)
+            ]
+            outcomes.extend(getattr(ConcurrentExecutor(3), method)(tasks))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=drain, daemon=True)
+            runner.start()
+            runner.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(o.value for o in outcomes) == list(range(300))
+        assert set(peak) == {"a", "b", "c"}
+        assert max(peak.values()) <= 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_closing_after_one_outcome_starts_one_window_per_source(self, method):
+        started, lock = [], threading.Lock()
+        stream = getattr(ConcurrentExecutor(2), method)(
+            _sourced("ab" * 6, started, lock, seconds=0.002)
+        )
+        next(stream)
+        stream.close()
+        # Each source's first window ran to completion; nothing else started.
+        assert Counter(started) == {"a": 2, "b": 2}
 
 
 class TestBuildExecutor:

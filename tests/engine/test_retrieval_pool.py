@@ -1,10 +1,11 @@
 """Worker pools live as long as the retrieval that needs them, no longer.
 
 A join runs two plans, its base calls and then its components, on one
-engine at a pinned width; entered as a context manager, the engine keeps
-one worker pool for both and joins its workers when the join's stream is
-drained or closed.  A plan the engine fans out on its own (an unpinned
-width) keeps a pool of its own, released when that plan ends.
+engine at a pinned width, which is counted per source; entered as a
+context manager, the engine keeps one worker pool per source for both
+plans and joins their workers when the join's stream is drained or
+closed.  A plan the engine fans out on its own (an unpinned width) keeps
+a pool of its own, released when that plan ends.
 """
 
 from __future__ import annotations
@@ -76,8 +77,11 @@ class TestOneJoinOnePool:
         result = processor.query(JOIN)
         assert result.base_queries_issued == 2
         assert result.component_queries_issued >= 2
+        # The width is per source: each source's base and component calls
+        # share that source's two workers.
+        for source in (left, right):
+            assert len(set(source.threads)) <= 2
         workers = set(left.threads + right.threads)
-        assert len(workers) <= 2
         assert all(worker.name.startswith("qpiad-engine") for worker in workers)
 
     def test_no_worker_outlives_a_drained_join(self, cars_env, complaints_env):
