@@ -35,7 +35,6 @@ bit-identical at every executor width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeAlias
 
@@ -105,12 +104,6 @@ class _Side:
     target_attribute: str | None = None
     afd: Afd | None = None
 
-    @cached_property
-    def join_values(self) -> set[Any]:
-        """The join values of the distribution, built once for every pair
-        the side is scored in."""
-        return set(self.join_distribution)
-
     def est_sel(self, join_value: Any) -> float:
         return (
             self.precision
@@ -129,8 +122,19 @@ class _QueryPair:
         return self.left.precision * self.right.precision
 
     def estimated_selectivity(self) -> float:
-        common = self.left.join_values & self.right.join_values
-        return sum(self.left.est_sel(v) * self.right.est_sel(v) for v in common)
+        """Σ over shared join values of both sides' ``est_sel`` product.
+
+        Added one by one in the left distribution's own order, so the last
+        bits are the same in every process: a set's order would follow
+        string hashing (``PYTHONHASHSEED``), and ``sum`` compensates its
+        rounding on Python 3.12 and later.
+        """
+        right = self.right.join_distribution
+        total = 0.0
+        for value in self.left.join_distribution:
+            if value in right:
+                total += self.left.est_sel(value) * self.right.est_sel(value)
+        return total
 
 
 @dataclass(frozen=True)

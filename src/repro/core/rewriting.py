@@ -8,19 +8,22 @@ plain web form) and constrains its determining set instead.
 
 Each rewritten query carries the statistics the ordering stage needs:
 estimated precision ``P(Am = vm | dtrSet values)`` from the AFD-enhanced
-classifier and estimated selectivity from the sample.
+classifier and estimated selectivity from the sample.  Both are computed
+from the determining-value combination alone, so a candidate's query is
+built only when something reads it: the ranker reads the few it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import RewritingError
 from repro.mining.afd import Afd
 from repro.mining.knowledge import KnowledgeBase
-from repro.query.predicates import Between, Equals, Predicate
+from repro.mining.selectivity import SampleMasks
+from repro.query.predicates import And, Between, Equals, Predicate
 from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -36,6 +39,29 @@ __all__ = [
 ]
 
 
+class _QueryOnRead:
+    """The :attr:`RewrittenQuery.query` field: it holds the query itself or
+    the :class:`_Rewriting` that builds it, and a read returns the query.
+
+    A descriptor-typed dataclass field: the dataclass ``__init__`` stores
+    the value through :meth:`__set__`, and the frozen class refuses every
+    later assignment.  It has no default, so ``query`` stays required.
+    """
+
+    def __get__(
+        self, candidate: "RewrittenQuery | None", owner: "type | None" = None
+    ) -> SelectionQuery:
+        if candidate is None:
+            raise AttributeError("query")  # no class-level default
+        held = candidate.__dict__["query"]
+        return held.query if isinstance(held, _Rewriting) else held
+
+    def __set__(
+        self, candidate: "RewrittenQuery", value: "SelectionQuery | _Rewriting"
+    ) -> None:
+        candidate.__dict__["query"] = value
+
+
 @dataclass(frozen=True)
 class RewrittenQuery:
     """A rewritten query plus the statistics used to order it.
@@ -44,7 +70,12 @@ class RewrittenQuery:
     ----------
     query:
         The query to issue to the source (never constrains
-        :attr:`target_attribute`).
+        :attr:`target_attribute`).  A candidate
+        :func:`rewritten_from_bindings` scored holds how to build its
+        query, not the query: it is built the first time it is read and
+        every later read returns it.  Building is idempotent, so two
+        threads reading a shared candidate at once get equal queries.  A
+        hand-built candidate holds the query it was given.
     target_attribute:
         The constrained attribute whose missing values this query hunts.
     evidence:
@@ -66,7 +97,7 @@ class RewrittenQuery:
         equality or ``repr``.
     """
 
-    query: SelectionQuery
+    query: SelectionQuery = _QueryOnRead()
     target_attribute: str
     evidence: Mapping[str, Any]
     estimated_precision: float
@@ -82,6 +113,8 @@ class RewrittenQuery:
         return self.estimated_precision * self.estimated_selectivity
 
     def with_ordering_scores(self, recall: float, f_measure: float) -> "RewrittenQuery":
+        """A copy carrying *recall* and *f_measure* (the copy holds the
+        built query)."""
         return replace(self, estimated_recall=recall, f_measure=f_measure)
 
     def __repr__(self) -> str:
@@ -262,13 +295,25 @@ def rewritten_from_bindings(
 ) -> list[RewrittenQuery]:
     """The candidate rewritten queries *bindings* yield for *query*.
 
-    One candidate per bound combination, scored with its estimated
-    precision and selectivity.  A binding's queries are built first, each
-    determining predicate once per distinct value, and then scored
-    together: one :meth:`KnowledgeBase.value_distributions` batch for
-    precision, as :func:`target_probabilities` reads it (each candidate
-    keeps its posterior), and one
-    :meth:`SelectivityEstimator.estimate_all` batch for selectivity.
+    One candidate per bound combination, scored from the combination's
+    replacement predicates (one per determining attribute); no query is
+    built here, each is built when first read (see
+    :class:`RewrittenQuery`).  Per binding:
+
+    * each determining predicate is made once per distinct value of its
+      column, and a combination whose replacements equal an earlier one's
+      would rewrite to an equal query, so it is skipped;
+    * selectivity is one :class:`~repro.mining.selectivity.SampleMasks`
+      batch: one sample mask per distinct predicate in the call, the
+      conjuncts every candidate keeps ANDed once, and each candidate's
+      replacement masks ANDed column by column for all candidates at once;
+    * precision is one :meth:`KnowledgeBase.value_distributions` batch,
+      read as :func:`target_probabilities` reads it (each candidate keeps
+      its posterior).
+
+    Candidates, their order, their queries and their estimates are exactly
+    those of building each query with ``query.replacing`` (plus the
+    leftover rewrite, see :class:`_Replacing`) and scoring it alone.
     Raises :class:`RewritingError` when no constrained attribute is
     rewritable (*bindings* is empty).
     """
@@ -277,72 +322,136 @@ def rewritten_from_bindings(
             f"no constrained attribute of {query!r} has a usable AFD; "
             "cannot generate rewritten queries"
         )
-    # Keyed by value identity, not equality: 0.0 and -0.0 (or 1 and True)
-    # are equal but print differently, and each candidate binds exactly
-    # the value its combination holds.  The combinations keep every value
-    # alive for the whole call, so no identity is reused.
-    determining_predicates: dict[tuple[str, int], Predicate] = {}
-
-    def determining_predicate(name: str, value: Any) -> Predicate:
-        key = (name, id(value))
-        predicate = determining_predicates.get(key)
-        if predicate is None:
-            predicate = determining_predicates[key] = _determining_predicate(
-                knowledge, name, value
-            )
-        return predicate
-
+    masks = SampleMasks(knowledge.selectivity)
     candidates: list[RewrittenQuery] = []
-    seen: set[tuple[str, SelectionQuery]] = set()
     for attribute, determining, combos in bindings:
-        queries: list[SelectionQuery] = []
-        evidences: list[dict[str, Any]] = []
-        for combo in combos:
-            replacements = [
-                determining_predicate(name, value)
-                for name, value in zip(determining, combo)
-            ]
-            rewritten = query.replacing(attribute, replacements)
-            # Drop leftover original conjuncts on determining attributes: the
-            # base-tuple binding subsumes them.
-            for name, replacement in zip(determining, replacements):
-                extra = [
-                    conjunct
-                    for conjunct in rewritten.conjuncts_on(name)
-                    if conjunct != replacement
-                ]
-                if extra:
-                    rewritten = rewritten.replacing(name, [replacement])
-            key = (attribute, rewritten)
-            if key in seen:
-                continue
-            seen.add(key)
-            queries.append(rewritten)
-            evidences.append(dict(zip(determining, combo)))
-        if not queries:
+        if not combos:
             continue
-
+        replacing = _Replacing(query, attribute, determining)
+        # Equal predicates share a mask index, so a combination whose
+        # indices repeat an earlier one's would rewrite to an equal query.
+        first: dict[tuple[int, ...], tuple[tuple[Any, ...], tuple[Predicate, ...]]] = {}
+        for combo, replacements, indices in zip(
+            combos, *_replacement_rows(knowledge, masks, determining, combos)
+        ):
+            first.setdefault(indices, (combo, replacements))
+        selectivities = masks.estimate(
+            list(first), [masks.index(conjunct) for conjunct in replacing.kept]
+        )
+        evidences = [dict(zip(determining, combo)) for combo, __ in first.values()]
         best_afd = knowledge.best_afd(attribute)
         posteriors = knowledge.value_distributions(attribute, evidences, method)
         precisions = _satisfying_mass(
             knowledge, attribute, query.conjuncts_on(attribute), posteriors
         )
-        selectivities = knowledge.selectivity.estimate_all(queries)
         candidates.extend(
             RewrittenQuery(
-                query=rewritten,
+                query=_Rewriting(replacing, replacements),
                 target_attribute=attribute,
                 evidence=evidence,
                 estimated_precision=precision,
-                estimated_selectivity=selectivity,
+                estimated_selectivity=estimate,
                 afd=best_afd,
                 posterior=posterior,
             )
-            for rewritten, evidence, precision, selectivity, posterior in zip(
-                queries, evidences, precisions, selectivities, posteriors
+            for (__, replacements), evidence, precision, estimate, posterior in zip(
+                first.values(), evidences, precisions, selectivities, posteriors
             )
         )
     return candidates
+
+
+def _replacement_rows(
+    knowledge: KnowledgeBase,
+    masks: SampleMasks,
+    determining: Sequence[str],
+    combos: Sequence[tuple[Any, ...]],
+) -> "tuple[Iterator[tuple[Predicate, ...]], Iterator[tuple[int, ...]]]":
+    """Each of *combos*' replacement predicates, and their mask indices.
+
+    A column's predicates are made once per distinct value, keyed by value
+    identity, not equality: 0.0 and -0.0 (or 1 and True) are equal but
+    print differently, and each candidate binds exactly the value its
+    combination holds.  The combinations keep every value alive, so no
+    identity is reused.
+    """
+    predicate_columns: list[Iterator[Predicate]] = []
+    index_columns: list[Iterator[int]] = []
+    for name, column in zip(determining, zip(*combos)):
+        ids = list(map(id, column))
+        predicate_of = {
+            key: _determining_predicate(knowledge, name, value)
+            for key, value in dict(zip(ids, column)).items()
+        }
+        index_of = {key: masks.index(predicate) for key, predicate in predicate_of.items()}
+        predicate_columns.append(map(predicate_of.__getitem__, ids))
+        index_columns.append(map(index_of.__getitem__, ids))
+    return zip(*predicate_columns), zip(*index_columns)
+
+
+class _Replacing:
+    """What the rewritten queries of one binding share.
+
+    ``query.replacing(attribute, replacements)`` conjoins the replacements
+    (one per determining attribute) with the conjuncts not on *attribute*,
+    dropping duplicates.  A kept conjunct on a determining attribute that
+    differs from its replacement (a leftover) is then dropped and that
+    replacement moved to the front, one attribute after another; the
+    binding subsumes it.  So each rewritten query is its replacements,
+    reordered only by leftovers, followed by :attr:`kept`, the conjuncts on
+    neither *attribute* nor a determining attribute, in query order.
+    """
+
+    __slots__ = ("relation", "kept", "on_determining")
+
+    def __init__(
+        self, query: SelectionQuery, attribute: str, determining: Sequence[str]
+    ):
+        others = [c for c in query.conjuncts if attribute not in c.attributes()]
+        self.relation = query.relation
+        self.kept = tuple(
+            c for c in others if not any(name in c.attributes() for name in determining)
+        )
+        #: Per determining attribute, the conjuncts of *query* on it.
+        self.on_determining = tuple(
+            tuple(c for c in others if name in c.attributes()) for name in determining
+        )
+
+    def query(self, replacements: Sequence[Predicate]) -> SelectionQuery:
+        """The rewritten query binding *replacements*, in determining order."""
+        moved: list[Predicate] = []
+        stayed: list[Predicate] = []
+        for replacement, constraints in zip(replacements, self.on_determining):
+            if any(c != replacement for c in constraints):
+                moved.append(replacement)
+            else:
+                stayed.append(replacement)
+        # Each leftover rewrite put its replacement before the previous one.
+        return SelectionQuery(And([*reversed(moved), *stayed, *self.kept]), self.relation)
+
+
+class _Rewriting:
+    """One candidate's query: its replacements until first read, then the
+    query built from them."""
+
+    __slots__ = ("_replacing", "_replacements", "_query")
+
+    def __init__(self, replacing: _Replacing, replacements: tuple[Predicate, ...]):
+        self._replacing = replacing
+        self._replacements = replacements
+        self._query: SelectionQuery | None = None
+
+    @property
+    def query(self) -> SelectionQuery:
+        query = self._query
+        if query is None:
+            # Two threads may both build it: they build equal queries from
+            # the same immutable parts, and either is as good as the other.
+            query = self._query = self._replacing.query(self._replacements)
+        return query
+
+    def __repr__(self) -> str:
+        return repr(self.query)
 
 
 def _project(rows: Iterable[tuple], indices: Sequence[int]) -> Iterable[tuple]:

@@ -22,11 +22,7 @@ from repro.evaluation.metrics import (
     tuples_required_for_recall,
 )
 from repro.evaluation.oracle import GroundTruthOracle
-from repro.evaluation.workloads import (
-    aggregate_workload,
-    join_workload,
-    multi_attribute_workload,
-)
+from repro.evaluation.workloads import join_workload
 from repro.evaluation.reporting import render_curves, render_series, render_table
 from repro.evaluation.stats import IncompletenessReport, incompleteness_report
 from repro.evaluation.summary import SummaryResult, experiment_summary, render_summary
@@ -49,8 +45,6 @@ __all__ = [
     "run_all_returned",
     "run_all_ranked",
     "selection_workload",
-    "multi_attribute_workload",
-    "aggregate_workload",
     "join_workload",
     "classification_accuracy",
     "IncompletenessReport",

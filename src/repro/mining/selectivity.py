@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.errors import MiningError
 from repro.query.executor import certain_count
 from repro.query.predicates import Predicate
@@ -27,10 +29,9 @@ from repro.query.query import SelectionQuery
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:
-    import numpy as np
     from numpy.typing import NDArray
 
-__all__ = ["SelectivityEstimator"]
+__all__ = ["SampleMasks", "SelectivityEstimator"]
 
 
 @dataclass
@@ -89,11 +90,8 @@ class SelectivityEstimator:
         per distinct conjunct.
 
         A query's sample count ANDs its conjuncts' masks in conjunct
-        order, which is what ``And.mask`` computes, so the rewritten
-        queries of one binding share the masks of the determining values
-        and kept constraints they have in common.  The count is then
-        scaled by ``sample_ratio`` and ``incomplete_fraction``, in that
-        order.
+        order, which is what ``And.mask`` computes, so queries share the
+        masks of the conjuncts they have in common.
         """
         store = self.sample.columnar()
         masks: dict[Predicate, "NDArray[np.bool_]"] = {}
@@ -104,8 +102,55 @@ class SelectivityEstimator:
                 mask = masks[conjunct] = conjunct.mask(store)
             return mask
 
-        estimates: list[float] = []
-        for query in queries:
-            count = int(reduce(operator.and_, map(mask_of, query.conjuncts)).sum())
-            estimates.append(count * self.sample_ratio * self.incomplete_fraction)
-        return estimates
+        return [
+            self._scaled(int(reduce(operator.and_, map(mask_of, query.conjuncts)).sum()))
+            for query in queries
+        ]
+
+    def _scaled(self, count: int) -> float:
+        """``EstSel`` from ``SmplSel``: *count* scaled by ``sample_ratio``
+        and then ``incomplete_fraction``."""
+        return count * self.sample_ratio * self.incomplete_fraction
+
+
+class SampleMasks:
+    """Sample masks of distinct predicates, and ``EstSel`` of many
+    conjunctions of them at once.
+
+    Rewriting scores a binding's candidate queries here: each is its
+    replacement predicates ANDed with conjuncts every candidate of the
+    binding shares.  A predicate is masked once per table (equal
+    predicates share one mask and one index); :meth:`estimate` ANDs the
+    shared masks once and each column of replacement masks once for all
+    candidates.  AND counts the same rows in any order, so every estimate
+    equals :meth:`SelectivityEstimator.estimate` of the candidate's query.
+    """
+
+    def __init__(self, estimator: SelectivityEstimator):
+        self._estimator = estimator
+        self._indices: dict[Predicate, int] = {}
+        self._masks: list["NDArray[np.bool_]"] = []
+
+    def index(self, predicate: Predicate) -> int:
+        """The index of *predicate*'s mask, taken on first use."""
+        index = self._indices.get(predicate)
+        if index is None:
+            index = self._indices[predicate] = len(self._masks)
+            self._masks.append(predicate.mask(self._estimator.sample.columnar()))
+        return index
+
+    def estimate(
+        self, conjunctions: Sequence[Sequence[int]], shared: Sequence[int]
+    ) -> list[float]:
+        """``EstSel`` of each of *conjunctions* (equal-length rows of
+        indices), every one also ANDed with the *shared* masks."""
+        if not conjunctions:
+            return []
+        masks = np.stack(self._masks)
+        columns = np.array(conjunctions, dtype=np.intp)
+        rows = masks[columns[:, 0]]
+        for column in columns.T[1:]:
+            rows &= masks[column]
+        if shared:
+            rows &= reduce(operator.and_, [self._masks[index] for index in shared])
+        return [self._estimator._scaled(count) for count in rows.sum(axis=1).tolist()]

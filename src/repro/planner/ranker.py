@@ -30,6 +30,7 @@ retrieving query's precision as its rank — no per-tuple re-ranking needed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence, TypeVar
 
 from repro.core.rewriting import RewrittenQuery
@@ -79,44 +80,66 @@ class Ranker:
         return f_measure(precision, recall, self.alpha)
 
     def score(self, rewritten: Sequence[RewrittenQuery]) -> "list[RewrittenQuery]":
-        """Attach estimated recall and F-measure to every rewritten query.
+        """A copy of every rewritten query with its estimated recall and
+        F-measure attached; *rewritten* is left as it was.
 
         Recall is expected throughput normalized by the cumulative expected
         throughput over *all* candidates (the paper's estimate of the
         fraction of reachable relevant answers each query contributes).
+        :meth:`order` computes the same scores but copies only the
+        candidates it keeps.
         """
-        total_throughput = sum(query.expected_throughput for query in rewritten)
-        scored = []
-        for query in rewritten:
-            if total_throughput > 0:
-                recall = query.expected_throughput / total_throughput
-            else:
-                recall = 0.0
-            scored.append(
-                query.with_ordering_scores(
-                    recall, self.f_measure(query.estimated_precision, recall)
-                )
-            )
-        return scored
+        __, recalls, f_measures = self._ordering_scores(rewritten)
+        return [
+            query.with_ordering_scores(recall, f)
+            for query, recall, f in zip(rewritten, recalls, f_measures)
+        ]
+
+    def _ordering_scores(
+        self, rewritten: Sequence[RewrittenQuery]
+    ) -> "tuple[list[float], list[float], list[float]]":
+        """Each candidate's expected throughput, estimated recall and
+        F-measure (see :meth:`score`)."""
+        throughputs = [query.expected_throughput for query in rewritten]
+        total_throughput = sum(throughputs)
+        if total_throughput > 0:
+            recalls = [throughput / total_throughput for throughput in throughputs]
+        else:
+            recalls = [0.0] * len(throughputs)
+        f_measures = [
+            self.f_measure(query.estimated_precision, recall)
+            for query, recall in zip(rewritten, recalls)
+        ]
+        return throughputs, recalls, f_measures
 
     def order(self, rewritten: Sequence[RewrittenQuery]) -> "list[RewrittenQuery]":
         """Select and order the rewritten queries to issue.
 
-        1. Score every candidate with the F-measure at this α.
-        2. Keep the top-K by F-measure (``k = None`` keeps all).
-        3. Re-order the survivors by estimated precision, descending, so
-           that issuing them in order yields answers in rank order
-           (step 2c).
-
-        Ties break on expected throughput, then on the query's repr for
-        determinism.
+        1. Score every candidate with the F-measure at this α, into lists:
+           no candidate is copied.
+        2. Keep the top-K by F-measure (``k = None`` keeps all) under
+           :meth:`select_top`'s tie-break, so a candidate's query is read
+           (and, for a candidate :func:`rewritten_from_bindings` scored,
+           built) for its ``repr`` only when it ties another on F-measure
+           and expected throughput.
+        3. Attach recall and F-measure to the survivors alone, and re-order
+           them by estimated precision, descending, so that issuing them
+           in order yields answers in rank order (step 2c).  Ties break on
+           expected throughput, then on the query's repr.
         """
-        selected = self.select_top(
-            self.score(rewritten),
-            f=lambda q: q.f_measure,
-            throughput=lambda q: q.expected_throughput,
-            key=lambda q: repr(q.query),
+        throughputs, recalls, f_measures = self._ordering_scores(rewritten)
+        kept = self.select_top(
+            range(len(rewritten)),
+            f=f_measures.__getitem__,
+            throughput=throughputs.__getitem__,
+            key=lambda position: repr(rewritten[position].query),
         )
+        selected = [
+            rewritten[position].with_ordering_scores(
+                recalls[position], f_measures[position]
+            )
+            for position in kept
+        ]
         return sorted(
             selected,
             key=lambda q: (-q.estimated_precision, -q.expected_throughput, repr(q.query)),
@@ -132,9 +155,23 @@ class Ranker:
     ) -> "list[T]":
         """Top-K of *items* under the canonical selection tie-break.
 
-        Sorts by ``(-F, -expected throughput, canonical key)`` and keeps
-        the first K.  :meth:`order` applies it to rewritten queries; the
-        join processor's query pairs use it directly.
+        The order is ``(-F, -expected throughput, canonical key)``, and the
+        first K are kept.  :meth:`order` applies it to rewritten queries;
+        the join processor's query pairs use it directly.  *key* is called
+        only for items that tie another on F and throughput within reach
+        of the K-th place: each such group is ordered by key in full, so
+        the group that straddles the K-th place keeps the same members a
+        sort on all three would keep.
         """
-        ranked = sorted(items, key=lambda item: (-f(item), -throughput(item), key(item)))
-        return ranked if self.k is None else ranked[: self.k]
+        scores = [(-f(item), -throughput(item)) for item in items]
+        ranked = sorted(range(len(items)), key=scores.__getitem__)
+        limit = len(ranked) if self.k is None else self.k
+        top: "list[T]" = []
+        for __, group in groupby(ranked, key=scores.__getitem__):
+            if len(top) >= limit:
+                break
+            tied = [items[position] for position in group]
+            if len(tied) > 1:
+                tied.sort(key=key)
+            top.extend(tied)
+        return top[:limit]

@@ -74,8 +74,8 @@ def certain_count(query: SelectionQuery, relation: Relation) -> int:
 
     A mask sum.  ``SelectivityEstimator.sample_selectivity`` counts one
     query this way; scoring rewritten queries does not call it, because
-    ``SelectivityEstimator.estimate_all`` masks the sample once per
-    distinct conjunct of a whole batch instead.
+    ``repro.mining.selectivity.SampleMasks`` masks the sample once per
+    distinct predicate of a whole batch instead.
     """
     return int(query.predicate.mask(relation.columnar()).sum())
 

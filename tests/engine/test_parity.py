@@ -11,7 +11,8 @@ import pytest
 
 from repro.core import QpiadConfig, QpiadMediator
 from repro.core.results import RetrievalStats
-from repro.evaluation import selection_workload, multi_attribute_workload
+from repro.evaluation import selection_workload
+from tests.workloads import multi_attribute_workload
 from repro.query import SelectionQuery
 
 WIDTHS = [1, 4]

@@ -23,7 +23,8 @@ from repro.core.results import RetrievalStats
 from repro.engine import ConcurrentExecutor, PlannedQuery, QueryKind, RetrievalEngine
 from repro.engine import engine as engine_module
 from repro.errors import QpiadError
-from repro.evaluation import multi_attribute_workload, selection_workload
+from repro.evaluation import selection_workload
+from tests.workloads import multi_attribute_workload
 from repro.planner import PlannerConfig, QueryPlanner
 from repro.resilience import SourcePolicy, SourceScheduler
 from repro.sources import AutonomousSource, SourceCapabilities, SourceDecorator

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QpiadError
-from repro.evaluation import aggregate_workload, join_workload, multi_attribute_workload
+from repro.evaluation import join_workload
+from tests.workloads import aggregate_workload, multi_attribute_workload
 from repro.query import AggregateFunction
 from repro.query.executor import certain_answers
 

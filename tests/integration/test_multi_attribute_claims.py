@@ -11,11 +11,11 @@ import pytest
 from repro.core import QpiadConfig
 from repro.evaluation import (
     average_precision,
-    multi_attribute_workload,
     run_all_returned,
     run_qpiad,
 )
 from repro.relational import is_null
+from tests.workloads import multi_attribute_workload
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,8 @@ from repro.core import (
     QpiadMediator,
 )
 from repro.core.relaxation import QueryRelaxer
-from repro.evaluation import multi_attribute_workload, selection_workload
+from repro.evaluation import selection_workload
+from tests.workloads import multi_attribute_workload
 from repro.mining import KnowledgeBase
 from repro.planner import PlanCache, PlannerConfig, QueryPlanner, Ranker
 from repro.query import (
